@@ -319,9 +319,17 @@ func BenchmarkOPTGreedy(b *testing.B) {
 
 func BenchmarkFeatureTracking(b *testing.B) {
 	tr := benchTrace(b, 50000)
+	// The request path's two tracker calls at steady state: an unbounded
+	// tracker (core's default) that has seen every object once, so the
+	// timed loop inserts nothing. Pinned to 0 allocs/op by
+	// testdata/alloc_budgets.txt (scripts/check.sh).
 	b.Run("stream", func(b *testing.B) {
-		tracker := features.NewTracker(1 << 20)
+		tracker := features.NewTracker(0)
 		buf := make([]float64, features.Dim)
+		for _, r := range tr.Requests {
+			tracker.Update(r)
+		}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r := tr.Requests[i%tr.Len()]

@@ -2,9 +2,18 @@ package lfo
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
+
+	"lfo/internal/core"
+	"lfo/internal/evict"
+	"lfo/internal/gbdt"
+	"lfo/internal/gen"
+	"lfo/internal/opt"
+	"lfo/internal/trace"
 )
 
 // runSeededPipeline executes the full window pipeline — synthetic trace
@@ -155,6 +164,113 @@ func TestPipelineDeterminismAcrossWorkers(t *testing.T) {
 		}
 		if !bytes.Equal(met1, metN) {
 			t.Errorf("workers=%d: simulation metrics differ from sequential run", workers)
+		}
+	}
+}
+
+// benchConfigPins are the SHA-256 of Model.Save for the models the three
+// cache configurations of the repository's benchmark (bench/cache.go)
+// deploy on the unshuffled seed-7 trace: the admission models of windows 0
+// and 1 and, for learned eviction, the eviction model of window 0. They
+// were recorded at the commit before the trainer's inner loops were
+// reworked (PR 14); a trainer change that moves one bit of any float sum,
+// split choice or leaf value moves a hash.
+var benchConfigPins = []struct {
+	name   string
+	mix    func(requests int, seed int64) gen.Config
+	window int
+	cfg    core.Config
+	admit  [2]string
+	evict  string
+}{
+	{
+		name: "admit_rank", mix: gen.CDNMix, window: 10000,
+		cfg: core.Config{CacheSize: 64 << 20, Workers: 1, Eviction: "rank", Seed: 1,
+			OPT: opt.Config{Algorithm: opt.AlgoGreedy}},
+		admit: [2]string{
+			"875864f03d94d682780308a1517481f3325f57bf766c551d9e4fb58b7713e3fb",
+			"cdd53d029031e8b6f8af9d863b369041381128541263a5b4a68abbfb76ae0f5b",
+		},
+	},
+	{
+		name: "evict_learned", mix: gen.WebMix, window: 5000,
+		cfg: core.Config{CacheSize: 16 << 20, Workers: 1, Eviction: "learned", Seed: 1,
+			OPT: opt.Config{Algorithm: opt.AlgoGreedy}, Cutoff: core.CutoffAdmitAll},
+		admit: [2]string{
+			"040fbe93ec0bf170a626ad9d9c13f9088b8fef01547993a34522d0074add8069",
+			"eb8c9b87d47275715f2bb74a4709287aa820341f487e9e84ae97e15005fbaf76",
+		},
+		evict: "168fc21cdf28002d837924bec77ad2e8053783386363b8e08a7dce52ebe986ee",
+	},
+	{
+		name: "default_flow", mix: gen.CDNMix, window: 7000,
+		cfg: core.Config{CacheSize: 64 << 20, Workers: 1},
+		admit: [2]string{
+			"b3681de89b3d840825f3a90e723b6b6ddb797cd7ad7127a5dd5bc387d000952f",
+			"a857145d0d3bc2110f1174c07bb0db736a4463ae87c5fe7a3fa3ba39a8722a5b",
+		},
+	},
+}
+
+func modelSHA(t *testing.T, m *gbdt.Model) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// TestBenchConfigModelPins holds the trainer to the exact models of the
+// benchmark's cache configurations, for sequential and parallel training.
+func TestBenchConfigModelPins(t *testing.T) {
+	for _, pin := range benchConfigPins {
+		for _, workers := range []int{1, 4} {
+			tr, err := gen.Generate(pin.mix(2*pin.window, 7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := pin.cfg
+			cfg.WindowSize = pin.window
+			cfg.Workers = workers
+			cache, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := 0; w < 2; w++ {
+				for _, r := range tr.Requests[w*pin.window : (w+1)*pin.window] {
+					cache.Request(r)
+				}
+				if cache.Windows() != w+1 {
+					t.Fatalf("%s: %d windows after %d requests", pin.name, cache.Windows(), (w+1)*pin.window)
+				}
+				if got := modelSHA(t, cache.Model()); got != pin.admit[w] {
+					t.Errorf("%s workers=%d: admission model of window %d = %s, want %s", pin.name, workers, w, got, pin.admit[w])
+				}
+			}
+			if cfg.Eviction != "learned" {
+				continue
+			}
+			// The eviction model is not reachable through core.LFO; retrain
+			// it from the same labels, as the handoff does.
+			reqs := tr.Requests[:pin.window]
+			optCfg := cfg.OPT
+			optCfg.CacheSize = cfg.CacheSize
+			optCfg.Workers = workers
+			res, err := opt.Compute(&trace.Trace{Requests: reqs}, optCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			params := gbdt.DefaultParams()
+			params.Workers = workers
+			em, err := evict.Train(reqs, res.Admit, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := modelSHA(t, em); got != pin.evict {
+				t.Errorf("%s workers=%d: eviction model of window 0 = %s, want %s", pin.name, workers, got, pin.evict)
+			}
 		}
 	}
 }

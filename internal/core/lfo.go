@@ -543,27 +543,25 @@ func (p *LFO) retrain() {
 		p.det.SetReference()
 		p.driftRefs++
 	}
-	win := &trace.Trace{Requests: p.winReqs}
 	var res *opt.Result
 	var optErr error
+	label := func() {
+		sc := obs.Start(p.m.optNS)
+		res, optErr = opt.Compute(&trace.Trace{Requests: p.winReqs}, p.cfg.OPT)
+		sc.Stop()
+	}
 	var ids []trace.ObjectID
 	var rescoreRows []float64
-	if par.Resolve(p.cfg.Workers) > 1 {
+	if p.rank != nil && par.Resolve(p.cfg.Workers) > 1 {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			sc := obs.Start(p.m.optNS)
-			res, optErr = opt.Compute(win, p.cfg.OPT)
-			sc.Stop()
+			label()
 		}()
-		if p.rank != nil {
-			ids, rescoreRows = p.gatherResidents()
-		}
+		ids, rescoreRows = p.gatherResidents()
 		<-done
 	} else {
-		sc := obs.Start(p.m.optNS)
-		res, optErr = opt.Compute(win, p.cfg.OPT)
-		sc.Stop()
+		label()
 		if p.rank != nil {
 			ids, rescoreRows = p.gatherResidents()
 		}
@@ -578,89 +576,20 @@ func (p *LFO) retrain() {
 	// The recorded window matrix becomes the training set without a copy;
 	// it is released (re-sliced to zero length) only after training and
 	// the stats pass are done with it.
-	labels := make([]float64, len(p.winReqs))
-	for i := range labels {
-		if res.Admit[i] {
-			labels[i] = 1
-		}
-	}
-	ds := gbdt.DatasetFromMatrix(features.Dim, p.winFeats, labels)
-	sc := obs.Start(p.m.trainNS)
-	model, err := gbdt.Train(ds, p.cfg.GBDT)
-	sc.Stop()
-	if err != nil {
-		panic(fmt.Sprintf("core: training failed: %v", err))
-	}
-
-	if p.cfg.OnRetrain != nil {
-		p.cfg.OnRetrain(p.retrainStats(model, ds, res))
-	}
-
-	// The eviction ranker trains from the same window's OPT labels (an
-	// object OPT would not cache is the ideal victim), so the one solve
-	// above supervises both models.
-	var evictModel *gbdt.Model
-	if p.cfg.Eviction == "learned" {
-		sc = obs.Start(p.m.evictTrainNS)
-		evictModel, err = evict.Train(p.winReqs, res.Admit, p.cfg.GBDT)
-		sc.Stop()
-		if err != nil {
-			panic(fmt.Sprintf("core: eviction training failed: %v", err))
-		}
-	}
-
+	tr := fitWindow(p.winReqs, p.winFeats, res, p.cfg, p.m)
 	p.winReqs = p.winReqs[:0]
 	p.winFeats = p.winFeats[:0]
-	// Deploy both models at the same point, atomically between requests.
-	// The fresh model owns the adapted state again: the bridge bias
-	// starts over from zero.
-	p.model = model
-	p.resetBias()
-	if evictModel != nil {
-		p.evictor.SetModel(evictModel)
-	}
-	p.windows++
-	p.m.retrains.Inc()
-	p.updateLag()
+	p.install(tr)
 	if p.rank != nil {
-		sc = obs.Start(p.m.rescoreNS)
 		p.rescoreWith(ids, rescoreRows)
-		sc.Stop()
 	}
 }
 
-// retrainStats measures the new model against OPT on its own training
-// window with one batched prediction.
-func (p *LFO) retrainStats(model *gbdt.Model, ds *gbdt.Dataset, res *opt.Result) RetrainStats {
-	preds := make([]float64, ds.Len())
-	model.PredictMatrix(p.winFeats, preds, p.cfg.Workers)
-	correct, pos := 0, 0
-	for i := 0; i < ds.Len(); i++ {
-		pred := preds[i] >= p.cfg.Cutoff
-		if pred == (ds.Label(i) == 1) {
-			correct++
-		}
-		if ds.Label(i) == 1 {
-			pos++
-		}
-	}
-	return RetrainStats{
-		Window:              p.windows,
-		Samples:             ds.Len(),
-		PositiveRate:        float64(pos) / float64(ds.Len()),
-		TrainAccuracy:       float64(correct) / float64(ds.Len()),
-		OPTAlgo:             res.AlgoLabel(),
-		OPTSegments:         res.Segments,
-		OPTFlowIntervals:    res.FlowIntervals,
-		OPTGreedyIntervals:  res.GreedyIntervals,
-		OPTDroppedIntervals: res.DroppedIntervals(),
-		WindowsDropped:      p.windowsDropped,
-	}
-}
-
-// deploy swaps in an asynchronously trained model and re-ranks residents;
-// the async path has no prebuilt rescore matrix, so it extracts one here.
-func (p *LFO) deploy(tr trainResult) {
+// install reports a finished training round through OnRetrain and swaps
+// its models in: both at the same point, atomically between requests. The
+// fresh model owns the adapted state again, so the bridge bias starts
+// over from zero.
+func (p *LFO) install(tr trainResult) {
 	if p.cfg.OnRetrain != nil {
 		tr.stats.Window = p.windows
 		tr.stats.WindowsDropped = p.windowsDropped
@@ -674,11 +603,14 @@ func (p *LFO) deploy(tr trainResult) {
 	p.windows++
 	p.m.retrains.Inc()
 	p.updateLag()
+}
+
+// deploy swaps in an asynchronously trained model and re-ranks residents;
+// the async path has no prebuilt rescore matrix, so it extracts one here.
+func (p *LFO) deploy(tr trainResult) {
+	p.install(tr)
 	if p.rank != nil {
-		ids, rows := p.gatherResidents()
-		sc := obs.Start(p.m.rescoreNS)
-		p.rescoreWith(ids, rows)
-		sc.Stop()
+		p.rescoreWith(p.gatherResidents())
 	}
 }
 
@@ -723,23 +655,37 @@ func (p *LFO) retrainAsync() {
 
 // trainWindow runs the OPT-label + fit pipeline on a snapshot; it is free
 // of references to the live cache so it can run concurrently with
-// serving. Stats are computed only when someone will read them.
+// serving.
 func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetrics) trainResult {
-	win := &trace.Trace{Requests: reqs}
 	sc := obs.Start(m.optNS)
-	res, err := opt.Compute(win, cfg.OPT)
+	res, err := opt.Compute(&trace.Trace{Requests: reqs}, cfg.OPT)
 	sc.Stop()
 	if err != nil {
 		panic(fmt.Sprintf("core: OPT computation failed: %v", err))
 	}
+	return fitWindow(reqs, feats, res, cfg, m)
+}
+
+// fitWindow is the learning half of a window handoff, shared by the
+// synchronous and the asynchronous path: OPT's decisions become labels,
+// the recorded feature matrix becomes the training set without a copy, and
+// the admission model is fitted. The eviction ranker trains from the same
+// window's labels (an object OPT would not cache is the ideal victim), so
+// one solve supervises both models. Stats — the new model against OPT on
+// its own training window, one batched prediction — are computed only when
+// someone will read them; Window and WindowsDropped are stamped at install
+// time, when the live cache's counters are in scope.
+func fitWindow(reqs []trace.Request, feats []float64, res *opt.Result, cfg Config, m coreMetrics) trainResult {
 	labels := make([]float64, len(reqs))
-	for i := range labels {
-		if res.Admit[i] {
+	pos := 0
+	for i, admit := range res.Admit {
+		if admit {
 			labels[i] = 1
+			pos++
 		}
 	}
 	ds := gbdt.DatasetFromMatrix(features.Dim, feats, labels)
-	sc = obs.Start(m.trainNS)
+	sc := obs.Start(m.trainNS)
 	model, err := gbdt.Train(ds, cfg.GBDT)
 	sc.Stop()
 	if err != nil {
@@ -748,32 +694,25 @@ func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetric
 	tr := trainResult{model: model}
 	if cfg.Eviction == "learned" {
 		sc = obs.Start(m.evictTrainNS)
-		em, everr := evict.Train(reqs, res.Admit, cfg.GBDT)
+		tr.evictModel, err = evict.Train(reqs, res.Admit, cfg.GBDT)
 		sc.Stop()
-		if everr != nil {
-			panic(fmt.Sprintf("core: eviction training failed: %v", everr))
+		if err != nil {
+			panic(fmt.Sprintf("core: eviction training failed: %v", err))
 		}
-		tr.evictModel = em
 	}
 	if cfg.OnRetrain != nil {
-		preds := make([]float64, ds.Len())
+		preds := make([]float64, len(reqs))
 		model.PredictMatrix(feats, preds, cfg.Workers)
-		correct, pos := 0, 0
-		for i := 0; i < ds.Len(); i++ {
-			pred := preds[i] >= cfg.Cutoff
-			if pred == (ds.Label(i) == 1) {
+		correct := 0
+		for i, pred := range preds {
+			if (pred >= cfg.Cutoff) == res.Admit[i] {
 				correct++
 			}
-			if ds.Label(i) == 1 {
-				pos++
-			}
 		}
-		// Window and WindowsDropped are stamped at deploy time, when the
-		// live cache's counters are in scope.
 		tr.stats = RetrainStats{
-			Samples:             ds.Len(),
-			PositiveRate:        float64(pos) / float64(ds.Len()),
-			TrainAccuracy:       float64(correct) / float64(ds.Len()),
+			Samples:             len(reqs),
+			PositiveRate:        float64(pos) / float64(len(reqs)),
+			TrainAccuracy:       float64(correct) / float64(len(reqs)),
 			OPTAlgo:             res.AlgoLabel(),
 			OPTSegments:         res.Segments,
 			OPTFlowIntervals:    res.FlowIntervals,
@@ -817,12 +756,13 @@ func (p *LFO) gatherResidents() ([]trace.ObjectID, []float64) {
 // with one batched prediction, so bootstrap-era or stale-model priorities
 // cannot linger.
 func (p *LFO) rescoreWith(ids []trace.ObjectID, rows []float64) {
-	if len(ids) == 0 {
-		return
+	sc := obs.Start(p.m.rescoreNS)
+	if len(ids) > 0 {
+		scores := make([]float64, len(ids))
+		p.model.PredictMatrix(rows, scores, p.cfg.Workers)
+		for i, id := range ids {
+			p.rank.Update(id, scores[i])
+		}
 	}
-	scores := make([]float64, len(ids))
-	p.model.PredictMatrix(rows, scores, p.cfg.Workers)
-	for i, id := range ids {
-		p.rank.Update(id, scores[i])
-	}
+	sc.Stop()
 }

@@ -17,7 +17,6 @@
 package features
 
 import (
-	"container/heap"
 	"math"
 
 	"lfo/internal/trace"
@@ -62,7 +61,9 @@ type Tracker struct {
 	// maxObjects bounds the sparse feature store; 0 means unbounded.
 	maxObjects int
 	// evictHeap orders tracked objects by lastTime for state eviction,
-	// with lazy invalidation.
+	// with lazy invalidation: every Update pushes the object's new
+	// (id, lastTime) and evictOldest pops until an entry still matches its
+	// object. An unbounded tracker never evicts, so it keeps no heap.
 	evictHeap ageHeap
 }
 
@@ -131,7 +132,9 @@ func (t *Tracker) Update(r trace.Request) {
 		}
 		st = &objectState{lastTime: r.Time, cost: r.Cost}
 		t.objects[r.ID] = st
-		heap.Push(&t.evictHeap, ageEntry{id: r.ID, lastTime: r.Time})
+		if t.maxObjects > 0 {
+			t.evictHeap.push(ageEntry{id: r.ID, lastTime: r.Time})
+		}
 		return
 	}
 	gap := r.Time - st.lastTime
@@ -143,13 +146,15 @@ func (t *Tracker) Update(r trace.Request) {
 	}
 	st.lastTime = r.Time
 	st.cost = r.Cost
-	heap.Push(&t.evictHeap, ageEntry{id: r.ID, lastTime: r.Time})
+	if t.maxObjects > 0 {
+		t.evictHeap.push(ageEntry{id: r.ID, lastTime: r.Time})
+	}
 }
 
 // evictOldest drops the least-recently-requested object's state.
 func (t *Tracker) evictOldest() {
-	for t.evictHeap.Len() > 0 {
-		e := heap.Pop(&t.evictHeap).(ageEntry)
+	for len(t.evictHeap) > 0 {
+		e := t.evictHeap.pop()
 		st, ok := t.objects[e.id]
 		if !ok || st.lastTime != e.lastTime {
 			continue // stale heap entry
@@ -175,18 +180,48 @@ type ageEntry struct {
 	lastTime int64
 }
 
+// ageHeap is a binary min-heap on lastTime. push and pop sift exactly as
+// container/heap's Push and Pop do — same comparisons, same swaps — so
+// entries with equal lastTime leave in the order they always have; being
+// typed, they move no entry through an interface, so a push allocates only
+// when the slice grows.
 type ageHeap []ageEntry
 
-func (h ageHeap) Len() int            { return len(h) }
-func (h ageHeap) Less(i, j int) bool  { return h[i].lastTime < h[j].lastTime }
-func (h ageHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *ageHeap) Push(x interface{}) { *h = append(*h, x.(ageEntry)) }
-func (h *ageHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *ageHeap) push(e ageEntry) {
+	*h = append(*h, e)
+	s := *h
+	j := len(s) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].lastTime < s[i].lastTime) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *ageHeap) pop() ageEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].lastTime < s[j].lastTime {
+			j = j2
+		}
+		if !(s[j].lastTime < s[i].lastTime) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }
 
 // Names returns human-readable feature names indexed by feature position,

@@ -1,6 +1,10 @@
 package gbdt
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
 // benchModel builds a synthetic model of complete binary trees, sized to
 // look like a trained LFO classifier (depth-6 trees over a small feature
@@ -129,5 +133,72 @@ func BenchmarkPredictMatrix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.PredictMatrix(flat, out, 1)
+	}
+}
+
+// windowDataset draws n rows shaped like one LFO training window
+// (features.Dim = 53 columns): three dense columns (size, cost, free
+// bytes) and fifty gap columns of which a row has only a prefix — the
+// object's request history so far — so gap column i is missing in a share
+// of rows that climbs from about 67 % to 94 %. Labels follow size and the
+// first gaps, with noise, so the trees split on dense and sparse columns
+// alike and learn missing directions.
+func windowDataset(n int, seed int64) *Dataset {
+	const dim = 53
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]float64, n*dim)
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		row := x[i*dim : (i+1)*dim]
+		size := math.Floor(math.Exp(9.4 + rng.NormFloat64()))
+		row[0], row[1] = size, size
+		row[2] = math.Floor(rng.Float64() * (64 << 20))
+		// A third of the rows have any history; each further gap is kept
+		// with probability 0.966, which leaves 6 % of rows with all fifty.
+		gaps := 0
+		if rng.Float64() < 0.33 {
+			for gaps = 1; gaps < dim-3 && rng.Float64() < 0.966; gaps++ {
+			}
+		}
+		scale := math.Exp(rng.NormFloat64() * 2)
+		for g := 0; g < dim-3; g++ {
+			if g < gaps {
+				row[3+g] = math.Floor(rng.ExpFloat64() * 3000 * scale)
+			} else {
+				row[3+g] = math.NaN()
+			}
+		}
+		score := 10 - math.Log(size)
+		if gaps > 0 {
+			score += 4 - math.Log1p(row[3])/2
+		} else {
+			score -= 1.5
+		}
+		if score+rng.NormFloat64() > 0.5 {
+			y[i] = 1
+		}
+	}
+	return DatasetFromMatrix(dim, x, y)
+}
+
+// BenchmarkTrainWindow is one window handoff's training: 30 default trees
+// on 10 000 window-shaped rows, single worker. Its allocs/op are pinned in
+// testdata/alloc_budgets.txt (scripts/check.sh): the trainer's scratch —
+// row arena, histograms, leaf and node buffers — is reused across trees, so
+// a count that rises means a per-tree or per-split allocation came back.
+func BenchmarkTrainWindow(b *testing.B) {
+	d := windowDataset(10000, 1)
+	p := DefaultParams()
+	p.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Train(d, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(m.Trees) != p.NumIterations {
+			b.Fatalf("trained %d trees, want %d", len(m.Trees), p.NumIterations)
+		}
 	}
 }

@@ -102,21 +102,25 @@ func quantileEdges(vals []float64, maxBins int) []float64 {
 		return []float64{math.Inf(1)}
 	}
 	sort.Float64s(vals)
-	// Distinct values.
-	distinct := vals[:0:0]
+	// One bin per distinct value while they fit; upper bound is the value
+	// itself.
+	edges := make([]float64, 0, maxBins)
+	fits := true
 	for i, v := range vals {
 		//lfolint:ignore float-equal dedup of sorted values is exact by design: identical bits share a bin
-		if i == 0 || v != vals[i-1] {
-			distinct = append(distinct, v)
+		if i > 0 && v == vals[i-1] {
+			continue
 		}
+		if len(edges) == maxBins {
+			fits = false
+			break
+		}
+		edges = append(edges, v)
 	}
-	var edges []float64
-	if len(distinct) <= maxBins {
-		// One bin per distinct value; upper bound is the value itself.
-		edges = append(edges, distinct...)
-	} else {
+	if !fits {
 		// Quantile cut points over the full (non-distinct) value list so
 		// heavy values get their own bins.
+		edges = edges[:0]
 		prev := math.Inf(-1)
 		for b := 1; b <= maxBins; b++ {
 			idx := b*len(vals)/maxBins - 1
@@ -162,20 +166,17 @@ func (b *binner) threshold(f int, bin int) float64 {
 	return b.edges[f][bin-1]
 }
 
-// binned is a column-major binned copy of a dataset.
-type binned struct {
-	n, dim int
-	cols   [][]uint8 // cols[f][i]
-}
-
-func binDataset(d *Dataset, b *binner) *binned {
-	bd := &binned{n: d.Len(), dim: d.dim, cols: make([][]uint8, d.dim)}
-	for f := 0; f < d.dim; f++ {
-		col := make([]uint8, d.Len())
-		for i := 0; i < d.Len(); i++ {
-			col[i] = b.bin(f, d.x[i*d.dim+f])
+// binRows returns the row-major binned copy of the dataset: one byte per
+// cell, laid out like d.x (cell (r, f) at r*dim+f) and written in the order
+// d.x is read. The trainer's row loops — histogram build, partition,
+// out-of-sample walk — each touch one row's dim bytes together.
+func binRows(d *Dataset, b *binner) []uint8 {
+	bins := make([]uint8, len(d.x))
+	dim := d.dim
+	for base := 0; base < len(d.x); base += dim {
+		for f, v := range d.x[base : base+dim] {
+			bins[base+f] = b.bin(f, v)
 		}
-		bd.cols[f] = col
 	}
-	return bd
+	return bins
 }

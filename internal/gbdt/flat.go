@@ -35,7 +35,7 @@ import (
 //     any hand-interleaved or branch-free (CMOV) variant, whose select
 //     serializes the load-to-load dependence chain.
 //
-//   - scoreBlock/accumBlock walk a block of up to matrixBlock rows
+//   - scoreBlock walks a block of up to matrixBlock rows
 //     level-synchronously per tree (LightGBM's batch-major trick): every
 //     still-active row advances one level per pass, so the tree's packed
 //     arrays stay hot across the whole block and the rows' independent
@@ -300,32 +300,6 @@ func (f *Flat) scoreBlock(rows, out []float64, lo, hi int) {
 	}
 }
 
-// accumBlock adds each row's summed raw tree contributions (no base
-// score, no sigmoid) to inout[lo:hi] — the trainer's score update.
-//
-//lfo:hotpath
-func (f *Flat) accumBlock(rows, inout []float64, lo, hi int) {
-	var cur, act [matrixBlock]int32
-	block := rows[lo*f.dim : hi*f.dim]
-	o := inout[lo:hi]
-	c := cur[:hi-lo]
-	a := act[:hi-lo]
-	for _, root := range f.roots {
-		leaves := f.leaves
-		if root < 0 {
-			lv := leaves[^root]
-			for i := range o {
-				o[i] += lv
-			}
-			continue
-		}
-		f.walkBlock(block, c, a, root)
-		for i := range o {
-			o[i] += leaves[^c[i]]
-		}
-	}
-}
-
 // matrixArgs carries one batched call's bindings through par.RangesArg, so
 // the hot entry points hand par a static package function instead of
 // allocating a capturing closure per call.
@@ -344,16 +318,6 @@ func flatScoreRange(a matrixArgs, lo, hi int) {
 	}
 }
 
-func flatAccumRange(a matrixArgs, lo, hi int) {
-	for b := lo; b < hi; b += matrixBlock {
-		e := b + matrixBlock
-		if e > hi {
-			e = hi
-		}
-		a.f.accumBlock(a.rows, a.out, b, e)
-	}
-}
-
 // PredictMatrix fills out[i] with the positive-class probability of row i
 // of the flat row-major matrix rows, scoring matrixBlock-row blocks
 // level-synchronously per tree across up to workers goroutines (0 = all
@@ -365,17 +329,6 @@ func flatAccumRange(a matrixArgs, lo, hi int) {
 func (f *Flat) PredictMatrix(rows, out []float64, workers int) {
 	mustMatrixDims(len(rows), len(out), f.dim)
 	par.RangesArg(len(out), workers, matrixBlock, matrixArgs{f, rows, out}, flatScoreRange)
-}
-
-// AccumulateRaw adds each row's summed raw tree contributions (no base
-// score, no sigmoid) to inout[i]. The trainer uses it to fold each new
-// tree into the boosting scores through the same batched walk that serves
-// predictions.
-//
-//lfo:hotpath
-func (f *Flat) AccumulateRaw(rows, inout []float64, workers int) {
-	mustMatrixDims(len(rows), len(inout), f.dim)
-	par.RangesArg(len(inout), workers, matrixBlock, matrixArgs{f, rows, inout}, flatAccumRange)
 }
 
 // mustRowDim validates a row's width outside the annotated kernels; the

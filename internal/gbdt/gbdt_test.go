@@ -503,35 +503,36 @@ func TestHistogramSubtraction(t *testing.T) {
 	d := synth(300, 17, 0.2)
 	p := DefaultParams()
 	tr := &trainer{p: p, d: d, rng: rand.New(rand.NewSource(0))}
+	tr.workers = 1
 	tr.b = buildBinner(d, p.MaxBins)
-	tr.bd = binDataset(d, tr.b)
+	tr.bins = binRows(d, tr.b)
 	tr.grad = make([]float64, d.Len())
 	tr.hess = make([]float64, d.Len())
 	tr.scores = make([]float64, d.Len())
 	tr.computeGradients()
 
-	feats := []int{0, 1, 2, 3}
-	offsets := tr.histOffsets(feats)
+	tr.sampleFeatures()
 	all := tr.allRows()
-	parent := tr.newHistogram(offsets)
-	tr.buildHist(parent, feats, all)
+	parent := tr.newHistogram()
+	tr.buildHist(parent, all)
 
 	half := all[:150]
 	rest := all[150:]
-	hHalf := tr.newHistogram(offsets)
-	tr.buildHist(hHalf, feats, half)
-	derived := subtractHist(parent, hHalf)
+	hHalf := tr.newHistogram()
+	tr.buildHist(hHalf, half)
+	subtractCells(parent, hHalf)
+	derived := parent
 
-	direct := tr.newHistogram(offsets)
-	tr.buildHist(direct, feats, rest)
-	for i := range direct.bins {
-		if direct.bins[i].count != derived.bins[i].count {
-			t.Fatalf("bin %d count: direct %d != derived %d", i, direct.bins[i].count, derived.bins[i].count)
+	direct := tr.newHistogram()
+	tr.buildHist(direct, rest)
+	for i := range direct {
+		if direct[i].count != derived[i].count {
+			t.Fatalf("bin %d count: direct %d != derived %d", i, direct[i].count, derived[i].count)
 		}
-		if math.Abs(direct.bins[i].grad-derived.bins[i].grad) > 1e-9 {
+		if math.Abs(direct[i].grad-derived[i].grad) > 1e-9 {
 			t.Fatalf("bin %d grad mismatch", i)
 		}
-		if math.Abs(direct.bins[i].hess-derived.bins[i].hess) > 1e-9 {
+		if math.Abs(direct[i].hess-derived[i].hess) > 1e-9 {
 			t.Fatalf("bin %d hess mismatch", i)
 		}
 	}

@@ -8,6 +8,16 @@
 // The repro environment has no tree-learning library for Go, so this
 // package is a from-scratch substrate. Defaults mirror LightGBM's, with
 // the paper's one deviation: NumIterations is 30 instead of 100.
+//
+// The trainer (train.go) works on a row-major binned copy of the data:
+// histograms are built row by row, the split scan skips what an empty bin
+// or a too-small side rules out, the larger child's histogram is derived
+// by subtraction as it is scanned, rows live in one per-tree index arena
+// partitioned in place, and a finished tree updates the boosting scores
+// from its leaves' row ranges. None of this reorders a float sum: Train is
+// held byte for byte (Model.Save) to the plain trainer kept in
+// reference_test.go, for every Workers value. Inference runs on the
+// compiled flat kernel (flat.go).
 package gbdt
 
 import (

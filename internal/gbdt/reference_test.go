@@ -1,0 +1,664 @@
+package gbdt
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"lfo/internal/par"
+)
+
+// referenceTrain is the trainer as it stood before its inner loops were
+// reworked (PR 14), kept as the oracle Train must equal byte for byte: a
+// column-major bin copy built feature by feature, a histogram filled one
+// feature column at a time, a split scan that evaluates both missing
+// directions of every bin, a whole-histogram subtraction, a two-slice row
+// partition per split and a flat-kernel walk over the raw rows to update the
+// scores. It is sequential and shares only the model types, the constants
+// rowShardSize and missingBin, sigmoid, clamp and the flat kernel with the
+// production trainer, so a shortcut there that moves a float sum, a
+// tie-break or an rng draw shows up as a byte difference here.
+func referenceTrain(d *Dataset, p Params) (*Model, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if d.Len() == 0 {
+		return nil, fmt.Errorf("gbdt: empty dataset")
+	}
+	n := d.Len()
+	t := &refTrainer{
+		p:      p,
+		d:      d,
+		rng:    rand.New(rand.NewSource(p.Seed)),
+		grad:   make([]float64, n),
+		hess:   make([]float64, n),
+		scores: make([]float64, n),
+	}
+	t.bin()
+
+	pos := 0.0
+	for i := 0; i < n; i++ {
+		pos += d.Label(i)
+	}
+	rate := clamp(pos/float64(n), 1e-6, 1-1e-6)
+	base := math.Log(rate / (1 - rate))
+	for i := range t.scores {
+		t.scores[i] = base
+	}
+
+	m := &Model{Dim: d.Dim(), BaseScore: base}
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	for iter := 0; iter < p.NumIterations; iter++ {
+		for i := range t.grad {
+			pr := sigmoid(t.scores[i])
+			t.grad[i] = pr - d.Label(i)
+			t.hess[i] = pr * (1 - pr)
+		}
+		switch {
+		case p.GOSSTopRate > 0:
+			rows = t.sampleGOSS()
+		case p.BaggingFreq > 0 && p.BaggingFraction < 1:
+			if iter%p.BaggingFreq == 0 {
+				rows = t.sampleRows()
+			}
+		}
+		feats := t.sampleFeatures()
+		tree := t.buildTree(rows, feats)
+		if tree == nil {
+			continue
+		}
+		m.Trees = append(m.Trees, *tree)
+		ft, err := compileFlat(d.Dim(), 0, m.Trees[len(m.Trees)-1:])
+		if err != nil {
+			return nil, err
+		}
+		ft.AccumulateRaw(d.x, t.scores, 1)
+	}
+	if err := m.Compile(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// AccumulateRaw adds each row's summed raw tree contributions (no base
+// score, no sigmoid) to inout[i] through the batched level-synchronous
+// walk. It was the trainer's score update until the trainer started
+// reading leaf values off its own row partition; it lives on here for the
+// reference trainer and the flat-kernel differential tests.
+func (f *Flat) AccumulateRaw(rows, inout []float64, workers int) {
+	mustMatrixDims(len(rows), len(inout), f.dim)
+	par.Ranges(len(inout), workers, matrixBlock, func(lo, hi int) {
+		for b := lo; b < hi; b += matrixBlock {
+			e := b + matrixBlock
+			if e > hi {
+				e = hi
+			}
+			f.accumBlock(rows, inout, b, e)
+		}
+	})
+}
+
+func (f *Flat) accumBlock(rows, inout []float64, lo, hi int) {
+	var cur, act [matrixBlock]int32
+	block := rows[lo*f.dim : hi*f.dim]
+	o := inout[lo:hi]
+	c := cur[:hi-lo]
+	a := act[:hi-lo]
+	for _, root := range f.roots {
+		leaves := f.leaves
+		if root < 0 {
+			lv := leaves[^root]
+			for i := range o {
+				o[i] += lv
+			}
+			continue
+		}
+		f.walkBlock(block, c, a, root)
+		for i := range o {
+			o[i] += leaves[^c[i]]
+		}
+	}
+}
+
+type refTrainer struct {
+	p     Params
+	d     *Dataset
+	edges [][]float64 // per-feature ascending bin upper bounds, last +Inf
+	cols  [][]uint8   // cols[f][row]: 0 for NaN, else 1 + index of first edge >= value
+	rng   *rand.Rand
+
+	grad, hess []float64
+	scores     []float64
+}
+
+// refQuantileEdges is quantileEdges as first written.
+func refQuantileEdges(vals []float64, maxBins int) []float64 {
+	if len(vals) == 0 {
+		return []float64{math.Inf(1)}
+	}
+	sort.Float64s(vals)
+	var distinct []float64
+	for i, v := range vals {
+		if i == 0 || v != vals[i-1] {
+			distinct = append(distinct, v)
+		}
+	}
+	var edges []float64
+	if len(distinct) <= maxBins {
+		edges = append(edges, distinct...)
+	} else {
+		prev := math.Inf(-1)
+		for b := 1; b <= maxBins; b++ {
+			v := vals[b*len(vals)/maxBins-1]
+			if v != prev {
+				edges = append(edges, v)
+				prev = v
+			}
+		}
+	}
+	edges[len(edges)-1] = math.Inf(1)
+	return edges
+}
+
+// bin computes the edges and the column-major bin copy, one feature at a
+// time.
+func (t *refTrainer) bin() {
+	n, dim := t.d.Len(), t.d.dim
+	t.edges = make([][]float64, dim)
+	t.cols = make([][]uint8, dim)
+	for f := 0; f < dim; f++ {
+		var vals []float64
+		for i := 0; i < n; i++ {
+			if v := t.d.x[i*dim+f]; !math.IsNaN(v) {
+				vals = append(vals, v)
+			}
+		}
+		e := refQuantileEdges(vals, t.p.MaxBins)
+		t.edges[f] = e
+		col := make([]uint8, n)
+		for i := 0; i < n; i++ {
+			v := t.d.x[i*dim+f]
+			if math.IsNaN(v) {
+				continue
+			}
+			lo, hi := 0, len(e)-1
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if e[mid] >= v {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			col[i] = uint8(lo + 1)
+		}
+		t.cols[f] = col
+	}
+}
+
+func (t *refTrainer) numBins(f int) int { return len(t.edges[f]) + 1 }
+
+// rowSums totals gradient and hessian over rows as partials of
+// rowShardSize rows added in shard order, the decomposition the production
+// trainer fixes so that its sums do not depend on the worker count.
+func (t *refTrainer) rowSums(rows []int32) (sumG, sumH float64) {
+	for lo := 0; lo < len(rows); lo += rowShardSize {
+		hi := lo + rowShardSize
+		if hi > len(rows) {
+			hi = len(rows)
+		}
+		var g, h float64
+		for _, r := range rows[lo:hi] {
+			g += t.grad[r]
+			h += t.hess[r]
+		}
+		sumG += g
+		sumH += h
+	}
+	return sumG, sumH
+}
+
+func (t *refTrainer) sampleRows() []int32 {
+	n := t.d.Len()
+	k := int(float64(n) * t.p.BaggingFraction)
+	if k < 1 {
+		k = 1
+	}
+	perm := t.rng.Perm(n)
+	rows := make([]int32, k)
+	for i := range rows {
+		rows[i] = int32(perm[i])
+	}
+	return rows
+}
+
+func (t *refTrainer) sampleGOSS() []int32 {
+	n := t.d.Len()
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		ga, gb := math.Abs(t.grad[idx[a]]), math.Abs(t.grad[idx[b]])
+		if ga != gb {
+			return ga > gb
+		}
+		return idx[a] < idx[b]
+	})
+	topN := int(t.p.GOSSTopRate * float64(n))
+	if topN < 1 {
+		topN = 1
+	}
+	if topN > n {
+		topN = n
+	}
+	rows := append([]int32(nil), idx[:topN]...)
+	rest := idx[topN:]
+	sampleN := int(t.p.GOSSOtherRate * float64(n))
+	if sampleN > len(rest) {
+		sampleN = len(rest)
+	}
+	if sampleN > 0 {
+		amplify := (1 - t.p.GOSSTopRate) / t.p.GOSSOtherRate
+		perm := t.rng.Perm(len(rest))
+		for i := 0; i < sampleN; i++ {
+			r := rest[perm[i]]
+			t.grad[r] *= amplify
+			t.hess[r] *= amplify
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
+func (t *refTrainer) sampleFeatures() []int {
+	dim := t.d.Dim()
+	if t.p.FeatureFraction >= 1 {
+		feats := make([]int, dim)
+		for i := range feats {
+			feats[i] = i
+		}
+		return feats
+	}
+	k := int(float64(dim) * t.p.FeatureFraction)
+	if k < 1 {
+		k = 1
+	}
+	feats := t.rng.Perm(dim)[:k]
+	sort.Ints(feats)
+	return feats
+}
+
+// refCell is one (feature, bin) histogram cell.
+type refCell struct {
+	grad, hess float64
+	count      int32
+}
+
+// refHist is a leaf's histogram: hist[fi][bin] for the fi-th selected
+// feature.
+type refHist [][]refCell
+
+func (t *refTrainer) buildHist(feats []int, idx []int32) refHist {
+	h := make(refHist, len(feats))
+	for fi, f := range feats {
+		cells := make([]refCell, t.numBins(f))
+		col := t.cols[f]
+		for _, r := range idx {
+			c := &cells[col[r]]
+			c.grad += t.grad[r]
+			c.hess += t.hess[r]
+			c.count++
+		}
+		h[fi] = cells
+	}
+	return h
+}
+
+// refSubtract sets parent = parent - sibling and returns it.
+func refSubtract(parent, sibling refHist) refHist {
+	for fi := range parent {
+		for b := range parent[fi] {
+			parent[fi][b].grad -= sibling[fi][b].grad
+			parent[fi][b].hess -= sibling[fi][b].hess
+			parent[fi][b].count -= sibling[fi][b].count
+		}
+	}
+	return parent
+}
+
+type refSplit struct {
+	valid       bool
+	gain        float64
+	feature     int
+	bin         int
+	missingLeft bool
+}
+
+type refLeaf struct {
+	rows    []int32
+	sumGrad float64
+	sumHess float64
+	depth   int
+	nodeIdx int32
+	hist    refHist
+	best    refSplit
+}
+
+func (t *refTrainer) leafObjective(g, h float64) float64 {
+	return g * g / (h + t.p.Lambda)
+}
+
+func (t *refTrainer) leafValue(g, h float64) float64 {
+	return -t.p.LearningRate * g / (h + t.p.Lambda)
+}
+
+// findBestSplit scans every feature in order and every bin of it in order,
+// both missing directions per bin; a candidate replaces the best so far
+// only on a strictly greater gain.
+func (t *refTrainer) findBestSplit(c *refLeaf, feats []int) refSplit {
+	totalC := int32(len(c.rows))
+	parentObj := t.leafObjective(c.sumGrad, c.sumHess)
+	best := refSplit{}
+	for fi, f := range feats {
+		cells := c.hist[fi]
+		miss := cells[missingBin]
+		var accG, accH float64
+		var accC int32
+		for b := 1; b < len(cells)-1; b++ {
+			accG += cells[b].grad
+			accH += cells[b].hess
+			accC += cells[b].count
+			t.evalSplit(&best, parentObj, f, b, false,
+				accG, accH, accC,
+				c.sumGrad-accG, c.sumHess-accH, totalC-accC)
+			if miss.count > 0 {
+				t.evalSplit(&best, parentObj, f, b, true,
+					accG+miss.grad, accH+miss.hess, accC+miss.count,
+					c.sumGrad-accG-miss.grad, c.sumHess-accH-miss.hess, totalC-accC-miss.count)
+			}
+		}
+	}
+	return best
+}
+
+func (t *refTrainer) evalSplit(best *refSplit, parentObj float64, f, b int, missingLeft bool,
+	lg, lh float64, lc int32, rg, rh float64, rc int32) {
+	minData := int32(t.p.MinDataInLeaf)
+	if lc < minData || rc < minData {
+		return
+	}
+	if lh < t.p.MinSumHessianInLeaf || rh < t.p.MinSumHessianInLeaf {
+		return
+	}
+	gain := t.leafObjective(lg, lh) + t.leafObjective(rg, rh) - parentObj
+	if gain <= t.p.MinGainToSplit {
+		return
+	}
+	if !best.valid || gain > best.gain {
+		*best = refSplit{valid: true, gain: gain, feature: f, bin: b, missingLeft: missingLeft}
+	}
+}
+
+func (t *refTrainer) buildTree(rows []int32, feats []int) *Tree {
+	sumG, sumH := t.rowSums(rows)
+	tree := &Tree{}
+	tree.Nodes = append(tree.Nodes, node{Feature: -1, Value: t.leafValue(sumG, sumH)})
+
+	root := &refLeaf{rows: append([]int32(nil), rows...), sumGrad: sumG, sumHess: sumH}
+	root.hist = t.buildHist(feats, root.rows)
+	root.best = t.findBestSplit(root, feats)
+
+	open := []*refLeaf{root}
+	numLeaves := 1
+	for numLeaves < t.p.NumLeaves {
+		bi := -1
+		for i, c := range open {
+			if c.best.valid && (bi < 0 || c.best.gain > open[bi].best.gain) {
+				bi = i
+			}
+		}
+		if bi < 0 {
+			break
+		}
+		c := open[bi]
+		open[bi] = open[len(open)-1]
+		open = open[:len(open)-1]
+
+		left, right := t.applySplit(tree, c)
+		numLeaves++
+
+		if t.p.MaxDepth > 0 && left.depth >= t.p.MaxDepth {
+			left.best = refSplit{}
+			right.best = refSplit{}
+		} else {
+			if len(left.rows) <= len(right.rows) {
+				left.hist = t.buildHist(feats, left.rows)
+				right.hist = refSubtract(c.hist, left.hist)
+			} else {
+				right.hist = t.buildHist(feats, right.rows)
+				left.hist = refSubtract(c.hist, right.hist)
+			}
+			left.best = t.findBestSplit(left, feats)
+			right.best = t.findBestSplit(right, feats)
+		}
+		open = append(open, left, right)
+	}
+	if numLeaves == 1 {
+		return nil
+	}
+	return tree
+}
+
+func (t *refTrainer) applySplit(tree *Tree, c *refLeaf) (left, right *refLeaf) {
+	s := c.best
+	col := t.cols[s.feature]
+	leftRows := make([]int32, 0, len(c.rows))
+	rightRows := make([]int32, 0, len(c.rows))
+	var lg, lh float64
+	for _, r := range c.rows {
+		b := col[r]
+		goLeft := false
+		if b == missingBin {
+			goLeft = s.missingLeft
+		} else {
+			goLeft = int(b) <= s.bin
+		}
+		if goLeft {
+			leftRows = append(leftRows, r)
+			lg += t.grad[r]
+			lh += t.hess[r]
+		} else {
+			rightRows = append(rightRows, r)
+		}
+	}
+
+	li := int32(len(tree.Nodes))
+	tree.Nodes = append(tree.Nodes, node{Feature: -1, Value: t.leafValue(lg, lh)})
+	ri := int32(len(tree.Nodes))
+	tree.Nodes = append(tree.Nodes, node{Feature: -1, Value: t.leafValue(c.sumGrad-lg, c.sumHess-lh)})
+
+	n := &tree.Nodes[c.nodeIdx]
+	n.Feature = int32(s.feature)
+	n.Threshold = t.edges[s.feature][s.bin-1]
+	n.MissingLeft = s.missingLeft
+	n.Left, n.Right = li, ri
+	n.Value = 0
+
+	left = &refLeaf{rows: leftRows, sumGrad: lg, sumHess: lh, depth: c.depth + 1, nodeIdx: li}
+	right = &refLeaf{rows: rightRows, sumGrad: c.sumGrad - lg, sumHess: c.sumHess - lh, depth: c.depth + 1, nodeIdx: ri}
+	return left, right
+}
+
+// refColumn describes how one column of a random oracle dataset is drawn.
+type refColumn struct {
+	nanRate  float64 // share of NaN cells
+	distinct int     // 0: continuous; 1: constant; k: k distinct values
+}
+
+// refDataset draws a seeded dataset whose labels depend on several columns'
+// values and on which cells are missing, so trees split on dense, sparse
+// and few-valued columns and learn both missing directions.
+func refDataset(n int, cols []refColumn, seed int64) *Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	d := NewDataset(len(cols))
+	row := make([]float64, len(cols))
+	for i := 0; i < n; i++ {
+		score := 0.0
+		for f, c := range cols {
+			v := rng.Float64()
+			switch {
+			case c.distinct == 1:
+				v = 3
+			case c.distinct > 1:
+				v = float64(int(v * float64(c.distinct)))
+			default:
+				v *= 10
+			}
+			if rng.Float64() < c.nanRate {
+				v = math.NaN()
+				if f%3 == 0 {
+					score += 0.8
+				}
+			} else if f%2 == 0 {
+				score += math.Sin(v + float64(f))
+			}
+			row[f] = v
+		}
+		y := 0.0
+		if score+rng.NormFloat64()*0.3 > 0.4 {
+			y = 1
+		}
+		d.Append(row, y)
+	}
+	return d
+}
+
+// TestTrainMatchesReference holds Train to the reference trainer byte for
+// byte on Model.Save, across the data shapes the skip rules of the split
+// scan care about (very sparse, all-NaN, constant and few-valued columns),
+// every sampling mode, the regularisation and size limits that change which
+// candidates are admissible, and several worker counts.
+func TestTrainMatchesReference(t *testing.T) {
+	narrow := []refColumn{
+		{0, 0}, {0, 5}, {0, 1}, {1, 0}, {0.9, 0}, {0.93, 0}, {0.97, 0}, {0.95, 4},
+		{0.5, 0}, {0.3, 2}, {0.99, 0}, {0.67, 0},
+	}
+	// Wide enough (40 columns of 256 bins) that the split scan crosses
+	// parHistMinWork and fans out over features when Workers > 1.
+	var wide []refColumn
+	for f := 0; f < 40; f++ {
+		wide = append(wide, refColumn{nanRate: float64(f%10) / 10.5})
+	}
+	datasets := []struct {
+		name string
+		d    *Dataset
+	}{
+		{"narrow300", refDataset(300, narrow, 1)},
+		{"narrow2500", refDataset(2500, narrow, 2)},
+		{"wide1500", refDataset(1500, wide, 3)},
+	}
+	variants := []struct {
+		name string
+		mut  func(*Params)
+	}{
+		{"default", func(p *Params) {}},
+		{"min1", func(p *Params) { p.MinDataInLeaf = 1 }},
+		{"min1-lambda1", func(p *Params) { p.MinDataInLeaf = 1; p.Lambda = 1 }},
+		{"lambda1-depth3", func(p *Params) { p.Lambda = 1; p.MaxDepth = 3 }},
+		{"bagging", func(p *Params) { p.BaggingFraction = 0.6; p.BaggingFreq = 2 }},
+		{"goss", func(p *Params) { p.GOSSTopRate = 0.3; p.GOSSOtherRate = 0.2 }},
+		{"featfrac", func(p *Params) { p.FeatureFraction = 0.5 }},
+		{"bagging-featfrac-min1", func(p *Params) {
+			p.BaggingFraction = 0.5
+			p.BaggingFreq = 1
+			p.FeatureFraction = 0.5
+			p.MinDataInLeaf = 1
+		}},
+		{"bins16-gain", func(p *Params) { p.MaxBins = 16; p.MinGainToSplit = 0.05 }},
+	}
+	for _, ds := range datasets {
+		for _, v := range variants {
+			t.Run(ds.name+"/"+v.name, func(t *testing.T) {
+				p := DefaultParams()
+				p.NumIterations = 12
+				p.Seed = 9
+				v.mut(&p)
+				ref, err := referenceTrain(ds.d, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := modelBytes(t, ref)
+				if len(ref.Trees) == 0 {
+					t.Fatal("reference trained no tree; the case compares nothing")
+				}
+				for _, workers := range []int{1, 2, 8} {
+					p.Workers = workers
+					m, err := Train(ds.d, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(want, modelBytes(t, m)) {
+						t.Errorf("workers=%d: Train differs from referenceTrain", workers)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestEmptyFirstBinStillSplitsOnMissing is the case a shortcut in the split
+// scan once got wrong: in a leaf whose rows leave a feature's first data bin
+// empty, the candidate "after bin 1, missing left" is the {missing | present}
+// split — there is no earlier bin whose gain it repeats, so it must be
+// evaluated even though the bin's cell is all zero.
+func TestEmptyFirstBinStillSplitsOnMissing(t *testing.T) {
+	d := NewDataset(2)
+	nan := math.NaN()
+	for i := 0; i < 200; i++ {
+		d.Append([]float64{0, 1}, 0) // group A: the only rows in feature 1's first bin
+	}
+	for i := 0; i < 100; i++ {
+		d.Append([]float64{1, nan}, 1) // group B, missing
+		d.Append([]float64{1, 5}, 0)   // group B, present
+	}
+	p := DefaultParams()
+	p.NumIterations = 1
+	p.Workers = 1
+	m, err := Train(d, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The root ties between feature 0 (A | B) and feature 1 missing-right
+	// ({1} | {5, NaN}) and takes the lower feature; group B's leaf then has
+	// nothing in feature 1's bin 1.
+	nodes := m.Trees[0].Nodes
+	if nodes[0].Feature != 0 {
+		t.Fatalf("root splits on feature %d, want 0", nodes[0].Feature)
+	}
+	found := false
+	for _, n := range nodes[1:] {
+		if n.Feature == 1 && n.MissingLeft && n.Threshold == 1 {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no {missing | present} split on feature 1 below the root: %+v", nodes)
+	}
+	if miss, present := m.Predict([]float64{1, nan}), m.Predict([]float64{1, 5}); miss <= present {
+		t.Errorf("group B scores missing %.3f <= present %.3f, want them told apart", miss, present)
+	}
+	ref, err := referenceTrain(d, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(modelBytes(t, ref), modelBytes(t, m)) {
+		t.Error("Train differs from referenceTrain")
+	}
+}

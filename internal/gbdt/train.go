@@ -37,12 +37,16 @@ func Train(d *Dataset, p Params) (*Model, error) {
 		workers: par.Resolve(p.Workers),
 	}
 	t.b = buildBinner(d, p.MaxBins)
-	t.bd = binDataset(d, t.b)
+	t.bins = binRows(d, t.b)
 
 	n := d.Len()
 	t.grad = make([]float64, n)
 	t.hess = make([]float64, n)
 	t.scores = make([]float64, n)
+	maxNodes := 2*p.NumLeaves - 1
+	t.nodes = make([]node, 0, maxNodes)
+	t.nodeBin = make([]uint8, 0, maxNodes)
+	t.cands = make([]leafCand, 0, maxNodes)
 
 	// Base score: log-odds of the positive rate, clamped away from
 	// degenerate infinities.
@@ -71,27 +75,18 @@ func Train(d *Dataset, p Params) (*Model, error) {
 				rows = t.sampleRows()
 			}
 		}
-		feats := t.sampleFeatures()
-		tree := t.buildTree(rows, feats)
-		if tree == nil {
+		t.sampleFeatures()
+		leaves := t.buildTree(rows)
+		if leaves == nil {
 			// No split improved the objective on this sample; another
 			// bagging/feature sample may still find one.
 			continue
 		}
-		m.Trees = append(m.Trees, *tree)
-		// Update raw scores with the new tree through the flat kernel —
-		// the same batched walk serving uses. Per-row writes are disjoint
-		// and the single tree adds exactly one leaf value per row, so the
-		// scores are bit-identical to per-row tree.predict calls for any
-		// worker count. Trainer output always compiles: thresholds come
-		// from finite bin edges and leaf values from hessian-guarded
-		// ratios.
-		ft, err := compileFlat(d.Dim(), 0, m.Trees[len(m.Trees)-1:])
-		if err != nil {
-			return nil, fmt.Errorf("gbdt: compiling tree %d: %w", len(m.Trees)-1, err)
-		}
-		ft.AccumulateRaw(d.x, t.scores, t.workers)
+		t.updateScores(leaves)
+		m.Trees = append(m.Trees, Tree{Nodes: append([]node(nil), t.nodes...)})
 	}
+	// Trainer output always compiles: thresholds come from finite bin
+	// edges and leaf values from hessian-guarded ratios.
 	if err := m.Compile(); err != nil {
 		return nil, fmt.Errorf("gbdt: compiling model: %w", err)
 	}
@@ -102,34 +97,53 @@ type trainer struct {
 	p       Params
 	d       *Dataset
 	b       *binner
-	bd      *binned
+	bins    []uint8 // row-major binned copy of d.x (binRows)
 	rng     *rand.Rand
 	workers int
 
 	grad, hess []float64
 	scores     []float64
 
+	// feats is the current tree's selected features, ascending; offsets
+	// are their histogram bin offsets (len(feats)+1 entries).
+	feats   []int
+	offsets []int
+	// outRows are the rows outside the current bagging/GOSS sample; empty
+	// when every row is in it.
+	outRows []int32
+
+	// The tree under construction. nodes becomes the Tree; nodeBin[i] is
+	// internal node i's split bin, for walking the binned rows.
+	nodes   []node
+	nodeBin []uint8
+
 	// Scratch reused across boosting rounds to avoid per-iteration churn.
-	rowScratch  []int32      // allRows / sampleRows output
-	gossIdx     []int32      // GOSS gradient-order permutation
-	gossRows    []int32      // GOSS sampled-row output
-	partG       []float64    // per-shard gradient sums (rowSums)
-	partH       []float64    // per-shard hessian sums (rowSums)
-	bestScratch []splitInfo  // per-feature split candidates (findBestSplit)
-	histFree    []*histogram // recycled histogram storage
-	histLive    []*histogram // histograms handed out for the current tree
+	rowScratch  []int32     // allRows / sampleRows output
+	gossIdx     []int32     // GOSS gradient-order permutation
+	gossRows    []int32     // GOSS sampled-row output
+	partG       []float64   // per-shard gradient sums (rowSums)
+	partH       []float64   // per-shard hessian sums (rowSums)
+	bestScratch []splitInfo // per-feature split candidates (findBestSplit)
+	histFree    []histogram // recycled histogram storage
+	histLive    []histogram // histograms handed out for the current tree
+	arena       []int32     // the tree's rows; every leaf owns a sub-range
+	rightRows   []int32     // applySplit's right-side staging
+	cands       []leafCand  // the tree's leaves, open and split
+	open        []*leafCand // leaves not split yet
 }
 
 // computeGradients evaluates the logistic loss gradient/hessian at the
 // current scores. Writes are per-row, so the fan-out is deterministic.
 func (t *trainer) computeGradients() {
-	par.Ranges(len(t.grad), t.workers, 2048, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := sigmoid(t.scores[i])
-			t.grad[i] = p - t.d.Label(i)
-			t.hess[i] = p * (1 - p)
-		}
-	})
+	par.RangesArg(len(t.grad), t.workers, 2048, t, gradientRange)
+}
+
+func gradientRange(t *trainer, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p := sigmoid(t.scores[i])
+		t.grad[i] = p - t.d.Label(i)
+		t.hess[i] = p * (1 - p)
+	}
 }
 
 // rowSums totals gradient/hessian mass over rows as fixed-size shard
@@ -178,7 +192,8 @@ func (t *trainer) rowBuf(n int) []int32 {
 	return t.rowScratch
 }
 
-// sampleRows draws BaggingFraction of the rows without replacement.
+// sampleRows draws BaggingFraction of the rows without replacement: the
+// head of a permutation. The tail is the out-of-sample set.
 func (t *trainer) sampleRows() []int32 {
 	n := t.d.Len()
 	k := int(float64(n) * t.p.BaggingFraction)
@@ -186,17 +201,19 @@ func (t *trainer) sampleRows() []int32 {
 		k = 1
 	}
 	perm := t.rng.Perm(n)
-	rows := t.rowBuf(k)
-	for i := 0; i < k; i++ {
-		rows[i] = int32(perm[i])
+	buf := t.rowBuf(n)
+	for i, r := range perm {
+		buf[i] = int32(r)
 	}
-	return rows
+	t.outRows = buf[k:]
+	return buf[:k]
 }
 
 // sampleGOSS implements gradient-based one-side sampling (Ke et al.,
 // NeurIPS 2017): keep the top-a fraction of rows by |gradient|, sample a
 // b fraction of the remainder uniformly, and amplify the sampled rows'
 // gradient and hessian by (1-a)/b so histogram statistics stay unbiased.
+// The unsampled remainder is the out-of-sample set.
 func (t *trainer) sampleGOSS() []int32 {
 	n := t.d.Len()
 	if cap(t.gossIdx) < n {
@@ -226,43 +243,54 @@ func (t *trainer) sampleGOSS() []int32 {
 	if sampleN > len(rest) {
 		sampleN = len(rest)
 	}
+	out := t.outRows[:0]
 	if sampleN > 0 {
 		amplify := (1 - t.p.GOSSTopRate) / t.p.GOSSOtherRate
 		perm := t.rng.Perm(len(rest))
-		for i := 0; i < sampleN; i++ {
-			r := rest[perm[i]]
+		for _, pi := range perm[:sampleN] {
+			r := rest[pi]
 			t.grad[r] *= amplify
 			t.hess[r] *= amplify
 			rows = append(rows, r)
 		}
+		for _, pi := range perm[sampleN:] {
+			out = append(out, rest[pi])
+		}
+	} else {
+		out = append(out, rest...)
 	}
 	t.gossRows = rows
+	t.outRows = out
 	return rows
 }
 
-// sampleFeatures draws FeatureFraction of the features for one tree.
-func (t *trainer) sampleFeatures() []int {
+// sampleFeatures draws FeatureFraction of the features for one tree into
+// t.feats (ascending) and lays out their histogram offsets.
+func (t *trainer) sampleFeatures() {
 	dim := t.d.Dim()
 	if t.p.FeatureFraction >= 1 {
-		feats := make([]int, dim)
-		for i := range feats {
-			feats[i] = i
+		if t.feats != nil {
+			return // every tree uses every feature: laid out once
 		}
-		return feats
-	}
-	k := int(float64(dim) * t.p.FeatureFraction)
-	if k < 1 {
-		k = 1
-	}
-	perm := t.rng.Perm(dim)
-	feats := perm[:k]
-	// Sort for deterministic iteration order.
-	for i := 1; i < len(feats); i++ {
-		for j := i; j > 0 && feats[j] < feats[j-1]; j-- {
-			feats[j], feats[j-1] = feats[j-1], feats[j]
+		t.feats = make([]int, dim)
+		for i := range t.feats {
+			t.feats[i] = i
 		}
+	} else {
+		k := int(float64(dim) * t.p.FeatureFraction)
+		if k < 1 {
+			k = 1
+		}
+		t.feats = append(t.feats[:0], t.rng.Perm(dim)[:k]...)
+		sort.Ints(t.feats)
 	}
-	return feats
+	if t.offsets == nil {
+		t.offsets = make([]int, dim+1)
+	}
+	t.offsets = t.offsets[:len(t.feats)+1]
+	for i, f := range t.feats {
+		t.offsets[i+1] = t.offsets[i] + t.b.numBins(f)
+	}
 }
 
 // histBin accumulates gradient statistics for one (feature, bin) cell.
@@ -272,36 +300,21 @@ type histBin struct {
 }
 
 // histogram is the per-leaf gradient histogram over the selected features,
-// stored flat with per-feature offsets. The offsets slice is shared by
-// every histogram of one tree (read-only).
-type histogram struct {
-	bins    []histBin
-	offsets []int // parallel to the selected feature list
-}
-
-// histOffsets computes the shared per-feature bin offsets for one tree's
-// selected features.
-func (t *trainer) histOffsets(feats []int) []int {
-	offsets := make([]int, len(feats)+1)
-	for i, f := range feats {
-		offsets[i+1] = offsets[i] + t.b.numBins(f)
-	}
-	return offsets
-}
+// stored flat: feature position fi owns cells offsets[fi]:offsets[fi+1] of
+// the trainer's offsets.
+type histogram []histBin
 
 // newHistogram hands out a zeroed histogram, recycling storage released by
 // previous trees so steady-state training allocates no per-leaf buffers.
-func (t *trainer) newHistogram(offsets []int) *histogram {
-	need := offsets[len(offsets)-1]
-	var h *histogram
-	if n := len(t.histFree); n > 0 && cap(t.histFree[n-1].bins) >= need {
-		h = t.histFree[n-1]
+func (t *trainer) newHistogram() histogram {
+	need := t.offsets[len(t.offsets)-1]
+	var h histogram
+	if n := len(t.histFree); n > 0 && cap(t.histFree[n-1]) >= need {
+		h = t.histFree[n-1][:need]
 		t.histFree = t.histFree[:n-1]
-		h.bins = h.bins[:need]
-		clear(h.bins)
-		h.offsets = offsets
+		clear(h)
 	} else {
-		h = &histogram{bins: make([]histBin, need), offsets: offsets}
+		h = make(histogram, need)
 	}
 	t.histLive = append(t.histLive, h)
 	return h
@@ -314,64 +327,74 @@ func (t *trainer) recycleHistograms() {
 	t.histLive = t.histLive[:0]
 }
 
-// buildHist fills the histogram from the rows in idx, feature-parallel:
-// each worker owns a contiguous slice of the selected features and writes
-// only that slice's bin range, and rows are scanned in idx order within
-// every feature — exactly the sequential accumulation order, so the bins
-// are bit-identical for any worker count.
-func (t *trainer) buildHist(h *histogram, feats []int, idx []int32) {
-	workers := t.workers
-	if len(idx)*len(feats) < parHistMinWork {
-		workers = 1
-	}
-	par.Ranges(len(feats), workers, 1, func(fiLo, fiHi int) {
-		for fi := fiLo; fi < fiHi; fi++ {
-			col := t.bd.cols[feats[fi]]
-			base := h.offsets[fi]
-			for _, r := range idx {
-				b := &h.bins[base+int(col[r])]
-				b.grad += t.grad[r]
-				b.hess += t.hess[r]
-				b.count++
-			}
-		}
-	})
+// histArgs binds one buildHist call for par.RangesArg.
+type histArgs struct {
+	t   *trainer
+	h   histogram
+	idx []int32
 }
 
-// subtract sets h = parent - sibling, reusing parent's storage.
-func subtractHist(parent, sibling *histogram) *histogram {
-	for i := range parent.bins {
-		parent.bins[i].grad -= sibling.bins[i].grad
-		parent.bins[i].hess -= sibling.bins[i].hess
-		parent.bins[i].count -= sibling.bins[i].count
+// buildHist fills the histogram from the rows in idx, row-major: a row's
+// gradient and hessian are loaded once and added to one cell per selected
+// feature, read from the row's contiguous bin bytes. Every cell receives
+// its rows in idx order — the order a feature-by-feature fill adds them in
+// — so the sums are bit-identical to it. With more than one worker each
+// owns a contiguous slice of the selected features and writes only that
+// slice's cells, which changes no cell's order either.
+func (t *trainer) buildHist(h histogram, idx []int32) {
+	workers := t.workers
+	if len(idx)*len(t.feats) < parHistMinWork {
+		workers = 1
 	}
-	return parent
+	par.RangesArg(len(t.feats), workers, 1, histArgs{t, h, idx}, buildHistRange)
+}
+
+func buildHistRange(a histArgs, fiLo, fiHi int) {
+	t := a.t
+	dim := t.d.dim
+	feats := t.feats[fiLo:fiHi]
+	offsets := t.offsets[fiLo:fiHi]
+	bins := a.h
+	for _, r := range a.idx {
+		g, hs := t.grad[r], t.hess[r]
+		row := t.bins[int(r)*dim : int(r)*dim+dim]
+		for k, f := range feats {
+			c := &bins[offsets[k]+int(row[f])]
+			c.grad += g
+			c.hess += hs
+			c.count++
+		}
+	}
+}
+
+// subtractCells sets parent = parent - sibling cell by cell.
+func subtractCells(parent, sibling []histBin) {
+	sibling = sibling[:len(parent)]
+	for i := range parent {
+		parent[i].grad -= sibling[i].grad
+		parent[i].hess -= sibling[i].hess
+		parent[i].count -= sibling[i].count
+	}
 }
 
 // splitInfo describes the best split found for a leaf.
 type splitInfo struct {
 	valid       bool
 	gain        float64
-	featPos     int // position in the selected feature list
 	feature     int
 	bin         int // non-missing bins <= bin go left
 	missingLeft bool
 }
 
-// leafCand is an open leaf during leaf-wise growth.
+// leafCand is a leaf during leaf-wise growth.
 type leafCand struct {
-	rows    []int32
+	rows    []int32 // a sub-range of the trainer's arena
 	sumGrad float64
 	sumHess float64
 	depth   int
 	nodeIdx int32
-	hist    *histogram
+	hist    histogram
 	best    splitInfo
-}
-
-// leafObjective is the regularized loss contribution of a leaf.
-func (t *trainer) leafObjective(g, h float64) float64 {
-	return g * g / (h + t.p.Lambda)
 }
 
 // leafValue is the shrunk optimal leaf weight.
@@ -379,28 +402,34 @@ func (t *trainer) leafValue(g, h float64) float64 {
 	return -t.p.LearningRate * g / (h + t.p.Lambda)
 }
 
+// splitArgs binds one findBestSplit call for par.RangesArg.
+type splitArgs struct {
+	t       *trainer
+	c       *leafCand
+	sibling histogram
+}
+
 // findBestSplit scans the histogram for the leaf's best split. Features
 // are scanned in parallel into per-feature candidates, then reduced in
 // feature order with a strictly-greater gain comparison — the same
 // first-wins tie-break (lowest feature index, lowest bin) as a sequential
 // scan, so the chosen split is identical for any worker count.
-func (t *trainer) findBestSplit(c *leafCand, feats []int) splitInfo {
-	totalC := int32(len(c.rows))
-	parentObj := t.leafObjective(c.sumGrad, c.sumHess)
-
-	if cap(t.bestScratch) < len(feats) {
-		t.bestScratch = make([]splitInfo, len(feats))
+//
+// A non-nil sibling means c.hist still holds the parent's histogram and c
+// is the larger child: each feature's cells first become parent - sibling
+// (histogram subtraction) and are scanned at once, while they are in the
+// nearest cache. Every cell is subtracted exactly once, whatever the scan
+// skips.
+func (t *trainer) findBestSplit(c *leafCand, sibling histogram) splitInfo {
+	if cap(t.bestScratch) < len(t.feats) {
+		t.bestScratch = make([]splitInfo, len(t.feats))
 	}
-	bests := t.bestScratch[:len(feats)]
+	bests := t.bestScratch[:len(t.feats)]
 	workers := t.workers
-	if len(c.hist.bins) < parHistMinWork {
+	if len(c.hist) < parHistMinWork {
 		workers = 1
 	}
-	par.Ranges(len(feats), workers, 1, func(fiLo, fiHi int) {
-		for fi := fiLo; fi < fiHi; fi++ {
-			bests[fi] = t.bestSplitForFeature(c, parentObj, totalC, fi, feats[fi])
-		}
-	})
+	par.RangesArg(len(t.feats), workers, 1, splitArgs{t, c, sibling}, bestSplitRange)
 
 	best := splitInfo{}
 	for fi := range bests {
@@ -411,75 +440,118 @@ func (t *trainer) findBestSplit(c *leafCand, feats []int) splitInfo {
 	return best
 }
 
-// bestSplitForFeature scans one feature's histogram column for its best
-// split, visiting candidate bins in the sequential order.
-func (t *trainer) bestSplitForFeature(c *leafCand, parentObj float64, totalC int32, fi, f int) splitInfo {
-	best := splitInfo{}
-	totalG, totalH := c.sumGrad, c.sumHess
+func bestSplitRange(a splitArgs, fiLo, fiHi int) {
+	t := a.t
+	for fi := fiLo; fi < fiHi; fi++ {
+		lo, hi := t.offsets[fi], t.offsets[fi+1]
+		cells := a.c.hist[lo:hi]
+		if a.sibling != nil {
+			subtractCells(cells, a.sibling[lo:hi])
+		}
+		t.bestScratch[fi] = t.bestSplitForFeature(a.c, t.feats[fi], cells)
+	}
+}
+
+// bestSplitForFeature scans one feature's histogram cells in leaf c for its
+// best split: for b = 1, 2, … "bins 1..b left, missing right" and then, when
+// the leaf has missing rows, "bins 1..b and missing left"; the last bin is
+// excluded (empty right side). A candidate replaces the best so far only
+// on a strictly greater gain, so among equal gains the first one scanned
+// wins. Three shortcuts skip candidates that cannot be admissible or
+// cannot win; none changes which candidate is returned:
+//
+//   - Fewer non-missing rows than MinDataInLeaf: every candidate has a
+//     side made only of non-missing rows (the left when missing goes
+//     right, the right when missing goes left), so none is admissible.
+//   - A cell b > 1 that is exactly {0 rows, 0 grad, 0 hess} leaves the
+//     prefix sums as they were, so both candidates at b repeat bin b-1's
+//     sides and gain: inadmissible if those were, and otherwise unable to
+//     exceed a best that already is at least that gain. Bin 1 has no
+//     predecessor — with an empty first bin, "bin 1 and missing left" is
+//     the {missing | present} split, seen nowhere else — so it is always
+//     evaluated. A cell with no rows but a float residue (left by
+//     histogram subtraction) is not skipped: it moves the sums.
+//   - The right side only shrinks as b grows; once it has fewer than
+//     MinDataInLeaf rows with missing sent right, no later candidate in
+//     either direction is admissible.
+func (t *trainer) bestSplitForFeature(c *leafCand, feature int, cells []histBin) splitInfo {
+	miss := cells[missingBin]
+	totalC := int32(len(c.rows))
 	minData := int32(t.p.MinDataInLeaf)
-	base := c.hist.offsets[fi]
-	nb := t.b.numBins(f)
-	miss := c.hist.bins[base+missingBin]
+	if totalC-miss.count < minData {
+		return splitInfo{}
+	}
+	totalG, totalH := c.sumGrad, c.sumHess
+	lambda, minHess, minGain := t.p.Lambda, t.p.MinSumHessianInLeaf, t.p.MinGainToSplit
+	parentObj := totalG * totalG / (totalH + lambda)
+	bestBin, bestGain, bestMissLeft := 0, 0.0, false
 	var accG, accH float64
 	var accC int32
-	// Split after bin b (bins 1..b left); last bin excluded (empty
-	// right side).
-	for b := 1; b < nb-1; b++ {
-		cell := c.hist.bins[base+b]
+	for b := 1; b < len(cells)-1; b++ {
+		cell := &cells[b]
+		if cell.count == 0 && b > 1 && cell.grad == 0 && cell.hess == 0 {
+			continue
+		}
 		accG += cell.grad
 		accH += cell.hess
 		accC += cell.count
-		// Case 1: missing goes right.
-		t.evalSplit(&best, parentObj, fi, f, b, false,
-			accG, accH, accC,
-			totalG-accG, totalH-accH, totalC-accC, minData)
-		// Case 2: missing goes left.
-		if miss.count > 0 {
-			t.evalSplit(&best, parentObj, fi, f, b, true,
-				accG+miss.grad, accH+miss.hess, accC+miss.count,
-				totalG-accG-miss.grad, totalH-accH-miss.hess, totalC-accC-miss.count, minData)
+		rc := totalC - accC
+		if rc < minData {
+			break
+		}
+		// Missing goes right.
+		if accC >= minData {
+			rg, rh := totalG-accG, totalH-accH
+			if accH >= minHess && rh >= minHess {
+				gain := accG*accG/(accH+lambda) + rg*rg/(rh+lambda) - parentObj
+				if gain > minGain && (bestBin == 0 || gain > bestGain) {
+					bestBin, bestGain, bestMissLeft = b, gain, false
+				}
+			}
+		}
+		// Missing goes left.
+		if miss.count > 0 && accC+miss.count >= minData && rc-miss.count >= minData {
+			lg, lh := accG+miss.grad, accH+miss.hess
+			rg, rh := totalG-accG-miss.grad, totalH-accH-miss.hess
+			if lh >= minHess && rh >= minHess {
+				gain := lg*lg/(lh+lambda) + rg*rg/(rh+lambda) - parentObj
+				if gain > minGain && (bestBin == 0 || gain > bestGain) {
+					bestBin, bestGain, bestMissLeft = b, gain, true
+				}
+			}
 		}
 	}
-	return best
+	if bestBin == 0 {
+		return splitInfo{}
+	}
+	return splitInfo{valid: true, gain: bestGain, feature: feature, bin: bestBin, missingLeft: bestMissLeft}
 }
 
-func (t *trainer) evalSplit(best *splitInfo, parentObj float64, fi, f, b int, missingLeft bool,
-	lg, lh float64, lc int32, rg, rh float64, rc int32, minData int32) {
-	if lc < minData || rc < minData {
-		return
-	}
-	if lh < t.p.MinSumHessianInLeaf || rh < t.p.MinSumHessianInLeaf {
-		return
-	}
-	gain := t.leafObjective(lg, lh) + t.leafObjective(rg, rh) - parentObj
-	if gain <= t.p.MinGainToSplit {
-		return
-	}
-	if !best.valid || gain > best.gain {
-		*best = splitInfo{valid: true, gain: gain, featPos: fi, feature: f, bin: b, missingLeft: missingLeft}
-	}
-}
-
-// buildTree grows one tree leaf-wise. Returns nil when no split improves
+// buildTree grows one tree leaf-wise into t.nodes and returns its leaves,
+// whose row ranges partition rows. It returns nil when no split improves
 // the objective.
-func (t *trainer) buildTree(rows []int32, feats []int) *Tree {
+func (t *trainer) buildTree(rows []int32) []*leafCand {
 	defer t.recycleHistograms()
 
 	sumG, sumH := t.rowSums(rows)
-	tree := &Tree{}
-	rootRows := append([]int32(nil), rows...)
-	tree.Nodes = append(tree.Nodes, node{Feature: -1, Value: t.leafValue(sumG, sumH)})
+	t.nodes = append(t.nodes[:0], node{Feature: -1, Value: t.leafValue(sumG, sumH)})
+	t.nodeBin = append(t.nodeBin[:0], 0)
+	// The arena holds the tree's rows once; a split reorders its leaf's
+	// range in place, so the sampled rows themselves stay as drawn for the
+	// trees that reuse them.
+	t.arena = append(t.arena[:0], rows...)
+	if cap(t.rightRows) < len(rows) {
+		t.rightRows = make([]int32, len(rows))
+	}
 
-	offsets := t.histOffsets(feats)
-	root := &leafCand{rows: rootRows, sumGrad: sumG, sumHess: sumH, nodeIdx: 0}
-	root.hist = t.newHistogram(offsets)
-	t.buildHist(root.hist, feats, root.rows)
-	root.best = t.findBestSplit(root, feats)
+	t.cands = append(t.cands[:0], leafCand{rows: t.arena, sumGrad: sumG, sumHess: sumH})
+	root := &t.cands[0]
+	root.hist = t.newHistogram()
+	t.buildHist(root.hist, root.rows)
+	root.best = t.findBestSplit(root, nil)
 
-	open := []*leafCand{root}
-	numLeaves := 1
-	split := false
-	for numLeaves < t.p.NumLeaves {
+	open := append(t.open[:0], root)
+	for len(open) < t.p.NumLeaves {
 		// Pick the open leaf with the highest gain.
 		bi := -1
 		for i, c := range open {
@@ -494,9 +566,7 @@ func (t *trainer) buildTree(rows []int32, feats []int) *Tree {
 		open[bi] = open[len(open)-1]
 		open = open[:len(open)-1]
 
-		left, right := t.applySplit(tree, c, feats)
-		split = true
-		numLeaves++
+		left, right := t.applySplit(c)
 
 		if t.p.MaxDepth > 0 && left.depth >= t.p.MaxDepth {
 			left.best = splitInfo{}
@@ -504,69 +574,116 @@ func (t *trainer) buildTree(rows []int32, feats []int) *Tree {
 		} else {
 			// Histogram subtraction: materialize the smaller child,
 			// derive the sibling from the parent.
-			if len(left.rows) <= len(right.rows) {
-				left.hist = t.newHistogram(offsets)
-				t.buildHist(left.hist, feats, left.rows)
-				right.hist = subtractHist(c.hist, left.hist)
-			} else {
-				right.hist = t.newHistogram(offsets)
-				t.buildHist(right.hist, feats, right.rows)
-				left.hist = subtractHist(c.hist, right.hist)
+			small, large := left, right
+			if len(left.rows) > len(right.rows) {
+				small, large = right, left
 			}
-			left.best = t.findBestSplit(left, feats)
-			right.best = t.findBestSplit(right, feats)
+			small.hist = t.newHistogram()
+			t.buildHist(small.hist, small.rows)
+			large.hist = c.hist
+			small.best = t.findBestSplit(small, nil)
+			large.best = t.findBestSplit(large, small.hist)
 		}
 		open = append(open, left, right)
 	}
-	if !split {
+	t.open = open
+	if len(open) == 1 {
 		return nil
 	}
-	return tree
+	return open
 }
 
 // applySplit partitions the leaf's rows and rewrites its tree node as an
-// internal split with two fresh leaves.
-func (t *trainer) applySplit(tree *Tree, c *leafCand, feats []int) (left, right *leafCand) {
+// internal split with two fresh leaves. The partition is stable and in
+// place (LightGBM's DataPartition): left rows close up at the front of the
+// leaf's arena range in their order, right rows are staged and copied in
+// behind them in theirs, so each child sees its rows in the order two
+// appended slices would hold them and every later sum over them is
+// unchanged.
+func (t *trainer) applySplit(c *leafCand) (left, right *leafCand) {
 	s := c.best
-	col := t.bd.cols[s.feature]
-	leftRows := make([]int32, 0, len(c.rows))
-	rightRows := make([]int32, 0, len(c.rows))
+	dim := t.d.dim
+	col := t.bins[s.feature:]
+	splitBin := uint8(s.bin)
+	rows := c.rows
+	staged := t.rightRows[:len(rows)]
+	nl, nr := 0, 0
 	var lg, lh float64
-	for _, r := range c.rows {
-		b := col[r]
-		goLeft := false
+	for _, r := range rows {
+		b := col[int(r)*dim]
+		goLeft := b <= splitBin
 		if b == missingBin {
 			goLeft = s.missingLeft
-		} else {
-			goLeft = int(b) <= s.bin
 		}
 		if goLeft {
-			leftRows = append(leftRows, r)
+			rows[nl] = r
+			nl++
 			lg += t.grad[r]
 			lh += t.hess[r]
 		} else {
-			rightRows = append(rightRows, r)
+			staged[nr] = r
+			nr++
 		}
 	}
+	copy(rows[nl:], staged[:nr])
 
-	li := int32(len(tree.Nodes))
-	tree.Nodes = append(tree.Nodes, node{Feature: -1, Value: t.leafValue(lg, lh)})
-	ri := int32(len(tree.Nodes))
-	tree.Nodes = append(tree.Nodes, node{
-		Feature: -1,
-		Value:   t.leafValue(c.sumGrad-lg, c.sumHess-lh),
-	})
+	li := int32(len(t.nodes))
+	ri := li + 1
+	t.nodes = append(t.nodes,
+		node{Feature: -1, Value: t.leafValue(lg, lh)},
+		node{Feature: -1, Value: t.leafValue(c.sumGrad-lg, c.sumHess-lh)})
+	t.nodeBin = append(t.nodeBin, 0, 0)
 
-	n := &tree.Nodes[c.nodeIdx]
+	n := &t.nodes[c.nodeIdx]
 	n.Feature = int32(s.feature)
 	n.Threshold = t.b.threshold(s.feature, s.bin)
 	n.MissingLeft = s.missingLeft
 	n.Left, n.Right = li, ri
 	n.Value = 0
+	t.nodeBin[c.nodeIdx] = splitBin
 
-	left = &leafCand{rows: leftRows, sumGrad: lg, sumHess: lh, depth: c.depth + 1, nodeIdx: li}
-	right = &leafCand{rows: rightRows, sumGrad: c.sumGrad - lg, sumHess: c.sumHess - lh, depth: c.depth + 1, nodeIdx: ri}
-	return left, right
+	t.cands = append(t.cands,
+		leafCand{rows: rows[:nl:nl], sumGrad: lg, sumHess: lh, depth: c.depth + 1, nodeIdx: li},
+		leafCand{rows: rows[nl:], sumGrad: c.sumGrad - lg, sumHess: c.sumHess - lh, depth: c.depth + 1, nodeIdx: ri})
+	return &t.cands[len(t.cands)-2], &t.cands[len(t.cands)-1]
+}
+
+// updateScores adds the finished tree to the boosting scores. A row the
+// tree was grown on already sits in its leaf's row range, so it takes that
+// leaf's value with no walk; an out-of-sample row walks the tree over its
+// binned copy. Both add exactly the leaf value a walk over the raw row
+// would reach: a split on bin s has threshold edge[s-1], and a value's bin
+// is 1 + the index of the first edge >= it, so bin <= s iff value <= edge.
+func (t *trainer) updateScores(leaves []*leafCand) {
+	for _, c := range leaves {
+		v := t.nodes[c.nodeIdx].Value
+		for _, r := range c.rows {
+			t.scores[r] += v
+		}
+	}
+	par.RangesArg(len(t.outRows), t.workers, 2048, t, walkOutRows)
+}
+
+func walkOutRows(t *trainer, lo, hi int) {
+	dim := t.d.dim
+	for _, r := range t.outRows[lo:hi] {
+		row := t.bins[int(r)*dim : int(r)*dim+dim]
+		i := int32(0)
+		for t.nodes[i].Feature >= 0 {
+			n := &t.nodes[i]
+			b := row[n.Feature]
+			goLeft := b <= t.nodeBin[i]
+			if b == missingBin {
+				goLeft = n.MissingLeft
+			}
+			if goLeft {
+				i = n.Left
+			} else {
+				i = n.Right
+			}
+		}
+		t.scores[r] += t.nodes[i].Value
+	}
 }
 
 func clamp(v, lo, hi float64) float64 {

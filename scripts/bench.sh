@@ -27,7 +27,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-bench='^(BenchmarkGBDTTrain|BenchmarkGBDTPredict|BenchmarkFeatureTracking|BenchmarkSimulatorRun|BenchmarkLFOCacheRequest|BenchmarkOPTCompute|BenchmarkFlatPredict|BenchmarkNodePredict|BenchmarkPredictBatch|BenchmarkPredictMatrix|BenchmarkPredictionServerRoundTrip|BenchmarkPredictionServerSingleRow|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkEvictCacheRequest|BenchmarkGDSFRequest|BenchmarkOGDRequest|BenchmarkOGDLearnerUpdate|BenchmarkDriftObserve|BenchmarkDriftMaxScore)$'
+bench='^(BenchmarkGBDTTrain|BenchmarkTrainWindow|BenchmarkGBDTPredict|BenchmarkFeatureTracking|BenchmarkSimulatorRun|BenchmarkLFOCacheRequest|BenchmarkOPTCompute|BenchmarkFlatPredict|BenchmarkNodePredict|BenchmarkPredictBatch|BenchmarkPredictMatrix|BenchmarkPredictionServerRoundTrip|BenchmarkPredictionServerSingleRow|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkEvictCacheRequest|BenchmarkGDSFRequest|BenchmarkOGDRequest|BenchmarkOGDLearnerUpdate|BenchmarkDriftObserve|BenchmarkDriftMaxScore)$'
 
 echo "== go test -bench (this takes a few minutes)"
 go test -run '^$' -bench "$bench" -benchmem -benchtime "$benchtime" -cpu 1,4 . ./internal/gbdt ./internal/fleet ./internal/evict ./internal/policy ./internal/policy/ogd ./internal/drift | tee "$raw"

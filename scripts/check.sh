@@ -82,10 +82,18 @@ if synth_bench 1 | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgat
 fi
 
 step "alloc budgets"
-go test -run '^$' \
-    -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictBatch|BenchmarkPredictMatrix|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkGDSFRequest|BenchmarkOGDRequest)$' \
-    -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/evict ./internal/policy ./internal/policy/ogd \
-    | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgate.awk
+{
+    go test -run '^$' \
+        -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictBatch|BenchmarkPredictMatrix|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkGDSFRequest|BenchmarkOGDRequest)$' \
+        -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/evict ./internal/policy ./internal/policy/ogd
+    # The tracker sub-benchmark warms itself before its timer starts; its
+    # matrix siblings allocate by design and have no budget.
+    go test -run '^$' -bench '^BenchmarkFeatureTracking$/^stream$' -benchmem -benchtime 200x .
+    # One Train is a quarter of a second and allocates the same number of
+    # objects every time; ten iterations are enough that the handful the
+    # test binary itself allocates per run divides away to the exact figure.
+    go test -run '^$' -bench '^BenchmarkTrainWindow$' -benchmem -benchtime 10x ./internal/gbdt
+} | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgate.awk
 
 # Short fuzz smoke over the frame codec and the model parser. The
 # committed seed corpora under testdata/fuzz always replay; the smoke
