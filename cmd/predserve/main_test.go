@@ -14,12 +14,22 @@ import (
 	"lfo/internal/server"
 )
 
+// baseModel is a compiled model of no trees: it predicts sigmoid(base).
+func baseModel(t *testing.T, base float64) *gbdt.Model {
+	t.Helper()
+	m := &gbdt.Model{Dim: features.Dim, BaseScore: base}
+	if err := m.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestDebugAddrServesLiveCounts exercises the exact wiring -debug.addr
 // produces: the debug listener must serve /metrics, /debug/vars and
 // /debug/pprof/ with live counters after one Predict and one Admit
 // round-trip.
 func TestDebugAddrServesLiveCounts(t *testing.T) {
-	model := &gbdt.Model{Dim: features.Dim, BaseScore: 1}
+	model := baseModel(t, 1)
 	srv, dbg, err := buildServer(model, serveConfig{workers: 1, shardID: -1}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +107,7 @@ func TestDebugAddrServesLiveCounts(t *testing.T) {
 // TestBuildServerWithoutDebugAddr: no -debug.addr means no registry and
 // no listener.
 func TestBuildServerWithoutDebugAddr(t *testing.T) {
-	model := &gbdt.Model{Dim: features.Dim}
+	model := baseModel(t, 0)
 	srv, dbg, err := buildServer(model, serveConfig{workers: 1, shardID: -1, maxTracked: 7}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +138,7 @@ func TestServingFlagsReachServer(t *testing.T) {
 		maxConns:     9,
 		degradeLog:   func(line string) { lines = append(lines, line) },
 	}
-	srv, _, err := buildServer(&gbdt.Model{Dim: features.Dim}, cfg, "")
+	srv, _, err := buildServer(baseModel(t, 0), cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +176,7 @@ func TestShardIDTagsLogsAndMetrics(t *testing.T) {
 		shardID:    2,
 		degradeLog: func(line string) { lines = append(lines, line) },
 	}
-	model := &gbdt.Model{Dim: features.Dim, BaseScore: 1}
+	model := baseModel(t, 1)
 	srv, dbg, err := buildServer(model, cfg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

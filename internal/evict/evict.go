@@ -44,10 +44,10 @@ const (
 	FeatIdle        // time since last access
 )
 
-// DefaultCandidates is the sampled candidate set size K. 64 keeps one
-// PredictMatrix block per eviction (the flat kernel's batch-major walk is
-// sized in 64-row blocks) while sampling enough of the resident set that
-// the empirical victim quality is close to a full scan.
+// DefaultCandidates is the sampled candidate set size K. 64 keeps an
+// eviction one inline PredictMatrix call (gbdt hands a goroutine no fewer
+// than 64 rows) while sampling enough of the resident set that the
+// empirical victim quality is close to a full scan.
 const DefaultCandidates = 64
 
 // Meta is the per-object payload every evictor shares. The embedded

@@ -92,7 +92,7 @@ func (l *Learned) Victim(now int64) trace.ObjectID {
 // the lowest-scored one (first-wins on ties, so results are independent
 // of scoring order). This is the per-eviction hot path: no map lookups,
 // no allocation — candidate rows are built straight from entry metadata
-// and scored with the flat kernel's batch-major walk at workers=1.
+// and scored with one PredictMatrix call at workers=1.
 //
 //lfo:hotpath
 func (l *Learned) pickVictim(now int64) (trace.ObjectID, int) {

@@ -3,83 +3,149 @@ package gbdt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lfo/internal/par"
 )
 
-// This file is the flattened inference kernel. Compile packs every tree's
-// nodes into contiguous SoA slices so a walk is pure index arithmetic over
-// four flat arrays instead of pointer-chasing 40-byte node structs:
+// This file is the inference kernel: one QuickScorer-style bitvector scorer
+// (Lucchese et al., SIGIR 2015) that every prediction goes through — single
+// rows, matrices, the learned evictor's victim pick, the server's batches.
 //
-//	features[c]   split feature of internal node c
-//	thresholds[c] split threshold (validated finite at compile time)
-//	missSub[c]    NaN substitute: -Inf for missing-left, +Inf for
-//	              missing-right, so the learned default direction costs one
-//	              IsNaN test plus the same single compare as a real value
-//	children[2c], children[2c+1]  left/right child words
+// A tree walk asks "which child?" at every level, and on the rows a window
+// really holds — (size, cost, free, k gaps, NaN…) — those ≈180 branches per
+// row depend on the data and mispredict. The scorer asks the opposite
+// question once per split feature: which tests are false for this value?
 //
-// A child word w encodes both the edge and the leaf/internal distinction:
-// w >= 0 is the packed index of an internal node, w < 0 is a leaf whose
-// value lives at leaves[^w]. That removes the per-node "is this a leaf"
-// struct load and shrinks the ensemble's working set ~2.5x (a trained
-// 30-tree window model drops from ~73 KB of node structs to ~26 KB of
-// packed arrays, L1/L2-resident), which is where the single-row speedup
-// comes from: the pointer walk's per-visit cost is dominated by pulling
-// scattered 40-byte structs through the cache hierarchy.
+//   - The leaves of a tree are numbered left to right and a row keeps one bit
+//     per leaf, all set: "still reachable". A split whose test v <= threshold
+//     is false sends the row right, so the leaves under its left child are
+//     out: the split's entry carries the mask that clears exactly those bits.
+//     After every false test has been applied, the lowest bit still set is
+//     the leaf the walk would have ended in. A 31-leaf tree is one word; a
+//     wider tree takes several and its entries clear a span of them.
+//   - Compile sorts the entries of each split feature by threshold, so the
+//     false tests of a value v are a prefix — the entries with threshold < v —
+//     and the scan stops at the first threshold it does not exceed. That is
+//     one well-predicted loop per feature instead of a branch per node.
+//   - A feature that many splits test (object size: a quarter of a window
+//     model's) is not scanned from its first entry: every step entries the
+//     block keeps a checkpoint, the vector those entries leave, and the scan
+//     starts from the last checkpoint whose entries the value exceeds.
+//   - NaN takes each split's learned default direction: a NaN value applies
+//     the feature's entries whose split sends NaN right. Window rows are NaN
+//     in a suffix of the features, so a block also keeps the vector that NaN
+//     in its last 0, 1, 2, … split features leaves; the scorer scans back
+//     over the row's NaN suffix and starts from that row of the table without
+//     touching those features' entries at all. A first-seen object costs a
+//     copy and two short scans.
 //
-// Two walk shapes share the layout:
-//
-//   - RawPredict walks tree-by-tree with ordinary conditional branches.
-//     For a single row the branch predictor + out-of-order speculation
-//     already overlap consecutive tree walks, so the branchy loop beats
-//     any hand-interleaved or branch-free (CMOV) variant, whose select
-//     serializes the load-to-load dependence chain.
-//
-//   - scoreBlock walks a block of up to matrixBlock rows
-//     level-synchronously per tree (LightGBM's batch-major trick): every
-//     still-active row advances one level per pass, so the tree's packed
-//     arrays stay hot across the whole block and the rows' independent
-//     load chains overlap. Direction selects compile branch-free (SETcc),
-//     which matters here: with many distinct rows in flight the
-//     per-direction branches of a per-row walk are data-dependent noise
-//     that mispredicts constantly, while the block walk replaces them
-//     with straight-line dataflow. Rows that reach a leaf are dropped
-//     from the active list branchlessly (compaction, not masking), so
-//     finished rows cost nothing and total work equals true visit count.
-//
-// Accumulation order is base + tree 0 + tree 1 + ... in both shapes, so
-// results are byte-identical to the pointer-walk oracle (Tree.predict)
-// for any block or worker split.
+// Trees are grouped into blocks of at most scratchWords bitvector words so
+// the vector lives on the scorer's stack whatever the ensemble size; a
+// window model is one block. Leaf values are summed base + tree 0 + tree 1 +
+// … exactly like the pointer walk (Tree.predict), so every score is
+// bit-identical to it.
 
-// matrixBlock is the row-block size of the batch-major walk and the
-// minimum per-goroutine chunk of the batched entry points. A block's rows
-// and cursor state stay cache-resident while every tree walks the whole
-// block.
-const matrixBlock = 64
+// scratchWords is the size of the on-stack bitvector and so the most words
+// a block of trees may use.
+const scratchWords = 64
 
-// Flat is a Model compiled into the packed layout above. It is immutable
-// after Compile and safe for concurrent use.
+// matrixChunk is the fewest rows PredictMatrix hands one goroutine.
+const matrixChunk = 64
+
+// minStep is the fewest entries between two checkpoints of a feature. A
+// checkpoint costs the scorer one pass over the bitvector, so it pays when it
+// stands for at least about that many entries; the floor keeps the few-word
+// vectors of small models from checkpointing every other entry.
+const minStep = 16
+
+// wideRef marks an entry whose cleared leaves span more than one word:
+// the rest of ref indexes Flat.spans. Any ref that is not a word of the
+// bitvector is wide, so the scorer's bounds test doubles as the flag test.
+const wideRef = 1 << 31
+
+// nanRight marks, in entry.feat, a split whose NaN values go right.
+const nanRight = 1 << 31
+
+// Flat is a Model compiled for scoring. It is immutable after Compile and
+// safe for concurrent use.
 type Flat struct {
-	dim  int
-	base float64
+	dim    int
+	base   float64
+	blocks []block
+	// words is the longest bitvector a block needs: at most scratchWords,
+	// unless a single tree has more than 64*scratchWords leaves.
+	words int
 
-	features   []int32
-	thresholds []float64
-	missSub    []float64
-	children   []int32 // 2 words per internal node: [2c]=left, [2c+1]=right
-	leaves     []float64
-	roots      []int32 // per tree, child-word encoded (a tree may be one leaf)
+	ents   []entry   // per block, per split feature, ascending threshold
+	spans  []span    // what the wide entries clear beyond their first word
+	trees  []treeRef // in model order
+	leaves []float64 // per tree, left to right
 }
 
-// compileFlat validates a model's shape and packs it. It is the single
-// validation point for hostile models: Load and Compile both funnel here.
-// Beyond the structural checks the pointer walker needs (features within
-// dim, strictly forward children, so every walk terminates), the flat
-// encoding needs finite thresholds — the ±Inf missSub trick compares the
-// substitute against the threshold, which is only exact when thresholds
-// are finite — and finite base/leaf values so a hostile stream cannot
+// entry is one split seen from the row's side: when the test is false
+// (threshold < value, or NaN at a nanRight split) the bits that mask lacks
+// leave word ref of the block's bitvector.
+type entry struct {
+	thr  float64
+	mask uint64
+	ref  uint32
+	feat uint32 // split feature, with nanRight
+}
+
+// span is the tail of a wide entry: words (first, last) exclusive are
+// cleared whole and word last keeps lastMask.
+type span struct {
+	first, last uint32
+	lastMask    uint64
+}
+
+// block is a run of consecutive trees that share one bitvector.
+type block struct {
+	words int         // bitvector length
+	step  int         // entries per checkpoint: max(words, minStep)
+	feats []featRange // split features, ascending
+	trees []treeRef   // of Flat.trees
+	// checks holds the features' checkpoints: a feature with many splits is
+	// not scanned from its first entry but from the last checkpoint whose
+	// entries the value exceeds, one AND over the vector standing for them.
+	checks []uint64
+	// suffix holds rows of words words: row n is the bitvector after NaN in
+	// the last n split features, row 0 is all ones. tail lists the features
+	// the table reaches, last first; NaN in an earlier one goes through the
+	// feature's entries.
+	suffix []uint64
+	tail   []int32
+}
+
+// featRange locates one split feature's entries in Flat.ents and its
+// checkpoints in the block's checks: (hi-lo)/step vectors of words words,
+// the c-th the bitvector after the feature's first (c+1)*step entries.
+type featRange struct {
+	feature int32
+	lo, hi  int32
+	check   int32
+}
+
+// treeRef locates one tree: its first bitvector word and first leaf value.
+type treeRef struct {
+	word, leaf uint32
+}
+
+// compileFlat validates a model's shape and builds its scorer. It is the
+// single validation point for hostile models: Load and Compile both funnel
+// here. Features must lie within dim and children strictly after their
+// parent, each node under at most one parent (the shape the trainer emits,
+// and what makes "the leaves under the left child" a range of bits);
+// thresholds must be finite, because the sorted scan compares them against
+// ±Inf values, and so must base and leaf values, so a hostile stream cannot
 // launder NaN into every score. A model with zero trees is valid (it
 // predicts sigmoid(base)), matching the warm-start models core accepts.
+//
+// The cost is linear in the model's node count — each tree is read while it
+// is cache-hot, slices are sized once, the entries take one radix sort — and
+// nothing is sized by dim: a hostile stream may claim any dim with no trees
+// to back it.
 func compileFlat(dim int, base float64, trees []Tree) (*Flat, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("gbdt: model has invalid dim %d", dim)
@@ -87,19 +153,42 @@ func compileFlat(dim int, base float64, trees []Tree) (*Flat, error) {
 	if !isFinite(base) {
 		return nil, fmt.Errorf("gbdt: model base score %v is not finite", base)
 	}
-	internal, leaves := 0, 0
+	// A tree of n nodes that all hang off its root has (n-1)/2 splits and
+	// (n+1)/2 leaves; nodes no parent leads to only make that an upper bound.
+	splits, leaves, maxNodes := 0, 0, 0
 	for ti := range trees {
-		t := &trees[ti]
-		if len(t.Nodes) == 0 {
+		n := len(trees[ti].Nodes)
+		if n == 0 {
 			return nil, fmt.Errorf("gbdt: model tree %d has no nodes", ti)
 		}
-		for i := range t.Nodes {
-			n := &t.Nodes[i]
+		splits, leaves, maxNodes = splits+(n-1)/2, leaves+(n+1)/2, max(maxNodes, n)
+	}
+	f := &Flat{
+		dim:    dim,
+		base:   base,
+		ents:   make([]entry, 0, splits),
+		trees:  make([]treeRef, 0, len(trees)),
+		leaves: make([]float64, 0, leaves),
+	}
+	// pos[i] is node i's first leaf bit within its tree (-1: no parent leads
+	// to it), cnt[i] the number of leaves under it.
+	scratch := make([]int32, 2*maxNodes)
+	pos, cnt := scratch[:maxNodes], scratch[maxNodes:]
+	words, tree0, ent0 := 0, 0, 0 // the block being filled
+	for ti := range trees {
+		nodes := trees[ti].Nodes
+		for i := range nodes {
+			pos[i] = -1
+		}
+		pos[0] = 0
+		// Children come after their parent, so by the time the loop reaches
+		// a node every possible parent has already claimed it or not.
+		for i := range nodes {
+			n := &nodes[i]
 			if n.Feature < 0 {
 				if !isFinite(n.Value) {
 					return nil, fmt.Errorf("gbdt: model tree %d leaf %d has non-finite value %v", ti, i, n.Value)
 				}
-				leaves++
 				continue
 			}
 			if int(n.Feature) >= dim {
@@ -108,118 +197,320 @@ func compileFlat(dim int, base float64, trees []Tree) (*Flat, error) {
 			if !isFinite(n.Threshold) {
 				return nil, fmt.Errorf("gbdt: model tree %d node %d has non-finite threshold %v", ti, i, n.Threshold)
 			}
-			if n.Left <= int32(i) || int(n.Left) >= len(t.Nodes) ||
-				n.Right <= int32(i) || int(n.Right) >= len(t.Nodes) {
+			if n.Left <= int32(i) || int(n.Left) >= len(nodes) ||
+				n.Right <= int32(i) || int(n.Right) >= len(nodes) {
 				return nil, fmt.Errorf("gbdt: model tree %d node %d has out-of-order children (%d, %d)", ti, i, n.Left, n.Right)
 			}
-			internal++
-		}
-	}
-	f := &Flat{
-		dim:        dim,
-		base:       base,
-		features:   make([]int32, 0, internal),
-		thresholds: make([]float64, 0, internal),
-		missSub:    make([]float64, 0, internal),
-		children:   make([]int32, 0, 2*internal),
-		leaves:     make([]float64, 0, leaves),
-		roots:      make([]int32, 0, len(trees)),
-	}
-	for ti := range trees {
-		t := &trees[ti]
-		// First pass: assign each tree-local node its child word — packed
-		// internal index or complemented leaf slot — in node order, which
-		// keeps packed indices strictly forward exactly like the source
-		// indices, so flat walks terminate for the same reason.
-		words := make([]int32, len(t.Nodes))
-		for i := range t.Nodes {
-			n := &t.Nodes[i]
-			if n.Feature < 0 {
-				words[i] = ^int32(len(f.leaves))
-				f.leaves = append(f.leaves, n.Value)
+			if pos[i] < 0 {
 				continue
 			}
-			words[i] = int32(len(f.features))
-			f.features = append(f.features, n.Feature)
-			f.thresholds = append(f.thresholds, n.Threshold)
-			if n.MissingLeft {
-				f.missSub = append(f.missSub, math.Inf(-1))
+			if pos[n.Left] >= 0 || n.Left == n.Right || pos[n.Right] >= 0 {
+				return nil, fmt.Errorf("gbdt: model tree %d node %d has a child that another node also has", ti, i)
+			}
+			pos[n.Left], pos[n.Right] = 0, 0
+		}
+		for i := len(nodes) - 1; i >= 0; i-- {
+			switch n := &nodes[i]; {
+			case pos[i] < 0:
+			case n.Feature < 0:
+				cnt[i] = 1
+			default:
+				cnt[i] = cnt[n.Left] + cnt[n.Right]
+			}
+		}
+		w := (int(cnt[0]) + 63) / 64
+		if words > 0 && words+w > scratchWords {
+			f.finishBlock(words, tree0, ent0)
+			words, tree0, ent0 = 0, len(f.trees), len(f.ents)
+		}
+		word, leaf := uint32(words), len(f.leaves)
+		words += w
+		f.trees = append(f.trees, treeRef{word: word, leaf: uint32(leaf)})
+		f.leaves = f.leaves[:leaf+int(cnt[0])]
+		for i := range nodes {
+			n := &nodes[i]
+			if pos[i] < 0 {
+				continue
+			}
+			if n.Feature < 0 {
+				f.leaves[leaf+int(pos[i])] = n.Value
+				continue
+			}
+			// False test: leaves [a, b), the left child's, are out.
+			a, b := uint32(pos[i]), uint32(pos[i]+cnt[n.Left])
+			pos[n.Left], pos[n.Right] = int32(a), int32(b)
+			e := entry{thr: n.Threshold, feat: uint32(n.Feature)}
+			if !n.MissingLeft {
+				e.feat |= nanRight
+			}
+			if wa, wb := a>>6, (b-1)>>6; wa == wb {
+				e.ref, e.mask = word+wa, clearBits(a&63, (b-1)&63+1)
 			} else {
-				f.missSub = append(f.missSub, math.Inf(1))
+				e.ref, e.mask = wideRef|uint32(len(f.spans)), clearBits(a&63, 64)
+				f.spans = append(f.spans, span{first: word + wa, last: word + wb, lastMask: clearBits(0, (b-1)&63+1)})
 			}
-			f.children = append(f.children, 0, 0) // patched in the second pass
-		}
-		// Second pass: resolve child edges through the word map.
-		for i := range t.Nodes {
-			n := &t.Nodes[i]
-			if n.Feature < 0 {
-				continue
-			}
-			f.children[2*words[i]] = words[n.Left]
-			f.children[2*words[i]+1] = words[n.Right]
-		}
-		f.roots = append(f.roots, words[0])
-	}
-	// Encoding self-check: every root and child word must resolve inside
-	// the packed arrays. The construction above guarantees this; checking
-	// it here means any future change to the word encoding fails loudly at
-	// compile time instead of as an out-of-bounds panic mid-walk.
-	for _, w := range f.roots {
-		if err := f.checkWord(w); err != nil {
-			return nil, err
+			f.ents = append(f.ents, e)
 		}
 	}
-	for _, w := range f.children {
-		if err := f.checkWord(w); err != nil {
-			return nil, err
-		}
+	if words > 0 {
+		f.finishBlock(words, tree0, ent0)
 	}
 	return f, nil
 }
 
-func (f *Flat) checkWord(w int32) error {
-	if w >= 0 {
-		if int(w) >= len(f.features) {
-			return fmt.Errorf("gbdt: flat compile produced out-of-range internal word %d (%d internal nodes)", w, len(f.features))
+// clearBits returns a word with bits [lo, hi) clear, 0 <= lo < hi <= 64.
+func clearBits(lo, hi uint32) uint64 {
+	return ^(^uint64(0) >> (64 - (hi - lo)) << lo)
+}
+
+// sortKey returns the entry's place in the order of the scan: split feature
+// first, then threshold, its bits flipped so that they order as unsigned the
+// way the floats order.
+func (e *entry) sortKey() (feat uint32, thr uint64) {
+	k := math.Float64bits(e.thr)
+	return e.feat &^ nanRight, k ^ (uint64(int64(k)>>63) | 1<<63)
+}
+
+// keyByte returns byte d of the twelve a sort key has, least significant
+// first.
+func keyByte(feat uint32, thr uint64, d int) uint8 {
+	if d < 8 {
+		return uint8(thr >> (8 * d))
+	}
+	return uint8(feat >> (8 * (d - 8)))
+}
+
+// sortEntries orders ents for the scan: a byte-wise radix sort, least
+// significant byte first, over the bytes in which the keys differ at all
+// (half of them: features fit one byte, and thresholds learned from sizes
+// and gaps are short in binary). A comparison sort of a window model's 900
+// entries mispredicts its way to three times the cost of the rest of
+// Compile; this is linear whatever a hostile stream holds.
+func sortEntries(ents []entry) {
+	if len(ents) == 0 {
+		return
+	}
+	feat0, thr0 := ents[0].sortKey()
+	featDiff, thrDiff := uint32(0), uint64(0)
+	for i := range ents {
+		feat, thr := ents[i].sortKey()
+		featDiff, thrDiff = featDiff|(feat^feat0), thrDiff|(thr^thr0)
+	}
+	src, dst := ents, make([]entry, len(ents))
+	for d := 0; d < 12; d++ {
+		if keyByte(featDiff, thrDiff, d) == 0 {
+			continue
 		}
-		return nil
+		var at [256]int32
+		for i := range src {
+			feat, thr := src[i].sortKey()
+			at[keyByte(feat, thr, d)]++
+		}
+		sum := int32(0)
+		for b, n := range at {
+			at[b], sum = sum, sum+n
+		}
+		for i := range src {
+			feat, thr := src[i].sortKey()
+			b := keyByte(feat, thr, d)
+			dst[at[b]] = src[i]
+			at[b]++
+		}
+		src, dst = dst, src
 	}
-	if int(^w) >= len(f.leaves) {
-		return fmt.Errorf("gbdt: flat compile produced out-of-range leaf word %d (%d leaves)", w, len(f.leaves))
+	if &src[0] != &ents[0] {
+		copy(ents, src)
 	}
-	return nil
+}
+
+// finishBlock closes the block of words bitvector words whose trees and
+// entries begin at tree0 and ent0: it orders the entries for the scan,
+// indexes them by split feature and fills the suffix table.
+func (f *Flat) finishBlock(words, tree0, ent0 int) {
+	ents := f.ents[ent0:]
+	sortEntries(ents)
+	m := 0
+	for i := range ents {
+		if i == 0 || ents[i].feat&^nanRight != ents[i-1].feat&^nanRight {
+			m++
+		}
+	}
+	b := block{words: words, feats: make([]featRange, 0, m), trees: f.trees[tree0:len(f.trees):len(f.trees)]}
+	for i := range ents {
+		ft := int32(ents[i].feat &^ nanRight)
+		if i == 0 || ft != b.feats[len(b.feats)-1].feature {
+			b.feats = append(b.feats, featRange{feature: ft, lo: int32(ent0 + i)})
+		}
+		b.feats[len(b.feats)-1].hi = int32(ent0 + i + 1)
+	}
+	// A checkpoint is words words per step >= words entries, so all of them
+	// take no more words than the block has entries.
+	b.step = max(words, minStep)
+	checks := 0
+	for i := range b.feats {
+		ft := &b.feats[i]
+		ft.check = int32(checks * words)
+		checks += int(ft.hi-ft.lo) / b.step
+	}
+	b.checks = make([]uint64, checks*words)
+	for _, ft := range b.feats {
+		for c := 0; c < int(ft.hi-ft.lo)/b.step; c++ {
+			v := b.checks[int(ft.check)+c*words:][:words]
+			if c == 0 {
+				fillOnes(v)
+			} else {
+				copy(v, b.checks[int(ft.check)+(c-1)*words:])
+			}
+			for i := int(ft.lo) + c*b.step; i < int(ft.lo)+(c+1)*b.step; i++ {
+				f.apply(v, &f.ents[i])
+			}
+		}
+	}
+	// The table may take two words per node of the block's trees and no
+	// more, so features × trees cannot be made to explode; row 0 alone
+	// always fits, being a sixty-fourth of the leaves.
+	budget := 2 * (2*len(ents) + len(b.trees))
+	b.tail = make([]int32, min(m, max(budget/words, 1)-1))
+	b.suffix = make([]uint64, (len(b.tail)+1)*words)
+	fillOnes(b.suffix[:words])
+	for n := range b.tail {
+		ft := b.feats[m-1-n]
+		b.tail[n] = ft.feature
+		row := b.suffix[(n+1)*words : (n+2)*words]
+		copy(row, b.suffix[n*words:])
+		f.applyNaN(row, ft)
+	}
+	f.blocks = append(f.blocks, b)
+	f.words = max(f.words, words)
 }
 
 func isFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
-// NumTrees returns the number of boosted stages in the compiled model.
-func (f *Flat) NumTrees() int { return len(f.roots) }
+func fillOnes(v []uint64) {
+	for i := range v {
+		v[i] = ^uint64(0)
+	}
+}
+
+// apply takes from v the leaves that entry e rules out.
+//
+//lfo:hotpath
+func (f *Flat) apply(v []uint64, e *entry) {
+	if r := uint(e.ref); r < uint(len(v)) {
+		v[r] &= e.mask
+		return
+	}
+	// A wide entry: mask to its first word, zero to the words between, the
+	// span's own mask to the last.
+	sp := &f.spans[e.ref&^wideRef]
+	v[sp.first] &= e.mask
+	for w := sp.first + 1; w < sp.last; w++ {
+		v[w] = 0
+	}
+	v[sp.last] &= sp.lastMask
+}
+
+// applyNaN takes from v the leaves that NaN in feature ft rules out: those
+// of its nanRight splits.
+//
+//lfo:hotpath
+func (f *Flat) applyNaN(v []uint64, ft featRange) {
+	for i := ft.lo; i < ft.hi; i++ {
+		if e := &f.ents[i]; e.feat&nanRight != 0 {
+			f.apply(v, e)
+		}
+	}
+}
+
+// scan takes from v the leaves that value x of feature ft rules out: those
+// of the feature's entries, ascending, whose threshold x exceeds. It is the
+// scorer's inner loop, kept a function of its own so that the loop's few
+// values stay in registers.
+//
+//lfo:hotpath
+func (f *Flat) scan(v []uint64, b *block, ft featRange, x float64) {
+	es := f.ents[ft.lo:ft.hi]
+	c := 0
+	for (c+1)*b.step <= len(es) && es[(c+1)*b.step-1].thr < x {
+		c++
+	}
+	if c > 0 {
+		check := b.checks[int(ft.check)+(c-1)*len(v):][:len(v)]
+		for i := range v {
+			v[i] &= check[i]
+		}
+		es = es[c*b.step:]
+	}
+	for i := range es {
+		e := &es[i]
+		if !(e.thr < x) {
+			return
+		}
+		f.apply(v, e)
+	}
+}
+
+// score returns the unsquashed margin of one row; bv is scratch of at least
+// the widest block's words.
+//
+//lfo:hotpath
+func (f *Flat) score(row []float64, bv []uint64) float64 {
+	leaves := f.leaves
+	s := f.base
+	for bi := range f.blocks {
+		b := &f.blocks[bi]
+		v := bv[:b.words]
+		feats := b.feats
+		// The row's NaN suffix, as far as the table goes.
+		n := 0
+		for _, ft := range b.tail {
+			if !math.IsNaN(row[ft]) {
+				break
+			}
+			n++
+		}
+		copy(v, b.suffix[n*len(v):])
+		for _, ft := range feats[:len(feats)-n] {
+			x := row[ft.feature]
+			if math.IsNaN(x) {
+				f.applyNaN(v, ft)
+				continue
+			}
+			f.scan(v, b, ft, x)
+		}
+		for _, t := range b.trees {
+			w, x := t.word, v[t.word]
+			for x == 0 { // a tree of several words: the leaf is further on
+				w++
+				x = v[w]
+			}
+			s += leaves[t.leaf+(w-t.word)<<6+uint32(bits.TrailingZeros64(x))]
+		}
+	}
+	return s
+}
 
 // RawPredict returns the unsquashed margin for one feature row.
 //
 //lfo:hotpath
 func (f *Flat) RawPredict(row []float64) float64 {
 	mustRowDim(len(row), f.dim)
-	feats, ths, miss, kids := f.features, f.thresholds, f.missSub, f.children
-	s := f.base
-	for _, root := range f.roots {
-		c := int(root)
-		for c >= 0 {
-			v := row[feats[c]]
-			if math.IsNaN(v) {
-				v = miss[c]
-			}
-			if v <= ths[c] {
-				c = int(kids[2*c])
-			} else {
-				c = int(kids[2*c+1])
-			}
-		}
-		s += f.leaves[^c]
+	var stack [scratchWords]uint64
+	return f.score(row, f.scratch(stack[:]))
+}
+
+// scratch returns the bitvector to score with: the caller's, from its
+// stack, unless the model has a tree too wide for it — more than
+// 64*scratchWords = 4096 leaves, which no trainer setting in this
+// repository grows.
+func (f *Flat) scratch(stack []uint64) []uint64 {
+	if f.words <= len(stack) {
+		return stack
 	}
-	return s
+	//lfolint:ignore hotpath-alloc only for a tree of more than 4096 leaves; every other model scores from the stack
+	return make([]uint64, f.words)
 }
 
 // Predict returns the positive-class probability for one row.
@@ -227,77 +518,6 @@ func (f *Flat) RawPredict(row []float64) float64 {
 //lfo:hotpath
 func (f *Flat) Predict(row []float64) float64 {
 	return sigmoid(f.RawPredict(row))
-}
-
-// walkBlock advances every row of a block through one tree until all
-// cursors are leaf words: cur[i] starts at root and ends < 0. All active
-// rows take one level step per pass; rows that reach a leaf are dropped
-// from the act list with a branch-free compaction (the conditional
-// increment compiles to flag arithmetic), so finished rows cost no padded
-// passes and no mispredicted "is it done" branches. root must be an
-// internal word (callers handle single-leaf trees).
-//
-//lfo:hotpath
-func (f *Flat) walkBlock(block []float64, cur, act []int32, root int32) {
-	feats, ths, miss, kids := f.features, f.thresholds, f.missSub, f.children
-	dim := f.dim
-	for i := range cur {
-		cur[i] = root
-		act[i] = int32(i)
-	}
-	n := len(cur)
-	for n > 0 {
-		w := 0
-		for _, i := range act[:n] {
-			c := int(cur[i])
-			v := block[int(i)*dim+int(feats[c])]
-			if math.IsNaN(v) {
-				v = miss[c]
-			}
-			b := 0
-			if v > ths[c] {
-				b = 1
-			}
-			nw := kids[2*c+b]
-			cur[i] = nw
-			act[w] = i
-			w += int((^uint32(nw)) >> 31)
-		}
-		n = w
-	}
-}
-
-// scoreBlock fills out[lo:hi] with positive-class probabilities for rows
-// [lo, hi), hi-lo <= matrixBlock. Cursor and active-list arrays live on
-// the stack, so the whole batched path allocates nothing.
-//
-//lfo:hotpath
-func (f *Flat) scoreBlock(rows, out []float64, lo, hi int) {
-	var cur, act [matrixBlock]int32
-	block := rows[lo*f.dim : hi*f.dim]
-	o := out[lo:hi]
-	c := cur[:hi-lo]
-	a := act[:hi-lo]
-	for i := range o {
-		o[i] = f.base
-	}
-	for _, root := range f.roots {
-		leaves := f.leaves
-		if root < 0 {
-			lv := leaves[^root]
-			for i := range o {
-				o[i] += lv
-			}
-			continue
-		}
-		f.walkBlock(block, c, a, root)
-		for i := range o {
-			o[i] += leaves[^c[i]]
-		}
-	}
-	for i := range o {
-		o[i] = sigmoid(o[i])
-	}
 }
 
 // matrixArgs carries one batched call's bindings through par.RangesArg, so
@@ -308,27 +528,29 @@ type matrixArgs struct {
 	rows, out []float64
 }
 
+// flatScoreRange scores rows [lo, hi) one after another from one scratch
+// vector.
+//
+//lfo:hotpath
 func flatScoreRange(a matrixArgs, lo, hi int) {
-	for b := lo; b < hi; b += matrixBlock {
-		e := b + matrixBlock
-		if e > hi {
-			e = hi
-		}
-		a.f.scoreBlock(a.rows, a.out, b, e)
+	var stack [scratchWords]uint64
+	bv := a.f.scratch(stack[:])
+	dim := a.f.dim
+	for i := lo; i < hi; i++ {
+		a.out[i] = sigmoid(a.f.score(a.rows[i*dim:(i+1)*dim], bv))
 	}
 }
 
 // PredictMatrix fills out[i] with the positive-class probability of row i
-// of the flat row-major matrix rows, scoring matrixBlock-row blocks
-// level-synchronously per tree across up to workers goroutines (0 = all
-// cores, 1 = inline). Rows are scored independently and each row's
-// accumulation order matches RawPredict, so the output is byte-identical
-// to per-row scoring for any worker count.
+// of the flat row-major matrix rows, across up to workers goroutines (0 =
+// all cores, 1 = inline). Every row goes through the same scorer as
+// RawPredict, so the output is byte-identical to per-row scoring for any
+// worker count.
 //
 //lfo:hotpath
 func (f *Flat) PredictMatrix(rows, out []float64, workers int) {
 	mustMatrixDims(len(rows), len(out), f.dim)
-	par.RangesArg(len(out), workers, matrixBlock, matrixArgs{f, rows, out}, flatScoreRange)
+	par.RangesArg(len(out), workers, matrixChunk, matrixArgs{f, rows, out}, flatScoreRange)
 }
 
 // mustRowDim validates a row's width outside the annotated kernels; the

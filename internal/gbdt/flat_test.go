@@ -78,7 +78,7 @@ func diffRows(seed uint64, n, dim int) []float64 {
 	return rows
 }
 
-// TestFlatDifferentialTrained: on trained models the compiled kernel must
+// TestFlatDifferentialTrained: on trained models the compiled scorer must
 // reproduce the pointer-walk oracle bit for bit, row by row.
 func TestFlatDifferentialTrained(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
@@ -86,22 +86,13 @@ func TestFlatDifferentialTrained(t *testing.T) {
 		if m.Flat() == nil {
 			t.Fatal("trained model was not compiled")
 		}
-		rows := diffRows(seed+100, 300, m.Dim)
-		for i := 0; i < 300; i++ {
-			row := rows[i*m.Dim : (i+1)*m.Dim]
-			got := m.RawPredict(row)
-			want := m.nodeRawPredict(row)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("seed %d row %d: flat %v (%#x) != oracle %v (%#x)",
-					seed, i, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-		}
+		mustMatchOracle(t, m, diffRows(seed+100, 300, m.Dim))
 	}
 }
 
 // TestFlatDifferentialCorpus replays every committed fuzz-corpus seed:
-// any stream Load accepts must predict identically through the flat
-// kernel and the pointer walk.
+// any stream Load accepts must predict identically through the compiled
+// scorer and the pointer walk.
 func TestFlatDifferentialCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzModelLoad")
 	entries, err := os.ReadDir(dir)
@@ -122,14 +113,7 @@ func TestFlatDifferentialCorpus(t *testing.T) {
 		if m.Dim > 1<<12 {
 			continue
 		}
-		rows := diffRows(uint64(len(data)), 64, m.Dim)
-		for i := 0; i < 64; i++ {
-			row := rows[i*m.Dim : (i+1)*m.Dim]
-			got, want := m.RawPredict(row), m.nodeRawPredict(row)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s row %d: flat %v != oracle %v", e.Name(), i, got, want)
-			}
-		}
+		mustMatchOracle(t, m, diffRows(uint64(len(data)), 64, m.Dim))
 	}
 	if loaded == 0 {
 		t.Fatal("no corpus entry loaded successfully; differential corpus check is vacuous")
@@ -182,9 +166,10 @@ func TestPredictMatrixWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestAccumulateRawMatchesOracle: the trainer's score-update path must add
-// exactly what per-row tree walks add, in the same order.
-func TestAccumulateRawMatchesOracle(t *testing.T) {
+// TestBlockWalkMatchesOracle: the previous kernel, kept in reference_test.go
+// for the reference trainer, must add exactly what per-row tree walks add, in
+// the same order, and squash to what PredictMatrix returns.
+func TestBlockWalkMatchesOracle(t *testing.T) {
 	m := trainedFlatModel(t, 5, 7)
 	const n = 130
 	rows := diffRows(17, n, m.Dim)
@@ -198,80 +183,280 @@ func TestAccumulateRawMatchesOracle(t *testing.T) {
 			want[i] += m.Trees[ti].predict(row)
 		}
 	}
-	m.Flat().AccumulateRaw(rows, got, 2)
+	old := compileBlockFlat(m.Dim, m.BaseScore, m.Trees)
+	old.AccumulateRaw(rows, got, 2)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("row %d: accumulate %v != oracle %v", i, got[i], want[i])
 		}
 	}
-}
-
-// TestUncompiledFallback: a hand-assembled model that was never Compiled
-// must predict identically through the pointer-walk fallback paths.
-func TestUncompiledFallback(t *testing.T) {
-	compiled := trainedFlatModel(t, 11, 6)
-	plain := &Model{Dim: compiled.Dim, BaseScore: compiled.BaseScore, Trees: compiled.Trees}
-	if plain.Flat() != nil {
-		t.Fatal("copy unexpectedly compiled")
-	}
-	const n = 70
-	rows := diffRows(23, n, plain.Dim)
-	want := make([]float64, n)
-	compiled.PredictMatrix(rows, want, 2)
-	got := make([]float64, n)
-	plain.PredictMatrix(rows, got, 2)
+	old.PredictMatrix(rows, want, 2)
+	m.PredictMatrix(rows, got, 2)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("row %d: fallback %v != compiled %v", i, got[i], want[i])
+			t.Fatalf("row %d: PredictMatrix %v != block walk %v", i, got[i], want[i])
 		}
-	}
-	row := rows[:plain.Dim]
-	if g, w := plain.Predict(row), compiled.Predict(row); math.Float64bits(g) != math.Float64bits(w) {
-		t.Fatalf("per-row fallback %v != compiled %v", g, w)
 	}
 }
 
-// TestFlatSingleLeafTrees: trees that are a lone leaf compile to negative
-// root words and take the constant-add fast path in the block walks.
-func TestFlatSingleLeafTrees(t *testing.T) {
-	m := &Model{Dim: 3, BaseScore: -0.5, Trees: []Tree{
-		{Nodes: []node{{Feature: -1, Value: 0.75}}},
-		{Nodes: []node{
+// TestUncompiledModelRefuses: a hand-assembled model that skipped Compile
+// has no scorer, and says so instead of walking the structs.
+func TestUncompiledModelRefuses(t *testing.T) {
+	m := &Model{Dim: 2, Trees: []Tree{{Nodes: []node{{Feature: -1, Value: 1}}}}}
+	for name, call := range map[string]func(){
+		"Predict":       func() { m.Predict([]float64{0, 0}) },
+		"PredictMatrix": func() { m.PredictMatrix([]float64{0, 0}, []float64{0}, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an uncompiled model did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// mustMatchOracle fails unless the compiled scorer returns, for every one
+// of the n rows, the bits the pointer walk returns: row by row and through
+// PredictMatrix.
+func mustMatchOracle(t *testing.T, m *Model, rows []float64) {
+	t.Helper()
+	n := len(rows) / m.Dim
+	probs := make([]float64, n)
+	m.PredictMatrix(rows, probs, 1)
+	for i := 0; i < n; i++ {
+		row := rows[i*m.Dim : (i+1)*m.Dim]
+		got, want := m.RawPredict(row), m.nodeRawPredict(row)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("row %d %v: scorer %v (%#x) != oracle %v (%#x)",
+				i, row, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if math.Float64bits(probs[i]) != math.Float64bits(sigmoid(want)) {
+			t.Fatalf("row %d %v: PredictMatrix %v != oracle %v", i, row, probs[i], sigmoid(want))
+		}
+	}
+}
+
+// randomModel assembles trees the way the trainer grows them — split a
+// random leaf, append its two children — with thresholds drawn from
+// gridValues so that trees share thresholds and rows land exactly on them.
+func randomModel(rng *splitMix, dim, trees, maxLeaves int) *Model {
+	m := &Model{Dim: dim, BaseScore: rng.float() - 0.5}
+	for t := 0; t < trees; t++ {
+		nodes := []node{{Feature: -1}}
+		leafIdx := []int{0}
+		for want := 1 + int(rng.next()%uint64(maxLeaves)); len(leafIdx) < want; {
+			k := int(rng.next() % uint64(len(leafIdx)))
+			i := leafIdx[k]
+			l := len(nodes)
+			nodes[i] = node{
+				Feature:     int32(rng.next() % uint64(dim)),
+				Threshold:   gridValues[rng.next()%uint64(len(gridValues))],
+				MissingLeft: rng.next()%2 == 0,
+				Left:        int32(l), Right: int32(l + 1),
+			}
+			if rng.next()%4 == 0 { // children need not be in left-right order
+				nodes[i].Left, nodes[i].Right = nodes[i].Right, nodes[i].Left
+			}
+			nodes = append(nodes, node{Feature: -1}, node{Feature: -1})
+			leafIdx[k] = l
+			leafIdx = append(leafIdx, l+1)
+		}
+		for i := range nodes {
+			if nodes[i].Feature < 0 {
+				nodes[i].Value = rng.float() - 0.5
+			}
+		}
+		m.Trees = append(m.Trees, Tree{Nodes: nodes})
+	}
+	return m
+}
+
+var gridValues = []float64{-1e9, -3, -0.5, 0, math.SmallestNonzeroFloat64, 0.5, 1, 1.0000000000000002, 7, 1e9}
+
+// gridRows draws rows over the threshold grid: values on a threshold, one
+// ulp either side, ±Inf, negative zero and NaN, the NaNs scattered.
+func gridRows(rng *splitMix, n, dim int) []float64 {
+	rows := make([]float64, n*dim)
+	for i := range rows {
+		v := gridValues[rng.next()%uint64(len(gridValues))]
+		switch rng.next() % 8 {
+		case 0:
+			v = math.NaN()
+		case 1:
+			v = math.Nextafter(v, math.Inf(1))
+		case 2:
+			v = math.Nextafter(v, math.Inf(-1))
+		case 3:
+			v = math.Inf(int(rng.next()%2)*2 - 1)
+		case 4:
+			v = math.Copysign(0, -1)
+		}
+		rows[i] = v
+	}
+	return rows
+}
+
+// nanSuffix overwrites the columns from keep on with NaN in every row.
+func nanSuffix(rows []float64, dim, keep int) {
+	for i := 0; i < len(rows); i += dim {
+		for j := keep; j < dim; j++ {
+			rows[i+j] = math.NaN()
+		}
+	}
+}
+
+// TestScoreWindowRows: on a model trained on window-shaped rows, every
+// history length k = 0…50 of a 53-column row — the NaN suffix the scorer
+// skips through its table — scores as the pointer walk does, and so do rows
+// whose NaNs are scattered with a value behind them, where the suffix scan
+// must stop at once.
+func TestScoreWindowRows(t *testing.T) {
+	d := windowDataset(3000, 5)
+	p := DefaultParams()
+	p.Workers = 1
+	m, err := Train(d, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := m.Flat().blocks; len(b) != 1 || len(b[0].tail) != len(b[0].feats) {
+		t.Fatalf("a window model should be one block with a full suffix table, have %d blocks, table of %d for %d split features",
+			len(b), len(b[0].tail), len(b[0].feats))
+	}
+	dim := d.Dim()
+	const perK = 40
+	dense := windowDataset(perK, 6).x
+	rng := splitMix{s: 99}
+	for i := range dense {
+		if math.IsNaN(dense[i]) {
+			dense[i] = math.Floor(rng.float() * 20000)
+		}
+	}
+	for k := 0; k <= dim-3; k++ {
+		rows := append([]float64(nil), dense...)
+		nanSuffix(rows, dim, 3+k)
+		mustMatchOracle(t, m, rows)
+		// The same rows with holes: NaN in some columns before the suffix,
+		// and with the last column back, no suffix at all.
+		for i := 0; i < len(rows); i += dim {
+			rows[i+int(rng.next()%uint64(dim))] = math.NaN()
+			if i/dim%2 == 0 {
+				rows[i+dim-1] = dense[i+dim-1]
+			}
+		}
+		mustMatchOracle(t, m, rows)
+	}
+}
+
+// TestScoreEdgeValues: thresholds shared across trees, values exactly on a
+// threshold and one ulp off, ±Inf, negative zero and scattered NaN, over
+// hand-grown trees of every shape the compiler treats differently.
+func TestScoreEdgeValues(t *testing.T) {
+	cases := []struct {
+		name                  string
+		dim, trees, maxLeaves int
+		blocks                int  // at least this many
+		cut                   bool // the suffix table stops short of the split features
+	}{
+		{"one-word trees", 6, 30, 31, 1, false},
+		{"stumps and single leaves", 3, 40, 2, 1, false},
+		{"multi-word trees", 5, 7, 300, 1, false},
+		{"several blocks", 4, 150, 40, 3, false},
+		{"wide trees in several blocks", 9, 20, 900, 3, false},
+		{"many features, table cut short", 250, 64, 31, 1, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := splitMix{s: uint64(len(tc.name))}
+			m := randomModel(&rng, tc.dim, tc.trees, tc.maxLeaves)
+			if err := m.Compile(); err != nil {
+				t.Fatal(err)
+			}
+			f := m.Flat()
+			if len(f.blocks) < tc.blocks || f.words > scratchWords {
+				t.Errorf("layout: %d blocks (want at least %d), widest of %d words (want at most %d)", len(f.blocks), tc.blocks, f.words, scratchWords)
+			}
+			for _, b := range f.blocks {
+				if cut := len(b.tail) < len(b.feats); cut != tc.cut || len(b.tail) == 0 {
+					t.Errorf("suffix table covers %d of %d split features, cut short: want %v", len(b.tail), len(b.feats), tc.cut)
+				}
+			}
+			rows := gridRows(&rng, 400, tc.dim)
+			mustMatchOracle(t, m, rows)
+			for _, keep := range []int{0, 1, tc.dim / 2, tc.dim - 1} {
+				nanSuffix(rows, tc.dim, keep)
+				mustMatchOracle(t, m, rows)
+			}
+		})
+	}
+}
+
+// TestScoreDegenerateModels: no trees at all, only single-leaf trees, and
+// chains — each split's left (or right) child a leaf — long enough that an
+// entry clears whole words and one tree outgrows the on-stack bitvector.
+func TestScoreDegenerateModels(t *testing.T) {
+	chain := func(leaves int, leafLeft bool) Tree {
+		var nodes []node
+		for i := 0; i < leaves-1; i++ {
+			n := node{Feature: int32(i % 3), Threshold: float64(i%11) - 5, MissingLeft: i%2 == 0, Left: int32(2*i + 1), Right: int32(2*i + 2)}
+			if !leafLeft {
+				n.Left, n.Right = n.Right, n.Left
+			}
+			nodes = append(nodes, n, node{Feature: -1, Value: float64(i) / 64})
+		}
+		return Tree{Nodes: append(nodes, node{Feature: -1, Value: -1})}
+	}
+	leaf := Tree{Nodes: []node{{Feature: -1, Value: 0.75}}}
+	cases := []struct {
+		name  string
+		trees []Tree
+		words int // the widest block's
+	}{
+		{"zero trees", nil, 0},
+		{"single-leaf trees", []Tree{leaf, leaf, leaf}, 3},
+		{"single leaves around a stump", []Tree{leaf, {Nodes: []node{
 			{Feature: 1, Threshold: 4, MissingLeft: true, Left: 1, Right: 2},
 			{Feature: -1, Value: -0.25}, {Feature: -1, Value: 0.125},
-		}},
-		{Nodes: []node{{Feature: -1, Value: -1.5}}},
-	}}
+		}}, leaf}, 3},
+		{"130-leaf chains", []Tree{chain(130, true), chain(130, false)}, 6},
+		{"65-leaf chain", []Tree{chain(65, false)}, 2},
+		{"4200-leaf chains beside small trees", []Tree{leaf, chain(4200, false), chain(5, true), chain(4200, true)}, 66},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &Model{Dim: 3, BaseScore: -0.5, Trees: tc.trees}
+			if err := m.Compile(); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Flat().words; got != tc.words {
+				t.Errorf("widest block %d words, want %d", got, tc.words)
+			}
+			rng := splitMix{s: 31}
+			rows := gridRows(&rng, 200, m.Dim)
+			for i := 0; i < len(rows); i += 7 {
+				rows[i] = float64(int(rng.next()%13)) - 6.5 // between the chains' thresholds
+			}
+			mustMatchOracle(t, m, rows)
+			nanSuffix(rows, m.Dim, 1)
+			mustMatchOracle(t, m, rows)
+		})
+	}
+}
+
+// TestCompileIsBoundedByTheModel: what Compile allocates follows the nodes
+// a model has, not the dim it claims.
+func TestCompileIsBoundedByTheModel(t *testing.T) {
+	m := &Model{Dim: 1 << 50, Trees: []Tree{{Nodes: []node{
+		{Feature: 1 << 30, Threshold: 1, Left: 1, Right: 2}, {Feature: -1, Value: 1}, {Feature: -1, Value: 2},
+	}}}}
 	if err := m.Compile(); err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range [][]float64{{0, 0, 0}, {0, 9, 0}, {0, math.NaN(), 1}} {
-		got, want := m.RawPredict(row), m.nodeRawPredict(row)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("row %v: flat %v != oracle %v", row, got, want)
-		}
-	}
-	const n = 67
-	rows := diffRows(31, n, m.Dim)
-	out := make([]float64, n)
-	m.PredictMatrix(rows, out, 1)
-	for i := range out {
-		want := m.Predict(rows[i*m.Dim : (i+1)*m.Dim])
-		if math.Float64bits(out[i]) != math.Float64bits(want) {
-			t.Fatalf("row %d: matrix %v != per-row %v", i, out[i], want)
-		}
-	}
-	inout := make([]float64, n)
-	m.Flat().AccumulateRaw(rows, inout, 1)
-	for i := range inout {
-		want := 0.0
-		row := rows[i*m.Dim : (i+1)*m.Dim]
-		for ti := range m.Trees {
-			want += m.Trees[ti].predict(row)
-		}
-		if math.Float64bits(inout[i]) != math.Float64bits(want) {
-			t.Fatalf("row %d: accumulate %v != oracle %v", i, inout[i], want)
-		}
+	f := m.Flat()
+	if len(f.ents) != 1 || len(f.blocks) != 1 || len(f.blocks[0].suffix) > 2 {
+		t.Fatalf("compiled %d entries, %d blocks, %d table words for one stump", len(f.ents), len(f.blocks), len(f.blocks[0].suffix))
 	}
 }
 

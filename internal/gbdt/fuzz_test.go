@@ -56,7 +56,7 @@ func FuzzModelLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a gob stream"))
 	// Structurally valid gob streams carrying non-finite numerics: these
-	// decode cleanly and must be rejected by flat-kernel compilation.
+	// decode cleanly and must be rejected by compilation.
 	hostile := hostileSeeds(f)
 	names := make([]string, 0, len(hostile))
 	for name := range hostile {
@@ -106,10 +106,49 @@ func FuzzModelLoad(f *testing.F) {
 	})
 }
 
+// FuzzScoreMatchesOracle grows a small random model from the fuzzed seed and
+// shape, compiles it, and demands that the bitvector scorer return the
+// pointer walk's bits for random rows over the same threshold grid, with
+// and without a NaN suffix, row by row and through PredictMatrix.
+func FuzzScoreMatchesOracle(f *testing.F) {
+	for _, seed := range scoreSeeds {
+		f.Add(seed.seed, seed.dim, seed.trees, seed.maxLeaves, seed.keep)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, dim, trees uint8, maxLeaves uint16, keep uint8) {
+		rng := splitMix{s: seed}
+		d := 1 + int(dim)%64
+		m := randomModel(&rng, d, int(trees)%80, 1+int(maxLeaves)%600)
+		if err := m.Compile(); err != nil {
+			t.Fatalf("a grown model did not compile: %v", err)
+		}
+		rows := gridRows(&rng, 16, d)
+		mustMatchOracle(t, m, rows)
+		nanSuffix(rows, d, int(keep)%(d+1))
+		mustMatchOracle(t, m, rows)
+	})
+}
+
+// scoreSeeds is FuzzScoreMatchesOracle's seed corpus, in code and (through
+// TestRegenerateFuzzCorpus) under testdata/fuzz: one-word trees, stumps, no
+// trees, trees of several words, more trees than one block holds.
+var scoreSeeds = []struct {
+	seed       uint64
+	dim, trees uint8
+	maxLeaves  uint16
+	keep       uint8
+}{
+	{1, 53, 30, 31, 3},
+	{2, 3, 79, 2, 0},
+	{3, 7, 0, 1, 7},
+	{4, 16, 9, 599, 5},
+	{5, 1, 40, 64, 1},
+	{6, 63, 70, 100, 20},
+}
+
 // hostileSeeds serializes models that gob decodes without error but that
-// flat compilation must reject: non-finite thresholds, leaf values, and
-// base scores. The ±Inf missing-direction encoding of the flat kernel is
-// only exact because these can never reach it (see compileFlat).
+// compilation must reject: non-finite thresholds, leaf values, and base
+// scores. The scorer's sorted threshold scan is only exact against ±Inf
+// values because these can never reach it (see compileFlat).
 func hostileSeeds(tb testing.TB) map[string][]byte {
 	leaf := func(v float64) []node { return []node{{Feature: -1, Value: v}} }
 	split := func(th float64) []node {
@@ -158,13 +197,20 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	for name, data := range hostileSeeds(t) {
 		seeds[name] = data
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzModelLoad")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	entries := make(map[string]string, len(seeds)+len(scoreSeeds))
 	for name, data := range seeds {
-		entry := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(entry), 0o644); err != nil {
+		entries[filepath.Join("FuzzModelLoad", name)] = fmt.Sprintf("[]byte(%q)\n", data)
+	}
+	for i, s := range scoreSeeds {
+		entries[filepath.Join("FuzzScoreMatchesOracle", fmt.Sprintf("seed-%d", i+1))] = fmt.Sprintf(
+			"uint64(%d)\nbyte(%q)\nbyte(%q)\nuint16(%d)\nbyte(%q)\n", s.seed, s.dim, s.trees, s.maxLeaves, s.keep)
+	}
+	for name, body := range entries {
+		path := filepath.Join("testdata", "fuzz", name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("go test fuzz v1\n"+body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,6 +236,13 @@ func TestLoadRejectsHostileModels(t *testing.T) {
 		}}}}},
 		{"backward cycle", Model{Dim: 4, Trees: []Tree{{Nodes: []node{
 			{Feature: 0, Left: 1, Right: 2}, {Feature: -1}, {Feature: 1, Left: 0, Right: 1},
+		}}}}},
+		{"shared child", Model{Dim: 4, Trees: []Tree{{Nodes: []node{
+			{Feature: 0, Left: 1, Right: 2}, {Feature: 1, Left: 3, Right: 4}, {Feature: 1, Left: 4, Right: 5},
+			{Feature: -1}, {Feature: -1}, {Feature: -1},
+		}}}}},
+		{"one child twice", Model{Dim: 4, Trees: []Tree{{Nodes: []node{
+			{Feature: 0, Left: 1, Right: 1}, {Feature: -1},
 		}}}}},
 		{"NaN threshold", Model{Dim: 4, Trees: []Tree{{Nodes: []node{
 			{Feature: 0, Threshold: math.NaN(), Left: 1, Right: 2}, {Feature: -1}, {Feature: -1},

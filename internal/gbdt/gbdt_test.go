@@ -331,7 +331,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesSequential(t *testing.T) {
+func TestPredictMatrixMatchesSequential(t *testing.T) {
 	d := synth(500, 15, 0.1)
 	m, err := Train(d, DefaultParams())
 	if err != nil {
@@ -343,8 +343,8 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 	}
 	seq := make([]float64, d.Len())
 	par := make([]float64, d.Len())
-	m.PredictBatch(rows, seq, 1)
-	m.PredictBatch(rows, par, 8)
+	m.PredictMatrix(rows, seq, 1)
+	m.PredictMatrix(rows, par, 8)
 	for i := range seq {
 		if seq[i] != par[i] {
 			t.Fatalf("row %d: parallel %g != sequential %g", i, par[i], seq[i])

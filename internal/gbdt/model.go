@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"lfo/internal/par"
 )
 
 // Model is a trained boosted-tree binary classifier.
@@ -19,17 +17,17 @@ type Model struct {
 	// Trees are the boosted stages in training order.
 	Trees []Tree
 
-	// flat is the compiled inference kernel. It is unexported so gob
-	// round-trips see only the tree structure; Load rebuilds it. A nil
-	// flat (hand-assembled model without Compile) falls back to the
-	// pointer walk.
+	// flat is the compiled scorer every predict path runs on. It is
+	// unexported so gob round-trips see only the tree structure; Train and
+	// Load build it, and a hand-assembled model must be Compiled before
+	// its first prediction.
 	flat *Flat
 }
 
-// Compile builds the flattened inference kernel that every predict path
-// uses, validating the model the same way Load does. Train and Load call
-// it automatically; call it manually only on hand-assembled models. The
-// tree structure must not be mutated after Compile.
+// Compile builds the scorer that every predict path uses, validating the
+// model the same way Load does. Train and Load call it automatically; call
+// it manually on hand-assembled models. The tree structure must not be
+// mutated after Compile.
 func (m *Model) Compile() error {
 	f, err := compileFlat(m.Dim, m.BaseScore, m.Trees)
 	if err != nil {
@@ -39,32 +37,24 @@ func (m *Model) Compile() error {
 	return nil
 }
 
-// Flat returns the compiled kernel, or nil if the model was never
+// Flat returns the compiled scorer, or nil if the model was never
 // Compiled.
 func (m *Model) Flat() *Flat { return m.flat }
+
+// compiled returns the scorer, refusing a hand-assembled model that skipped
+// Compile with a message instead of a nil dereference.
+func (m *Model) compiled() *Flat {
+	if m.flat == nil {
+		panic("gbdt: model was assembled by hand and never Compiled")
+	}
+	return m.flat
+}
 
 // RawPredict returns the unsquashed margin for one feature row.
 //
 //lfo:hotpath
 func (m *Model) RawPredict(row []float64) float64 {
-	if m.flat != nil {
-		return m.flat.RawPredict(row)
-	}
-	mustRowDim(len(row), m.Dim)
-	return m.nodeRawPredict(row)
-}
-
-// nodeRawPredict is the pointer-chasing walk over the Trees structs — the
-// differential-test oracle for the flat kernel and the fallback for
-// models that were never Compiled.
-//
-//lfo:hotpath
-func (m *Model) nodeRawPredict(row []float64) float64 {
-	s := m.BaseScore
-	for i := range m.Trees {
-		s += m.Trees[i].predict(row)
-	}
-	return s
+	return m.compiled().RawPredict(row)
 }
 
 // Predict returns the probability of the positive class for one row.
@@ -74,44 +64,15 @@ func (m *Model) Predict(row []float64) float64 {
 	return sigmoid(m.RawPredict(row))
 }
 
-// PredictBatch fills out[i] with the positive-class probability of rows[i],
-// using up to workers goroutines (0 = all available cores, 1 = inline).
-// rows is a flat row-major matrix of n rows; out must have length n. It is
-// PredictMatrix under its historical name.
-//
-//lfo:hotpath
-func (m *Model) PredictBatch(rows []float64, out []float64, workers int) {
-	m.PredictMatrix(rows, out, workers)
-}
-
 // PredictMatrix fills out[i] with the positive-class probability of row i
-// of the flat row-major matrix rows, scoring blocks of rows through the
-// compiled kernel (see Flat.PredictMatrix). Rows are scored independently
-// and accumulation order per row is fixed, so the output is byte-identical
-// for any worker count and identical to per-row Predict calls. Models
-// never Compiled fall back to per-row pointer walks.
+// of the flat row-major matrix rows (see Flat.PredictMatrix): rows is n
+// rows of Dim values, out has length n, workers caps the goroutines (0 =
+// all cores, 1 = inline). The output is byte-identical for any worker count
+// and identical to per-row Predict calls.
 //
 //lfo:hotpath
 func (m *Model) PredictMatrix(rows []float64, out []float64, workers int) {
-	if f := m.flat; f != nil {
-		f.PredictMatrix(rows, out, workers)
-		return
-	}
-	mustMatrixDims(len(rows), len(out), m.Dim)
-	par.RangesArg(len(out), workers, matrixBlock, nodeMatrixArgs{m, rows, out}, nodeScoreRange)
-}
-
-// nodeMatrixArgs mirrors matrixArgs for the uncompiled fallback path.
-type nodeMatrixArgs struct {
-	m         *Model
-	rows, out []float64
-}
-
-func nodeScoreRange(a nodeMatrixArgs, lo, hi int) {
-	dim := a.m.Dim
-	for i := lo; i < hi; i++ {
-		a.out[i] = sigmoid(a.m.nodeRawPredict(a.rows[i*dim : (i+1)*dim]))
-	}
+	m.compiled().PredictMatrix(rows, out, workers)
 }
 
 // NumTrees returns the number of boosted stages.
@@ -151,13 +112,14 @@ func (m *Model) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(m)
 }
 
-// Load deserializes a model written by Save and compiles the flat
-// inference kernel. Compilation doubles as validation, so a corrupted or
-// hostile stream cannot yield a model whose predict walk panics, loops,
-// or launders non-finite values into scores: every split feature must be
-// within Dim, child indices must point past their parent (the shape the
-// trainer emits — children are always appended after the node that
-// split), and thresholds, leaf values, and the base score must be finite.
+// Load deserializes a model written by Save and compiles its scorer.
+// Compilation doubles as validation, so a corrupted or hostile stream
+// cannot yield a model whose prediction panics, loops, or launders
+// non-finite values into scores: every split feature must be within Dim,
+// every tree must be a tree whose child indices point past their parent
+// (the shape the trainer emits — children are always appended after the
+// node that split), and thresholds, leaf values, and the base score must
+// be finite.
 func Load(r io.Reader) (*Model, error) {
 	var m Model
 	if err := gob.NewDecoder(r).Decode(&m); err != nil {

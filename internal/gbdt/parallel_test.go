@@ -60,9 +60,9 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPredictBatchMatchesPredict pins batched scoring to per-row scoring
+// TestPredictMatrixMatchesPredict pins batched scoring to per-row scoring
 // for several worker counts.
-func TestPredictBatchMatchesPredict(t *testing.T) {
+func TestPredictMatrixMatchesPredict(t *testing.T) {
 	d := synth(500, 17, 0.05)
 	m, err := Train(d, DefaultParams())
 	if err != nil {
@@ -74,21 +74,21 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 3, 8} {
 		got := make([]float64, d.Len())
-		m.PredictBatch(d.x, got, workers)
+		m.PredictMatrix(d.x, got, workers)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d row %d: PredictBatch %v != Predict %v", workers, i, got[i], want[i])
+				t.Fatalf("workers=%d row %d: PredictMatrix %v != Predict %v", workers, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestPredictBatchDuringModelSwap stress-tests the deployment pattern the
+// TestPredictMatrixDuringModelSwap stress-tests the deployment pattern the
 // core pipeline uses: readers score batches through an atomic model
 // pointer while a writer swaps in freshly trained models. Run under
 // -race (scripts/check.sh does) this proves scoring never shares mutable
 // state with training.
-func TestPredictBatchDuringModelSwap(t *testing.T) {
+func TestPredictMatrixDuringModelSwap(t *testing.T) {
 	d := synth(2000, 19, 0.05)
 	p := DefaultParams()
 	p.NumIterations = 5
@@ -131,7 +131,7 @@ func TestPredictBatchDuringModelSwap(t *testing.T) {
 					return
 				default:
 				}
-				current.Load().PredictBatch(d.x, out, 2)
+				current.Load().PredictMatrix(d.x, out, 2)
 			}
 		}()
 	}

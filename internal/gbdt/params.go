@@ -17,7 +17,7 @@
 // from its leaves' row ranges. None of this reorders a float sum: Train is
 // held byte for byte (Model.Save) to the plain trainer kept in
 // reference_test.go, for every Workers value. Inference runs on the
-// compiled flat kernel (flat.go).
+// compiled bitvector scorer (flat.go).
 package gbdt
 
 import (

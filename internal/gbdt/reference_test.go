@@ -16,10 +16,10 @@ import (
 // column-major bin copy built feature by feature, a histogram filled one
 // feature column at a time, a split scan that evaluates both missing
 // directions of every bin, a whole-histogram subtraction, a two-slice row
-// partition per split and a flat-kernel walk over the raw rows to update the
+// partition per split and a block walk over the raw rows to update the
 // scores. It is sequential and shares only the model types, the constants
-// rowShardSize and missingBin, sigmoid, clamp and the flat kernel with the
-// production trainer, so a shortcut there that moves a float sum, a
+// rowShardSize and missingBin, sigmoid and clamp with the production
+// trainer, so a shortcut there that moves a float sum, a
 // tie-break or an rng draw shows up as a byte difference here.
 func referenceTrain(d *Dataset, p Params) (*Model, error) {
 	if err := p.Validate(); err != nil {
@@ -74,11 +74,7 @@ func referenceTrain(d *Dataset, p Params) (*Model, error) {
 			continue
 		}
 		m.Trees = append(m.Trees, *tree)
-		ft, err := compileFlat(d.Dim(), 0, m.Trees[len(m.Trees)-1:])
-		if err != nil {
-			return nil, err
-		}
-		ft.AccumulateRaw(d.x, t.scores, 1)
+		compileBlockFlat(d.Dim(), 0, m.Trees[len(m.Trees)-1:]).AccumulateRaw(d.x, t.scores, 1)
 	}
 	if err := m.Compile(); err != nil {
 		return nil, err
@@ -86,25 +82,144 @@ func referenceTrain(d *Dataset, p Params) (*Model, error) {
 	return m, nil
 }
 
-// AccumulateRaw adds each row's summed raw tree contributions (no base
-// score, no sigmoid) to inout[i] through the batched level-synchronous
-// walk. It was the trainer's score update until the trainer started
-// reading leaf values off its own row partition; it lives on here for the
-// reference trainer and the flat-kernel differential tests.
-func (f *Flat) AccumulateRaw(rows, inout []float64, workers int) {
-	mustMatrixDims(len(rows), len(inout), f.dim)
-	par.Ranges(len(inout), workers, matrixBlock, func(lo, hi int) {
-		for b := lo; b < hi; b += matrixBlock {
-			e := b + matrixBlock
-			if e > hi {
-				e = hi
+// nodeRawPredict is the pointer-chasing walk over the Trees structs: the
+// oracle every score of the compiled scorer must equal bit for bit.
+func (m *Model) nodeRawPredict(row []float64) float64 {
+	s := m.BaseScore
+	for i := range m.Trees {
+		s += m.Trees[i].predict(row)
+	}
+	return s
+}
+
+// blockFlat is the inference kernel as it stood before the bitvector scorer
+// replaced it: every tree's nodes packed into flat arrays, walked a block of
+// matrixBlock rows at a time, level by level. It was PredictMatrix (and,
+// under its first name, PredictBatch) and the trainer's score update; it
+// lives on for the reference trainer and as a second oracle.
+//
+//	features[c]   split feature of internal node c
+//	thresholds[c] split threshold
+//	missSub[c]    NaN substitute: -Inf for missing-left, +Inf for missing-right
+//	children[2c], children[2c+1]  left/right child words
+//
+// A child word w >= 0 is the packed index of an internal node, w < 0 is a
+// leaf whose value lives at leaves[^w].
+type blockFlat struct {
+	dim  int
+	base float64
+
+	features   []int32
+	thresholds []float64
+	missSub    []float64
+	children   []int32
+	leaves     []float64
+	roots      []int32 // per tree, child-word encoded (a tree may be one leaf)
+}
+
+const matrixBlock = 64
+
+// compileBlockFlat packs trees that compileFlat has accepted.
+func compileBlockFlat(dim int, base float64, trees []Tree) *blockFlat {
+	f := &blockFlat{dim: dim, base: base}
+	for ti := range trees {
+		t := &trees[ti]
+		words := make([]int32, len(t.Nodes))
+		for i := range t.Nodes {
+			n := &t.Nodes[i]
+			if n.Feature < 0 {
+				words[i] = ^int32(len(f.leaves))
+				f.leaves = append(f.leaves, n.Value)
+				continue
 			}
-			f.accumBlock(rows, inout, b, e)
+			words[i] = int32(len(f.features))
+			f.features = append(f.features, n.Feature)
+			f.thresholds = append(f.thresholds, n.Threshold)
+			if n.MissingLeft {
+				f.missSub = append(f.missSub, math.Inf(-1))
+			} else {
+				f.missSub = append(f.missSub, math.Inf(1))
+			}
+			f.children = append(f.children, 0, 0)
+		}
+		for i := range t.Nodes {
+			n := &t.Nodes[i]
+			if n.Feature < 0 {
+				continue
+			}
+			f.children[2*words[i]] = words[n.Left]
+			f.children[2*words[i]+1] = words[n.Right]
+		}
+		f.roots = append(f.roots, words[0])
+	}
+	return f
+}
+
+// walkBlock advances every row of a block through one tree until all
+// cursors are leaf words: cur[i] starts at root and ends < 0. All active
+// rows take one level step per pass; rows that reach a leaf are dropped
+// from the act list. root must be an internal word.
+func (f *blockFlat) walkBlock(block []float64, cur, act []int32, root int32) {
+	feats, ths, miss, kids := f.features, f.thresholds, f.missSub, f.children
+	dim := f.dim
+	for i := range cur {
+		cur[i] = root
+		act[i] = int32(i)
+	}
+	n := len(cur)
+	for n > 0 {
+		w := 0
+		for _, i := range act[:n] {
+			c := int(cur[i])
+			v := block[int(i)*dim+int(feats[c])]
+			if math.IsNaN(v) {
+				v = miss[c]
+			}
+			b := 0
+			if v > ths[c] {
+				b = 1
+			}
+			nw := kids[2*c+b]
+			cur[i] = nw
+			act[w] = i
+			w += int((^uint32(nw)) >> 31)
+		}
+		n = w
+	}
+}
+
+// blocks calls fn for each run of at most matrixBlock rows of [0, n).
+func blocks(n, workers int, fn func(lo, hi int)) {
+	par.Ranges(n, workers, matrixBlock, func(lo, hi int) {
+		for b := lo; b < hi; b += matrixBlock {
+			fn(b, min(b+matrixBlock, hi))
 		}
 	})
 }
 
-func (f *Flat) accumBlock(rows, inout []float64, lo, hi int) {
+// PredictMatrix fills out[i] with the positive-class probability of row i.
+func (f *blockFlat) PredictMatrix(rows, out []float64, workers int) {
+	mustMatrixDims(len(rows), len(out), f.dim)
+	blocks(len(out), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = f.base
+		}
+		f.accumBlock(rows, out, lo, hi)
+		for i := lo; i < hi; i++ {
+			out[i] = sigmoid(out[i])
+		}
+	})
+}
+
+// AccumulateRaw adds each row's summed raw tree contributions (no base
+// score, no sigmoid) to inout[i]. It was the trainer's score update until
+// the trainer started reading leaf values off its own row partition.
+func (f *blockFlat) AccumulateRaw(rows, inout []float64, workers int) {
+	mustMatrixDims(len(rows), len(inout), f.dim)
+	blocks(len(inout), workers, func(lo, hi int) { f.accumBlock(rows, inout, lo, hi) })
+}
+
+func (f *blockFlat) accumBlock(rows, inout []float64, lo, hi int) {
 	var cur, act [matrixBlock]int32
 	block := rows[lo*f.dim : hi*f.dim]
 	o := inout[lo:hi]

@@ -530,8 +530,8 @@ func (s *Server) handleModelSwap(payload []byte) []byte {
 // process evaluates one classic request payload (opPredict or opAdmit)
 // against the deployed model. Admit batches extract features row by row
 // (the tracker mutates between rows) into a reused matrix and score it
-// with one batch-major PredictMatrix call, so a full pipelined block
-// costs one kernel invocation instead of per-row tree walks.
+// with one PredictMatrix call, which fans a large block out across the
+// server's workers.
 func (s *Server) process(cs *connState, payload []byte) ([]float64, error) {
 	m := s.model.Load()
 	if m == nil {

@@ -82,7 +82,7 @@ func TestPredictOverTCPMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]float64, 50)
-	m.PredictBatch(rows, want, 1)
+	m.PredictMatrix(rows, want, 1)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: remote %g != local %g", i, got[i], want[i])
@@ -147,7 +147,11 @@ func TestModelSwapMidConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Swap in a trivially different model (base score only).
-	s.SetModel(&gbdt.Model{Dim: features.Dim, BaseScore: 3})
+	swapped := &gbdt.Model{Dim: features.Dim, BaseScore: 3}
+	if err := swapped.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	s.SetModel(swapped)
 	after, err := c.Predict(rows)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +189,7 @@ func TestConcurrentClients(t *testing.T) {
 			defer c.Close()
 			rows := randRows(20, seed)
 			want := make([]float64, 20)
-			m.PredictBatch(rows, want, 1)
+			m.PredictMatrix(rows, want, 1)
 			for round := 0; round < 20; round++ {
 				got, err := c.Predict(rows)
 				if err != nil {

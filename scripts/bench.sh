@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — record the hot-path benchmark suite as a JSON artifact.
 #
-# Runs the hot-path micro-benchmarks (GBDT train/predict, the flat
-# inference kernels and their batch-major walk, feature tracking,
+# Runs the hot-path micro-benchmarks (GBDT train/predict, the compiled
+# scorer single-row and per matrix, feature tracking,
 # simulator, LFO cache request, serving round trips, fleet router) with
 # -benchmem at GOMAXPROCS 1 and 4, then drives a live 1-shard sync vs
 # 3-shard router lfoload comparison, and writes BENCH_<date>.json with
@@ -27,7 +27,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-bench='^(BenchmarkGBDTTrain|BenchmarkTrainWindow|BenchmarkGBDTPredict|BenchmarkFeatureTracking|BenchmarkSimulatorRun|BenchmarkLFOCacheRequest|BenchmarkOPTCompute|BenchmarkFlatPredict|BenchmarkNodePredict|BenchmarkPredictBatch|BenchmarkPredictMatrix|BenchmarkPredictionServerRoundTrip|BenchmarkPredictionServerSingleRow|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkEvictCacheRequest|BenchmarkGDSFRequest|BenchmarkOGDRequest|BenchmarkOGDLearnerUpdate|BenchmarkDriftObserve|BenchmarkDriftMaxScore)$'
+bench='^(BenchmarkGBDTTrain|BenchmarkTrainWindow|BenchmarkGBDTPredict|BenchmarkFeatureTracking|BenchmarkSimulatorRun|BenchmarkLFOCacheRequest|BenchmarkOPTCompute|BenchmarkFlatPredict|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkPredictionServerRoundTrip|BenchmarkPredictionServerSingleRow|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkEvictCacheRequest|BenchmarkGDSFRequest|BenchmarkOGDRequest|BenchmarkOGDLearnerUpdate|BenchmarkDriftObserve|BenchmarkDriftMaxScore)$'
 
 echo "== go test -bench (this takes a few minutes)"
 go test -run '^$' -bench "$bench" -benchmem -benchtime "$benchtime" -cpu 1,4 . ./internal/gbdt ./internal/fleet ./internal/evict ./internal/policy ./internal/policy/ogd ./internal/drift | tee "$raw"

@@ -84,7 +84,7 @@ fi
 step "alloc budgets"
 {
     go test -run '^$' \
-        -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictBatch|BenchmarkPredictMatrix|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkGDSFRequest|BenchmarkOGDRequest)$' \
+        -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkGDSFRequest|BenchmarkOGDRequest)$' \
         -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/evict ./internal/policy ./internal/policy/ogd
     # The tracker sub-benchmark warms itself before its timer starts; its
     # matrix siblings allocate by design and have no budget.
@@ -95,7 +95,7 @@ step "alloc budgets"
     go test -run '^$' -bench '^BenchmarkTrainWindow$' -benchmem -benchtime 10x ./internal/gbdt
 } | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgate.awk
 
-# Short fuzz smoke over the frame codec and the model parser. The
+# Short fuzz smoke over the frame codec, the model parser and the scorer. The
 # committed seed corpora under testdata/fuzz always replay; the smoke
 # additionally mutates for a few seconds per target. -fuzzminimizetime
 # is capped because the engine's default 60s minimization budget would
@@ -104,5 +104,6 @@ step "fuzz smoke"
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/server
 go test -run '^$' -fuzz '^FuzzMuxFrameDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/server
 go test -run '^$' -fuzz '^FuzzModelLoad$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
+go test -run '^$' -fuzz '^FuzzScoreMatchesOracle$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 
 echo "ALL CHECKS PASSED"
