@@ -297,26 +297,6 @@ func BenchmarkOPTCompute(b *testing.B) {
 	}
 }
 
-func BenchmarkOPTFlow(b *testing.B) {
-	tr := benchTrace(b, 8000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Compute(tr, opt.Config{CacheSize: 16 << 20, Algorithm: opt.AlgoFlow}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOPTGreedy(b *testing.B) {
-	tr := benchTrace(b, 50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Compute(tr, opt.Config{CacheSize: 32 << 20, Algorithm: opt.AlgoGreedy}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFeatureTracking(b *testing.B) {
 	tr := benchTrace(b, 50000)
 	// The request path's two tracker calls at steady state: an unbounded
@@ -350,42 +330,6 @@ func BenchmarkFeatureTracking(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				features.NewTracker(0).BuildMatrix(tr.Requests, free, v.workers)
-			}
-		})
-	}
-}
-
-func BenchmarkLFOCacheRequest(b *testing.B) {
-	tr := benchTrace(b, 50000)
-	cache, err := NewCache(CacheConfig{CacheSize: 32 << 20, WindowSize: 1 << 30}) // no retrain inside the loop
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.Request(tr.Requests[i%tr.Len()])
-	}
-}
-
-// BenchmarkLFORequestObs compares the request hot path with metrics off
-// (nil registry) and on. Run with -benchmem: the instrumented variant must
-// show 0 extra B/op and allocs/op over the baseline — recording is atomic
-// adds only.
-func BenchmarkLFORequestObs(b *testing.B) {
-	tr := benchTrace(b, 50000)
-	for _, v := range []struct {
-		name string
-		reg  *MetricsRegistry
-	}{{"baseline", nil}, {"instrumented", NewMetricsRegistry()}} {
-		b.Run(v.name, func(b *testing.B) {
-			cache, err := NewCache(CacheConfig{CacheSize: 32 << 20, WindowSize: 1 << 30, Obs: v.reg}) // no retrain inside the loop
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cache.Request(tr.Requests[i%tr.Len()])
 			}
 		})
 	}

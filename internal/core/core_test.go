@@ -289,9 +289,9 @@ func TestLFOHitCanEvictHitObject(t *testing.T) {
 	}
 	evictedOnHit := 0
 	for _, r := range tr.Requests {
-		before := lfo.store.Has(r.ID)
+		before := lfo.res.Store.Has(r.ID)
 		lfo.Request(r)
-		if before && lfo.model != nil && !lfo.store.Has(r.ID) {
+		if before && lfo.model != nil && !lfo.res.Store.Has(r.ID) {
 			evictedOnHit++
 		}
 	}
@@ -312,12 +312,12 @@ func TestDisableEvictOnHitKeepsResidents(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range tr.Requests {
-		before := lfo.store.Has(r.ID)
+		before := lfo.res.Store.Has(r.ID)
 		hit := lfo.Request(r)
 		if before != hit {
 			t.Fatal("hit accounting inconsistent")
 		}
-		if before && !lfo.store.Has(r.ID) {
+		if before && !lfo.res.Store.Has(r.ID) {
 			t.Fatal("hit object evicted despite DisableEvictOnHit")
 		}
 	}

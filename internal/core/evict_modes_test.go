@@ -57,7 +57,7 @@ func TestLFOEvictionModesServe(t *testing.T) {
 			t.Errorf("%s: no admission model after three windows", mode)
 		}
 		if mode == "learned" {
-			l, ok := lfo.evictor.(*evict.Learned)
+			l, ok := lfo.res.Evictor.(*evict.Learned)
 			if !ok {
 				t.Fatal("learned mode evictor is not *evict.Learned")
 			}
@@ -127,7 +127,7 @@ func TestLFOLearnedEvictionAsyncDeploys(t *testing.T) {
 	if lfo.Windows() == 0 {
 		t.Fatal("no window deployed")
 	}
-	if lfo.evictor.(*evict.Learned).Model() == nil {
+	if lfo.res.Evictor.(*evict.Learned).Model() == nil {
 		t.Error("async round deployed no eviction ranker")
 	}
 }

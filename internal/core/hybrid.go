@@ -137,9 +137,9 @@ func (p *LFO) resetBias() {
 // driftCheck scores the live feature distribution against the training
 // snapshot and fires the early-retrain trigger when it has shifted. The
 // trigger needs a deployed model (bootstrap has nothing to re-fit), a
-// Ready detector, and at least EarlyRetrainMin rows of the current
-// window to train on. With an async round already in flight the trigger
-// is suppressed and counted — never a second concurrent round.
+// Ready detector, and at least a quarter window of rows to train on.
+// With an async round already in flight the trigger is suppressed and
+// counted — never a second concurrent round.
 func (p *LFO) driftCheck() {
 	// The first reference is the bootstrap window, recorded by an empty
 	// tracker against a draining cache: its gap-missingness and
@@ -154,10 +154,10 @@ func (p *LFO) driftCheck() {
 	for f, s := range p.det.Scores() {
 		p.hm.driftPerFeature[f].Set(driftMicro(s))
 	}
-	if score <= p.cfg.DriftThreshold || len(p.winReqs) < p.cfg.EarlyRetrainMin {
+	if score <= p.cfg.DriftThreshold || len(p.winReqs) < p.cfg.WindowSize/4 {
 		return
 	}
-	if p.cfg.AsyncTraining && p.pending != nil {
+	if p.pending != nil {
 		p.hm.earlySuppressed.Inc()
 		return
 	}
@@ -166,12 +166,7 @@ func (p *LFO) driftCheck() {
 	// An early retrain closes the window at its current length: it is a
 	// completed (short) window for lag accounting, then trains exactly
 	// like a boundary retrain.
-	p.completedWindows++
-	if p.cfg.AsyncTraining {
-		p.retrainAsync()
-	} else {
-		p.retrain()
-	}
+	p.closeWindow()
 }
 
 // EarlyRetrains returns how many training rounds the drift trigger

@@ -25,7 +25,6 @@ import (
 	"lfo/internal/opt"
 	"lfo/internal/par"
 	"lfo/internal/policy/ogd"
-	"lfo/internal/pq"
 	"lfo/internal/sim"
 	"lfo/internal/trace"
 )
@@ -50,10 +49,10 @@ type Config struct {
 	// MaxTrackedObjects bounds the feature tracker's sparse state
 	// (0 = unbounded).
 	MaxTrackedObjects int
-	// Workers caps the goroutines the retrain/score pipeline may use:
-	// GBDT training parallelism, batched prediction, sharded window
-	// feature extraction, and the OPT-labeling/rescore-extraction overlap
-	// at window handoff. 0 means all available cores, 1 reproduces the
+	// Workers caps the goroutines the stages of a window handoff may use
+	// inside themselves: segmented OPT labeling, GBDT training, batched
+	// prediction and resident feature extraction. The stages run one
+	// after the other. 0 means all available cores, 1 reproduces the
 	// fully sequential pipeline. Every stage reduces in a fixed order, so
 	// results are byte-identical for any value (unlike AsyncTraining,
 	// which trades reproducibility for latency).
@@ -63,17 +62,14 @@ type Config struct {
 	// them immediately (the paper's "a cache hit [may lead] to the
 	// eviction of the hit object", §2.4); disabling is for ablations.
 	DisableEvictOnHit bool
-	// Eviction selects the eviction mechanism. "" or "rank" keeps §2.4's
-	// full likelihood-ranked queue (re-scored on every retrain). The
-	// alternatives delegate victim selection to internal/evict:
-	// "learned" ranks a sampled candidate set with a second GBDT trained
-	// from the same OPT window labels as the admission model (deployed
-	// atomically alongside it each retrain), "gdsf" and "lru" are the
-	// heuristic baselines for the admission×eviction ablation grid.
+	// Eviction names the internal/evict strategy that picks victims. ""
+	// or "rank" is §2.4's full likelihood-ranked queue (re-scored on
+	// every retrain); "learned" ranks a sampled candidate set with a
+	// second GBDT trained from the same OPT window labels as the
+	// admission model (deployed atomically alongside it each retrain);
+	// "gdsf" and "lru" are the heuristic baselines for the
+	// admission×eviction ablation grid.
 	Eviction string
-	// EvictionCandidates is the sampled candidate set size K for
-	// Eviction == "learned" (default evict.DefaultCandidates).
-	EvictionCandidates int
 	// Seed seeds the learned evictor's candidate sampler. Runs are
 	// byte-reproducible for a fixed seed.
 	Seed int64
@@ -98,9 +94,6 @@ type Config struct {
 	// DriftCheckEvery is how often (in requests) the drift statistic is
 	// evaluated. Zero means 1000.
 	DriftCheckEvery int
-	// EarlyRetrainMin is the minimum current-window length (in requests)
-	// an early retrain may train on. Zero means WindowSize/4.
-	EarlyRetrainMin int
 	// OnRetrain, when set, is called after each training round with
 	// diagnostics about the new model.
 	OnRetrain func(stats RetrainStats)
@@ -126,10 +119,8 @@ type Config struct {
 }
 
 // CutoffAdmitAll is the Config.Cutoff sentinel for an effective cutoff of
-// exactly 0 — every request the model scores is admitted. A literal 0 is
-// Go's zero value and therefore means "unset" (defaulting to 0.5), which
-// would otherwise make the admit-all ablation unconfigurable.
-const CutoffAdmitAll = -1
+// exactly 0 (see sim.ResolveCutoff, which New applies).
+const CutoffAdmitAll = sim.CutoffAdmitAll
 
 // RetrainStats summarizes one retraining round, surfaced via OnRetrain.
 type RetrainStats struct {
@@ -165,10 +156,8 @@ func (c Config) withDefaults() Config {
 	if c.WindowSize <= 0 {
 		c.WindowSize = 50000
 	}
-	if c.Cutoff == 0 {
-		c.Cutoff = 0.5
-	} else if c.Cutoff == CutoffAdmitAll {
-		c.Cutoff = 0
+	if c.Eviction == "" {
+		c.Eviction = "rank"
 	}
 	if c.GBDT.NumIterations == 0 {
 		c.GBDT = gbdt.DefaultParams()
@@ -181,9 +170,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DriftCheckEvery <= 0 {
 		c.DriftCheckEvery = 1000
-	}
-	if c.EarlyRetrainMin <= 0 {
-		c.EarlyRetrainMin = c.WindowSize / 4
 	}
 	if c.GBDT.Workers == 0 {
 		c.GBDT.Workers = c.Workers
@@ -201,9 +187,8 @@ func (c Config) withDefaults() Config {
 // LFO is the online learning cache. It implements sim.Policy.
 type LFO struct {
 	cfg     Config
-	store   *sim.Store[evict.Meta]
-	rank    *pq.Queue     // rank mode: min predicted likelihood first
-	evictor evict.Evictor // non-rank modes; nil in rank mode
+	name    string
+	res     *evict.Residents // the store, cfg.Eviction's evictor, the evict loop
 	tracker *features.Tracker
 	model   *gbdt.Model
 
@@ -238,8 +223,7 @@ type LFO struct {
 	earlyRetrains int
 	hm            hybridMetrics
 
-	m  coreMetrics         // nil-safe handles; zero cost when cfg.Obs is nil
-	em evict.VictimMetrics // victims-by-tier counters for evictor modes
+	m coreMetrics // nil-safe handles; zero cost when cfg.Obs is nil
 }
 
 // trainResult is one finished training round: the admission model, the
@@ -293,8 +277,9 @@ func New(cfg Config) (*LFO, error) {
 	if cfg.CacheSize <= 0 {
 		return nil, fmt.Errorf("core: CacheSize must be positive, got %d", cfg.CacheSize)
 	}
-	if cfg.Cutoff < 0 || cfg.Cutoff > 1 {
-		return nil, fmt.Errorf("core: Cutoff must be in [0,1] (or the CutoffAdmitAll sentinel), got %v", cfg.Cutoff)
+	var err error
+	if cfg.Cutoff, err = sim.ResolveCutoff(cfg.Cutoff); err != nil {
+		return nil, fmt.Errorf("core: %v", err)
 	}
 	if err := cfg.GBDT.Validate(); err != nil {
 		return nil, err
@@ -305,10 +290,14 @@ func New(cfg Config) (*LFO, error) {
 	if cfg.DriftThreshold < 0 {
 		return nil, fmt.Errorf("core: DriftThreshold must be non-negative, got %v", cfg.DriftThreshold)
 	}
-	store := sim.NewStore[evict.Meta](cfg.CacheSize)
+	res, err := evict.NewResidents(cfg.CacheSize, cfg.Eviction, evict.Options{Seed: cfg.Seed, Obs: cfg.Obs})
+	if err != nil {
+		return nil, fmt.Errorf("core: %v", err)
+	}
 	p := &LFO{
 		cfg:     cfg,
-		store:   store,
+		name:    "LFO",
+		res:     res,
 		tracker: features.NewTracker(cfg.MaxTrackedObjects),
 		buf:     make([]float64, features.Dim),
 		m:       newCoreMetrics(cfg.Obs),
@@ -331,20 +320,8 @@ func New(cfg Config) (*LFO, error) {
 		}
 		p.det = det
 	}
-	switch cfg.Eviction {
-	case "", "rank":
-		p.rank = pq.New()
-	default:
-		ev, err := evict.NewEvictor(cfg.Eviction, store, evict.Options{
-			Candidates: cfg.EvictionCandidates,
-			Seed:       cfg.Seed,
-			Obs:        cfg.Obs,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: %v", err)
-		}
-		p.evictor = ev
-		p.em = evict.NewVictimMetrics(cfg.Obs)
+	if cfg.Eviction != "rank" {
+		p.name += "+" + cfg.Eviction // the paper's own eviction needs no suffix
 	}
 	if cfg.InitialModel != nil {
 		if cfg.InitialModel.Dim != features.Dim {
@@ -362,12 +339,7 @@ func New(cfg Config) (*LFO, error) {
 }
 
 // Name implements sim.Policy.
-func (p *LFO) Name() string {
-	if p.evictor != nil {
-		return "LFO+" + p.evictor.Name()
-	}
-	return "LFO"
-}
+func (p *LFO) Name() string { return p.name }
 
 // Model returns the currently deployed model (nil during bootstrap).
 func (p *LFO) Model() *gbdt.Model { return p.model }
@@ -380,25 +352,29 @@ func (p *LFO) Request(r trace.Request) bool {
 	p.clock++
 	p.now = r.Time
 	p.m.requests.Inc()
-	p.tracker.Features(r, p.store.Free(), p.buf)
+	store := p.res.Store
+	p.tracker.Features(r, store.Free(), p.buf)
 
 	// Record the window sample before acting (features must reflect the
 	// pre-decision state, exactly what the deployed model would see).
 	p.winReqs = append(p.winReqs, r)
 	p.winFeats = append(p.winFeats, p.buf...)
 
-	var likelihood float64
+	// score is what the evictor is handed: the model's raw likelihood, or
+	// the request counter during bootstrap (admit all, LRU order).
+	// admitScore is the admission side of the same number: the hybrid
+	// bridge modulates the admission decision only, leaving eviction on the
+	// raw score so the ranked queue stays internally consistent between
+	// retrains.
+	score := float64(p.clock)
 	if p.model != nil {
-		likelihood = p.model.Predict(p.buf)
+		score = p.model.Predict(p.buf)
 	}
-	// admitScore is the admission-side likelihood: the hybrid bridge
-	// modulates the admission decision only, leaving eviction ranks on
-	// the raw model score so the rank queue stays internally consistent
-	// between retrains.
-	admitScore := likelihood
+	admitScore := score
 	if p.shadow != nil {
-		admitScore = p.hybridScore(r, likelihood)
+		admitScore = p.hybridScore(r, score)
 	}
+	admit := p.model == nil || admitScore >= p.cfg.Cutoff
 	if p.det != nil {
 		p.observeDrift(p.buf)
 		if p.clock%int64(p.cfg.DriftCheckEvery) == 0 {
@@ -406,31 +382,24 @@ func (p *LFO) Request(r trace.Request) bool {
 		}
 	}
 
-	e := p.store.Get(r.ID)
+	e := store.Get(r.ID)
 	hit := e != nil
 	if hit {
 		p.m.hits.Inc()
 	}
 	switch {
-	case hit && p.model != nil:
-		// Re-evaluate on every request (§2.4): update the eviction rank
-		// and, matching OPT's behavior, drop the object right away when
-		// the model says OPT would not keep it. The keep/evict call is an
-		// admission-style decision, so it uses the hybrid-modulated score.
-		if admitScore < p.cfg.Cutoff && !p.cfg.DisableEvictOnHit {
-			p.removeResident(e)
-		} else {
-			p.touch(e, r, likelihood)
-		}
+	case hit && !admit && !p.cfg.DisableEvictOnHit:
+		// Re-evaluated on every request (§2.4): matching OPT's behavior,
+		// drop the object right away when the model says OPT would not keep
+		// it. The keep/evict call is an admission-style decision, so it
+		// uses the hybrid-modulated score.
+		p.res.Evictor.OnRemove(e)
+		store.Remove(e.ID)
 	case hit:
-		p.touch(e, r, float64(p.clock)) // bootstrap: LRU order
-	case r.Size <= p.store.Capacity():
-		if p.model == nil {
-			// Bootstrap: admit all, LRU eviction order.
-			p.admitWith(r, float64(p.clock))
-		} else if admitScore >= p.cfg.Cutoff {
-			p.admitWith(r, likelihood)
-		}
+		e.Payload.Score = score
+		p.res.Evictor.OnHit(e, r)
+	case admit && r.Size <= store.Capacity():
+		p.res.Admit(r, score)
 	}
 
 	p.tracker.Update(r)
@@ -445,12 +414,7 @@ func (p *LFO) Request(r trace.Request) bool {
 		}
 	}
 	if len(p.winReqs) >= p.cfg.WindowSize {
-		p.completedWindows++
-		if p.cfg.AsyncTraining {
-			p.retrainAsync()
-		} else {
-			p.retrain()
-		}
+		p.closeWindow()
 	}
 	return hit
 }
@@ -465,184 +429,58 @@ func (p *LFO) Close() {
 	}
 }
 
-// removeResident drops a resident object (model-driven evict-on-hit),
-// keeping whichever eviction structure is active consistent.
-func (p *LFO) removeResident(e *sim.StoreEntry[evict.Meta]) {
-	if p.evictor != nil {
-		p.evictor.OnRemove(e)
-	} else {
-		p.rank.Remove(e.ID)
-	}
-	p.store.Remove(e.ID)
-}
-
-// touch records a hit: in rank mode the object's queue priority becomes
-// rank; in evictor mode the evictor updates the entry's metadata.
-func (p *LFO) touch(e *sim.StoreEntry[evict.Meta], r trace.Request, rank float64) {
-	if p.evictor != nil {
-		p.evictor.OnHit(e, r)
-	} else {
-		p.rank.Update(e.ID, rank)
-	}
-}
-
-// admitWith dispatches admission to the active eviction mechanism.
-func (p *LFO) admitWith(r trace.Request, rank float64) {
-	if p.evictor != nil {
-		p.admitEvictor(r)
-	} else {
-		p.admit(r, rank)
-	}
-}
-
-// admit inserts the object with the given eviction rank, evicting
-// lowest-ranked objects to make room. This is the per-request
-// store/eviction loop, so it is held to the zero-allocation discipline.
-//
-//lfo:hotpath
-func (p *LFO) admit(r trace.Request, rank float64) {
-	for !p.store.Fits(r.Size) {
-		id, _ := p.rank.PopMin()
-		p.store.Remove(id)
-	}
-	p.store.Add(r.ID, r.Size)
-	p.rank.Push(r.ID, rank)
-}
-
-// admitEvictor inserts the object under a delegated eviction strategy,
-// asking the evictor for victims until the newcomer fits. The
-// zero-allocation guarantee for victim selection lives on the concrete
-// evictors (internal/evict pins the learned ranker's pick at 0 allocs);
-// this wrapper stays off the annotated set because the interface
-// dispatch itself defeats static verification.
-func (p *LFO) admitEvictor(r trace.Request) {
-	for !p.store.Fits(r.Size) {
-		id := p.evictor.Victim(p.now)
-		victim := p.store.Get(id)
-		p.em.Observe(victim.Size)
-		p.evictor.OnRemove(victim)
-		p.store.Remove(id)
-	}
-	e := p.store.Add(r.ID, r.Size)
-	p.evictor.OnAdmit(e, r)
-}
-
-// retrain runs the window handoff (Figure 2) as an explicit two-stage
-// pipeline. Stage 1: OPT labeling of the completed window overlaps with
-// extraction of the rescore matrix — the feature rows the incoming model
-// will score for every resident object, i.e. the next window's first
-// feature-extraction work. Stage 2: GBDT training (feature-parallel
-// inside gbdt.Train), then one batched prediction over the prebuilt
-// matrix re-ranks the residents. Every stage is a pure function of the
-// boundary state and joins at a fixed point, so results are byte-identical
-// to the sequential pipeline for any Workers value.
-func (p *LFO) retrain() {
-	if p.det != nil {
-		// The live histogram now holds exactly the rows this round trains
-		// on; snapshot it as the drift reference for the incoming model.
-		p.det.SetReference()
-		p.driftRefs++
-	}
-	var res *opt.Result
-	var optErr error
-	label := func() {
-		sc := obs.Start(p.m.optNS)
-		res, optErr = opt.Compute(&trace.Trace{Requests: p.winReqs}, p.cfg.OPT)
-		sc.Stop()
-	}
-	var ids []trace.ObjectID
-	var rescoreRows []float64
-	if p.rank != nil && par.Resolve(p.cfg.Workers) > 1 {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			label()
-		}()
-		ids, rescoreRows = p.gatherResidents()
-		<-done
-	} else {
-		label()
-		if p.rank != nil {
-			ids, rescoreRows = p.gatherResidents()
-		}
-	}
-	if optErr != nil {
-		// OPT computation cannot fail for a valid window and positive
-		// cache size; fail loudly rather than serve a stale model
-		// silently.
-		panic(fmt.Sprintf("core: OPT computation failed: %v", optErr))
-	}
-
-	// The recorded window matrix becomes the training set without a copy;
-	// it is released (re-sliced to zero length) only after training and
-	// the stats pass are done with it.
-	tr := fitWindow(p.winReqs, p.winFeats, res, p.cfg, p.m)
-	p.winReqs = p.winReqs[:0]
-	p.winFeats = p.winFeats[:0]
-	p.install(tr)
-	if p.rank != nil {
-		p.rescoreWith(ids, rescoreRows)
-	}
-}
-
-// install reports a finished training round through OnRetrain and swaps
-// its models in: both at the same point, atomically between requests. The
-// fresh model owns the adapted state again, so the bridge bias starts
-// over from zero.
-func (p *LFO) install(tr trainResult) {
-	if p.cfg.OnRetrain != nil {
-		tr.stats.Window = p.windows
-		tr.stats.WindowsDropped = p.windowsDropped
-		p.cfg.OnRetrain(tr.stats)
-	}
-	p.model = tr.model
-	p.resetBias()
-	if tr.evictModel != nil {
-		p.evictor.SetModel(tr.evictModel)
-	}
-	p.windows++
-	p.m.retrains.Inc()
-	p.updateLag()
-}
-
-// deploy swaps in an asynchronously trained model and re-ranks residents;
-// the async path has no prebuilt rescore matrix, so it extracts one here.
-func (p *LFO) deploy(tr trainResult) {
-	p.install(tr)
-	if p.rank != nil {
-		p.rescoreWith(p.gatherResidents())
-	}
-}
-
-// retrainAsync snapshots the window and trains in a goroutine; the model
-// deploys on a later Request (or Close). The request path keeps serving
-// on the previous model meanwhile. If a training round is still in
-// flight, the window is dropped without snapshotting it (training lags
-// the traffic), which matches a production deployment that sheds stale
-// training work — the drop is counted, not silent.
-func (p *LFO) retrainAsync() {
+// closeWindow ends the current window — at the boundary, or early when
+// the drift trigger fires — and hands it to training: in the background
+// with AsyncTraining, otherwise on the spot. If a background round is
+// still in flight, the window is dropped without snapshotting it (training
+// lags the traffic), which matches a production deployment that sheds
+// stale training work — the drop is counted, not silent.
+func (p *LFO) closeWindow() {
+	p.completedWindows++
 	if p.pending != nil {
-		// Previous round still training; drop this window before paying
-		// for the two snapshot copies it would otherwise never use.
-		p.winReqs = p.winReqs[:0]
-		p.winFeats = p.winFeats[:0]
+		p.resetWindow()
 		p.windowsDropped++
 		p.m.windowsDropped.Inc()
 		p.updateLag()
 		return
 	}
 	if p.det != nil {
-		// Snapshot the drift reference at launch: the rows observed since
-		// the previous launch are what this round trains on (plus any
-		// dropped windows, which the incoming model never saw but which
-		// are the best available stand-in for its training distribution).
+		// The rows observed since the previous round's launch are what this
+		// round trains on (plus any dropped windows, which the incoming
+		// model never saw but which are the best available stand-in for its
+		// training distribution); snapshot them as its drift reference.
 		p.det.SetReference()
 		p.driftRefs++
 	}
-	reqs := append([]trace.Request(nil), p.winReqs...)
-	feats := append([]float64(nil), p.winFeats...)
+	if p.cfg.AsyncTraining {
+		p.trainAsync()
+	} else {
+		p.retrain()
+	}
+}
+
+// resetWindow releases the recorded window, keeping its backing arrays.
+func (p *LFO) resetWindow() {
 	p.winReqs = p.winReqs[:0]
 	p.winFeats = p.winFeats[:0]
+}
+
+// retrain is the synchronous window handoff (Figure 2): the asynchronous
+// one awaited. The recorded window becomes the training set without a
+// copy, and is released only once training is done with it.
+func (p *LFO) retrain() {
+	tr := trainWindow(p.winReqs, p.winFeats, p.cfg, p.m)
+	p.resetWindow()
+	p.deploy(tr)
+}
+
+// trainAsync snapshots the window and trains in a goroutine; the model
+// deploys on a later Request (or Close). The request path keeps serving
+// on the previous model meanwhile.
+func (p *LFO) trainAsync() {
+	reqs := append([]trace.Request(nil), p.winReqs...)
+	feats := append([]float64(nil), p.winFeats...)
+	p.resetWindow()
 	p.updateLag()
 	ch := make(chan trainResult, 1)
 	p.pending = ch
@@ -653,29 +491,26 @@ func (p *LFO) retrainAsync() {
 	}()
 }
 
-// trainWindow runs the OPT-label + fit pipeline on a snapshot; it is free
-// of references to the live cache so it can run concurrently with
-// serving.
+// trainWindow is the learning half of a window handoff; it is free of
+// references to the live cache so it can run concurrently with serving.
+// OPT's decisions become labels, the recorded feature matrix becomes the
+// training set without a copy, and the admission model is fitted. The
+// eviction ranker trains from the same window's labels (an object OPT
+// would not cache is the ideal victim), so one solve supervises both
+// models. Stats — the new model against OPT on its own training window,
+// one batched prediction — are computed only when someone will read them;
+// Window and WindowsDropped are stamped at deploy time, when the live
+// cache's counters are in scope.
 func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetrics) trainResult {
 	sc := obs.Start(m.optNS)
 	res, err := opt.Compute(&trace.Trace{Requests: reqs}, cfg.OPT)
 	sc.Stop()
 	if err != nil {
+		// OPT computation cannot fail for a valid window and positive
+		// cache size; fail loudly rather than serve a stale model
+		// silently.
 		panic(fmt.Sprintf("core: OPT computation failed: %v", err))
 	}
-	return fitWindow(reqs, feats, res, cfg, m)
-}
-
-// fitWindow is the learning half of a window handoff, shared by the
-// synchronous and the asynchronous path: OPT's decisions become labels,
-// the recorded feature matrix becomes the training set without a copy, and
-// the admission model is fitted. The eviction ranker trains from the same
-// window's labels (an object OPT would not cache is the ideal victim), so
-// one solve supervises both models. Stats — the new model against OPT on
-// its own training window, one batched prediction — are computed only when
-// someone will read them; Window and WindowsDropped are stamped at install
-// time, when the live cache's counters are in scope.
-func fitWindow(reqs []trace.Request, feats []float64, res *opt.Result, cfg Config, m coreMetrics) trainResult {
 	labels := make([]float64, len(reqs))
 	pos := 0
 	for i, admit := range res.Admit {
@@ -685,7 +520,7 @@ func fitWindow(reqs []trace.Request, feats []float64, res *opt.Result, cfg Confi
 		}
 	}
 	ds := gbdt.DatasetFromMatrix(features.Dim, feats, labels)
-	sc := obs.Start(m.trainNS)
+	sc = obs.Start(m.trainNS)
 	model, err := gbdt.Train(ds, cfg.GBDT)
 	sc.Stop()
 	if err != nil {
@@ -723,46 +558,55 @@ func fitWindow(reqs []trace.Request, feats []float64, res *opt.Result, cfg Confi
 	return tr
 }
 
-// gatherResidents snapshots the resident set in sorted ID order and
-// extracts the feature row the model scores each resident with. Sorting
-// keeps map iteration order out of the rank queue's tie-breaking; the
-// tracker is only read, so rows fill in parallel chunks.
-func (p *LFO) gatherResidents() ([]trace.ObjectID, []float64) {
-	type resident struct {
-		id   trace.ObjectID
-		size int64
+// deploy reports a finished training round through OnRetrain and swaps its
+// models in: both at the same point, atomically between requests. The
+// fresh model owns the adapted state again, so the bridge bias starts over
+// from zero.
+func (p *LFO) deploy(tr trainResult) {
+	if p.cfg.OnRetrain != nil {
+		tr.stats.Window = p.windows
+		tr.stats.WindowsDropped = p.windowsDropped
+		p.cfg.OnRetrain(tr.stats)
 	}
-	residents := make([]resident, 0, p.store.Len())
-	p.store.Range(func(e *sim.StoreEntry[evict.Meta]) bool {
-		residents = append(residents, resident{e.ID, e.Size})
-		return true
-	})
-	sort.Slice(residents, func(i, j int) bool { return residents[i].id < residents[j].id })
+	p.model = tr.model
+	p.resetBias()
+	p.res.Evictor.SetModel(tr.evictModel) // nil, and ignored, unless learned
+	p.windows++
+	p.m.retrains.Inc()
+	p.updateLag()
+	// The one place serving asks which evictor it has: the ranked queue
+	// orders residents by scores the outgoing model (or the bootstrap
+	// counter) gave them, so it alone is re-keyed under the new model.
+	if ranked, ok := p.res.Evictor.(*evict.Ranked); ok {
+		p.rescore(ranked)
+	}
+}
 
-	ids := make([]trace.ObjectID, len(residents))
+// rescore re-ranks every resident under the model just deployed. The
+// residents are taken in sorted ID order, which keeps map iteration order
+// out of the queue's tie-breaking; the tracker is only read, so the feature
+// rows fill in parallel chunks and one batched prediction scores them.
+func (p *LFO) rescore(ranked *evict.Ranked) {
+	store := p.res.Store
+	residents := make([]*sim.StoreEntry[evict.Meta], store.Len())
+	for i := range residents {
+		residents[i] = store.At(i)
+	}
+	sort.Slice(residents, func(i, j int) bool { return residents[i].ID < residents[j].ID })
+
 	rows := make([]float64, len(residents)*features.Dim)
-	free := p.store.Free()
+	free := store.Free()
 	par.Ranges(len(residents), p.cfg.Workers, 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ids[i] = residents[i].id
-			p.tracker.FeaturesByID(residents[i].id, residents[i].size, p.now, free,
+			p.tracker.FeaturesByID(residents[i].ID, residents[i].Size, p.now, free,
 				rows[i*features.Dim:(i+1)*features.Dim])
 		}
 	})
-	return ids, rows
-}
-
-// rescoreWith re-ranks the prebuilt resident rows under the current model
-// with one batched prediction, so bootstrap-era or stale-model priorities
-// cannot linger.
-func (p *LFO) rescoreWith(ids []trace.ObjectID, rows []float64) {
 	sc := obs.Start(p.m.rescoreNS)
-	if len(ids) > 0 {
-		scores := make([]float64, len(ids))
-		p.model.PredictMatrix(rows, scores, p.cfg.Workers)
-		for i, id := range ids {
-			p.rank.Update(id, scores[i])
-		}
+	scores := make([]float64, len(residents))
+	p.model.PredictMatrix(rows, scores, p.cfg.Workers)
+	for i, e := range residents {
+		ranked.Rescore(e, scores[i])
 	}
 	sc.Stop()
 }

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 
+	"lfo/internal/evict"
 	"lfo/internal/features"
 	"lfo/internal/gbdt"
 	"lfo/internal/opt"
-	"lfo/internal/sim"
 	"lfo/internal/trace"
 )
 
@@ -45,10 +44,13 @@ func Extract(tr *trace.Trace, cfg Config) (*Extraction, error) {
 	// reference LRU (cache state is inherently serial); with that column
 	// precomputed, the tracker-driven rows shard across workers.
 	free := make([]int64, tr.Len())
-	ref := newRefLRU(cfg.CacheSize)
+	ref, err := evict.New(evict.Config{CacheSize: cfg.CacheSize, Eviction: "lru"}) // admit-all LRU
+	if err != nil {
+		return nil, err
+	}
 	for i, r := range tr.Requests {
-		free[i] = ref.free()
-		ref.request(r)
+		free[i] = ref.Free()
+		ref.Request(r)
 	}
 	tracker := features.NewTracker(cfg.MaxTrackedObjects)
 	return &Extraction{
@@ -157,35 +159,4 @@ func TrainOnWindow(tr *trace.Trace, cfg Config) (*gbdt.Model, *Extraction, error
 		return nil, nil, err
 	}
 	return m, ex, nil
-}
-
-// refLRU is the minimal reference cache that supplies the free-bytes
-// feature during offline extraction.
-type refLRU struct {
-	store *sim.Store[*list.Element]
-	lru   *list.List
-}
-
-func newRefLRU(capacity int64) *refLRU {
-	return &refLRU{store: sim.NewStore[*list.Element](capacity), lru: list.New()}
-}
-
-func (c *refLRU) free() int64 { return c.store.Free() }
-
-func (c *refLRU) request(r trace.Request) {
-	if e := c.store.Get(r.ID); e != nil {
-		c.lru.MoveToFront(e.Payload)
-		return
-	}
-	if r.Size > c.store.Capacity() {
-		return
-	}
-	for !c.store.Fits(r.Size) {
-		tail := c.lru.Back()
-		id := tail.Value.(trace.ObjectID)
-		c.lru.Remove(tail)
-		c.store.Remove(id)
-	}
-	e := c.store.Add(r.ID, r.Size)
-	e.Payload = c.lru.PushFront(r.ID)
 }

@@ -6,6 +6,7 @@ import (
 	"lfo/internal/obs"
 	"lfo/internal/policy"
 	"lfo/internal/server"
+	"lfo/internal/sim"
 	"lfo/internal/trace"
 )
 
@@ -13,14 +14,6 @@ import (
 // satisfied by *server.Client (the compact stateful opAdmit protocol).
 type RemotePredictor interface {
 	Admit(reqs []server.AdmitRequest) ([]float64, error)
-}
-
-// FallbackAdmitter is the heuristic consulted when the remote path fails.
-// It matches tiered.Admitter structurally; policy.SecondHitCensor is the
-// default implementation.
-type FallbackAdmitter interface {
-	Admit(r trace.Request, freeBytes int64) (bool, float64)
-	Observe(r trace.Request)
 }
 
 // RemoteAdmitterConfig tunes a RemoteAdmitter.
@@ -31,7 +24,7 @@ type RemoteAdmitterConfig struct {
 	Cutoff float64
 	// Fallback is the heuristic used when the remote call errors or
 	// times out. Nil means policy.NewSecondHitCensor(0).
-	Fallback FallbackAdmitter
+	Fallback sim.Admitter
 	// Obs, when set, counts remote predictions, remote errors, and
 	// heuristic fallbacks.
 	Obs *obs.Registry
@@ -58,15 +51,15 @@ func newRemoteMetrics(r *obs.Registry) remoteMetrics {
 // must answer even when the model path is down" posture. Every fallback
 // is counted, never silently absorbed.
 //
-// It implements the tiered.Admitter shape (Admit + Observe). The
-// fallback's Observe is fed on every request, so its history is warm the
-// moment degradation starts, not cold from that point on.
+// It implements sim.Admitter. The fallback's Observe is fed on every
+// request, so its history is warm the moment degradation starts, not cold
+// from that point on.
 //
 // Like server.Client, it is synchronous and not safe for concurrent use.
 type RemoteAdmitter struct {
 	remote   RemotePredictor
 	cutoff   float64
-	fallback FallbackAdmitter
+	fallback sim.Admitter
 	m        remoteMetrics
 	req      [1]server.AdmitRequest // reused per call; RemoteAdmitter is single-goroutine
 }
@@ -76,14 +69,9 @@ func NewRemoteAdmitter(remote RemotePredictor, cfg RemoteAdmitterConfig) (*Remot
 	if remote == nil {
 		return nil, fmt.Errorf("core: RemoteAdmitter needs a RemotePredictor")
 	}
-	cutoff := cfg.Cutoff
-	switch {
-	case cutoff == 0:
-		cutoff = 0.5
-	case cutoff == CutoffAdmitAll:
-		cutoff = 0
-	case cutoff < 0 || cutoff > 1:
-		return nil, fmt.Errorf("core: Cutoff must be in [0,1] (or the CutoffAdmitAll sentinel), got %v", cutoff)
+	cutoff, err := sim.ResolveCutoff(cfg.Cutoff)
+	if err != nil {
+		return nil, fmt.Errorf("core: %v", err)
 	}
 	fallback := cfg.Fallback
 	if fallback == nil {

@@ -6,12 +6,12 @@ import (
 
 	"lfo/internal/obs"
 	"lfo/internal/server"
-	"lfo/internal/tiered"
+	"lfo/internal/sim"
 	"lfo/internal/trace"
 )
 
-// RemoteAdmitter must satisfy the tiered admission interface.
-var _ tiered.Admitter = (*RemoteAdmitter)(nil)
+// RemoteAdmitter must satisfy the admission interface.
+var _ sim.Admitter = (*RemoteAdmitter)(nil)
 
 // fakePredictor scripts remote responses: each call pops the next entry.
 type fakePredictor struct {

@@ -10,29 +10,18 @@ import (
 	"lfo/internal/trace"
 )
 
-// Admitter is the admission-side strategy interface (the same shape as
-// internal/tiered's: policy.SecondHitCensor and tiered's admitters all
-// satisfy it structurally). Admit decides; Observe records the request in
-// the admitter's history after the decision.
-type Admitter interface {
-	Admit(r trace.Request, freeBytes int64) (bool, float64)
-	Observe(r trace.Request)
-}
-
 // Config parameterizes a combined admission×eviction cache.
 type Config struct {
 	// CacheSize is the capacity in bytes. Required.
 	CacheSize int64
 	// Admitter decides admission; nil means admit everything.
-	Admitter Admitter
+	Admitter sim.Admitter
 	// AdmitterName labels the admission side in Name() ("admit-all" when
 	// the Admitter is nil, "custom" otherwise unless set).
 	AdmitterName string
 	// Eviction selects the eviction strategy: "learned" (default),
-	// "gdsf", or "lru".
+	// "gdsf", "lru", or "rank" (evict the lowest admission likelihood).
 	Eviction string
-	// Candidates is the learned evictor's sample size K (default 64).
-	Candidates int
 	// Seed seeds the learned evictor's candidate sampler.
 	Seed int64
 	// WindowSize is the eviction-ranker retrain cadence in requests,
@@ -88,19 +77,17 @@ func (c Config) withDefaults() Config {
 // the new model atomically between requests. It implements sim.Policy.
 type Cache struct {
 	cfg     Config
-	store   *sim.Store[Meta]
-	evictor Evictor
+	res     *Residents
 	learned *Learned // non-nil iff cfg.Eviction == "learned"
 
 	winReqs []trace.Request
 	windows int
 
-	m  metrics
 	cm cacheMetrics
 }
 
 // cacheMetrics are the cache-level handles (the eviction-side handles
-// live in metrics, shared with the evictors).
+// live with Residents and the learned evictor).
 type cacheMetrics struct {
 	requests *obs.Counter
 	hits     *obs.Counter
@@ -118,20 +105,13 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.GBDT.Validate(); err != nil {
 		return nil, err
 	}
-	store := sim.NewStore[Meta](cfg.CacheSize)
-	ev, err := NewEvictor(cfg.Eviction, store, Options{
-		Candidates: cfg.Candidates,
-		Seed:       cfg.Seed,
-		Obs:        cfg.Obs,
-	})
+	res, err := NewResidents(cfg.CacheSize, cfg.Eviction, Options{Seed: cfg.Seed, Obs: cfg.Obs})
 	if err != nil {
 		return nil, err
 	}
 	c := &Cache{
-		cfg:     cfg,
-		store:   store,
-		evictor: ev,
-		m:       newEvictMetrics(cfg.Obs),
+		cfg: cfg,
+		res: res,
 		cm: cacheMetrics{
 			requests: cfg.Obs.Counter("evict_cache_requests_total"),
 			hits:     cfg.Obs.Counter("evict_cache_hits_total"),
@@ -140,21 +120,21 @@ func New(cfg Config) (*Cache, error) {
 			trainNS:  cfg.Obs.Histogram("evict_retrain_train_ns", obs.LatencyBounds),
 		},
 	}
-	c.learned, _ = ev.(*Learned)
+	c.learned, _ = res.Evictor.(*Learned)
 	return c, nil
 }
 
 // Name implements sim.Policy.
 func (c *Cache) Name() string {
-	return c.cfg.AdmitterName + "+" + c.evictor.Name()
+	return c.cfg.AdmitterName + "+" + c.res.Evictor.Name()
 }
 
 // Windows returns the number of completed eviction-ranker training
 // windows (always 0 for heuristic evictors).
 func (c *Cache) Windows() int { return c.windows }
 
-// Evictor returns the cache's eviction strategy.
-func (c *Cache) Evictor() Evictor { return c.evictor }
+// Free returns the bytes not held by a resident object.
+func (c *Cache) Free() int64 { return c.res.Store.Free() }
 
 // Request implements sim.Policy.
 func (c *Cache) Request(r trace.Request) bool {
@@ -164,25 +144,17 @@ func (c *Cache) Request(r trace.Request) bool {
 	}
 
 	hit := false
-	if e := c.store.Get(r.ID); e != nil {
+	if e := c.res.Store.Get(r.ID); e != nil {
 		hit = true
 		c.cm.hits.Inc()
-		c.evictor.OnHit(e, r)
-	} else if r.Size <= c.store.Capacity() {
-		ok := true
+		c.res.Evictor.OnHit(e, r)
+	} else if r.Size <= c.res.Store.Capacity() {
+		ok, likelihood := true, 1.0
 		if c.cfg.Admitter != nil {
-			ok, _ = c.cfg.Admitter.Admit(r, c.store.Free())
+			ok, likelihood = c.cfg.Admitter.Admit(r, c.res.Store.Free())
 		}
 		if ok {
-			for !c.store.Fits(r.Size) {
-				id := c.evictor.Victim(r.Time)
-				e := c.store.Get(id)
-				c.m.observeVictim(e.Size)
-				c.evictor.OnRemove(e)
-				c.store.Remove(id)
-			}
-			e := c.store.Add(r.ID, r.Size)
-			c.evictor.OnAdmit(e, r)
+			c.res.Admit(r, likelihood)
 		}
 	}
 	if c.cfg.Admitter != nil {

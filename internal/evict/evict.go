@@ -11,12 +11,14 @@
 // admission model: an object OPT would not cache now is the ideal
 // eviction victim, so one offline solve per window labels both models.
 //
-// The package provides the Evictor strategy interface with learned, GDSF,
-// and LRU implementations over a shared Meta payload (so internal/core
-// can swap eviction mechanisms under LFO admission), plus a standalone
-// Cache that pairs any Admitter (admit-all, SecondHitCensor, ...) with
-// any Evictor and retrains the eviction ranker on the same window
-// cadence — the {admission}×{eviction} ablation grid's building block.
+// The package provides the Evictor strategy interface with four
+// implementations over a shared Meta payload — §2.4's likelihood-ranked
+// queue, the learned ranker, GDSF and LRU — and Residents, the one
+// make-room-then-add loop every cache here runs them through:
+// internal/core's LFO, and the standalone Cache that pairs any
+// sim.Admitter (admit-all, SecondHitCensor, ...) with any Evictor and
+// retrains the eviction ranker on the same window cadence — the
+// {admission}×{eviction} ablation grid's building block.
 package evict
 
 import (
@@ -25,6 +27,7 @@ import (
 
 	"lfo/internal/gbdt"
 	"lfo/internal/obs"
+	"lfo/internal/pq"
 	"lfo/internal/sim"
 	"lfo/internal/trace"
 )
@@ -47,7 +50,8 @@ const (
 // DefaultCandidates is the sampled candidate set size K. 64 keeps an
 // eviction one inline PredictMatrix call (gbdt hands a goroutine no fewer
 // than 64 rows) while sampling enough of the resident set that the
-// empirical victim quality is close to a full scan.
+// empirical victim quality is close to a full scan. It is a constant, not
+// an option: nothing ever ran with another value.
 const DefaultCandidates = 64
 
 // Meta is the per-object payload every evictor shares. The embedded
@@ -62,8 +66,26 @@ type Meta struct {
 	Freq int64
 	// Cost is the retrieval cost observed at the last access.
 	Cost float64
+	// Score is the likelihood the owning cache scored the object with at
+	// its last request (or rescore). The cache writes it before OnAdmit
+	// and OnHit; it is the ranked evictor's queue key and the others
+	// ignore it.
+	Score float64
 
 	prev, next *sim.StoreEntry[Meta] // intrusive LRU list
+}
+
+// admitted initializes the metadata of an entry Store.Add just returned
+// (zeroed but for the Score its cache wrote).
+func (m *Meta) admitted(r trace.Request) {
+	m.AdmitTime, m.LastAccess, m.Freq, m.Cost = r.Time, r.Time, 1, r.Cost
+}
+
+// touched records a hit.
+func (m *Meta) touched(r trace.Request) {
+	m.LastAccess = r.Time
+	m.Freq++
+	m.Cost = r.Cost
 }
 
 // featuresInto fills row (len >= Dim) with the entry's eviction features
@@ -83,9 +105,11 @@ func featuresInto(row []float64, size int64, m *Meta, now int64) {
 type Evictor interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// OnAdmit initializes the entry's metadata right after Store.Add.
+	// OnAdmit initializes the entry's metadata right after Store.Add;
+	// the cache has already written Payload.Score.
 	OnAdmit(e *sim.StoreEntry[Meta], r trace.Request)
-	// OnHit updates the entry's metadata on a cache hit.
+	// OnHit updates the entry's metadata on a cache hit; a cache that
+	// rescored the object wrote Payload.Score first.
 	OnHit(e *sim.StoreEntry[Meta], r trace.Request)
 	// OnRemove tears down the entry's metadata right before Store.Remove
 	// (called for ranked evictions and admission-driven drops alike).
@@ -99,25 +123,25 @@ type Evictor interface {
 }
 
 // NewEvictor constructs the named eviction strategy over the store.
-// Kinds: "learned" (sampled-candidate ranker), "gdsf", "lru".
+// Kinds: "rank" (full queue keyed by Meta.Score), "learned"
+// (sampled-candidate ranker), "gdsf", "lru".
 func NewEvictor(kind string, store *sim.Store[Meta], opts Options) (Evictor, error) {
 	switch kind {
+	case "rank":
+		return &Ranked{q: pq.New()}, nil
 	case "learned":
 		return newLearned(store, opts), nil
 	case "gdsf":
-		return newGDSFEvictor(store), nil
+		return &gdsfEvictor{q: pq.New()}, nil
 	case "lru":
-		return newLRUEvictor(store), nil
+		return &lruEvictor{}, nil
 	default:
-		return nil, fmt.Errorf("evict: unknown evictor %q (want learned, gdsf, or lru)", kind)
+		return nil, fmt.Errorf("evict: unknown evictor %q (want rank, learned, gdsf, or lru)", kind)
 	}
 }
 
 // Options tunes evictor construction.
 type Options struct {
-	// Candidates is the learned evictor's sample size K; 0 means
-	// DefaultCandidates.
-	Candidates int
 	// Seed seeds the learned evictor's candidate sampler.
 	Seed int64
 	// Obs, when set, records eviction metrics (ranker latency, candidate
@@ -126,23 +150,13 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// Victim size-tier boundaries for the victims-by-tier counters.
-const (
-	tierSmallMax  = 64 << 10 // < 64 KiB
-	tierMediumMax = 1 << 20  // < 1 MiB
-)
-
-// metrics bundles the package's obs handles, resolved once at
+// metrics bundles the learned evictor's obs handles, resolved once at
 // construction; all handles are nil-safe no-ops without a registry.
 type metrics struct {
 	rankNS         *obs.Histogram
 	candidates     *obs.Counter
 	candidateSets  *obs.Counter
 	bootstrapPicks *obs.Counter
-	victims        *obs.Counter
-	victimsSmall   *obs.Counter
-	victimsMedium  *obs.Counter
-	victimsLarge   *obs.Counter
 	modelSwaps     *obs.Counter
 }
 
@@ -152,44 +166,8 @@ func newEvictMetrics(r *obs.Registry) metrics {
 		candidates:     r.Counter("evict_candidates_total"),
 		candidateSets:  r.Counter("evict_candidate_sets_total"),
 		bootstrapPicks: r.Counter("evict_bootstrap_picks_total"),
-		victims:        r.Counter("evict_victims_total"),
-		victimsSmall:   r.Counter("evict_victims_small_total"),
-		victimsMedium:  r.Counter("evict_victims_medium_total"),
-		victimsLarge:   r.Counter("evict_victims_large_total"),
 		modelSwaps:     r.Counter("evict_model_swaps_total"),
 	}
-}
-
-// observeVictim records one eviction in the total and size-tier counters.
-func (m *metrics) observeVictim(size int64) {
-	m.victims.Inc()
-	switch {
-	case size < tierSmallMax:
-		m.victimsSmall.Inc()
-	case size < tierMediumMax:
-		m.victimsMedium.Inc()
-	default:
-		m.victimsLarge.Inc()
-	}
-}
-
-// VictimMetrics is the exported victims-by-tier recorder for caches
-// outside this package that drive an Evictor directly (internal/core's
-// delegated eviction modes). It shares counter names with the package's
-// internal recording, so grid reports see one set of eviction metrics
-// regardless of which cache hosts the evictor.
-type VictimMetrics struct {
-	m metrics
-}
-
-// NewVictimMetrics resolves the victim counters against r (nil-safe).
-func NewVictimMetrics(r *obs.Registry) VictimMetrics {
-	return VictimMetrics{m: newEvictMetrics(r)}
-}
-
-// Observe records one eviction of the given size.
-func (v *VictimMetrics) Observe(size int64) {
-	v.m.observeVictim(size)
 }
 
 // nan is the missing-feature marker shared with internal/features: the

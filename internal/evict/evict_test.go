@@ -220,7 +220,7 @@ func TestSeedChangesSampledVictims(t *testing.T) {
 // TestCacheOversizedAndAdmitters covers the oversized-object guard and
 // the Admitter hook for every evictor kind.
 func TestCacheOversizedAndAdmitters(t *testing.T) {
-	for _, kind := range []string{"learned", "gdsf", "lru"} {
+	for _, kind := range []string{"rank", "learned", "gdsf", "lru"} {
 		t.Run(kind, func(t *testing.T) {
 			const size = 1 << 20
 			c, err := New(Config{
@@ -263,7 +263,7 @@ func TestCacheOversizedAndAdmitters(t *testing.T) {
 	}
 }
 
-func sizeOf(c *Cache) int64 { return c.store.Used() }
+func sizeOf(c *Cache) int64 { return c.res.Store.Used() }
 
 // TestEvictObsMetrics pins the observability wiring: victim counters,
 // size tiers, candidate counters, and the latency histogram.
@@ -301,12 +301,15 @@ func TestEvictObsMetrics(t *testing.T) {
 // TestVictimTiers pins the size-tier classification boundaries.
 func TestVictimTiers(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := newEvictMetrics(reg)
-	m.observeVictim(tierSmallMax - 1)
-	m.observeVictim(tierSmallMax)
-	m.observeVictim(tierMediumMax - 1)
-	m.observeVictim(tierMediumMax)
-	m.observeVictim(1 << 30)
+	res, err := NewResidents(1, "lru", Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.countVictim(tierSmallMax - 1)
+	res.countVictim(tierSmallMax)
+	res.countVictim(tierMediumMax - 1)
+	res.countVictim(tierMediumMax)
+	res.countVictim(1 << 30)
 	if got := reg.Counter("evict_victims_small_total").Value(); got != 1 {
 		t.Errorf("small = %d, want 1", got)
 	}
@@ -340,5 +343,37 @@ func TestLearnedSamplerDeterminism(t *testing.T) {
 	}
 	if same > 2 {
 		t.Errorf("different seeds collided %d/100 times", same)
+	}
+}
+
+// likelihoodBySize is an admitter that admits everything and scores an
+// object by its size, so a test can read the ranked evictor's order.
+type likelihoodBySize struct{}
+
+func (likelihoodBySize) Admit(r trace.Request, free int64) (bool, float64) {
+	return true, float64(r.Size) / 1024
+}
+func (likelihoodBySize) Observe(trace.Request) {}
+
+// TestRankedEvictsLowestScore: the ranked evictor's key is the score its
+// cache hands over, whoever the cache is — under Cache, the admitter's
+// likelihood — and equal scores leave in order of their last touch.
+func TestRankedEvictsLowestScore(t *testing.T) {
+	c, err := New(Config{CacheSize: 600, Eviction: "rank", Admitter: likelihoodBySize{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, size := range []int64{300, 100, 100, 100} { // ids 0..3
+		c.Request(trace.Request{Time: int64(i), ID: trace.ObjectID(i), Size: size, Cost: 1})
+	}
+	c.Request(trace.Request{Time: 4, ID: 1, Size: 100, Cost: 1}) // hit: 1 is now the youngest of the three ties
+	c.Request(trace.Request{Time: 5, ID: 9, Size: 200, Cost: 1}) // needs 200 bytes: out go 2 and 3
+	for id, want := range map[trace.ObjectID]bool{0: true, 1: true, 2: false, 3: false, 9: true} {
+		if got := c.res.Store.Has(id); got != want {
+			t.Errorf("object %d resident = %v, want %v", id, got, want)
+		}
+	}
+	if got := c.res.Evictor.(*Ranked).Len(); got != 3 {
+		t.Errorf("ranked queue holds %d objects, want 3", got)
 	}
 }

@@ -8,6 +8,62 @@ import (
 	"lfo/internal/trace"
 )
 
+// Ranked is §2.4's eviction: a total order over the residents by the
+// likelihood their cache last scored them with (Meta.Score), evicting the
+// minimum. Equal scores fall in order of their last touch, oldest first,
+// which makes the bootstrap's request-counter score plain LRU. The queue
+// calls are direct — this is the request path of every rank-mode cache,
+// held to the zero-allocation discipline.
+type Ranked struct {
+	q *pq.Queue
+}
+
+// Name implements Evictor.
+func (k *Ranked) Name() string { return "rank" }
+
+// OnAdmit implements Evictor.
+//
+//lfo:hotpath
+func (k *Ranked) OnAdmit(e *sim.StoreEntry[Meta], r trace.Request) {
+	k.q.Push(e.ID, e.Payload.Score)
+}
+
+// OnHit implements Evictor.
+//
+//lfo:hotpath
+func (k *Ranked) OnHit(e *sim.StoreEntry[Meta], r trace.Request) {
+	k.q.Update(e.ID, e.Payload.Score)
+}
+
+// OnRemove implements Evictor.
+//
+//lfo:hotpath
+func (k *Ranked) OnRemove(e *sim.StoreEntry[Meta]) {
+	k.q.Remove(e.ID)
+}
+
+// Victim implements Evictor.
+//
+//lfo:hotpath
+func (k *Ranked) Victim(now int64) trace.ObjectID {
+	id, _ := k.q.Min()
+	return id
+}
+
+// SetModel implements Evictor; the scores come from the cache's model.
+func (k *Ranked) SetModel(m *gbdt.Model) {}
+
+// Rescore re-keys a resident outside a request: a window handoff re-ranks
+// every resident under the model it just deployed, so bootstrap-era or
+// stale-model scores cannot linger.
+func (k *Ranked) Rescore(e *sim.StoreEntry[Meta], score float64) {
+	e.Payload.Score = score
+	k.q.Update(e.ID, score)
+}
+
+// Len returns how many objects the queue holds: exactly the residents.
+func (k *Ranked) Len() int { return k.q.Len() }
+
 // Learned is the sampled-candidate learned evictor: Victim draws K
 // uniform candidates from the store's dense index, scores them with the
 // deployed ranker in one PredictMatrix call, and returns the minimum
@@ -21,28 +77,15 @@ import (
 type Learned struct {
 	store  *sim.Store[Meta]
 	model  *gbdt.Model
-	k      int
 	rng    uint64
-	rows   []float64
-	scores []float64
-	cands  []*sim.StoreEntry[Meta]
+	rows   [DefaultCandidates * Dim]float64
+	scores [DefaultCandidates]float64
+	cands  [DefaultCandidates]*sim.StoreEntry[Meta]
 	m      metrics
 }
 
 func newLearned(store *sim.Store[Meta], opts Options) *Learned {
-	k := opts.Candidates
-	if k <= 0 {
-		k = DefaultCandidates
-	}
-	return &Learned{
-		store:  store,
-		k:      k,
-		rng:    uint64(opts.Seed),
-		rows:   make([]float64, k*Dim),
-		scores: make([]float64, k),
-		cands:  make([]*sim.StoreEntry[Meta], k),
-		m:      newEvictMetrics(opts.Obs),
-	}
+	return &Learned{store: store, rng: uint64(opts.Seed), m: newEvictMetrics(opts.Obs)}
 }
 
 // Name implements Evictor.
@@ -50,14 +93,12 @@ func (l *Learned) Name() string { return "learned" }
 
 // OnAdmit implements Evictor.
 func (l *Learned) OnAdmit(e *sim.StoreEntry[Meta], r trace.Request) {
-	e.Payload = Meta{AdmitTime: r.Time, LastAccess: r.Time, Freq: 1, Cost: r.Cost}
+	e.Payload.admitted(r)
 }
 
 // OnHit implements Evictor.
 func (l *Learned) OnHit(e *sim.StoreEntry[Meta], r trace.Request) {
-	e.Payload.LastAccess = r.Time
-	e.Payload.Freq++
-	e.Payload.Cost = r.Cost
+	e.Payload.touched(r)
 }
 
 // OnRemove implements Evictor.
@@ -96,7 +137,7 @@ func (l *Learned) Victim(now int64) trace.ObjectID {
 //
 //lfo:hotpath
 func (l *Learned) pickVictim(now int64) (trace.ObjectID, int) {
-	n := l.k
+	n := DefaultCandidates
 	resident := l.store.Len()
 	if resident <= n {
 		// Small resident set: scan it exhaustively instead of sampling
@@ -162,13 +203,8 @@ func (l *Learned) intn(n int) int {
 // same deterministic tie-breaks), so the standalone policy and the
 // combined cache agree byte-for-byte.
 type gdsfEvictor struct {
-	store *sim.Store[Meta]
-	q     *pq.Queue
-	age   float64
-}
-
-func newGDSFEvictor(store *sim.Store[Meta]) *gdsfEvictor {
-	return &gdsfEvictor{store: store, q: pq.New()}
+	q   *pq.Queue
+	age float64
 }
 
 func (g *gdsfEvictor) Name() string { return "gdsf" }
@@ -178,14 +214,12 @@ func (g *gdsfEvictor) priority(m *Meta, size int64) float64 {
 }
 
 func (g *gdsfEvictor) OnAdmit(e *sim.StoreEntry[Meta], r trace.Request) {
-	e.Payload = Meta{AdmitTime: r.Time, LastAccess: r.Time, Freq: 1, Cost: r.Cost}
+	e.Payload.admitted(r)
 	g.q.Push(e.ID, g.priority(&e.Payload, e.Size))
 }
 
 func (g *gdsfEvictor) OnHit(e *sim.StoreEntry[Meta], r trace.Request) {
-	e.Payload.LastAccess = r.Time
-	e.Payload.Freq++
-	e.Payload.Cost = r.Cost
+	e.Payload.touched(r)
 	g.q.Update(e.ID, g.priority(&e.Payload, e.Size))
 }
 
@@ -201,27 +235,23 @@ func (g *gdsfEvictor) Victim(now int64) trace.ObjectID {
 
 func (g *gdsfEvictor) SetModel(m *gbdt.Model) {}
 
+// Len returns how many objects the queue holds: exactly the residents.
+func (g *gdsfEvictor) Len() int { return g.q.Len() }
+
 // lruEvictor threads an intrusive recency list through the Meta links.
 type lruEvictor struct {
-	store      *sim.Store[Meta]
 	head, tail *sim.StoreEntry[Meta]
-}
-
-func newLRUEvictor(store *sim.Store[Meta]) *lruEvictor {
-	return &lruEvictor{store: store}
 }
 
 func (l *lruEvictor) Name() string { return "lru" }
 
 func (l *lruEvictor) OnAdmit(e *sim.StoreEntry[Meta], r trace.Request) {
-	e.Payload = Meta{AdmitTime: r.Time, LastAccess: r.Time, Freq: 1, Cost: r.Cost}
+	e.Payload.admitted(r)
 	l.pushFront(e)
 }
 
 func (l *lruEvictor) OnHit(e *sim.StoreEntry[Meta], r trace.Request) {
-	e.Payload.LastAccess = r.Time
-	e.Payload.Freq++
-	e.Payload.Cost = r.Cost
+	e.Payload.touched(r)
 	l.moveToFront(e)
 }
 
@@ -234,6 +264,16 @@ func (l *lruEvictor) Victim(now int64) trace.ObjectID {
 }
 
 func (l *lruEvictor) SetModel(m *gbdt.Model) {}
+
+// Len walks the recency list and returns its length: exactly the
+// residents. O(n); it exists for invariant checks, not for serving.
+func (l *lruEvictor) Len() int {
+	n := 0
+	for e := l.head; e != nil; e = e.Payload.next {
+		n++
+	}
+	return n
+}
 
 func (l *lruEvictor) pushFront(e *sim.StoreEntry[Meta]) {
 	e.Payload.prev = nil

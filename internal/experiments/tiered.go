@@ -53,7 +53,7 @@ func TieredExperiment(cfg Config) ([]TieredResult, error) {
 
 	variants := []struct {
 		name     string
-		admitter tiered.Admitter
+		admitter sim.Admitter
 		placer   tiered.Placer
 	}{
 		{"LFO admission + likelihood placement", tiered.NewModelAdmitter(model, 0.5), tiered.PlaceByLikelihood(0.85, 0.6)},

@@ -27,7 +27,7 @@ import (
 	"lfo/internal/obs"
 	"lfo/internal/policy"
 	"lfo/internal/server"
-	"lfo/internal/trace"
+	"lfo/internal/sim"
 )
 
 // Defaults for Config knobs left zero.
@@ -44,14 +44,6 @@ const (
 	// based) so recovery is deterministic under replay.
 	DefaultProbeEvery = 32
 )
-
-// FallbackAdmitter is the per-shard degraded-mode heuristic; it matches
-// core.FallbackAdmitter structurally. policy.SecondHitCensor is the
-// default implementation.
-type FallbackAdmitter interface {
-	Admit(r trace.Request, freeBytes int64) (bool, float64)
-	Observe(r trace.Request)
-}
 
 // Config assembles a Router.
 type Config struct {
@@ -71,7 +63,7 @@ type Config struct {
 	Dial func(addr string) (net.Conn, error)
 	// NewFallback builds shard i's degraded-mode admitter; nil means
 	// policy.NewSecondHitCensor(0).
-	NewFallback func(shard int) FallbackAdmitter
+	NewFallback func(shard int) sim.Admitter
 	// MaxResponsePayload caps accepted response frames per connection
 	// (0 → server.DefaultMuxResponseMax).
 	MaxResponsePayload int
@@ -113,7 +105,7 @@ type shard struct {
 	// fallback answers this shard's key range while it is down and
 	// observes every completed row so its history is warm the moment
 	// degradation starts.
-	fallback FallbackAdmitter
+	fallback sim.Admitter
 	// downRows counts fallback rows since the shard went down; every
 	// ProbeEvery-th triggers a reconnect attempt.
 	downRows int
@@ -185,7 +177,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	newFallback := cfg.NewFallback
 	if newFallback == nil {
-		newFallback = func(int) FallbackAdmitter { return policy.NewSecondHitCensor(0) }
+		newFallback = func(int) sim.Admitter { return policy.NewSecondHitCensor(0) }
 	}
 
 	r := &Router{

@@ -19,8 +19,7 @@ const secondHitDefaultIDs = 1 << 20
 // one is discarded, so the censor remembers between maxIDs and 2×maxIDs
 // distinct objects and forgetting is abrupt only at generation granularity.
 //
-// It implements the tiered.Admitter shape (Admit + Observe) structurally,
-// without importing that package.
+// It implements sim.Admitter.
 type SecondHitCensor struct {
 	maxIDs int
 	cur    map[trace.ObjectID]struct{}

@@ -22,6 +22,41 @@ type Policy interface {
 	Request(r trace.Request) bool
 }
 
+// Admitter is the admission half of a cache, the one declaration every
+// cache that takes a pluggable admission decision shares (tiered's level
+// one, evict.Cache, the remote and the fleet fallbacks). Learned models
+// and heuristics such as policy.SecondHitCensor both implement it.
+type Admitter interface {
+	// Admit returns whether to cache the object and the likelihood (0..1)
+	// behind the decision, which placement and ranking may use. Called
+	// only on misses, before Observe.
+	Admit(r trace.Request, freeBytes int64) (bool, float64)
+	// Observe is called for every request (hit or miss) so stateful
+	// admitters can maintain request history.
+	Observe(r trace.Request)
+}
+
+// CutoffAdmitAll is the admission-cutoff sentinel for an effective cutoff
+// of exactly 0 — every request the model scores is admitted. A literal 0
+// is Go's zero value and therefore means "unset" (defaulting to 0.5),
+// which would otherwise make the admit-all ablation unconfigurable.
+const CutoffAdmitAll = -1
+
+// ResolveCutoff maps a configured admission cutoff to the threshold a
+// likelihood is compared against: 0 means 0.5, CutoffAdmitAll means
+// exactly 0, and any other value must lie in [0, 1].
+func ResolveCutoff(cutoff float64) (float64, error) {
+	switch {
+	case cutoff == 0:
+		return 0.5, nil
+	case cutoff == CutoffAdmitAll:
+		return 0, nil
+	case !(cutoff >= 0 && cutoff <= 1): // also rejects NaN
+		return 0, fmt.Errorf("cutoff must be in [0,1] (or the CutoffAdmitAll sentinel), got %v", cutoff)
+	}
+	return cutoff, nil
+}
+
 // Metrics accumulates simulation results.
 type Metrics struct {
 	Policy   string

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"lfo/internal/obs"
@@ -271,5 +272,21 @@ func TestStorePanics(t *testing.T) {
 			}()
 			tc.f()
 		})
+	}
+}
+
+// TestResolveCutoff pins the one reading of an admission cutoff that
+// core.New, core.NewRemoteAdmitter and tiered.NewModelAdmitter share.
+func TestResolveCutoff(t *testing.T) {
+	for in, want := range map[float64]float64{0: 0.5, CutoffAdmitAll: 0, 0.25: 0.25, 1: 1} {
+		got, err := ResolveCutoff(in)
+		if err != nil || got != want {
+			t.Errorf("ResolveCutoff(%v) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []float64{-0.3, -2, 1.5, math.NaN()} {
+		if _, err := ResolveCutoff(bad); err == nil {
+			t.Errorf("ResolveCutoff(%v) accepted, want an error", bad)
+		}
 	}
 }

@@ -6,7 +6,7 @@
 //
 // A TieredCache is a stack of byte-accurate tiers. Lookups probe tiers in
 // order; a hit in a lower tier promotes the object toward the top. On a
-// miss, an Admitter decides whether to cache the object at all (level one
+// miss, a sim.Admitter decides whether to cache the object at all (level one
 // of the hierarchical model — typically LFO's learned admission), and a
 // Placer maps the admission likelihood and object size onto a tier (level
 // two — e.g. likely-hot small objects to RAM, bulky or lukewarm objects
@@ -35,26 +35,13 @@ type Tier struct {
 	ReadCost float64
 }
 
-// Admitter decides whether a missed object should be cached at all, and
-// with what likelihood/confidence (0..1). LFO's learned model implements
-// this (ModelAdmitter); heuristics can too.
-type Admitter interface {
-	// Admit returns whether to cache the object and a likelihood used by
-	// the Placer and as the eviction rank hint. Called only on misses,
-	// before Observe.
-	Admit(r trace.Request, freeBytes int64) (bool, float64)
-	// Observe is called for every request (hit or miss) so stateful
-	// admitters can maintain request history.
-	Observe(r trace.Request)
-}
-
 // AdmitAll admits everything with likelihood 1.
 type AdmitAll struct{}
 
-// Admit implements Admitter.
+// Admit implements sim.Admitter.
 func (AdmitAll) Admit(r trace.Request, freeBytes int64) (bool, float64) { return true, 1 }
 
-// Observe implements Admitter.
+// Observe implements sim.Admitter.
 func (AdmitAll) Observe(trace.Request) {}
 
 // SizeThreshold admits objects up to MaxSize bytes.
@@ -62,7 +49,7 @@ type SizeThreshold struct {
 	MaxSize int64
 }
 
-// Admit implements Admitter.
+// Admit implements sim.Admitter.
 func (s SizeThreshold) Admit(r trace.Request, freeBytes int64) (bool, float64) {
 	if r.Size <= s.MaxSize {
 		return true, 1
@@ -70,7 +57,7 @@ func (s SizeThreshold) Admit(r trace.Request, freeBytes int64) (bool, float64) {
 	return false, 0
 }
 
-// Observe implements Admitter.
+// Observe implements sim.Admitter.
 func (SizeThreshold) Observe(trace.Request) {}
 
 // ModelAdmitter is the learned level-one decision of §5's hierarchical
@@ -82,11 +69,13 @@ type ModelAdmitter struct {
 	buf     []float64
 }
 
-// NewModelAdmitter wraps a trained model as an Admitter. cutoff <= 0
-// means 0.5.
+// NewModelAdmitter wraps a trained model as an admitter. cutoff follows
+// sim.ResolveCutoff (0 means 0.5, sim.CutoffAdmitAll means exactly 0);
+// a value outside [0, 1] is a programming error and panics.
 func NewModelAdmitter(m *gbdt.Model, cutoff float64) *ModelAdmitter {
-	if cutoff <= 0 {
-		cutoff = 0.5
+	cutoff, err := sim.ResolveCutoff(cutoff)
+	if err != nil {
+		panic("tiered: " + err.Error())
 	}
 	return &ModelAdmitter{
 		model:   m,
@@ -96,14 +85,14 @@ func NewModelAdmitter(m *gbdt.Model, cutoff float64) *ModelAdmitter {
 	}
 }
 
-// Admit implements Admitter.
+// Admit implements sim.Admitter.
 func (a *ModelAdmitter) Admit(r trace.Request, freeBytes int64) (bool, float64) {
 	a.tracker.Features(r, freeBytes, a.buf)
 	p := a.model.Predict(a.buf)
 	return p >= a.cutoff, p
 }
 
-// Observe implements Admitter.
+// Observe implements sim.Admitter.
 func (a *ModelAdmitter) Observe(r trace.Request) { a.tracker.Update(r) }
 
 // Placer maps an admitted object to a tier index (0 = fastest).
@@ -157,7 +146,7 @@ type TieredCache struct {
 	tiers    []Tier
 	stores   []*sim.Store[*list.Element]
 	lrus     []*list.List
-	admitter Admitter
+	admitter sim.Admitter
 	placer   Placer
 	stats    Stats
 }
@@ -165,7 +154,7 @@ type TieredCache struct {
 // New returns a tiered cache. At least one tier is required; the placer
 // may return any index in [0, len(tiers)); out-of-range placements are
 // clamped.
-func New(tiers []Tier, admitter Admitter, placer Placer) (*TieredCache, error) {
+func New(tiers []Tier, admitter sim.Admitter, placer Placer) (*TieredCache, error) {
 	if len(tiers) == 0 {
 		return nil, fmt.Errorf("tiered: at least one tier required")
 	}

@@ -1,9 +1,12 @@
 package tiered
 
 import (
+	"math"
 	"testing"
 
 	"lfo/internal/core"
+	"lfo/internal/features"
+	"lfo/internal/gbdt"
 	"lfo/internal/gen"
 	"lfo/internal/opt"
 	"lfo/internal/sim"
@@ -210,6 +213,40 @@ func TestModelAdmitterEndToEnd(t *testing.T) {
 	if learned.Stats().Hits[0] == 0 {
 		t.Error("no RAM hits with likelihood placement")
 	}
+}
+
+// TestModelAdmitterCutoff pins the cutoff's three readings against a
+// constant model that scores every request 0.25: unset means 0.5, an
+// explicit value is itself, and the CutoffAdmitAll sentinel is exactly 0
+// (it used to fall through "cutoff <= 0" to 0.5 and gate silently).
+func TestModelAdmitterCutoff(t *testing.T) {
+	model := &gbdt.Model{Dim: features.Dim, BaseScore: math.Log(0.25 / 0.75)}
+	if err := model.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cutoff float64
+		admit  bool
+	}{
+		{0, false},
+		{0.5, false},
+		{0.2, true},
+		{sim.CutoffAdmitAll, true},
+	} {
+		admit, p := NewModelAdmitter(model, tc.cutoff).Admit(req(1, 1, 100), 1<<20)
+		if math.Abs(p-0.25) > 1e-12 {
+			t.Fatalf("constant model scored %v, want 0.25", p)
+		}
+		if admit != tc.admit {
+			t.Errorf("cutoff %v: admit = %v, want %v", tc.cutoff, admit, tc.admit)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("cutoff 1.5 accepted, want a panic")
+		}
+	}()
+	NewModelAdmitter(model, 1.5)
 }
 
 func TestTieredIsPolicy(t *testing.T) {

@@ -263,8 +263,9 @@ type (
 	Tier = tiered.Tier
 	// TieredCache is a RAM/SSD/HDD-style hierarchical cache.
 	TieredCache = tiered.TieredCache
-	// Admitter is the level-one cache-at-all decision.
-	Admitter = tiered.Admitter
+	// Admitter is the level-one cache-at-all decision: the admission
+	// interface every pluggable admitter in the repository implements.
+	Admitter = sim.Admitter
 	// Placer is the level-two tier-placement decision.
 	Placer = tiered.Placer
 )
@@ -275,6 +276,8 @@ func NewTieredCache(tiers []Tier, admitter Admitter, placer Placer) (*TieredCach
 }
 
 // NewModelAdmitter wraps a trained LFO model as a tiered-cache admitter.
+// cutoff reads like CacheConfig.Cutoff: 0 means 0.5, CutoffAdmitAll means
+// exactly 0; any other value outside [0, 1] panics.
 func NewModelAdmitter(m *Model, cutoff float64) Admitter {
 	return tiered.NewModelAdmitter(m, cutoff)
 }

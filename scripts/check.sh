@@ -2,9 +2,9 @@
 # check.sh — the repository's full verification gate (tier 1+).
 #
 # Runs formatting, vet, build, the custom lfolint analyzer, the full test
-# suite, and the race detector over the concurrent packages. Every step
-# must pass; the script exits non-zero on the first failure, so it is
-# directly usable as a CI gate.
+# suite, the benchmark module's own vet and tests, and the race detector
+# over the concurrent packages. Every step must pass; the script exits
+# non-zero on the first failure, so it is directly usable as a CI gate.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -31,6 +31,13 @@ go run ./cmd/lfolint ./...
 
 step "go test ./..."
 go test ./...
+
+# bench/ is its own module (the repository benchmark, BENCHMARK.json)
+# compiling against internal/core, evict, sim, server and fleet; the root
+# "./..." never builds it, so an internal signature change could break the
+# benchmark unseen.
+step "bench module: go vet + go test"
+(cd bench && go vet ./... && go test ./...)
 
 step "go test -race (concurrent packages)"
 go test -race ./internal/server ./internal/fleet ./internal/faultnet \
