@@ -262,11 +262,12 @@ func BenchmarkGBDTTrain(b *testing.B) {
 
 // BenchmarkOPTCompute measures the OPT labeler across algorithm and
 // window-size regimes. flow-large is the segmented headline: ~130k
-// intervals — 10x beyond the old 12k single-solve ceiling (42s
-// unsegmented at 13.6k intervals on this hardware) — labeled mostly by
-// exact per-segment flow in a fraction of that time. The reported
-// flow-ivs/greedy-ivs metrics break down how many intervals each solver
-// labeled.
+// intervals, 10x beyond the 12k single-solve ceiling, 56 % of them
+// labeled by exact per-segment flow in 3.4 s. (One unsegmented solve of
+// 13.6k intervals — 32 000 CDN-mix requests, seed 3, 64 MiB — takes 4.9 s
+// on this hardware; it took 50 s before the flow solver became
+// primal-dual.) The reported flow-ivs/greedy-ivs metrics break down how
+// many intervals each solver labeled.
 func BenchmarkOPTCompute(b *testing.B) {
 	small := benchTrace(b, 8000)
 	large := benchTrace(b, 220000)
@@ -387,17 +388,6 @@ func BenchmarkMRCComputeLRU(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mrc.ComputeLRU(tr)
-	}
-}
-
-func BenchmarkMCFSolve(b *testing.B) {
-	// A fresh FOO-shaped graph per iteration (Solve is single-shot).
-	tr := benchTrace(b, 4000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Compute(tr, opt.Config{CacheSize: 16 << 20, Algorithm: opt.AlgoFlow}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -94,6 +94,8 @@ func main() {
 	fmt.Printf("labeled by: %s (%d segments: %d flow, %d greedy; %d flow ivs, %d greedy ivs, %d boundary)\n",
 		res.AlgoLabel(), res.Segments, res.FlowSegments, res.GreedySegments,
 		res.FlowIntervals, res.GreedyIntervals, res.BoundaryIntervals)
+	fmt.Printf("flow work:  %d paths in %d passes, %d potential moves\n",
+		res.FlowAugmentations, res.FlowPasses, res.FlowPotentialMoves)
 	fmt.Printf("OPT BHR:    %.4f\n", res.BHR())
 	fmt.Printf("OPT OHR:    %.4f\n", res.OHR())
 	fmt.Printf("miss cost:  %.0f\n", res.MissCost)

@@ -174,7 +174,11 @@ func TestPipelineDeterminismAcrossWorkers(t *testing.T) {
 // and 1 and, for learned eviction, the eviction model of window 0. They
 // were recorded at the commit before the trainer's inner loops were
 // reworked (PR 14); a trainer change that moves one bit of any float sum,
-// split choice or leaf value moves a hash.
+// split choice or leaf value moves a hash. The two default_flow hashes
+// were re-recorded once, when the min-cost flow solver became primal-dual
+// (PR 18): it reaches the same minimum cost through a different optimal
+// flow, so 0.1–1.5 % of a window's labels differ; the greedy-labelled
+// configurations' hashes did not move.
 var benchConfigPins = []struct {
 	name   string
 	mix    func(requests int, seed int64) gen.Config
@@ -206,8 +210,8 @@ var benchConfigPins = []struct {
 		name: "default_flow", mix: gen.CDNMix, window: 7000,
 		cfg: core.Config{CacheSize: 64 << 20, Workers: 1},
 		admit: [2]string{
-			"b3681de89b3d840825f3a90e723b6b6ddb797cd7ad7127a5dd5bc387d000952f",
-			"a857145d0d3bc2110f1174c07bb0db736a4463ae87c5fe7a3fa3ba39a8722a5b",
+			"7078a319c63c9b301f70f0582f36cefea91502db0a381fc5aecd041fe78ba734",
+			"50d0073b9977834d2e9566cd442cb39059f11dabbc0c9a0977394ebb8e9cb6bd",
 		},
 	},
 }

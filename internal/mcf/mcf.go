@@ -1,19 +1,40 @@
-// Package mcf implements a minimum-cost flow solver using the successive
-// shortest path algorithm with Johnson node potentials (Dijkstra on reduced
-// costs). It replaces the LEMON C++ library the paper's prototype uses for
-// computing OPT's decisions (§2.1).
+// Package mcf implements a minimum-cost flow solver: successive shortest
+// paths with Johnson node potentials in its primal-dual form. It replaces
+// the LEMON C++ library the paper's prototype uses for computing OPT's
+// decisions (§2.1).
 //
 // The solver supports arbitrary directed graphs with integral capacities and
 // integral edge costs, and multiple sources/sinks via per-node supplies.
 // Edge costs must be non-negative: the OPT (FOO) graphs built by package opt
 // only ever need non-negative costs, and this restriction lets every
 // shortest-path search use Dijkstra.
+//
+// Primal-dual means the two halves of a shortest-path augmentation are
+// taken apart. Under the current potentials a shortest path is a path of
+// arcs with reduced cost exactly zero, so flow is pushed along such arcs
+// with breadth-first passes (no heap, several paths per pass) for as long
+// as one reaches the sink; a Dijkstra runs only when none does, to raise
+// the potentials to the next path-cost level. This matters on FOO graphs
+// because under the BHR objective every bypass arc costs the same per
+// byte: a 7000-request window routes its flow at a few dozen distinct
+// path costs, and the arcs of zero reduced cost form a plateau that is
+// most of the graph. A heap search per path pops that plateau's ties in
+// arbitrary order and settles ~70 % of the nodes to find a 200-arc path,
+// ~3000 times per window; here the same window takes ~20 Dijkstras and
+// ~1000 linear passes (Solver.Stats counts them).
+//
+// The minimum cost is unique; the flow that attains it is not. With
+// uniform costs the FOO linear program is massively degenerate, and which
+// optimal flow comes out depends on the order ties are met in (adjacency
+// order here, heap order in the solver this replaced). Every optimal flow
+// is an equally valid OPT: it misses the same number of bytes. Package opt
+// reads admissions off the flow interval by interval, so two optimal flows
+// label a fraction of a percent of a window's requests differently.
 package mcf
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Graph is a directed graph with capacities, costs, and node supplies.
@@ -139,17 +160,55 @@ func (g *Graph) Solve() (int64, error) {
 	return NewSolver().Solve(g)
 }
 
-// Solver holds the successive-shortest-path scratch state (potentials,
-// distances, predecessor edges, the Dijkstra heap) so that repeated
-// solves — one per OPT window segment — reuse a single allocation instead
-// of rebuilding the arrays per graph. A Solver is not safe for concurrent
-// use; give each worker its own.
+// Stats counts the work of one Solve, loop by loop, so "how hard was this
+// flow" is readable without a profiler: on FOO graphs under BHR costs
+// PotentialMoves stays in the tens while Augmentations is in the
+// thousands.
+type Stats struct {
+	// Augmentations is the number of paths flow was pushed along.
+	Augmentations int
+	// Passes is the number of breadth-first passes over the admissible
+	// subgraph, including the one per potential level that finds nothing
+	// left to route.
+	Passes int
+	// Searches is the number of Dijkstra runs. Each one either moves the
+	// potentials or proves the problem infeasible, so on a feasible graph
+	// Searches == PotentialMoves.
+	Searches int
+	// PotentialMoves is the number of times the node potentials changed,
+	// i.e. the number of distinct path-cost levels the flow was routed at
+	// beyond the first.
+	PotentialMoves int
+}
+
+// Solver holds the primal-dual scratch state (potentials, distances,
+// predecessor arcs, search stamps, the admissible-arc lists, the BFS
+// queue and the Dijkstra heap) so that repeated solves — one per OPT
+// window segment — reuse a single allocation instead of rebuilding the
+// arrays per graph. A Solver is not safe for concurrent use; give each
+// worker its own.
 type Solver struct {
 	pot      []int64
 	dist     []int64
-	visited  []bool
 	prevEdge []int32
-	h        *heap
+	// mark[v] == stamp means the current search has reached v: a BFS
+	// pass, or the Dijkstra that continues from the nodes an empty pass
+	// reached. Bumping stamp forgets every node at once.
+	mark  []uint32
+	stamp uint32
+	// admStart/adm list, per node, the arcs whose reduced cost is exactly
+	// zero under the current potentials (CSR layout, node order, each
+	// node's arcs in adjacency order). Rebuilt after every potential
+	// move; between moves only capacities change.
+	admStart []int32
+	adm      []int32
+	// queue[:reached] is the BFS order of the last pass; sinks collects
+	// the arcs into the super-sink that the pass found open.
+	queue   []int32
+	reached int
+	sinks   []int32
+	h       *heap
+	stats   Stats
 }
 
 // NewSolver returns an empty solver; scratch grows to fit the largest
@@ -158,28 +217,52 @@ func NewSolver() *Solver {
 	return &Solver{h: newHeap(0)}
 }
 
+// Stats returns the work counters of the most recent Solve.
+func (s *Solver) Stats() Stats { return s.stats }
+
 // grow sizes the scratch for a graph with nn nodes (including the
-// super-source/sink pair) and resets the potentials.
-func (s *Solver) grow(nn int) {
+// super-source/sink pair) and arcs residual arcs, and resets the
+// potentials and the search stamps.
+func (s *Solver) grow(nn, arcs int) {
 	if cap(s.pot) < nn {
 		s.pot = make([]int64, nn)
 		s.dist = make([]int64, nn)
-		s.visited = make([]bool, nn)
 		s.prevEdge = make([]int32, nn)
+		s.mark = make([]uint32, nn)
+		s.admStart = make([]int32, nn+1)
+		s.queue = make([]int32, nn)
+		s.sinks = make([]int32, nn)
+	}
+	if cap(s.adm) < arcs {
+		s.adm = make([]int32, arcs)
 	}
 	s.pot = s.pot[:nn]
 	s.dist = s.dist[:nn]
-	s.visited = s.visited[:nn]
 	s.prevEdge = s.prevEdge[:nn]
+	s.mark = s.mark[:nn]
+	s.admStart = s.admStart[:nn+1]
+	s.queue = s.queue[:nn]
+	s.sinks = s.sinks[:nn]
 	for i := range s.pot {
 		s.pot[i] = 0
+		s.mark[i] = 0
 	}
+	s.stamp = 0
 }
 
 // Solve routes all supply to demand at minimum total cost and returns
 // that cost. Each graph may be solved once (Solve consumes the residual
 // capacities); the solver itself is reusable across graphs.
+//
+// The loop is the primal-dual form of successive shortest paths. Under
+// the current potentials every residual arc has non-negative reduced
+// cost, and a shortest path is exactly a path of arcs with reduced cost
+// zero. So as long as such a path joins the super-source to the
+// super-sink, flow is pushed along the zero arcs with plain breadth-first
+// passes and no heap; only when none is left does one Dijkstra raise the
+// potentials to the next path-cost level (or find the sink unreachable).
 func (s *Solver) Solve(g *Graph) (int64, error) {
+	s.stats = Stats{}
 	if g.solved {
 		return 0, errors.New("mcf: Solve called twice")
 	}
@@ -206,98 +289,148 @@ func (s *Solver) Solve(g *Graph) (int64, error) {
 			g.addInternal(v, t, -g.supply[v], 0)
 		}
 	}
-	nn := g.n + 2
 
-	s.grow(nn)
-	pot, dist := s.pot, s.dist
-
-	var totalCost int64
-	routed := int64(0)
+	s.grow(g.n+2, len(g.to))
+	s.listAdmissible(g)
+	var totalCost, routed int64
 	for routed < totalSupply {
-		if !s.dijkstra(g, src, t) {
+		n, c := s.pass(g, int32(src), int32(t))
+		if n > 0 {
+			routed += n
+			totalCost += c
+			continue
+		}
+		// This potential level is saturated: move to the next one.
+		if !s.dijkstra(g, int32(t)) {
 			return 0, fmt.Errorf("%w: %d of %d units unroutable", ErrInfeasible, totalSupply-routed, totalSupply)
 		}
-		// Update potentials. Dijkstra terminated as soon as t was
-		// finalized, so tentative distances beyond dist[t] are not
-		// final; clamping to dist[t] preserves the reduced-cost
-		// invariant (standard early-termination fix).
-		dt := dist[t]
-		for v := 0; v < nn; v++ {
-			if dist[v] < dt {
-				pot[v] += dist[v]
-			} else {
-				pot[v] += dt
-			}
-		}
-		n, c := s.augment(g, src, t, totalSupply-routed)
-		routed += n
-		totalCost += c
+		s.raisePotentials(int32(t))
+		s.listAdmissible(g)
 	}
 	return totalCost, nil
 }
 
-// dijkstra runs one shortest-path pass from src over reduced costs,
-// filling s.dist and s.prevEdge, and reports whether t was reached. One
-// pass runs per augmenting path, so this is the solver's hottest loop and
-// is held to the zero-allocation discipline.
+// nextStamp starts a new search: every node becomes unreached.
+func (s *Solver) nextStamp() uint32 {
+	s.stamp++
+	if s.stamp == 0 { // wrapped: stale marks could alias the new stamp
+		for i := range s.mark {
+			s.mark[i] = 0
+		}
+		s.stamp = 1
+	}
+	return s.stamp
+}
+
+// listAdmissible rebuilds the per-node lists of arcs whose reduced cost
+// is exactly zero. An arc and its residual twin have opposite reduced
+// costs, so both are listed or neither; capacity is deliberately not
+// looked at, because augmentations inside the level open and close arcs
+// while the potentials, and so the lists, stay put.
 //
 //lfo:hotpath
-func (s *Solver) dijkstra(g *Graph, src, t int) bool {
-	pot, dist, visited, prevEdge := s.pot, s.dist, s.visited, s.prevEdge
-	for i := range dist {
-		dist[i] = math.MaxInt64
-		visited[i] = false
-		prevEdge[i] = -1
-	}
-	dist[src] = 0
-	h := s.h
-	h.reset()
-	h.push(0, int32(src))
-	for h.len() > 0 {
-		d, u := h.pop()
-		if visited[u] {
-			continue
-		}
-		visited[u] = true
-		if int(u) == t {
-			break
-		}
+func (s *Solver) listAdmissible(g *Graph) {
+	pot, adm, admStart := s.pot, s.adm, s.admStart
+	k := int32(0)
+	for u := range pot {
+		admStart[u] = k
+		pu := pot[u]
 		for e := g.head[u]; e != -1; e = g.next[e] {
+			if g.cost[e]+pu-pot[g.to[e]] == 0 {
+				adm[k] = e
+				k++
+			}
+		}
+	}
+	admStart[len(pot)] = k
+}
+
+// pass runs one breadth-first search from src over the admissible arcs
+// that still have capacity, visiting everything reachable, and then
+// pushes flow along the tree path to every open super-sink arc it met, in
+// the order met. Paths of one pass share tree arcs, so a later path may
+// find its bottleneck already used up and is skipped; the first never is,
+// so a pass that routes nothing proves the level saturated. Returns the
+// units routed and their cost. On FOO graphs nearly every arc is
+// admissible (all bypass arcs cost the same per byte), which is why the
+// search is a plain queue: a heap would pop the ties in arbitrary order
+// and settle most of the graph to find one path.
+//
+//lfo:hotpath
+func (s *Solver) pass(g *Graph, src, t int32) (int64, int64) {
+	s.stats.Passes++
+	stamp := s.nextStamp()
+	mark, prevEdge, queue, sinks := s.mark, s.prevEdge, s.queue, s.sinks
+	adm, admStart := s.adm, s.admStart
+	mark[src] = stamp
+	queue[0] = src
+	tail, nsinks := 1, 0
+	for i := 0; i < tail; i++ {
+		u := queue[i]
+		for _, e := range adm[admStart[u]:admStart[u+1]] {
 			if g.cap[e] <= 0 {
 				continue
 			}
 			v := g.to[e]
-			if visited[v] {
+			if v == t {
+				sinks[nsinks] = e
+				nsinks++
 				continue
 			}
-			nd := d + g.cost[e] + pot[u] - pot[v]
-			if nd < dist[v] {
-				dist[v] = nd
-				prevEdge[v] = e
-				h.push(nd, v)
+			if mark[v] == stamp {
+				continue
 			}
+			mark[v] = stamp
+			prevEdge[v] = e
+			queue[tail] = v
+			tail++
 		}
 	}
-	return visited[t]
+	s.reached = tail
+	var routed, cost int64
+	for _, e := range sinks[:nsinks] {
+		n, c := s.augment(g, src, e)
+		routed += n
+		cost += c
+	}
+	return routed, cost
 }
 
-// augment pushes flow along the predecessor path t..src recorded by
-// dijkstra, bounded by remaining, and returns the units routed and their
-// cost contribution.
+// augment pushes flow along the tree path src..last recorded by pass,
+// where last is the arc into the super-sink, and returns the units routed
+// and their cost contribution; both are zero when an earlier path of the
+// same pass has used up an arc. Tree arcs only lose capacity during a
+// pass (a tree arc's twin is never a tree arc), so a node below a used-up
+// arc stays cut off until the next pass: its prevEdge is overwritten with
+// -1, and a later walk that meets it stops there instead of climbing to
+// the same dead end again.
 //
 //lfo:hotpath
-func (s *Solver) augment(g *Graph, src, t int, remaining int64) (int64, int64) {
+func (s *Solver) augment(g *Graph, src, last int32) (int64, int64) {
 	prevEdge := s.prevEdge
-	bottleneck := remaining
-	for v := int32(t); int(v) != src; {
+	first := g.to[last^1]
+	bottleneck := g.cap[last]
+	for v := first; v != src; {
 		e := prevEdge[v]
+		if e < 0 || g.cap[e] <= 0 {
+			for w := first; w != v; {
+				up := g.to[prevEdge[w]^1]
+				prevEdge[w] = -1
+				w = up
+			}
+			prevEdge[v] = -1
+			return 0, 0
+		}
 		if g.cap[e] < bottleneck {
 			bottleneck = g.cap[e]
 		}
 		v = g.to[e^1]
 	}
-	var cost int64
-	for v := int32(t); int(v) != src; {
+	s.stats.Augmentations++
+	g.cap[last] -= bottleneck
+	g.cap[last^1] += bottleneck
+	cost := bottleneck * g.cost[last]
+	for v := first; v != src; {
 		e := prevEdge[v]
 		g.cap[e] -= bottleneck
 		g.cap[e^1] += bottleneck
@@ -305,6 +438,82 @@ func (s *Solver) augment(g *Graph, src, t int, remaining int64) (int64, int64) {
 		v = g.to[e^1]
 	}
 	return bottleneck, cost
+}
+
+// dijkstra runs one shortest-path search from src over reduced costs,
+// stopping as soon as t is final, and reports whether t was reached.
+// s.dist[v] is meaningful only where s.mark[v] carries the search's
+// stamp. It runs once per potential move, not once per path, and only
+// right after a pass that found nothing to route: that pass reached
+// exactly the nodes at reduced distance zero and left them stamped and
+// queued, so they are final before the search begins and only the nodes
+// beyond them go through the heap.
+//
+//lfo:hotpath
+func (s *Solver) dijkstra(g *Graph, t int32) bool {
+	s.stats.Searches++
+	pot, dist, mark, stamp := s.pot, s.dist, s.mark, s.stamp
+	plateau := s.queue[:s.reached]
+	for _, u := range plateau {
+		dist[u] = 0
+	}
+	h := s.h
+	h.reset()
+	for i := 0; ; i++ {
+		var d int64
+		var u int32
+		if i < len(plateau) {
+			u = plateau[i]
+		} else {
+			if h.len() == 0 {
+				return false
+			}
+			if d, u = h.pop(); d > dist[u] {
+				continue // superseded by a shorter entry for u
+			}
+			if u == t {
+				return true
+			}
+		}
+		for e := g.head[u]; e != -1; e = g.next[e] {
+			if g.cap[e] <= 0 {
+				continue
+			}
+			v := g.to[e]
+			nd := d + g.cost[e] + pot[u] - pot[v]
+			if mark[v] != stamp || nd < dist[v] {
+				mark[v] = stamp
+				dist[v] = nd
+				h.push(nd, v)
+			}
+		}
+	}
+}
+
+// raisePotentials adds the distances of the last Dijkstra to the
+// potentials. The search stopped when t became final, so a distance of
+// dist[t] or more is only tentative (and an unreached node has none);
+// clamping those to dist[t] keeps every residual arc's reduced cost
+// non-negative, the standard early-termination fix.
+//
+//lfo:hotpath
+func (s *Solver) raisePotentials(t int32) {
+	s.stats.PotentialMoves++
+	pot, dist, mark, stamp := s.pot, s.dist, s.mark, s.stamp
+	dt := dist[t]
+	if dt <= 0 {
+		// The search only runs once a pass has found no zero-cost path, so
+		// a zero distance means the lists or the pass are wrong; stopping
+		// here beats searching again forever.
+		panic("mcf: a pass left a zero-reduced-cost path unrouted")
+	}
+	for v := range pot {
+		if mark[v] == stamp && dist[v] < dt {
+			pot[v] += dist[v]
+		} else {
+			pot[v] += dt
+		}
+	}
 }
 
 // addInternal appends an edge without bounds checks; used for the

@@ -2,30 +2,53 @@ package opt
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
-// flowSegment builds the FOO min-cost flow graph (Figure 4 of the paper)
-// over one segment's intervals and marks Admit[i] for every interval whose
-// bytes are routed entirely along the cache (central) path.
-//
-// The graph uses the per-interval formulation, which is equivalent to the
-// paper's first-to-last-request formulation after supply cancellation at
-// interior nodes: each interval injects size bytes at its start request and
-// withdraws them at its end request; a bypass arc of capacity size and
-// per-byte cost C/S models a miss, while central arcs of zero cost model
-// storing bytes in the cache. A central arc's capacity is the cache size
-// minus the bytes already reserved by stitched boundary intervals over the
-// arc's time span, so segments never overcommit shared capacity.
-//
-// Only request indices that appear as interval endpoints become nodes
-// (consecutive endpoints are joined by a single central arc), which keeps
-// the graph small when rank selection drops intervals.
+// flowSegment labels one segment with the FOO min-cost flow (Figure 4 of
+// the paper): it builds the graph over the segment's intervals, solves it,
+// and marks Admit[i] for every interval whose bytes are routed entirely
+// along the cache (central) path, then lets repairSegment add what the
+// all-or-nothing reading of the flow left out.
 //
 // sc.occ must be sized for the segment and pre-seeded with the boundary
 // occupancy (indices relative to sg.lo); the graph, solver, and buffers in
 // sc are reused across calls.
 func flowSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
+	buildFlowGraph(sg, cfg, sc)
+	_, err := sc.solver.Solve(sc.g)
+	sg.stats = sc.solver.Stats()
+	if err != nil {
+		return fmt.Errorf("FOO flow solve: %w", err)
+	}
+	for k, iv := range sg.ivs {
+		// Cached iff no byte bypassed the cache (§2.1: "verify that all
+		// the request's bytes are routed along the central path").
+		res.Admit[iv.from] = sc.g.Flow(sc.bypass[k]) == 0
+	}
+	repairSegment(sg, cfg, res, sc)
+	return nil
+}
+
+// buildFlowGraph resets sc.g to the FOO graph of one segment and records
+// each interval's bypass edge in sc.bypass.
+//
+// The graph uses the per-interval formulation, which is equivalent to the
+// paper's first-to-last-request formulation after supply cancellation at
+// interior nodes: each interval injects size bytes at its start request and
+// withdraws them at its end request; a bypass arc of capacity size and
+// per-byte cost C/S (made integral by quantiseCosts) models a miss, while
+// central arcs of zero cost model storing bytes in the cache. A central
+// arc's capacity is the cache size minus the bytes already reserved by
+// stitched boundary intervals over the arc's time span, so segments never
+// overcommit shared capacity.
+//
+// Only request indices that appear as interval endpoints become nodes
+// (consecutive endpoints are joined by a single central arc), which keeps
+// the graph small when rank selection drops intervals.
+func buildFlowGraph(sg *segment, cfg Config, sc *solveScratch) {
 	// Collect endpoint request indices and compress to node ids: sort,
 	// dedup in place, and look nodes up by binary search — no maps, so the
 	// hot path stays allocation-free across reuses.
@@ -56,31 +79,65 @@ func flowSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
 		g.AddEdge(k, k+1, free, 0)
 	}
 	// Bypass arcs and supplies per interval.
+	sc.costs, _ = quantiseCosts(sg.ivs, cfg.CostScale, sc.costs)
 	bypass := sc.bypass[:0]
-	for _, iv := range sg.ivs {
-		perByte := iv.cost / float64(iv.size) * float64(cfg.CostScale)
-		c := int64(perByte + 0.5)
-		if c < 1 {
-			c = 1
-		}
+	for k, iv := range sg.ivs {
 		u := sort.SearchInts(idx, iv.from)
 		v := sort.SearchInts(idx, iv.to)
-		bypass = append(bypass, g.AddEdge(u, v, iv.size, c))
+		bypass = append(bypass, g.AddEdge(u, v, iv.size, sc.costs[k]))
 		g.AddSupply(u, iv.size)
 		g.AddSupply(v, -iv.size)
 	}
 	sc.bypass = bypass
+}
 
-	if _, err := sc.solver.Solve(g); err != nil {
-		return fmt.Errorf("FOO flow solve: %w", err)
+// maxFlowCost bounds both the total cost of a segment's flow and the
+// largest node potential the solver can reach, well inside int64.
+const maxFlowCost = 1 << 62
+
+// quantiseCosts turns the intervals' per-byte miss costs C/S into the
+// integral arc costs the flow solver needs: one per interval in out[:0],
+// each C/S times the returned scale, rounded. The scale is chosen per
+// segment: the smallest per-byte cost maps to costScale and the others
+// proportionally, so the cost ratios between intervals survive whatever
+// the objective's unit is. (Under the OHR objective C/S is 1/size, far
+// below one; a single global scale rounded nearly every object to the
+// floor of 1 and the flow minimised missed bytes instead of misses.)
+// Under BHR every C/S is exactly 1 and every arc costs exactly costScale.
+// The scale is capped so that Σ cost·size, the most a flow can cost, and
+// nodes × the largest cost, the most a potential can reach, stay below
+// maxFlowCost; a cost that the cap or a zero C rounds to nothing is
+// floored at 1, since a free bypass arc would make a miss as good as a
+// hit.
+func quantiseCosts(ivs []interval, costScale int64, out []int64) ([]int64, float64) {
+	minPB, maxPB, total := math.Inf(1), 0.0, 0.0
+	for _, iv := range ivs {
+		pb := iv.cost / float64(iv.size)
+		if pb > 0 && pb < minPB {
+			minPB = pb
+		}
+		if pb > maxPB {
+			maxPB = pb
+		}
+		total += iv.cost
 	}
-	for k, iv := range sg.ivs {
-		// Cached iff no byte bypassed the cache (§2.1: "verify that all
-		// the request's bytes are routed along the central path").
-		res.Admit[iv.from] = g.Flow(bypass[k]) == 0
+	scale := float64(costScale)
+	if maxPB > 0 {
+		scale /= minPB
+		nodes := float64(2*len(ivs) + 2)
+		if lim := maxFlowCost / 2 / math.Max(total, nodes*maxPB); scale > lim {
+			scale = lim
+		}
 	}
-	repairSegment(sg, cfg, res, sc)
-	return nil
+	out = slices.Grow(out[:0], len(ivs))
+	for _, iv := range ivs {
+		c := int64(iv.cost/float64(iv.size)*scale + 0.5)
+		if c < 1 {
+			c = 1
+		}
+		out = append(out, c)
+	}
+	return out, scale
 }
 
 // repairSegment greedily re-admits intervals the flow extraction left

@@ -69,12 +69,16 @@ type Config struct {
 	// the flow solver needs. Zero means 1024.
 	CostScale int64
 	// AutoFlowLimit is the interval count up to which a single segment is
-	// solved with the exact flow solver (the successive-shortest-path
-	// solve grows super-linearly in the interval count). With Segments=0
-	// it is also the window size above which the solve auto-segments;
-	// under AlgoAuto a segment that still exceeds the limit (only
-	// possible when Segments forces very few cuts) falls back to the
-	// feasible greedy for that segment alone. Zero means 12000.
+	// solved with the exact flow solver (the solve grows super-linearly
+	// in the interval count). With Segments=0 it is also the window size
+	// above which the solve auto-segments; under AlgoAuto a segment that
+	// still exceeds the limit (only possible when Segments forces very
+	// few cuts) falls back to the feasible greedy for that segment alone.
+	// Zero means 12000, a figure sized for the path-at-a-time solver this
+	// package used to sit on (a 13.6k-interval window took it 50 s; the
+	// primal-dual solver takes 4.9 s) and therefore conservative now;
+	// raising it re-labels every large window, so it waits for its own
+	// measurement.
 	AutoFlowLimit int
 	// Segments controls PFOO-style time-axis segmentation of the solve
 	// (Berger/Beckmann/Harchol-Balter: the FOO flow problem decomposes
@@ -156,6 +160,16 @@ type Result struct {
 	// BoundaryIntervals counts intervals that crossed a segment cut and
 	// were therefore stitched greedily rather than solved exactly.
 	BoundaryIntervals int
+	// FlowAugmentations, FlowPasses and FlowPotentialMoves sum the flow
+	// solver's work over the flow segments (see mcf.Stats): paths flow
+	// was pushed along, breadth-first passes, and Dijkstra runs that
+	// raised the potentials. They say what a window's exact labels cost
+	// independently of the machine; potential moves in the thousands
+	// mean the costs are far from uniform and the solve is back to one
+	// heap search per path.
+	FlowAugmentations  int
+	FlowPasses         int
+	FlowPotentialMoves int
 }
 
 // DroppedIntervals returns the intervals excluded by rank selection and
@@ -293,4 +307,7 @@ func recordSolve(r *obs.Registry, res *Result) {
 	r.Counter("opt_flow_intervals_total").Add(int64(res.FlowIntervals))
 	r.Counter("opt_greedy_intervals_total").Add(int64(res.GreedyIntervals))
 	r.Counter("opt_boundary_intervals_total").Add(int64(res.BoundaryIntervals))
+	r.Counter("opt_flow_augmentations_total").Add(int64(res.FlowAugmentations))
+	r.Counter("opt_flow_passes_total").Add(int64(res.FlowPasses))
+	r.Counter("opt_flow_potential_moves_total").Add(int64(res.FlowPotentialMoves))
 }

@@ -18,13 +18,17 @@ import (
 // byte-identical for any Workers value.
 
 // autoSegmentIntervals is the per-segment interval target when Segments=0
-// auto-segments a window larger than AutoFlowLimit. The successive-
-// shortest-path solve grows super-quadratically in the interval count, so
-// many moderate segments beat one big solve even on a single core. The
-// target trades exactness against time: smaller segments cut more
-// intervals (each stitched greedily instead of solved), larger ones blow
-// up the per-segment solve. ~4000 keeps a segment solve around half a
-// second while labeling the majority of a 100k+-interval window exactly.
+// auto-segments a window larger than AutoFlowLimit. The flow solve grows
+// super-linearly in the interval count, so many moderate segments beat
+// one big solve even on a single core. The target trades exactness
+// against time: smaller segments cut more intervals (each stitched
+// greedily instead of solved), larger ones blow up the per-segment solve.
+// ~4000 was chosen to keep a segment around half a second on the old
+// path-at-a-time solver; the primal-dual solver spends ~0.1 s on such a
+// segment (33 of them in 3.4 s on a 130k-interval window, of which 56 %
+// are labeled exactly), so the target is conservative now: 8 segments
+// label 74 % exactly in 34 s. Moving it re-labels every large window and
+// is left to a change that measures what the extra exactness buys.
 const autoSegmentIntervals = 4000
 
 // segment is one time-axis slice of the window: the request span [lo, hi)
@@ -34,6 +38,7 @@ type segment struct {
 	ivs    []interval // contained intervals, sorted by from
 	bnd    []interval // admitted boundary intervals overlapping the span
 	greedy bool       // true when this segment uses the greedy fallback
+	stats  mcf.Stats  // the flow solver's work counters (zero when greedy)
 }
 
 // solveSegmented partitions the selected intervals into time-axis
@@ -111,6 +116,9 @@ func solveSegmented(tr trLike, selected []interval, cfg Config, res *Result) err
 		} else {
 			res.FlowSegments++
 			res.FlowIntervals += len(segs[i].ivs)
+			res.FlowAugmentations += segs[i].stats.Augmentations
+			res.FlowPasses += segs[i].stats.Passes
+			res.FlowPotentialMoves += segs[i].stats.PotentialMoves
 		}
 	}
 	res.GreedyIntervals += len(boundary) // stitched greedily
@@ -259,6 +267,7 @@ type solveScratch struct {
 	occ    *segTree
 	idx    []int
 	bypass []int
+	costs  []int64
 	rest   []interval
 }
 

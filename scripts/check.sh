@@ -100,9 +100,14 @@ step "alloc budgets"
     # objects every time; ten iterations are enough that the handful the
     # test binary itself allocates per run divides away to the exact figure.
     go test -run '^$' -bench '^BenchmarkTrainWindow$' -benchmem -benchtime 10x ./internal/gbdt
+    # One exact-flow labelling of a default_flow window, cycling four
+    # windows: two rounds. Its budget has headroom for the two request-index
+    # maps, whose overflow buckets vary with the hash seed.
+    go test -run '^$' -bench '^BenchmarkFlowWindow$' -benchmem -benchtime 8x ./internal/opt
 } | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgate.awk
 
-# Short fuzz smoke over the frame codec, the model parser and the scorer. The
+# Short fuzz smoke over the frame codec, the model parser, the scorer and
+# the min-cost flow solver (the last two against their _test.go oracles). The
 # committed seed corpora under testdata/fuzz always replay; the smoke
 # additionally mutates for a few seconds per target. -fuzzminimizetime
 # is capped because the engine's default 60s minimization budget would
@@ -112,5 +117,6 @@ go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 5s -fuzzminimizetime 5s ./
 go test -run '^$' -fuzz '^FuzzMuxFrameDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/server
 go test -run '^$' -fuzz '^FuzzModelLoad$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzScoreMatchesOracle$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
+go test -run '^$' -fuzz '^FuzzSolveMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/mcf
 
 echo "ALL CHECKS PASSED"
