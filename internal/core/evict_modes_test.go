@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"lfo/internal/evict"
+	"lfo/internal/gen"
 	"lfo/internal/obs"
+	"lfo/internal/opt"
 	"lfo/internal/policy"
 	"lfo/internal/sim"
 )
@@ -152,6 +154,8 @@ func TestLFOEvictionObsMetrics(t *testing.T) {
 		"evict_victims_total",
 		"evict_candidate_sets_total",
 		"evict_candidates_total",
+		"evict_scored_rows_total",
+		"evict_score_cache_hits_total",
 		"evict_model_swaps_total",
 	} {
 		if counters[name] == 0 {
@@ -166,5 +170,39 @@ func TestLFOEvictionObsMetrics(t *testing.T) {
 	}
 	if !found {
 		t.Error("core_retrain_evict_train_ns histogram recorded no samples")
+	}
+}
+
+// TestLearnedScoreCacheShare pins what the learned evictor's score cache is
+// worth on the shape of the benchmark's evict_learned workload (web mix,
+// 16 MiB, 5000-request windows, every miss admitted, sampler seed 1), two
+// model-served windows: of the candidates a model-ranked pick samples at
+// most 45 % go through the ranker (measured: about a third), the rest are
+// answered from the residents' cached scores — and both counts repeat
+// exactly, being a function of the trace and the seed alone.
+func TestLearnedScoreCacheShare(t *testing.T) {
+	tr, err := gen.Generate(gen.WebMix(3*5000, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (scored, hits int64) {
+		reg := obs.NewRegistry()
+		lfo, err := New(Config{CacheSize: 16 << 20, WindowSize: 5000, Workers: 1, Eviction: "learned", Seed: 1,
+			Cutoff: CutoffAdmitAll, OPT: opt.Config{Algorithm: opt.AlgoGreedy}, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run(tr, lfo, sim.Options{})
+		if lfo.Windows() != 3 {
+			t.Fatalf("Windows = %d, want 3", lfo.Windows())
+		}
+		return reg.Counter("evict_scored_rows_total").Value(), reg.Counter("evict_score_cache_hits_total").Value()
+	}
+	scored, hits := run()
+	if ranked := scored + hits; scored == 0 || float64(scored) > 0.45*float64(ranked) {
+		t.Errorf("the ranker scored %d of %d sampled candidates (%.1f %%), want at most 45 %%", scored, ranked, 100*float64(scored)/float64(ranked))
+	}
+	if s2, h2 := run(); s2 != scored || h2 != hits {
+		t.Errorf("rerun scored %d rows and hit the score cache %d times, first run %d and %d", s2, h2, scored, hits)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"lfo/internal/trace"
 )
 
-// trainedRanker fits a small real model so the benchmark exercises the
-// flat kernel, not the bootstrap fallback.
-func trainedRanker(b *testing.B) *gbdt.Model {
+// trainedRanker fits a small real model so that a benchmark or test
+// exercises the ranker, not the bootstrap fallback.
+func trainedRanker(b testing.TB) *gbdt.Model {
 	b.Helper()
 	reqs := make([]trace.Request, 2000)
 	admit := make([]bool, len(reqs))
@@ -28,47 +28,36 @@ func trainedRanker(b *testing.B) *gbdt.Model {
 	return m
 }
 
-// BenchmarkPickVictim measures one learned candidate ranking: sample K=64
-// residents, build K feature rows, one PredictMatrix call, take the
-// minimum. This is the eviction hot path and is pinned at 0 allocs/op in
+// BenchmarkPickVictim measures one learned victim pick under churn: time
+// moves on by one unit, one of the 4096 residents is hit or replaced by a
+// new object, then K=64 candidates are sampled and ranked — cached scores
+// copied, lapsed and new ones through the ranker. Without the churn every
+// iteration after the first would read the score cache only. This is the
+// eviction hot path and is pinned at 0 allocs/op in
 // testdata/alloc_budgets.txt.
 func BenchmarkPickVictim(b *testing.B) {
+	const residents = 4096
 	store := sim.NewStore[Meta](64 << 20)
 	l := newLearned(store, Options{Seed: 1})
 	l.SetModel(trainedRanker(b))
-	for i := 0; i < 4096; i++ {
+	for i := 0; i < residents; i++ {
 		e := store.Add(trace.ObjectID(i), 8<<10)
 		l.OnAdmit(e, trace.Request{Time: int64(i), ID: trace.ObjectID(i), Size: 8 << 10, Cost: 1})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Victim(int64(4096 + i))
-	}
-}
-
-// BenchmarkEvictCacheRequest drives the combined cache at steady-state
-// eviction churn with the learned evictor (trained model deployed), the
-// end-to-end per-request cost of learned eviction.
-func BenchmarkEvictCacheRequest(b *testing.B) {
-	c, err := New(Config{CacheSize: 8 << 20, Eviction: "learned", WindowSize: 1 << 30, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.learned.SetModel(trainedRanker(b))
-	const universe = 4096
-	reqs := make([]trace.Request, universe)
-	for i := range reqs {
-		reqs[i] = trace.Request{Time: int64(i), ID: trace.ObjectID(i), Size: 8 << 10, Cost: 1}
-	}
-	for _, r := range reqs {
-		c.Request(r)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := reqs[i%universe]
-		r.Time = int64(universe + i)
-		c.Request(r)
+		now := int64(residents + i)
+		e := store.At(i * 61 % residents)
+		r := trace.Request{Time: now, ID: e.ID, Size: e.Size, Cost: 1}
+		if i%2 == 0 {
+			l.OnHit(e, r)
+		} else {
+			l.OnRemove(e)
+			store.Remove(e.ID)
+			r.ID = trace.ObjectID(residents + i)
+			l.OnAdmit(store.Add(r.ID, r.Size), r)
+		}
+		l.Victim(now)
 	}
 }

@@ -6,10 +6,16 @@
 // over residents, eviction draws K uniform candidates from the store's
 // dense entry index (O(K), allocation-free), scores them with a boosted-
 // tree ranker over lightweight per-object features (size, cost,
-// frequency, age, time-since-last-access), and evicts the minimum. The
-// ranker is trained from the same OPT window labels that train LFO's
-// admission model: an object OPT would not cache now is the ideal
-// eviction victim, so one offline solve per window labels both models.
+// frequency, age, time-since-last-access), and evicts the minimum. A
+// resident keeps its score, in its Meta, for as long as the ranker would
+// provably return the same bits — until it is touched, the model is
+// swapped, or its age or idle time crosses the nearest threshold on its
+// paths through the trees (gbdt's stability horizon) — so a pick runs the
+// ranker on about a third of its candidates and picks the victims it would
+// pick scoring all of them. The ranker is trained from the same OPT window
+// labels that train LFO's admission model: an object OPT would not cache
+// now is the ideal eviction victim, so one offline solve per window labels
+// both models.
 //
 // The package provides the Evictor strategy interface with four
 // implementations over a shared Meta payload — §2.4's likelihood-ranked
@@ -47,11 +53,12 @@ const (
 	FeatIdle        // time since last access
 )
 
-// DefaultCandidates is the sampled candidate set size K. 64 keeps an
-// eviction one inline PredictMatrix call (gbdt hands a goroutine no fewer
-// than 64 rows) while sampling enough of the resident set that the
-// empirical victim quality is close to a full scan. It is a constant, not
-// an option: nothing ever ran with another value.
+// DefaultCandidates is the sampled candidate set size K. 64 samples enough
+// of the resident set that the empirical victim quality is close to a full
+// scan, and the candidate buffers stay a few cache lines; what a pick costs
+// is the candidates whose cached score has lapsed, about a third of them,
+// not K. It is a constant, not an option: nothing ever ran with another
+// value.
 const DefaultCandidates = 64
 
 // Meta is the per-object payload every evictor shares. The embedded
@@ -66,26 +73,41 @@ type Meta struct {
 	Freq int64
 	// Cost is the retrieval cost observed at the last access.
 	Cost float64
-	// Score is the likelihood the owning cache scored the object with at
-	// its last request (or rescore). The cache writes it before OnAdmit
-	// and OnHit; it is the ranked evictor's queue key and the others
-	// ignore it.
+	// Score is the admission likelihood the owning cache scored the object
+	// with at its last request (or rescore). The cache writes it before
+	// OnAdmit and OnHit; it is the ranked evictor's queue key and the others
+	// ignore it. It is not the learned evictor's ranker score: that one is
+	// cached in rank, below.
 	Score float64
+
+	// rank is the learned evictor's score cache: what the eviction ranker of
+	// epoch rankEpoch made of this resident, and the last trace time that
+	// score is still exactly what the ranker would return (see
+	// Learned.pickVictim). Epoch 0 is no ranker's, so the zero Meta that
+	// Store.Add hands out holds nothing cached, whatever the trace's times.
+	rank      float64
+	rankUntil int64
+	rankEpoch uint64
 
 	prev, next *sim.StoreEntry[Meta] // intrusive LRU list
 }
 
 // admitted initializes the metadata of an entry Store.Add just returned
-// (zeroed but for the Score its cache wrote).
+// (zeroed but for the Score its cache wrote). A new residency starts with
+// no ranker score, said here as well so that it does not hang on the
+// zeroing.
 func (m *Meta) admitted(r trace.Request) {
 	m.AdmitTime, m.LastAccess, m.Freq, m.Cost = r.Time, r.Time, 1, r.Cost
+	m.rankEpoch = 0
 }
 
-// touched records a hit.
+// touched records a hit. Frequency, cost and idle time all moved, so a
+// cached ranker score no longer describes the resident.
 func (m *Meta) touched(r trace.Request) {
 	m.LastAccess = r.Time
 	m.Freq++
 	m.Cost = r.Cost
+	m.rankEpoch = 0
 }
 
 // featuresInto fills row (len >= Dim) with the entry's eviction features
@@ -156,6 +178,8 @@ type metrics struct {
 	rankNS         *obs.Histogram
 	candidates     *obs.Counter
 	candidateSets  *obs.Counter
+	scoredRows     *obs.Counter
+	cacheHits      *obs.Counter
 	bootstrapPicks *obs.Counter
 	modelSwaps     *obs.Counter
 }
@@ -165,6 +189,8 @@ func newEvictMetrics(r *obs.Registry) metrics {
 		rankNS:         r.Histogram("evict_rank_ns", obs.LatencyBounds),
 		candidates:     r.Counter("evict_candidates_total"),
 		candidateSets:  r.Counter("evict_candidate_sets_total"),
+		scoredRows:     r.Counter("evict_scored_rows_total"),
+		cacheHits:      r.Counter("evict_score_cache_hits_total"),
 		bootstrapPicks: r.Counter("evict_bootstrap_picks_total"),
 		modelSwaps:     r.Counter("evict_model_swaps_total"),
 	}

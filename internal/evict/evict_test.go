@@ -296,6 +296,27 @@ func TestEvictObsMetrics(t *testing.T) {
 	if reg.Counter("evict_cache_requests_total").Value() != 256 {
 		t.Error("request counter unwired")
 	}
+	// Bootstrap picks rank by last access: nothing goes through a ranker
+	// and nothing is read from the score cache.
+	scored, cacheHits := reg.Counter("evict_scored_rows_total"), reg.Counter("evict_score_cache_hits_total")
+	if scored.Value() != 0 || cacheHits.Value() != 0 {
+		t.Errorf("bootstrap picks scored %d rows and hit the score cache %d times, want 0 and 0", scored.Value(), cacheHits.Value())
+	}
+	// With a ranker deployed every sampled candidate is either scored or
+	// answered from the cache, and both happen: the 32 residents are all
+	// candidates of every pick, one of them new each time.
+	bootCands := reg.Counter("evict_candidates_total").Value()
+	c.learned.SetModel(trainedRanker(t))
+	for i := 256; i < 512; i++ {
+		c.Request(trace.Request{Time: int64(i), ID: trace.ObjectID(i), Size: 8 << 10, Cost: 1})
+	}
+	ranked := reg.Counter("evict_candidates_total").Value() - bootCands
+	if ranked == 0 || scored.Value() == 0 || cacheHits.Value() == 0 || scored.Value()+cacheHits.Value() != ranked {
+		t.Errorf("model-ranked picks saw %d candidates: %d scored + %d from the score cache", ranked, scored.Value(), cacheHits.Value())
+	}
+	if boots := reg.Counter("evict_bootstrap_picks_total").Value(); boots != victims {
+		t.Errorf("bootstrap picks went from %d to %d under a deployed ranker", victims, boots)
+	}
 }
 
 // TestVictimTiers pins the size-tier classification boundaries.

@@ -1,6 +1,8 @@
 package evict
 
 import (
+	"math"
+
 	"lfo/internal/gbdt"
 	"lfo/internal/obs"
 	"lfo/internal/pq"
@@ -65,27 +67,32 @@ func (k *Ranked) Rescore(e *sim.StoreEntry[Meta], score float64) {
 func (k *Ranked) Len() int { return k.q.Len() }
 
 // Learned is the sampled-candidate learned evictor: Victim draws K
-// uniform candidates from the store's dense index, scores them with the
-// deployed ranker in one PredictMatrix call, and returns the minimum
-// (the object the model believes OPT is least likely to keep). Before
-// the first model deploys it falls back to sampled-LRU: the candidate
-// with the oldest LastAccess.
+// uniform candidates from the store's dense index, ranks them with the
+// deployed ranker, and returns the minimum (the object the model believes
+// OPT is least likely to keep). Before the first model deploys it falls
+// back to sampled-LRU: the candidate with the oldest LastAccess.
 //
-// All candidate buffers are preallocated at construction, so a pick is
-// allocation-free; the sampler is a seeded SplitMix64 stream, so victim
-// sequences are byte-reproducible for a given seed.
+// A resident's score is kept in its Meta and reused for as long as it is
+// provably the bits the ranker would return (pickVictim), so a pick runs
+// the ranker only on the candidates whose score has lapsed; the victims are
+// those of scoring all K afresh. The candidate buffer is preallocated, so a
+// pick is allocation-free; the sampler is a seeded SplitMix64 stream, so
+// victim sequences are byte-reproducible for a given seed.
 type Learned struct {
-	store  *sim.Store[Meta]
-	model  *gbdt.Model
-	rng    uint64
-	rows   [DefaultCandidates * Dim]float64
-	scores [DefaultCandidates]float64
-	cands  [DefaultCandidates]*sim.StoreEntry[Meta]
-	m      metrics
+	store *sim.Store[Meta]
+	model *gbdt.Model
+	rng   uint64
+	cands [DefaultCandidates]*sim.StoreEntry[Meta]
+	// epoch names the cached scores that may still be used: those written
+	// since the last model swap and the last backwards step of time.
+	epoch uint64
+	// now is the trace time of the latest model-ranked pick.
+	now int64
+	m   metrics
 }
 
 func newLearned(store *sim.Store[Meta], opts Options) *Learned {
-	return &Learned{store: store, rng: uint64(opts.Seed), m: newEvictMetrics(opts.Obs)}
+	return &Learned{store: store, rng: uint64(opts.Seed), epoch: 1, now: math.MinInt64, m: newEvictMetrics(opts.Obs)}
 }
 
 // Name implements Evictor.
@@ -106,9 +113,11 @@ func (l *Learned) OnRemove(e *sim.StoreEntry[Meta]) {}
 
 // SetModel deploys a trained eviction ranker. The swap is atomic with
 // respect to requests (the owning cache is single-threaded), so every
-// subsequent Victim ranks with the new model.
+// subsequent Victim ranks with the new model; the scores the old one left
+// in the residents' Meta lapse with the epoch.
 func (l *Learned) SetModel(m *gbdt.Model) {
 	l.model = m
+	l.epoch++
 	l.m.modelSwaps.Inc()
 }
 
@@ -119,25 +128,45 @@ func (l *Learned) Model() *gbdt.Model { return l.model }
 // annotated zero-allocation pick.
 func (l *Learned) Victim(now int64) trace.ObjectID {
 	sc := obs.Start(l.m.rankNS)
-	id, n := l.pickVictim(now)
+	id, n, scored := l.pickVictim(now)
 	sc.Stop()
 	l.m.candidateSets.Inc()
 	l.m.candidates.Add(int64(n))
 	if l.model == nil {
 		l.m.bootstrapPicks.Inc()
+	} else {
+		l.m.scoredRows.Add(int64(scored))
+		l.m.cacheHits.Add(int64(n - scored))
 	}
 	return id
 }
 
+// movingFeats are the eviction features that change while a resident is
+// left alone: both grow with trace time, the other three move only in
+// touched.
+var movingFeats = [...]int{FeatAge, FeatIdle}
+
 // pickVictim samples min(K, Len) candidates with replacement and returns
-// the lowest-scored one (first-wins on ties, so results are independent
-// of scoring order). This is the per-eviction hot path: no map lookups,
-// no allocation — candidate rows are built straight from entry metadata
-// and scored with one PredictMatrix call at workers=1.
+// the lowest-scored one (first-wins on ties), with the number of candidates
+// and how many of them went through the ranker. This is the per-eviction
+// hot path: no map lookups, no allocation.
+//
+// Only a candidate without a valid cached score is scored: its row is built
+// straight from the entry's metadata and goes through PredictStable, which
+// returns with the score how far age and idle time may grow before any
+// tree's exit leaf can move. Both grow by exactly the trace time that
+// passes, so the score is the ranker's, bit for bit, until the earlier of
+// AdmitTime + ⌊age limit⌋ and LastAccess + ⌊idle limit⌋, and until then a
+// pick copies it. What else could change it ends the cached score's life
+// explicitly: a hit or a (re-)admission (touched, admitted), a model swap
+// (SetModel), and a pick earlier than the one before — the horizon only
+// looks forward — which start a new epoch. The minimum is therefore taken
+// over the same scores in the same candidate order as scoring all of them
+// afresh would give: same victims, same sampler stream.
 //
 //lfo:hotpath
-func (l *Learned) pickVictim(now int64) (trace.ObjectID, int) {
-	n := DefaultCandidates
+func (l *Learned) pickVictim(now int64) (id trace.ObjectID, n, scored int) {
+	n = DefaultCandidates
 	resident := l.store.Len()
 	if resident <= n {
 		// Small resident set: scan it exhaustively instead of sampling
@@ -145,34 +174,66 @@ func (l *Learned) pickVictim(now int64) (trace.ObjectID, int) {
 		// minimum). The pick is then exact, not approximate.
 		n = resident
 		for i := 0; i < n; i++ {
-			e := l.store.At(i)
-			l.cands[i] = e
-			featuresInto(l.rows[i*Dim:(i+1)*Dim], e.Size, &e.Payload, now)
+			l.cands[i] = l.store.At(i)
 		}
 	} else {
 		for i := 0; i < n; i++ {
-			e := l.store.At(l.intn(resident))
-			l.cands[i] = e
-			featuresInto(l.rows[i*Dim:(i+1)*Dim], e.Size, &e.Payload, now)
+			l.cands[i] = l.store.At(l.intn(resident))
 		}
 	}
-	best := 0
+	best := l.cands[0]
 	if l.model == nil {
 		// Bootstrap: sampled-LRU (oldest last access wins).
-		for i := 1; i < n; i++ {
-			if l.cands[i].Payload.LastAccess < l.cands[best].Payload.LastAccess {
-				best = i
+		for _, e := range l.cands[1:n] {
+			if e.Payload.LastAccess < best.Payload.LastAccess {
+				best = e
 			}
 		}
-		return l.cands[best].ID, n
+		return best.ID, n, 0
 	}
-	l.model.PredictMatrix(l.rows[:n*Dim], l.scores[:n], 1)
-	for i := 1; i < n; i++ {
-		if l.scores[i] < l.scores[best] {
-			best = i
+	if now < l.now {
+		l.epoch++
+	}
+	l.now = now
+	var row [Dim]float64
+	var limits [len(movingFeats)]float64
+	bestScore := math.Inf(1)
+	for _, e := range l.cands[:n] {
+		m := &e.Payload
+		if m.rankEpoch != l.epoch || now > m.rankUntil {
+			featuresInto(row[:], e.Size, m, now)
+			m.rank = l.model.PredictStable(row[:], movingFeats[:], limits[:])
+			m.rankUntil = min(addFloor(m.AdmitTime, limits[0]), addFloor(m.LastAccess, limits[1]))
+			m.rankEpoch = l.epoch
+			scored++
+		}
+		if m.rank < bestScore {
+			best, bestScore = e, m.rank
 		}
 	}
-	return l.cands[best].ID, n
+	return best.ID, n, scored
+}
+
+// addFloor returns t + ⌊d⌋ saturated to the int64 range, for d not NaN:
+// the last whole trace time a feature that starts counting at t is still at
+// most d.
+//
+//lfo:hotpath
+func addFloor(t int64, d float64) int64 {
+	switch {
+	case d >= 1<<63:
+		return math.MaxInt64
+	case d < -(1 << 63):
+		return math.MinInt64
+	}
+	f := int64(math.Floor(d))
+	switch {
+	case f > 0 && t > math.MaxInt64-f:
+		return math.MaxInt64
+	case f < 0 && t < math.MinInt64-f:
+		return math.MinInt64
+	}
+	return t + f
 }
 
 // next advances the SplitMix64 stream (same mixer as the fleet ring).

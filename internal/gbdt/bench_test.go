@@ -144,6 +144,66 @@ func windowDataset(n int, seed int64) *Dataset {
 	return DatasetFromMatrix(dim, x, y)
 }
 
+// evictionDataset draws n rows shaped like the learned evictor's (evict.Dim
+// = 5 columns: size, cost, frequency, age, idle time, the last two whole
+// trace-time units with idle <= age) and, as evict.BuildDataset leaves
+// them, NaN in age and idle for the third of the rows that are a first
+// sight. Labels follow frequency and idle time, with noise, so the trees
+// split on the two moving features at many thresholds.
+func evictionDataset(n int, seed int64) *Dataset {
+	const dim = 5
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]float64, n*dim)
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		row := x[i*dim : (i+1)*dim]
+		size := math.Floor(math.Exp(9.4 + rng.NormFloat64()))
+		freq := 1 + math.Floor(rng.ExpFloat64()*2)
+		age := math.Floor(rng.ExpFloat64() * 4000)
+		idle := math.Floor(age * rng.Float64())
+		row[0], row[1], row[2], row[3], row[4] = size, 1, freq, age, idle
+		score := math.Log1p(freq) + 3 - math.Log1p(idle)/2
+		if rng.Float64() < 0.33 {
+			row[2], row[3], row[4] = 1, math.NaN(), math.NaN()
+			score = -0.5
+		}
+		if score+rng.NormFloat64() > 0.5 {
+			y[i] = 1
+		}
+	}
+	return DatasetFromMatrix(dim, x, y)
+}
+
+// BenchmarkPredictStable is one miss of the learned evictor's score cache:
+// a 30-tree ranker over eviction-shaped rows, scored together with the
+// stability horizons of age and idle time. Pinned to 0 allocs/op in
+// testdata/alloc_budgets.txt.
+func BenchmarkPredictStable(b *testing.B) {
+	p := DefaultParams()
+	p.Workers = 1
+	m, err := Train(evictionDataset(10000, 1), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := evictionDataset(benchRows, 2).x
+	for i, v := range rows {
+		if math.IsNaN(v) { // a resident always has an age
+			rows[i] = float64(i % 3000)
+		}
+	}
+	feats, limits := []int{3, 4}, make([]float64, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		r := i % benchRows * m.Dim
+		sink += m.PredictStable(rows[r:r+m.Dim], feats, limits) + limits[0]
+	}
+	if sink == -1 {
+		b.Fatal("impossible")
+	}
+}
+
 // BenchmarkTrainWindow is one window handoff's training: 30 default trees
 // on 10 000 window-shaped rows, single worker. Its allocs/op are pinned in
 // testdata/alloc_budgets.txt (scripts/check.sh): the trainer's scratch —

@@ -45,6 +45,13 @@ import (
 // window model is one block. Leaf values are summed base + tree 0 + tree 1 +
 // … exactly like the pointer walk (Tree.predict), so every score is
 // bit-identical to it.
+//
+// The vector the scans leave also says how long a score lasts. A feature
+// that only grows — an object's age — can only turn true tests false, and
+// of those only the ones that would clear a tree's lowest set bit move a
+// leaf: PredictStable reports, with the score, the nearest such threshold
+// per feature asked for (horizon), and a caller keeps the score until the
+// feature passes it instead of scoring again.
 
 // scratchWords is the size of the on-stack bitvector and so the most words
 // a block of trees may use.
@@ -116,6 +123,15 @@ type block struct {
 	// feature's entries.
 	suffix []uint64
 	tail   []int32
+	// wide lists the trees of more than one word, for the stability horizon
+	// (see horizon); a window model has none.
+	wide []wideTree
+}
+
+// wideTree is the run of bitvector words [first, end) one tree of more than
+// 64 leaves takes.
+type wideTree struct {
+	first, end uint32
 }
 
 // featRange locates one split feature's entries in Flat.ents and its
@@ -380,6 +396,15 @@ func (f *Flat) finishBlock(words, tree0, ent0 int) {
 		copy(row, b.suffix[n*words:])
 		f.applyNaN(row, ft)
 	}
+	for i, t := range b.trees {
+		end := uint32(words)
+		if i+1 < len(b.trees) {
+			end = b.trees[i+1].word
+		}
+		if end-t.word > 1 {
+			b.wide = append(b.wide, wideTree{first: t.word, end: end})
+		}
+	}
 	f.blocks = append(f.blocks, b)
 	f.words = max(f.words, words)
 }
@@ -424,6 +449,19 @@ func (f *Flat) applyNaN(v []uint64, ft featRange) {
 	}
 }
 
+// skip returns how many of the checkpoints of a feature's entries es, one
+// every step of them, value x is past: the entries before the c-th all have
+// a threshold x exceeds.
+//
+//lfo:hotpath
+func skip(es []entry, step int, x float64) int {
+	c := 0
+	for (c+1)*step <= len(es) && es[(c+1)*step-1].thr < x {
+		c++
+	}
+	return c
+}
+
 // scan takes from v the leaves that value x of feature ft rules out: those
 // of the feature's entries, ascending, whose threshold x exceeds. It is the
 // scorer's inner loop, kept a function of its own so that the loop's few
@@ -432,11 +470,7 @@ func (f *Flat) applyNaN(v []uint64, ft featRange) {
 //lfo:hotpath
 func (f *Flat) scan(v []uint64, b *block, ft featRange, x float64) {
 	es := f.ents[ft.lo:ft.hi]
-	c := 0
-	for (c+1)*b.step <= len(es) && es[(c+1)*b.step-1].thr < x {
-		c++
-	}
-	if c > 0 {
+	if c := skip(es, b.step, x); c > 0 {
 		check := b.checks[int(ft.check)+(c-1)*len(v):][:len(v)]
 		for i := range v {
 			v[i] &= check[i]
@@ -452,44 +486,126 @@ func (f *Flat) scan(v []uint64, b *block, ft featRange, x float64) {
 	}
 }
 
-// score returns the unsquashed margin of one row; bv is scratch of at least
-// the widest block's words.
+// scoreBlock adds to s the leaves row reaches in the trees of block b and
+// leaves in bv[:b.words] the bitvector that says so; bv is scratch of at
+// least the widest block's words. A row's unsquashed margin is the base
+// score taken through every block in turn — a loop its three callers each
+// write out, so that a prediction is no deeper in calls than the scan needs.
 //
 //lfo:hotpath
-func (f *Flat) score(row []float64, bv []uint64) float64 {
+func (f *Flat) scoreBlock(b *block, row []float64, bv []uint64, s float64) float64 {
 	leaves := f.leaves
-	s := f.base
-	for bi := range f.blocks {
-		b := &f.blocks[bi]
-		v := bv[:b.words]
-		feats := b.feats
-		// The row's NaN suffix, as far as the table goes.
-		n := 0
-		for _, ft := range b.tail {
-			if !math.IsNaN(row[ft]) {
-				break
-			}
-			n++
+	v := bv[:b.words]
+	feats := b.feats
+	// The row's NaN suffix, as far as the table goes.
+	n := 0
+	for _, ft := range b.tail {
+		if !math.IsNaN(row[ft]) {
+			break
 		}
-		copy(v, b.suffix[n*len(v):])
-		for _, ft := range feats[:len(feats)-n] {
-			x := row[ft.feature]
-			if math.IsNaN(x) {
-				f.applyNaN(v, ft)
-				continue
-			}
-			f.scan(v, b, ft, x)
+		n++
+	}
+	copy(v, b.suffix[n*len(v):])
+	for _, ft := range feats[:len(feats)-n] {
+		x := row[ft.feature]
+		if math.IsNaN(x) {
+			f.applyNaN(v, ft)
+			continue
 		}
-		for _, t := range b.trees {
-			w, x := t.word, v[t.word]
-			for x == 0 { // a tree of several words: the leaf is further on
-				w++
-				x = v[w]
-			}
-			s += leaves[t.leaf+(w-t.word)<<6+uint32(bits.TrailingZeros64(x))]
+		f.scan(v, b, ft, x)
+	}
+	for _, t := range b.trees {
+		w, x := t.word, v[t.word]
+		for x == 0 { // a tree of several words: the leaf is further on
+			w++
+			x = v[w]
 		}
+		s += leaves[t.leaf+(w-t.word)<<6+uint32(bits.TrailingZeros64(x))]
 	}
 	return s
+}
+
+// horizon lowers limits[k] to the stability horizon of feature ask[k] in
+// block b, whose bitvector v the scans of row have just left: the largest
+// value the feature may grow to with every tree of the block still ending in
+// the same leaf.
+//
+// After the scans a tree's exit leaf is the lowest bit set in its words. A
+// value that grows can only turn tests v <= threshold from true to false,
+// and a test turned false clears the leaves under its left child; that moves
+// the tree's lowest set bit only if the exit leaf is one of them, i.e. the
+// test lies on the row's own root-to-leaf path and the row went left there.
+// The feature's still-true tests are the entries from the first whose
+// threshold the value does not exceed, ascending, so the first of them that
+// would clear its tree's exit leaf is the nearest threshold on any path:
+// for every value in [x, that threshold] the trees exit where they do now.
+// The entries skipped on the way clear only leaves that are not exits, so
+// the horizons of several features hold jointly: move all of them inside
+// their intervals at once and no exit leaf moves, hence not one bit of the
+// sum. A NaN value takes default directions instead of tests and has no
+// horizon; its limit stays NaN.
+//
+//lfo:hotpath
+func (f *Flat) horizon(b *block, v []uint64, row []float64, ask []int, limits []float64) {
+	// The tests below read a word's lowest set bit as its tree's exit leaf.
+	// In a tree of several words that holds for the exit word only; the words
+	// before it are zero already, zero the ones behind it.
+	for _, t := range b.wide {
+		w := t.first
+		for v[w] == 0 {
+			w++
+		}
+		for w++; w < t.end; w++ {
+			v[w] = 0
+		}
+	}
+	for k, feature := range ask {
+		x := row[feature]
+		// The block's split features are ascending: find this one.
+		lo, hi := 0, len(b.feats)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); int(b.feats[mid].feature) < feature {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == len(b.feats) || int(b.feats[lo].feature) != feature || math.IsNaN(x) {
+			continue
+		}
+		es := f.ents[b.feats[lo].lo:b.feats[lo].hi]
+		i := skip(es, b.step, x) * b.step
+		for i < len(es) && es[i].thr < x {
+			i++
+		}
+		for limit := limits[k]; i < len(es) && es[i].thr < limit; i++ {
+			// Would e, its test false, clear the exit leaf of its tree?
+			e := &es[i]
+			if r := uint(e.ref); r < uint(len(v)) {
+				if x := v[r]; x&-x&^e.mask == 0 {
+					continue
+				}
+			} else if !f.exitsWide(v, e) {
+				continue
+			}
+			limits[k] = e.thr
+			break
+		}
+	}
+}
+
+// exitsWide is horizon's test for an entry that clears a span of words.
+//
+//lfo:hotpath
+func (f *Flat) exitsWide(v []uint64, e *entry) bool {
+	sp := &f.spans[e.ref&^wideRef]
+	x := v[sp.first]
+	hit := x & -x &^ e.mask
+	for w := sp.first + 1; w < sp.last; w++ {
+		hit |= v[w]
+	}
+	x = v[sp.last]
+	return hit|x&-x&^sp.lastMask != 0
 }
 
 // RawPredict returns the unsquashed margin for one feature row.
@@ -498,7 +614,12 @@ func (f *Flat) score(row []float64, bv []uint64) float64 {
 func (f *Flat) RawPredict(row []float64) float64 {
 	mustRowDim(len(row), f.dim)
 	var stack [scratchWords]uint64
-	return f.score(row, f.scratch(stack[:]))
+	bv := f.scratch(stack[:])
+	s := f.base
+	for bi := range f.blocks {
+		s = f.scoreBlock(&f.blocks[bi], row, bv, s)
+	}
+	return s
 }
 
 // scratch returns the bitvector to score with: the caller's, from its
@@ -520,6 +641,39 @@ func (f *Flat) Predict(row []float64) float64 {
 	return sigmoid(f.RawPredict(row))
 }
 
+// PredictStable returns Predict(row) and, in limits[k], the stability
+// horizon of feature feats[k]: the largest value, at least row[feats[k]],
+// that the feature may take with the score staying bit for bit what it is —
+// for every row that differs from this one only in the features asked for,
+// each anywhere between its value and its limit, all of them at once. The
+// limit is the threshold of the nearest test on the row's root-to-leaf paths
+// that growth would flip (the value itself when it sits on one), +Inf when
+// no such test is left or no tree splits on the feature, and NaN for a NaN
+// value, which follows default directions and has no neighbourhood. The
+// learned evictor keeps a resident's score until age or idle time crosses
+// its limit instead of scoring it again at every pick.
+//
+//lfo:hotpath
+func (f *Flat) PredictStable(row []float64, feats []int, limits []float64) float64 {
+	mustRowDim(len(row), f.dim)
+	mustStableArgs(feats, len(limits), f.dim)
+	for k, feature := range feats {
+		limits[k] = math.Inf(1)
+		if math.IsNaN(row[feature]) {
+			limits[k] = row[feature]
+		}
+	}
+	var stack [scratchWords]uint64
+	bv := f.scratch(stack[:])
+	s := f.base
+	for bi := range f.blocks {
+		b := &f.blocks[bi]
+		s = f.scoreBlock(b, row, bv, s)
+		f.horizon(b, bv[:b.words], row, feats, limits)
+	}
+	return sigmoid(s)
+}
+
 // matrixArgs carries one batched call's bindings through par.RangesArg, so
 // the hot entry points hand par a static package function instead of
 // allocating a capturing closure per call.
@@ -537,7 +691,12 @@ func flatScoreRange(a matrixArgs, lo, hi int) {
 	bv := a.f.scratch(stack[:])
 	dim := a.f.dim
 	for i := lo; i < hi; i++ {
-		a.out[i] = sigmoid(a.f.score(a.rows[i*dim:(i+1)*dim], bv))
+		row := a.rows[i*dim : (i+1)*dim]
+		s := a.f.base
+		for bi := range a.f.blocks {
+			s = a.f.scoreBlock(&a.f.blocks[bi], row, bv, s)
+		}
+		a.out[i] = sigmoid(s)
 	}
 }
 
@@ -559,6 +718,19 @@ func (f *Flat) PredictMatrix(rows, out []float64, workers int) {
 func mustRowDim(n, dim int) {
 	if n != dim {
 		panic(fmt.Sprintf("gbdt: row dim %d != model dim %d", n, dim))
+	}
+}
+
+// mustStableArgs validates PredictStable's feature list outside the
+// annotated kernels, for the same reason as mustRowDim.
+func mustStableArgs(feats []int, limits, dim int) {
+	if len(feats) != limits {
+		panic(fmt.Sprintf("gbdt: %d features asked for, room for %d limits", len(feats), limits))
+	}
+	for _, feature := range feats {
+		if feature < 0 || feature >= dim {
+			panic(fmt.Sprintf("gbdt: feature %d asked for, model dim %d", feature, dim))
+		}
 	}
 }
 

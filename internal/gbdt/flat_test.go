@@ -206,16 +206,21 @@ func TestUncompiledModelRefuses(t *testing.T) {
 	for name, call := range map[string]func(){
 		"Predict":       func() { m.Predict([]float64{0, 0}) },
 		"PredictMatrix": func() { m.PredictMatrix([]float64{0, 0}, []float64{0}, 1) },
+		"PredictStable": func() { m.PredictStable([]float64{0, 0}, nil, nil) },
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on an uncompiled model did not panic", name)
-				}
-			}()
-			call()
-		}()
+		mustPanic(t, name+" on an uncompiled model", call)
 	}
+}
+
+// mustPanic fails unless call panics.
+func mustPanic(t *testing.T, what string, call func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	call()
 }
 
 // mustMatchOracle fails unless the compiled scorer returns, for every one
@@ -397,17 +402,6 @@ func TestScoreEdgeValues(t *testing.T) {
 // chains — each split's left (or right) child a leaf — long enough that an
 // entry clears whole words and one tree outgrows the on-stack bitvector.
 func TestScoreDegenerateModels(t *testing.T) {
-	chain := func(leaves int, leafLeft bool) Tree {
-		var nodes []node
-		for i := 0; i < leaves-1; i++ {
-			n := node{Feature: int32(i % 3), Threshold: float64(i%11) - 5, MissingLeft: i%2 == 0, Left: int32(2*i + 1), Right: int32(2*i + 2)}
-			if !leafLeft {
-				n.Left, n.Right = n.Right, n.Left
-			}
-			nodes = append(nodes, n, node{Feature: -1, Value: float64(i) / 64})
-		}
-		return Tree{Nodes: append(nodes, node{Feature: -1, Value: -1})}
-	}
 	leaf := Tree{Nodes: []node{{Feature: -1, Value: 0.75}}}
 	cases := []struct {
 		name  string
@@ -420,9 +414,9 @@ func TestScoreDegenerateModels(t *testing.T) {
 			{Feature: 1, Threshold: 4, MissingLeft: true, Left: 1, Right: 2},
 			{Feature: -1, Value: -0.25}, {Feature: -1, Value: 0.125},
 		}}, leaf}, 3},
-		{"130-leaf chains", []Tree{chain(130, true), chain(130, false)}, 6},
-		{"65-leaf chain", []Tree{chain(65, false)}, 2},
-		{"4200-leaf chains beside small trees", []Tree{leaf, chain(4200, false), chain(5, true), chain(4200, true)}, 66},
+		{"130-leaf chains", []Tree{chainTree(130, true), chainTree(130, false)}, 6},
+		{"65-leaf chain", []Tree{chainTree(65, false)}, 2},
+		{"4200-leaf chains beside small trees", []Tree{leaf, chainTree(4200, false), chainTree(5, true), chainTree(4200, true)}, 66},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -442,6 +436,189 @@ func TestScoreDegenerateModels(t *testing.T) {
 			nanSuffix(rows, m.Dim, 1)
 			mustMatchOracle(t, m, rows)
 		})
+	}
+}
+
+// chainTree grows a tree whose every split has a leaf for its left child
+// (or, with leafLeft false, its right), over three features and eleven
+// thresholds: with enough leaves its entries clear whole words.
+func chainTree(leaves int, leafLeft bool) Tree {
+	var nodes []node
+	for i := 0; i < leaves-1; i++ {
+		n := node{Feature: int32(i % 3), Threshold: float64(i%11) - 5, MissingLeft: i%2 == 0, Left: int32(2*i + 1), Right: int32(2*i + 2)}
+		if !leafLeft {
+			n.Left, n.Right = n.Right, n.Left
+		}
+		nodes = append(nodes, n, node{Feature: -1, Value: float64(i) / 64})
+	}
+	return Tree{Nodes: append(nodes, node{Feature: -1, Value: -1})}
+}
+
+// mustMatchHorizon fails unless PredictStable returns, for every row,
+// Predict's bits and the pointer walk's horizon for the features asked for
+// (feats, or two the rng draws per row), and unless the pointer walk scores
+// the same bits with those features moved, together, to their limits and to
+// points drawn between value and limit.
+func mustMatchHorizon(t *testing.T, m *Model, rows []float64, rng *splitMix, feats ...int) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	ask := feats
+	if len(ask) == 0 {
+		ask = make([]int, min(m.Dim, 2))
+	}
+	limits := make([]float64, len(ask))
+	moved := make([]float64, m.Dim)
+	for i := 0; i < len(rows); i += m.Dim {
+		row := rows[i : i+m.Dim]
+		if len(feats) == 0 {
+			ask[0] = int(rng.next() % uint64(m.Dim))
+			for k := 1; k < len(ask); k++ {
+				ask[k] = (ask[0] + 1 + int(rng.next()%uint64(m.Dim-1))) % m.Dim
+			}
+		}
+		got, want := m.PredictStable(row, ask, limits), sigmoid(m.nodeRawPredict(row))
+		if !same(got, want) || !same(got, m.Predict(row)) {
+			t.Fatalf("row %v: PredictStable %v, Predict %v, oracle %v", row, got, m.Predict(row), want)
+		}
+		for k, ft := range ask {
+			if ref := m.referenceHorizon(row, ft); !same(limits[k], ref) {
+				t.Fatalf("row %v feature %d: horizon %v, oracle %v", row, ft, limits[k], ref)
+			}
+		}
+		for try := 0; try < 4; try++ {
+			copy(moved, row)
+			for k, ft := range ask {
+				if math.IsNaN(row[ft]) {
+					continue // no horizon: the feature stays where it is
+				}
+				moved[ft] = limits[k]
+				if try > 0 {
+					moved[ft] = between(rng, row[ft], limits[k])
+				}
+			}
+			if at := sigmoid(m.nodeRawPredict(moved)); !same(at, want) {
+				t.Fatalf("row %v scores %v, but %v with features %v inside their horizons %v, at %v", row, want, at, ask, limits, moved)
+			}
+		}
+	}
+}
+
+// between draws a value in [lo, hi]: an end, one ulp inside an end, or a
+// point in the interior.
+func between(rng *splitMix, lo, hi float64) float64 {
+	var v float64
+	switch rng.next() % 4 {
+	case 0:
+		v = math.Nextafter(lo, math.Inf(1))
+	case 1:
+		v = math.Nextafter(hi, math.Inf(-1))
+	case 2:
+		return lo
+	default:
+		u := rng.float()
+		v = math.Max(lo, -math.MaxFloat64)*(1-u) + math.Min(hi, math.MaxFloat64)*u
+	}
+	return math.Min(math.Max(v, lo), hi)
+}
+
+// TestPredictStableMatchesOracle: the stability horizon against the pointer
+// walk (referenceHorizon) on trained models shaped like a window's and like
+// the evictor's, and on hand-grown ones of every layout the scorer treats
+// differently: one-word trees, trees of several words whose entries clear a
+// span, several blocks, thresholds shared across trees, values exactly on a
+// threshold (the limit is the value itself), no true test left (+Inf), NaN
+// in the other features, NaN and ±Inf in the feature asked for, and a
+// feature no tree splits on.
+func TestPredictStableMatchesOracle(t *testing.T) {
+	train := func(d *Dataset) *Model {
+		p := DefaultParams()
+		p.Workers = 1
+		m, err := Train(d, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	rng := splitMix{s: 2718}
+	t.Run("window model", func(t *testing.T) {
+		m := train(windowDataset(3000, 5))
+		rows := windowDataset(300, 6).x
+		mustMatchHorizon(t, m, rows, &rng)
+		mustMatchHorizon(t, m, rows, &rng, 0, 3) // size and the newest gap
+	})
+	t.Run("eviction model", func(t *testing.T) {
+		m := train(evictionDataset(4000, 1))
+		rows := evictionDataset(400, 2).x
+		mustMatchHorizon(t, m, rows, &rng, 3, 4) // a first-seen row is NaN in both
+		for i, v := range rows {
+			if math.IsNaN(v) { // what the evictor sends: whole numbers, never NaN
+				rows[i] = float64(rng.next() % 5000)
+			}
+		}
+		mustMatchHorizon(t, m, rows, &rng, 3, 4)
+		mustMatchHorizon(t, m, rows, &rng, 4)
+		mustMatchHorizon(t, m, rows, &rng)
+	})
+	leaf := Tree{Nodes: []node{{Feature: -1, Value: 0.75}}}
+	for _, tc := range []struct {
+		name string
+		m    *Model
+	}{
+		{"one-word trees", randomModel(&rng, 6, 30, 31)},
+		{"stumps and single leaves", randomModel(&rng, 3, 40, 2)},
+		{"multi-word trees", randomModel(&rng, 5, 7, 300)},
+		{"several blocks", randomModel(&rng, 4, 150, 40)},
+		{"wide trees in several blocks", randomModel(&rng, 9, 20, 900)},
+		{"one feature", randomModel(&rng, 1, 12, 31)},
+		{"no trees", &Model{Dim: 3, BaseScore: 0.25}},
+		{"130-leaf chains", &Model{Dim: 3, Trees: []Tree{chainTree(130, true), chainTree(130, false)}}},
+		{"4200-leaf chains beside small trees", &Model{Dim: 3, BaseScore: -0.5,
+			Trees: []Tree{leaf, chainTree(4200, false), chainTree(5, true), chainTree(4200, true)}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			if err := m.Compile(); err != nil {
+				t.Fatal(err)
+			}
+			rows := gridRows(&rng, 300, m.Dim)
+			for i := 0; i < len(rows); i += 7 {
+				rows[i] = float64(int(rng.next()%13)) - 6.5 // between the chains' thresholds
+			}
+			mustMatchHorizon(t, m, rows, &rng)
+			nanSuffix(rows, m.Dim, (m.Dim+1)/2)
+			mustMatchHorizon(t, m, rows, &rng)
+		})
+	}
+	t.Run("a feature no tree splits on", func(t *testing.T) {
+		m := randomModel(&rng, 4, 30, 31)
+		m.Dim = 6
+		if err := m.Compile(); err != nil {
+			t.Fatal(err)
+		}
+		rows := gridRows(&rng, 100, m.Dim)
+		mustMatchHorizon(t, m, rows, &rng, 5, 1, 4)
+		var limits [1]float64
+		for i := 0; i < len(rows); i += m.Dim {
+			m.PredictStable(rows[i:i+m.Dim], []int{4}, limits[:])
+			if !math.IsNaN(rows[i+4]) && !math.IsInf(limits[0], 1) {
+				t.Fatalf("horizon %v of a feature the model never tests, want +Inf", limits[0])
+			}
+		}
+	})
+}
+
+// TestPredictStableRefusesBadArgs: a feature outside the model or a limits
+// slice of the wrong length is a caller bug and panics with a message.
+func TestPredictStableRefusesBadArgs(t *testing.T) {
+	m := trainedFlatModel(t, 13, 5)
+	row := make([]float64, m.Dim)
+	for name, call := range map[string]func(){
+		"a feature past dim": func() { m.PredictStable(row, []int{5}, make([]float64, 1)) },
+		"a negative feature": func() { m.PredictStable(row, []int{-1}, make([]float64, 1)) },
+		"too few limits":     func() { m.PredictStable(row, []int{1, 2}, make([]float64, 1)) },
+		"a short row":        func() { m.PredictStable(row[:4], []int{1}, make([]float64, 1)) },
+	} {
+		mustPanic(t, "PredictStable with "+name, call)
 	}
 }
 

@@ -109,7 +109,9 @@ func FuzzModelLoad(f *testing.F) {
 // FuzzScoreMatchesOracle grows a small random model from the fuzzed seed and
 // shape, compiles it, and demands that the bitvector scorer return the
 // pointer walk's bits for random rows over the same threshold grid, with
-// and without a NaN suffix, row by row and through PredictMatrix.
+// and without a NaN suffix, row by row and through PredictMatrix — and that
+// PredictStable report the pointer walk's stability horizon for features
+// the fuzzed seed picks on each of those rows.
 func FuzzScoreMatchesOracle(f *testing.F) {
 	for _, seed := range scoreSeeds {
 		f.Add(seed.seed, seed.dim, seed.trees, seed.maxLeaves, seed.keep)
@@ -123,8 +125,10 @@ func FuzzScoreMatchesOracle(f *testing.F) {
 		}
 		rows := gridRows(&rng, 16, d)
 		mustMatchOracle(t, m, rows)
+		mustMatchHorizon(t, m, rows, &rng)
 		nanSuffix(rows, d, int(keep)%(d+1))
 		mustMatchOracle(t, m, rows)
+		mustMatchHorizon(t, m, rows, &rng)
 	})
 }
 

@@ -75,6 +75,15 @@ func (m *Model) PredictMatrix(rows []float64, out []float64, workers int) {
 	m.compiled().PredictMatrix(rows, out, workers)
 }
 
+// PredictStable returns Predict(row) and fills limits[k] with how far
+// feature feats[k] may grow before the score can change (see
+// Flat.PredictStable).
+//
+//lfo:hotpath
+func (m *Model) PredictStable(row []float64, feats []int, limits []float64) float64 {
+	return m.compiled().PredictStable(row, feats, limits)
+}
+
 // NumTrees returns the number of boosted stages.
 func (m *Model) NumTrees() int { return len(m.Trees) }
 

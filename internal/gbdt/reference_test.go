@@ -92,6 +92,35 @@ func (m *Model) nodeRawPredict(row []float64) float64 {
 	return s
 }
 
+// referenceHorizon is the stability horizon PredictStable must report for
+// one feature, found the plain way: walk every tree as nodeRawPredict does
+// and keep the smallest threshold among the tests on that feature that came
+// out true. Those are the tests a larger value could flip; no test at all
+// leaves +Inf, and a NaN value, which is routed and not tested, NaN.
+func (m *Model) referenceHorizon(row []float64, feature int) float64 {
+	if math.IsNaN(row[feature]) {
+		return math.NaN()
+	}
+	limit := math.Inf(1)
+	for ti := range m.Trees {
+		nodes := m.Trees[ti].Nodes
+		i := int32(0)
+		for nodes[i].Feature >= 0 {
+			n := &nodes[i]
+			switch v := row[n.Feature]; {
+			case math.IsNaN(v) && n.MissingLeft, v <= n.Threshold:
+				if !math.IsNaN(v) && int(n.Feature) == feature {
+					limit = math.Min(limit, n.Threshold)
+				}
+				i = n.Left
+			default:
+				i = n.Right
+			}
+		}
+	}
+	return limit
+}
+
 // blockFlat is the inference kernel as it stood before the bitvector scorer
 // replaced it: every tree's nodes packed into flat arrays, walked a block of
 // matrixBlock rows at a time, level by level. It was PredictMatrix (and,

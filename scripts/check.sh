@@ -91,7 +91,7 @@ fi
 step "alloc budgets"
 {
     go test -run '^$' \
-        -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkGDSFRequest|BenchmarkOGDRequest)$' \
+        -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictStable|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkGDSFRequest|BenchmarkOGDRequest)$' \
         -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/evict ./internal/policy ./internal/policy/ogd
     # The tracker sub-benchmark warms itself before its timer starts; its
     # matrix siblings allocate by design and have no budget.
