@@ -261,12 +261,7 @@ func AblationPolicyDesign(cfg Config) ([]PolicyDesignResult, error) {
 	}
 	var out []PolicyDesignResult
 	for _, v := range variants {
-		c := core.Config{
-			CacheSize:  cfg.CacheSize,
-			WindowSize: cfg.Window,
-			OPT:        opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5},
-			Obs:        cfg.Obs,
-		}
+		c := cfg.lfoConfig()
 		v.mut(&c)
 		lfo, err := core.New(c)
 		if err != nil {

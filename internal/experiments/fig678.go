@@ -52,12 +52,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		res.Policies = append(res.Policies, PolicyResult{Name: m.Policy, BHR: m.BHR(), OHR: m.OHR()})
 	}
 
-	lfo, err := core.New(core.Config{
-		CacheSize:  cfg.CacheSize,
-		WindowSize: cfg.Window,
-		OPT:        opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5},
-		Obs:        cfg.Obs,
-	})
+	lfo, err := core.New(cfg.lfoConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -123,8 +118,8 @@ func Fig7(cfg Config, threads []int) ([]ThroughputPoint, error) {
 	if w > tr.Len() {
 		w = tr.Len()
 	}
-	lcfg := core.Config{CacheSize: cfg.CacheSize, WindowSize: w,
-		OPT: opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5}}
+	lcfg := cfg.lfoConfig()
+	lcfg.WindowSize = w
 	model, ex, err := core.TrainOnWindow(tr.Slice(0, w), lcfg)
 	if err != nil {
 		return nil, err
@@ -204,8 +199,8 @@ func Fig8(cfg Config) ([]ImportanceEntry, *gbdt.Model, error) {
 	if w > tr.Len() {
 		w = tr.Len()
 	}
-	lcfg := core.Config{CacheSize: cfg.CacheSize, WindowSize: w,
-		OPT: opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5}}
+	lcfg := cfg.lfoConfig()
+	lcfg.WindowSize = w
 	model, _, err := core.TrainOnWindow(tr.Slice(0, w), lcfg)
 	if err != nil {
 		return nil, nil, err

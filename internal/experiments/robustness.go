@@ -5,7 +5,6 @@ import (
 
 	"lfo/internal/core"
 	"lfo/internal/gen"
-	"lfo/internal/opt"
 	"lfo/internal/policy"
 	"lfo/internal/sim"
 	"lfo/internal/trace"
@@ -56,12 +55,7 @@ func Robustness(cfg Config) ([]RobustnessResult, error) {
 	}
 
 	mkLFO := func() (sim.Policy, error) {
-		return core.New(core.Config{
-			CacheSize:  cfg.CacheSize,
-			WindowSize: cfg.Window,
-			OPT:        opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5},
-			Obs:        cfg.Obs,
-		})
+		return core.New(cfg.lfoConfig())
 	}
 	cleanLFO, err := mkLFO()
 	if err != nil {

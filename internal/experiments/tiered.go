@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lfo/internal/core"
-	"lfo/internal/opt"
 	"lfo/internal/sim"
 	"lfo/internal/tiered"
 )
@@ -42,11 +41,10 @@ func TieredExperiment(cfg Config) ([]TieredResult, error) {
 		total += t.Capacity
 	}
 
-	model, _, err := core.TrainOnWindow(train, core.Config{
-		CacheSize:  total, // aggregate cache space (§5)
-		WindowSize: train.Len(),
-		OPT:        opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5},
-	})
+	lcfg := cfg.lfoConfig()
+	lcfg.CacheSize = total // aggregate cache space (§5)
+	lcfg.WindowSize = train.Len()
+	model, _, err := core.TrainOnWindow(train, lcfg)
 	if err != nil {
 		return nil, err
 	}

@@ -21,6 +21,16 @@ import (
 type stubConn struct {
 	out  []byte
 	head int
+
+	// Scripting for the Admit tests; the zero value is the benchmark's
+	// shard. probs are the answers, popped one per row (0.5 once they
+	// run out); padRows extra rows make every response the wrong shape;
+	// down fails every Write; record keeps the last tuple written.
+	probs   []float64
+	padRows int
+	down    bool
+	record  bool
+	last    server.AdmitRequest
 }
 
 // Wire constants mirrored from internal/server's unexported opcodes.
@@ -33,11 +43,25 @@ const (
 func (c *stubConn) Write(p []byte) (int, error) {
 	// One complete mux admit frame per Write (the router's contract):
 	// u32 len | opMux | u64 corrID | opAdmit | u32 rows | tuples.
+	if c.down {
+		return 0, fmt.Errorf("stub: shard is down")
+	}
 	if len(p) < 18 || p[4] != stubOpMux || p[13] != stubOpAdmit {
 		return 0, fmt.Errorf("stub: unexpected frame")
 	}
 	id := binary.LittleEndian.Uint64(p[5:13])
 	n := int(binary.LittleEndian.Uint32(p[14:18]))
+	if c.record && n > 0 {
+		row := p[18+40*(n-1):]
+		c.last = server.AdmitRequest{
+			Time: int64(binary.LittleEndian.Uint64(row)),
+			ID:   binary.LittleEndian.Uint64(row[8:]),
+			Size: int64(binary.LittleEndian.Uint64(row[16:])),
+			Cost: math.Float64frombits(binary.LittleEndian.Uint64(row[24:])),
+			Free: int64(binary.LittleEndian.Uint64(row[32:])),
+		}
+	}
+	n += c.padRows
 	if c.head > 0 {
 		// Compact: with a pipeline window the buffer never fully
 		// drains, so shift the unread tail down instead of growing.
@@ -47,16 +71,23 @@ func (c *stubConn) Write(p []byte) (int, error) {
 	}
 	payload := 9 + 5 + 8*n
 	start := len(c.out)
-	c.out = append(c.out, make([]byte, 4+payload)...)
+	if end := start + 4 + payload; end <= cap(c.out) {
+		c.out = c.out[:end] // every byte up to end is written below
+	} else {
+		c.out = append(c.out, make([]byte, 4+payload)...)
+	}
 	b := c.out[start:]
 	binary.LittleEndian.PutUint32(b, uint32(payload))
 	b[4] = stubOpMux
 	binary.LittleEndian.PutUint64(b[5:], id)
 	b[13] = stubOpPredict
 	binary.LittleEndian.PutUint32(b[14:], uint32(n))
-	half := math.Float64bits(0.5)
 	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(b[18+8*i:], half)
+		prob := 0.5
+		if len(c.probs) > 0 {
+			prob, c.probs = c.probs[0], c.probs[1:]
+		}
+		binary.LittleEndian.PutUint64(b[18+8*i:], math.Float64bits(prob))
 	}
 	return len(p), nil
 }

@@ -2,13 +2,20 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"net"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
-	"lfo/internal/features"
+	"lfo/internal/faultnet"
 	"lfo/internal/gbdt"
 	"lfo/internal/obs"
+	"lfo/internal/server"
+	"lfo/internal/trace"
 )
 
 // counterValue pulls one counter out of a registry snapshot.
@@ -190,19 +197,236 @@ func TestChaosRolloutReachesRecoveredShard(t *testing.T) {
 		t.Fatalf("recovered shard runs version %d, want 2 (pushed on reconnect)", v)
 	}
 	// And the fleet as a whole serves model B.
-	rows := make([]float64, 30*features.Dim)
-	for i := range rows {
-		rows[i] = rng.Float64() * 100
-	}
-	probs := make([]float64, 30)
-	if err := r.Predict(rows, features.Dim, probs); err != nil {
+	probeModel(t, r, mB, mA)
+}
+
+// stalledShard is a shard that accepts connections and then never reads
+// or answers: the failure no dial, write or read error ever reports.
+func stalledShard(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]float64, 30)
-	mB.PredictMatrix(rows, want, 1)
-	for i := range want {
-		if probs[i] != want[i] {
-			t.Fatalf("row %d served by a stale model after recovery", i)
+	var held []net.Conn // the accept loop's until done closes
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, c)
 		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		<-done
+		for _, c := range held {
+			_ = c.Close()
+		}
+	})
+	return ln.Addr().String()
+}
+
+// runStalled drives a fixed stream at a two-shard fleet whose shard 1 is
+// stalled and returns the decision log and the registry.
+func runStalled(t *testing.T, m *gbdt.Model) ([]byte, *obs.Registry) {
+	t.Helper()
+	h := newHarness(t, 1, m)
+	stalled := stalledShard(t)
+	dial := func(addr string) (net.Conn, error) {
+		if addr == "stalled" {
+			return net.Dial("tcp", stalled)
+		}
+		return h.dial(addr)
+	}
+	reg := obs.NewRegistry()
+	r, err := NewRouter(Config{
+		Addrs: []string{"shard0", "stalled"}, Dial: dial,
+		Batch: 8, MaxInFlight: 2, ProbeEvery: 1 << 30, // one stall, never re-probed
+		Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.timeout = 150 * time.Millisecond
+
+	reqs := randReqs(rand.New(rand.NewSource(13)), 600, 0)
+	probs := make([]float64, len(reqs))
+	for i := range probs {
+		probs[i] = math.NaN()
+		r.Enqueue(reqs[i], &probs[i])
+	}
+	r.Flush()
+
+	// The healthy shard served its whole sub-stream from the model: row
+	// for row what a classic client gets on a connection of its own.
+	var sub []server.AdmitRequest
+	var got []float64
+	log := make([]byte, len(reqs))
+	for i, p := range probs {
+		if math.IsNaN(p) {
+			t.Fatalf("row %d never completed", i)
+		}
+		log[i] = '0'
+		if p >= 0.5 {
+			log[i] = '1'
+		}
+		if r.HomeShard(reqs[i].ID) == 0 {
+			sub = append(sub, reqs[i])
+			got = append(got, p)
+		} else if p != 0 && p != 1 {
+			t.Fatalf("stalled-shard row %d got non-censor likelihood %v", i, p)
+		}
+	}
+	want := classicProbs(t, h.addrs[0], sub)
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("healthy-shard row %d: router %v, classic %v", k, got[k], want[k])
+		}
+	}
+	if len(sub) == 0 || len(sub) == len(reqs) {
+		t.Fatalf("%d of %d rows on the healthy shard: the stream must reach both", len(sub), len(reqs))
+	}
+	if r.ShardUp(1) || !r.ShardUp(0) {
+		t.Errorf("shards up = (%v, %v), want (true, false)", r.ShardUp(0), r.ShardUp(1))
+	}
+	return log, reg
+}
+
+// TestRouterStalledShardDegrades: a shard that accepts and goes silent
+// costs one deadline, counted as one failover; every row it owned is
+// answered by its censor, the healthy shard keeps serving the model, and
+// the decisions are the same on a rerun. Without the Router's deadline
+// the first Flush never returns.
+func TestRouterStalledShardDegrades(t *testing.T) {
+	m := trainModel(t, 1, bigObjects)
+	logA, reg := runStalled(t, m)
+	for name, want := range map[string]int64{"fleet_shard1_failovers_total": 1, "fleet_shard1_rows_total": 0, "fleet_shard0_failovers_total": 0, "fleet_shard0_fallback_rows_total": 0} {
+		if got := counterValue(t, reg, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	served := counterValue(t, reg, "fleet_shard0_rows_total")
+	fallbacks := counterValue(t, reg, "fleet_shard1_fallback_rows_total")
+	if served == 0 || fallbacks == 0 || served+fallbacks != int64(len(logA)) {
+		t.Errorf("served %d + fallback %d rows, want both positive and %d in all", served, fallbacks, len(logA))
+	}
+	logB, _ := runStalled(t, m)
+	if !bytes.Equal(logA, logB) {
+		t.Error("decision logs of two runs against a stalled shard differ")
+	}
+}
+
+// pipeListener is an in-memory net.Listener over net.Pipe, so a fault
+// schedule's operation indices never depend on kernel timing.
+type pipeListener struct {
+	ch   chan net.Conn
+	done chan struct{}
+	once sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{ch: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.ch:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+func (l *pipeListener) dial(string) (net.Conn, error) {
+	client, srv := net.Pipe()
+	select {
+	case l.ch <- srv:
+		return client, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+// runAdmitChaos drives single-row admissions through a one-shard Router
+// whose server sits behind a fault schedule (short reads and writes,
+// stalls into the server's deadlines, mid-frame drops). ProbeEvery 1
+// re-dials on the next row, so every connection-killing fault costs
+// exactly one censor answer. Returns the decision log and the counters.
+func runAdmitChaos(t *testing.T, seed uint64) (log string, served, fallbacks, failovers int64) {
+	t.Helper()
+	s := server.New(trainModel(t, 3, bigObjects), 1)
+	s.Logf = func(string, ...interface{}) {}
+	s.ReadTimeout = 100 * time.Millisecond
+	s.WriteTimeout = 100 * time.Millisecond
+	sched := faultnet.NewSchedule(faultnet.Config{
+		Seed:      seed,
+		ShortRead: 30, ShortWrite: 30,
+		StallRead: 15, StallWrite: 15,
+		DropRead: 30, DropWrite: 30,
+		MaxShort: 6,
+	})
+	pl := newPipeListener()
+	s.Serve(faultnet.Wrap(pl, sched))
+	defer s.Close()
+
+	reg := obs.NewRegistry()
+	r, err := NewRouter(Config{Addrs: []string{"pipe"}, Dial: pl.dial, ProbeEvery: 1, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var decisions strings.Builder
+	const calls = 120
+	for i := 0; i < calls; i++ {
+		q := trace.Request{Time: int64(i), ID: trace.ObjectID(i % 17), Size: int64(100 + i%5*50), Cost: 1}
+		ok, lik := r.Admit(q, 1<<19)
+		r.Observe(q)
+		fmt.Fprintf(&decisions, "%d %v %.6f\n", i, ok, lik)
+	}
+	served = counterValue(t, reg, "fleet_shard0_rows_total")
+	fallbacks = counterValue(t, reg, "fleet_shard0_fallback_rows_total")
+	failovers = counterValue(t, reg, "fleet_shard0_failovers_total")
+	if served+fallbacks != calls {
+		t.Errorf("served %d + fallback %d rows != %d calls", served, fallbacks, calls)
+	}
+	return decisions.String(), served, fallbacks, failovers
+}
+
+// TestRouterAdmitChaosFallback: under injected serving-path faults no
+// admission ever errors — each failed round trip degrades to the censor,
+// counted exactly once per failover — and the whole degraded run is
+// deterministic.
+func TestRouterAdmitChaosFallback(t *testing.T) {
+	dec1, srv1, fb1, fo1 := runAdmitChaos(t, 5)
+	if fb1 == 0 {
+		t.Fatal("chaos schedule never forced a fallback")
+	}
+	if srv1 == 0 {
+		t.Fatal("chaos schedule never let a remote prediction through")
+	}
+	if fb1 != fo1 {
+		t.Errorf("fallback rows %d != failovers %d", fb1, fo1)
+	}
+	dec2, srv2, fb2, fo2 := runAdmitChaos(t, 5)
+	if dec1 != dec2 || srv1 != srv2 || fb1 != fb2 || fo1 != fo2 {
+		t.Errorf("degraded run not deterministic: (%d,%d,%d) vs (%d,%d,%d)", srv1, fb1, fo1, srv2, fb2, fo2)
 	}
 }

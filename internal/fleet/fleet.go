@@ -5,23 +5,27 @@
 // batches in flight per connection (the mux envelope of internal/server),
 // and a versioned model rollout hot-swaps the whole fleet atomically.
 //
-// Failure handling lifts the RemoteAdmitter posture (internal/core) from
-// one connection to the ring: when a shard dies, only its key range
-// degrades — rows that hash to it are answered by that shard's local
-// SecondHitCensor, whose history was kept warm by observing every
-// completed row, while the other shards keep serving model predictions.
-// A recovered shard is re-admitted to the ring (and brought up to the
-// current model version) after a deterministic, count-based probe.
+// The Router is the repository's one remote admitter (it implements
+// sim.Admitter) and never fails the cache: the cache must answer even
+// when the model path is late or down. When a shard dies — a dial, write,
+// read or correlation failure, or an I/O deadline that expires because
+// the shard accepted and went silent — only its key range degrades: rows
+// that hash to it are answered by that shard's local SecondHitCensor,
+// whose history was kept warm by observing every completed row, while
+// the other shards keep serving model predictions. A recovered shard is
+// re-admitted to the ring (and brought up to the current model version)
+// after a deterministic, count-based probe.
 //
 // The Router is single-goroutine and synchronous, like server.Client:
 // concurrency across shards comes from pipelining (the server works on
 // shard A's batch while the router writes to shard B), not from client
-// threads. Saturation is the harness's job (cmd/lfoload runs M routers).
+// threads. Saturating a fleet takes one Router per client goroutine.
 package fleet
 
 import (
 	"fmt"
 	"net"
+	"time"
 
 	"lfo/internal/gbdt"
 	"lfo/internal/obs"
@@ -30,7 +34,7 @@ import (
 	"lfo/internal/sim"
 )
 
-// Defaults for Config knobs left zero.
+// Defaults for Config knobs left zero, and the constants no caller varies.
 const (
 	// DefaultBatch is the admission batch size per shard.
 	DefaultBatch = 64
@@ -53,23 +57,21 @@ type Config struct {
 	Batch int
 	// MaxInFlight is the per-shard pipeline window (0 → DefaultMaxInFlight).
 	MaxInFlight int
-	// Replicas is virtual ring points per shard (0 → DefaultReplicas).
-	Replicas int
 	// ProbeEvery is fallback rows between reconnect probes for a down
 	// shard (0 → DefaultProbeEvery).
 	ProbeEvery int
-	// Dial opens a shard connection; nil means net.Dial("tcp", addr).
-	// Tests and the chaos harness substitute it to redirect shards.
+	// Dial opens a shard connection; nil means a TCP dial bounded by
+	// server.DefaultClientTimeout. Tests and the chaos harness
+	// substitute it to redirect shards.
 	Dial func(addr string) (net.Conn, error)
-	// NewFallback builds shard i's degraded-mode admitter; nil means
-	// policy.NewSecondHitCensor(0).
-	NewFallback func(shard int) sim.Admitter
-	// MaxResponsePayload caps accepted response frames per connection
-	// (0 → server.DefaultMuxResponseMax).
-	MaxResponsePayload int
 	// Obs, when set, receives per-shard counters under the
 	// fleet_shard<i>_ prefix.
 	Obs *obs.Registry
+	// Cutoff is the threshold Admit compares a remote likelihood
+	// against: 0 means 0.5, sim.CutoffAdmitAll an effective cutoff of
+	// exactly 0 (mirrors core.Config.Cutoff). Enqueue/Flush callers get
+	// raw likelihoods and never see it.
+	Cutoff float64
 }
 
 // flight is one in-flight admission batch: its correlation ID and row
@@ -83,8 +85,14 @@ type flight struct {
 // shard is the router's view of one fleet member.
 type shard struct {
 	addr string
+	// conn is mc's connection, kept beside it because the I/O deadline
+	// is the Router's policy, not the codec's.
+	conn net.Conn
 	mc   *server.MuxConn
 	up   bool
+	// credit is how many more batch writes the deadline armed last
+	// covers; 0 means the next write arms a fresh one.
+	credit int
 
 	// rows/dsts are fixed slabs of MaxInFlight×Batch entries. Slot s
 	// (a ring position) covers [s·batch, s·batch+n): in-flight slots
@@ -109,6 +117,11 @@ type shard struct {
 	// downRows counts fallback rows since the shard went down; every
 	// ProbeEvery-th triggers a reconnect attempt.
 	downRows int
+	// fallbackRows counts every row the fallback answered and
+	// fallbackAdmit is its decision on the last of them: how Admit
+	// tells a fallback answer from a remote likelihood.
+	fallbackRows  int
+	fallbackAdmit bool
 
 	failovers *obs.Counter // failure events (one per kill), not rows
 	fallbacks *obs.Counter // rows answered by the fallback heuristic
@@ -116,18 +129,23 @@ type shard struct {
 	served    *obs.Counter // rows completed remotely
 }
 
-// Router shards admission and prediction traffic over the fleet. It is
-// synchronous and not safe for concurrent use; run one Router per client
-// goroutine (cmd/lfoload runs M of them).
+// Router shards admission traffic over the fleet. It is synchronous and
+// not safe for concurrent use; run one Router per client goroutine.
 type Router struct {
 	ring        *Ring
 	shards      []shard
 	batch       int
 	maxInFlight int
 	probeEvery  int
-	maxResp     int
-	dial        func(string) (net.Conn, error)
-	nextID      uint64
+	cutoff      float64
+	// timeout bounds a shard's blocking I/O (see arm). A field only so
+	// tests can shorten it; nothing else writes it.
+	timeout time.Duration
+	dial    func(string) (net.Conn, error)
+	nextID  uint64
+	// admitP is Admit's destination, owned by the Router so a call
+	// allocates nothing.
+	admitP float64
 
 	// version/model are the last Rollout arguments, re-pushed to a
 	// recovered shard before it rejoins the ring; 0 means the shards'
@@ -160,33 +178,31 @@ func NewRouter(cfg Config) (*Router, error) {
 	if window == 0 {
 		window = DefaultMaxInFlight
 	}
-	replicas := cfg.Replicas
-	if replicas == 0 {
-		replicas = DefaultReplicas
-	}
 	probeEvery := cfg.ProbeEvery
 	if probeEvery == 0 {
 		probeEvery = DefaultProbeEvery
 	}
-	if batch < 1 || window < 1 || replicas < 1 || probeEvery < 1 {
-		return nil, fmt.Errorf("fleet: Batch, MaxInFlight, Replicas and ProbeEvery must be positive")
+	if batch < 1 || window < 1 || probeEvery < 1 {
+		return nil, fmt.Errorf("fleet: Batch, MaxInFlight and ProbeEvery must be positive")
+	}
+	cutoff, err := sim.ResolveCutoff(cfg.Cutoff)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %v", err)
 	}
 	dial := cfg.Dial
 	if dial == nil {
-		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	newFallback := cfg.NewFallback
-	if newFallback == nil {
-		newFallback = func(int) sim.Admitter { return policy.NewSecondHitCensor(0) }
+		d := &net.Dialer{Timeout: server.DefaultClientTimeout}
+		dial = func(addr string) (net.Conn, error) { return d.Dial("tcp", addr) }
 	}
 
 	r := &Router{
-		ring:        NewRing(len(cfg.Addrs), replicas),
+		ring:        NewRing(len(cfg.Addrs), DefaultReplicas),
 		shards:      make([]shard, len(cfg.Addrs)),
 		batch:       batch,
 		maxInFlight: window,
 		probeEvery:  probeEvery,
-		maxResp:     cfg.MaxResponsePayload,
+		cutoff:      cutoff,
+		timeout:     server.DefaultClientTimeout,
 		dial:        dial,
 		nextID:      1,
 	}
@@ -202,15 +218,14 @@ func NewRouter(cfg Config) (*Router, error) {
 			rows:      make([]server.AdmitRequest, window*batch),
 			dsts:      make([]*float64, window*batch),
 			fl:        make([]flight, window),
-			fallback:  newFallback(i),
+			fallback:  policy.NewSecondHitCensor(0),
 			failovers: sreg.Counter("failovers_total"),
 			fallbacks: sreg.Counter("fallback_rows_total"),
 			batches:   sreg.Counter("batches_total"),
 			served:    sreg.Counter("rows_total"),
 		}
 		if conn, err := dial(addr); err == nil {
-			s.mc = server.NewMuxConn(conn)
-			s.mc.MaxResponsePayload = r.maxResp
+			s.conn, s.mc = conn, server.NewMuxConn(conn)
 			s.up = true
 			anyUp = true
 		}
@@ -240,11 +255,6 @@ func (r *Router) Close() error {
 
 func (r *Router) closeAll() {
 	for i := range r.shards {
-		s := &r.shards[i]
-		if s.mc != nil {
-			_ = s.mc.Close()
-			s.mc = nil
-		}
-		s.up = false
+		r.shards[i].disconnect()
 	}
 }

@@ -11,7 +11,9 @@ import (
 
 	"lfo/internal/features"
 	"lfo/internal/gbdt"
+	"lfo/internal/obs"
 	"lfo/internal/server"
+	"lfo/internal/trace"
 )
 
 // trainModel trains a small model whose label is sizeRule(size); distinct
@@ -125,6 +127,67 @@ func randReqs(rng *rand.Rand, n int, startTime int64) []server.AdmitRequest {
 	return reqs
 }
 
+// classicProbs is what a classic synchronous client gets for reqs on a
+// connection of its own: the reference a shard's sub-stream is held to.
+func classicProbs(t *testing.T, addr string, reqs []server.AdmitRequest) []float64 {
+	t.Helper()
+	c, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	probs, err := c.Admit(reqs)
+	if err != nil {
+		t.Fatalf("classic client %s: %v", addr, err)
+	}
+	return probs
+}
+
+// nextFreshID hands out object IDs no request stream of these tests uses.
+// Not shard<<32|k: those are the keys the ring hashes its own virtual
+// points from, so such an ID lands exactly on that shard's point.
+var nextFreshID uint64 = 1 << 40
+
+// probeModel checks which model the fleet serves through admission rows
+// for objects no shard has seen: a first-seen row's features are its
+// size, cost and free bytes with every gap missing, whatever else the
+// shard's tracker holds, so the expected probability needs no replay.
+// other is a model the fleet must not be serving; at least one probe has
+// to tell the two apart.
+func probeModel(t *testing.T, r *Router, want, other *gbdt.Model) {
+	t.Helper()
+	const n = 40
+	reqs := make([]server.AdmitRequest, n)
+	probs := make([]float64, n)
+	for i := range reqs {
+		nextFreshID++
+		reqs[i] = server.AdmitRequest{Time: int64(i), ID: nextFreshID, Size: int64(1 + i*100/n), Cost: 1, Free: 1 << 30}
+		r.Enqueue(reqs[i], &probs[i])
+	}
+	r.Flush()
+	row := make([]float64, features.Dim)
+	fresh := features.NewTracker(0)
+	told := false
+	probed := make([]bool, r.Shards())
+	for i, q := range reqs {
+		probed[r.HomeShard(q.ID)] = true
+		fresh.Features(trace.Request{Time: q.Time, ID: trace.ObjectID(q.ID), Size: q.Size, Cost: q.Cost}, q.Free, row)
+		if w := want.Predict(row); probs[i] != w {
+			t.Fatalf("probe %d (shard %d) served by a stale model: %v, want %v", i, r.HomeShard(q.ID), probs[i], w)
+		} else if w != other.Predict(row) {
+			told = true
+		}
+	}
+	if !told {
+		t.Fatal("no probe row tells the two models apart")
+	}
+	for i, ok := range probed {
+		if !ok {
+			t.Fatalf("no probe row reached shard %d", i)
+		}
+	}
+}
+
 func TestRingDeterministicAndBalanced(t *testing.T) {
 	a, b := NewRing(3, 64), NewRing(3, 64)
 	counts := make([]int, 3)
@@ -177,51 +240,15 @@ func TestRouterMatchesPerShardClient(t *testing.T) {
 		perShard[s] = append(perShard[s], i)
 	}
 	for s, idxs := range perShard {
-		c, err := server.Dial(h.addrs[s])
-		if err != nil {
-			t.Fatal(err)
-		}
 		sub := make([]server.AdmitRequest, len(idxs))
 		for k, i := range idxs {
 			sub[k] = reqs[i]
 		}
-		want, err := c.Admit(sub)
-		_ = c.Close()
-		if err != nil {
-			t.Fatalf("classic client shard %d: %v", s, err)
-		}
+		want := classicProbs(t, h.addrs[s], sub)
 		for k, i := range idxs {
 			if probs[i] != want[k] {
 				t.Fatalf("row %d (shard %d): router %v, classic %v", i, s, probs[i], want[k])
 			}
-		}
-	}
-}
-
-func TestRouterPredictMatchesLocal(t *testing.T) {
-	m := trainModel(t, 1, bigObjects)
-	h := newHarness(t, 3, m)
-	r, err := NewRouter(Config{Addrs: h.names(), Dial: h.dial, Batch: 16, MaxInFlight: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	rng := rand.New(rand.NewSource(9))
-	const nrows = 203 // deliberately not a multiple of the batch
-	rows := make([]float64, nrows*features.Dim)
-	for i := range rows {
-		rows[i] = rng.Float64() * 100
-	}
-	probs := make([]float64, nrows)
-	if err := r.Predict(rows, features.Dim, probs); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, nrows)
-	m.PredictMatrix(rows, want, 1)
-	for i := range want {
-		if probs[i] != want[i] {
-			t.Fatalf("row %d: fleet %v, local %v", i, probs[i], want[i])
 		}
 	}
 }
@@ -247,22 +274,7 @@ func TestRouterRolloutBroadcast(t *testing.T) {
 			t.Fatalf("shard %d at version %d after broadcast", i, v)
 		}
 	}
-	rows := make([]float64, 40*features.Dim)
-	rng := rand.New(rand.NewSource(3))
-	for i := range rows {
-		rows[i] = rng.Float64() * 100
-	}
-	probs := make([]float64, 40)
-	if err := r.Predict(rows, features.Dim, probs); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, 40)
-	mB.PredictMatrix(rows, want, 1)
-	for i := range want {
-		if probs[i] != want[i] {
-			t.Fatalf("row %d served by stale model: %v, want %v", i, probs[i], want[i])
-		}
-	}
+	probeModel(t, r, mB, mA)
 	if err := r.Rollout(1, mA); err == nil {
 		t.Fatal("stale rollout accepted")
 	}
@@ -347,19 +359,40 @@ func TestRouterConfigValidation(t *testing.T) {
 	}
 }
 
-func TestRouterPredictAllShardsDownErrors(t *testing.T) {
+// TestRouterAllShardsDownDegrades: with the whole fleet gone nothing
+// errors — every row is answered by its shard's censor, each shard fails
+// over once, and a repeat of the stream is admitted from warm history.
+func TestRouterAllShardsDownDegrades(t *testing.T) {
 	m := trainModel(t, 1, bigObjects)
 	h := newHarness(t, 2, m)
-	r, err := NewRouter(Config{Addrs: h.names(), Dial: h.dial, Batch: 8, MaxInFlight: 2, ProbeEvery: 1 << 30})
+	reg := obs.NewRegistry()
+	r, err := NewRouter(Config{Addrs: h.names(), Dial: h.dial, Batch: 8, MaxInFlight: 2, ProbeEvery: 1 << 30, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	h.kill(0)
 	h.kill(1)
-	rows := make([]float64, 10*features.Dim)
-	probs := make([]float64, 10)
-	if err := r.Predict(rows, features.Dim, probs); err == nil {
-		t.Fatal("predict with the whole fleet down succeeded")
+	for pass := 0; pass < 2; pass++ {
+		reqs := randReqs(rand.New(rand.NewSource(7)), 200, int64(pass)*200)
+		probs := make([]float64, len(reqs))
+		for i := range probs {
+			probs[i] = math.NaN()
+			r.Enqueue(reqs[i], &probs[i])
+		}
+		r.Flush()
+		for i, p := range probs {
+			if p != 1 && (pass == 1 || p != 0) {
+				t.Fatalf("pass %d row %d: likelihood %v is not the censor's", pass, i, p)
+			}
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if r.ShardUp(i) {
+			t.Errorf("shard %d reported up", i)
+		}
+		if got := counterValue(t, reg, fmt.Sprintf("fleet_shard%d_failovers_total", i)); got != 1 {
+			t.Errorf("shard %d failovers = %d, want 1", i, got)
+		}
 	}
 }

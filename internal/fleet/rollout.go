@@ -31,6 +31,7 @@ func (r *Router) Rollout(version uint64, m *gbdt.Model) error {
 		if !s.up {
 			continue // pushed by reconnect on recovery
 		}
+		r.arm(s, 0)
 		if err := s.mc.Rollout(version, m); err != nil {
 			r.failShard(s) // recovery will re-push r.version
 		}
@@ -41,100 +42,3 @@ func (r *Router) Rollout(version uint64, m *gbdt.Model) error {
 // ModelVersion returns the last version Rollout broadcast (0 until the
 // first rollout: shards serve their boot-time model).
 func (r *Router) ModelVersion() uint64 { return r.version }
-
-// predictFlight is one in-flight predict chunk: its correlation ID and
-// the row range it covers in the caller's matrix.
-type predictFlight struct {
-	id       uint64
-	start, n int
-}
-
-// Predict evaluates a flat row-major feature matrix (len(rows) divisible
-// by dim) across the fleet: chunks are scattered round-robin over live
-// shards with the same pipeline window as admission, and chunks lost to
-// a shard failure are re-scattered over the survivors. Stateless predict
-// rows have no home shard, so the only unrecoverable condition is the
-// whole fleet being down. probs must hold len(rows)/dim values.
-//
-// Predict shares connections with the admission path, so it flushes
-// pending admission traffic first. It is not an allocation-free hot
-// path; the admission path is.
-func (r *Router) Predict(rows []float64, dim int, probs []float64) error {
-	if dim <= 0 || len(rows)%dim != 0 {
-		return fmt.Errorf("fleet: rows length %d is not a multiple of dim %d", len(rows), dim)
-	}
-	nrows := len(rows) / dim
-	if len(probs) != nrows {
-		return fmt.Errorf("fleet: probs length %d, want %d", len(probs), nrows)
-	}
-	r.Flush()
-
-	var pending []predictFlight // id unset until written
-	for start := 0; start < nrows; start += r.batch {
-		n := r.batch
-		if start+n > nrows {
-			n = nrows - start
-		}
-		pending = append(pending, predictFlight{start: start, n: n})
-	}
-	infl := make([][]predictFlight, len(r.shards))
-
-	// fail requeues a shard's in-flight chunks and fails it over.
-	fail := func(si int) {
-		pending = append(pending, infl[si]...)
-		infl[si] = infl[si][:0]
-		r.failShard(&r.shards[si])
-	}
-	// readOne completes shard si's oldest chunk; on any mismatch the
-	// shard is failed and its chunks requeued.
-	readOne := func(si int) {
-		f := infl[si][0]
-		id, ps, err := r.shards[si].mc.ReadResponse()
-		if err != nil || id != f.id || len(ps) != f.n {
-			fail(si)
-			return
-		}
-		copy(probs[f.start:f.start+f.n], ps)
-		infl[si] = infl[si][1:]
-		r.shards[si].served.Add(int64(f.n))
-	}
-
-	rr := 0
-	for {
-		for len(pending) > 0 {
-			si := -1
-			for k := 0; k < len(r.shards); k++ {
-				if cand := (rr + k) % len(r.shards); r.shards[cand].up {
-					si, rr = cand, cand+1
-					break
-				}
-			}
-			if si < 0 {
-				return fmt.Errorf("fleet: all %d shards down", len(r.shards))
-			}
-			if len(infl[si]) == r.maxInFlight {
-				readOne(si)
-				continue // the shard may have died; re-pick
-			}
-			c := pending[0]
-			c.id = r.nextID
-			r.nextID++
-			s := &r.shards[si]
-			if err := s.mc.WritePredictBatch(c.id, rows[c.start*dim:(c.start+c.n)*dim], dim); err != nil {
-				fail(si)
-				continue
-			}
-			pending = pending[1:]
-			infl[si] = append(infl[si], c)
-			s.batches.Inc()
-		}
-		for si := range r.shards {
-			for r.shards[si].up && len(infl[si]) > 0 {
-				readOne(si)
-			}
-		}
-		if len(pending) == 0 {
-			return nil // every chunk completed (failures requeue into pending)
-		}
-	}
-}

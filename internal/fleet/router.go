@@ -1,9 +1,45 @@
 package fleet
 
 import (
+	"time"
+
 	"lfo/internal/server"
 	"lfo/internal/trace"
 )
+
+// Admit implements sim.Admitter: one row to the object's home shard and
+// back, thresholded by Config.Cutoff. A row the shard fallback answered
+// (shard down, failed or past its deadline) returns the fallback's own
+// decision, so a degraded shard admits by second hit at any cutoff.
+func (r *Router) Admit(req trace.Request, freeBytes int64) (bool, float64) {
+	s := &r.shards[r.ring.Shard(uint64(req.ID))]
+	before := s.fallbackRows
+	r.Enqueue(server.AdmitRequest{Time: req.Time, ID: uint64(req.ID), Size: req.Size, Cost: req.Cost, Free: freeBytes}, &r.admitP)
+	r.Flush()
+	if s.fallbackRows != before {
+		return s.fallbackAdmit, r.admitP
+	}
+	return r.admitP >= r.cutoff, r.admitP
+}
+
+// Observe implements sim.Admitter and does nothing: a shard tracks the
+// rows it scores and the fallbacks observe every row at completion.
+func (r *Router) Observe(trace.Request) {}
+
+// arm gives the shard's connection a fresh I/O deadline, good for the
+// next `writes` batch writes and the reads that complete them. One clock
+// read and one SetDeadline per pipeline window, never per row: a batch
+// written into an empty pipeline arms, Flush re-arms before it waits on
+// batches earlier calls left in flight, and Rollout and the reconnect
+// push arm for themselves. A shard that accepts and then goes silent
+// therefore blocks the caller for at most the timeout before its rows
+// drain to the fallback; so does a caller that keeps one window open
+// (Enqueue without Flush) for longer than the timeout.
+func (r *Router) arm(s *shard, writes int) {
+	//lfolint:ignore hotpath-alloc net.Conn is the wire boundary; there is no static callee to verify, and a failed arm surfaces on the I/O it was for
+	_ = s.conn.SetDeadline(time.Now().Add(r.timeout))
+	s.credit = writes
+}
 
 // Enqueue routes one admission row to its home shard and returns
 // immediately; *dst receives the admission likelihood by the time Flush
@@ -30,16 +66,21 @@ func (r *Router) Enqueue(req server.AdmitRequest, dst *float64) {
 }
 
 // Flush sends every partial batch and completes every in-flight flight:
-// when it returns, all destinations passed to Enqueue are filled.
+// when it returns, all destinations passed to Enqueue are filled — by the
+// fallback for a shard that did not answer within the deadline (see arm).
 //
 //lfo:hotpath
 func (r *Router) Flush() {
 	for i := range r.shards {
 		s := &r.shards[i]
+		if s.flLen > 0 { // only a live shard has flights
+			r.arm(s, r.maxInFlight) // earlier calls' batches wait under a deadline as old as the caller let it get
+		}
 		r.flushShard(s)
 		for s.up && s.flLen > 0 {
 			r.readOne(s)
 		}
+		s.credit = 0 // the pipeline is empty and the caller may idle before the next write
 	}
 }
 
@@ -56,6 +97,10 @@ func (r *Router) flushShard(s *shard) {
 	base := slot * r.batch
 	id := r.nextID
 	r.nextID++
+	if s.credit == 0 {
+		r.arm(s, r.maxInFlight)
+	}
+	s.credit--
 	if err := s.mc.WriteAdmitBatch(id, s.rows[base:base+s.pn]); err != nil {
 		//lfolint:ignore hotpath-alloc failure path behind a func value: runs once per shard failure, draining every queued row to the fallback
 		r.onFail(s)
@@ -118,25 +163,23 @@ func (r *Router) enqueueDownSlow(s *shard, req server.AdmitRequest, dst *float64
 // Admit before Observe, so a row never sees its own observation.
 func (r *Router) fallbackRow(s *shard, req server.AdmitRequest, dst *float64) {
 	tr := trace.Request{Time: req.Time, ID: trace.ObjectID(req.ID), Size: req.Size, Cost: req.Cost}
-	_, p := s.fallback.Admit(tr, req.Free)
-	*dst = p
+	s.fallbackAdmit, *dst = s.fallback.Admit(tr, req.Free)
+	s.fallbackRows++
 	s.fallback.Observe(tr)
 	s.fallbacks.Inc()
 }
 
-// failShard tears a shard down after a write/read/correlation failure:
-// the failure is counted once, the connection closed, and every queued
-// row — in-flight flights oldest first, then the open slot — drains to
-// the fallback in enqueue order, so callers still get an answer for
-// every row and replays reproduce the same decisions.
+// failShard tears a shard down after a write/read/correlation failure or
+// an expired deadline: the failure is counted once, the connection
+// closed, and every queued row — in-flight flights oldest first, then the
+// open slot — drains to the fallback in enqueue order, so callers still
+// get an answer for every row and replays reproduce the same decisions.
 func (r *Router) failShard(s *shard) {
 	if !s.up {
 		return
 	}
-	s.up = false
 	s.failovers.Inc()
-	_ = s.mc.Close()
-	s.mc = nil
+	s.disconnect()
 	s.downRows = 0
 	for k := 0; k < s.flLen; k++ {
 		slot := (s.flHead + k) % r.maxInFlight
@@ -160,16 +203,23 @@ func (r *Router) reconnect(s *shard) bool {
 	if err != nil {
 		return false
 	}
-	mc := server.NewMuxConn(conn)
-	mc.MaxResponsePayload = r.maxResp
+	s.conn, s.mc = conn, server.NewMuxConn(conn)
 	if r.version > 0 {
-		if err := mc.Rollout(r.version, r.model); err != nil {
-			_ = mc.Close()
+		r.arm(s, 0)
+		if err := s.mc.Rollout(r.version, r.model); err != nil {
+			s.disconnect()
 			return false
 		}
 	}
-	s.mc = mc
 	s.up = true
 	s.downRows = 0
 	return true
+}
+
+// disconnect closes the shard's connection, if any, and marks it down.
+func (s *shard) disconnect() {
+	if s.mc != nil {
+		_ = s.mc.Close()
+	}
+	s.conn, s.mc, s.up, s.credit = nil, nil, false, 0
 }

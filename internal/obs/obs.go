@@ -145,7 +145,7 @@ func (h *Histogram) Sum() int64 {
 // Quantile estimates the q-quantile (0 < q <= 1) of the observed values
 // from the bucket counts, interpolating linearly within the bucket the
 // quantile falls in. The estimate's resolution is the bucket width — use
-// fine-grained bounds when quantiles matter (see lfoload). Returns 0 for
+// fine-grained bounds when quantiles matter. Returns 0 for
 // an empty (or nil) histogram; a quantile landing in the overflow bucket
 // reports the last finite bound.
 func (h *Histogram) Quantile(q float64) int64 {

@@ -297,10 +297,10 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosRemoteAdmitterFallback is exercised from the core package side
-// (see internal/core); here we only pin the serving-path prerequisite it
-// depends on: with retries disabled, every conn-killing fault surfaces as
-// exactly one client failure, deterministically.
+// TestChaosFailFastWithoutRetries pins the classic client's half of the
+// degradation story (the Router's half is TestRouterAdmitChaosFallback in
+// internal/fleet): with retries disabled, every conn-killing fault
+// surfaces as exactly one client failure, deterministically.
 func TestChaosFailFastWithoutRetries(t *testing.T) {
 	m := testModel(t)
 	sched := faultnet.NewSchedule(chaosConfig(7))

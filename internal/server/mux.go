@@ -27,7 +27,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"time"
 
 	"lfo/internal/gbdt"
 )
@@ -74,26 +73,6 @@ func appendMuxAdmit(buf []byte, id uint64, reqs []AdmitRequest) []byte {
 		binary.LittleEndian.PutUint64(b[off+24:], math.Float64bits(r.Cost))
 		binary.LittleEndian.PutUint64(b[off+32:], uint64(r.Free))
 		off += admitRowBytes
-	}
-	return buf
-}
-
-// appendMuxPredict appends a complete length-prefixed mux opPredict frame
-// for a flat row-major feature matrix (len(rows) divisible by dim).
-//
-//lfo:hotpath
-func appendMuxPredict(buf []byte, id uint64, rows []float64, dim int) []byte {
-	payloadLen := muxHdrBytes + 5 + len(rows)*8
-	start := len(buf)
-	buf = growFrameBuf(buf, start+4+payloadLen)
-	b := buf[start:]
-	binary.LittleEndian.PutUint32(b, uint32(payloadLen))
-	b[4] = opMux
-	binary.LittleEndian.PutUint64(b[5:], id)
-	b[13] = opPredict
-	binary.LittleEndian.PutUint32(b[14:], uint32(len(rows)/dim))
-	for i, v := range rows {
-		binary.LittleEndian.PutUint64(b[18+i*8:], math.Float64bits(v))
 	}
 	return buf
 }
@@ -195,10 +174,6 @@ func decodeModelAck(payload []byte) (uint64, error) {
 type MuxConn struct {
 	conn net.Conn
 
-	// MaxResponsePayload caps an accepted response frame. 0 means
-	// DefaultMuxResponseMax.
-	MaxResponsePayload int
-
 	wbuf  []byte
 	rbuf  []byte
 	probs []float64
@@ -212,20 +187,6 @@ func NewMuxConn(conn net.Conn) *MuxConn {
 // Close closes the underlying connection.
 func (c *MuxConn) Close() error { return c.conn.Close() }
 
-// SetWriteDeadline bounds subsequent writes.
-func (c *MuxConn) SetWriteDeadline(t time.Time) error { return c.conn.SetWriteDeadline(t) }
-
-// SetReadDeadline bounds subsequent reads.
-func (c *MuxConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
-
-// respMax resolves the response-size knob.
-func (c *MuxConn) respMax() int {
-	if c.MaxResponsePayload > 0 {
-		return c.MaxResponsePayload
-	}
-	return DefaultMuxResponseMax
-}
-
 // WriteAdmitBatch sends one correlation-ID-tagged admit batch without
 // waiting for a response. The frame is assembled in a reused buffer and
 // written with a single Write call.
@@ -233,17 +194,6 @@ func (c *MuxConn) respMax() int {
 //lfo:hotpath
 func (c *MuxConn) WriteAdmitBatch(id uint64, reqs []AdmitRequest) error {
 	c.wbuf = appendMuxAdmit(c.wbuf[:0], id, reqs)
-	//lfolint:ignore hotpath-alloc net.Conn is the wire boundary; there is no static callee to verify
-	_, err := c.conn.Write(c.wbuf)
-	return err
-}
-
-// WritePredictBatch sends one correlation-ID-tagged predict batch (flat
-// row-major rows, len divisible by dim) without waiting for a response.
-//
-//lfo:hotpath
-func (c *MuxConn) WritePredictBatch(id uint64, rows []float64, dim int) error {
-	c.wbuf = appendMuxPredict(c.wbuf[:0], id, rows, dim)
 	//lfolint:ignore hotpath-alloc net.Conn is the wire boundary; there is no static callee to verify
 	_, err := c.conn.Write(c.wbuf)
 	return err
@@ -315,14 +265,16 @@ func growProbs(probs []float64, n int) []float64 {
 //
 //lfo:hotpath
 func (c *MuxConn) readFrameReuse() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
+	// The header lands in the reused buffer too: a local array would
+	// escape through the net.Conn interface, one allocation per frame.
+	c.rbuf = growFrameBuf(c.rbuf, 4)
+	if _, err := io.ReadFull(c.conn, c.rbuf); err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n > c.respMax() {
+	n := int(binary.LittleEndian.Uint32(c.rbuf))
+	if n > DefaultMuxResponseMax {
 		//lfolint:ignore hotpath-alloc error path: the stream is desynchronized and the connection is about to be torn down
-		return nil, &ErrFrameTooLarge{Size: n, Limit: c.respMax()}
+		return nil, &ErrFrameTooLarge{Size: n, Limit: DefaultMuxResponseMax}
 	}
 	c.rbuf = growFrameBuf(c.rbuf, n)
 	if _, err := io.ReadFull(c.conn, c.rbuf[:n]); err != nil {

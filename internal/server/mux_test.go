@@ -27,6 +27,12 @@ func dialMux(t *testing.T, addr string) *MuxConn {
 	return mc
 }
 
+// muxPredictFrame builds a complete length-prefixed mux opPredict frame.
+// No client sends one any more, but the server still decodes it.
+func muxPredictFrame(id uint64, rows []float64, dim int) []byte {
+	return frameBytes(encodeMuxResponse(id, encodePredictRequest(rows, dim)))
+}
+
 // randAdmitBatch builds n deterministic pseudo-random admit tuples.
 func randAdmitBatch(rng *rand.Rand, n int) []AdmitRequest {
 	reqs := make([]AdmitRequest, n)
@@ -62,7 +68,7 @@ func TestMuxPipelinedPredict(t *testing.T) {
 	}
 	// Write every batch before reading anything: all six are in flight.
 	for b, rowsBuf := range all {
-		if err := mc.WritePredictBatch(uint64(100+b), rowsBuf, features.Dim); err != nil {
+		if _, err := mc.conn.Write(muxPredictFrame(uint64(100+b), rowsBuf, features.Dim)); err != nil {
 			t.Fatalf("write batch %d: %v", b, err)
 		}
 	}
@@ -298,7 +304,7 @@ func TestMuxEncodeDecodeIdentity(t *testing.T) {
 		for i := range rows {
 			rows[i] = rng.NormFloat64() * 1000
 		}
-		frame = appendMuxPredict(nil, id^0x5555, rows, features.Dim)
+		frame = muxPredictFrame(id^0x5555, rows, features.Dim)
 		payload, err = readFrame(bytes.NewReader(frame), maxFramePayload)
 		if err != nil {
 			t.Fatalf("iter %d: reading appended predict frame: %v", iter, err)
@@ -383,7 +389,7 @@ func FuzzMuxFrameDecode(f *testing.F) {
 // and the committed testdata/fuzz files.
 func muxFuzzSeeds() [][]byte {
 	admit := appendMuxAdmit(nil, 7, []AdmitRequest{{Time: 1, ID: 2, Size: 3, Cost: 4, Free: 5}})
-	predict := appendMuxPredict(nil, 9, make([]float64, features.Dim), features.Dim)
+	predict := muxPredictFrame(9, make([]float64, features.Dim), features.Dim)
 	resp := frameBytes(encodeMuxResponse(7, encodePredictResponse([]float64{0.25, 0.75})))
 	muxErr := frameBytes(encodeMuxResponse(8, encodeError("remote error text")))
 	swap := frameBytes(encodeModelSwap(3, []byte{1, 2, 3, 4}))

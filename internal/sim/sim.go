@@ -24,7 +24,7 @@ type Policy interface {
 
 // Admitter is the admission half of a cache, the one declaration every
 // cache that takes a pluggable admission decision shares (tiered's level
-// one, evict.Cache, the remote and the fleet fallbacks). Learned models
+// one, evict.Cache, fleet.Router and its shard fallbacks). Learned models
 // and heuristics such as policy.SecondHitCensor both implement it.
 type Admitter interface {
 	// Admit returns whether to cache the object and the likelihood (0..1)

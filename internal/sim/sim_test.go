@@ -276,7 +276,7 @@ func TestStorePanics(t *testing.T) {
 }
 
 // TestResolveCutoff pins the one reading of an admission cutoff that
-// core.New, core.NewRemoteAdmitter and tiered.NewModelAdmitter share.
+// core.New, fleet.NewRouter and tiered.NewModelAdmitter share.
 func TestResolveCutoff(t *testing.T) {
 	for in, want := range map[float64]float64{0: 0.5, CutoffAdmitAll: 0, 0.25: 0.25, 1: 1} {
 		got, err := ResolveCutoff(in)

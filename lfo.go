@@ -322,23 +322,10 @@ func DialPredictionConfig(addr string, cfg PredictionClientConfig) (*PredictionC
 	return server.DialConfig(addr, cfg)
 }
 
-// Graceful degradation (see internal/core and internal/policy).
-type (
-	// RemoteAdmitter consults a PredictionServer for admission and falls
-	// back to a local heuristic when the remote path fails; it
-	// implements Admitter.
-	RemoteAdmitter = core.RemoteAdmitter
-	// RemoteAdmitterConfig tunes cutoff, fallback and metrics.
-	RemoteAdmitterConfig = core.RemoteAdmitterConfig
-	// SecondHitCensor admits objects on their second request within
-	// recent (bounded) history — the degraded-mode heuristic.
-	SecondHitCensor = policy.SecondHitCensor
-)
-
-// NewRemoteAdmitter wires a prediction client to a fallback heuristic.
-func NewRemoteAdmitter(remote core.RemotePredictor, cfg RemoteAdmitterConfig) (*RemoteAdmitter, error) {
-	return core.NewRemoteAdmitter(remote, cfg)
-}
+// SecondHitCensor admits objects on their second request within recent
+// (bounded) history — the degraded-mode heuristic a FleetRouter answers
+// a down shard's key range with (see internal/policy).
+type SecondHitCensor = policy.SecondHitCensor
 
 // NewSecondHitCensor returns a bounded second-hit admission heuristic
 // (maxIDs 0 = default bound, negative = unbounded).
@@ -347,12 +334,15 @@ func NewSecondHitCensor(maxIDs int) *SecondHitCensor { return policy.NewSecondHi
 // Fleet serving (see internal/fleet): a consistent-hash ring shards
 // objects across N prediction servers and a client-side router coalesces
 // admission rows into per-shard batches pipelined over multiplexed
-// connections, with per-shard failover to a local heuristic.
+// connections, with an I/O deadline and per-shard failover to a local
+// heuristic — the cache answers even when the model path is late or down.
 type (
 	// FleetConfig parameterizes a FleetRouter (shard addresses, batch
-	// size, pipeline window, failover knobs).
+	// size, pipeline window, probe interval, admission cutoff).
 	FleetConfig = fleet.Config
-	// FleetRouter batches and routes admission rows to a shard fleet.
+	// FleetRouter batches and routes admission rows to a shard fleet and
+	// is the remote Admitter: one shard address makes it the
+	// single-server case.
 	FleetRouter = fleet.Router
 	// FleetRing is the consistent-hash ring mapping objects to shards.
 	FleetRing = fleet.Ring
