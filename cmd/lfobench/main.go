@@ -1,6 +1,9 @@
 // Command lfobench regenerates the paper's evaluation figures (§3) and
 // the ablation studies. Each figure prints as a text table; EXPERIMENTS.md
-// records the paper-vs-measured comparison.
+// records the paper-vs-measured comparison. The figures are the rows of
+// experiments.Figures, and every table is a pure function of the flags: a
+// rerun prints the same bytes (no figure reads a clock; for seconds see
+// bench/).
 //
 // Usage:
 //
@@ -8,13 +11,13 @@
 //	lfobench -fig 6 -scale quick      # Fig 6 at CI scale
 //	lfobench -fig 5c -seeds 100       # full seed sweep
 //	lfobench -fig ablate              # all ablation studies
+//	lfobench -fig 5a,ablate-iters     # any mix of the names -h lists
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"lfo/internal/cliutil"
 	"lfo/internal/experiments"
@@ -23,7 +26,7 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure: 1, 5a, 5b, 5c, 6, 7, 8, acc, evict, drift, tiered, robust, ablate, or all")
+		fig     = flag.String("fig", "all", "comma-separated figures: "+experiments.Names(experiments.Figures(0, 0)))
 		scale   = flag.String("scale", "default", "harness scale: quick or default")
 		seeds   = flag.Int("seeds", 100, "seed count for Fig 5c")
 		repeats = flag.Int("repeats", 3, "subset repeats for Fig 5b")
@@ -62,155 +65,17 @@ func main() {
 		cfg.Requests = *reqs
 	}
 
-	want := map[string]bool{}
-	for _, f := range strings.Split(*fig, ",") {
-		want[strings.TrimSpace(f)] = true
+	figs, err := experiments.Select(experiments.Figures(*seeds, *repeats), *fig)
+	if err != nil {
+		fatalf("-fig: %v", err)
 	}
-	all := want["all"]
-	ran := false
-
-	run := func(names []string, fn func() error) {
-		for _, n := range names {
-			if all || want[n] {
-				ran = true
-				if err := fn(); err != nil {
-					fatalf("%s: %v", n, err)
-				}
-				fmt.Println()
-				return
-			}
-		}
-	}
-
-	run([]string{"1"}, func() error {
-		rs, err := experiments.Fig1(cfg)
+	for _, f := range figs {
+		t, err := f.Run(cfg)
 		if err != nil {
-			return err
+			fatalf("%s: %v", f.Name, err)
 		}
-		fmt.Print(experiments.Fig1Table(rs))
-		return nil
-	})
-	run([]string{"acc"}, func() error {
-		res, err := experiments.Accuracy(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("== §3 headline: prediction accuracy ==\n")
-		fmt.Printf("accuracy: %.2f%% (paper: >93%%)\n", 100*res.Accuracy)
-		fmt.Printf("FP rate:  %.2f%%   FN rate: %.2f%%\n",
-			100*res.Eval.FalsePositiveRate, 100*res.Eval.FalseNegativeRate)
-		fmt.Printf("windows:  train %d, eval %d requests\n", res.TrainWindow, res.EvalWindow)
-		return nil
-	})
-	run([]string{"5a"}, func() error {
-		pts, err := experiments.Fig5a(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.Fig5aTable(pts))
-		return nil
-	})
-	run([]string{"5b"}, func() error {
-		pts, err := experiments.Fig5b(cfg, nil, *repeats)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.Fig5bTable(pts))
-		return nil
-	})
-	run([]string{"5c"}, func() error {
-		res, err := experiments.Fig5c(cfg, *seeds)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.Fig5cTable(res))
-		return nil
-	})
-	run([]string{"6"}, func() error {
-		res, err := experiments.Fig6(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.Fig6Table(res, cfg.Objective.String()))
-		return nil
-	})
-	run([]string{"7"}, func() error {
-		pts, err := experiments.Fig7(cfg, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.Fig7Table(pts))
-		return nil
-	})
-	run([]string{"8"}, func() error {
-		entries, _, err := experiments.Fig8(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.Fig8Table(entries))
-		return nil
-	})
-	run([]string{"evict"}, func() error {
-		rs, err := experiments.EvictionGrid(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.EvictionGridTable(rs))
-		return nil
-	})
-	run([]string{"drift"}, func() error {
-		rs, err := experiments.DriftGrid(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.DriftGridTable(rs))
-		return nil
-	})
-	run([]string{"tiered"}, func() error {
-		rs, err := experiments.TieredExperiment(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.TieredTable(rs))
-		return nil
-	})
-	run([]string{"robust"}, func() error {
-		rs, err := experiments.Robustness(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RobustnessTable(rs))
-		return nil
-	})
-	run([]string{"ablate"}, func() error {
-		rf, err := experiments.AblationRankFraction(cfg, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.AblationRankFractionTable(rf))
+		fmt.Print(t)
 		fmt.Println()
-		fv, err := experiments.AblationFeatureVariants(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.AblationFeatureVariantsTable(fv))
-		fmt.Println()
-		pd, err := experiments.AblationPolicyDesign(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.AblationPolicyDesignTable(pd))
-		fmt.Println()
-		it, err := experiments.AblationIterations(cfg, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.AblationIterationsTable(it))
-		return nil
-	})
-
-	if !ran {
-		fatalf("unknown -fig %q (want 1, 5a, 5b, 5c, 6, 7, 8, acc, evict, drift, tiered, robust, ablate or all)", *fig)
 	}
 	if reg != nil {
 		fmt.Println("observability snapshot:")

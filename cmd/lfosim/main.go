@@ -18,9 +18,7 @@ import (
 	"lfo/internal/cliutil"
 	"lfo/internal/core"
 	"lfo/internal/evict"
-	"lfo/internal/gen"
 	"lfo/internal/obs"
-	"lfo/internal/opt"
 	"lfo/internal/policy"
 	"lfo/internal/policy/ogd"
 	"lfo/internal/sim"
@@ -66,9 +64,9 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	tr, err := loadTrace(*tracePath, *genMix, *n, *seed)
+	tr, err := cliutil.LoadTrace(*tracePath, *genMix, *n, *seed)
 	if err != nil {
-		fatalf("%v", err)
+		fatalf("load trace: %v", err)
 	}
 	tr = tr.WithCosts(obj)
 
@@ -110,23 +108,6 @@ func main() {
 	}
 }
 
-func loadTrace(path, mix string, n int, seed int64) (*trace.Trace, error) {
-	switch {
-	case path != "" && mix != "":
-		return nil, fmt.Errorf("-trace and -gen are mutually exclusive")
-	case path != "":
-		return trace.ReadFile(path)
-	case mix == "cdn":
-		return gen.Generate(gen.CDNMix(n, seed))
-	case mix == "web":
-		return gen.Generate(gen.WebMix(n, seed))
-	case mix != "":
-		return nil, fmt.Errorf("unknown -gen mix %q", mix)
-	default:
-		return nil, fmt.Errorf("need -trace FILE or -gen MIX")
-	}
-}
-
 // bridgeFlags carries the online-learning-bridge knobs: the OGD step
 // scale, the hybrid bias learning rate, and the drift trigger threshold.
 type bridgeFlags struct {
@@ -139,7 +120,7 @@ func makePolicy(name string, size, seed int64, window, workers int, evictMode, a
 		return core.New(core.Config{
 			CacheSize:      size,
 			WindowSize:     window,
-			OPT:            opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5},
+			OPT:            core.HarnessOPT,
 			Workers:        workers,
 			Eviction:       evictMode,
 			Seed:           seed,

@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"lfo/internal/cliutil"
-	"lfo/internal/gen"
 	"lfo/internal/mrc"
 	"lfo/internal/opt"
 	"lfo/internal/trace"
@@ -43,17 +42,7 @@ func main() {
 		fatalf("bad -max %q: %v", *maxStr, err)
 	}
 
-	var tr *trace.Trace
-	switch {
-	case *tracePath != "":
-		tr, err = trace.ReadFile(*tracePath)
-	case *genMix == "cdn":
-		tr, err = gen.Generate(gen.CDNMix(*n, *seed))
-	case *genMix == "web":
-		tr, err = gen.Generate(gen.WebMix(*n, *seed))
-	default:
-		fatalf("need -trace FILE or -gen MIX")
-	}
+	tr, err := cliutil.LoadTrace(*tracePath, *genMix, *n, *seed)
 	if err != nil {
 		fatalf("load trace: %v", err)
 	}

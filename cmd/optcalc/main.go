@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"lfo/internal/cliutil"
-	"lfo/internal/gen"
 	"lfo/internal/opt"
 	"lfo/internal/trace"
 )
@@ -58,17 +57,7 @@ func main() {
 		fatalf("unknown -algo %q", *algo)
 	}
 
-	var tr *trace.Trace
-	switch {
-	case *tracePath != "":
-		tr, err = trace.ReadFile(*tracePath)
-	case *genMix == "cdn":
-		tr, err = gen.Generate(gen.CDNMix(*n, *seed))
-	case *genMix == "web":
-		tr, err = gen.Generate(gen.WebMix(*n, *seed))
-	default:
-		fatalf("need -trace FILE or -gen MIX")
-	}
+	tr, err := cliutil.LoadTrace(*tracePath, *genMix, *n, *seed)
 	if err != nil {
 		fatalf("load trace: %v", err)
 	}

@@ -24,9 +24,7 @@ import (
 	"lfo/internal/cliutil"
 	"lfo/internal/core"
 	"lfo/internal/gbdt"
-	"lfo/internal/gen"
 	"lfo/internal/obs"
-	"lfo/internal/opt"
 	"lfo/internal/server"
 	"lfo/internal/trace"
 )
@@ -201,26 +199,15 @@ func obtainModel(modelPath, trainFile, trainGen string, n int, seed int64, sizeS
 	if err != nil || size <= 0 {
 		return nil, fmt.Errorf("bad -size %q: %v", sizeStr, err)
 	}
-	var tr *trace.Trace
-	switch {
-	case trainFile != "":
-		tr, err = trace.ReadFile(trainFile)
-	case trainGen == "cdn":
-		tr, err = gen.Generate(gen.CDNMix(n, seed))
-	case trainGen == "web":
-		tr, err = gen.Generate(gen.WebMix(n, seed))
-	default:
+	if trainFile == "" && trainGen == "" {
 		return nil, fmt.Errorf("need -model, -train-trace or -train-gen")
 	}
+	tr, err := cliutil.LoadTrace(trainFile, trainGen, n, seed)
 	if err != nil {
 		return nil, err
 	}
 	tr = tr.WithCosts(trace.ObjectiveBHR)
-	model, _, err := core.TrainOnWindow(tr, core.Config{
-		CacheSize:  size,
-		WindowSize: tr.Len(),
-		OPT:        opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5},
-	})
+	model, _, err := core.TrainOnWindow(tr, core.Config{CacheSize: size, OPT: core.HarnessOPT})
 	return model, err
 }
 

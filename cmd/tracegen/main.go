@@ -1,10 +1,11 @@
 // Command tracegen generates synthetic CDN request traces in the
-// webcachesim-compatible text format (or the compact binary format).
+// webcachesim-compatible text format every -trace flag in the repository
+// reads.
 //
 // Usage:
 //
 //	tracegen -n 500000 -seed 1 -mix cdn -o trace.txt
-//	tracegen -n 100000 -mix web -format binary -o trace.bin
+//	tracegen -n 100000 -mix web -stats > web.txt
 //
 // The generator substitutes for the proprietary production trace used in
 // the paper's evaluation; see DESIGN.md for the substitution rationale.
@@ -21,12 +22,11 @@ import (
 
 func main() {
 	var (
-		n      = flag.Int("n", 100000, "number of requests")
-		seed   = flag.Int64("seed", 1, "generator seed")
-		mix    = flag.String("mix", "cdn", "workload mix: cdn, web, or unit")
-		out    = flag.String("o", "-", "output path ('-' = stdout)")
-		format = flag.String("format", "text", "output format: text or binary")
-		stats  = flag.Bool("stats", false, "print trace statistics to stderr")
+		n     = flag.Int("n", 100000, "number of requests")
+		seed  = flag.Int64("seed", 1, "generator seed")
+		mix   = flag.String("mix", "cdn", "workload mix: cdn, web, or unit")
+		out   = flag.String("o", "-", "output path ('-' = stdout)")
+		stats = flag.Bool("stats", false, "print trace statistics to stderr")
 	)
 	flag.Parse()
 
@@ -60,15 +60,7 @@ func main() {
 		}()
 		w = f
 	}
-	switch *format {
-	case "text":
-		err = trace.Write(w, tr)
-	case "binary":
-		err = trace.WriteBinary(w, tr)
-	default:
-		fatalf("unknown format %q (want text or binary)", *format)
-	}
-	if err != nil {
+	if err := trace.Write(w, tr); err != nil {
 		fatalf("write: %v", err)
 	}
 

@@ -14,8 +14,7 @@ import (
 	"os"
 
 	"lfo/internal/analysis"
-	"lfo/internal/gen"
-	"lfo/internal/trace"
+	"lfo/internal/cliutil"
 )
 
 func main() {
@@ -27,18 +26,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var tr *trace.Trace
-	var err error
-	switch {
-	case *tracePath != "":
-		tr, err = trace.ReadFile(*tracePath)
-	case *genMix == "cdn":
-		tr, err = gen.Generate(gen.CDNMix(*n, *seed))
-	case *genMix == "web":
-		tr, err = gen.Generate(gen.WebMix(*n, *seed))
-	default:
-		err = fmt.Errorf("need -trace FILE or -gen MIX")
-	}
+	tr, err := cliutil.LoadTrace(*tracePath, *genMix, *n, *seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "traceinfo: %v\n", err)
 		os.Exit(1)

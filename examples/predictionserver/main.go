@@ -2,7 +2,7 @@
 // drive it from a client that tracks online features for a live request
 // stream — the shape of a production deployment where CDN frontends
 // consult a shared prediction service (Fig 7 of the paper asks whether
-// this path is fast enough; see BenchmarkFig7Throughput).
+// this path is fast enough; see the wire_fleet workload of bench/).
 //
 //	go run ./examples/predictionserver
 package main

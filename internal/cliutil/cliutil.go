@@ -5,7 +5,31 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"lfo/internal/gen"
+	"lfo/internal/trace"
 )
+
+// LoadTrace is the input switch of every trace-consuming binary: the text
+// trace at path, or — when path is empty — n requests of the synthetic mix
+// ("cdn" or "web") generated from seed. Exactly one of path and mix must be
+// set. Costs are as read or generated; callers apply their objective.
+func LoadTrace(path, mix string, n int, seed int64) (*trace.Trace, error) {
+	switch {
+	case path != "" && mix != "":
+		return nil, fmt.Errorf("a trace file and a generated mix are mutually exclusive")
+	case path != "":
+		return trace.ReadFile(path)
+	case mix == "cdn":
+		return gen.Generate(gen.CDNMix(n, seed))
+	case mix == "web":
+		return gen.Generate(gen.WebMix(n, seed))
+	case mix != "":
+		return nil, fmt.Errorf("unknown mix %q (want cdn or web)", mix)
+	default:
+		return nil, fmt.Errorf("need -trace FILE or -gen MIX")
+	}
+}
 
 // ParseBytes parses a human-friendly byte size: a plain integer, or an
 // integer/decimal with a k/m/g/t suffix (binary units), case-insensitive,

@@ -1,6 +1,10 @@
 package cliutil
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func TestParseBytes(t *testing.T) {
 	tests := []struct {
@@ -64,6 +68,27 @@ func TestRoundTrip(t *testing.T) {
 		got, err := ParseBytes(s)
 		if err != nil || got != n {
 			t.Errorf("round trip %d -> %q -> %d (%v)", n, s, got, err)
+		}
+	}
+}
+
+func TestLoadTrace(t *testing.T) {
+	for _, mix := range []string{"cdn", "web"} {
+		tr, err := LoadTrace("", mix, 300, 1)
+		if err != nil || tr.Len() != 300 {
+			t.Errorf("LoadTrace(gen %s) = %v, %v", mix, tr, err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "t.txt")
+	if err := os.WriteFile(path, []byte("1 7 10\n2 8 20 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := LoadTrace(path, "", 0, 0); err != nil || tr.Len() != 2 {
+		t.Errorf("LoadTrace(file) = %v, %v", tr, err)
+	}
+	for _, bad := range [][2]string{{"", ""}, {path, "cdn"}, {"", "video"}, {path + ".missing", ""}} {
+		if tr, err := LoadTrace(bad[0], bad[1], 10, 1); err == nil {
+			t.Errorf("LoadTrace(%q, %q) = %v, want an error", bad[0], bad[1], tr)
 		}
 	}
 }

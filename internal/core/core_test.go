@@ -3,8 +3,8 @@ package core
 import (
 	"testing"
 
+	"lfo/internal/features"
 	"lfo/internal/gbdt"
-
 	"lfo/internal/gen"
 	"lfo/internal/obs"
 	"lfo/internal/opt"
@@ -199,8 +199,8 @@ func TestExtractAlignsLabelsAndFeatures(t *testing.T) {
 	}
 	// Size feature must equal request size.
 	for i, r := range tr.Requests {
-		if ex.Row(i)[0] != float64(r.Size) {
-			t.Fatalf("row %d size feature %g != %d", i, ex.Row(i)[0], r.Size)
+		if got := ex.Feats[i*features.Dim+features.FeatSize]; got != float64(r.Size) {
+			t.Fatalf("row %d size feature %g != %d", i, got, r.Size)
 		}
 	}
 }
@@ -251,29 +251,6 @@ func TestEvaluateCutoffMonotonicity(t *testing.T) {
 			t.Errorf("cutoff %.1f: FN rate %.4f decreased", cutoff, res.FalseNegativeRate)
 		}
 		prevFP, prevFN = res.FalsePositiveRate, res.FalseNegativeRate
-	}
-}
-
-func TestExtractionSubset(t *testing.T) {
-	tr := webTrace(t, 3000, 8)
-	ex, err := Extract(tr, testConfig(1<<20, 3000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := ex.Subset(1000, 2000)
-	if sub.Requests != 1000 {
-		t.Fatalf("subset requests = %d", sub.Requests)
-	}
-	for i := 0; i < 5; i++ {
-		if sub.Row(i)[0] != ex.Row(1000 + i)[0] {
-			t.Fatal("subset rows misaligned")
-		}
-		if sub.Labels[i] != ex.Labels[1000+i] {
-			t.Fatal("subset labels misaligned")
-		}
-	}
-	if got := ex.Subset(-5, 1<<30).Requests; got != 3000 {
-		t.Errorf("clamped subset = %d", got)
 	}
 }
 

@@ -11,6 +11,13 @@
 // at least Cutoff, rank resident objects by predicted likelihood, and
 // evict the minimum. Re-evaluating likelihoods on hits means a cache hit
 // can demote — or even evict — the hit object, mirroring OPT.
+//
+// There is one such pipeline. The offline entry points (offline.go:
+// Extract, TrainOnWindow, Evaluate — what the accuracy figures and
+// predserve's -train-* use) record their rows by serving the trace to an
+// LFO whose window never closes and fit through the same function the
+// online handoff calls, so a feature row or a label means the same thing
+// wherever it is produced.
 package core
 
 import (
@@ -117,6 +124,13 @@ type Config struct {
 	// no-op (see internal/obs).
 	Obs *obs.Registry
 }
+
+// HarnessOPT is the labeler every harness in the repository configures LFO
+// with — lfobench's figures, lfosim -policy lfo, predserve's -train-* — so
+// the tables, the simulator and a served model agree on what a label is:
+// §2.1's ranking cut at the top half of the intervals, then the exact flow
+// where it is affordable.
+var HarnessOPT = opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5}
 
 // CutoffAdmitAll is the Config.Cutoff sentinel for an effective cutoff of
 // exactly 0 (see sim.ResolveCutoff, which New applies).
@@ -511,17 +525,8 @@ func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetric
 		// silently.
 		panic(fmt.Sprintf("core: OPT computation failed: %v", err))
 	}
-	labels := make([]float64, len(reqs))
-	pos := 0
-	for i, admit := range res.Admit {
-		if admit {
-			labels[i] = 1
-			pos++
-		}
-	}
-	ds := gbdt.DatasetFromMatrix(features.Dim, feats, labels)
 	sc = obs.Start(m.trainNS)
-	model, err := gbdt.Train(ds, cfg.GBDT)
+	model, err := fit(feats, res.Admit, cfg.GBDT)
 	sc.Stop()
 	if err != nil {
 		panic(fmt.Sprintf("core: training failed: %v", err))
@@ -538,8 +543,11 @@ func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetric
 	if cfg.OnRetrain != nil {
 		preds := make([]float64, len(reqs))
 		model.PredictMatrix(feats, preds, cfg.Workers)
-		correct := 0
+		pos, correct := 0, 0
 		for i, pred := range preds {
+			if res.Admit[i] {
+				pos++
+			}
 			if (pred >= cfg.Cutoff) == res.Admit[i] {
 				correct++
 			}

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"lfo/internal/evict"
 	"lfo/internal/features"
 	"lfo/internal/gbdt"
 	"lfo/internal/opt"
@@ -11,15 +8,9 @@ import (
 )
 
 // Extraction is an aligned set of online feature vectors and OPT labels
-// for one trace window — the offline counterpart of LFO's training
-// pipeline, used by the accuracy experiments (Fig 5a/5b/5c) where
-// prediction error is measured against OPT rather than through cache
-// metrics.
-//
-// The free-bytes feature requires a cache state; offline extraction
-// replays the window against a plain LRU reference cache of the same
-// capacity, which makes the features deterministic and independent of the
-// model under study.
+// for one trace window: what one round of LFO's training pipeline sees,
+// held still so the accuracy experiments (Fig 5a/5b/5c) can measure
+// prediction error against OPT rather than through cache metrics.
 type Extraction struct {
 	// Feats is a flat row-major matrix, features.Dim wide.
 	Feats []float64
@@ -30,70 +21,60 @@ type Extraction struct {
 }
 
 // Extract computes features and OPT labels for every request in the trace.
+//
+// The rows are recorded by the online recorder itself: the trace is served
+// by an LFO cache whose window never closes, and the rows its Request path
+// wrote down are returned beside opt.Compute's labels. A cache that has not
+// trained yet is in its bootstrap phase — admit everything, evict
+// least-recently-used — so the free-bytes feature is that of a plain LRU
+// reference cache of the same capacity: deterministic and independent of
+// the model under study, while every other column is by construction what
+// a serving cache would have fed its model.
 func Extract(tr *trace.Trace, cfg Config) (*Extraction, error) {
 	cfg = cfg.withDefaults()
-	if cfg.CacheSize <= 0 {
-		return nil, fmt.Errorf("core: CacheSize must be positive, got %d", cfg.CacheSize)
+	rec, err := New(Config{
+		CacheSize:         cfg.CacheSize,
+		WindowSize:        tr.Len() + 1,
+		Eviction:          "lru",
+		MaxTrackedObjects: cfg.MaxTrackedObjects,
+	})
+	if err != nil {
+		return nil, err
 	}
 	res, err := opt.Compute(tr, cfg.OPT)
 	if err != nil {
 		return nil, err
 	}
-
-	// The free-bytes feature comes from a sequential replay of the
-	// reference LRU (cache state is inherently serial); with that column
-	// precomputed, the tracker-driven rows shard across workers.
-	free := make([]int64, tr.Len())
-	ref, err := evict.New(evict.Config{CacheSize: cfg.CacheSize, Eviction: "lru"}) // admit-all LRU
-	if err != nil {
-		return nil, err
+	for _, r := range tr.Requests {
+		rec.Request(r)
 	}
-	for i, r := range tr.Requests {
-		free[i] = ref.Free()
-		ref.Request(r)
-	}
-	tracker := features.NewTracker(cfg.MaxTrackedObjects)
-	return &Extraction{
-		Feats:    tracker.BuildMatrix(tr.Requests, free, cfg.Workers),
-		Labels:   res.Admit,
-		Requests: tr.Len(),
-	}, nil
-}
-
-// Row returns feature row i.
-func (e *Extraction) Row(i int) []float64 {
-	return e.Feats[i*features.Dim : (i+1)*features.Dim]
+	return &Extraction{Feats: rec.winFeats, Labels: res.Admit, Requests: tr.Len()}, nil
 }
 
 // Dataset converts the extraction into a training set. The feature
 // matrix is shared, not copied; do not mutate the extraction while the
 // dataset is in use.
 func (e *Extraction) Dataset() *gbdt.Dataset {
-	y := make([]float64, e.Requests)
-	for i, admit := range e.Labels[:e.Requests] {
-		if admit {
+	return dataset(e.Feats, e.Labels[:e.Requests])
+}
+
+// dataset pairs recorded feature rows with OPT's decisions as 0/1 labels.
+// The matrix is shared, not copied.
+func dataset(feats []float64, admit []bool) *gbdt.Dataset {
+	y := make([]float64, len(admit))
+	for i, a := range admit {
+		if a {
 			y[i] = 1
 		}
 	}
-	return gbdt.DatasetFromMatrix(features.Dim, e.Feats, y)
+	return gbdt.DatasetFromMatrix(features.Dim, feats, y)
 }
 
-// Subset returns an extraction over rows [lo, hi).
-func (e *Extraction) Subset(lo, hi int) *Extraction {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > e.Requests {
-		hi = e.Requests
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return &Extraction{
-		Feats:    e.Feats[lo*features.Dim : hi*features.Dim],
-		Labels:   e.Labels[lo:hi],
-		Requests: hi - lo,
-	}
+// fit is the learning step of Figure 2, shared by the online handoff
+// (trainWindow) and its offline counterpart (TrainOnWindow): a window's
+// recorded rows and OPT's decisions for them become the admission model.
+func fit(feats []float64, admit []bool, p gbdt.Params) (*gbdt.Model, error) {
+	return gbdt.Train(dataset(feats, admit), p)
 }
 
 // EvalResult quantifies a model's agreement with OPT on an extraction.
@@ -154,7 +135,7 @@ func TrainOnWindow(tr *trace.Trace, cfg Config) (*gbdt.Model, *Extraction, error
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := gbdt.Train(ex.Dataset(), cfg.GBDT)
+	m, err := fit(ex.Feats, ex.Labels, cfg.GBDT)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"lfo/internal/core"
 	"lfo/internal/features"
@@ -17,8 +16,14 @@ import (
 // RankFractionPoint measures the OPT ranking approximation (§2.1).
 type RankFractionPoint struct {
 	Fraction float64
-	// SolveTime is the OPT computation wall time.
-	SolveTime time.Duration
+	// Solved is the number of intervals handed to the flow solver, and
+	// FlowAugmentations, FlowPasses and FlowPotentialMoves the work it did
+	// on them (see opt.Result): what the solve costs on any machine. For
+	// seconds see the repository benchmark's opt.compute_s.
+	Solved             int
+	FlowAugmentations  int
+	FlowPasses         int
+	FlowPotentialMoves int
 	// HitBytesShare is the approximation's OPT hit bytes relative to the
 	// exact solve.
 	HitBytesShare float64
@@ -29,7 +34,7 @@ type RankFractionPoint struct {
 
 // AblationRankFraction quantifies the paper's claim that ranking by
 // C/(S·L) and solving only the top share of intervals saves most of the
-// computation time at minor decision cost.
+// computation at minor decision cost.
 func AblationRankFraction(cfg Config, fractions []float64) ([]RankFractionPoint, error) {
 	if len(fractions) == 0 {
 		fractions = []float64{1.0, 0.5, 0.3, 0.1}
@@ -41,8 +46,6 @@ func AblationRankFraction(cfg Config, fractions []float64) ([]RankFractionPoint,
 	var exact *opt.Result
 	var out []RankFractionPoint
 	for _, f := range fractions {
-		//lfolint:ignore time-now wall-clock OPT runtime is this experiment's measured output
-		start := time.Now()
 		res, err := opt.Compute(tr, opt.Config{
 			CacheSize:    cfg.CacheSize,
 			Algorithm:    opt.AlgoFlow,
@@ -51,7 +54,6 @@ func AblationRankFraction(cfg Config, fractions []float64) ([]RankFractionPoint,
 		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(start)
 		if exact == nil {
 			exact = res // fractions[0] must be 1.0 for exact baseline
 		}
@@ -62,9 +64,12 @@ func AblationRankFraction(cfg Config, fractions []float64) ([]RankFractionPoint,
 			}
 		}
 		pt := RankFractionPoint{
-			Fraction:  f,
-			SolveTime: elapsed,
-			Agreement: float64(agree) / float64(len(res.Admit)),
+			Fraction:           f,
+			Solved:             res.Solved,
+			FlowAugmentations:  res.FlowAugmentations,
+			FlowPasses:         res.FlowPasses,
+			FlowPotentialMoves: res.FlowPotentialMoves,
+			Agreement:          float64(agree) / float64(len(res.Admit)),
 		}
 		if exact.HitBytes > 0 {
 			pt.HitBytesShare = float64(res.HitBytes) / float64(exact.HitBytes)
@@ -78,12 +83,15 @@ func AblationRankFraction(cfg Config, fractions []float64) ([]RankFractionPoint,
 func AblationRankFractionTable(pts []RankFractionPoint) *Table {
 	t := &Table{
 		Title:  "Ablation: OPT rank-based trace splitting (C/(S·L), §2.1)",
-		Header: []string{"fraction solved", "solve time", "hit-bytes share", "decision agreement"},
+		Header: []string{"fraction solved", "intervals solved", "flow paths", "passes", "potential moves", "hit-bytes share", "decision agreement"},
 	}
 	for _, p := range pts {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", p.Fraction),
-			p.SolveTime.Round(time.Millisecond).String(),
+			fmt.Sprintf("%d", p.Solved),
+			fmt.Sprintf("%d", p.FlowAugmentations),
+			fmt.Sprintf("%d", p.FlowPasses),
+			fmt.Sprintf("%d", p.FlowPotentialMoves),
 			fmt.Sprintf("%.3f", p.HitBytesShare),
 			fmt.Sprintf("%.3f", p.Agreement),
 		})
@@ -111,20 +119,8 @@ type FeatureVariantResult struct {
 //   - "thinned" — only gaps 1, 2, 4, 8, 16, 32 retained (the paper's
 //     proposed model speed-up, §3).
 func AblationFeatureVariants(cfg Config) ([]FeatureVariantResult, error) {
-	tr, err := cfg.cdnTrace()
-	if err != nil {
-		return nil, err
-	}
-	w := cfg.Window
-	if 2*w > tr.Len() {
-		w = tr.Len() / 2
-	}
 	lcfg := cfg.lfoConfig()
-	trainEx, err := core.Extract(tr.Slice(0, w), lcfg)
-	if err != nil {
-		return nil, err
-	}
-	evalEx, err := core.Extract(tr.Slice(w, 2*w), lcfg)
+	wp, err := cfg.windowPair(lcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -140,8 +136,8 @@ func AblationFeatureVariants(cfg Config) ([]FeatureVariantResult, error) {
 	}
 	var out []FeatureVariantResult
 	for _, v := range variants {
-		trainV := v.mut(cloneExtraction(trainEx))
-		evalV := v.mut(cloneExtraction(evalEx))
+		trainV := v.mut(cloneExtraction(wp.train))
+		evalV := v.mut(cloneExtraction(wp.eval))
 		model, err := gbdt.Train(trainV.Dataset(), lcfg.GBDT)
 		if err != nil {
 			return nil, err
@@ -290,7 +286,10 @@ func AblationPolicyDesignTable(rs []PolicyDesignResult) *Table {
 type IterationsResult struct {
 	Iterations int
 	ErrPct     float64
-	TrainTime  time.Duration
+	// Trees and Leaves size the fitted model: training, like prediction,
+	// costs in proportion to them on any machine. For seconds see the
+	// repository benchmark's gbdt.train_s.
+	Trees, Leaves int
 }
 
 // AblationIterations sweeps the boosting iteration count.
@@ -298,37 +297,27 @@ func AblationIterations(cfg Config, iters []int) ([]IterationsResult, error) {
 	if len(iters) == 0 {
 		iters = []int{10, 30, 100}
 	}
-	tr, err := cfg.cdnTrace()
-	if err != nil {
-		return nil, err
-	}
-	w := cfg.Window
-	if 2*w > tr.Len() {
-		w = tr.Len() / 2
-	}
 	lcfg := cfg.lfoConfig()
-	trainEx, err := core.Extract(tr.Slice(0, w), lcfg)
+	wp, err := cfg.windowPair(lcfg)
 	if err != nil {
 		return nil, err
 	}
-	evalEx, err := core.Extract(tr.Slice(w, 2*w), lcfg)
-	if err != nil {
-		return nil, err
-	}
-	ds := trainEx.Dataset()
+	ds := wp.train.Dataset()
 	var out []IterationsResult
 	for _, it := range iters {
 		p := lcfg.GBDT
 		p.NumIterations = it
-		//lfolint:ignore time-now wall-clock training time is this experiment's measured output
-		start := time.Now()
 		model, err := gbdt.Train(ds, p)
 		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(start)
-		ev := core.Evaluate(model, evalEx, 0.5)
-		out = append(out, IterationsResult{Iterations: it, ErrPct: 100 * ev.Error, TrainTime: elapsed})
+		ev := core.Evaluate(model, wp.eval, 0.5)
+		out = append(out, IterationsResult{
+			Iterations: it,
+			ErrPct:     100 * ev.Error,
+			Trees:      model.NumTrees(),
+			Leaves:     model.NumLeaves(),
+		})
 	}
 	return out, nil
 }
@@ -337,13 +326,14 @@ func AblationIterations(cfg Config, iters []int) ([]IterationsResult, error) {
 func AblationIterationsTable(rs []IterationsResult) *Table {
 	t := &Table{
 		Title:  "Ablation: boosting iterations (§2.3: paper uses 30 of LightGBM's default 100)",
-		Header: []string{"iterations", "next-window err%", "train time"},
+		Header: []string{"iterations", "next-window err%", "trees", "leaves"},
 	}
 	for _, r := range rs {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", r.Iterations),
 			fmt.Sprintf("%.2f", r.ErrPct),
-			r.TrainTime.Round(time.Millisecond).String(),
+			fmt.Sprintf("%d", r.Trees),
+			fmt.Sprintf("%d", r.Leaves),
 		})
 	}
 	return t

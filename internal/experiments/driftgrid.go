@@ -66,28 +66,14 @@ func driftGridPolicy(cfg Config, name string) (sim.Policy, error) {
 	}
 }
 
-// WindowRegret scores a windowed metrics series against the per-window
-// offline optimum: for each window, OPT is solved clairvoyantly on
-// exactly that window's requests and the window's regret is OPT's BHR
-// minus the policy's. The OPT side is byte-deterministic for any
-// oc.Workers value, so the series is reproducible across worker counts.
-func WindowRegret(tr *trace.Trace, wins []sim.WindowMetrics, oc opt.Config) ([]float64, error) {
-	out := make([]float64, len(wins))
-	for i, w := range wins {
-		res, err := opt.Compute(tr.Slice(w.Start, w.Start+w.Requests), oc)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res.BHR() - w.BHR()
-	}
-	return out, nil
-}
-
-// optWindowBHR solves per-window OPT once for a scenario; every grid row
-// shares the same window boundaries, so the solve is shared too.
+// optWindowBHR is the reference side of the regret metric: for each
+// window, OPT solved clairvoyantly on exactly that window's requests. Every
+// grid row of a scenario shares the same window boundaries, so the solve is
+// shared too; it is byte-deterministic for any cfg.Workers.
 func optWindowBHR(cfg Config, tr *trace.Trace, wins []sim.WindowMetrics) ([]float64, error) {
 	oc := cfg.lfoConfig().OPT
 	oc.CacheSize = cfg.CacheSize
+	oc.Workers = cfg.Workers
 	out := make([]float64, len(wins))
 	for i, w := range wins {
 		res, err := opt.Compute(tr.Slice(w.Start, w.Start+w.Requests), oc)

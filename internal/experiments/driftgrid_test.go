@@ -25,12 +25,13 @@ func ogdRegret(t *testing.T, cfg Config, workers int) []float64 {
 	// No warmup: window 0 is the cold-start window, so the running
 	// average starts at the learner's worst and can only improve.
 	m := sim.Run(tr, p, sim.Options{WindowSize: cfg.Window})
-	oc := cfg.lfoConfig().OPT
-	oc.CacheSize = cfg.CacheSize
-	oc.Workers = workers
-	reg, err := WindowRegret(tr, m.Windows, oc)
+	cfg.Workers = workers
+	reg, err := optWindowBHR(cfg, tr, m.Windows)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, w := range m.Windows {
+		reg[i] -= w.BHR()
 	}
 	return reg
 }

@@ -1,8 +1,15 @@
 // Package experiments reproduces every figure of the paper's evaluation
 // (§3): one function per figure, each returning a structured result that
-// prints as the same rows/series the paper reports. The cmd/lfobench
-// binary and the repository-level benchmarks are thin wrappers around
-// this package.
+// prints as the same rows/series the paper reports, and one ordered
+// registry (Figures) that pairs each with its table. cmd/lfobench is flag
+// parsing plus a loop over that registry.
+//
+// Every table is a pure function of Config: no figure reads a clock, so a
+// rerun prints the same bytes (testdata/lfobench_quick.golden, diffed by
+// scripts/check.sh) and a cost column counts machine-independent work —
+// intervals solved, flow passes, trees, leaves. Seconds are cited from the
+// repository benchmark (bench/: opt.compute_s, gbdt.train_s,
+// gbdt.predict_ns), never printed here.
 //
 // Scale note: the paper evaluates on a 500M-request production trace with
 // a 256 GB cache on a 44-core server. The harness defaults are scaled to
@@ -20,7 +27,6 @@ import (
 	"lfo/internal/gbdt"
 	"lfo/internal/gen"
 	"lfo/internal/obs"
-	"lfo/internal/opt"
 	"lfo/internal/policy"
 	"lfo/internal/sim"
 	"lfo/internal/trace"
@@ -96,11 +102,41 @@ func (c Config) lfoConfig() core.Config {
 	return core.Config{
 		CacheSize:  c.CacheSize,
 		WindowSize: c.Window,
-		OPT:        opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5},
+		OPT:        core.HarnessOPT,
 		GBDT:       gbdt.DefaultParams(),
 		Workers:    c.Workers,
 		Obs:        c.Obs,
 	}
+}
+
+// windowPair is the fixture of every next-window experiment: a model
+// fitted to the first window of the CDN trace, that window's extraction,
+// and the extraction of the window after it to judge the model on.
+type windowPair struct {
+	model       *gbdt.Model
+	train, eval *core.Extraction
+}
+
+// windowPair trains on [0, w) and extracts [w, 2w) under lcfg, with
+// w = c.Window clamped to half the trace.
+func (c Config) windowPair(lcfg core.Config) (*windowPair, error) {
+	tr, err := c.cdnTrace()
+	if err != nil {
+		return nil, err
+	}
+	w := c.Window
+	if 2*w > tr.Len() {
+		w = tr.Len() / 2
+	}
+	model, train, err := core.TrainOnWindow(tr.Slice(0, w), lcfg)
+	if err != nil {
+		return nil, err
+	}
+	eval, err := core.Extract(tr.Slice(w, 2*w), lcfg)
+	if err != nil {
+		return nil, err
+	}
+	return &windowPair{model: model, train: train, eval: eval}, nil
 }
 
 // Table is a printable experiment result.
@@ -198,30 +234,32 @@ type AccuracyResult struct {
 // Accuracy reproduces the §3 headline: train LFO on one window and
 // measure agreement with OPT on the next.
 func Accuracy(cfg Config) (*AccuracyResult, error) {
-	tr, err := cfg.cdnTrace()
+	wp, err := cfg.windowPair(cfg.lfoConfig())
 	if err != nil {
 		return nil, err
 	}
-	w := cfg.Window
-	if 2*w > tr.Len() {
-		w = tr.Len() / 2
-	}
-	lcfg := cfg.lfoConfig()
-	model, _, err := core.TrainOnWindow(tr.Slice(0, w), lcfg)
-	if err != nil {
-		return nil, err
-	}
-	ex, err := core.Extract(tr.Slice(w, 2*w), lcfg)
-	if err != nil {
-		return nil, err
-	}
-	ev := core.Evaluate(model, ex, 0.5)
+	ev := core.Evaluate(wp.model, wp.eval, 0.5)
 	return &AccuracyResult{
 		Accuracy:    1 - ev.Error,
 		Eval:        ev,
-		TrainWindow: w,
-		EvalWindow:  w,
+		TrainWindow: wp.train.Requests,
+		EvalWindow:  wp.eval.Requests,
 	}, nil
+}
+
+// AccuracyTable formats the accuracy headline.
+func AccuracyTable(r *AccuracyResult) *Table {
+	return &Table{
+		Title:  "§3 headline: prediction accuracy (paper: >93%)",
+		Header: []string{"accuracy%", "FP%", "FN%", "train window", "eval window"},
+		Rows: [][]string{{
+			fmt.Sprintf("%.2f", 100*r.Accuracy),
+			fmt.Sprintf("%.2f", 100*r.Eval.FalsePositiveRate),
+			fmt.Sprintf("%.2f", 100*r.Eval.FalseNegativeRate),
+			fmt.Sprintf("%d", r.TrainWindow),
+			fmt.Sprintf("%d", r.EvalWindow),
+		}},
+	}
 }
 
 // sortByBHR sorts policy results descending by BHR.

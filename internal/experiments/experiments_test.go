@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -61,6 +60,10 @@ func TestAccuracyHeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.TrainWindow != 10000 || res.EvalWindow != 10000 {
+		t.Errorf("windows = %d, %d, want the quick scale's 10000", res.TrainWindow, res.EvalWindow)
+	}
+	AccuracyTable(res)
 	// Paper: >93% on its production trace. Synthetic mixes are noisier;
 	// requires a clearly-learned signal.
 	if res.Accuracy < 0.80 {
@@ -162,44 +165,16 @@ func TestFig6Shape(t *testing.T) {
 			t.Errorf("%s BHR %.4f exceeds OPT %.4f", p.Name, p.BHR, res.OPT.BHR)
 		}
 	}
-	Fig6Table(res, "bhr")
-}
-
-func TestFig7Shape(t *testing.T) {
-	cfg := quick(t)
-	cfg.Requests = 20000
-	cfg.Window = 10000
-	pts, err := Fig7(cfg, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
+	if tbl := Fig6Table(res); !strings.Contains(tbl.Title, "bhr objective") {
+		t.Errorf("title %q does not name the objective", tbl.Title)
 	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].ReqsPerSec < 10000 {
-		t.Errorf("single-thread throughput %.0f req/s implausibly low", pts[0].ReqsPerSec)
-	}
-	// Scaling: with real cores available, 4 threads should beat 1 thread
-	// (generously: >1.5×). On a single-CPU host only require that the
-	// parallel path is not catastrophically slower.
-	if runtime.NumCPU() >= 4 {
-		if pts[2].ReqsPerSec < 1.5*pts[0].ReqsPerSec {
-			t.Errorf("4 threads %.0f < 1.5× single thread %.0f", pts[2].ReqsPerSec, pts[0].ReqsPerSec)
-		}
-	} else if pts[2].ReqsPerSec < 0.4*pts[0].ReqsPerSec {
-		t.Errorf("4 threads %.0f < 0.4× single thread %.0f on %d-CPU host", pts[2].ReqsPerSec, pts[0].ReqsPerSec, runtime.NumCPU())
-	}
-	Fig7Table(pts)
 }
 
 func TestFig8Shape(t *testing.T) {
 	cfg := quick(t)
-	entries, model, err := Fig8(cfg)
+	entries, err := Fig8(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if model == nil {
-		t.Fatal("no model")
 	}
 	imp := map[string]float64{}
 	total := 0.0
@@ -239,6 +214,14 @@ func TestAblationRankFraction(t *testing.T) {
 	}
 	if pts[1].HitBytesShare > 1.0+1e-9 {
 		t.Errorf("approximation hit bytes exceed exact: %.3f", pts[1].HitBytesShare)
+	}
+	// The cost columns are work, not seconds: fewer intervals to solve and
+	// no more paths to push than the exact solve needed.
+	if pts[1].Solved >= pts[0].Solved || pts[1].Solved == 0 {
+		t.Errorf("intervals solved: %d at 0.3, %d at 1.0", pts[1].Solved, pts[0].Solved)
+	}
+	if pts[0].FlowAugmentations == 0 || pts[0].FlowPasses == 0 || pts[1].FlowAugmentations > pts[0].FlowAugmentations {
+		t.Errorf("flow work: %+v at 1.0, %+v at 0.3", pts[0], pts[1])
 	}
 	AblationRankFractionTable(pts)
 }
@@ -295,8 +278,10 @@ func TestAblationIterations(t *testing.T) {
 	if len(rs) != 2 {
 		t.Fatalf("results = %d", len(rs))
 	}
-	if rs[1].TrainTime < rs[0].TrainTime {
-		t.Error("30 iterations trained faster than 5")
+	for i, want := range []int{5, 30} {
+		if rs[i].Trees != want || rs[i].Leaves < 2*want {
+			t.Errorf("%d iterations: %d trees, %d leaves", want, rs[i].Trees, rs[i].Leaves)
+		}
 	}
 	AblationIterationsTable(rs)
 }

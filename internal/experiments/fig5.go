@@ -19,26 +19,13 @@ type CutoffPoint struct {
 // rates are roughly stable between cutoffs .25 and .75; FN explodes below
 // .25 and FP explodes above .75.
 func Fig5a(cfg Config) ([]CutoffPoint, error) {
-	tr, err := cfg.cdnTrace()
-	if err != nil {
-		return nil, err
-	}
-	w := cfg.Window
-	if 2*w > tr.Len() {
-		w = tr.Len() / 2
-	}
-	lcfg := cfg.lfoConfig()
-	model, _, err := core.TrainOnWindow(tr.Slice(0, w), lcfg)
-	if err != nil {
-		return nil, err
-	}
-	ex, err := core.Extract(tr.Slice(w, 2*w), lcfg)
+	wp, err := cfg.windowPair(cfg.lfoConfig())
 	if err != nil {
 		return nil, err
 	}
 	var out []CutoffPoint
 	for c := 0.05; c <= 0.951; c += 0.05 {
-		ev := core.Evaluate(model, ex, c)
+		ev := core.Evaluate(wp.model, wp.eval, c)
 		out = append(out, CutoffPoint{
 			Cutoff:           c,
 			FalsePositivePct: 100 * ev.FalsePositiveRate,
@@ -95,19 +82,12 @@ func Fig5b(cfg Config, sizes []int, repeats int) ([]TrainingSizePoint, error) {
 			sub := cfg
 			sub.Seed = cfg.Seed + int64(rep)*1000
 			sub.Requests = 2 * n
-			tr, err := sub.cdnTrace()
+			sub.Window = n
+			wp, err := sub.windowPair(lcfg)
 			if err != nil {
 				return nil, err
 			}
-			model, _, err := core.TrainOnWindow(tr.Slice(0, n), lcfg)
-			if err != nil {
-				return nil, err
-			}
-			ex, err := core.Extract(tr.Slice(n, 2*n), lcfg)
-			if err != nil {
-				return nil, err
-			}
-			errPct := 100 * core.Evaluate(model, ex, 0.5).Error
+			errPct := 100 * core.Evaluate(wp.model, wp.eval, 0.5).Error
 			sum += errPct
 			if errPct < pt.MinErrPct {
 				pt.MinErrPct = errPct
@@ -158,7 +138,6 @@ func Fig5c(cfg Config, seeds int) (*SeedResult, error) {
 	if seeds <= 0 {
 		seeds = 100
 	}
-	w := cfg.Window
 	lcfg := cfg.lfoConfig()
 	lcfg.GBDT.BaggingFraction = 0.8
 	lcfg.GBDT.BaggingFreq = 1
@@ -170,21 +149,13 @@ func Fig5c(cfg Config, seeds int) (*SeedResult, error) {
 		sub := cfg
 		// Different trace subset per seed (like the paper's 100 subsets).
 		sub.Seed = cfg.Seed + int64(s)
-		sub.Requests = 2 * w
-		tr, err := sub.cdnTrace()
-		if err != nil {
-			return nil, err
-		}
+		sub.Requests = 2 * cfg.Window
 		lcfg.GBDT.Seed = int64(s)
-		model, _, err := core.TrainOnWindow(tr.Slice(0, w), lcfg)
+		wp, err := sub.windowPair(lcfg)
 		if err != nil {
 			return nil, err
 		}
-		ex, err := core.Extract(tr.Slice(w, 2*w), lcfg)
-		if err != nil {
-			return nil, err
-		}
-		errPct := 100 * core.Evaluate(model, ex, 0.5).Error
+		errPct := 100 * core.Evaluate(wp.model, wp.eval, 0.5).Error
 		res.ErrPcts = append(res.ErrPcts, errPct)
 		sum += errPct
 		if errPct < res.MinErrPct {

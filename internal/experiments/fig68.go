@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"lfo/internal/core"
 	"lfo/internal/features"
-	"lfo/internal/gbdt"
 	"lfo/internal/opt"
 	"lfo/internal/policy"
 	"lfo/internal/sim"
@@ -22,6 +19,8 @@ type Fig6Result struct {
 	OPT PolicyResult
 	// LFOShareOfOPT is LFO's BHR divided by OPT's (paper: ≈80%).
 	LFOShareOfOPT float64
+	// Objective names the cost objective the trace was replayed under.
+	Objective string
 }
 
 // fig6PolicyNames is the paper's Figure 6 line-up (we additionally carry
@@ -42,7 +41,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 	warmup := cfg.Window // first LFO window is bootstrap; exclude for all
 	opts := sim.Options{Warmup: warmup, Obs: cfg.Obs}
 
-	res := &Fig6Result{}
+	res := &Fig6Result{Objective: cfg.Objective.String()}
 	for _, name := range fig6PolicyNames {
 		p, err := policy.New(name, cfg.CacheSize, cfg.Seed)
 		if err != nil {
@@ -77,9 +76,9 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 }
 
 // Fig6Table formats Fig6 results.
-func Fig6Table(r *Fig6Result, objective string) *Table {
+func Fig6Table(r *Fig6Result) *Table {
 	t := &Table{
-		Title:  fmt.Sprintf("Fig 6: policy comparison (%s objective)", objective),
+		Title:  fmt.Sprintf("Fig 6: policy comparison (%s objective)", r.Objective),
 		Header: []string{"policy", "BHR", "OHR"},
 	}
 	add := func(p PolicyResult) {
@@ -90,92 +89,6 @@ func Fig6Table(r *Fig6Result, objective string) *Table {
 		add(p)
 	}
 	t.Rows = append(t.Rows, []string{"LFO/OPT", fmt.Sprintf("%.1f%%", 100*r.LFOShareOfOPT), ""})
-	return t
-}
-
-// ThroughputPoint is one Figure 7 measurement.
-type ThroughputPoint struct {
-	Threads int
-	// ReqsPerSec is the sustained prediction throughput.
-	ReqsPerSec float64
-	// GbitAt32KB is the link rate those predictions can drive assuming
-	// the paper's 32 KB mean object size.
-	GbitAt32KB float64
-}
-
-// Fig7 reproduces Figure 7: prediction throughput versus predictor
-// threads. Shape targets: near-linear scaling; a handful of threads
-// saturates a 40 Gbit/s link at 32 KB objects.
-func Fig7(cfg Config, threads []int) ([]ThroughputPoint, error) {
-	if len(threads) == 0 {
-		threads = defaultThreadSweep()
-	}
-	tr, err := cfg.cdnTrace()
-	if err != nil {
-		return nil, err
-	}
-	w := cfg.Window
-	if w > tr.Len() {
-		w = tr.Len()
-	}
-	lcfg := cfg.lfoConfig()
-	lcfg.WindowSize = w
-	model, ex, err := core.TrainOnWindow(tr.Slice(0, w), lcfg)
-	if err != nil {
-		return nil, err
-	}
-
-	rows := ex.Feats
-	n := ex.Requests
-	out := make([]float64, n)
-	var pts []ThroughputPoint
-	for _, th := range threads {
-		// Warm up once, then time enough repetitions for a stable rate.
-		model.PredictMatrix(rows, out, th)
-		const minDuration = 200 * time.Millisecond
-		reps, elapsed := 0, time.Duration(0)
-		//lfolint:ignore time-now throughput benchmarking measures wall-clock by design
-		start := time.Now()
-		for elapsed < minDuration {
-			model.PredictMatrix(rows, out, th)
-			reps++
-			elapsed = time.Since(start)
-		}
-		rate := float64(reps*n) / elapsed.Seconds()
-		pts = append(pts, ThroughputPoint{
-			Threads:    th,
-			ReqsPerSec: rate,
-			GbitAt32KB: rate * 32 * 1024 * 8 / 1e9,
-		})
-	}
-	return pts, nil
-}
-
-func defaultThreadSweep() []int {
-	max := runtime.NumCPU()
-	sweep := []int{1}
-	for t := 2; t < max; t *= 2 {
-		sweep = append(sweep, t)
-	}
-	if sweep[len(sweep)-1] != max {
-		sweep = append(sweep, max)
-	}
-	return sweep
-}
-
-// Fig7Table formats Fig7 results.
-func Fig7Table(pts []ThroughputPoint) *Table {
-	t := &Table{
-		Title:  "Fig 7: prediction throughput vs predictor threads",
-		Header: []string{"threads", "reqs/sec", "Gbit/s @32KB objects"},
-	}
-	for _, p := range pts {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", p.Threads),
-			fmt.Sprintf("%.0f", p.ReqsPerSec),
-			fmt.Sprintf("%.1f", p.GbitAt32KB),
-		})
-	}
 	return t
 }
 
@@ -190,20 +103,14 @@ type ImportanceEntry struct {
 // space is significant (~10%), early gaps (1–4) are heavily used with a
 // long tail of higher gaps, and the cost feature is unused under the BHR
 // objective (it is redundant with size).
-func Fig8(cfg Config) ([]ImportanceEntry, *gbdt.Model, error) {
+func Fig8(cfg Config) ([]ImportanceEntry, error) {
 	tr, err := cfg.cdnTrace()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	w := cfg.Window
-	if w > tr.Len() {
-		w = tr.Len()
-	}
-	lcfg := cfg.lfoConfig()
-	lcfg.WindowSize = w
-	model, _, err := core.TrainOnWindow(tr.Slice(0, w), lcfg)
+	model, _, err := core.TrainOnWindow(tr.Slice(0, cfg.Window), cfg.lfoConfig())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	imp := model.FeatureImportance()
 	names := features.Names()
@@ -211,7 +118,7 @@ func Fig8(cfg Config) ([]ImportanceEntry, *gbdt.Model, error) {
 	for i := range imp {
 		out[i] = ImportanceEntry{Feature: names[i], Percent: 100 * imp[i]}
 	}
-	return out, model, nil
+	return out, nil
 }
 
 // Fig8Table formats Fig8 results, listing size/cost/free and the gap

@@ -31,20 +31,4 @@ func BenchmarkFeatureTracking(b *testing.B) {
 			tracker.Update(r)
 		}
 	})
-	// Window-matrix extraction, the sharded retrain-path variant.
-	free := make([]int64, tr.Len())
-	for i := range free {
-		free[i] = 1 << 20
-	}
-	for _, v := range []struct {
-		name    string
-		workers int
-	}{{"matrix/workers=1", 1}, {"matrix/workers=all", 0}} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				NewTracker(0).BuildMatrix(tr.Requests, free, v.workers)
-			}
-		})
-	}
 }

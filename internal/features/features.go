@@ -60,10 +60,11 @@ type Tracker struct {
 	objects map[trace.ObjectID]*objectState
 	// maxObjects bounds the sparse feature store; 0 means unbounded.
 	maxObjects int
-	// evictHeap orders tracked objects by lastTime for state eviction,
-	// with lazy invalidation: every Update pushes the object's new
-	// (id, lastTime) and evictOldest pops until an entry still matches its
-	// object. An unbounded tracker never evicts, so it keeps no heap.
+	// evictHeap orders tracked objects by lastTime for state eviction. It
+	// holds exactly one entry per tracked object, pushed at first sight and
+	// refreshed lazily: a re-request leaves the entry stale, and evictOldest
+	// re-pushes a stale entry under the object's current lastTime instead of
+	// evicting on it. An unbounded tracker never evicts, so it keeps no heap.
 	evictHeap ageHeap
 }
 
@@ -74,6 +75,21 @@ func NewTracker(maxObjects int) *Tracker {
 		objects:    make(map[trace.ObjectID]*objectState, 1024),
 		maxObjects: maxObjects,
 	}
+}
+
+// Clone returns a deep copy of the tracker: mutating the clone (or the
+// original) never affects the other.
+func (t *Tracker) Clone() *Tracker {
+	c := &Tracker{
+		objects:    make(map[trace.ObjectID]*objectState, len(t.objects)),
+		maxObjects: t.maxObjects,
+		evictHeap:  append(ageHeap(nil), t.evictHeap...),
+	}
+	for id, st := range t.objects {
+		dup := *st
+		c.objects[id] = &dup
+	}
+	return c
 }
 
 // Len returns the number of objects with tracked state.
@@ -146,18 +162,20 @@ func (t *Tracker) Update(r trace.Request) {
 	}
 	st.lastTime = r.Time
 	st.cost = r.Cost
-	if t.maxObjects > 0 {
-		t.evictHeap.push(ageEntry{id: r.ID, lastTime: r.Time})
-	}
 }
 
-// evictOldest drops the least-recently-requested object's state.
+// evictOldest drops the least-recently-requested object's state. An entry
+// whose object has been requested since it was pushed goes back under the
+// object's current lastTime, so the first entry found current is the
+// minimum over every tracked object as long as no object's time stepped
+// back (trace.Read rejects traces where one does; on the wire an
+// out-of-order client only makes its own connection's victim approximate).
 func (t *Tracker) evictOldest() {
 	for len(t.evictHeap) > 0 {
 		e := t.evictHeap.pop()
-		st, ok := t.objects[e.id]
-		if !ok || st.lastTime != e.lastTime {
-			continue // stale heap entry
+		if st := t.objects[e.id]; st.lastTime != e.lastTime {
+			t.evictHeap.push(ageEntry{id: e.id, lastTime: st.lastTime})
+			continue
 		}
 		delete(t.objects, e.id)
 		return
@@ -180,11 +198,8 @@ type ageEntry struct {
 	lastTime int64
 }
 
-// ageHeap is a binary min-heap on lastTime. push and pop sift exactly as
-// container/heap's Push and Pop do — same comparisons, same swaps — so
-// entries with equal lastTime leave in the order they always have; being
-// typed, they move no entry through an interface, so a push allocates only
-// when the slice grows.
+// ageHeap is a binary min-heap on lastTime. Being typed, it moves no entry
+// through an interface, so a push allocates only when the slice grows.
 type ageHeap []ageEntry
 
 func (h *ageHeap) push(e ageEntry) {

@@ -1,7 +1,6 @@
 package features
 
 import (
-	"container/heap"
 	"math/rand"
 	"testing"
 
@@ -28,71 +27,57 @@ func TestUnboundedTrackerKeepsNoHeap(t *testing.T) {
 	}
 }
 
-// boxedAgeHeap is the tracker's eviction heap as it was first written: the
-// same entries behind container/heap's interface.
-type boxedAgeHeap []ageEntry
-
-func (h boxedAgeHeap) Len() int            { return len(h) }
-func (h boxedAgeHeap) Less(i, j int) bool  { return h[i].lastTime < h[j].lastTime }
-func (h boxedAgeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *boxedAgeHeap) Push(x interface{}) { *h = append(*h, x.(ageEntry)) }
-func (h *boxedAgeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// TestBoundedTrackerHeapIsOneEntryPerObject: below its bound a bounded
+// tracker's eviction heap grows with the objects it tracks, not with the
+// requests it has seen (it used to keep one lazily invalidated entry per
+// request: 100000 here).
+func TestBoundedTrackerHeapIsOneEntryPerObject(t *testing.T) {
+	tr := NewTracker(8192)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		tr.Update(req(int64(i), trace.ObjectID(rng.Intn(5000)), 10, 10))
+	}
+	if len(tr.evictHeap) != tr.Len() {
+		t.Errorf("heap holds %d entries for %d tracked objects after 100000 updates", len(tr.evictHeap), tr.Len())
+	}
 }
 
-// TestBoundedEvictionMatchesContainerHeap replays a stream with many equal
-// timestamps through a bounded tracker and through a model of it built on
-// container/heap, and requires the same object to lose its state at every
-// eviction: the typed heap must break ties exactly as container/heap does.
-func TestBoundedEvictionMatchesContainerHeap(t *testing.T) {
+// TestBoundedEvictionPicksMinLastTime replays a re-referencing stream with
+// strictly increasing times through a tracker at its bound and requires
+// every eviction to take the object a brute-force scan names: the one with
+// the smallest lastTime. A stale heap entry that was dropped, or evicted
+// on, instead of re-pushed fails here.
+func TestBoundedEvictionPicksMinLastTime(t *testing.T) {
 	const maxObjects = 64
 	tr := NewTracker(maxObjects)
-	var ref boxedAgeHeap
 	last := map[trace.ObjectID]int64{}
 	rng := rand.New(rand.NewSource(2))
 	evictions := 0
 	for i := 0; i < 20000; i++ {
 		id := trace.ObjectID(1 + rng.Intn(400))
-		now := int64(i / 7) // runs of equal timestamps
-		if rng.Intn(50) == 0 {
-			now -= int64(rng.Intn(20)) // and the odd step back
-		}
-		evicted := trace.ObjectID(0)
 		if _, ok := last[id]; !ok && len(last) >= maxObjects {
-			for {
-				e := heap.Pop(&ref).(ageEntry)
-				if lt, ok := last[e.id]; ok && lt == e.lastTime {
-					evicted = e.id
-					delete(last, e.id)
-					break
+			oldest := trace.ObjectID(0)
+			for o, lt := range last {
+				if oldest == 0 || lt < last[oldest] {
+					oldest = o
 				}
 			}
+			delete(last, oldest)
 			evictions++
 		}
-		last[id] = now
-		heap.Push(&ref, ageEntry{id: id, lastTime: now})
-
-		tr.Update(req(now, id, 10, 10))
-		if tr.Len() != len(last) {
-			t.Fatalf("update %d: tracker holds %d objects, reference %d", i, tr.Len(), len(last))
+		last[id] = int64(i)
+		tr.Update(req(int64(i), id, 10, 10))
+		if len(tr.objects) != len(last) || len(tr.evictHeap) != len(last) {
+			t.Fatalf("update %d: tracker holds %d objects and %d heap entries, reference %d",
+				i, len(tr.objects), len(tr.evictHeap), len(last))
 		}
-		if _, ok := tr.objects[evicted]; ok && evicted != 0 {
-			t.Fatalf("update %d: reference evicted object %d, tracker kept it", i, evicted)
-		}
-		if len(tr.evictHeap) != len(ref) {
-			t.Fatalf("update %d: heap has %d entries, reference %d", i, len(tr.evictHeap), len(ref))
+		for o, lt := range last {
+			if st := tr.objects[o]; st == nil || st.lastTime != lt {
+				t.Fatalf("update %d: object %d is in the reference and not (or not as current) in the tracker", i, o)
+			}
 		}
 	}
 	if evictions < 1000 {
 		t.Fatalf("only %d evictions; the stream does not exercise the bound", evictions)
-	}
-	for i := range ref {
-		if tr.evictHeap[i] != ref[i] {
-			t.Fatalf("heap slot %d: %+v, reference %+v", i, tr.evictHeap[i], ref[i])
-		}
 	}
 }

@@ -2,9 +2,12 @@ package gbdt
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // modelBytes gob-serializes a model so determinism checks compare the
@@ -80,6 +83,39 @@ func TestPredictMatrixMatchesPredict(t *testing.T) {
 				t.Fatalf("workers=%d row %d: PredictMatrix %v != Predict %v", workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestPredictMatrixScalesWithWorkers is the paper's Fig 7 shape — prediction
+// throughput grows with predictor threads — held where the kernel lives.
+// Four workers must score what one worker scores; with four real cores
+// they must also do it at more than 1.5 times the rate (a host with fewer
+// proves nothing about scaling, so there only the scores are compared).
+// For the rate itself see the repository benchmark's gbdt.predict_ns.
+func TestPredictMatrixScalesWithWorkers(t *testing.T) {
+	m, rows := windowModel(t)
+	rate := func(workers int, out []float64) float64 {
+		m.PredictMatrix(rows, out, workers) // warm up
+		best := 0.0
+		for rep := 0; rep < 5; rep++ {
+			start := time.Now()
+			m.PredictMatrix(rows, out, workers)
+			if r := float64(len(out)) / time.Since(start).Seconds(); r > best {
+				best = r
+			}
+		}
+		return best
+	}
+	one, four := make([]float64, benchRows), make([]float64, benchRows)
+	r1, r4 := rate(1, one), rate(4, four)
+	for i := range one {
+		if math.Float64bits(one[i]) != math.Float64bits(four[i]) {
+			t.Fatalf("row %d: 4 workers scored %v, 1 worker %v", i, four[i], one[i])
+		}
+	}
+	t.Logf("%.0f rows/s with 1 worker, %.0f with 4, on %d CPUs", r1, r4, runtime.NumCPU())
+	if runtime.NumCPU() >= 4 && r4 < 1.5*r1 {
+		t.Errorf("4 workers %.0f rows/s < 1.5x one worker's %.0f", r4, r1)
 	}
 }
 

@@ -1,10 +1,6 @@
 package gen
 
-import (
-	"math/rand"
-
-	"lfo/internal/trace"
-)
+import "lfo/internal/trace"
 
 // Adversarial workload transforms, modeling the "unexpected (or even
 // adversarial) traffic patterns" §1 of the paper says CDN servers face.
@@ -53,40 +49,6 @@ func WithScans(base *trace.Trace, cfg ScanConfig) *trace.Trace {
 				})
 				nextScanID++
 			}
-		}
-	}
-	return out
-}
-
-// LoopConfig injects cyclic sweeps over a working set slightly larger
-// than the cache — the classic LRU-pathological pattern (every request
-// misses under LRU although the loop is perfectly predictable).
-type LoopConfig struct {
-	// Objects is the loop's working-set size in objects.
-	Objects int
-	// ObjectSize is each loop object's size.
-	ObjectSize int64
-	// Cycles is how many times the loop repeats.
-	Cycles int
-}
-
-// AppendLoop appends a cyclic scan to the base trace.
-func AppendLoop(base *trace.Trace, cfg LoopConfig, rng *rand.Rand) *trace.Trace {
-	out := &trace.Trace{Requests: append([]trace.Request(nil), base.Requests...)}
-	now := int64(0)
-	if n := len(out.Requests); n > 0 {
-		now = out.Requests[n-1].Time
-	}
-	const loopBase = uint64(1) << 59
-	for c := 0; c < cfg.Cycles; c++ {
-		for o := 0; o < cfg.Objects; o++ {
-			now++
-			out.Requests = append(out.Requests, trace.Request{
-				Time: now,
-				ID:   trace.ObjectID(loopBase + uint64(o)),
-				Size: cfg.ObjectSize,
-				Cost: float64(cfg.ObjectSize),
-			})
 		}
 	}
 	return out

@@ -323,31 +323,3 @@ func TestWithScansInjectsBursts(t *testing.T) {
 		t.Error("zero config did not return base")
 	}
 }
-
-func TestAppendLoop(t *testing.T) {
-	base, err := Generate(WebMix(500, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	out := AppendLoop(base, LoopConfig{Objects: 50, ObjectSize: 100, Cycles: 3}, rng)
-	if out.Len() != 500+150 {
-		t.Fatalf("Len = %d", out.Len())
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatalf("looped trace invalid: %v", err)
-	}
-	// Each loop object appears exactly Cycles times.
-	counts := map[trace.ObjectID]int{}
-	for _, r := range out.Requests[500:] {
-		counts[r.ID]++
-	}
-	if len(counts) != 50 {
-		t.Fatalf("loop objects = %d, want 50", len(counts))
-	}
-	for id, c := range counts {
-		if c != 3 {
-			t.Errorf("loop object %d appears %d times, want 3", id, c)
-		}
-	}
-}

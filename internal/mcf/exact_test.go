@@ -25,7 +25,7 @@ func (p spec) graph() *Graph {
 		g.AddEdge(int(e[0]), int(e[1]), e[2], e[3])
 	}
 	for v, s := range p.supply {
-		g.SetSupply(v, s)
+		g.AddSupply(v, s)
 	}
 	return g
 }

@@ -94,12 +94,6 @@ func (g *Graph) Reset(n int) {
 	g.solved = false
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return g.n }
-
-// NumEdges returns the number of forward edges added via AddEdge.
-func (g *Graph) NumEdges() int { return len(g.to) / 2 }
-
 // AddEdge adds a directed edge from -> to with the given capacity and
 // non-negative per-unit cost, returning an edge handle for Flow.
 func (g *Graph) AddEdge(from, to int, capacity, cost int64) int {
@@ -128,14 +122,9 @@ func (g *Graph) AddEdge(from, to int, capacity, cost int64) int {
 	return id
 }
 
-// SetSupply sets the flow excess of a node: positive for sources, negative
-// for sinks. Supplies must sum to zero across the graph for Solve to
-// succeed.
-func (g *Graph) SetSupply(node int, supply int64) {
-	g.supply[node] = supply
-}
-
-// AddSupply adds to the flow excess of a node.
+// AddSupply adds to the flow excess of a node: positive for sources,
+// negative for sinks. Supplies must sum to zero across the graph for Solve
+// to succeed.
 func (g *Graph) AddSupply(node int, delta int64) {
 	g.supply[node] += delta
 }
@@ -151,14 +140,6 @@ var ErrInfeasible = errors.New("mcf: infeasible flow problem")
 
 // ErrUnbalanced is returned when node supplies do not sum to zero.
 var ErrUnbalanced = errors.New("mcf: supplies do not sum to zero")
-
-// Solve routes all supply to demand at minimum total cost and returns that
-// cost. Solve may be called once per graph. Callers solving many graphs
-// should allocate one Solver and reuse it; this convenience wrapper
-// allocates fresh scratch every call.
-func (g *Graph) Solve() (int64, error) {
-	return NewSolver().Solve(g)
-}
 
 // Stats counts the work of one Solve, loop by loop, so "how hard was this
 // flow" is readable without a profiler: on FOO graphs under BHR costs

@@ -7,12 +7,15 @@ import (
 	"testing/quick"
 )
 
+// solve routes g's supplies with a fresh Solver.
+func solve(g *Graph) (int64, error) { return NewSolver().Solve(g) }
+
 func TestSolveSingleEdge(t *testing.T) {
 	g := NewGraph(2)
 	e := g.AddEdge(0, 1, 10, 3)
-	g.SetSupply(0, 7)
-	g.SetSupply(1, -7)
-	cost, err := g.Solve()
+	g.AddSupply(0, 7)
+	g.AddSupply(1, -7)
+	cost, err := solve(g)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -31,9 +34,9 @@ func TestSolvePicksCheaperPath(t *testing.T) {
 	a2 := g.AddEdge(1, 3, 10, 1)
 	b1 := g.AddEdge(0, 2, 10, 2)
 	b2 := g.AddEdge(2, 3, 10, 3)
-	g.SetSupply(0, 10)
-	g.SetSupply(3, -10)
-	cost, err := g.Solve()
+	g.AddSupply(0, 10)
+	g.AddSupply(3, -10)
+	cost, err := solve(g)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -52,9 +55,9 @@ func TestSolveSplitsAcrossPaths(t *testing.T) {
 	g.AddEdge(1, 3, 100, 0)
 	exp := g.AddEdge(0, 2, 100, 10)
 	g.AddEdge(2, 3, 100, 0)
-	g.SetSupply(0, 10)
-	g.SetSupply(3, -10)
-	cost, err := g.Solve()
+	g.AddSupply(0, 10)
+	g.AddSupply(3, -10)
+	cost, err := solve(g)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -84,9 +87,9 @@ func TestSolveRequiresReroute(t *testing.T) {
 	g.AddEdge(1, 2, 1, 1)
 	g.AddEdge(1, 3, 1, 5)
 	g.AddEdge(2, 3, 1, 1)
-	g.SetSupply(0, 2)
-	g.SetSupply(3, -2)
-	cost, err := g.Solve()
+	g.AddSupply(0, 2)
+	g.AddSupply(3, -2)
+	cost, err := solve(g)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -101,11 +104,11 @@ func TestSolveMultiSourceSink(t *testing.T) {
 	g.AddEdge(0, 2, 10, 1)
 	g.AddEdge(0, 3, 10, 2)
 	g.AddEdge(1, 3, 10, 1)
-	g.SetSupply(0, 3)
-	g.SetSupply(1, 2)
-	g.SetSupply(2, -1)
-	g.SetSupply(3, -4)
-	cost, err := g.Solve()
+	g.AddSupply(0, 3)
+	g.AddSupply(1, 2)
+	g.AddSupply(2, -1)
+	g.AddSupply(3, -4)
+	cost, err := solve(g)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -118,9 +121,9 @@ func TestSolveMultiSourceSink(t *testing.T) {
 func TestSolveInfeasible(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, 1, 3, 1)
-	g.SetSupply(0, 5)
-	g.SetSupply(1, -5)
-	if _, err := g.Solve(); !errors.Is(err, ErrInfeasible) {
+	g.AddSupply(0, 5)
+	g.AddSupply(1, -5)
+	if _, err := solve(g); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("Solve = %v, want ErrInfeasible", err)
 	}
 }
@@ -128,8 +131,8 @@ func TestSolveInfeasible(t *testing.T) {
 func TestSolveUnbalanced(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, 1, 3, 1)
-	g.SetSupply(0, 5)
-	if _, err := g.Solve(); !errors.Is(err, ErrUnbalanced) {
+	g.AddSupply(0, 5)
+	if _, err := solve(g); !errors.Is(err, ErrUnbalanced) {
 		t.Errorf("Solve = %v, want ErrUnbalanced", err)
 	}
 }
@@ -137,12 +140,12 @@ func TestSolveUnbalanced(t *testing.T) {
 func TestSolveTwiceErrors(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, 1, 3, 1)
-	g.SetSupply(0, 1)
-	g.SetSupply(1, -1)
-	if _, err := g.Solve(); err != nil {
+	g.AddSupply(0, 1)
+	g.AddSupply(1, -1)
+	if _, err := solve(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Solve(); err == nil {
+	if _, err := solve(g); err == nil {
 		t.Error("second Solve succeeded, want error")
 	}
 }
@@ -150,7 +153,7 @@ func TestSolveTwiceErrors(t *testing.T) {
 func TestSolveZeroSupply(t *testing.T) {
 	g := NewGraph(3)
 	g.AddEdge(0, 1, 3, 1)
-	cost, err := g.Solve()
+	cost, err := solve(g)
 	if err != nil || cost != 0 {
 		t.Errorf("Solve = %d, %v, want 0, nil", cost, err)
 	}
@@ -248,9 +251,9 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 			g.AddEdge(int(e[0]), int(e[1]), e[2], e[3])
 		}
 		for v, s := range supply {
-			g.SetSupply(v, s)
+			g.AddSupply(v, s)
 		}
-		got, err := g.Solve()
+		got, err := solve(g)
 		if want == -1 {
 			return errors.Is(err, ErrInfeasible)
 		}
@@ -289,9 +292,9 @@ func TestFlowConservation(t *testing.T) {
 			edges = append(edges, edge{from, to, c, id})
 		}
 		amt := int64(1 + rng.Intn(50))
-		g.SetSupply(0, amt)
-		g.SetSupply(n-1, -amt)
-		if _, err := g.Solve(); err != nil {
+		g.AddSupply(0, amt)
+		g.AddSupply(n-1, -amt)
+		if _, err := solve(g); err != nil {
 			t.Fatalf("trial %d: Solve: %v", trial, err)
 		}
 		bal := make([]int64, n)
@@ -323,8 +326,8 @@ func TestSolverReuseAcrossGraphs(t *testing.T) {
 		g.AddEdge(0, 2, 10, 2)
 		g.AddEdge(1, 3, 10, 1)
 		g.AddEdge(2, 3, 10, 3+k)
-		g.SetSupply(0, 7)
-		g.SetSupply(3, -7)
+		g.AddSupply(0, 7)
+		g.AddSupply(3, -7)
 		return g
 	}
 	s := NewSolver()
@@ -333,7 +336,7 @@ func TestSolverReuseAcrossGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: shared solver: %v", k, err)
 		}
-		fresh, err := build(k).Solve()
+		fresh, err := solve(build(k))
 		if err != nil {
 			t.Fatalf("k=%d: fresh solver: %v", k, err)
 		}
@@ -349,21 +352,21 @@ func TestGraphReset(t *testing.T) {
 	g := NewGraph(3)
 	g.AddEdge(0, 1, 5, 2)
 	g.AddEdge(1, 2, 5, 2)
-	g.SetSupply(0, 5)
-	g.SetSupply(2, -5)
-	if _, err := g.Solve(); err != nil {
+	g.AddSupply(0, 5)
+	g.AddSupply(2, -5)
+	if _, err := solve(g); err != nil {
 		t.Fatal(err)
 	}
 
 	// Reuse for a different, smaller problem.
 	g.Reset(2)
-	if g.NumNodes() != 2 || g.NumEdges() != 0 {
-		t.Fatalf("after Reset: %d nodes %d edges", g.NumNodes(), g.NumEdges())
+	if g.n != 2 || len(g.to) != 0 {
+		t.Fatalf("after Reset: %d nodes %d edges", g.n, len(g.to)/2)
 	}
 	e := g.AddEdge(0, 1, 10, 3)
-	g.SetSupply(0, 4)
-	g.SetSupply(1, -4)
-	cost, err := g.Solve()
+	g.AddSupply(0, 4)
+	g.AddSupply(1, -4)
+	cost, err := solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,9 +382,9 @@ func TestGraphReset(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		g.AddEdge(i, i+1, 3, 1)
 	}
-	g.SetSupply(0, 3)
-	g.SetSupply(5, -3)
-	cost, err = g.Solve()
+	g.AddSupply(0, 3)
+	g.AddSupply(5, -3)
+	cost, err = solve(g)
 	if err != nil {
 		t.Fatal(err)
 	}

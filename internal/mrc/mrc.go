@@ -170,50 +170,6 @@ func ComputeOPT(tr *trace.Trace, sizes []int64, cfg opt.Config) ([]Point, error)
 	return pts, nil
 }
 
-// ComputeLRUSampled approximates the LRU curve using SHARDS-style spatial
-// sampling (Waldspurger et al., FAST 2015): only objects whose hashed ID
-// falls below the sampling rate are traced, and measured reuse distances
-// are scaled by 1/rate. Memory and time shrink by ~1/rate, making
-// curve computation practical for multi-billion-request traces, at an
-// accuracy loss of a few hit-ratio points on a single draw (with heavy
-// Zipf heads, whether the hottest objects land in the sample dominates
-// the variance — average curves over several salts to tighten the
-// estimate). rate must be in (0, 1]; salt varies the hash draw.
-func ComputeLRUSampled(tr *trace.Trace, rate float64, salt uint64) (*Curve, error) {
-	if rate <= 0 || rate > 1 {
-		return nil, fmt.Errorf("mrc: sampling rate %g outside (0,1]", rate)
-	}
-	if rate >= 1 {
-		return ComputeLRU(tr), nil
-	}
-	threshold := uint64(rate * float64(1<<32))
-	sub := &trace.Trace{}
-	for _, r := range tr.Requests {
-		if hash32(uint64(r.ID)^salt) < threshold {
-			sub.Requests = append(sub.Requests, r)
-		}
-	}
-	c := ComputeLRU(sub)
-	// Scale distances back to full-trace byte terms. Ratios (hit counts
-	// over sampled totals) already estimate the full-trace ratios under
-	// spatial sampling, so only the distance axis needs rescaling.
-	inv := 1 / rate
-	for i := range c.distSorted {
-		c.distSorted[i] = int64(float64(c.distSorted[i]) * inv)
-	}
-	return c, nil
-}
-
-// hash32 maps an object ID to a uniform 32-bit value (SplitMix64 finalizer).
-func hash32(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x >> 32
-}
-
 // LogSizes returns k cache sizes geometrically spaced in [lo, hi].
 func LogSizes(lo, hi int64, k int) []int64 {
 	if k < 2 || hi <= lo {

@@ -206,72 +206,3 @@ func TestCurveColdMissesNeverHit(t *testing.T) {
 		t.Error("one-hit-wonder trace produced hits")
 	}
 }
-
-// TestSampledCurveApproximatesExact: SHARDS sampling at 20%, averaged
-// over several hash salts, must track the exact curve within a few
-// hit-ratio points at meaningful sizes. (A single draw can be off by
-// ~0.1 on a Zipf-headed trace, depending on whether the hottest objects
-// land in the sample; averaging washes that out.)
-func TestSampledCurveApproximatesExact(t *testing.T) {
-	tr, err := gen.Generate(gen.WebMix(60000, 17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := ComputeLRU(tr)
-	const draws = 6
-	for _, size := range []int64{4 << 20, 16 << 20, 64 << 20} {
-		var mean float64
-		for salt := uint64(0); salt < draws; salt++ {
-			sampled, err := ComputeLRUSampled(tr, 0.2, salt*0x9e3779b97f4a7c15)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mean += sampled.OHR(size)
-		}
-		mean /= draws
-		de := exact.OHR(size)
-		if diff := de - mean; diff > 0.06 || diff < -0.06 {
-			t.Errorf("size %d: sampled mean OHR %.4f vs exact %.4f (diff %.4f)", size, mean, de, diff)
-		}
-	}
-}
-
-func TestSampledCurveRateValidation(t *testing.T) {
-	tr := mkTrace([2]int64{1, 1})
-	for _, rate := range []float64{0, -0.5, 1.5} {
-		if _, err := ComputeLRUSampled(tr, rate, 0); err == nil {
-			t.Errorf("rate %g accepted", rate)
-		}
-	}
-	// rate 1 must be the exact curve.
-	c, err := ComputeLRUSampled(tr, 1, 0)
-	if err != nil || c == nil {
-		t.Fatalf("rate 1: %v", err)
-	}
-}
-
-// TestSampledCurveRateOneBypassesSampling pins the rate >= 1 fast path
-// (tightened from an exact float == 1 during the lfolint float-equal
-// sweep): a full-rate "sample" must be the exact curve, point for point
-// and independent of the hash salt.
-func TestSampledCurveRateOneBypassesSampling(t *testing.T) {
-	tr, err := gen.Generate(gen.WebMix(20000, 23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := ComputeLRU(tr)
-	for _, salt := range []uint64{0, 0x9e3779b97f4a7c15} {
-		sampled, err := ComputeLRUSampled(tr, 1, salt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, size := range []int64{1 << 20, 8 << 20, 64 << 20} {
-			if got, want := sampled.OHR(size), exact.OHR(size); got != want {
-				t.Errorf("salt %#x size %d: OHR %v != exact %v", salt, size, got, want)
-			}
-			if got, want := sampled.BHR(size), exact.BHR(size); got != want {
-				t.Errorf("salt %#x size %d: BHR %v != exact %v", salt, size, got, want)
-			}
-		}
-	}
-}

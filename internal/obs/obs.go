@@ -142,51 +142,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) of the observed values
-// from the bucket counts, interpolating linearly within the bucket the
-// quantile falls in. The estimate's resolution is the bucket width — use
-// fine-grained bounds when quantiles matter. Returns 0 for
-// an empty (or nil) histogram; a quantile landing in the overflow bucket
-// reports the last finite bound.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := int64(0)
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			return lo + int64(frac*float64(hi-lo))
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Scope is a named timer scope: it measures the wall-clock span between
 // Start and Stop into a latency histogram (the name is the histogram's
 // registry name). Scopes are plain values — starting and stopping one

@@ -272,40 +272,3 @@ func TestPrefixedRegistry(t *testing.T) {
 	}
 	nilReg.Prefixed("x_").Counter("c").Inc() // must not panic
 }
-
-// TestHistogramQuantile: quantiles interpolate within the right bucket,
-// empty histograms report 0, and overflow-bucket quantiles clamp to the
-// last finite bound.
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q", []int64{10, 20, 40, 80})
-
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %d, want 0", got)
-	}
-	// 100 observations uniformly in (0,10]: p50 lands mid-bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(5)
-	}
-	if got := h.Quantile(0.5); got != 5 {
-		t.Errorf("p50 of single-bucket fill = %d, want 5 (midpoint)", got)
-	}
-	// Add 100 in (20,40]: p99 of 200 obs lands in the (20,40] bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(30)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 <= 20 || p99 > 40 {
-		t.Errorf("p99 = %d, want in (20,40]", p99)
-	}
-	// Overflow observations clamp to the last finite bound.
-	h2 := r.Histogram("q2", []int64{10, 20})
-	h2.Observe(1000)
-	if got := h2.Quantile(0.99); got != 20 {
-		t.Errorf("overflow quantile = %d, want last bound 20", got)
-	}
-	var nilH *Histogram
-	if nilH.Quantile(0.5) != 0 {
-		t.Error("nil histogram quantile != 0")
-	}
-}

@@ -33,49 +33,17 @@ func Resolve(workers int) int {
 // range. When a single chunk results (workers <= 1, n <= minChunk), fn
 // runs inline with no goroutine.
 func Ranges(n, workers, minChunk int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	workers = Resolve(workers)
-	chunks := (n + minChunk - 1) / minChunk
-	if chunks > workers {
-		chunks = workers
-	}
-	if chunks <= 1 {
-		fn(0, n)
-		return
-	}
-	size := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		lo := c * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	RangesArg(n, workers, minChunk, fn, func(fn func(lo, hi int), lo, hi int) { fn(lo, hi) })
 }
 
-// RangesArg is Ranges with the range body split into a package-level
-// function and an explicit argument that is handed back to fn on every
-// chunk. A hot caller that would otherwise build a fresh capturing
-// closure per call (one heap allocation each time) instead passes a
-// static func value plus a by-value argument struct: when a single chunk
-// results (workers <= 1, n <= minChunk) the call runs inline and
-// allocates nothing at all. The multi-chunk path spawns one goroutine
-// per chunk of at least minChunk indices, exactly like Ranges.
+// RangesArg is the implementation of Ranges, with the range body split
+// into a package-level function and an explicit argument that is handed
+// back to fn on every chunk. A hot caller that would otherwise build a
+// fresh capturing closure per call (one heap allocation each time)
+// instead passes a static func value plus a by-value argument struct:
+// when a single chunk results (workers <= 1, n <= minChunk) the call runs
+// inline and allocates nothing at all. The multi-chunk path spawns one
+// goroutine per chunk of at least minChunk indices.
 func RangesArg[T any](n, workers, minChunk int, arg T, fn func(arg T, lo, hi int)) {
 	if n <= 0 {
 		return

@@ -176,16 +176,6 @@ func Run(tr *trace.Trace, p Policy, opts Options) *Metrics {
 	return m
 }
 
-// RunAll replays the trace against each policy independently and returns
-// metrics in the same order.
-func RunAll(tr *trace.Trace, ps []Policy, opts Options) []*Metrics {
-	out := make([]*Metrics, len(ps))
-	for i, p := range ps {
-		out[i] = Run(tr, p, opts)
-	}
-	return out
-}
-
 // String renders a one-line summary.
 func (m *Metrics) String() string {
 	return fmt.Sprintf("%s: BHR=%.4f OHR=%.4f hits=%d/%d", m.Policy, m.BHR(), m.OHR(), m.Hits, m.Requests)

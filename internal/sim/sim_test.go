@@ -61,6 +61,11 @@ func TestRunBasicMetrics(t *testing.T) {
 	if m.MissCost != 60 {
 		t.Errorf("MissCost = %g, want 60", m.MissCost)
 	}
+	// A policy that never hits pays for every request.
+	never := Run(testTrace(), neverHit{}, Options{})
+	if never.Policy != "never" || never.Hits != 0 || never.MissCost != 100 {
+		t.Errorf("never-hit policy: %s, %d hits, MissCost %g; want never, 0, 100", never.Policy, never.Hits, never.MissCost)
+	}
 }
 
 func TestRunWarmupExcluded(t *testing.T) {
@@ -168,22 +173,6 @@ func TestRunRecordsObsTotals(t *testing.T) {
 	}
 }
 
-func TestRunAll(t *testing.T) {
-	ms := RunAll(testTrace(), []Policy{&admitAll{}, neverHit{}}, Options{})
-	if len(ms) != 2 {
-		t.Fatalf("len = %d", len(ms))
-	}
-	if ms[0].Policy != "admit-all" || ms[1].Policy != "never" {
-		t.Errorf("policies = %s,%s", ms[0].Policy, ms[1].Policy)
-	}
-	if ms[1].Hits != 0 {
-		t.Errorf("never-hit policy scored %d hits", ms[1].Hits)
-	}
-	if ms[1].MissCost != 100 {
-		t.Errorf("never MissCost = %g, want 100", ms[1].MissCost)
-	}
-}
-
 func TestMetricsZeroSafe(t *testing.T) {
 	m := &Metrics{}
 	if m.BHR() != 0 || m.OHR() != 0 {
@@ -217,30 +206,6 @@ func TestStoreBasics(t *testing.T) {
 	s.Remove(1)
 	if s.Used() != 0 || s.Len() != 0 || s.Has(1) {
 		t.Error("after remove: store not empty")
-	}
-}
-
-func TestStoreRange(t *testing.T) {
-	s := NewStore[struct{}](100)
-	s.Add(1, 10)
-	s.Add(2, 20)
-	s.Add(3, 30)
-	var sum int64
-	s.Range(func(e *StoreEntry[struct{}]) bool {
-		sum += e.Size
-		return true
-	})
-	if sum != 60 {
-		t.Errorf("Range sum = %d, want 60", sum)
-	}
-	// Early stop.
-	n := 0
-	s.Range(func(e *StoreEntry[struct{}]) bool {
-		n++
-		return false
-	})
-	if n != 1 {
-		t.Errorf("Range early-stop visited %d", n)
 	}
 }
 

@@ -128,13 +128,3 @@ func (s *Store[T]) At(i int) *StoreEntry[T] { return s.dense[i] }
 // Fits reports whether an object of the given size could be admitted
 // without eviction.
 func (s *Store[T]) Fits(size int64) bool { return s.used+size <= s.capacity }
-
-// Range calls fn for every resident entry until fn returns false.
-// Iteration order is unspecified.
-func (s *Store[T]) Range(fn func(*StoreEntry[T]) bool) {
-	for _, e := range s.entries {
-		if !fn(e) {
-			return
-		}
-	}
-}

@@ -4,10 +4,6 @@
 // Bloom filter that absorbs one-hit wonders before they reach the sketch.
 package sketch
 
-import (
-	"math/bits"
-)
-
 // mix64 is SplitMix64's finalizer, used to derive per-row hash values.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
@@ -159,13 +155,4 @@ func (b *Bloom) Clear() {
 	for i := range b.bitsArr {
 		b.bitsArr[i] = 0
 	}
-}
-
-// FillRatio returns the fraction of set bits (diagnostics and tests).
-func (b *Bloom) FillRatio() float64 {
-	set := 0
-	for _, w := range b.bitsArr {
-		set += bits.OnesCount64(w)
-	}
-	return float64(set) / float64(len(b.bitsArr)*64)
 }

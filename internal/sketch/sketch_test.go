@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -125,8 +126,12 @@ func TestBloomFalsePositiveRateBounded(t *testing.T) {
 	if rate := float64(fp) / probes; rate > 0.05 {
 		t.Errorf("false positive rate %.4f > 0.05 at 1000/16384 fill", rate)
 	}
-	if b.FillRatio() <= 0 || b.FillRatio() > 0.25 {
-		t.Errorf("fill ratio %.4f out of expected range", b.FillRatio())
+	set := 0
+	for _, w := range b.bitsArr {
+		set += bits.OnesCount64(w)
+	}
+	if fill := float64(set) / float64(len(b.bitsArr)*64); fill <= 0 || fill > 0.25 {
+		t.Errorf("fill ratio %.4f out of expected range", fill)
 	}
 }
 

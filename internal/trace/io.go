@@ -2,10 +2,8 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -14,7 +12,10 @@ import (
 // Read parses a text trace from r. Each non-empty line holds
 // "<time> <id> <size> [<cost>]"; lines starting with '#' are comments.
 // When the cost column is absent, Cost is set to the object size (the BHR
-// convention, §2.1).
+// convention, §2.1). A trace that parses but breaks an invariant every
+// consumer relies on — see Validate — is an error too: a non-positive size
+// would drive a cache's byte accounting below zero and OPT's C/(S·L) rank
+// to infinity, a timestamp running backwards a gap feature negative.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -54,6 +55,9 @@ func Read(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: read: %w", err)
 	}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -91,69 +95,3 @@ func WriteFile(path string, t *Trace) error {
 	}
 	return f.Close()
 }
-
-// binaryMagic identifies the binary trace format ("LFOT" + version 1).
-var binaryMagic = [4]byte{'L', 'F', 'O', '1'}
-
-// WriteBinary writes the trace in a compact little-endian binary format:
-// a 4-byte magic, a uint64 request count, then per request Time (int64),
-// ID (uint64), Size (int64), Cost (float64).
-func WriteBinary(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	var buf [32]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(len(t.Requests)))
-	if _, err := bw.Write(buf[:8]); err != nil {
-		return err
-	}
-	for _, r := range t.Requests {
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(r.Time))
-		binary.LittleEndian.PutUint64(buf[8:16], uint64(r.ID))
-		binary.LittleEndian.PutUint64(buf[16:24], uint64(r.Size))
-		binary.LittleEndian.PutUint64(buf[24:32], uint64FromFloat(r.Cost))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads a trace written by WriteBinary.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: binary header: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("trace: bad binary magic %q", magic)
-	}
-	var buf [32]byte
-	if _, err := io.ReadFull(br, buf[:8]); err != nil {
-		return nil, fmt.Errorf("trace: binary count: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(buf[:8])
-	const maxRequests = 1 << 34
-	if n > maxRequests {
-		return nil, fmt.Errorf("trace: binary count %d exceeds limit", n)
-	}
-	t := &Trace{Requests: make([]Request, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("trace: binary request %d: %w", i, err)
-		}
-		t.Requests = append(t.Requests, Request{
-			Time: int64(binary.LittleEndian.Uint64(buf[0:8])),
-			ID:   ObjectID(binary.LittleEndian.Uint64(buf[8:16])),
-			Size: int64(binary.LittleEndian.Uint64(buf[16:24])),
-			Cost: floatFromUint64(binary.LittleEndian.Uint64(buf[24:32])),
-		})
-	}
-	return t, nil
-}
-
-func uint64FromFloat(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFromUint64(u uint64) float64 { return math.Float64frombits(u) }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -58,41 +60,6 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	tr := paperTrace()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
-	}
-	if !reflect.DeepEqual(got.Requests, tr.Requests) {
-		t.Errorf("binary round trip mismatch:\n got %+v\nwant %+v", got.Requests, tr.Requests)
-	}
-}
-
-func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("NOPE00000000"))); err == nil {
-		t.Error("ReadBinary accepted bad magic")
-	}
-}
-
-func TestBinaryRejectsTruncated(t *testing.T) {
-	tr := paperTrace()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	b := buf.Bytes()
-	for _, cut := range []int{0, 3, 11, len(b) - 1} {
-		if _, err := ReadBinary(bytes.NewReader(b[:cut])); err == nil {
-			t.Errorf("ReadBinary accepted trace truncated to %d bytes", cut)
-		}
-	}
-}
-
 func TestFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.txt")
 	tr := paperTrace()
@@ -114,36 +81,90 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
-// TestBinaryRoundTripProperty round-trips random traces through the binary
-// codec.
-func TestBinaryRoundTripProperty(t *testing.T) {
+// TestReadRejectsInvalidTraces: every line below parses, and every trace
+// breaks an invariant Validate names — Read must refuse it with
+// ErrInvalidTrace instead of handing a cache a negative size or OPT a
+// division by zero.
+func TestReadRejectsInvalidTraces(t *testing.T) {
+	tests := []struct{ name, in string }{
+		{"zero size", "1 2 0\n"},
+		{"negative size", "1 2 -3 1\n"},
+		{"negative cost", "1 2 3 -1\n"},
+		{"NaN cost", "1 2 3 NaN\n"},
+		{"infinite cost", "1 2 3 +Inf\n"},
+		{"time runs backwards", "5 1 10\n4 2 10\n"},
+		{"size changes", "1 7 10\n2 7 11\n"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := Read(strings.NewReader(tc.in))
+			if !errors.Is(err, ErrInvalidTrace) {
+				t.Errorf("Read(%q) = %+v, %v; want ErrInvalidTrace", tc.in, tr, err)
+			}
+		})
+	}
+}
+
+// TestTextRoundTripProperty round-trips random valid traces through the
+// text codec: Write's %g is the shortest form that parses back to the same
+// float64.
+func TestTextRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := &Trace{}
 		tm := int64(0)
 		for i := 0; i < int(n); i++ {
 			tm += rng.Int63n(10)
+			id := ObjectID(rng.Uint64())
 			tr.Requests = append(tr.Requests, Request{
 				Time: tm,
-				ID:   ObjectID(rng.Uint64()),
-				Size: 1 + rng.Int63n(1<<30),
+				ID:   id,
+				Size: 1 + int64(id%(1<<30)),
 				Cost: rng.Float64() * 1e6,
 			})
 		}
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
+		if err := Write(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		if len(got.Requests) != len(tr.Requests) {
-			return false
-		}
-		return reflect.DeepEqual(got.Requests, tr.Requests) || (len(tr.Requests) == 0 && len(got.Requests) == 0)
+		got, err := Read(&buf)
+		return err == nil && len(got.Requests) == len(tr.Requests) &&
+			(len(tr.Requests) == 0 || reflect.DeepEqual(got.Requests, tr.Requests))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzTraceRead: whatever the bytes, Read either refuses them or returns a
+// trace that validates and survives Write then Read unchanged, bit for bit.
+// The seed corpus is committed under testdata/fuzz/FuzzTraceRead.
+func FuzzTraceRead(f *testing.F) {
+	f.Add([]byte("# comment\n1 100 32768\n2 101 500 2.5\n\n3 100 32768\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("Read returned a trace that does not validate: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read refused what Write wrote: %v\n%s", err, buf.Bytes())
+		}
+		if len(again.Requests) != len(tr.Requests) {
+			t.Fatalf("round trip: %d requests became %d", len(tr.Requests), len(again.Requests))
+		}
+		for i, r := range tr.Requests {
+			g := again.Requests[i]
+			if g.Time != r.Time || g.ID != r.ID || g.Size != r.Size || math.Float64bits(g.Cost) != math.Float64bits(r.Cost) {
+				t.Fatalf("round trip: request %d %+v became %+v", i, r, g)
+			}
+		}
+	})
 }

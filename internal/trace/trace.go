@@ -6,14 +6,13 @@
 //
 //	<time> <object-id> <size> [<cost>]
 //
-// one request per line, whitespace separated. A binary format
-// (see ReadBinary/WriteBinary) is provided for fast round trips of large
-// traces.
+// one request per line, whitespace separated.
 package trace
 
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ObjectID identifies a cached object. Production CDN traces anonymize URLs
@@ -112,8 +111,9 @@ func (t *Trace) WithCosts(o Objective) *Trace {
 var ErrInvalidTrace = errors.New("trace: invalid trace")
 
 // Validate checks trace invariants: non-decreasing timestamps, positive
-// sizes, non-negative costs, and per-object size stability. It returns nil
-// for an empty trace.
+// sizes, finite non-negative costs, and per-object size stability. It
+// returns nil for an empty trace. Read ends in it, so a trace that came
+// from a file has passed.
 func (t *Trace) Validate() error {
 	sizes := make(map[ObjectID]int64)
 	var prev int64
@@ -125,8 +125,8 @@ func (t *Trace) Validate() error {
 		if r.Size <= 0 {
 			return fmt.Errorf("%w: request %d: non-positive size %d", ErrInvalidTrace, i, r.Size)
 		}
-		if r.Cost < 0 {
-			return fmt.Errorf("%w: request %d: negative cost %g", ErrInvalidTrace, i, r.Cost)
+		if !(r.Cost >= 0) || math.IsInf(r.Cost, 1) {
+			return fmt.Errorf("%w: request %d: cost %g is not a finite non-negative number", ErrInvalidTrace, i, r.Cost)
 		}
 		if s, ok := sizes[r.ID]; ok {
 			if s != r.Size {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -39,6 +40,8 @@ func TestValidateErrors(t *testing.T) {
 		{"zero size", []Request{{Time: 0, ID: 1, Size: 0}}},
 		{"negative size", []Request{{Time: 0, ID: 1, Size: -3}}},
 		{"negative cost", []Request{{Time: 0, ID: 1, Size: 1, Cost: -1}}},
+		{"NaN cost", []Request{{Time: 0, ID: 1, Size: 1, Cost: math.NaN()}}},
+		{"infinite cost", []Request{{Time: 0, ID: 1, Size: 1, Cost: math.Inf(1)}}},
 		{"size change", []Request{{Time: 0, ID: 1, Size: 1}, {Time: 1, ID: 1, Size: 2}}},
 	}
 	for _, tc := range tests {

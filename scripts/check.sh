@@ -2,8 +2,8 @@
 # check.sh — the repository's full verification gate (tier 1+).
 #
 # Runs formatting, vet, build, the custom lfolint analyzer, the full test
-# suite, the benchmark module's own vet and tests, and the race detector
-# over the concurrent packages. Every step must pass; the script exits
+# suite, the golden-table diff, the benchmark module's own vet and tests,
+# and the race detector over the concurrent packages. Every step must pass; the script exits
 # non-zero on the first failure, so it is directly usable as a CI gate.
 #
 # Usage: scripts/check.sh
@@ -31,6 +31,15 @@ go run ./cmd/lfolint ./...
 
 step "go test ./..."
 go test ./...
+
+# Every lfobench table is a pure function of its flags (no figure reads a
+# clock), so the whole quick-scale output is a committed file. A change
+# that moves a cell shows here as a diff; one that means to regenerates
+# the file in the same commit:
+#   go run ./cmd/lfobench -fig all -scale quick -seeds 3 -repeats 1 -workers 1 > testdata/lfobench_quick.golden
+step "lfobench golden tables (about a minute)"
+go run ./cmd/lfobench -fig all -scale quick -seeds 3 -repeats 1 -workers 1 |
+    diff -u testdata/lfobench_quick.golden -
 
 # bench/ is its own module (the repository benchmark, BENCHMARK.json)
 # compiling against internal/core, evict, sim, server and fleet; the root
@@ -93,8 +102,7 @@ step "alloc budgets"
     go test -run '^$' \
         -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictStable|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkGDSFRequest|BenchmarkOGDRequest)$' \
         -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/evict ./internal/policy ./internal/policy/ogd
-    # The tracker sub-benchmark warms itself before its timer starts; its
-    # matrix siblings allocate by design and have no budget.
+    # The tracker sub-benchmark warms itself before its timer starts.
     go test -run '^$' -bench '^BenchmarkFeatureTracking$/^stream$' -benchmem -benchtime 200x ./internal/features
     # One Train is a quarter of a second and allocates the same number of
     # objects every time; ten iterations are enough that the handful the
@@ -106,8 +114,9 @@ step "alloc budgets"
     go test -run '^$' -bench '^BenchmarkFlowWindow$' -benchmem -benchtime 8x ./internal/opt
 } | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgate.awk
 
-# Short fuzz smoke over the frame codec, the model parser, the scorer and
-# the min-cost flow solver (the last two against their _test.go oracles). The
+# Short fuzz smoke over the frame codec, the model parser, the scorer, the
+# min-cost flow solver (those two against their _test.go oracles) and the
+# trace reader (accept implies validates and round-trips). The
 # committed seed corpora under testdata/fuzz always replay; the smoke
 # additionally mutates for a few seconds per target. -fuzzminimizetime
 # is capped because the engine's default 60s minimization budget would
@@ -118,6 +127,7 @@ go test -run '^$' -fuzz '^FuzzMuxFrameDecode$' -fuzztime 5s -fuzzminimizetime 5s
 go test -run '^$' -fuzz '^FuzzModelLoad$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzScoreMatchesOracle$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzSolveMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/mcf
+go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s -fuzzminimizetime 5s ./internal/trace
 
 # Informational: the size ROADMAP.md quotes (north star: the same tables
 # and numbers from the least code), so its figure can be re-read here.
