@@ -411,6 +411,21 @@ func TestObsMetricsRecorded(t *testing.T) {
 			t.Errorf("%s count = %d, want %d", name, got, wantRetrains)
 		}
 	}
+	// The window-boundary gauges: the trace ends on a boundary, so they
+	// read what the cache holds now.
+	for name, want := range map[string]int64{
+		"core_tracked_objects": int64(lfo.tracker.Len()),
+		"core_gap_rings":       int64(lfo.tracker.Rings()),
+		"core_tracker_bytes":   lfo.tracker.Bytes(),
+		"core_resident_bytes":  lfo.res.Store.Used(),
+	} {
+		if got := reg.Gauge(name).Value(); got != want || want == 0 {
+			t.Errorf("%s = %d, want %d (non-zero)", name, got, want)
+		}
+	}
+	if ppm := reg.Gauge("core_label_positive_ppm").Value(); ppm <= 0 || ppm >= 1e6 {
+		t.Errorf("core_label_positive_ppm = %d, want a share strictly between 0 and 1e6", ppm)
+	}
 	// The OPT solve counters propagate via the core config.
 	if got := reg.Counter("opt_solves_total").Value(); got != wantRetrains {
 		t.Errorf("opt_solves_total = %d, want %d", got, wantRetrains)

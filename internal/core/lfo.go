@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lfo/internal/drift"
@@ -213,7 +214,6 @@ type LFO struct {
 
 	clock int64 // request counter (bootstrap LRU rank)
 	now   int64 // last request's trace time (feature time base)
-	buf   []float64
 
 	// Async training state: pending receives at most one in-flight
 	// result; training spawns only when pending is nil.
@@ -262,6 +262,14 @@ type coreMetrics struct {
 	trainNS        *obs.Histogram
 	rescoreNS      *obs.Histogram
 	evictTrainNS   *obs.Histogram
+
+	// Refreshed when a window closes, never per request: what the feature
+	// tracker and the cache hold, and the share of the window OPT admitted.
+	trackedObjects   *obs.Gauge
+	gapRings         *obs.Gauge
+	trackerBytes     *obs.Gauge
+	residentBytes    *obs.Gauge
+	labelPositivePPM *obs.Gauge
 }
 
 func newCoreMetrics(r *obs.Registry) coreMetrics {
@@ -275,6 +283,12 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 		trainNS:        r.Histogram("core_retrain_train_ns", obs.LatencyBounds),
 		rescoreNS:      r.Histogram("core_retrain_rescore_ns", obs.LatencyBounds),
 		evictTrainNS:   r.Histogram("core_retrain_evict_train_ns", obs.LatencyBounds),
+
+		trackedObjects:   r.Gauge("core_tracked_objects"),
+		gapRings:         r.Gauge("core_gap_rings"),
+		trackerBytes:     r.Gauge("core_tracker_bytes"),
+		residentBytes:    r.Gauge("core_resident_bytes"),
+		labelPositivePPM: r.Gauge("core_label_positive_ppm"),
 	}
 }
 
@@ -313,7 +327,6 @@ func New(cfg Config) (*LFO, error) {
 		name:    "LFO",
 		res:     res,
 		tracker: features.NewTracker(cfg.MaxTrackedObjects),
-		buf:     make([]float64, features.Dim),
 		m:       newCoreMetrics(cfg.Obs),
 	}
 	if cfg.Hybrid || cfg.DriftThreshold > 0 {
@@ -367,12 +380,16 @@ func (p *LFO) Request(r trace.Request) bool {
 	p.now = r.Time
 	p.m.requests.Inc()
 	store := p.res.Store
-	p.tracker.Features(r, store.Free(), p.buf)
 
 	// Record the window sample before acting (features must reflect the
-	// pre-decision state, exactly what the deployed model would see).
+	// pre-decision state, exactly what the deployed model would see). The
+	// row is written once, into the window record, where the model, the drift
+	// detector and training read it; the same call records the request.
 	p.winReqs = append(p.winReqs, r)
-	p.winFeats = append(p.winFeats, p.buf...)
+	n := len(p.winFeats)
+	p.winFeats = slices.Grow(p.winFeats, features.Dim)[:n+features.Dim]
+	row := p.winFeats[n:]
+	p.tracker.Observe(r, store.Free(), row)
 
 	// score is what the evictor is handed: the model's raw likelihood, or
 	// the request counter during bootstrap (admit all, LRU order).
@@ -382,7 +399,7 @@ func (p *LFO) Request(r trace.Request) bool {
 	// retrains.
 	score := float64(p.clock)
 	if p.model != nil {
-		score = p.model.Predict(p.buf)
+		score = p.model.Predict(row)
 	}
 	admitScore := score
 	if p.shadow != nil {
@@ -390,7 +407,7 @@ func (p *LFO) Request(r trace.Request) bool {
 	}
 	admit := p.model == nil || admitScore >= p.cfg.Cutoff
 	if p.det != nil {
-		p.observeDrift(p.buf)
+		p.observeDrift(row)
 		if p.clock%int64(p.cfg.DriftCheckEvery) == 0 {
 			p.driftCheck()
 		}
@@ -415,8 +432,6 @@ func (p *LFO) Request(r trace.Request) bool {
 	case admit && r.Size <= store.Capacity():
 		p.res.Admit(r, score)
 	}
-
-	p.tracker.Update(r)
 
 	if p.pending != nil {
 		// Deploy an asynchronously trained model as soon as it lands.
@@ -451,6 +466,10 @@ func (p *LFO) Close() {
 // stale training work — the drop is counted, not silent.
 func (p *LFO) closeWindow() {
 	p.completedWindows++
+	p.m.trackedObjects.Set(int64(p.tracker.Len()))
+	p.m.gapRings.Set(int64(p.tracker.Rings()))
+	p.m.trackerBytes.Set(p.tracker.Bytes())
+	p.m.residentBytes.Set(p.res.Store.Used())
 	if p.pending != nil {
 		p.resetWindow()
 		p.windowsDropped++
@@ -525,6 +544,8 @@ func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetric
 		// silently.
 		panic(fmt.Sprintf("core: OPT computation failed: %v", err))
 	}
+	// An admitted interval ends in exactly one OPT hit: Hits counts positives.
+	m.labelPositivePPM.Set(int64(res.Hits) * 1e6 / int64(len(reqs)))
 	sc = obs.Start(m.trainNS)
 	model, err := fit(feats, res.Admit, cfg.GBDT)
 	sc.Stop()

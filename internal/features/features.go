@@ -11,12 +11,16 @@
 // recent gap they are shift invariant, which the paper argues is important
 // for robustness (contrast with LRU-K's absolute reference times).
 //
-// Per-object state is a fixed ring of 32-bit gaps plus the last request
-// time — mirroring the paper's 208-byte-per-object accounting — held in a
-// sparse map bounded by MaxObjects with oldest-last-use eviction.
+// Per-object state costs what the object has earned. A first request takes
+// a 24-byte slot (last request time, cost) and an index entry; the second
+// adds a 196-byte ring of 32-bit gaps; the fiftieth adds nothing — 220 bytes
+// against the paper's 208-byte-per-object accounting, and 24 for the objects
+// never requested again. Slots and rings live in pointer-free slabs under a
+// map bounded by MaxObjects with oldest-last-use eviction.
 package features
 
 import (
+	"maps"
 	"math"
 
 	"lfo/internal/trace"
@@ -46,18 +50,77 @@ const (
 // branch, like LightGBM.
 var Missing = math.NaN()
 
-// objectState is the per-object history. Gap ring entries are saturating
-// uint32s, keeping per-object state near the paper's 208-byte budget.
-type objectState struct {
+// missingGaps is the NaN tail of a row: one copy fills the history an
+// object does not have.
+var missingGaps [NumGaps]float64
+
+func init() {
+	for i := range missingGaps {
+		missingGaps[i] = Missing
+	}
+}
+
+// slot is an object's fixed state, 24 bytes and no pointer: all a first
+// sight costs. ring indexes the gap slab from the second request on (none
+// until then: there is no gap to store), n counts the ring's valid entries.
+type slot struct {
 	lastTime int64
 	cost     float64
-	gaps     [NumGaps - 1]uint32 // historical inter-arrival gaps, newest first
-	n        uint8               // number of valid entries in gaps
+	ring     int32
+	n        uint8
+}
+
+// gapRing is an object's historical inter-arrival gaps, newest first, as
+// saturating uint32s: 196 bytes. Only the first slot.n entries are read, so
+// a recycled ring is not cleared; a free one links the free list through [0].
+type gapRing [NumGaps - 1]uint32
+
+// none marks a slot without a ring and ends the free list of rings.
+const none = -1
+
+// slab is a grow-only array of T addressed by int32 and stored in chunks,
+// so growing it moves nothing and reserves less than one chunk ahead. The
+// chunks are small: a tracker of a handful of objects (one per server
+// connection) stays at a few KB.
+type slab[T any] struct {
+	chunks []*[chunkLen]T
+	n      int32 // entries handed out
+}
+
+const chunkLen = 16
+
+func (s *slab[T]) at(i int32) *T { return &s.chunks[uint32(i)/chunkLen][uint32(i)%chunkLen] }
+
+// grow extends the slab by one zero entry and returns its index.
+func (s *slab[T]) grow() int32 {
+	if int(s.n) == len(s.chunks)*chunkLen {
+		//lfolint:ignore hotpath-alloc slab miss: one chunk per 16 new peak-tracked objects, recycled through the free list forever after
+		s.chunks = append(s.chunks, new([chunkLen]T))
+	}
+	s.n++
+	return s.n - 1
+}
+
+func (s *slab[T]) clone() slab[T] {
+	c := slab[T]{chunks: make([]*[chunkLen]T, len(s.chunks)), n: s.n}
+	for i, chunk := range s.chunks {
+		dup := *chunk
+		c.chunks[i] = &dup
+	}
+	return c
 }
 
 // Tracker maintains per-object request history.
 type Tracker struct {
-	objects map[trace.ObjectID]*objectState
+	// index maps a tracked object to its slot. Neither it nor the slabs
+	// hold a pointer, so the collector never walks per-object state.
+	index map[trace.ObjectID]int32
+	slots slab[slot]
+	rings slab[gapRing]
+	// freeRing heads the list of rings a bounded tracker's evictions freed,
+	// reused before the slab grows (a freed slot goes to the evicting insert).
+	freeRing  int32
+	ringsHeld int // rings handed out and not freed
 	// maxObjects bounds the sparse feature store; 0 means unbounded.
 	maxObjects int
 	// evictHeap orders tracked objects by lastTime for state eviction. It
@@ -71,60 +134,46 @@ type Tracker struct {
 // NewTracker returns a tracker bounded to maxObjects tracked objects
 // (0 = unbounded).
 func NewTracker(maxObjects int) *Tracker {
-	return &Tracker{
-		objects:    make(map[trace.ObjectID]*objectState, 1024),
-		maxObjects: maxObjects,
-	}
+	return &Tracker{index: map[trace.ObjectID]int32{}, freeRing: none, maxObjects: maxObjects}
 }
 
 // Clone returns a deep copy of the tracker: mutating the clone (or the
 // original) never affects the other.
 func (t *Tracker) Clone() *Tracker {
-	c := &Tracker{
-		objects:    make(map[trace.ObjectID]*objectState, len(t.objects)),
-		maxObjects: t.maxObjects,
-		evictHeap:  append(ageHeap(nil), t.evictHeap...),
-	}
-	for id, st := range t.objects {
-		dup := *st
-		c.objects[id] = &dup
-	}
-	return c
+	c := *t
+	c.index = maps.Clone(t.index)
+	c.slots = t.slots.clone()
+	c.rings = t.rings.clone()
+	c.evictHeap = append(ageHeap(nil), t.evictHeap...)
+	return &c
 }
 
 // Len returns the number of objects with tracked state.
-func (t *Tracker) Len() int { return len(t.objects) }
+func (t *Tracker) Len() int { return len(t.index) }
+
+// Rings returns the number of tracked objects requested twice or more.
+func (t *Tracker) Rings() int { return t.ringsHeld }
+
+// Bytes returns the memory behind the per-object state: the capacity of the
+// slot slab (24-byte entries), the ring slab (196) and the eviction heap (16).
+// The index map, whose size the runtime does not report, is not included.
+func (t *Tracker) Bytes() int64 {
+	return chunkLen*int64(len(t.slots.chunks)*24+len(t.rings.chunks)*4*(NumGaps-1)) + int64(cap(t.evictHeap))*16
+}
+
+// slotOf returns the object's slot, nil when it is not tracked.
+func (t *Tracker) slotOf(id trace.ObjectID) *slot {
+	if i, ok := t.index[id]; ok {
+		return t.slots.at(i)
+	}
+	return nil
+}
 
 // Features fills dst (length Dim) with the feature vector for a request
 // arriving at time now, given the cache's current free bytes. It does not
 // modify tracker state; call Update afterwards.
 func (t *Tracker) Features(r trace.Request, freeBytes int64, dst []float64) {
-	if len(dst) < Dim {
-		panic("features: dst smaller than Dim")
-	}
-	dst[FeatSize] = float64(r.Size)
-	dst[FeatCost] = r.Cost
-	dst[FeatFree] = float64(freeBytes)
-	st := t.objects[r.ID]
-	if st == nil {
-		for i := 0; i < NumGaps; i++ {
-			dst[FeatGap0+i] = Missing
-		}
-		return
-	}
-	// Gap 1: time since the object's previous request (the only
-	// non-shift-invariant gap).
-	dst[FeatGap0] = float64(r.Time - st.lastTime)
-	for i := 0; i < NumGaps-1; i++ {
-		if i < int(st.n) {
-			dst[FeatGap0+1+i] = float64(st.gaps[i])
-		} else {
-			dst[FeatGap0+1+i] = Missing
-		}
-	}
-	if st.cost != 0 {
-		dst[FeatCost] = st.cost
-	}
+	t.row(t.slotOf(r.ID), r, freeBytes, dst)
 }
 
 // FeaturesByID fills dst with the feature vector an object would have if
@@ -132,54 +181,123 @@ func (t *Tracker) Features(r trace.Request, freeBytes int64, dst []float64) {
 // swap, where no request for the object is in flight. The cost feature
 // comes from the object's tracked retrieval cost (0 if untracked).
 func (t *Tracker) FeaturesByID(id trace.ObjectID, size, now, freeBytes int64, dst []float64) {
-	r := trace.Request{Time: now, ID: id, Size: size}
-	if st := t.objects[id]; st != nil {
-		r.Cost = st.cost
-	}
-	t.Features(r, freeBytes, dst)
+	t.row(t.slotOf(id), trace.Request{Time: now, ID: id, Size: size}, freeBytes, dst)
 }
 
 // Update records the request into the object's history.
 func (t *Tracker) Update(r trace.Request) {
-	st := t.objects[r.ID]
-	if st == nil {
-		if t.maxObjects > 0 && len(t.objects) >= t.maxObjects {
-			t.evictOldest()
-		}
-		st = &objectState{lastTime: r.Time, cost: r.Cost}
-		t.objects[r.ID] = st
-		if t.maxObjects > 0 {
-			t.evictHeap.push(ageEntry{id: r.ID, lastTime: r.Time})
-		}
-		return
+	if s := t.slotOf(r.ID); s != nil {
+		t.record(s, r)
+	} else {
+		t.insert(r)
 	}
-	gap := r.Time - st.lastTime
-	// Shift the gap ring: newest first.
-	copy(st.gaps[1:], st.gaps[:len(st.gaps)-1])
-	st.gaps[0] = saturate32(gap)
-	if st.n < NumGaps-1 {
-		st.n++
-	}
-	st.lastTime = r.Time
-	st.cost = r.Cost
 }
 
-// evictOldest drops the least-recently-requested object's state. An entry
-// whose object has been requested since it was pushed goes back under the
-// object's current lastTime, so the first entry found current is the
-// minimum over every tracked object as long as no object's time stepped
-// back (trace.Read rejects traces where one does; on the wire an
-// out-of-order client only makes its own connection's victim approximate).
-func (t *Tracker) evictOldest() {
+// Observe is Features followed by Update with one index lookup: dst takes
+// the row as the tracker stood before the request, which is then recorded.
+func (t *Tracker) Observe(r trace.Request, freeBytes int64, dst []float64) {
+	s := t.slotOf(r.ID)
+	t.row(s, r, freeBytes, dst)
+	if s != nil {
+		t.record(s, r)
+	} else {
+		t.insert(r)
+	}
+}
+
+// row writes the row of a request to the object in s (nil: untracked, so
+// there is no gap to report).
+//
+//lfo:hotpath
+func (t *Tracker) row(s *slot, r trace.Request, freeBytes int64, dst []float64) {
+	if len(dst) < Dim {
+		panic("features: dst smaller than Dim")
+	}
+	dst[FeatSize] = float64(r.Size)
+	dst[FeatCost] = r.Cost
+	dst[FeatFree] = float64(freeBytes)
+	gaps, n := dst[FeatGap0:Dim], 0
+	if s != nil {
+		if s.cost != 0 {
+			dst[FeatCost] = s.cost
+		}
+		// Gap 1: time since the object's previous request (the only
+		// non-shift-invariant gap).
+		gaps[0] = float64(r.Time - s.lastTime)
+		if n = 1 + int(s.n); n > 1 {
+			for i, g := range t.rings.at(s.ring)[:n-1] {
+				gaps[1+i] = float64(g)
+			}
+		}
+	}
+	copy(gaps[n:], missingGaps[:])
+}
+
+// record shifts the gap since the tracked object's previous request into
+// its ring, newest first, taking the ring at the second request.
+//
+//lfo:hotpath
+func (t *Tracker) record(s *slot, r trace.Request) {
+	if s.ring == none {
+		t.ringsHeld++
+		if s.ring = t.freeRing; s.ring != none {
+			t.freeRing = int32(t.rings.at(s.ring)[0])
+		} else {
+			s.ring = t.rings.grow()
+		}
+	}
+	g := t.rings.at(s.ring)
+	copy(g[1:], g[:s.n])
+	g[0] = saturate32(r.Time - s.lastTime)
+	if s.n < NumGaps-1 {
+		s.n++
+	}
+	s.lastTime = r.Time
+	s.cost = r.Cost
+}
+
+// insert starts tracking r's object, evicting the least recently requested
+// one first when the tracker is at its bound.
+func (t *Tracker) insert(r trace.Request) {
+	i := int32(none)
+	if t.maxObjects > 0 {
+		if len(t.index) >= t.maxObjects {
+			i = t.evictOldest()
+		}
+		t.evictHeap.push(ageEntry{id: r.ID, lastTime: r.Time})
+	}
+	if i == none {
+		i = t.slots.grow()
+	}
+	*t.slots.at(i) = slot{lastTime: r.Time, cost: r.Cost, ring: none}
+	t.index[r.ID] = i
+}
+
+// evictOldest drops the least-recently-requested object's state, frees its
+// ring and returns its slot (none when nothing is tracked). An entry whose
+// object has been requested since it was pushed goes back under the object's
+// current lastTime, so the first entry found current is the minimum over
+// every tracked object as long as no object's time stepped back (trace.Read
+// rejects traces where one does; on the wire an out-of-order client only
+// makes its own connection's victim approximate).
+func (t *Tracker) evictOldest() int32 {
 	for len(t.evictHeap) > 0 {
 		e := t.evictHeap.pop()
-		if st := t.objects[e.id]; st.lastTime != e.lastTime {
-			t.evictHeap.push(ageEntry{id: e.id, lastTime: st.lastTime})
+		i := t.index[e.id]
+		s := t.slots.at(i)
+		if s.lastTime != e.lastTime {
+			t.evictHeap.push(ageEntry{id: e.id, lastTime: s.lastTime})
 			continue
 		}
-		delete(t.objects, e.id)
-		return
+		delete(t.index, e.id)
+		if s.ring != none {
+			t.rings.at(s.ring)[0] = uint32(t.freeRing)
+			t.freeRing = s.ring
+			t.ringsHeld--
+		}
+		return i
 	}
+	return none
 }
 
 func saturate32(v int64) uint32 {

@@ -67,12 +67,12 @@ func TestBoundedEvictionPicksMinLastTime(t *testing.T) {
 		}
 		last[id] = int64(i)
 		tr.Update(req(int64(i), id, 10, 10))
-		if len(tr.objects) != len(last) || len(tr.evictHeap) != len(last) {
+		if tr.Len() != len(last) || len(tr.evictHeap) != len(last) {
 			t.Fatalf("update %d: tracker holds %d objects and %d heap entries, reference %d",
-				i, len(tr.objects), len(tr.evictHeap), len(last))
+				i, tr.Len(), len(tr.evictHeap), len(last))
 		}
 		for o, lt := range last {
-			if st := tr.objects[o]; st == nil || st.lastTime != lt {
+			if si, ok := tr.index[o]; !ok || tr.slots.at(si).lastTime != lt {
 				t.Fatalf("update %d: object %d is in the reference and not (or not as current) in the tracker", i, o)
 			}
 		}

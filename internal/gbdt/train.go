@@ -568,7 +568,9 @@ func (t *trainer) buildTree(rows []int32) []*leafCand {
 
 		left, right := t.applySplit(c)
 
-		if t.p.MaxDepth > 0 && left.depth >= t.p.MaxDepth {
+		// Children that can never split get no histogram and no scan: at
+		// the depth limit, or when they bring the tree to NumLeaves.
+		if len(open)+2 == t.p.NumLeaves || (t.p.MaxDepth > 0 && left.depth >= t.p.MaxDepth) {
 			left.best = splitInfo{}
 			right.best = splitInfo{}
 		} else {

@@ -55,7 +55,7 @@ func FuzzFrameDecode(f *testing.F) {
 				t.Fatalf("decoded predict rows length %d not a multiple of dim", len(rows))
 			}
 		}
-		if reqs, err := decodeAdmitRequest(payload); err == nil {
+		if reqs, err := decodeAdmitRequest(payload, nil); err == nil {
 			if len(payload) != 5+len(reqs)*admitRowBytes {
 				t.Fatalf("decoded %d admit rows from %d payload bytes", len(reqs), len(payload))
 			}

@@ -286,7 +286,7 @@ func TestMuxEncodeDecodeIdentity(t *testing.T) {
 		if err != nil || gotID != id {
 			t.Fatalf("iter %d: envelope id=%d err=%v", iter, gotID, err)
 		}
-		gotReqs, err := decodeAdmitRequest(inner)
+		gotReqs, err := decodeAdmitRequest(inner, nil)
 		if err != nil {
 			t.Fatalf("iter %d: inner admit decode: %v", iter, err)
 		}
@@ -364,7 +364,7 @@ func FuzzMuxFrameDecode(f *testing.F) {
 			}
 			// Inner decoders must tolerate whatever the envelope carried.
 			_, _ = decodePredictRequest(inner, features.Dim)
-			_, _ = decodeAdmitRequest(inner)
+			_, _ = decodeAdmitRequest(inner, nil)
 			_, _ = decodePredictResponse(inner)
 			// Round trip: re-enveloping the inner payload reproduces it.
 			rt := encodeMuxResponse(id, inner)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Protocol opcodes.
@@ -70,8 +71,9 @@ func encodeAdmitRequest(reqs []AdmitRequest) []byte {
 	return buf
 }
 
-// decodeAdmitRequest parses an opAdmit frame.
-func decodeAdmitRequest(payload []byte) ([]AdmitRequest, error) {
+// decodeAdmitRequest parses an opAdmit frame, into the storage of into when
+// that is large enough.
+func decodeAdmitRequest(payload []byte, into []AdmitRequest) ([]AdmitRequest, error) {
 	if len(payload) < 5 || payload[0] != opAdmit {
 		return nil, fmt.Errorf("server: bad admit frame")
 	}
@@ -79,7 +81,7 @@ func decodeAdmitRequest(payload []byte) ([]AdmitRequest, error) {
 	if len(payload) != 5+n*admitRowBytes {
 		return nil, fmt.Errorf("server: admit frame length %d, want %d for %d rows", len(payload), 5+n*admitRowBytes, n)
 	}
-	reqs := make([]AdmitRequest, n)
+	reqs := slices.Grow(into[:0], n)[:n]
 	off := 5
 	for i := range reqs {
 		reqs[i] = AdmitRequest{

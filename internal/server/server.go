@@ -384,12 +384,16 @@ func (s *Server) draining() bool {
 }
 
 // connState is one connection's request-processing scratch: the lazy
-// feature tracker for the stateful admit protocol and the reused feature
-// matrix the admit handler fills before its PredictMatrix call. Shared
-// by the classic and mux paths, which interleave freely on a connection.
+// feature tracker for the stateful admit protocol and the admit handler's
+// buffers (decoded batch, feature matrix, probabilities), each grown to the
+// largest batch seen. A connection is served serially, so a response is
+// encoded before the next batch reuses them. Shared by the classic and mux
+// paths, which interleave freely on a connection.
 type connState struct {
 	tracker *features.Tracker
-	rows    []float64 // admit feature-matrix scratch, grown to the largest batch seen
+	reqs    []AdmitRequest
+	rows    []float64
+	probs   []float64
 }
 
 // errNoModel answers requests that arrive before any model is deployed.
@@ -551,10 +555,11 @@ func (s *Server) process(cs *connState, payload []byte) ([]float64, error) {
 		sc.Stop()
 		return probs, nil
 	case len(payload) > 0 && payload[0] == opAdmit:
-		reqs, derr := decodeAdmitRequest(payload)
+		reqs, derr := decodeAdmitRequest(payload, cs.reqs)
 		if derr != nil {
 			return nil, derr
 		}
+		cs.reqs = reqs
 		if cs.tracker == nil {
 			cs.tracker = features.NewTracker(s.trackerBound())
 		}
@@ -563,14 +568,13 @@ func (s *Server) process(cs *connState, payload []byte) ([]float64, error) {
 		need := len(reqs) * features.Dim
 		if cap(cs.rows) < need {
 			cs.rows = make([]float64, need)
+			cs.probs = make([]float64, len(reqs))
 		}
-		rows := cs.rows[:need]
-		probs := make([]float64, len(reqs))
+		rows, probs := cs.rows[:need], cs.probs[:len(reqs)]
 		sc := obs.Start(s.m.predictNS)
 		for i, ar := range reqs {
 			r := trace.Request{Time: ar.Time, ID: trace.ObjectID(ar.ID), Size: ar.Size, Cost: ar.Cost}
-			cs.tracker.Features(r, ar.Free, rows[i*features.Dim:(i+1)*features.Dim])
-			cs.tracker.Update(r)
+			cs.tracker.Observe(r, ar.Free, rows[i*features.Dim:(i+1)*features.Dim])
 		}
 		m.PredictMatrix(rows, probs, s.workers)
 		sc.Stop()

@@ -314,6 +314,36 @@ func TestAdmitProtocolMatchesLocalTracking(t *testing.T) {
 	}
 }
 
+// TestAdmitBatchReusesConnScratch: once a connection has seen a batch of a
+// given size, serving another allocates nothing — the decoded requests,
+// the feature matrix and the probabilities all live in its connState —
+// and a smaller batch after a larger one answers with its own length.
+func TestAdmitBatchReusesConnScratch(t *testing.T) {
+	s := New(testModel(t), 1)
+	batch := func(n int) []byte {
+		reqs := make([]AdmitRequest, n)
+		for i := range reqs {
+			reqs[i] = AdmitRequest{Time: int64(i), ID: uint64(i % 9), Size: 100, Cost: 100, Free: 1 << 20}
+		}
+		return encodeAdmitRequest(reqs)
+	}
+	var cs connState
+	big, small := batch(64), batch(5)
+	if probs, err := s.process(&cs, big); err != nil || len(probs) != 64 {
+		t.Fatalf("64-row batch: %d probabilities, err %v", len(probs), err)
+	}
+	if probs, err := s.process(&cs, small); err != nil || len(probs) != 5 {
+		t.Fatalf("5-row batch after a 64-row one: %d probabilities, err %v", len(probs), err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := s.process(&cs, big); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm 64-row admit batch allocates %v times, want 0", n)
+	}
+}
+
 // TestAdmitSessionsIsolated: two connections must not share tracker state.
 func TestAdmitSessionsIsolated(t *testing.T) {
 	m := testModel(t)
@@ -364,7 +394,7 @@ func TestAdmitCodecRoundTrip(t *testing.T) {
 		{Time: 5, ID: 9, Size: 100, Cost: 2.5, Free: 777},
 		{Time: 6, ID: 10, Size: 200, Cost: 3.5, Free: 0},
 	}
-	dec, err := decodeAdmitRequest(encodeAdmitRequest(reqs))
+	dec, err := decodeAdmitRequest(encodeAdmitRequest(reqs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +403,7 @@ func TestAdmitCodecRoundTrip(t *testing.T) {
 			t.Fatalf("row %d: %+v != %+v", i, dec[i], reqs[i])
 		}
 	}
-	if _, err := decodeAdmitRequest([]byte{2, 9, 0, 0, 0}); err == nil {
+	if _, err := decodeAdmitRequest([]byte{2, 9, 0, 0, 0}, nil); err == nil {
 		t.Error("truncated admit frame accepted")
 	}
 }

@@ -102,8 +102,11 @@ step "alloc budgets"
     go test -run '^$' \
         -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictStable|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkGDSFRequest|BenchmarkOGDRequest)$' \
         -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/evict ./internal/policy ./internal/policy/ogd
-    # The tracker sub-benchmark warms itself before its timer starts.
-    go test -run '^$' -bench '^BenchmarkFeatureTracking$/^stream$' -benchmem -benchtime 200x ./internal/features
+    # The tracker's stream sub-benchmark warms itself before its timer
+    # starts; cold tracks a new object every iteration, and the handful of
+    # slab chunks and index-map doublings that takes rounds to zero where
+    # one heap object per tracked object would read 1.
+    go test -run '^$' -bench '^BenchmarkFeatureTracking$/^(stream|cold)$' -benchmem -benchtime 200x ./internal/features
     # One Train is a quarter of a second and allocates the same number of
     # objects every time; ten iterations are enough that the handful the
     # test binary itself allocates per run divides away to the exact figure.
@@ -115,8 +118,9 @@ step "alloc budgets"
 } | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgate.awk
 
 # Short fuzz smoke over the frame codec, the model parser, the scorer, the
-# min-cost flow solver (those two against their _test.go oracles) and the
-# trace reader (accept implies validates and round-trips). The
+# min-cost flow solver and the feature tracker (those three against their
+# _test.go oracles) and the trace reader (accept implies validates and
+# round-trips). The
 # committed seed corpora under testdata/fuzz always replay; the smoke
 # additionally mutates for a few seconds per target. -fuzzminimizetime
 # is capped because the engine's default 60s minimization budget would
@@ -128,6 +132,7 @@ go test -run '^$' -fuzz '^FuzzModelLoad$' -fuzztime 5s -fuzzminimizetime 5s ./in
 go test -run '^$' -fuzz '^FuzzScoreMatchesOracle$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzSolveMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/mcf
 go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s -fuzzminimizetime 5s ./internal/trace
+go test -run '^$' -fuzz '^FuzzTrackerMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/features
 
 # Informational: the size ROADMAP.md quotes (north star: the same tables
 # and numbers from the least code), so its figure can be re-read here.
