@@ -23,6 +23,7 @@ import (
 
 	"lfo/internal/cliutil"
 	"lfo/internal/core"
+	"lfo/internal/features"
 	"lfo/internal/gbdt"
 	"lfo/internal/obs"
 	"lfo/internal/server"
@@ -193,7 +194,12 @@ func obtainModel(modelPath, trainFile, trainGen string, n int, seed int64, sizeS
 			return nil, err
 		}
 		defer f.Close()
-		return gbdt.Load(f)
+		m, err := gbdt.Load(f)
+		if err == nil && m.Dim != features.Dim {
+			// server.New would panic on it; refuse it with a reason instead.
+			return nil, fmt.Errorf("%s: model scores %d features, want %d", modelPath, m.Dim, features.Dim)
+		}
+		return m, err
 	}
 	size, err := cliutil.ParseBytes(sizeStr)
 	if err != nil || size <= 0 {

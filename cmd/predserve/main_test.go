@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -218,5 +220,26 @@ func TestShardIDTagsLogsAndMetrics(t *testing.T) {
 	srv.OnDegrade(server.DegradeEvent{Kind: "conn_limit"})
 	if want := "predserve: degrade shard=2 kind=conn_limit remote=-"; len(lines) != 1 || lines[0] != want {
 		t.Errorf("degrade lines = %q, want [%q]", lines, want)
+	}
+}
+
+// TestObtainModelRejectsWrongWidth: -model with a file whose model does
+// not score features.Dim-wide rows is refused at startup, not on the
+// first request.
+func TestObtainModelRejectsWrongWidth(t *testing.T) {
+	narrow := &gbdt.Model{Dim: 2, BaseScore: 1}
+	path := filepath.Join(t.TempDir(), "narrow.gob")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := narrow.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := obtainModel(path, "", "", 0, 0, "64m"); err == nil || !strings.Contains(err.Error(), "scores 2 features") {
+		t.Fatalf("2-feature model file: model %v, err %v", m, err)
 	}
 }

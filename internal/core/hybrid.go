@@ -173,16 +173,6 @@ func (p *LFO) driftCheck() {
 // started ahead of the window boundary.
 func (p *LFO) EarlyRetrains() int { return p.earlyRetrains }
 
-// DriftScore returns the detector's current maximum per-feature PSI (0
-// when drift detection is disabled or the detector is not Ready).
-func (p *LFO) DriftScore() float64 {
-	if p.det == nil || !p.det.Ready() {
-		return 0
-	}
-	_, s := p.det.MaxScore()
-	return s
-}
-
 // observeDrift copies the monitored columns out of a feature row (by
 // their named indices, so a feature-layout change cannot silently point
 // the detector at the wrong columns) and counts them into the live

@@ -12,19 +12,19 @@ import (
 	"lfo/internal/server"
 )
 
-// stubConn is a synchronous in-memory shard: every mux admit frame
-// written to it immediately queues the matching mux response (echoed
-// correlation ID, 0.5 per row) for the next Read. It works because the
-// Router is single-goroutine — a response can never be needed before its
-// request was written — and it keeps the enqueue/flush benchmark free of
-// a real server's allocations, which would pollute the 0 allocs/op pin.
+// stubConn is a synchronous in-memory shard: every admit frame written to
+// it immediately queues the matching reply (echoed tag, 0.5 per row) for
+// the next Read. It works because the Router is single-goroutine — a reply
+// can never be needed before its request was written — and it keeps the
+// enqueue/flush benchmark free of a real server's allocations, which would
+// pollute the 0 allocs/op pin.
 type stubConn struct {
 	out  []byte
 	head int
 
 	// Scripting for the Admit tests; the zero value is the benchmark's
 	// shard. probs are the answers, popped one per row (0.5 once they
-	// run out); padRows extra rows make every response the wrong shape;
+	// run out); padRows extra rows make every reply the wrong shape;
 	// down fails every Write; record keeps the last tuple written.
 	probs   []float64
 	padRows int
@@ -33,26 +33,28 @@ type stubConn struct {
 	last    server.AdmitRequest
 }
 
-// Wire constants mirrored from internal/server's unexported opcodes.
+// The wire layout, mirrored from internal/server, whose TestFrameGolden
+// pins the same bytes: u32 len | u8 op | u64 tag | body, len counting
+// everything after itself.
 const (
 	stubOpPredict = 1
 	stubOpAdmit   = 2
-	stubOpMux     = 3
+	stubHdr       = 4 + 1 + 8
 )
 
 func (c *stubConn) Write(p []byte) (int, error) {
-	// One complete mux admit frame per Write (the router's contract):
-	// u32 len | opMux | u64 corrID | opAdmit | u32 rows | tuples.
+	// One complete admit frame per Write (the router's contract); its
+	// body is 40-byte tuples.
 	if c.down {
 		return 0, fmt.Errorf("stub: shard is down")
 	}
-	if len(p) < 18 || p[4] != stubOpMux || p[13] != stubOpAdmit {
+	if len(p) < stubHdr || p[4] != stubOpAdmit || int(binary.LittleEndian.Uint32(p)) != len(p)-4 {
 		return 0, fmt.Errorf("stub: unexpected frame")
 	}
-	id := binary.LittleEndian.Uint64(p[5:13])
-	n := int(binary.LittleEndian.Uint32(p[14:18]))
+	tag := binary.LittleEndian.Uint64(p[5:])
+	n := (len(p) - stubHdr) / 40
 	if c.record && n > 0 {
-		row := p[18+40*(n-1):]
+		row := p[len(p)-40:]
 		c.last = server.AdmitRequest{
 			Time: int64(binary.LittleEndian.Uint64(row)),
 			ID:   binary.LittleEndian.Uint64(row[8:]),
@@ -69,25 +71,22 @@ func (c *stubConn) Write(p []byte) (int, error) {
 		c.out = c.out[:rest]
 		c.head = 0
 	}
-	payload := 9 + 5 + 8*n
 	start := len(c.out)
-	if end := start + 4 + payload; end <= cap(c.out) {
+	if end := start + stubHdr + 8*n; end <= cap(c.out) {
 		c.out = c.out[:end] // every byte up to end is written below
 	} else {
-		c.out = append(c.out, make([]byte, 4+payload)...)
+		c.out = append(c.out, make([]byte, stubHdr+8*n)...)
 	}
 	b := c.out[start:]
-	binary.LittleEndian.PutUint32(b, uint32(payload))
-	b[4] = stubOpMux
-	binary.LittleEndian.PutUint64(b[5:], id)
-	b[13] = stubOpPredict
-	binary.LittleEndian.PutUint32(b[14:], uint32(n))
+	binary.LittleEndian.PutUint32(b, uint32(stubHdr-4+8*n))
+	b[4] = stubOpPredict
+	binary.LittleEndian.PutUint64(b[5:], tag)
 	for i := 0; i < n; i++ {
 		prob := 0.5
 		if len(c.probs) > 0 {
 			prob, c.probs = c.probs[0], c.probs[1:]
 		}
-		binary.LittleEndian.PutUint64(b[18+8*i:], math.Float64bits(prob))
+		binary.LittleEndian.PutUint64(b[stubHdr+8*i:], math.Float64bits(prob))
 	}
 	return len(p), nil
 }

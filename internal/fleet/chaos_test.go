@@ -263,7 +263,7 @@ func runStalled(t *testing.T, m *gbdt.Model) ([]byte, *obs.Registry) {
 	r.Flush()
 
 	// The healthy shard served its whole sub-stream from the model: row
-	// for row what a classic client gets on a connection of its own.
+	// for row what a server.Client gets on a connection of its own.
 	var sub []server.AdmitRequest
 	var got []float64
 	log := make([]byte, len(reqs))
@@ -282,10 +282,10 @@ func runStalled(t *testing.T, m *gbdt.Model) ([]byte, *obs.Registry) {
 			t.Fatalf("stalled-shard row %d got non-censor likelihood %v", i, p)
 		}
 	}
-	want := classicProbs(t, h.addrs[0], sub)
+	want := clientProbs(t, h.addrs[0], sub)
 	for k := range want {
 		if got[k] != want[k] {
-			t.Fatalf("healthy-shard row %d: router %v, classic %v", k, got[k], want[k])
+			t.Fatalf("healthy-shard row %d: router %v, client %v", k, got[k], want[k])
 		}
 	}
 	if len(sub) == 0 || len(sub) == len(reqs) {

@@ -2,13 +2,13 @@
 // prediction servers instead of a single process: a consistent-hash ring
 // assigns every object ID a home shard, a client-side Router coalesces
 // per-request admission queries into per-shard batches and keeps several
-// batches in flight per connection (the mux envelope of internal/server),
+// batches in flight per connection (the tagged frames of internal/server),
 // and a versioned model rollout hot-swaps the whole fleet atomically.
 //
 // The Router is the repository's one remote admitter (it implements
 // sim.Admitter) and never fails the cache: the cache must answer even
 // when the model path is late or down. When a shard dies — a dial, write,
-// read or correlation failure, or an I/O deadline that expires because
+// read or tag failure, or an I/O deadline that expires because
 // the shard accepted and went silent — only its key range degrades: rows
 // that hash to it are answered by that shard's local SecondHitCensor,
 // whose history was kept warm by observing every completed row, while
@@ -74,7 +74,7 @@ type Config struct {
 	Cutoff float64
 }
 
-// flight is one in-flight admission batch: its correlation ID and row
+// flight is one in-flight admission batch: its tag and row
 // count. The rows themselves live in the shard's slab at the slot whose
 // ring position matches the flight's.
 type flight struct {

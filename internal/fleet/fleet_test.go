@@ -127,9 +127,9 @@ func randReqs(rng *rand.Rand, n int, startTime int64) []server.AdmitRequest {
 	return reqs
 }
 
-// classicProbs is what a classic synchronous client gets for reqs on a
+// clientProbs is what a synchronous server.Client gets for reqs on a
 // connection of its own: the reference a shard's sub-stream is held to.
-func classicProbs(t *testing.T, addr string, reqs []server.AdmitRequest) []float64 {
+func clientProbs(t *testing.T, addr string, reqs []server.AdmitRequest) []float64 {
 	t.Helper()
 	c, err := server.Dial(addr)
 	if err != nil {
@@ -138,7 +138,7 @@ func classicProbs(t *testing.T, addr string, reqs []server.AdmitRequest) []float
 	defer c.Close()
 	probs, err := c.Admit(reqs)
 	if err != nil {
-		t.Fatalf("classic client %s: %v", addr, err)
+		t.Fatalf("client %s: %v", addr, err)
 	}
 	return probs
 }
@@ -215,8 +215,8 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 }
 
 // TestRouterMatchesPerShardClient is the equivalence property: the
-// pipelined router must return, row for row, exactly what a classic
-// synchronous client would have returned had it sent each shard's
+// pipelined router must return, row for row, exactly what a synchronous
+// server.Client would have returned had it sent each shard's
 // sub-stream over its own connection.
 func TestRouterMatchesPerShardClient(t *testing.T) {
 	m := trainModel(t, 1, bigObjects)
@@ -244,10 +244,10 @@ func TestRouterMatchesPerShardClient(t *testing.T) {
 		for k, i := range idxs {
 			sub[k] = reqs[i]
 		}
-		want := classicProbs(t, h.addrs[s], sub)
+		want := clientProbs(t, h.addrs[s], sub)
 		for k, i := range idxs {
 			if probs[i] != want[k] {
-				t.Fatalf("row %d (shard %d): router %v, classic %v", i, s, probs[i], want[k])
+				t.Fatalf("row %d (shard %d): router %v, client %v", i, s, probs[i], want[k])
 			}
 		}
 	}
@@ -280,6 +280,26 @@ func TestRouterRolloutBroadcast(t *testing.T) {
 	}
 	if err := r.Rollout(0, mA); err == nil {
 		t.Fatal("version-0 rollout accepted")
+	}
+}
+
+// TestRouterRolloutRejectsWrongWidth: a model that does not score
+// features.Dim-wide rows is an invalid argument, refused before Rollout
+// flushes anything. Broadcast, every shard would refuse it and fail over,
+// and each reconnect would push it again.
+func TestRouterRolloutRejectsWrongWidth(t *testing.T) {
+	narrow := &gbdt.Model{Dim: 2, BaseScore: 1}
+	if err := narrow.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	r := stubRouter(t, Config{}, &stubConn{})
+	pending := math.NaN()
+	r.Enqueue(server.AdmitRequest{ID: 1, Size: 100, Cost: 1}, &pending)
+	if err := r.Rollout(1, narrow); err == nil || !strings.Contains(err.Error(), "scores 2 features") {
+		t.Fatalf("2-feature rollout: %v", err)
+	}
+	if !math.IsNaN(pending) || r.ModelVersion() != 0 || !r.ShardUp(0) {
+		t.Errorf("refused rollout flushed (%v), recorded version %d, or downed the shard (up %v)", pending, r.ModelVersion(), r.ShardUp(0))
 	}
 }
 

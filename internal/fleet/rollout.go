@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 
+	"lfo/internal/features"
 	"lfo/internal/gbdt"
 )
 
@@ -13,13 +14,19 @@ import (
 // eventually consistent by construction: a down shard — or one that
 // dies mid-broadcast and fails over here — receives the recorded
 // version when it recovers, before rejoining the ring, so an error is
-// returned only for invalid arguments, never for fleet state.
+// returned only for invalid arguments — among them a model whose width
+// is not features.Dim — never for fleet state.
 func (r *Router) Rollout(version uint64, m *gbdt.Model) error {
 	if version == 0 {
 		return fmt.Errorf("fleet: model version 0 is reserved")
 	}
 	if m == nil {
 		return fmt.Errorf("fleet: Rollout needs a model")
+	}
+	if m.Dim != features.Dim {
+		// Every shard would refuse it, and a recovered shard would be
+		// pushed it again on every reconnect.
+		return fmt.Errorf("fleet: model scores %d features, want %d", m.Dim, features.Dim)
 	}
 	if version < r.version {
 		return fmt.Errorf("fleet: rollout version %d is older than current %d", version, r.version)

@@ -116,7 +116,7 @@ func (r *Router) flushShard(s *shard) {
 }
 
 // readOne completes the oldest in-flight batch: it validates the echoed
-// correlation ID and row count (any mismatch means the stream
+// tag and row count (any mismatch means the stream
 // desynchronized and the shard is failed), copies probabilities to the
 // callers' destinations, and only then observes the rows into the shard
 // fallback — observing at completion rather than enqueue keeps a row
@@ -169,7 +169,7 @@ func (r *Router) fallbackRow(s *shard, req server.AdmitRequest, dst *float64) {
 	s.fallbacks.Inc()
 }
 
-// failShard tears a shard down after a write/read/correlation failure or
+// failShard tears a shard down after a write, read or tag failure or
 // an expired deadline: the failure is counted once, the connection
 // closed, and every queued row — in-flight flights oldest first, then the
 // open slot — drains to the fallback in enqueue order, so callers still

@@ -297,7 +297,7 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosFailFastWithoutRetries pins the classic client's half of the
+// TestChaosFailFastWithoutRetries pins the Client's half of the
 // degradation story (the Router's half is TestRouterAdmitChaosFallback in
 // internal/fleet): with retries disabled, every conn-killing fault
 // surfaces as exactly one client failure, deterministically.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"lfo/internal/features"
+	"lfo/internal/gbdt"
 )
 
 // fuzzFrameMax is the frame bound the fuzz target reads under — small
@@ -18,94 +20,225 @@ import (
 // OOM-ish allocation spike rather than hide under the default 64 MiB cap.
 const fuzzFrameMax = 1 << 20
 
-// FuzzFrameDecode feeds arbitrary bytes through the whole frame codec:
-// the length-prefixed reader and all three payload decoders. Nothing may
-// panic, and readFrame may not allocate anywhere near a lying length
-// header's claim (it grows the buffer only as bytes actually arrive).
-func FuzzFrameDecode(f *testing.F) {
-	// A valid single-row predict request.
-	f.Add(frameBytes(encodePredictRequest(make([]float64, features.Dim), features.Dim)))
-	// A valid compact admit request.
-	f.Add(frameBytes(encodeAdmitRequest([]AdmitRequest{{Time: 1, ID: 2, Size: 3, Cost: 4, Free: 5}})))
-	// A valid response and an error frame.
-	f.Add(frameBytes(encodePredictResponse([]float64{0.25, 0.75})))
-	f.Add(frameBytes(encodeError("remote error text")))
-	// Degenerate shapes: empty input, empty frame, truncated header,
-	// truncated payload, lying row counts, huge claimed length.
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{5, 0})
-	f.Add([]byte{8, 0, 0, 0, 1, 2, 3})
-	f.Add(frameBytes([]byte{1, 0xff, 0xff, 0xff, 0xff}))
-	f.Add(frameBytes([]byte{2, 0xff, 0xff, 0xff, 0xff, 9, 9}))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
+// fuzzSeed is one entry of FuzzFrameDecode's seed corpus; a named one is
+// also committed under testdata/fuzz.
+type fuzzSeed struct {
+	name string
+	data []byte
+}
 
+// fuzzSeeds returns the seed corpus in f.Add order.
+func fuzzSeeds() []fuzzSeed {
+	admit := appendAdmit(nil, 1<<63|5, []AdmitRequest{{Time: 1, ID: 2, Size: 3, Cost: 4, Free: 5}, {Time: 6, ID: 7}, {Cost: -1}})
+	return []fuzzSeed{
+		{"seed-predict-row", appendPredict(nil, 9, make([]float64, features.Dim))},
+		{"seed-admit-row", appendAdmit(nil, 7, []AdmitRequest{{Time: 1, ID: 2, Size: 3, Cost: 4, Free: 5}})},
+		{"seed-response", appendPredict(nil, 7, []float64{0.25, 0.75})},
+		{"seed-error-frame", appendRaw(nil, opError, 8, []byte("remote error text"))},
+		{"", []byte{}},
+		// Degenerate shapes: a length word of 0, a truncated length word,
+		// a truncated header, bodies that are not whole rows, a huge claim.
+		{"seed-empty-frame", []byte{0, 0, 0, 0}},
+		{"seed-short-header", []byte{5, 0}},
+		{"seed-truncated", []byte{12, 0, 0, 0, opAdmit, 1, 2, 3}},
+		{"seed-lying-predict", appendRaw(nil, opPredict, 1, []byte{0xff, 0xff, 0xff, 0xff, 0xff})},
+		{"seed-lying-admit", appendRaw(nil, opAdmit, 2, []byte{9, 9, 9, 9, 9, 9, 9})},
+		{"seed-huge-claim", []byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}},
+		{"seed-admit-batch", admit},
+		{"seed-predict-batch", appendPredict(nil, 2, randRows(2, 1))},
+		{"seed-response-nan", appendPredict(nil, 3, []float64{features.Missing, -0.0, 1})},
+		{"seed-error-empty", appendRaw(nil, opError, 4, nil)},
+		{"seed-model-swap", appendRaw(nil, opModel, 3, []byte{1, 2, 3, 4})},
+		{"seed-model-ack", appendRaw(nil, opModel, 3, nil)},
+		{"seed-short-frame", []byte{4, 0, 0, 0, opAdmit, 1, 2, 3}},
+		{"seed-unknown-op", appendRaw(nil, 0x7f, 5, nil)},
+		{"seed-truncated-admit", admit[:len(admit)-10]},
+		{"seed-empty-model", appendRaw(nil, opModel, 9, nil)},
+	}
+}
+
+// FuzzFrameDecode feeds arbitrary bytes through the one frame codec and
+// the server's dispatch. Nothing may panic; the reader may not allocate
+// anywhere near a lying length word's claim (it grows its buffer only as
+// bytes arrive); a predict or admit body that decodes holds exactly its
+// rows × row width bytes; every accepted frame re-encodes to its own bytes
+// bit for bit; and the server's reply to it is one well-formed frame under
+// the request's tag.
+func FuzzFrameDecode(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s.data)
+	}
+	model := &gbdt.Model{Dim: features.Dim, BaseScore: 1}
+	if err := model.Compile(); err != nil {
+		f.Fatal(err)
+	}
+	srv := New(model, 1)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := readFrame(bytes.NewReader(data), fuzzFrameMax)
+		var buf []byte
+		fr, err := readFrame(bytes.NewReader(data), &buf, fuzzFrameMax)
+		if c := cap(buf); c > max(hdrBytes+frameAllocChunk, 2*len(data)) {
+			t.Fatalf("read %d bytes into a %d-byte buffer", len(data), c)
+		}
 		if err != nil {
 			return
 		}
-		if len(payload) > fuzzFrameMax {
-			t.Fatalf("readFrame returned %d bytes past the %d cap", len(payload), fuzzFrameMax)
-		}
-		// Every decoder must handle every accepted frame without
-		// panicking, whatever the opcode byte claims.
-		if rows, err := decodePredictRequest(payload, features.Dim); err == nil {
-			if len(rows)%features.Dim != 0 {
-				t.Fatalf("decoded predict rows length %d not a multiple of dim", len(rows))
+		var again []byte
+		switch fr.op {
+		case opPredict:
+			if rows, err := decodeFloats(fr.body, features.Dim, nil); err == nil && (len(rows)%features.Dim != 0 || 8*len(rows) != len(fr.body)) {
+				t.Fatalf("%d feature values from a %d-byte body", len(rows), len(fr.body))
 			}
-		}
-		if reqs, err := decodeAdmitRequest(payload, nil); err == nil {
-			if len(payload) != 5+len(reqs)*admitRowBytes {
-				t.Fatalf("decoded %d admit rows from %d payload bytes", len(reqs), len(payload))
+			probs, err := decodeFloats(fr.body, 1, nil)
+			if err != nil {
+				return
 			}
+			again = appendPredict(nil, fr.tag, probs)
+		case opAdmit:
+			reqs, err := decodeAdmit(fr.body, nil)
+			if err != nil {
+				return
+			}
+			if admitRowBytes*len(reqs) != len(fr.body) {
+				t.Fatalf("%d admit tuples from a %d-byte body", len(reqs), len(fr.body))
+			}
+			again = appendAdmit(nil, fr.tag, reqs)
+		default:
+			again = appendRaw(nil, fr.op, fr.tag, fr.body)
 		}
-		_, _ = decodePredictResponse(payload)
+		if wire := data[:hdrBytes+len(fr.body)]; !bytes.Equal(again, wire) {
+			t.Fatalf("re-encoded frame differs:\n%x\n%x", again, wire)
+		}
+
+		var cs connState
+		reply, err := readFrame(bytes.NewReader(srv.respond(&cs, fr, nil)), &buf, maxFramePayload)
+		if err != nil || reply.tag != fr.tag {
+			t.Fatalf("reply to op %#x tag %d: tag %d, err %v", fr.op, fr.tag, reply.tag, err)
+		}
 	})
 }
 
-// TestRegenerateFuzzCorpus rewrites the committed seed corpus under
+// muxFuzzVersion is the model version FuzzMuxFrameDecode's rollout waits
+// to see acked.
+const muxFuzzVersion = 3
+
+// muxFuzzSeeds returns FuzzMuxFrameDecode's seed corpus in f.Add order:
+// reply streams as a server could send them to a MuxConn.
+func muxFuzzSeeds() []fuzzSeed {
+	return []fuzzSeed{
+		{"seed-mux-admit", appendPredict(nil, 7, []float64{0.5})},
+		{"seed-mux-predict", appendPredict(appendPredict(nil, 9, []float64{0.1, 0.2}), 10, []float64{0.3})},
+		{"seed-mux-response", appendPredict(nil, 7, []float64{0.25, features.Missing, -0.0})},
+		{"seed-mux-error", appendRaw(nil, opError, 8, []byte("remote error text"))},
+		{"seed-model-swap", appendRaw(nil, opModel, muxFuzzVersion, []byte{1, 2, 3, 4})},
+		{"seed-model-ack", appendRaw(nil, opModel, muxFuzzVersion, nil)},
+		{"seed-short-envelope", []byte{4, 0, 0, 0, opPredict, 1, 2, 3}},
+		{"seed-empty-inner", appendPredict(nil, 0, nil)},
+		{"seed-lying-inner", appendRaw(nil, opPredict, 5, []byte{0xff, 0xff, 0xff, 0xff, 0xff})},
+		{"seed-empty-model", appendRaw(nil, opModel, 9, nil)},
+	}
+}
+
+// FuzzMuxFrameDecode feeds arbitrary bytes to a MuxConn as its peer's
+// reply stream, the client end of the codec FuzzFrameDecode drives from
+// the server end. Nothing may panic; the reply buffer may not grow near a
+// lying length word's claim; ReadResponse returns, frame after frame, what
+// readFrame reads from the same bytes — an accepted reply re-encodes to
+// its own bytes bit for bit, an opError surfaces its message as a remote
+// error, a body that is not whole probabilities or any other opcode is
+// refused under the reply's tag; and Rollout succeeds exactly when the
+// first frame is an empty opModel ack of the pushed version.
+func FuzzMuxFrameDecode(f *testing.F) {
+	for _, s := range muxFuzzSeeds() {
+		f.Add(s.data)
+	}
+	model := &gbdt.Model{Dim: features.Dim, BaseScore: 1}
+	if err := model.Compile(); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mc := NewMuxConn(&scriptConn{r: bytes.NewReader(data)})
+		var buf []byte
+		for off := 0; ; {
+			want, wantErr := readFrame(bytes.NewReader(data[off:]), &buf, maxFramePayload)
+			tag, probs, err := mc.ReadResponse()
+			if c := cap(mc.rbuf); c > max(hdrBytes+frameAllocChunk, 2*len(data)) {
+				t.Fatalf("read %d bytes into a %d-byte buffer", len(data), c)
+			}
+			if wantErr != nil {
+				if err == nil {
+					t.Fatalf("reply at offset %d accepted; readFrame: %v", off, wantErr)
+				}
+				break
+			}
+			if tag != want.tag {
+				t.Fatalf("reply at offset %d: tag %d, want %d", off, tag, want.tag)
+			}
+			wire := data[off : off+hdrBytes+len(want.body)]
+			off += len(wire)
+			var remote remoteError
+			switch {
+			case want.op == opPredict && err == nil:
+				if again := appendPredict(nil, tag, probs); !bytes.Equal(again, wire) {
+					t.Fatalf("re-encoded reply differs:\n%x\n%x", again, wire)
+				}
+			case want.op == opPredict:
+				if !errors.Is(err, errRowShape) || len(want.body)%8 == 0 {
+					t.Fatalf("%d-byte reply body refused: %v", len(want.body), err)
+				}
+			case want.op == opError:
+				if !errors.As(err, &remote) || string(remote) != string(want.body) {
+					t.Fatalf("error reply %q surfaced as %v", want.body, err)
+				}
+			default:
+				if !errors.Is(err, errOpcode) {
+					t.Fatalf("reply op %#x surfaced as %v", want.op, err)
+				}
+			}
+		}
+
+		err := NewMuxConn(&scriptConn{r: bytes.NewReader(data)}).Rollout(muxFuzzVersion, model)
+		first, ferr := readFrame(bytes.NewReader(data), &buf, maxFramePayload)
+		acked := ferr == nil && first.op == opModel && len(first.body) == 0 && first.tag == muxFuzzVersion
+		if acked != (err == nil) {
+			t.Fatalf("rollout of version %d: err %v against a first reply op %#x tag %d (%d-byte body, read err %v)",
+				muxFuzzVersion, err, first.op, first.tag, len(first.body), ferr)
+		}
+	})
+}
+
+// TestRegenerateFuzzCorpus rewrites the committed seed corpora under
 // testdata/fuzz when LFO_REGEN_CORPUS=1 is set; otherwise it is a no-op.
-// The committed files mirror the in-code f.Add seeds so `go test` (and
-// the check.sh fuzz smoke) always replays them from a fresh checkout.
+// The committed files mirror the named f.Add seeds so `go test` (and the
+// check.sh fuzz smoke) always replays them from a fresh checkout.
 func TestRegenerateFuzzCorpus(t *testing.T) {
 	if os.Getenv("LFO_REGEN_CORPUS") == "" {
 		t.Skip("set LFO_REGEN_CORPUS=1 to rewrite testdata/fuzz")
 	}
-	seeds := map[string][]byte{
-		"seed-predict-row":   frameBytes(encodePredictRequest(make([]float64, features.Dim), features.Dim)),
-		"seed-admit-row":     frameBytes(encodeAdmitRequest([]AdmitRequest{{Time: 1, ID: 2, Size: 3, Cost: 4, Free: 5}})),
-		"seed-response":      frameBytes(encodePredictResponse([]float64{0.25, 0.75})),
-		"seed-error-frame":   frameBytes(encodeError("remote error text")),
-		"seed-empty-frame":   {0, 0, 0, 0},
-		"seed-short-header":  {5, 0},
-		"seed-truncated":     {8, 0, 0, 0, 1, 2, 3},
-		"seed-lying-predict": frameBytes([]byte{1, 0xff, 0xff, 0xff, 0xff}),
-		"seed-lying-admit":   frameBytes([]byte{2, 0xff, 0xff, 0xff, 0xff, 9, 9}),
-		"seed-huge-claim":    {0xff, 0xff, 0xff, 0xff, 1, 2, 3},
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzFrameDecode")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range seeds {
-		entry := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(entry), 0o644); err != nil {
+	for target, seeds := range map[string][]fuzzSeed{
+		"FuzzFrameDecode":    fuzzSeeds(),
+		"FuzzMuxFrameDecode": muxFuzzSeeds(),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.RemoveAll(dir); err != nil {
 			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range seeds {
+			if s.name == "" {
+				continue
+			}
+			entry := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)
+			if err := os.WriteFile(filepath.Join(dir, s.name), []byte(entry), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
 
-func frameBytes(payload []byte) []byte {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, payload); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-// lyingReader hands out a 4-byte header claiming a huge frame and then
-// drips a few real bytes before EOF.
+// lyingReader hands out a 4-byte length word claiming a huge frame and
+// then drips a few real bytes before EOF.
 type lyingReader struct {
 	header [4]byte
 	body   int
@@ -129,18 +262,20 @@ func (r *lyingReader) Read(p []byte) (int, error) {
 	return 1, nil
 }
 
-// TestReadFrameNoUpfrontAllocation pins the over-allocation fix the fuzz
-// target watches for: a header claiming the full frame bound while only
-// delivering a handful of bytes must not make readFrame allocate the
-// claimed size.
+// TestReadFrameNoUpfrontAllocation pins the over-allocation bound the fuzz
+// target watches for: a length word claiming most of the frame bound while
+// only a handful of bytes follow must not make readFrame allocate the
+// claimed size. Server and clients read through the same function under
+// the same bound.
 func TestReadFrameNoUpfrontAllocation(t *testing.T) {
 	const claimed = 48 << 20
 	r := &lyingReader{body: 100}
 	binary.LittleEndian.PutUint32(r.header[:], claimed)
 
 	var before, after runtime.MemStats
+	var buf []byte
 	runtime.ReadMemStats(&before)
-	_, err := readFrame(r, 64<<20)
+	_, err := readFrame(r, &buf, maxFramePayload)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("truncated frame accepted")

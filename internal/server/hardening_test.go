@@ -104,12 +104,8 @@ func TestFrameLimitRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	payload, err := readFrame(conn, maxFramePayload)
-	if err != nil {
-		t.Fatalf("no error frame before close: %v", err)
-	}
-	if _, err := decodePredictResponse(payload); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Errorf("unexpected reject response: %v", err)
+	if tag, _, err := NewMuxConn(conn).ReadResponse(); tag != 0 || err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Errorf("reject answered under tag %d with %v", tag, err)
 	}
 	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
 		t.Errorf("connection not closed after frame reject: %v", err)
@@ -150,12 +146,8 @@ func TestConnLimitRejects(t *testing.T) {
 	}
 	defer conn.Close()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	payload, err := readFrame(conn, maxFramePayload)
-	if err != nil {
-		t.Fatalf("no reject frame: %v", err)
-	}
-	if _, err := decodePredictResponse(payload); err == nil || !strings.Contains(err.Error(), "connection limit") {
-		t.Errorf("unexpected reject response: %v", err)
+	if tag, _, err := NewMuxConn(conn).ReadResponse(); tag != 0 || err == nil || !strings.Contains(err.Error(), "connection limit") {
+		t.Errorf("reject answered under tag %d with %v", tag, err)
 	}
 	if got := reg.Counter("server_conn_limit_rejects_total").Value(); got != 1 {
 		t.Errorf("server_conn_limit_rejects_total = %d, want 1", got)

@@ -103,10 +103,10 @@ type Server struct {
 	MaxFramePayload int
 
 	// MaxConns bounds concurrently served connections — the server's
-	// in-flight limit, since the protocol allows one outstanding request
-	// per connection. Excess connections receive an error frame and are
-	// closed. 0 means DefaultMaxConns; negative removes the bound. Must
-	// be set before Listen.
+	// concurrency limit, since it serves a connection's requests one at a
+	// time. Excess connections receive an error frame and are closed. 0
+	// means DefaultMaxConns; negative removes the bound. Must be set
+	// before Listen.
 	MaxConns int
 
 	// OnDegrade, when set, receives one event per degradation (deadline
@@ -131,7 +131,6 @@ type Server struct {
 type serverMetrics struct {
 	predictReqs   *obs.Counter
 	admitReqs     *obs.Counter
-	muxReqs       *obs.Counter
 	predictRows   *obs.Counter
 	admitRows     *obs.Counter
 	readErrors    *obs.Counter
@@ -154,7 +153,6 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 	return serverMetrics{
 		predictReqs:   r.Counter("server_predict_requests_total"),
 		admitReqs:     r.Counter("server_admit_requests_total"),
-		muxReqs:       r.Counter("server_mux_requests_total"),
 		predictRows:   r.Counter("server_predict_rows_total"),
 		admitRows:     r.Counter("server_admit_rows_total"),
 		readErrors:    r.Counter("server_read_errors_total"),
@@ -174,78 +172,28 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 	}
 }
 
-// trackerBound resolves MaxTrackedObjects to the features.NewTracker
-// argument (0 there means unbounded).
-func (s *Server) trackerBound() int {
+// knob resolves a "0 = default, negative = disabled" setting: v when
+// positive, def when zero, off when negative.
+func knob[T int | time.Duration](v, def, off T) T {
 	switch {
-	case s.MaxTrackedObjects > 0:
-		return s.MaxTrackedObjects
-	case s.MaxTrackedObjects < 0:
-		return 0
+	case v > 0:
+		return v
+	case v < 0:
+		return off
 	default:
-		return 1 << 22
+		return def
 	}
 }
 
-// readTimeout resolves the ReadTimeout knob (0 if disabled).
-func (s *Server) readTimeout() time.Duration {
-	switch {
-	case s.ReadTimeout > 0:
-		return s.ReadTimeout
-	case s.ReadTimeout < 0:
-		return 0
-	default:
-		return DefaultReadTimeout
-	}
-}
-
-// writeTimeout resolves the WriteTimeout knob (0 if disabled).
-func (s *Server) writeTimeout() time.Duration {
-	switch {
-	case s.WriteTimeout > 0:
-		return s.WriteTimeout
-	case s.WriteTimeout < 0:
-		return 0
-	default:
-		return DefaultWriteTimeout
-	}
-}
-
-// drainTimeout resolves the DrainTimeout knob (0 = force close at once).
-func (s *Server) drainTimeout() time.Duration {
-	switch {
-	case s.DrainTimeout > 0:
-		return s.DrainTimeout
-	case s.DrainTimeout < 0:
-		return 0
-	default:
-		return DefaultDrainTimeout
-	}
-}
-
-// maxFrame resolves the MaxFramePayload knob.
-func (s *Server) maxFrame() int {
-	switch {
-	case s.MaxFramePayload > 0:
-		return s.MaxFramePayload
-	case s.MaxFramePayload < 0:
-		return math.MaxUint32
-	default:
-		return maxFramePayload
-	}
-}
-
-// maxConns resolves the MaxConns knob (0 if unbounded).
-func (s *Server) maxConns() int {
-	switch {
-	case s.MaxConns > 0:
-		return s.MaxConns
-	case s.MaxConns < 0:
-		return 0
-	default:
-		return DefaultMaxConns
-	}
-}
+// The knobs, resolved. Disabled deadlines and bounds read 0 (a
+// features.NewTracker bound of 0 is unbounded); a disabled frame cap is
+// the protocol maximum.
+func (s *Server) trackerBound() int           { return knob(s.MaxTrackedObjects, 1<<22, 0) }
+func (s *Server) readTimeout() time.Duration  { return knob(s.ReadTimeout, DefaultReadTimeout, 0) }
+func (s *Server) writeTimeout() time.Duration { return knob(s.WriteTimeout, DefaultWriteTimeout, 0) }
+func (s *Server) drainTimeout() time.Duration { return knob(s.DrainTimeout, DefaultDrainTimeout, 0) }
+func (s *Server) maxFrame() int               { return knob(s.MaxFramePayload, maxFramePayload, math.MaxUint32) }
+func (s *Server) maxConns() int               { return knob(s.MaxConns, DefaultMaxConns, 0) }
 
 // degrade counts nothing itself — callers bump their counter — but fans
 // the event out to OnDegrade when configured.
@@ -260,27 +208,36 @@ func (s *Server) degrade(kind string, remote net.Addr, err error) {
 	s.OnDegrade(ev)
 }
 
-// New returns a server deploying the given model. workers bounds the
-// per-request prediction parallelism (0 = all available cores, 1 =
-// serial).
+// New returns a server deploying the given model (nil: none yet; every
+// request is refused until one is set). workers bounds the per-request
+// prediction parallelism (0 = all available cores, 1 = serial). A model
+// whose width is not features.Dim is a programming error and panics.
 func New(model *gbdt.Model, workers int) *Server {
 	s := &Server{workers: workers, conns: make(map[net.Conn]struct{}), Logf: log.Printf}
-	s.model.Store(model)
+	s.SetModel(model)
 	return s
 }
 
 // SetModel atomically swaps the deployed model without changing the
-// deployed version (the local, unversioned handoff path).
-func (s *Server) SetModel(m *gbdt.Model) { s.model.Store(m) }
-
-// SetModelVersion atomically deploys a model as the given version —
-// the local equivalent of an opModel rollout frame.
-func (s *Server) SetModelVersion(m *gbdt.Model, version uint64) {
-	s.swapMu.Lock()
+// deployed version (the local, unversioned handoff path). Like New, it
+// panics on a model whose width is not features.Dim.
+func (s *Server) SetModel(m *gbdt.Model) {
+	if m != nil {
+		if err := checkWidth(m); err != nil {
+			panic("server: " + err.Error())
+		}
+	}
 	s.model.Store(m)
-	s.version.Store(version)
-	s.swapMu.Unlock()
-	s.m.modelVersion.Set(int64(version))
+}
+
+// checkWidth rejects a model that does not score features.Dim-wide rows:
+// every row the server builds or accepts is that wide, and the scorer
+// panics on any other width.
+func checkWidth(m *gbdt.Model) error {
+	if m.Dim != features.Dim {
+		return fmt.Errorf("model scores %d features, want %d", m.Dim, features.Dim)
+	}
+	return nil
 }
 
 // ModelVersion returns the deployed model version (0 = never versioned).
@@ -356,15 +313,21 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// rejectConn answers an over-limit connection with an error frame (best
-// effort, bounded by the write timeout) and closes it.
+// rejectConn answers an over-limit connection with an error frame and
+// closes it.
 func (s *Server) rejectConn(conn net.Conn) {
 	defer s.wg.Done()
-	if wt := s.writeTimeout(); wt > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(wt)) // best-effort bound on the goodbye frame
+	goodbye(conn, s.writeTimeout(), "server at connection limit")
+	_ = conn.Close() // reject path; nothing to report to
+}
+
+// goodbye sends an unasked error frame (tag 0) under the write deadline,
+// best effort: the connection is closed next either way.
+func goodbye(conn net.Conn, timeout time.Duration, msg string) {
+	if timeout > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(timeout)) // best-effort bound on the goodbye frame
 	}
-	_ = writeFrame(conn, encodeError("server at connection limit")) // best-effort goodbye
-	_ = conn.Close()                                                // reject path; nothing to report to
+	_, _ = conn.Write(appendRaw(nil, opError, 0, []byte(msg))) // a failed goodbye changes nothing
 }
 
 // isTimeout reports whether an I/O error is a deadline violation.
@@ -383,17 +346,18 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-// connState is one connection's request-processing scratch: the lazy
-// feature tracker for the stateful admit protocol and the admit handler's
-// buffers (decoded batch, feature matrix, probabilities), each grown to the
-// largest batch seen. A connection is served serially, so a response is
-// encoded before the next batch reuses them. Shared by the classic and mux
-// paths, which interleave freely on a connection.
+// connState is one connection's scratch: the frame buffers it reads
+// requests into and writes replies from, the lazy feature tracker of the
+// stateful admit protocol, and the decoded batch, feature matrix and
+// probabilities, each grown to the largest the connection has seen. A
+// connection is served serially, so a reply is written before the next
+// request reuses them.
 type connState struct {
-	tracker *features.Tracker
-	reqs    []AdmitRequest
-	rows    []float64
-	probs   []float64
+	rbuf, wbuf []byte
+	tracker    *features.Tracker
+	reqs       []AdmitRequest
+	rows       []float64
+	probs      []float64
 }
 
 // errNoModel answers requests that arrive before any model is deployed.
@@ -418,7 +382,7 @@ func (s *Server) handle(conn net.Conn) {
 		if readTimeout > 0 && !s.draining() {
 			_ = conn.SetReadDeadline(time.Now().Add(readTimeout)) // deadline errors surface on the read itself
 		}
-		payload, err := readFrame(conn, maxFrame)
+		f, err := readFrame(conn, &cs.rbuf, maxFrame)
 		if err != nil {
 			var tooLarge *ErrFrameTooLarge
 			switch {
@@ -433,10 +397,7 @@ func (s *Server) handle(conn net.Conn) {
 				// be resynchronized: answer (best effort) and close.
 				s.m.frameRejects.Inc()
 				s.degrade("frame_limit", conn.RemoteAddr(), err)
-				if writeTimeout > 0 {
-					_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout)) // best-effort bound
-				}
-				_ = writeFrame(conn, encodeError(err.Error())) // best-effort goodbye on a doomed conn
+				goodbye(conn, writeTimeout, err.Error())
 			case benignDisconnect(err):
 			default:
 				s.m.readErrors.Inc()
@@ -444,120 +405,94 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			return
 		}
-		var resp []byte
-		switch {
-		case len(payload) > 0 && payload[0] == opMux:
-			resp = s.handleMux(&cs, payload)
-		case len(payload) > 0 && payload[0] == opModel:
-			resp = s.handleModelSwap(payload)
-		default:
-			probs, perr := s.process(&cs, payload)
-			if perr != nil {
-				s.countBadRequest(perr)
-				resp = encodeError(perr.Error())
-			} else {
-				resp = encodePredictResponse(probs)
-			}
-		}
-		if err := s.writeResponse(conn, writeTimeout, resp); err != nil {
+		cs.wbuf = s.respond(&cs, f, cs.wbuf[:0])
+		if err := s.writeResponse(conn, writeTimeout, cs.wbuf); err != nil {
 			return
 		}
 	}
 }
 
-// countBadRequest bumps the malformed-request counter, except for the
-// no-model condition, which is a deployment state rather than a peer
-// fault (matching the historical counter semantics).
-func (s *Server) countBadRequest(err error) {
-	if !errors.Is(err, errNoModel) {
+// respond appends to b the reply to one request frame, under its tag:
+// probabilities, a model ack, or an error. Malformed requests are counted;
+// the no-model condition is not, being a deployment state rather than a
+// peer fault.
+func (s *Server) respond(cs *connState, f frame, b []byte) []byte {
+	var err error
+	switch f.op {
+	case opPredict, opAdmit:
+		var probs []float64
+		if probs, err = s.process(cs, f); err == nil {
+			return appendPredict(b, f.tag, probs)
+		}
+		if !errors.Is(err, errNoModel) {
+			s.m.badRequests.Inc()
+		}
+	case opModel:
+		if err = s.swapModel(f.tag, f.body); err == nil {
+			return appendRaw(b, opModel, f.tag, nil)
+		}
+		s.m.swapRejects.Inc()
+	default:
+		err = fmt.Errorf("server: unknown opcode %#x", f.op)
 		s.m.badRequests.Inc()
 	}
+	return appendRaw(b, opError, f.tag, []byte(err.Error()))
 }
 
-// handleMux unwraps a correlation-ID envelope, processes the inner
-// request, and wraps the response (or application error) under the same
-// ID. An unparseable envelope is answered unwrapped: the client cannot
-// correlate it either way and will fail the stream over to its fallback.
-func (s *Server) handleMux(cs *connState, payload []byte) []byte {
-	id, inner, derr := decodeMux(payload)
-	if derr != nil {
-		s.m.badRequests.Inc()
-		return encodeError(derr.Error())
-	}
-	s.m.muxReqs.Inc()
-	probs, perr := s.process(cs, inner)
-	if perr != nil {
-		s.countBadRequest(perr)
-		return encodeMuxResponse(id, encodeError(perr.Error()))
-	}
-	return encodeMuxResponse(id, encodePredictResponse(probs))
-}
-
-// handleModelSwap deploys a pushed model under its version: newer
-// versions swap atomically, the current version acks idempotently
-// (re-pushed rollouts), and stale or unversioned pushes are rejected so
-// a lagging controller cannot roll a shard backwards.
-func (s *Server) handleModelSwap(payload []byte) []byte {
-	version, body, derr := decodeModelSwap(payload)
-	if derr != nil {
-		s.m.badRequests.Inc()
-		return encodeError(derr.Error())
-	}
+// swapModel deploys a pushed model under its version: newer versions swap
+// atomically, the current version acks idempotently (re-pushed rollouts),
+// and stale or unversioned pushes are rejected so a lagging controller
+// cannot roll a shard backwards, as are models of the wrong width.
+func (s *Server) swapModel(version uint64, body []byte) error {
 	if version == 0 {
-		s.m.swapRejects.Inc()
-		return encodeError("server: model swap version must be >= 1")
+		return errors.New("server: model swap version must be >= 1")
 	}
-	m, lerr := gbdt.Load(bytes.NewReader(body))
-	if lerr != nil {
-		s.m.swapRejects.Inc()
-		return encodeError(fmt.Sprintf("server: model swap rejected: %v", lerr))
+	m, err := gbdt.Load(bytes.NewReader(body))
+	if err == nil {
+		err = checkWidth(m)
+	}
+	if err != nil {
+		return fmt.Errorf("server: model swap rejected: %v", err)
 	}
 	s.swapMu.Lock()
+	defer s.swapMu.Unlock()
 	cur := s.version.Load()
 	if version < cur {
-		s.swapMu.Unlock()
-		s.m.swapRejects.Inc()
-		return encodeError(fmt.Sprintf("server: stale model swap: version %d, deployed %d", version, cur))
+		return fmt.Errorf("server: stale model swap: version %d, deployed %d", version, cur)
 	}
 	if version > cur {
 		s.model.Store(m)
 		s.version.Store(version)
-	}
-	s.swapMu.Unlock()
-	if version > cur {
 		s.m.modelSwaps.Inc()
 		s.m.modelVersion.Set(int64(version))
 	}
-	return encodeModelAck(version)
+	return nil
 }
 
-// process evaluates one classic request payload (opPredict or opAdmit)
-// against the deployed model. Admit batches extract features row by row
-// (the tracker mutates between rows) into a reused matrix and score it
-// with one PredictMatrix call, which fans a large block out across the
-// server's workers.
-func (s *Server) process(cs *connState, payload []byte) ([]float64, error) {
+// process evaluates one opPredict or opAdmit request against the deployed
+// model. Admit batches extract features row by row (the tracker mutates
+// between rows) into a reused matrix, and either kind is scored with one
+// PredictMatrix call, which fans a large block out across the server's
+// workers.
+func (s *Server) process(cs *connState, f frame) ([]float64, error) {
 	m := s.model.Load()
 	if m == nil {
 		return nil, errNoModel
 	}
-	switch {
-	case len(payload) > 0 && payload[0] == opPredict:
-		rows, derr := decodePredictRequest(payload, features.Dim)
-		if derr != nil {
-			return nil, derr
+	var sc obs.Scope
+	if f.op == opPredict {
+		rows, err := decodeFloats(f.body, features.Dim, cs.rows)
+		if err != nil {
+			return nil, err
 		}
+		cs.rows = rows
 		s.m.predictReqs.Inc()
 		s.m.predictRows.Add(int64(len(rows) / features.Dim))
-		probs := make([]float64, len(rows)/features.Dim)
-		sc := obs.Start(s.m.predictNS)
-		m.PredictMatrix(rows, probs, s.workers)
-		sc.Stop()
-		return probs, nil
-	case len(payload) > 0 && payload[0] == opAdmit:
-		reqs, derr := decodeAdmitRequest(payload, cs.reqs)
-		if derr != nil {
-			return nil, derr
+		sc = obs.Start(s.m.predictNS)
+	} else {
+		reqs, err := decodeAdmit(f.body, cs.reqs)
+		if err != nil {
+			return nil, err
 		}
 		cs.reqs = reqs
 		if cs.tracker == nil {
@@ -565,32 +500,26 @@ func (s *Server) process(cs *connState, payload []byte) ([]float64, error) {
 		}
 		s.m.admitReqs.Inc()
 		s.m.admitRows.Add(int64(len(reqs)))
-		need := len(reqs) * features.Dim
-		if cap(cs.rows) < need {
-			cs.rows = make([]float64, need)
-			cs.probs = make([]float64, len(reqs))
-		}
-		rows, probs := cs.rows[:need], cs.probs[:len(reqs)]
-		sc := obs.Start(s.m.predictNS)
+		sc = obs.Start(s.m.predictNS)
+		cs.rows = grow(cs.rows[:0], len(reqs)*features.Dim)
 		for i, ar := range reqs {
 			r := trace.Request{Time: ar.Time, ID: trace.ObjectID(ar.ID), Size: ar.Size, Cost: ar.Cost}
-			cs.tracker.Observe(r, ar.Free, rows[i*features.Dim:(i+1)*features.Dim])
+			cs.tracker.Observe(r, ar.Free, cs.rows[i*features.Dim:(i+1)*features.Dim])
 		}
-		m.PredictMatrix(rows, probs, s.workers)
-		sc.Stop()
-		return probs, nil
-	default:
-		return nil, fmt.Errorf("server: unknown opcode in %d-byte frame", len(payload))
 	}
+	cs.probs = grow(cs.probs[:0], len(cs.rows)/features.Dim)
+	m.PredictMatrix(cs.rows, cs.probs, s.workers)
+	sc.Stop()
+	return cs.probs, nil
 }
 
-// writeResponse writes one response frame under the write deadline,
-// counting timeout violations and write errors.
-func (s *Server) writeResponse(conn net.Conn, timeout time.Duration, payload []byte) error {
+// writeResponse writes one reply frame, in one Write, under the write
+// deadline, counting timeout violations and write errors.
+func (s *Server) writeResponse(conn net.Conn, timeout time.Duration, b []byte) error {
 	if timeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(timeout)) // deadline errors surface on the write itself
 	}
-	err := writeFrame(conn, payload)
+	_, err := conn.Write(b)
 	if err == nil {
 		return nil
 	}
@@ -664,11 +593,4 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	<-done
 	return err
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,8 +21,8 @@ import (
 
 // testModel trains a small model over features.Dim-wide rows whose label
 // depends on the size feature.
-func testModel(t *testing.T) *gbdt.Model {
-	t.Helper()
+func testModel(tb testing.TB) *gbdt.Model {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(1))
 	ds := gbdt.NewDataset(features.Dim)
 	row := make([]float64, features.Dim)
@@ -41,20 +40,20 @@ func testModel(t *testing.T) *gbdt.Model {
 	p.NumIterations = 10
 	m, err := gbdt.Train(ds, p)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m
 }
 
-func startServer(t *testing.T, m *gbdt.Model) (*Server, string) {
-	t.Helper()
+func startServer(tb testing.TB, m *gbdt.Model) (*Server, string) {
+	tb.Helper()
 	s := New(m, 2)
-	s.Logf = t.Logf
+	s.Logf = tb.Logf
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
+	tb.Cleanup(func() { s.Close() })
 	return s, addr.String()
 }
 
@@ -212,68 +211,6 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte{1, 2, 3, 4, 5}
-	if err := writeFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readFrame(&buf, maxFramePayload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Errorf("round trip %v != %v", got, payload)
-	}
-}
-
-func TestReadFrameRejectsHuge(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff}) // 4 GiB claimed
-	if _, err := readFrame(&buf, maxFramePayload); err == nil {
-		t.Error("huge frame accepted")
-	}
-}
-
-func TestPredictCodecRoundTrip(t *testing.T) {
-	rows := randRows(7, 5)
-	enc := encodePredictRequest(rows, features.Dim)
-	dec, err := decodePredictRequest(enc, features.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if rows[i] != dec[i] {
-			t.Fatal("request codec mismatch")
-		}
-	}
-	probs := []float64{0.1, 0.5, 0.99}
-	got, err := decodePredictResponse(encodePredictResponse(probs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range probs {
-		if got[i] != probs[i] {
-			t.Fatal("response codec mismatch")
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := decodePredictRequest([]byte{1}, features.Dim); err == nil {
-		t.Error("short request accepted")
-	}
-	if _, err := decodePredictRequest([]byte{9, 0, 0, 0, 0}, features.Dim); err == nil {
-		t.Error("bad opcode accepted")
-	}
-	if _, err := decodePredictResponse([]byte{1, 9, 0, 0, 0}); err == nil {
-		t.Error("truncated response accepted")
-	}
-	if _, err := decodePredictResponse(encodeError("boom")); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("error frame decoded to %v", err)
-	}
-}
-
 // TestAdmitProtocolMatchesLocalTracking: the compact opAdmit path must
 // produce exactly the probabilities a local tracker + model would.
 func TestAdmitProtocolMatchesLocalTracking(t *testing.T) {
@@ -315,17 +252,18 @@ func TestAdmitProtocolMatchesLocalTracking(t *testing.T) {
 }
 
 // TestAdmitBatchReusesConnScratch: once a connection has seen a batch of a
-// given size, serving another allocates nothing — the decoded requests,
-// the feature matrix and the probabilities all live in its connState —
-// and a smaller batch after a larger one answers with its own length.
+// given size, answering another allocates nothing — the decoded requests,
+// the feature matrix, the probabilities and the reply frame all live in
+// its connState — and a smaller batch after a larger one answers with its
+// own length.
 func TestAdmitBatchReusesConnScratch(t *testing.T) {
 	s := New(testModel(t), 1)
-	batch := func(n int) []byte {
+	batch := func(n int) frame {
 		reqs := make([]AdmitRequest, n)
 		for i := range reqs {
 			reqs[i] = AdmitRequest{Time: int64(i), ID: uint64(i % 9), Size: 100, Cost: 100, Free: 1 << 20}
 		}
-		return encodeAdmitRequest(reqs)
+		return frame{op: opAdmit, tag: uint64(n), body: appendAdmit(nil, 0, reqs)[hdrBytes:]}
 	}
 	var cs connState
 	big, small := batch(64), batch(5)
@@ -336,11 +274,12 @@ func TestAdmitBatchReusesConnScratch(t *testing.T) {
 		t.Fatalf("5-row batch after a 64-row one: %d probabilities, err %v", len(probs), err)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := s.process(&cs, big); err != nil {
-			t.Fatal(err)
-		}
+		cs.wbuf = s.respond(&cs, big, cs.wbuf[:0])
 	}); n != 0 {
 		t.Errorf("a warm 64-row admit batch allocates %v times, want 0", n)
+	}
+	if len(cs.wbuf) != hdrBytes+8*64 || cs.wbuf[4] != opPredict {
+		t.Errorf("reply of %d bytes, op %#x", len(cs.wbuf), cs.wbuf[4])
 	}
 }
 
@@ -386,25 +325,6 @@ func TestAdmitSessionsIsolated(t *testing.T) {
 	}
 	if p1[0] == p2[0] {
 		t.Log("note: warm and cold predictions coincide on this model (weak but not wrong)")
-	}
-}
-
-func TestAdmitCodecRoundTrip(t *testing.T) {
-	reqs := []AdmitRequest{
-		{Time: 5, ID: 9, Size: 100, Cost: 2.5, Free: 777},
-		{Time: 6, ID: 10, Size: 200, Cost: 3.5, Free: 0},
-	}
-	dec, err := decodeAdmitRequest(encodeAdmitRequest(reqs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range reqs {
-		if dec[i] != reqs[i] {
-			t.Fatalf("row %d: %+v != %+v", i, dec[i], reqs[i])
-		}
-	}
-	if _, err := decodeAdmitRequest([]byte{2, 9, 0, 0, 0}, nil); err == nil {
-		t.Error("truncated admit frame accepted")
 	}
 }
 
@@ -492,14 +412,30 @@ func TestClientDisconnectNotLogged(t *testing.T) {
 }
 
 func TestTrackerBoundMapping(t *testing.T) {
-	for _, tc := range []struct{ field, want int }{
-		{0, 1 << 22}, // default preserved
-		{5, 5},       // explicit bound
-		{-1, 0},      // negative = unbounded (features.NewTracker(0))
+	// Every "0 = default, negative = disabled" knob resolves through knob:
+	// a knob set to 0, 5 and -1 reads as its default, 5 and its off value.
+	for _, tc := range []struct {
+		name     string
+		get      func(v int) int64
+		def, off int64
+	}{
+		{"MaxTrackedObjects", func(v int) int64 { return int64((&Server{MaxTrackedObjects: v}).trackerBound()) }, 1 << 22, 0},
+		{"ReadTimeout", func(v int) int64 { return int64((&Server{ReadTimeout: time.Duration(v)}).readTimeout()) }, int64(DefaultReadTimeout), 0},
+		{"WriteTimeout", func(v int) int64 { return int64((&Server{WriteTimeout: time.Duration(v)}).writeTimeout()) }, int64(DefaultWriteTimeout), 0},
+		{"DrainTimeout", func(v int) int64 { return int64((&Server{DrainTimeout: time.Duration(v)}).drainTimeout()) }, int64(DefaultDrainTimeout), 0},
+		{"MaxFramePayload", func(v int) int64 { return int64((&Server{MaxFramePayload: v}).maxFrame()) }, maxFramePayload, math.MaxUint32},
+		{"MaxConns", func(v int) int64 { return int64((&Server{MaxConns: v}).maxConns()) }, DefaultMaxConns, 0},
+		{"Timeout", func(v int) int64 { return int64(ClientConfig{Timeout: time.Duration(v)}.timeout()) }, int64(DefaultClientTimeout), 0},
+		{"MaxRetries", func(v int) int64 { return int64(ClientConfig{MaxRetries: v}.maxRetries()) }, DefaultMaxRetries, 0},
+		{"Backoff", func(v int) int64 { return int64(ClientConfig{Backoff: time.Duration(v)}.backoff()) }, int64(DefaultBackoff), 0},
 	} {
-		s := &Server{MaxTrackedObjects: tc.field}
-		if got := s.trackerBound(); got != tc.want {
-			t.Errorf("MaxTrackedObjects=%d: trackerBound = %d, want %d", tc.field, got, tc.want)
+		for _, c := range []struct {
+			v    int
+			want int64
+		}{{0, tc.def}, {5, 5}, {-1, tc.off}} {
+			if got := tc.get(c.v); got != c.want {
+				t.Errorf("%s = %d resolves to %d, want %d", tc.name, c.v, got, c.want)
+			}
 		}
 	}
 }
@@ -646,8 +582,9 @@ func TestDebugEndpointsServeLiveCounts(t *testing.T) {
 	}
 }
 
-// TestBadRequestCounter: a malformed frame is answered with an error
-// frame and counted as a bad request.
+// TestBadRequestCounter: a frame with an unknown opcode is answered with
+// an error frame under its tag and counted as a bad request, and the
+// connection stays in step.
 func TestBadRequestCounter(t *testing.T) {
 	m := testModel(t)
 	reg := obs.NewRegistry()
@@ -659,23 +596,115 @@ func TestBadRequestCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	c, err := Dial(addr.String())
-	if err != nil {
+	mc := dialMux(t, addr.String())
+	mc.wbuf = appendRaw(mc.wbuf[:0], 0x7f, 9, []byte{1, 2, 3})
+	if err := mc.send(); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	// An unknown opcode is answered with an error frame and counted.
-	if err := writeFrame(c.conn, []byte{0x7f, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := readFrame(c.conn, maxFramePayload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodePredictResponse(payload); err == nil {
-		t.Error("unknown opcode not answered with an error frame")
+	if tag, _, err := mc.ReadResponse(); tag != 9 || err == nil || !strings.Contains(err.Error(), "unknown opcode") {
+		t.Errorf("unknown opcode answered under tag %d with %v", tag, err)
 	}
 	if got := reg.Counter("server_bad_requests_total").Value(); got != 1 {
 		t.Errorf("server_bad_requests_total = %d, want 1", got)
+	}
+	if err := mc.WriteAdmitBatch(10, randAdmitBatch(rand.New(rand.NewSource(1)), 3)); err != nil {
+		t.Fatal(err)
+	}
+	if tag, probs, err := mc.ReadResponse(); tag != 10 || len(probs) != 3 || err != nil {
+		t.Errorf("next batch: tag %d, %d rows, err %v", tag, len(probs), err)
+	}
+}
+
+// narrowModel is a compiled model of no trees over 2-feature rows: any
+// width but features.Dim.
+func narrowModel(t *testing.T) *gbdt.Model {
+	t.Helper()
+	m := &gbdt.Model{Dim: 2, BaseScore: 1}
+	if err := m.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestModelSwapRejectsWrongWidth: a pushed model that does not score
+// features.Dim-wide rows is refused with an error frame and counted, and
+// the deployed model keeps serving. Acked, it would make the next admit
+// panic in the scorer and take the whole process down.
+func TestModelSwapRejectsWrongWidth(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(testModel(t), 1)
+	s.Logf = t.Logf
+	s.Obs = reg
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	mc := dialMux(t, addr.String())
+	if err := mc.Rollout(1, narrowModel(t)); err == nil || !strings.Contains(err.Error(), "scores 2 features") {
+		t.Fatalf("2-feature model push: %v", err)
+	}
+	if got := reg.Counter("server_model_swap_rejects_total").Value(); got != 1 || s.ModelVersion() != 0 {
+		t.Errorf("server_model_swap_rejects_total = %d, version %d; want 1 and 0", got, s.ModelVersion())
+	}
+	if err := mc.WriteAdmitBatch(1, randAdmitBatch(rand.New(rand.NewSource(2)), 8)); err != nil {
+		t.Fatal(err)
+	}
+	if _, probs, err := mc.ReadResponse(); err != nil || len(probs) != 8 {
+		t.Fatalf("admit after the refused push: %d rows, err %v", len(probs), err)
+	}
+}
+
+// TestNewPanicsOnWrongWidth: handing the server a model of the wrong width
+// in-process is a programming error, caught where it is made rather than
+// on the first request.
+func TestNewPanicsOnWrongWidth(t *testing.T) {
+	narrow := narrowModel(t)
+	for name, f := range map[string]func(){
+		"New":      func() { New(narrow, 1) },
+		"SetModel": func() { New(nil, 1).SetModel(narrow) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "scores 2 features") {
+					t.Errorf("%s with a 2-feature model: recovered %v", name, r)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// BenchmarkServeAdmitBatch is a served connection handling one 64-row
+// tagged admit frame per op: read, decode, Observe, PredictMatrix, encode,
+// one write. A MuxConn drives it over loopback TCP and allocates nothing
+// itself, so allocs/op is the server's (testdata/alloc_budgets.txt).
+func BenchmarkServeAdmitBatch(b *testing.B) {
+	_, addr := startServer(b, testModel(b))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mc := NewMuxConn(conn)
+	defer mc.Close()
+	batch := randAdmitBatch(rand.New(rand.NewSource(5)), 64)
+	serve := func(i int) {
+		for j := range batch {
+			batch[j].Time = int64(i*len(batch) + j)
+		}
+		if err := mc.WriteAdmitBatch(uint64(i), batch); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := mc.ReadResponse(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ { // warm buffers and the tracker
+		serve(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(64 + i)
 	}
 }
