@@ -214,6 +214,21 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 	}
 }
 
+// TestRingRejectsEmpty: a ring with no points would own no object, so a
+// shard or replica count that is not positive panics with the counts.
+func TestRingRejectsEmpty(t *testing.T) {
+	for _, c := range [][2]int{{0, 64}, {3, 0}, {-1, 8}, {2, -5}} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "positive shard and replica count") {
+					t.Errorf("NewRing(%d, %d): recovered %v, want the count panic", c[0], c[1], r)
+				}
+			}()
+			NewRing(c[0], c[1])
+		}()
+	}
+}
+
 // TestRouterMatchesPerShardClient is the equivalence property: the
 // pipelined router must return, row for row, exactly what a synchronous
 // server.Client would have returned had it sent each shard's

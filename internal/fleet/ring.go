@@ -18,8 +18,11 @@ type ringPoint struct {
 }
 
 // NewRing builds the ring for `shards` shards with `replicas` virtual
-// points each. Both must be positive.
+// points each. It panics unless both are positive: no points, no owner.
 func NewRing(shards, replicas int) *Ring {
+	if shards <= 0 || replicas <= 0 {
+		panic("fleet: ring needs a positive shard and replica count")
+	}
 	pts := make([]ringPoint, 0, shards*replicas)
 	for s := 0; s < shards; s++ {
 		for v := 0; v < replicas; v++ {

@@ -149,6 +149,160 @@ var scoreSeeds = []struct {
 	{6, 63, 70, 100, 20},
 }
 
+// FuzzSplitScanMatchesReference builds one feature's histogram in a random
+// leaf and demands that bestSplitForFeature, started from a bound, return
+// referenceSplit's split whenever that split's gain exceeds the bound, and
+// no split otherwise. The bounds tried are MinGainToSplit, a random one
+// above it and, around the reference's gain g, g itself and the floats one
+// and two units in the last place below and one above — where the
+// pre-test's margin is all that stands between a winner and a skip.
+func FuzzSplitScanMatchesReference(f *testing.F) {
+	for _, s := range splitSeeds {
+		f.Add(s.seed, s.bins, s.shape)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, bins, shape uint8) {
+		rng := splitMix{s: seed}
+		tr, c, cells := randomSplitCase(&rng, 2+int(bins)%255, shape)
+		want := tr.referenceSplit(c, 7, cells)
+		minGain := tr.p.MinGainToSplit
+		bounds := []float64{minGain, minGain + rng.float()*math.Abs(want.gain)}
+		if want.valid {
+			g, down := want.gain, math.Inf(-1)
+			bounds = append(bounds, g, math.Nextafter(g, down), math.Nextafter(math.Nextafter(g, down), down),
+				math.Nextafter(g, math.Inf(1)))
+		}
+		for _, bound := range bounds {
+			if bound < minGain {
+				continue // the scan's contract: a bound of at least MinGainToSplit
+			}
+			exp := splitInfo{}
+			if want.valid && want.gain > bound {
+				exp = want
+			}
+			if got := tr.bestSplitForFeature(c, 7, cells, bound); got != exp {
+				t.Fatalf("bound %v (MinGainToSplit %v, Lambda %v, MinSumHessianInLeaf %v, MinDataInLeaf %d): got %+v, want %+v",
+					bound, minGain, tr.p.Lambda, tr.p.MinSumHessianInLeaf, tr.p.MinDataInLeaf, got, exp)
+			}
+		}
+	})
+}
+
+// splitSeeds is FuzzSplitScanMatchesReference's seed corpus, in code and
+// (through TestRegenerateFuzzCorpus) under testdata/fuzz: one seed per
+// shape bit of randomSplitCase, a few combined, and the widest histogram.
+var splitSeeds = []struct {
+	seed        uint64
+	bins, shape uint8
+}{
+	{1, 30, 0},
+	{2, 30, splitLambda},
+	{3, 60, 1 << 1},
+	{4, 60, 2 << 1},
+	{5, 60, 3 << 1},
+	{6, 12, splitEmptyFirst},
+	{7, 40, splitResidue},
+	{8, 40, splitTies},
+	{9, 40, splitTiny},
+	{10, 40, splitAllEmpty},
+	{11, 254, splitLambda | splitResidue},
+	{12, 8, splitEmptyFirst | splitTies | 2<<1},
+	{13, 100, splitTiny | splitTies | splitLambda},
+	// Found by the fuzzer against mutants: with preTestMargin 0 the
+	// pre-test rejects a winner one unit in the last place above the bound
+	// (the first four; the third and fourth send missing left), and
+	// without preTestLimit's gate a subnormal one (the fifth).
+	{8, 51, 1 << 1},
+	{1, 254, splitLambda},
+	{1, 10, splitTies},
+	{10, 100, splitEmptyFirst},
+	{4, 48, splitTiny | 3<<1},
+}
+
+// randomSplitCase's shape bits. Bits 1–2 pick MinGainToSplit: 0, a small
+// positive value, a negative one, or a negative one close to zero.
+const (
+	splitLambda     = 1 << 0 // Lambda 1 instead of 0
+	splitEmptyFirst = 1 << 3 // bin 1 holds nothing: {missing | present} is its only split
+	splitResidue    = 1 << 4 // some rowless cells keep a float residue, as subtraction leaves
+	splitTies       = 1 << 5 // every data cell equal and a value-free missing cell: gains tie
+	splitTiny       = 1 << 6 // gradients scaled by 2^-530, so the squares go subnormal
+	splitAllEmpty   = 1 << 7 // no data cell holds anything
+)
+
+// randomSplitCase draws trainer parameters, a leaf and one feature's nb
+// histogram cells (missing bin first). Cell sums are multiples of 1/64 — a
+// row's gradient is in [-1, 1], its hessian in [0, 1/4] — so equal sums
+// are common and exact; the leaf's totals are the cells' sums.
+func randomSplitCase(rng *splitMix, nb int, shape uint8) (*trainer, *leafCand, []histBin) {
+	p := DefaultParams()
+	p.MinDataInLeaf = 1 + int(rng.next()%6)
+	if shape&splitLambda != 0 {
+		p.Lambda = 1
+	}
+	switch shape >> 1 & 3 {
+	case 1:
+		p.MinGainToSplit = rng.float() / 8
+	case 2:
+		p.MinGainToSplit = -rng.float()
+	case 3:
+		p.MinGainToSplit = -1e-12
+	}
+	switch rng.next() % 5 {
+	case 1:
+		p.MinSumHessianInLeaf = 0
+	case 2:
+		p.MinSumHessianInLeaf = 0.5
+	case 3:
+		p.MinSumHessianInLeaf = 1e-310
+	}
+	scale := 1.0
+	if shape&splitTiny != 0 {
+		scale = 0x1p-530
+	}
+	draw := func() histBin {
+		n := int32(rng.next() % 9)
+		if rng.next()%4 == 0 {
+			n = 0
+		}
+		var g, h float64
+		for i := int32(0); i < n; i++ {
+			g += float64(int(rng.next()%129)-64) / 64
+			h += float64(rng.next()%17) / 64
+		}
+		return histBin{grad: g * scale, hess: h, count: n}
+	}
+	cells := make([]histBin, nb)
+	proto := draw()
+	for b := range cells {
+		switch {
+		case b > 0 && shape&splitAllEmpty != 0:
+		case b > 0 && shape&splitTies != 0:
+			cells[b] = proto
+		default:
+			cells[b] = draw()
+		}
+		if shape&splitResidue != 0 && cells[b].count == 0 && rng.next()%2 == 0 {
+			cells[b].grad = float64(int(rng.next()%5)-2) * 0x1p-56 * scale
+			cells[b].hess = float64(int(rng.next()%5)-2) * 0x1p-58
+		}
+	}
+	if shape&splitTies != 0 {
+		cells[missingBin].grad, cells[missingBin].hess = 0, 0
+	}
+	if shape&splitEmptyFirst != 0 && nb > 1 {
+		cells[1] = histBin{}
+	}
+	c := &leafCand{}
+	var total int32
+	for _, cell := range cells {
+		total += cell.count
+		c.sumGrad += cell.grad
+		c.sumHess += cell.hess
+	}
+	c.rows = make([]int32, total)
+	return &trainer{p: p}, c, cells
+}
+
 // hostileSeeds serializes models that gob decodes without error but that
 // compilation must reject: non-finite thresholds, leaf values, and base
 // scores. The scorer's sorted threshold scan is only exact against ±Inf
@@ -201,13 +355,17 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	for name, data := range hostileSeeds(t) {
 		seeds[name] = data
 	}
-	entries := make(map[string]string, len(seeds)+len(scoreSeeds))
+	entries := make(map[string]string, len(seeds)+len(scoreSeeds)+len(splitSeeds))
 	for name, data := range seeds {
 		entries[filepath.Join("FuzzModelLoad", name)] = fmt.Sprintf("[]byte(%q)\n", data)
 	}
 	for i, s := range scoreSeeds {
 		entries[filepath.Join("FuzzScoreMatchesOracle", fmt.Sprintf("seed-%d", i+1))] = fmt.Sprintf(
 			"uint64(%d)\nbyte(%q)\nbyte(%q)\nuint16(%d)\nbyte(%q)\n", s.seed, s.dim, s.trees, s.maxLeaves, s.keep)
+	}
+	for i, s := range splitSeeds {
+		entries[filepath.Join("FuzzSplitScanMatchesReference", fmt.Sprintf("seed-%d", i+1))] = fmt.Sprintf(
+			"uint64(%d)\nbyte(%q)\nbyte(%q)\n", s.seed, s.bins, s.shape)
 	}
 	for name, body := range entries {
 		path := filepath.Join("testdata", "fuzz", name)

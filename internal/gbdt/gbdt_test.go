@@ -509,31 +509,46 @@ func TestHistogramSubtraction(t *testing.T) {
 	tr.grad = make([]float64, d.Len())
 	tr.hess = make([]float64, d.Len())
 	tr.scores = make([]float64, d.Len())
+	tr.histCols = make([]histCol, d.Dim())
 	tr.computeGradients()
 
 	tr.sampleFeatures()
 	all := tr.allRows()
-	parent := tr.newHistogram()
-	tr.buildHist(parent, all)
+	// Every other feature is live; the others' cells are never read.
+	var live []int32
+	for fi := range tr.feats {
+		if fi%2 == 0 {
+			live = append(live, int32(fi))
+		}
+	}
+	parent := tr.newHistogram(live)
+	tr.buildHist(parent, live, all)
 
 	half := all[:150]
 	rest := all[150:]
-	hHalf := tr.newHistogram()
-	tr.buildHist(hHalf, half)
+	hHalf := tr.newHistogram(live)
+	tr.buildHist(hHalf, live, half)
 	subtractCells(parent, hHalf)
 	derived := parent
 
-	direct := tr.newHistogram()
-	tr.buildHist(direct, rest)
-	for i := range direct {
-		if direct[i].count != derived[i].count {
-			t.Fatalf("bin %d count: direct %d != derived %d", i, direct[i].count, derived[i].count)
-		}
-		if math.Abs(direct[i].grad-derived[i].grad) > 1e-9 {
-			t.Fatalf("bin %d grad mismatch", i)
-		}
-		if math.Abs(direct[i].hess-derived[i].hess) > 1e-9 {
-			t.Fatalf("bin %d hess mismatch", i)
+	// The direct histogram comes back from the pool full of another
+	// leaf's sums: newHistogram must clear every live cell.
+	dirty := &leafCand{hist: tr.newHistogram(live)}
+	tr.buildHist(dirty.hist, live, all)
+	tr.releaseHist(dirty)
+	direct := tr.newHistogram(live)
+	tr.buildHist(direct, live, rest)
+	for _, fi := range live {
+		for i := tr.offsets[fi]; i < tr.offsets[fi+1]; i++ {
+			if direct[i].count != derived[i].count {
+				t.Fatalf("bin %d count: direct %d != derived %d", i, direct[i].count, derived[i].count)
+			}
+			if math.Abs(direct[i].grad-derived[i].grad) > 1e-9 {
+				t.Fatalf("bin %d grad mismatch", i)
+			}
+			if math.Abs(direct[i].hess-derived[i].hess) > 1e-9 {
+				t.Fatalf("bin %d hess mismatch", i)
+			}
 		}
 	}
 }

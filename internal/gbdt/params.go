@@ -10,11 +10,13 @@
 // the paper's one deviation: NumIterations is 30 instead of 100.
 //
 // The trainer (train.go) works on a row-major binned copy of the data:
-// histograms are built row by row, the split scan skips what an empty bin
-// or a too-small side rules out, the larger child's histogram is derived
-// by subtraction as it is scanned, rows live in one per-tree index arena
-// partitioned in place, and a finished tree updates the boosting scores
-// from its leaves' row ranges. None of this reorders a float sum: Train is
+// histograms are built row by row, the larger child's is derived by
+// subtraction as it is scanned, rows live in one per-tree arena
+// partitioned in place, and scores are updated from the leaves' row
+// ranges. It pays only for splits that can still happen: no scan of a leaf
+// too small to split, of a feature too sparse to, or of a candidate's
+// divisions when a pre-test shows it cannot win; no histogram kept for a
+// leaf that will not be split. None of this reorders a float sum: Train is
 // held byte for byte (Model.Save) to the plain trainer kept in
 // reference_test.go, for every Workers value. Inference runs on the
 // compiled bitvector scorer (flat.go).

@@ -270,6 +270,65 @@ func (f *blockFlat) accumBlock(rows, inout []float64, lo, hi int) {
 	}
 }
 
+// referenceSplit is the split scan for one feature as it stood before the
+// division-free pre-test and the running bound (PR 14's
+// bestSplitForFeature), kept as the oracle FuzzSplitScanMatchesReference
+// holds bestSplitForFeature to: every candidate's gain computed with its
+// two divisions and compared against the best so far, with the
+// empty-cell skip rule and its "bin 1 is never skipped" exception.
+func (t *trainer) referenceSplit(c *leafCand, feature int, cells []histBin) splitInfo {
+	miss := cells[missingBin]
+	totalC := int32(len(c.rows))
+	minData := int32(t.p.MinDataInLeaf)
+	if totalC-miss.count < minData {
+		return splitInfo{}
+	}
+	totalG, totalH := c.sumGrad, c.sumHess
+	lambda, minHess, minGain := t.p.Lambda, t.p.MinSumHessianInLeaf, t.p.MinGainToSplit
+	parentObj := totalG * totalG / (totalH + lambda)
+	bestBin, bestGain, bestMissLeft := 0, 0.0, false
+	var accG, accH float64
+	var accC int32
+	for b := 1; b < len(cells)-1; b++ {
+		cell := &cells[b]
+		if cell.count == 0 && b > 1 && cell.grad == 0 && cell.hess == 0 {
+			continue
+		}
+		accG += cell.grad
+		accH += cell.hess
+		accC += cell.count
+		rc := totalC - accC
+		if rc < minData {
+			break
+		}
+		// Missing goes right.
+		if accC >= minData {
+			rg, rh := totalG-accG, totalH-accH
+			if accH >= minHess && rh >= minHess {
+				gain := accG*accG/(accH+lambda) + rg*rg/(rh+lambda) - parentObj
+				if gain > minGain && (bestBin == 0 || gain > bestGain) {
+					bestBin, bestGain, bestMissLeft = b, gain, false
+				}
+			}
+		}
+		// Missing goes left.
+		if miss.count > 0 && accC+miss.count >= minData && rc-miss.count >= minData {
+			lg, lh := accG+miss.grad, accH+miss.hess
+			rg, rh := totalG-accG-miss.grad, totalH-accH-miss.hess
+			if lh >= minHess && rh >= minHess {
+				gain := lg*lg/(lh+lambda) + rg*rg/(rh+lambda) - parentObj
+				if gain > minGain && (bestBin == 0 || gain > bestGain) {
+					bestBin, bestGain, bestMissLeft = b, gain, true
+				}
+			}
+		}
+	}
+	if bestBin == 0 {
+		return splitInfo{}
+	}
+	return splitInfo{valid: true, gain: bestGain, feature: feature, bin: bestBin, missingLeft: bestMissLeft}
+}
+
 type refTrainer struct {
 	p     Params
 	d     *Dataset
@@ -686,9 +745,11 @@ func refDataset(n int, cols []refColumn, seed int64) *Dataset {
 
 // TestTrainMatchesReference holds Train to the reference trainer byte for
 // byte on Model.Save, across the data shapes the skip rules of the split
-// scan care about (very sparse, all-NaN, constant and few-valued columns),
-// every sampling mode, the regularisation and size limits that change which
-// candidates are admissible, and several worker counts.
+// scan care about (very sparse, all-NaN, constant and few-valued columns,
+// and a window's NaN suffix, which kills features at every depth), every
+// sampling mode, the regularisation and size limits that change which
+// candidates are admissible and which leaves can split, and several worker
+// counts.
 func TestTrainMatchesReference(t *testing.T) {
 	narrow := []refColumn{
 		{0, 0}, {0, 5}, {0, 1}, {1, 0}, {0.9, 0}, {0.93, 0}, {0.97, 0}, {0.95, 4},
@@ -707,6 +768,10 @@ func TestTrainMatchesReference(t *testing.T) {
 		{"narrow300", refDataset(300, narrow, 1)},
 		{"narrow2500", refDataset(2500, narrow, 2)},
 		{"wide1500", refDataset(1500, wide, 3)},
+		// A training window's shape: gap column i is present only in rows
+		// with more than i gaps, so each split leaves fewer rows to the
+		// later columns and leaves at every depth see some of them die.
+		{"window2500", windowDataset(2500, 3)},
 	}
 	variants := []struct {
 		name string
@@ -726,14 +791,27 @@ func TestTrainMatchesReference(t *testing.T) {
 			p.MinDataInLeaf = 1
 		}},
 		{"bins16-gain", func(p *Params) { p.MaxBins = 16; p.MinGainToSplit = 0.05 }},
+		// Most leaves below the first splits hold fewer than 400 rows and
+		// cannot split: no scan, and no histogram when both children are
+		// that small.
+		{"min200", func(p *Params) { p.MinDataInLeaf = 200 }},
+		// Trees that run out of splits, not of leaves.
+		{"leaves255", func(p *Params) { p.NumLeaves = 255 }},
+		// Each feature's scan starts below zero, where the division-free
+		// pre-test is off.
+		{"neggain", func(p *Params) { p.MinGainToSplit = -0.5 }},
 	}
 	for _, ds := range datasets {
 		for _, v := range variants {
+			p := DefaultParams()
+			p.NumIterations = 12
+			p.Seed = 9
+			v.mut(&p)
+			if ds.d.Len() < 2*p.MinDataInLeaf {
+				continue // not even the root can split
+			}
 			t.Run(ds.name+"/"+v.name, func(t *testing.T) {
-				p := DefaultParams()
-				p.NumIterations = 12
-				p.Seed = 9
-				v.mut(&p)
+				t.Parallel()
 				ref, err := referenceTrain(ds.d, p)
 				if err != nil {
 					t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"lfo/internal/par"
@@ -47,6 +48,10 @@ func Train(d *Dataset, p Params) (*Model, error) {
 	t.nodes = make([]node, 0, maxNodes)
 	t.nodeBin = make([]uint8, 0, maxNodes)
 	t.cands = make([]leafCand, 0, maxNodes)
+	t.liveBuf = make([]int32, 0, maxNodes*d.Dim())
+	t.bestScratch = make([]splitInfo, d.Dim())
+	t.histCols = make([]histCol, d.Dim())
+	t.gains = make([]float64, 0, p.NumLeaves)
 
 	// Base score: log-odds of the positive rate, clamped away from
 	// degenerate infinities.
@@ -123,9 +128,11 @@ type trainer struct {
 	gossRows    []int32     // GOSS sampled-row output
 	partG       []float64   // per-shard gradient sums (rowSums)
 	partH       []float64   // per-shard hessian sums (rowSums)
-	bestScratch []splitInfo // per-feature split candidates (findBestSplit)
+	bestScratch []splitInfo // per-live-feature split candidates (findBestSplit)
+	histCols    []histCol   // buildHist's live columns
+	gains       []float64   // releaseSettled's open-leaf gains
 	histFree    []histogram // recycled histogram storage
-	histLive    []histogram // histograms handed out for the current tree
+	liveBuf     []int32     // the tree's per-leaf live feature lists
 	arena       []int32     // the tree's rows; every leaf owns a sub-range
 	rightRows   []int32     // applySplit's right-side staging
 	cands       []leafCand  // the tree's leaves, open and split
@@ -301,65 +308,73 @@ type histBin struct {
 
 // histogram is the per-leaf gradient histogram over the selected features,
 // stored flat: feature position fi owns cells offsets[fi]:offsets[fi+1] of
-// the trainer's offsets.
+// the trainer's offsets. Cells of features not live in the leaf are stale.
 type histogram []histBin
 
-// newHistogram hands out a zeroed histogram, recycling storage released by
-// previous trees so steady-state training allocates no per-leaf buffers.
-func (t *trainer) newHistogram() histogram {
+// newHistogram hands out a histogram with zeroed live cells, recycling
+// released storage: steady-state training allocates no per-leaf buffers.
+func (t *trainer) newHistogram(live []int32) histogram {
 	need := t.offsets[len(t.offsets)-1]
-	var h histogram
-	if n := len(t.histFree); n > 0 && cap(t.histFree[n-1]) >= need {
-		h = t.histFree[n-1][:need]
-		t.histFree = t.histFree[:n-1]
-		clear(h)
-	} else {
-		h = make(histogram, need)
+	n := len(t.histFree)
+	if n == 0 || cap(t.histFree[n-1]) < need {
+		return make(histogram, need)
 	}
-	t.histLive = append(t.histLive, h)
+	h := t.histFree[n-1][:need]
+	t.histFree = t.histFree[:n-1]
+	for _, fi := range live {
+		clear(h[t.offsets[fi]:t.offsets[fi+1]])
+	}
 	return h
 }
 
-// recycleHistograms returns every histogram handed out for the finished
-// tree to the free pool.
-func (t *trainer) recycleHistograms() {
-	t.histFree = append(t.histFree, t.histLive...)
-	t.histLive = t.histLive[:0]
+// releaseHist returns the leaf's histogram, if it holds one, to the pool.
+func (t *trainer) releaseHist(c *leafCand) {
+	if c.hist != nil {
+		t.histFree = append(t.histFree, c.hist)
+		c.hist = nil
+	}
 }
+
+// histCol is a live feature's column in the binned rows and first cell.
+type histCol struct{ feat, off int }
 
 // histArgs binds one buildHist call for par.RangesArg.
 type histArgs struct {
-	t   *trainer
-	h   histogram
-	idx []int32
+	t    *trainer
+	h    histogram
+	cols []histCol
+	idx  []int32
 }
 
-// buildHist fills the histogram from the rows in idx, row-major: a row's
-// gradient and hessian are loaded once and added to one cell per selected
-// feature, read from the row's contiguous bin bytes. Every cell receives
-// its rows in idx order — the order a feature-by-feature fill adds them in
-// — so the sums are bit-identical to it. With more than one worker each
-// owns a contiguous slice of the selected features and writes only that
-// slice's cells, which changes no cell's order either.
-func (t *trainer) buildHist(h histogram, idx []int32) {
+// buildHist fills the live features' cells from the rows in idx,
+// row-major: a row's gradient and hessian are loaded once and added to one
+// cell per live feature, read from the row's contiguous bin bytes. Every
+// cell receives its rows in idx order — the order a feature-by-feature fill
+// adds them in — so the sums are bit-identical to it. With more than one
+// worker each owns a contiguous slice of the live features and writes only
+// that slice's cells, which changes no cell's order either.
+func (t *trainer) buildHist(h histogram, live []int32, idx []int32) {
+	cols := t.histCols[:len(live)]
+	for k, fi := range live {
+		cols[k] = histCol{t.feats[fi], t.offsets[fi]}
+	}
 	workers := t.workers
-	if len(idx)*len(t.feats) < parHistMinWork {
+	if len(idx)*len(cols) < parHistMinWork {
 		workers = 1
 	}
-	par.RangesArg(len(t.feats), workers, 1, histArgs{t, h, idx}, buildHistRange)
+	par.RangesArg(len(cols), workers, 1, histArgs{t, h, cols, idx}, buildHistRange)
 }
 
-func buildHistRange(a histArgs, fiLo, fiHi int) {
+func buildHistRange(a histArgs, lo, hi int) {
 	t := a.t
 	dim := t.d.dim
-	feats := t.feats[fiLo:fiHi]
-	offsets := t.offsets[fiLo:fiHi]
+	cols := a.cols[lo:hi]
 	bins := a.h
 	for _, r := range a.idx {
 		g, hs := t.grad[r], t.hess[r]
 		row := t.bins[int(r)*dim : int(r)*dim+dim]
-		for k, f := range feats {
-			c := &bins[offsets[k]+int(row[f])]
+		for _, col := range cols {
+			c := &bins[col.off+int(row[col.feat])]
 			c.grad += g
 			c.hess += hs
 			c.count++
@@ -393,13 +408,22 @@ type leafCand struct {
 	sumHess float64
 	depth   int
 	nodeIdx int32
-	hist    histogram
-	best    splitInfo
+	// live lists, ascending, the positions in feats of the features that
+	// may still split in the leaf's subtree; its own list, in liveBuf.
+	live []int32
+	hist histogram // nil once the leaf can no longer split
+	best splitInfo
 }
 
 // leafValue is the shrunk optimal leaf weight.
 func (t *trainer) leafValue(g, h float64) float64 {
 	return -t.p.LearningRate * g / (h + t.p.Lambda)
+}
+
+// canSplit reports whether the leaf can have an admissible split: both
+// sides need MinDataInLeaf rows, and a split needs a live feature.
+func (t *trainer) canSplit(c *leafCand) bool {
+	return len(c.rows) >= 2*t.p.MinDataInLeaf && len(c.live) > 0
 }
 
 // splitArgs binds one findBestSplit call for par.RangesArg.
@@ -409,72 +433,101 @@ type splitArgs struct {
 	sibling histogram
 }
 
-// findBestSplit scans the histogram for the leaf's best split. Features
-// are scanned in parallel into per-feature candidates, then reduced in
-// feature order with a strictly-greater gain comparison — the same
-// first-wins tie-break (lowest feature index, lowest bin) as a sequential
-// scan, so the chosen split is identical for any worker count.
+// findBestSplit scans the histogram for the leaf's best split. The live
+// features are scanned in parallel into per-feature candidates, then
+// reduced in feature order with a strictly-greater gain comparison — the
+// same first-wins tie-break (lowest feature index, lowest bin) as a
+// sequential scan, so the chosen split is identical for any worker count.
 //
 // A non-nil sibling means c.hist still holds the parent's histogram and c
-// is the larger child: each feature's cells first become parent - sibling
-// (histogram subtraction) and are scanned at once, while they are in the
-// nearest cache. Every cell is subtracted exactly once, whatever the scan
-// skips.
+// is the larger child: each live feature's cells first become parent -
+// sibling (histogram subtraction) and are scanned at once, while they are
+// in the nearest cache. Every live cell is subtracted exactly once,
+// whatever the scan skips. Then c.live loses every feature in which the
+// leaf has fewer than MinDataInLeaf non-missing rows: no descendant, whose
+// rows are a subset of the leaf's, can split on it either.
 func (t *trainer) findBestSplit(c *leafCand, sibling histogram) splitInfo {
-	if cap(t.bestScratch) < len(t.feats) {
-		t.bestScratch = make([]splitInfo, len(t.feats))
-	}
-	bests := t.bestScratch[:len(t.feats)]
 	workers := t.workers
 	if len(c.hist) < parHistMinWork {
 		workers = 1
 	}
-	par.RangesArg(len(t.feats), workers, 1, splitArgs{t, c, sibling}, bestSplitRange)
+	par.RangesArg(len(c.live), workers, 1, splitArgs{t, c, sibling}, bestSplitRange)
 
 	best := splitInfo{}
-	for fi := range bests {
-		if bests[fi].valid && (!best.valid || bests[fi].gain > best.gain) {
-			best = bests[fi]
+	kept := c.live[:0]
+	for k, fi := range c.live {
+		if s := &t.bestScratch[k]; s.valid && (!best.valid || s.gain > best.gain) {
+			best = *s
+		}
+		if len(c.rows)-int(c.hist[t.offsets[fi]+missingBin].count) >= t.p.MinDataInLeaf {
+			kept = append(kept, fi)
 		}
 	}
+	c.live = kept
 	return best
 }
 
-func bestSplitRange(a splitArgs, fiLo, fiHi int) {
+// bestSplitRange scans live features lo..hi-1 in order, each from the best
+// gain of the ones before it in the range: the reduction takes a later
+// feature only on a strictly greater gain, so the overall winner, which
+// beats every feature before it, is found whatever the ranges are.
+func bestSplitRange(a splitArgs, lo, hi int) {
 	t := a.t
-	for fi := fiLo; fi < fiHi; fi++ {
-		lo, hi := t.offsets[fi], t.offsets[fi+1]
-		cells := a.c.hist[lo:hi]
+	bound := t.p.MinGainToSplit
+	for k := lo; k < hi; k++ {
+		fi := a.c.live[k]
+		cells := a.c.hist[t.offsets[fi]:t.offsets[fi+1]]
 		if a.sibling != nil {
-			subtractCells(cells, a.sibling[lo:hi])
+			subtractCells(cells, a.sibling[t.offsets[fi]:t.offsets[fi+1]])
 		}
-		t.bestScratch[fi] = t.bestSplitForFeature(a.c, t.feats[fi], cells)
+		t.bestScratch[k] = t.bestSplitForFeature(a.c, t.feats[fi], cells, bound)
+		if s := &t.bestScratch[k]; s.valid {
+			bound = s.gain
+		}
 	}
 }
 
+// The scan's pre-test (bestSplitForFeature) allows preTestMargin, far more
+// than its few units in the last place of rounding, and runs only where
+// its cut, MinSumHessianInLeaf and Lambda lie in [1/preTestLimit,
+// preTestLimit], where no product under- or overflows; DESIGN.md
+// ("Trainer inner loops") writes the bound out.
+const (
+	preTestMargin = 1e-9
+	preTestLimit  = 0x1p300
+)
+
+// preTestCut returns (thr + parentObj)·(1 − preTestMargin), or NaN, which
+// rejects nothing, where the pre-test is off.
+func (t *trainer) preTestCut(thr, parentObj float64) float64 {
+	s := thr + parentObj
+	if thr < 0 || !(s >= 1/preTestLimit && s <= preTestLimit) ||
+		t.p.MinSumHessianInLeaf < 1/preTestLimit || t.p.Lambda > preTestLimit {
+		return math.NaN()
+	}
+	return s * (1 - preTestMargin)
+}
+
 // bestSplitForFeature scans one feature's histogram cells in leaf c for its
-// best split: for b = 1, 2, … "bins 1..b left, missing right" and then, when
-// the leaf has missing rows, "bins 1..b and missing left"; the last bin is
-// excluded (empty right side). A candidate replaces the best so far only
-// on a strictly greater gain, so among equal gains the first one scanned
-// wins. Three shortcuts skip candidates that cannot be admissible or
-// cannot win; none changes which candidate is returned:
+// best split whose gain beats thr (at least MinGainToSplit): for b = 1, …
+// "bins 1..b left, missing right" and then, when the leaf has missing rows,
+// "bins 1..b and missing left"; the last bin is excluded (empty right
+// side). A candidate replaces the best so far only on a strictly greater
+// gain, so among equal gains the first one scanned wins, and an empty
+// cell, whose candidates repeat the previous bin's, never does. What is
+// skipped cannot win:
 //
 //   - Fewer non-missing rows than MinDataInLeaf: every candidate has a
 //     side made only of non-missing rows (the left when missing goes
 //     right, the right when missing goes left), so none is admissible.
-//   - A cell b > 1 that is exactly {0 rows, 0 grad, 0 hess} leaves the
-//     prefix sums as they were, so both candidates at b repeat bin b-1's
-//     sides and gain: inadmissible if those were, and otherwise unable to
-//     exceed a best that already is at least that gain. Bin 1 has no
-//     predecessor — with an empty first bin, "bin 1 and missing left" is
-//     the {missing | present} split, seen nowhere else — so it is always
-//     evaluated. A cell with no rows but a float residue (left by
-//     histogram subtraction) is not skipped: it moves the sums.
 //   - The right side only shrinks as b grows; once it has fewer than
 //     MinDataInLeaf rows with missing sent right, no later candidate in
 //     either direction is admissible.
-func (t *trainer) bestSplitForFeature(c *leafCand, feature int, cells []histBin) splitInfo {
+//   - The divisions of a candidate that fails the pre-test: with
+//     dl = lh + Lambda and dr = rh + Lambda (≥ MinSumHessianInLeaf > 0),
+//     gain > thr means a²·dr + r²·dl > (thr + parentObj)·dl·dr, which
+//     rounding cannot miss by preTestMargin.
+func (t *trainer) bestSplitForFeature(c *leafCand, feature int, cells []histBin, thr float64) splitInfo {
 	miss := cells[missingBin]
 	totalC := int32(len(c.rows))
 	minData := int32(t.p.MinDataInLeaf)
@@ -482,16 +535,14 @@ func (t *trainer) bestSplitForFeature(c *leafCand, feature int, cells []histBin)
 		return splitInfo{}
 	}
 	totalG, totalH := c.sumGrad, c.sumHess
-	lambda, minHess, minGain := t.p.Lambda, t.p.MinSumHessianInLeaf, t.p.MinGainToSplit
+	lambda, minHess := t.p.Lambda, t.p.MinSumHessianInLeaf
 	parentObj := totalG * totalG / (totalH + lambda)
-	bestBin, bestGain, bestMissLeft := 0, 0.0, false
+	cut := t.preTestCut(thr, parentObj)
+	bestBin, bestMissLeft := 0, false
 	var accG, accH float64
 	var accC int32
 	for b := 1; b < len(cells)-1; b++ {
 		cell := &cells[b]
-		if cell.count == 0 && b > 1 && cell.grad == 0 && cell.hess == 0 {
-			continue
-		}
 		accG += cell.grad
 		accH += cell.hess
 		accC += cell.count
@@ -503,9 +554,13 @@ func (t *trainer) bestSplitForFeature(c *leafCand, feature int, cells []histBin)
 		if accC >= minData {
 			rg, rh := totalG-accG, totalH-accH
 			if accH >= minHess && rh >= minHess {
-				gain := accG*accG/(accH+lambda) + rg*rg/(rh+lambda) - parentObj
-				if gain > minGain && (bestBin == 0 || gain > bestGain) {
-					bestBin, bestGain, bestMissLeft = b, gain, false
+				dl, dr := accH+lambda, rh+lambda
+				if !(accG*accG*dr+rg*rg*dl < cut*dl*dr) {
+					gain := accG*accG/dl + rg*rg/dr - parentObj
+					if gain > thr {
+						bestBin, thr, bestMissLeft = b, gain, false
+						cut = t.preTestCut(thr, parentObj)
+					}
 				}
 			}
 		}
@@ -514,9 +569,13 @@ func (t *trainer) bestSplitForFeature(c *leafCand, feature int, cells []histBin)
 			lg, lh := accG+miss.grad, accH+miss.hess
 			rg, rh := totalG-accG-miss.grad, totalH-accH-miss.hess
 			if lh >= minHess && rh >= minHess {
-				gain := lg*lg/(lh+lambda) + rg*rg/(rh+lambda) - parentObj
-				if gain > minGain && (bestBin == 0 || gain > bestGain) {
-					bestBin, bestGain, bestMissLeft = b, gain, true
+				dl, dr := lh+lambda, rh+lambda
+				if !(lg*lg*dr+rg*rg*dl < cut*dl*dr) {
+					gain := lg*lg/dl + rg*rg/dr - parentObj
+					if gain > thr {
+						bestBin, thr, bestMissLeft = b, gain, true
+						cut = t.preTestCut(thr, parentObj)
+					}
 				}
 			}
 		}
@@ -524,15 +583,17 @@ func (t *trainer) bestSplitForFeature(c *leafCand, feature int, cells []histBin)
 	if bestBin == 0 {
 		return splitInfo{}
 	}
-	return splitInfo{valid: true, gain: bestGain, feature: feature, bin: bestBin, missingLeft: bestMissLeft}
+	return splitInfo{valid: true, gain: thr, feature: feature, bin: bestBin, missingLeft: bestMissLeft}
 }
 
 // buildTree grows one tree leaf-wise into t.nodes and returns its leaves,
 // whose row ranges partition rows. It returns nil when no split improves
 // the objective.
+//
+// A histogram lives only while its leaf may still be split, or while its
+// sibling still needs it for subtraction; then it goes back to the pool, so
+// a tree holds few at a time.
 func (t *trainer) buildTree(rows []int32) []*leafCand {
-	defer t.recycleHistograms()
-
 	sumG, sumH := t.rowSums(rows)
 	t.nodes = append(t.nodes[:0], node{Feature: -1, Value: t.leafValue(sumG, sumH)})
 	t.nodeBin = append(t.nodeBin[:0], 0)
@@ -543,15 +604,22 @@ func (t *trainer) buildTree(rows []int32) []*leafCand {
 	if cap(t.rightRows) < len(rows) {
 		t.rightRows = make([]int32, len(rows))
 	}
+	t.liveBuf = t.liveBuf[:len(t.feats)]
+	for i := range t.liveBuf {
+		t.liveBuf[i] = int32(i)
+	}
 
-	t.cands = append(t.cands[:0], leafCand{rows: t.arena, sumGrad: sumG, sumHess: sumH})
+	t.cands = append(t.cands[:0], leafCand{rows: t.arena, sumGrad: sumG, sumHess: sumH, live: t.liveBuf})
 	root := &t.cands[0]
-	root.hist = t.newHistogram()
-	t.buildHist(root.hist, root.rows)
-	root.best = t.findBestSplit(root, nil)
+	if t.canSplit(root) {
+		root.hist = t.newHistogram(root.live)
+		t.buildHist(root.hist, root.live, root.rows)
+		root.best = t.findBestSplit(root, nil)
+	}
 
 	open := append(t.open[:0], root)
 	for len(open) < t.p.NumLeaves {
+		t.releaseSettled(open)
 		// Pick the open leaf with the highest gain.
 		bi := -1
 		for i, c := range open {
@@ -567,32 +635,63 @@ func (t *trainer) buildTree(rows []int32) []*leafCand {
 		open = open[:len(open)-1]
 
 		left, right := t.applySplit(c)
-
+		small, large := left, right
+		if len(left.rows) > len(right.rows) {
+			small, large = right, left
+		}
 		// Children that can never split get no histogram and no scan: at
-		// the depth limit, or when they bring the tree to NumLeaves.
-		if len(open)+2 == t.p.NumLeaves || (t.p.MaxDepth > 0 && left.depth >= t.p.MaxDepth) {
-			left.best = splitInfo{}
-			right.best = splitInfo{}
+		// the depth limit, when they bring the tree to NumLeaves, or when
+		// the larger, and so both, cannot split.
+		if len(open)+2 == t.p.NumLeaves || (t.p.MaxDepth > 0 && left.depth >= t.p.MaxDepth) || !t.canSplit(large) {
+			t.releaseHist(c)
 		} else {
 			// Histogram subtraction: materialize the smaller child,
-			// derive the sibling from the parent.
-			small, large := left, right
-			if len(left.rows) > len(right.rows) {
-				small, large = right, left
+			// derive the sibling from the parent. A smaller child that
+			// cannot split is built for the subtraction only.
+			small.hist = t.newHistogram(small.live)
+			t.buildHist(small.hist, small.live, small.rows)
+			large.hist, c.hist = c.hist, nil
+			if t.canSplit(small) {
+				small.best = t.findBestSplit(small, nil)
 			}
-			small.hist = t.newHistogram()
-			t.buildHist(small.hist, small.rows)
-			large.hist = c.hist
-			small.best = t.findBestSplit(small, nil)
 			large.best = t.findBestSplit(large, small.hist)
 		}
 		open = append(open, left, right)
+	}
+	for _, c := range open {
+		t.releaseHist(c)
 	}
 	t.open = open
 	if len(open) == 1 {
 		return nil
 	}
 	return open
+}
+
+// releaseSettled returns to the pool the histograms of the open leaves that
+// will never be split: those with no valid split, and those that at least
+// as many others outrank, by a strictly greater gain, as splits remain —
+// every split takes the best open leaf, so all of those would go first.
+func (t *trainer) releaseSettled(open []*leafCand) {
+	cut := math.Inf(-1)
+	if picks := t.p.NumLeaves - len(open); picks < len(open) {
+		gains := t.gains[:0]
+		for _, c := range open {
+			if c.best.valid {
+				gains = append(gains, c.best.gain)
+			}
+		}
+		if len(gains) > picks {
+			slices.Sort(gains)
+			cut = gains[len(gains)-picks]
+		}
+		t.gains = gains
+	}
+	for _, c := range open {
+		if !c.best.valid || c.best.gain < cut {
+			t.releaseHist(c)
+		}
+	}
 }
 
 // applySplit partitions the leaf's rows and rewrites its tree node as an
@@ -644,9 +743,14 @@ func (t *trainer) applySplit(c *leafCand) (left, right *leafCand) {
 	n.Value = 0
 	t.nodeBin[c.nodeIdx] = splitBin
 
+	// Each child's scan prunes its own copy of the parent's live list.
+	nf, at := len(c.live), len(t.liveBuf)
+	t.liveBuf = append(append(t.liveBuf, c.live...), c.live...)
 	t.cands = append(t.cands,
-		leafCand{rows: rows[:nl:nl], sumGrad: lg, sumHess: lh, depth: c.depth + 1, nodeIdx: li},
-		leafCand{rows: rows[nl:], sumGrad: c.sumGrad - lg, sumHess: c.sumHess - lh, depth: c.depth + 1, nodeIdx: ri})
+		leafCand{rows: rows[:nl:nl], sumGrad: lg, sumHess: lh, depth: c.depth + 1, nodeIdx: li,
+			live: t.liveBuf[at : at+nf : at+nf]},
+		leafCand{rows: rows[nl:], sumGrad: c.sumGrad - lg, sumHess: c.sumHess - lh, depth: c.depth + 1, nodeIdx: ri,
+			live: t.liveBuf[at+nf : at+2*nf : at+2*nf]})
 	return &t.cands[len(t.cands)-2], &t.cands[len(t.cands)-1]
 }
 

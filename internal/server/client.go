@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"lfo/internal/features"
 	"lfo/internal/gbdt"
 	"lfo/internal/obs"
 )
@@ -180,14 +181,16 @@ func newClientMetrics(r *obs.Registry) clientMetrics {
 //
 // Calls fail fast rather than hang: each attempt runs under
 // ClientConfig.Timeout, and a transport failure (error, timeout, partial
-// write, or a reply tagged for another request) closes the connection —
-// the stream may be desynchronized — and retries on a fresh one, with
+// write, or a reply tagged for another request or carrying another number
+// of probabilities than the request had rows) closes the connection — the
+// stream may be desynchronized — and retries on a fresh one, with
 // exponential backoff, up to MaxRetries.
 type Client struct {
 	cfg  ClientConfig
 	dial func() (net.Conn, error)
 	mc   MuxConn // mc.conn is nil between a dropped connection and the next dial
 	tag  uint64  // the tag of the call in progress
+	rows int     // the row count of the call in progress
 	m    clientMetrics
 }
 
@@ -229,6 +232,7 @@ func (c *Client) Close() error {
 // features.Dim) and returns one probability per row.
 func (c *Client) Predict(rows []float64) ([]float64, error) {
 	c.tag++
+	c.rows = len(rows) / features.Dim
 	c.mc.wbuf = appendPredict(c.mc.wbuf[:0], c.tag, rows)
 	return c.call()
 }
@@ -242,6 +246,7 @@ func (c *Client) Predict(rows []float64) ([]float64, error) {
 // reconnect see cold features.
 func (c *Client) Admit(reqs []AdmitRequest) ([]float64, error) {
 	c.tag++
+	c.rows = len(reqs)
 	c.mc.wbuf = appendAdmit(c.mc.wbuf[:0], c.tag, reqs)
 	return c.call()
 }
@@ -300,6 +305,8 @@ func (c *Client) attempt() ([]float64, error) {
 	tag, probs, err := c.mc.ReadResponse()
 	if err == nil && tag != c.tag {
 		err = fmt.Errorf("server: reply tagged %d answers another request than %d", tag, c.tag)
+	} else if err == nil && len(probs) != c.rows {
+		err = fmt.Errorf("server: reply carries %d probabilities for %d rows", len(probs), c.rows)
 	}
 	return probs, err
 }

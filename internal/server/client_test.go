@@ -213,9 +213,53 @@ func TestClientRejectsMisTaggedReply(t *testing.T) {
 	}
 }
 
-// TestClientLargeReply: Client.Predict reads a reply of more than 1 MiB,
-// under the frame bound both ends share. The peer is scripted: a real
-// server would need a 56 MB request to answer that many predict rows.
+// TestClientRejectsWrongRowCount: a reply must carry one probability per
+// request row. A short or long one is a desynchronized stream, as a
+// mis-tagged one is: the attempt fails, the connection is dropped, the call
+// is retried on a fresh one, and a call whose retries all fail is counted.
+func TestClientRejectsWrongRowCount(t *testing.T) {
+	two := []AdmitRequest{{Time: 1, ID: 1, Size: 1, Cost: 1}, {Time: 2, ID: 2, Size: 1, Cost: 1}}
+	for _, tc := range []struct {
+		name  string
+		call  func(*Client) ([]float64, error)
+		reply []float64
+	}{
+		{"admit short", func(c *Client) ([]float64, error) { return c.Admit(two) }, []float64{0.5}},
+		{"admit long", func(c *Client) ([]float64, error) { return c.Admit(two) }, []float64{0.5, 0.25, 0.125}},
+		{"predict short", func(c *Client) ([]float64, error) { return c.Predict(make([]float64, 3*features.Dim)) }, []float64{0.5, 0.25}},
+		{"predict long", func(c *Client) ([]float64, error) { return c.Predict(make([]float64, features.Dim)) }, []float64{0.5, 0.25}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var conns []*scriptConn
+			reg := obs.NewRegistry()
+			c, err := DialConfig("script", ClientConfig{MaxRetries: 1, Backoff: -1, Obs: reg, Dial: func() (net.Conn, error) {
+				// Every connection answers the client's first call with
+				// the wrong number of probabilities.
+				sc := &scriptConn{r: bytes.NewReader(appendPredict(nil, 1, tc.reply))}
+				conns = append(conns, sc)
+				return sc, nil
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probs, err := tc.call(c); err == nil || !strings.Contains(err.Error(), "probabilities for") {
+				t.Fatalf("call answered with %d probabilities: %v, %v", len(tc.reply), probs, err)
+			}
+			if len(conns) != 2 || !conns[0].closed || !conns[1].closed || c.mc.conn != nil {
+				t.Fatalf("%d connections, want the first dropped and one retry, also dropped", len(conns))
+			}
+			if reg.Counter("client_retries_total").Value() != 1 || reg.Counter("client_failures_total").Value() != 1 {
+				t.Errorf("retries %d, failures %d; want 1 and 1",
+					reg.Counter("client_retries_total").Value(), reg.Counter("client_failures_total").Value())
+			}
+		})
+	}
+}
+
+// TestClientLargeReply: Client.Admit reads a reply of more than 1 MiB,
+// under the frame bound both ends share. The peer is scripted; the reply
+// answers as many requests as it carries probabilities, which in feature
+// rows would be a 56 MB request.
 func TestClientLargeReply(t *testing.T) {
 	want := make([]float64, 1<<20/8+1000)
 	for i := range want {
@@ -226,7 +270,7 @@ func TestClientLargeReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := c.Predict(make([]float64, features.Dim))
+	probs, err := c.Admit(make([]AdmitRequest, len(want)))
 	if err != nil || len(probs) != len(want) || probs[len(want)-1] != want[len(want)-1] {
 		t.Fatalf("%d probabilities, err %v", len(probs), err)
 	}

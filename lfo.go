@@ -22,6 +22,7 @@
 package lfo
 
 import (
+	"cmp"
 	"io"
 	"net"
 
@@ -354,5 +355,8 @@ type (
 func NewFleetRouter(cfg FleetConfig) (*FleetRouter, error) { return fleet.NewRouter(cfg) }
 
 // NewFleetRing returns a consistent-hash ring over shards 0..shards-1
-// with the given virtual-node count per shard (0 = default).
-func NewFleetRing(shards, replicas int) *FleetRing { return fleet.NewRing(shards, replicas) }
+// with the given virtual-node count per shard (0 = the FleetRouter's
+// default); it panics on a count that is not positive.
+func NewFleetRing(shards, replicas int) *FleetRing {
+	return fleet.NewRing(shards, cmp.Or(replicas, fleet.DefaultReplicas))
+}

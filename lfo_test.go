@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lfo/internal/features"
+	"lfo/internal/fleet"
 )
 
 // The façade tests exercise the public API end to end, the way a
@@ -246,4 +247,24 @@ func TestPublicCompactProtocol(t *testing.T) {
 			t.Fatalf("probability %g out of range", p)
 		}
 	}
+}
+
+// TestPublicFleetRingDefault: replicas 0 is the router's default ring,
+// not an empty one; a shard count that is not positive panics.
+func TestPublicFleetRingDefault(t *testing.T) {
+	def, explicit := NewFleetRing(4, 0), NewFleetRing(4, fleet.DefaultReplicas)
+	for id := uint64(0); id < 5000; id++ {
+		if a, b := def.Shard(id), explicit.Shard(id); a != b {
+			t.Fatalf("id %d: replicas 0 routes to %d, the default ring to %d", id, a, b)
+		}
+	}
+	if got := def.Shards(); got != 4 {
+		t.Errorf("Shards() = %d, want 4", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewFleetRing(0, 0) returned a ring")
+		}
+	}()
+	NewFleetRing(0, 0)
 }

@@ -118,9 +118,9 @@ step "alloc budgets"
 } | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgate.awk
 
 # Short fuzz smoke over the frame codec, the model parser, the scorer, the
-# min-cost flow solver and the feature tracker (those three against their
-# _test.go oracles) and the trace reader (accept implies validates and
-# round-trips). The
+# trainer's split scan, the min-cost flow solver and the feature tracker
+# (those four against their _test.go oracles) and the trace reader (accept
+# implies validates and round-trips). The
 # committed seed corpora under testdata/fuzz always replay; the smoke
 # additionally mutates for a few seconds per target. -fuzzminimizetime
 # is capped because the engine's default 60s minimization budget would
@@ -130,6 +130,7 @@ go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 5s -fuzzminimizetime 5s ./
 go test -run '^$' -fuzz '^FuzzMuxFrameDecode$' -fuzztime 5s -fuzzminimizetime 5s ./internal/server
 go test -run '^$' -fuzz '^FuzzModelLoad$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzScoreMatchesOracle$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
+go test -run '^$' -fuzz '^FuzzSplitScanMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzSolveMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/mcf
 go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s -fuzzminimizetime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzTrackerMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/features
