@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"lfo/internal/cliutil"
 	"lfo/internal/core"
@@ -37,7 +38,7 @@ func main() {
 		objective = flag.String("objective", "bhr", "cost objective: bhr, ohr or cost")
 		warmup    = flag.Int("warmup", 0, "requests excluded from metrics")
 		window    = flag.Int("window", 50000, "training window for lfo and evict policies")
-		evictMode = flag.String("evict", "", "eviction mechanism: rank|learned|gdsf|lru for -policy lfo (default rank), learned|gdsf|lru for -policy evict (default learned)")
+		evictMode = flag.String("evict", "", "eviction mechanism for -policy lfo (default rank) and -policy evict (default learned): "+strings.Join(evict.Kinds(), "|"))
 		admit     = flag.String("admit", "admit-all", "admission side for -policy evict: admit-all or second-hit")
 		workers   = flag.Int("workers", 0, "goroutines for LFO training/scoring and OPT labeling: 0=all cores, 1=sequential")
 		ogdEta    = flag.Float64("ogd", 0, "OGD gradient step scale for -policy ogd and the lfo hybrid shadow learner (0 = default)")
@@ -50,8 +51,9 @@ func main() {
 
 	if *list {
 		fmt.Println("baseline policies:", policy.Names())
-		fmt.Println("learning cache:    lfo (eviction via -evict: rank, learned, gdsf, lru)")
-		fmt.Println("combined cache:    evict (-admit admit-all|second-hit, -evict learned|gdsf|lru)")
+		fmt.Println("learning cache:    lfo (eviction via -evict)")
+		fmt.Println("combined cache:    evict (-admit admit-all|second-hit, eviction via -evict)")
+		fmt.Println("eviction kinds:   ", evict.Kinds())
 		return
 	}
 

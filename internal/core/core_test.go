@@ -22,6 +22,16 @@ func testConfig(cacheSize int64, window int) Config {
 	}
 }
 
+// lruPolicy is the LRU baseline of the policy table.
+func lruPolicy(t *testing.T, capacity int64) sim.Policy {
+	t.Helper()
+	p, err := policy.New("lru", capacity, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func webTrace(t *testing.T, n int, seed int64) *trace.Trace {
 	t.Helper()
 	tr, err := gen.Generate(gen.WebMix(n, seed))
@@ -137,7 +147,7 @@ func TestLFOBeatsLRUOnSkewedTrace(t *testing.T) {
 	}
 	opts := sim.Options{Warmup: 10000}
 	lfoM := sim.Run(tr, lfo, opts)
-	lruM := sim.Run(tr, policy.NewLRU(capacity), opts)
+	lruM := sim.Run(tr, lruPolicy(t, capacity), opts)
 	if lfoM.BHR() <= lruM.BHR() {
 		t.Errorf("LFO BHR %.4f <= LRU %.4f", lfoM.BHR(), lruM.BHR())
 	}
@@ -167,7 +177,7 @@ func TestLFOBootstrapActsAsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := sim.Run(tr, lfo, sim.Options{})
-	b := sim.Run(tr, policy.NewLRU(1<<20), sim.Options{})
+	b := sim.Run(tr, lruPolicy(t, 1<<20), sim.Options{})
 	if a.Hits != b.Hits {
 		t.Errorf("bootstrap hits %d != LRU hits %d", a.Hits, b.Hits)
 	}

@@ -7,7 +7,6 @@ import (
 	"lfo/internal/gen"
 	"lfo/internal/obs"
 	"lfo/internal/opt"
-	"lfo/internal/policy"
 	"lfo/internal/sim"
 )
 
@@ -109,7 +108,7 @@ func TestLFOBootstrapLRUModeMatchesLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := sim.Run(tr, lfo, sim.Options{})
-	b := sim.Run(tr, policy.NewLRU(1<<20), sim.Options{})
+	b := sim.Run(tr, lruPolicy(t, 1<<20), sim.Options{})
 	if a.Hits != b.Hits || a.HitBytes != b.HitBytes {
 		t.Errorf("lru mode bootstrap %d/%d != LRU %d/%d", a.Hits, a.HitBytes, b.Hits, b.HitBytes)
 	}

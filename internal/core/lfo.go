@@ -70,13 +70,12 @@ type Config struct {
 	// them immediately (the paper's "a cache hit [may lead] to the
 	// eviction of the hit object", §2.4); disabling is for ablations.
 	DisableEvictOnHit bool
-	// Eviction names the internal/evict strategy that picks victims. ""
-	// or "rank" is §2.4's full likelihood-ranked queue (re-scored on
-	// every retrain); "learned" ranks a sampled candidate set with a
-	// second GBDT trained from the same OPT window labels as the
-	// admission model (deployed atomically alongside it each retrain);
-	// "gdsf" and "lru" are the heuristic baselines for the
-	// admission×eviction ablation grid.
+	// Eviction names the internal/evict strategy that picks victims, one
+	// of evict.Kinds. "" or "rank" is §2.4's full likelihood-ranked queue
+	// (re-scored on every retrain); "learned" ranks a sampled candidate
+	// set with a second GBDT trained from the same OPT window labels as
+	// the admission model (deployed atomically alongside it each
+	// retrain); the others are the heuristics of the baseline column.
 	Eviction string
 	// Seed seeds the learned evictor's candidate sampler. Runs are
 	// byte-reproducible for a fixed seed.

@@ -61,3 +61,45 @@ func BenchmarkPickVictim(b *testing.B) {
 		l.Victim(now)
 	}
 }
+
+// BenchmarkHeuristicRequest drives each heuristic kind through an admit-all
+// Cache at steady-state eviction churn: 256 objects of 1 KiB cycled through
+// 64 KiB, so every request is a miss that evicts one resident and admits
+// the newcomer (rnd's random victims let the odd object survive a cycle),
+// the worst case for per-admission allocation. Recycled store entries and
+// the pq freelist make it allocation-free; every sub-benchmark is pinned at
+// 0 in testdata/alloc_budgets.txt.
+func BenchmarkHeuristicRequest(b *testing.B) {
+	const (
+		capacity = 1 << 16 // 64 resident objects of 1 KiB
+		objSize  = 1 << 10
+		universe = 256 // 4x capacity: sequential cycling never hits
+	)
+	reqs := make([]trace.Request, universe)
+	for i := range reqs {
+		reqs[i] = trace.Request{Time: int64(i), ID: trace.ObjectID(i), Size: objSize, Cost: 1}
+	}
+	for _, kind := range Kinds() {
+		if kind == "rank" || kind == "learned" {
+			continue
+		}
+		b.Run(kind, func(b *testing.B) {
+			c, err := New(Config{CacheSize: capacity, Eviction: kind, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Warm through the whole universe twice so the store and pq
+			// freelists and map buckets reach their steady-state footprint.
+			for round := 0; round < 2; round++ {
+				for _, r := range reqs {
+					c.Request(r)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Request(reqs[i%universe])
+			}
+		})
+	}
+}

@@ -19,10 +19,11 @@ type Config struct {
 	// AdmitterName labels the admission side in Name() ("admit-all" when
 	// the Admitter is nil, "custom" otherwise unless set).
 	AdmitterName string
-	// Eviction selects the eviction strategy: "learned" (default),
-	// "gdsf", "lru", or "rank" (evict the lowest admission likelihood).
+	// Eviction selects the eviction strategy, one of Kinds; default
+	// "learned". "rank" evicts the lowest admission likelihood.
 	Eviction string
-	// Seed seeds the learned evictor's candidate sampler.
+	// Seed seeds the learned evictor's candidate sampler and the random
+	// evictor's draws.
 	Seed int64
 	// WindowSize is the eviction-ranker retrain cadence in requests,
 	// matching core's admission window (default 50000). Only the learned

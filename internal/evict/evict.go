@@ -17,19 +17,22 @@
 // now is the ideal eviction victim, so one offline solve per window labels
 // both models.
 //
-// The package provides the Evictor strategy interface with four
-// implementations over a shared Meta payload — §2.4's likelihood-ranked
-// queue, the learned ranker, GDSF and LRU — and Residents, the one
-// make-room-then-add loop every cache here runs them through:
-// internal/core's LFO, and the standalone Cache that pairs any
-// sim.Admitter (admit-all, SecondHitCensor, ...) with any Evictor and
-// retrains the eviction ranker on the same window cadence — the
-// {admission}×{eviction} ablation grid's building block.
+// The package provides the Evictor strategy interface over a shared Meta
+// payload — §2.4's likelihood-ranked queue, the learned ranker, and the
+// heuristics of the paper's baseline column (GDSF, LFUDA, LFU, LRU, FIFO,
+// RND; see Kinds) — and Residents, the one make-room-then-add loop every
+// cache here runs them through: internal/core's LFO, internal/policy's
+// baselines, and the standalone Cache that pairs any sim.Admitter
+// (admit-all, SecondHitCensor, ...) with any Evictor and retrains the
+// eviction ranker on the same window cadence — the {admission}×{eviction}
+// ablation grid's building block.
 package evict
 
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 
 	"lfo/internal/gbdt"
 	"lfo/internal/obs"
@@ -62,8 +65,8 @@ const (
 const DefaultCandidates = 64
 
 // Meta is the per-object payload every evictor shares. The embedded
-// intrusive list links serve the LRU evictor; the scalar fields double as
-// the learned ranker's feature source.
+// intrusive list links serve the LRU and FIFO evictors; the scalar fields
+// key the heap evictors and double as the learned ranker's feature source.
 type Meta struct {
 	// AdmitTime is the trace time the object was admitted.
 	AdmitTime int64
@@ -133,7 +136,8 @@ type Evictor interface {
 	// OnHit updates the entry's metadata on a cache hit; a cache that
 	// rescored the object wrote Payload.Score first.
 	OnHit(e *sim.StoreEntry[Meta], r trace.Request)
-	// OnRemove tears down the entry's metadata right before Store.Remove
+	// OnRemove tears down the entry's metadata as it leaves the store,
+	// next to its Store.Remove and before any Store.Add can recycle it
 	// (called for ranked evictions and admission-driven drops alike).
 	OnRemove(e *sim.StoreEntry[Meta])
 	// Victim returns the object to evict next at trace time now. The
@@ -144,27 +148,39 @@ type Evictor interface {
 	SetModel(m *gbdt.Model)
 }
 
-// NewEvictor constructs the named eviction strategy over the store.
-// Kinds: "rank" (full queue keyed by Meta.Score), "learned"
-// (sampled-candidate ranker), "gdsf", "lru".
+// kinds are the strategies NewEvictor builds: §2.4's queue keyed by
+// Meta.Score, the sampled-candidate ranker, and the heuristics the paper's
+// baseline column measures.
+var kinds = [...]string{"rank", "learned", "gdsf", "lru", "fifo", "lfu", "lfuda", "rnd"}
+
+// Kinds returns the names NewEvictor accepts, in a fixed order.
+func Kinds() []string { return append([]string(nil), kinds[:]...) }
+
+// NewEvictor constructs the named eviction strategy (one of Kinds) over
+// the store.
 func NewEvictor(kind string, store *sim.Store[Meta], opts Options) (Evictor, error) {
 	switch kind {
 	case "rank":
 		return &Ranked{q: pq.New()}, nil
 	case "learned":
 		return newLearned(store, opts), nil
-	case "gdsf":
-		return &gdsfEvictor{q: pq.New()}, nil
+	case "gdsf", "lfuda", "lfu":
+		return &heapEvictor{q: pq.New(), kind: kind, sized: kind == "gdsf", aging: kind != "lfu"}, nil
 	case "lru":
 		return &lruEvictor{}, nil
+	case "fifo":
+		return &fifoEvictor{}, nil
+	case "rnd":
+		return &rndEvictor{store: store, rng: rand.New(rand.NewSource(opts.Seed))}, nil
 	default:
-		return nil, fmt.Errorf("evict: unknown evictor %q (want rank, learned, gdsf, or lru)", kind)
+		return nil, fmt.Errorf("evict: unknown evictor %q (want one of %s)", kind, strings.Join(kinds[:], ", "))
 	}
 }
 
 // Options tunes evictor construction.
 type Options struct {
-	// Seed seeds the learned evictor's candidate sampler.
+	// Seed seeds the learned evictor's candidate sampler and the random
+	// evictor's victim draws.
 	Seed int64
 	// Obs, when set, records eviction metrics (ranker latency, candidate
 	// counts, victims by size tier, model swaps); nil disables recording

@@ -1,13 +1,14 @@
 package evict
 
 import (
+	"container/list"
 	"math"
 	"reflect"
 	"testing"
 
 	"lfo/internal/gen"
 	"lfo/internal/obs"
-	"lfo/internal/policy"
+	"lfo/internal/pq"
 	"lfo/internal/sim"
 	"lfo/internal/trace"
 )
@@ -33,8 +34,76 @@ func TestNewEvictorUnknown(t *testing.T) {
 	}
 }
 
+// standaloneLRU is the former standalone LRU policy, kept as an oracle:
+// a recency list beside a sim.Store, evicting from the tail.
+type standaloneLRU struct {
+	store *sim.Store[*list.Element]
+	lru   *list.List // front = most recent; values are trace.ObjectID
+}
+
+func newStandaloneLRU(capacity int64) *standaloneLRU {
+	return &standaloneLRU{store: sim.NewStore[*list.Element](capacity), lru: list.New()}
+}
+
+func (p *standaloneLRU) Request(r trace.Request) bool {
+	if e := p.store.Get(r.ID); e != nil {
+		p.lru.MoveToFront(e.Payload)
+		return true
+	}
+	if r.Size > p.store.Capacity() {
+		return false
+	}
+	for !p.store.Fits(r.Size) {
+		p.store.Remove(p.lru.Remove(p.lru.Back()).(trace.ObjectID))
+	}
+	p.store.Add(r.ID, r.Size).Payload = p.lru.PushFront(r.ID)
+	return false
+}
+
+// standaloneGDSF is the former standalone GDSF policy, kept as an oracle:
+// priority L + F*C/S in a pq, aging L to each evicted priority.
+type standaloneGDSF struct {
+	store *sim.Store[standaloneGDSFMeta]
+	pq    *pq.Queue
+	age   float64
+}
+
+type standaloneGDSFMeta struct {
+	freq int64
+	cost float64
+}
+
+func newStandaloneGDSF(capacity int64) *standaloneGDSF {
+	return &standaloneGDSF{store: sim.NewStore[standaloneGDSFMeta](capacity), pq: pq.New()}
+}
+
+func (p *standaloneGDSF) priority(m standaloneGDSFMeta, size int64) float64 {
+	return p.age + float64(m.freq)*m.cost/float64(size)
+}
+
+func (p *standaloneGDSF) Request(r trace.Request) bool {
+	if e := p.store.Get(r.ID); e != nil {
+		e.Payload.freq++
+		e.Payload.cost = r.Cost
+		p.pq.Update(r.ID, p.priority(e.Payload, e.Size))
+		return true
+	}
+	if r.Size > p.store.Capacity() {
+		return false
+	}
+	for !p.store.Fits(r.Size) {
+		id, key := p.pq.PopMin()
+		p.age = key
+		p.store.Remove(id)
+	}
+	e := p.store.Add(r.ID, r.Size)
+	e.Payload = standaloneGDSFMeta{freq: 1, cost: r.Cost}
+	p.pq.Push(r.ID, p.priority(e.Payload, r.Size))
+	return false
+}
+
 // TestCacheLRUMatchesPolicyLRU pins the combined cache's plumbing against
-// the standalone LRU policy: with admit-all admission and the lru
+// the standalone LRU oracle: with admit-all admission and the lru
 // evictor, every decision must agree byte-for-byte.
 func TestCacheLRUMatchesPolicyLRU(t *testing.T) {
 	tr := genTrace(t, 20000, 7)
@@ -44,19 +113,16 @@ func TestCacheLRUMatchesPolicyLRU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := policy.New("lru", size, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newStandaloneLRU(size)
 	for i, r := range tr.Requests {
 		if got, want := c.Request(r), ref.Request(r); got != want {
-			t.Fatalf("request %d (id %d): cache hit=%v, policy LRU hit=%v", i, r.ID, got, want)
+			t.Fatalf("request %d (id %d): cache hit=%v, standalone LRU hit=%v", i, r.ID, got, want)
 		}
 	}
 }
 
 // TestCacheGDSFMatchesPolicyGDSF pins the gdsf evictor against the
-// standalone GDSF policy: same priorities, same aging, same
+// standalone GDSF oracle: same priorities, same aging, same
 // deterministic pq tie-breaks.
 func TestCacheGDSFMatchesPolicyGDSF(t *testing.T) {
 	tr := genTrace(t, 20000, 11)
@@ -66,13 +132,10 @@ func TestCacheGDSFMatchesPolicyGDSF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := policy.New("gdsf", size, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newStandaloneGDSF(size)
 	for i, r := range tr.Requests {
 		if got, want := c.Request(r), ref.Request(r); got != want {
-			t.Fatalf("request %d (id %d): cache hit=%v, policy GDSF hit=%v", i, r.ID, got, want)
+			t.Fatalf("request %d (id %d): cache hit=%v, standalone GDSF hit=%v", i, r.ID, got, want)
 		}
 	}
 }
@@ -217,16 +280,30 @@ func TestSeedChangesSampledVictims(t *testing.T) {
 	}
 }
 
+// secondHit admits an object from its second request on, with likelihood
+// 1: policy.SecondHitCensor without the generations, which this package's
+// tests cannot import (policy builds its baselines from evict).
+type secondHit map[trace.ObjectID]bool
+
+func (s secondHit) Admit(r trace.Request, free int64) (bool, float64) {
+	if s[r.ID] {
+		return true, 1
+	}
+	return false, 0
+}
+
+func (s secondHit) Observe(r trace.Request) { s[r.ID] = true }
+
 // TestCacheOversizedAndAdmitters covers the oversized-object guard and
 // the Admitter hook for every evictor kind.
 func TestCacheOversizedAndAdmitters(t *testing.T) {
-	for _, kind := range []string{"rank", "learned", "gdsf", "lru"} {
+	for _, kind := range Kinds() {
 		t.Run(kind, func(t *testing.T) {
 			const size = 1 << 20
 			c, err := New(Config{
 				CacheSize:    size,
 				Eviction:     kind,
-				Admitter:     policy.NewSecondHitCensor(1024),
+				Admitter:     secondHit{},
 				AdmitterName: "secondhit",
 				WindowSize:   1 << 30,
 			})
@@ -264,6 +341,86 @@ func TestCacheOversizedAndAdmitters(t *testing.T) {
 }
 
 func sizeOf(c *Cache) int64 { return c.res.Store.Used() }
+
+// TestEvictorInvariants holds every kind NewEvictor builds, under admit-all
+// and second-hit admission, to the cache invariants after every request of
+// a seeded CDN and web trace: the residents fit the capacity, Used is the
+// sum of the sizes the store's dense index reaches, a hit is returned
+// exactly when the object was resident before the request, and a queue or
+// list evictor tracks exactly the residents. The learned cells retrain
+// every 2500 requests, so both bootstrap and ranked picks are held, and
+// the caches hold more than K residents, so the picks sample.
+func TestEvictorInvariants(t *testing.T) {
+	for _, mix := range []struct {
+		name string
+		cfg  gen.Config
+		size int64
+	}{
+		{"cdn", gen.CDNMix(10000, 5), 256 << 20},
+		{"web", gen.WebMix(10000, 5), 8 << 20},
+	} {
+		tr, err := gen.Generate(mix.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range Kinds() {
+			for _, admitter := range []string{"admit-all", "second-hit"} {
+				t.Run(mix.name+"/"+kind+"/"+admitter, func(t *testing.T) {
+					cfg := Config{CacheSize: mix.size, Eviction: kind, Seed: 3, WindowSize: 2500, Workers: 1}
+					if admitter == "second-hit" {
+						cfg.Admitter = secondHit{}
+					}
+					c, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkInvariants(t, c, tr)
+				})
+			}
+		}
+	}
+}
+
+// checkInvariants replays tr through c and checks TestEvictorInvariants'
+// invariants after every request; it fails if nothing was ever evicted.
+func checkInvariants(t *testing.T, c *Cache, tr *trace.Trace) {
+	t.Helper()
+	store := c.res.Store
+	tracked, isTracked := c.res.Evictor.(interface{ Len() int })
+	if kind := c.res.Evictor.Name(); isTracked != (kind != "learned" && kind != "rnd") {
+		t.Fatalf("the %s evictor has a Len: %v", kind, isTracked)
+	}
+	evictions := 0
+	for i, r := range tr.Requests {
+		resident, before := store.Has(r.ID), store.Len()
+		if hit := c.Request(r); hit != resident {
+			t.Fatalf("request %d (id %d): hit=%v but resident before the call=%v", i, r.ID, hit, resident)
+		}
+		if store.Used() > store.Capacity() {
+			t.Fatalf("request %d: %d bytes resident in a cache of %d", i, store.Used(), store.Capacity())
+		}
+		var sum int64
+		for j := 0; j < store.Len(); j++ {
+			sum += store.At(j).Size
+		}
+		if sum != store.Used() {
+			t.Fatalf("request %d: the dense index reaches %d bytes, Used is %d", i, sum, store.Used())
+		}
+		if isTracked && tracked.Len() != store.Len() {
+			t.Fatalf("request %d: the evictor tracks %d objects, the store holds %d", i, tracked.Len(), store.Len())
+		}
+		if !resident && store.Has(r.ID) {
+			before++
+		}
+		evictions += before - store.Len()
+	}
+	if evictions == 0 {
+		t.Fatal("the trace never filled the cache")
+	}
+	if c.learned != nil && c.Windows() == 0 {
+		t.Fatal("the learned cache never retrained")
+	}
+}
 
 // TestEvictObsMetrics pins the observability wiring: victim counters,
 // size tiers, candidate counters, and the latency histogram.

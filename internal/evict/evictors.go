@@ -2,6 +2,7 @@ package evict
 
 import (
 	"math"
+	"math/rand"
 
 	"lfo/internal/gbdt"
 	"lfo/internal/obs"
@@ -66,6 +67,20 @@ func (k *Ranked) Rescore(e *sim.StoreEntry[Meta], score float64) {
 // Len returns how many objects the queue holds: exactly the residents.
 func (k *Ranked) Len() int { return k.q.Len() }
 
+// sampler is the bookkeeping of the evictors that keep no structure of
+// their own and draw victims from the store's dense index (learned, rnd):
+// their hooks only keep the shared Meta current.
+type sampler struct{}
+
+// OnAdmit implements Evictor.
+func (sampler) OnAdmit(e *sim.StoreEntry[Meta], r trace.Request) { e.Payload.admitted(r) }
+
+// OnHit implements Evictor.
+func (sampler) OnHit(e *sim.StoreEntry[Meta], r trace.Request) { e.Payload.touched(r) }
+
+// OnRemove implements Evictor.
+func (sampler) OnRemove(e *sim.StoreEntry[Meta]) {}
+
 // Learned is the sampled-candidate learned evictor: Victim draws K
 // uniform candidates from the store's dense index, ranks them with the
 // deployed ranker, and returns the minimum (the object the model believes
@@ -79,6 +94,7 @@ func (k *Ranked) Len() int { return k.q.Len() }
 // pick is allocation-free; the sampler is a seeded SplitMix64 stream, so
 // victim sequences are byte-reproducible for a given seed.
 type Learned struct {
+	sampler
 	store *sim.Store[Meta]
 	model *gbdt.Model
 	rng   uint64
@@ -97,19 +113,6 @@ func newLearned(store *sim.Store[Meta], opts Options) *Learned {
 
 // Name implements Evictor.
 func (l *Learned) Name() string { return "learned" }
-
-// OnAdmit implements Evictor.
-func (l *Learned) OnAdmit(e *sim.StoreEntry[Meta], r trace.Request) {
-	e.Payload.admitted(r)
-}
-
-// OnHit implements Evictor.
-func (l *Learned) OnHit(e *sim.StoreEntry[Meta], r trace.Request) {
-	e.Payload.touched(r)
-}
-
-// OnRemove implements Evictor.
-func (l *Learned) OnRemove(e *sim.StoreEntry[Meta]) {}
 
 // SetModel deploys a trained eviction ranker. The swap is atomic with
 // respect to requests (the owning cache is single-threaded), so every
@@ -258,46 +261,86 @@ func (l *Learned) intn(n int) int {
 	return int(l.next() % uint64(n))
 }
 
-// gdsfEvictor is Greedy-Dual-Size-Frequency over Meta: priority
-// age + freq*cost/size, evicting the minimum and aging to the evicted
-// priority. It mirrors internal/policy's GDSF exactly (same priorities,
-// same deterministic tie-breaks), so the standalone policy and the
-// combined cache agree byte-for-byte.
-type gdsfEvictor struct {
-	q   *pq.Queue
-	age float64
+// heapEvictor is the frequency family of the baseline column over Meta:
+// one pq-keyed queue whose kind fixes the key,
+//
+//	gdsf   L + Freq·Cost/Size   Greedy-Dual-Size-Frequency (Cherkasova)
+//	lfuda  L + Freq             LFU with Dynamic Aging (Arlitt et al.)
+//	lfu    Freq                 in-cache frequency
+//
+// evicting the minimum, equal keys oldest touch first (pq's tie order).
+// Under gdsf and lfuda the age L jumps to the key of each evicted object,
+// so formerly hot objects drain out after the mix shifts; lfu never ages
+// and its L stays 0. With Cost = Size GDSF favours frequency, with Cost =
+// 1 small objects (the classic OHR configuration).
+type heapEvictor struct {
+	q            *pq.Queue
+	kind         string
+	sized, aging bool // key divides Freq·Cost by Size; L follows the victims
+	age          float64
 }
 
-func (g *gdsfEvictor) Name() string { return "gdsf" }
+func (h *heapEvictor) Name() string { return h.kind }
 
-func (g *gdsfEvictor) priority(m *Meta, size int64) float64 {
-	return g.age + float64(m.Freq)*m.Cost/float64(size)
+func (h *heapEvictor) priority(m *Meta, size int64) float64 {
+	if h.sized {
+		return h.age + float64(m.Freq)*m.Cost/float64(size)
+	}
+	return h.age + float64(m.Freq)
 }
 
-func (g *gdsfEvictor) OnAdmit(e *sim.StoreEntry[Meta], r trace.Request) {
+func (h *heapEvictor) OnAdmit(e *sim.StoreEntry[Meta], r trace.Request) {
 	e.Payload.admitted(r)
-	g.q.Push(e.ID, g.priority(&e.Payload, e.Size))
+	h.q.Push(e.ID, h.priority(&e.Payload, e.Size))
 }
 
-func (g *gdsfEvictor) OnHit(e *sim.StoreEntry[Meta], r trace.Request) {
+func (h *heapEvictor) OnHit(e *sim.StoreEntry[Meta], r trace.Request) {
 	e.Payload.touched(r)
-	g.q.Update(e.ID, g.priority(&e.Payload, e.Size))
+	h.q.Update(e.ID, h.priority(&e.Payload, e.Size))
 }
 
-func (g *gdsfEvictor) OnRemove(e *sim.StoreEntry[Meta]) {
-	g.q.Remove(e.ID)
+func (h *heapEvictor) OnRemove(e *sim.StoreEntry[Meta]) {
+	h.q.Remove(e.ID)
 }
 
-func (g *gdsfEvictor) Victim(now int64) trace.ObjectID {
-	id, key := g.q.Min()
-	g.age = key // dynamic aging: L := key of the evicted object
+func (h *heapEvictor) Victim(now int64) trace.ObjectID {
+	id, key := h.q.Min()
+	if h.aging {
+		h.age = key // dynamic aging: L := key of the evicted object
+	}
 	return id
 }
 
-func (g *gdsfEvictor) SetModel(m *gbdt.Model) {}
+func (h *heapEvictor) SetModel(m *gbdt.Model) {}
 
 // Len returns how many objects the queue holds: exactly the residents.
-func (g *gdsfEvictor) Len() int { return g.q.Len() }
+func (h *heapEvictor) Len() int { return h.q.Len() }
+
+// rndEvictor evicts a uniformly random resident (RND in Fig 1): an index
+// into the store's dense entry index, drawn from a seeded math/rand stream.
+type rndEvictor struct {
+	sampler
+	store *sim.Store[Meta]
+	rng   *rand.Rand
+}
+
+func (v *rndEvictor) Name() string { return "rnd" }
+
+func (v *rndEvictor) Victim(now int64) trace.ObjectID {
+	return v.store.At(v.rng.Intn(v.store.Len())).ID
+}
+
+func (v *rndEvictor) SetModel(m *gbdt.Model) {}
+
+// fifoEvictor is the recency list left alone on a hit: victims leave in
+// admission order.
+type fifoEvictor struct{ lruEvictor }
+
+func (f *fifoEvictor) Name() string { return "fifo" }
+
+func (f *fifoEvictor) OnHit(e *sim.StoreEntry[Meta], r trace.Request) {
+	e.Payload.touched(r)
+}
 
 // lruEvictor threads an intrusive recency list through the Meta links.
 type lruEvictor struct {

@@ -8,8 +8,9 @@ import (
 
 // Residents is a cache's resident set under one eviction strategy: the
 // byte-accurate store, the Evictor that picks its victims, and the one
-// make-room-then-add loop that joins them. LFO and Cache each own one;
-// they differ in who decides admission and in the score they hand over.
+// make-room-then-add loop that joins them. LFO, Cache, TinyLFU and
+// AdaptSize each own one; they differ in who decides admission and in the
+// score they hand over.
 type Residents struct {
 	Store   *sim.Store[Meta]
 	Evictor Evictor
@@ -51,17 +52,21 @@ func NewResidents(capacity int64, kind string, opts Options) (*Residents, error)
 func (s *Residents) Admit(r trace.Request, score float64) {
 	for !s.Store.Fits(r.Size) {
 		//lfolint:ignore hotpath-alloc strategy dispatch: Ranked.Victim and Learned.pickVictim are annotated, BenchmarkPickVictim pins 0 allocs
-		id := s.Evictor.Victim(r.Time)
-		victim := s.Store.Get(id)
-		s.countVictim(victim.Size)
-		//lfolint:ignore hotpath-alloc strategy dispatch: a queue or list unlink, annotated on Ranked
-		s.Evictor.OnRemove(victim)
-		s.Store.Remove(id)
+		s.Evict(s.Evictor.Victim(r.Time))
 	}
 	e := s.Store.Add(r.ID, r.Size)
 	e.Payload.Score = score
 	//lfolint:ignore hotpath-alloc strategy dispatch: a queue push or list link over recycled entries, annotated on Ranked
 	s.Evictor.OnAdmit(e, r)
+}
+
+// Evict removes the resident id as a victim: one step of Admit's loop, for
+// a cache that weighs each victim before it lets it go (TinyLFU's duel).
+func (s *Residents) Evict(id trace.ObjectID) {
+	victim := s.Store.Remove(id)
+	s.countVictim(victim.Size)
+	//lfolint:ignore hotpath-alloc strategy dispatch: a queue or list unlink, annotated on Ranked
+	s.Evictor.OnRemove(victim)
 }
 
 // Victim size-tier boundaries for the victims-by-tier counters.

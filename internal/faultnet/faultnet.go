@@ -16,7 +16,8 @@
 //
 // The layer wraps either side: wrap a server's listener with Wrap to
 // shake out handler hardening, or wrap the conn a client dials (see
-// WrapConn) to exercise retry/reconnect logic.
+// WrapConn) to exercise retry/reconnect logic. PipeListener is the
+// in-memory transport the chaos suites put under Wrap.
 package faultnet
 
 import (

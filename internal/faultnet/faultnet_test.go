@@ -270,3 +270,56 @@ func TestStatsMatchReplayedSchedule(t *testing.T) {
 		t.Errorf("stats %+v != replayed schedule %+v", got, want)
 	}
 }
+
+// TestPipeListener: a Dial returns once Accept holds the other end, the
+// two ends carry bytes, and Close fails waiting and later Accept and Dial
+// calls with net.ErrClosed.
+func TestPipeListener(t *testing.T) {
+	l := NewPipeListener()
+	if a := l.Addr(); a.Network() != "pipe" || a.String() != "pipe" {
+		t.Errorf("Addr = %s/%s", a.Network(), a.String())
+	}
+	accepted := make(chan net.Conn)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	client, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := <-accepted
+	go func() {
+		_, _ = client.Write([]byte("ping"))
+	}()
+	buf := make([]byte, 4)
+	if _, err := io.ReadFull(srv, buf); err != nil || string(buf) != "ping" {
+		t.Errorf("server end read %q, %v", buf, err)
+	}
+	_ = client.Close()
+	_ = srv.Close()
+
+	waiting := make(chan error)
+	go func() {
+		_, err := l.Accept()
+		waiting <- err
+	}()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-waiting; !errors.Is(err, net.ErrClosed) {
+		t.Errorf("Accept waiting at Close returned %v", err)
+	}
+	if _, err := l.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("Accept after Close returned %v", err)
+	}
+	if _, err := l.Dial(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("Dial after Close returned %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -321,49 +320,6 @@ func TestRouterStalledShardDegrades(t *testing.T) {
 	}
 }
 
-// pipeListener is an in-memory net.Listener over net.Pipe, so a fault
-// schedule's operation indices never depend on kernel timing.
-type pipeListener struct {
-	ch   chan net.Conn
-	done chan struct{}
-	once sync.Once
-}
-
-func newPipeListener() *pipeListener {
-	return &pipeListener{ch: make(chan net.Conn), done: make(chan struct{})}
-}
-
-func (l *pipeListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.ch:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *pipeListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-type pipeAddr struct{}
-
-func (pipeAddr) Network() string { return "pipe" }
-func (pipeAddr) String() string  { return "pipe" }
-
-func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
-
-func (l *pipeListener) dial(string) (net.Conn, error) {
-	client, srv := net.Pipe()
-	select {
-	case l.ch <- srv:
-		return client, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
 // runAdmitChaos drives single-row admissions through a one-shard Router
 // whose server sits behind a fault schedule (short reads and writes,
 // stalls into the server's deadlines, mid-frame drops). ProbeEvery 1
@@ -382,12 +338,12 @@ func runAdmitChaos(t *testing.T, seed uint64) (log string, served, fallbacks, fa
 		DropRead: 30, DropWrite: 30,
 		MaxShort: 6,
 	})
-	pl := newPipeListener()
+	pl := faultnet.NewPipeListener()
 	s.Serve(faultnet.Wrap(pl, sched))
 	defer s.Close()
 
 	reg := obs.NewRegistry()
-	r, err := NewRouter(Config{Addrs: []string{"pipe"}, Dial: pl.dial, ProbeEvery: 1, Obs: reg})
+	r, err := NewRouter(Config{Addrs: []string{"pipe"}, Dial: func(string) (net.Conn, error) { return pl.Dial() }, ProbeEvery: 1, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,16 @@ import (
 	"lfo/internal/trace"
 )
 
+// lruPolicy is the LRU baseline of the policy table.
+func lruPolicy(t *testing.T, capacity int64) sim.Policy {
+	t.Helper()
+	p, err := policy.New("lru", capacity, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func mkTrace(reqs ...[2]int64) *trace.Trace {
 	t := &trace.Trace{}
 	for i, r := range reqs {
@@ -112,7 +122,7 @@ func TestCurveMatchesSimulatorExactly(t *testing.T) {
 	maxSize := tr.ComputeStats().MaxSize
 	curve := ComputeLRU(tr)
 	for _, size := range []int64{maxSize, maxSize * 4, maxSize * 16, maxSize * 64} {
-		m := sim.Run(tr, policy.NewLRU(size), sim.Options{})
+		m := sim.Run(tr, lruPolicy(t, size), sim.Options{})
 		if got, want := curve.OHR(size), m.OHR(); got != want {
 			t.Errorf("size %d: curve OHR %.6f != simulated %.6f", size, got, want)
 		}

@@ -1,12 +1,11 @@
 package policy
 
 import (
-	"container/list"
 	"math"
 	"math/rand"
 
 	"lfo/internal/che"
-	"lfo/internal/sim"
+	"lfo/internal/evict"
 	"lfo/internal/trace"
 )
 
@@ -17,9 +16,8 @@ import (
 // model of the observed request mix and keeping the candidate with the
 // highest predicted object hit ratio.
 type AdaptSize struct {
-	store *sim.Store[*list.Element]
-	lru   *list.List
-	rng   *rand.Rand
+	res *evict.Residents // kind lru
+	rng *rand.Rand
 
 	c float64 // current admission parameter
 
@@ -38,8 +36,7 @@ type asStat struct {
 // coin flips.
 func NewAdaptSize(capacity, seed int64) *AdaptSize {
 	return &AdaptSize{
-		store:  sim.NewStore[*list.Element](capacity),
-		lru:    list.New(),
+		res:    newLRUResidents(capacity),
 		rng:    rand.New(rand.NewSource(seed)),
 		c:      float64(capacity) / 100, // permissive start; tuned online
 		window: 50000,
@@ -65,11 +62,11 @@ func (p *AdaptSize) retune() {
 	}
 	bestC, bestOHR := p.c, -1.0
 	// Log-spaced candidates from 256 B to 4× capacity.
-	for c := 256.0; c <= 4*float64(p.store.Capacity()); c *= 2 {
+	for c := 256.0; c <= 4*float64(p.res.Store.Capacity()); c *= 2 {
 		for i := range objs {
 			objs[i].PAdmit = math.Exp(-objs[i].Size / c)
 		}
-		ohr, _ := che.Ratios(objs, float64(p.store.Capacity()))
+		ohr, _ := che.Ratios(objs, float64(p.res.Store.Capacity()))
 		if ohr > bestOHR {
 			bestOHR, bestC = ohr, c
 		}
@@ -93,24 +90,17 @@ func (p *AdaptSize) Request(r trace.Request) bool {
 		p.retune()
 	}
 
-	if e := p.store.Get(r.ID); e != nil {
-		p.lru.MoveToFront(e.Payload)
+	if e := p.res.Store.Get(r.ID); e != nil {
+		p.res.Evictor.OnHit(e, r)
 		return true
 	}
-	if r.Size > p.store.Capacity() {
+	if r.Size > p.res.Store.Capacity() {
 		return false
 	}
 	// Probabilistic size-aware admission.
 	if p.rng.Float64() >= math.Exp(-float64(r.Size)/p.c) {
 		return false
 	}
-	for !p.store.Fits(r.Size) {
-		tail := p.lru.Back()
-		id := tail.Value.(trace.ObjectID)
-		p.lru.Remove(tail)
-		p.store.Remove(id)
-	}
-	e := p.store.Add(r.ID, r.Size)
-	e.Payload = p.lru.PushFront(r.ID)
+	p.res.Admit(r, 1)
 	return false
 }

@@ -18,9 +18,7 @@ const evictionSamples = 64
 // size so large objects must earn their keep (the paper's size-aware
 // variant).
 type Hyperbolic struct {
-	store *sim.Store[int] // payload: index into ids
-	ids   []trace.ObjectID
-	meta  map[trace.ObjectID]*hypMeta
+	store *sim.Store[hypMeta]
 	rng   *rand.Rand
 	clock int64
 }
@@ -32,11 +30,7 @@ type hypMeta struct {
 
 // NewHyperbolic returns a hyperbolic cache with sampled eviction.
 func NewHyperbolic(capacity, seed int64) *Hyperbolic {
-	return &Hyperbolic{
-		store: sim.NewStore[int](capacity),
-		meta:  make(map[trace.ObjectID]*hypMeta, 1024),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Hyperbolic{store: sim.NewStore[hypMeta](capacity), rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements sim.Policy.
@@ -44,45 +38,33 @@ func (p *Hyperbolic) Name() string { return "Hyperbolic" }
 
 // priority is the hyperbolic rank: frequency per unit time in cache, per
 // byte.
-func (p *Hyperbolic) priority(id trace.ObjectID, size int64) float64 {
-	m := p.meta[id]
-	age := p.clock - m.arrival
+func (p *Hyperbolic) priority(e *sim.StoreEntry[hypMeta]) float64 {
+	age := p.clock - e.Payload.arrival
 	if age < 1 {
 		age = 1
 	}
-	return float64(m.freq) / (float64(age) * float64(size))
+	return float64(e.Payload.freq) / (float64(age) * float64(e.Size))
 }
 
-// evictOne removes the lowest-priority object among a random sample.
+// evictOne removes the lowest-priority object among a random sample of
+// the store's dense index.
 func (p *Hyperbolic) evictOne() {
-	var victim trace.ObjectID
+	var victim *sim.StoreEntry[hypMeta]
 	best := -1.0
-	n := evictionSamples
-	if n > len(p.ids) {
-		n = len(p.ids)
-	}
-	for i := 0; i < n; i++ {
-		id := p.ids[p.rng.Intn(len(p.ids))]
-		e := p.store.Get(id)
-		pr := p.priority(id, e.Size)
-		if best < 0 || pr < best {
-			best, victim = pr, id
+	for i := min(evictionSamples, p.store.Len()); i > 0; i-- {
+		e := p.store.At(p.rng.Intn(p.store.Len()))
+		if pr := p.priority(e); best < 0 || pr < best {
+			best, victim = pr, e
 		}
 	}
-	vi := p.store.Get(victim).Payload
-	last := len(p.ids) - 1
-	p.ids[vi] = p.ids[last]
-	p.store.Get(p.ids[vi]).Payload = vi
-	p.ids = p.ids[:last]
-	p.store.Remove(victim)
-	delete(p.meta, victim)
+	p.store.Remove(victim.ID)
 }
 
 // Request implements sim.Policy.
 func (p *Hyperbolic) Request(r trace.Request) bool {
 	p.clock++
-	if p.store.Has(r.ID) {
-		p.meta[r.ID].freq++
+	if e := p.store.Get(r.ID); e != nil {
+		e.Payload.freq++
 		return true
 	}
 	if r.Size > p.store.Capacity() {
@@ -91,9 +73,6 @@ func (p *Hyperbolic) Request(r trace.Request) bool {
 	for !p.store.Fits(r.Size) {
 		p.evictOne()
 	}
-	e := p.store.Add(r.ID, r.Size)
-	e.Payload = len(p.ids)
-	p.ids = append(p.ids, r.ID)
-	p.meta[r.ID] = &hypMeta{freq: 1, arrival: p.clock}
+	p.store.Add(r.ID, r.Size).Payload = hypMeta{freq: 1, arrival: p.clock}
 	return false
 }

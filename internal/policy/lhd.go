@@ -25,9 +25,7 @@ const (
 // table with exponential decay, and sampled eviction of the
 // minimum-density candidate. Classes here are log2-size classes.
 type LHD struct {
-	store *sim.Store[int]
-	ids   []trace.ObjectID
-	meta  map[trace.ObjectID]*lhdMeta
+	store *sim.Store[lhdMeta]
 	rng   *rand.Rand
 	clock int64
 
@@ -44,11 +42,7 @@ type lhdMeta struct {
 
 // NewLHD returns a hit-density cache with sampled eviction.
 func NewLHD(capacity, seed int64) *LHD {
-	p := &LHD{
-		store: sim.NewStore[int](capacity),
-		meta:  make(map[trace.ObjectID]*lhdMeta, 1024),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	p := &LHD{store: sim.NewStore[lhdMeta](capacity), rng: rand.New(rand.NewSource(seed))}
 	// Optimistic priors: young objects look promising until data says
 	// otherwise.
 	for c := 0; c < lhdSizeClasses; c++ {
@@ -106,34 +100,23 @@ func (p *LHD) reconfigure() {
 }
 
 // hitDensity is the per-byte density of a resident object now.
-func (p *LHD) hitDensity(id trace.ObjectID, size int64) float64 {
-	m := p.meta[id]
-	return p.density[m.class][p.ageBucket(m.lastAccess)] / float64(size)
+func (p *LHD) hitDensity(e *sim.StoreEntry[lhdMeta]) float64 {
+	return p.density[e.Payload.class][p.ageBucket(e.Payload.lastAccess)] / float64(e.Size)
 }
 
+// evictOne removes the lowest-density object among a random sample of the
+// store's dense index.
 func (p *LHD) evictOne() {
-	var victim trace.ObjectID
+	var victim *sim.StoreEntry[lhdMeta]
 	best := math.Inf(1)
-	n := evictionSamples
-	if n > len(p.ids) {
-		n = len(p.ids)
-	}
-	for i := 0; i < n; i++ {
-		id := p.ids[p.rng.Intn(len(p.ids))]
-		e := p.store.Get(id)
-		if d := p.hitDensity(id, e.Size); d < best {
-			best, victim = d, id
+	for i := min(evictionSamples, p.store.Len()); i > 0; i-- {
+		e := p.store.At(p.rng.Intn(p.store.Len()))
+		if d := p.hitDensity(e); d < best {
+			best, victim = d, e
 		}
 	}
-	m := p.meta[victim]
-	p.evictions[m.class][p.ageBucket(m.lastAccess)]++
-	vi := p.store.Get(victim).Payload
-	last := len(p.ids) - 1
-	p.ids[vi] = p.ids[last]
-	p.store.Get(p.ids[vi]).Payload = vi
-	p.ids = p.ids[:last]
-	p.store.Remove(victim)
-	delete(p.meta, victim)
+	p.evictions[victim.Payload.class][p.ageBucket(victim.Payload.lastAccess)]++
+	p.store.Remove(victim.ID)
 }
 
 // Request implements sim.Policy.
@@ -143,8 +126,8 @@ func (p *LHD) Request(r trace.Request) bool {
 	if p.accesses%lhdReconfigure == 0 {
 		p.reconfigure()
 	}
-	if p.store.Has(r.ID) {
-		m := p.meta[r.ID]
+	if e := p.store.Get(r.ID); e != nil {
+		m := &e.Payload
 		p.hits[m.class][p.ageBucket(m.lastAccess)]++
 		m.lastAccess = p.clock
 		return true
@@ -155,9 +138,6 @@ func (p *LHD) Request(r trace.Request) bool {
 	for !p.store.Fits(r.Size) {
 		p.evictOne()
 	}
-	e := p.store.Add(r.ID, r.Size)
-	e.Payload = len(p.ids)
-	p.ids = append(p.ids, r.ID)
-	p.meta[r.ID] = &lhdMeta{lastAccess: p.clock, class: lhdClass(r.Size)}
+	p.store.Add(r.ID, r.Size).Payload = lhdMeta{lastAccess: p.clock, class: lhdClass(r.Size)}
 	return false
 }

@@ -1,15 +1,20 @@
-// Package policy implements the caching systems the paper compares LFO
+// Package policy is the table of caching systems the paper compares LFO
 // against (Fig 1 and Fig 6): RND, FIFO, LRU, LRU-K, LFU, LFUDA, GDSF,
 // GD-Wheel, S4LRU, AdaptSize, Hyperbolic, LHD, a model-free RL baseline
-// (RLC), and a TinyLFU extension. All policies implement sim.Policy, are
-// byte-accurate, and are deterministic given their construction
-// parameters.
+// (RLC), and a TinyLFU extension. RND, FIFO, LRU, LFU, LFUDA and GDSF are
+// internal/evict's evictor kinds behind an admit-all evict.Cache, the
+// code the eviction grid's columns and LFO's own eviction run; TinyLFU and
+// AdaptSize add their admission logic to an evict.Residents of kind lru.
+// All policies implement sim.Policy, are byte-accurate, and are
+// deterministic given their construction parameters.
 package policy
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 
+	"lfo/internal/evict"
 	"lfo/internal/policy/ogd"
 	"lfo/internal/sim"
 )
@@ -20,13 +25,13 @@ type Constructor func(capacity int64, seed int64) sim.Policy
 
 // registry maps policy names to constructors.
 var registry = map[string]Constructor{
-	"rnd":        func(c, s int64) sim.Policy { return NewRandom(c, s) },
-	"fifo":       func(c, s int64) sim.Policy { return NewFIFO(c) },
-	"lru":        func(c, s int64) sim.Policy { return NewLRU(c) },
+	"rnd":        heuristic("RND"),
+	"fifo":       heuristic("FIFO"),
+	"lru":        heuristic("LRU"),
 	"lruk":       func(c, s int64) sim.Policy { return NewLRUK(c, 2) },
-	"lfu":        func(c, s int64) sim.Policy { return NewLFU(c) },
-	"lfuda":      func(c, s int64) sim.Policy { return NewLFUDA(c) },
-	"gdsf":       func(c, s int64) sim.Policy { return NewGDSF(c) },
+	"lfu":        heuristic("LFU"),
+	"lfuda":      heuristic("LFUDA"),
+	"gdsf":       heuristic("GDSF"),
 	"gdwheel":    func(c, s int64) sim.Policy { return NewGDWheel(c) },
 	"s4lru":      func(c, s int64) sim.Policy { return NewS4LRU(c) },
 	"adaptsize":  func(c, s int64) sim.Policy { return NewAdaptSize(c, s) },
@@ -60,4 +65,35 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// heuristic builds the named baseline as an admit-all evict.Cache whose
+// evictor kind is the lower-cased name; the seed reaches the random
+// evictor's draws.
+func heuristic(name string) Constructor {
+	return func(capacity, seed int64) sim.Policy {
+		c, err := evict.New(evict.Config{CacheSize: capacity, Eviction: strings.ToLower(name), Seed: seed})
+		if err != nil {
+			panic(err) // only reachable with a non-positive capacity
+		}
+		return named{c, name}
+	}
+}
+
+// named reports a cache under its baseline table name.
+type named struct {
+	*evict.Cache
+	name string
+}
+
+// Name implements sim.Policy.
+func (n named) Name() string { return n.name }
+
+// newLRUResidents is the LRU resident set TinyLFU and AdaptSize admit into.
+func newLRUResidents(capacity int64) *evict.Residents {
+	res, err := evict.NewResidents(capacity, "lru", evict.Options{})
+	if err != nil {
+		panic(err) // "lru" is always a kind
+	}
+	return res
 }

@@ -113,7 +113,7 @@ func TestAdaptSizeRejectsHugeObjectsUnderPressure(t *testing.T) {
 	p := NewAdaptSize(4<<20, 1)
 	m := sim.Run(tr, p, sim.Options{Warmup: 50000})
 	// After tuning, the OHR should be competitive with LRU's.
-	lru := sim.Run(tr, NewLRU(4<<20), sim.Options{Warmup: 50000})
+	lru := sim.Run(tr, mustNew(t, "lru", 4<<20, 0), sim.Options{Warmup: 50000})
 	if m.OHR() <= lru.OHR() {
 		t.Errorf("AdaptSize OHR %.4f <= LRU %.4f after tuning", m.OHR(), lru.OHR())
 	}
@@ -175,9 +175,9 @@ func TestRLCLearnsFromDelayedRewards(t *testing.T) {
 func TestHyperbolicPriorityDecaysWithAge(t *testing.T) {
 	p := NewHyperbolic(100, 1)
 	p.Request(trace.Request{Time: 0, ID: 1, Size: 10, Cost: 10})
-	early := p.priority(1, 10)
+	early := p.priority(p.store.Get(1))
 	p.clock += 1000
-	late := p.priority(1, 10)
+	late := p.priority(p.store.Get(1))
 	if late >= early {
 		t.Errorf("priority did not decay: %g -> %g", early, late)
 	}

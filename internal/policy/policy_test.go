@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"testing"
 
 	"lfo/internal/gen"
@@ -17,6 +18,16 @@ func mkTrace(reqs ...[2]int64) *trace.Trace {
 		})
 	}
 	return t
+}
+
+// mustNew builds a registered policy, failing the test on an unknown name.
+func mustNew(t testing.TB, name string, capacity, seed int64) sim.Policy {
+	t.Helper()
+	p, err := New(name, capacity, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestRegistryConstructsAll(t *testing.T) {
@@ -43,7 +54,7 @@ func TestRegistryUnknown(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	// Capacity 3 unit objects; access 1,2,3 then 1; adding 4 evicts 2.
-	p := NewLRU(3)
+	p := mustNew(t, "lru", 3, 0)
 	tr := mkTrace([2]int64{1, 1}, [2]int64{2, 1}, [2]int64{3, 1}, [2]int64{1, 1}, [2]int64{4, 1}, [2]int64{2, 1}, [2]int64{1, 1})
 	var hits []bool
 	for _, r := range tr.Requests {
@@ -59,7 +70,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestFIFOEvictionOrder(t *testing.T) {
 	// Capacity 2; 1,2 inserted; touching 1 does NOT protect it in FIFO.
-	p := NewFIFO(2)
+	p := mustNew(t, "fifo", 2, 0)
 	seq := mkTrace([2]int64{1, 1}, [2]int64{2, 1}, [2]int64{1, 1}, [2]int64{3, 1}, [2]int64{1, 1})
 	var hits []bool
 	for _, r := range seq.Requests {
@@ -75,7 +86,7 @@ func TestFIFOEvictionOrder(t *testing.T) {
 }
 
 func TestLFUKeepsFrequent(t *testing.T) {
-	p := NewLFU(2)
+	p := mustNew(t, "lfu", 2, 0)
 	// 1 requested 3×, 2 once, then 3 arrives: 2 must be evicted.
 	for _, r := range mkTrace([2]int64{1, 1}, [2]int64{1, 1}, [2]int64{1, 1}, [2]int64{2, 1}, [2]int64{3, 1}).Requests {
 		p.Request(r)
@@ -111,7 +122,7 @@ func TestLRUKPrefersEvictingSingleReference(t *testing.T) {
 func TestGDSFPrefersSmallUnderUnitCost(t *testing.T) {
 	// With equal frequency and cost, GDSF priority = L + C/S favors
 	// keeping small objects.
-	p := NewGDSF(100)
+	p := mustNew(t, "gdsf", 100, 0)
 	p.Request(trace.Request{Time: 0, ID: 1, Size: 60, Cost: 1})
 	p.Request(trace.Request{Time: 1, ID: 2, Size: 40, Cost: 1})
 	// Cache full (100/100). Object 3 (40B) must evict the large 1 first.
@@ -127,7 +138,7 @@ func TestGDSFPrefersSmallUnderUnitCost(t *testing.T) {
 
 func TestLFUDAAgingAllowsTurnover(t *testing.T) {
 	// A formerly hot object must eventually drain after the mix shifts.
-	p := NewLFUDA(2)
+	p := mustNew(t, "lfuda", 2, 0)
 	for i := 0; i < 100; i++ {
 		p.Request(trace.Request{Time: int64(i), ID: 1, Size: 1, Cost: 1})
 	}
@@ -146,7 +157,7 @@ func TestLFUDAAgingAllowsTurnover(t *testing.T) {
 		t.Error("LFUDA never aged out the stale hot object")
 	}
 	// Plain LFU, in contrast, never recovers in this scenario.
-	q := NewLFU(2)
+	q := mustNew(t, "lfu", 2, 0)
 	for i := 0; i < 100; i++ {
 		q.Request(trace.Request{Time: int64(i), ID: 1, Size: 1, Cost: 1})
 	}
@@ -182,8 +193,8 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := sim.Run(tr, NewRandom(1<<20, 7), sim.Options{})
-	b := sim.Run(tr, NewRandom(1<<20, 7), sim.Options{})
+	a := sim.Run(tr, mustNew(t, "rnd", 1<<20, 7), sim.Options{})
+	b := sim.Run(tr, mustNew(t, "rnd", 1<<20, 7), sim.Options{})
 	if a.Hits != b.Hits {
 		t.Error("same seed, different results")
 	}
@@ -260,6 +271,57 @@ func TestOversizedObjectsBypassed(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			if p.Request(trace.Request{Time: int64(i), ID: 1, Size: 5000, Cost: 5000}) {
 				t.Errorf("%s: oversized object hit", name)
+			}
+		}
+	}
+}
+
+// TestHeuristicsMatchReference replays the registry's RND, FIFO, LRU, LFU,
+// LFUDA, GDSF, TinyLFU, AdaptSize, Hyperbolic and LHD against the
+// implementations they replaced (reference_test.go) and fails at the first
+// request whose hit differs: CDN and web mixes × BHR and OHR costs × 1, 16 and 256 MiB ×
+// seeds 1 and 42, each trace long enough that AdaptSize retunes and, in
+// the smaller caches, TinyLFU's sketch resets.
+func TestHeuristicsMatchReference(t *testing.T) {
+	refs := map[string]Constructor{
+		"rnd":        func(c, s int64) sim.Policy { return newReferenceRandom(c, s) },
+		"fifo":       func(c, s int64) sim.Policy { return newReferenceFIFO(c) },
+		"lru":        func(c, s int64) sim.Policy { return newReferenceLRU(c) },
+		"lfu":        func(c, s int64) sim.Policy { return newReferenceLFU(c) },
+		"lfuda":      func(c, s int64) sim.Policy { return newReferenceLFUDA(c) },
+		"gdsf":       func(c, s int64) sim.Policy { return newReferenceGDSF(c) },
+		"tinylfu":    func(c, s int64) sim.Policy { return newReferenceTinyLFU(c) },
+		"adaptsize":  func(c, s int64) sim.Policy { return newReferenceAdaptSize(c, s) },
+		"hyperbolic": func(c, s int64) sim.Policy { return newReferenceHyperbolic(c, s) },
+		"lhd":        func(c, s int64) sim.Policy { return newReferenceLHD(c, s) },
+	}
+	const n = 60000
+	for _, mix := range []struct {
+		name string
+		cfg  func(int, int64) gen.Config
+	}{{"cdn", gen.CDNMix}, {"web", gen.WebMix}} {
+		for _, seed := range []int64{1, 42} {
+			tr, err := gen.Generate(mix.cfg(n, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, obj := range []trace.Objective{trace.ObjectiveBHR, trace.ObjectiveOHR} {
+				costed := tr.WithCosts(obj)
+				for _, size := range []int64{1 << 20, 16 << 20, 256 << 20} {
+					for _, name := range []string{"rnd", "fifo", "lru", "lfu", "lfuda", "gdsf", "tinylfu", "adaptsize", "hyperbolic", "lhd"} {
+						t.Run(fmt.Sprintf("%s/seed%d/%s/%dMiB/%s", mix.name, seed, obj, size>>20, name), func(t *testing.T) {
+							got, want := mustNew(t, name, size, seed), refs[name](size, seed)
+							if got.Name() != want.Name() {
+								t.Errorf("Name = %q, reference %q", got.Name(), want.Name())
+							}
+							for i, r := range costed.Requests {
+								if g, w := got.Request(r), want.Request(r); g != w {
+									t.Fatalf("request %d (id %d, size %d): hit=%v, reference hit=%v", i, r.ID, r.Size, g, w)
+								}
+							}
+						})
+					}
+				}
 			}
 		}
 	}

@@ -1,9 +1,7 @@
 package policy
 
 import (
-	"container/list"
-
-	"lfo/internal/sim"
+	"lfo/internal/evict"
 	"lfo/internal/sketch"
 	"lfo/internal/trace"
 )
@@ -17,10 +15,9 @@ import (
 // TinyLFU is not part of the paper's Fig 6 line-up; it is included as the
 // natural admission-control baseline for LFO's admission learning.
 type TinyLFU struct {
-	store *sim.Store[*list.Element]
-	lru   *list.List
-	cm    *sketch.CountMin
-	door  *sketch.Bloom
+	res  *evict.Residents // kind lru
+	cm   *sketch.CountMin
+	door *sketch.Bloom
 
 	sampleSize int
 	samples    int
@@ -38,8 +35,7 @@ func NewTinyLFU(capacity int64) *TinyLFU {
 		width = 1 << 22
 	}
 	return &TinyLFU{
-		store:      sim.NewStore[*list.Element](capacity),
-		lru:        list.New(),
+		res:        newLRUResidents(capacity),
 		cm:         sketch.NewCountMin(width, 4),
 		door:       sketch.NewBloom(width*4, 3),
 		sampleSize: width * 8,
@@ -80,24 +76,22 @@ func (p *TinyLFU) estimate(id trace.ObjectID) byte {
 // Request implements sim.Policy.
 func (p *TinyLFU) Request(r trace.Request) bool {
 	freq := p.record(r.ID)
-	if e := p.store.Get(r.ID); e != nil {
-		p.lru.MoveToFront(e.Payload)
+	store := p.res.Store
+	if e := store.Get(r.ID); e != nil {
+		p.res.Evictor.OnHit(e, r)
 		return true
 	}
-	if r.Size > p.store.Capacity() {
+	if r.Size > store.Capacity() {
 		return false
 	}
 	// Admission duel: candidate vs the victims it would displace.
-	for !p.store.Fits(r.Size) {
-		tail := p.lru.Back()
-		victim := tail.Value.(trace.ObjectID)
+	for !store.Fits(r.Size) {
+		victim := p.res.Evictor.Victim(r.Time)
 		if p.estimate(victim) >= freq {
 			return false // victim wins; candidate is not admitted
 		}
-		p.lru.Remove(tail)
-		p.store.Remove(victim)
+		p.res.Evict(victim)
 	}
-	e := p.store.Add(r.ID, r.Size)
-	e.Payload = p.lru.PushFront(r.ID)
+	p.res.Admit(r, 1)
 	return false
 }

@@ -1,7 +1,7 @@
 // Package pq provides an indexed min-heap over cache objects keyed by a
 // float64 priority, supporting O(log n) update and removal by object ID.
-// It backs the priority-based policies (LFU, LFUDA, GDSF, LRU-K) and LFO's
-// likelihood-ranked eviction.
+// It backs internal/evict's likelihood-ranked queue and its GDSF, LFUDA
+// and LFU evictor, and the LRU-K and OGD baselines.
 package pq
 
 import (
@@ -19,8 +19,8 @@ type entry struct {
 }
 
 // Queue is an indexed min-heap over objects keyed by float64 priority,
-// supporting O(log n) update and removal by object ID. It backs the
-// priority-based policies (LFU, LFUDA, GDSF, LRU-K, LFO's eviction rank).
+// supporting O(log n) update and removal by object ID. Equal priorities
+// leave in order of their last Push or Update.
 type Queue struct {
 	items []*entry
 	byID  map[trace.ObjectID]*entry

@@ -3,9 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
-	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,52 +11,6 @@ import (
 	"lfo/internal/features"
 	"lfo/internal/obs"
 )
-
-// pipeListener is an in-memory net.Listener over net.Pipe. Pipes make
-// chaos runs fully deterministic: every Write is delivered as exactly one
-// Read, so the server's per-connection operation indices — the keys of
-// the fault schedule — never depend on kernel segmentation or timing.
-type pipeListener struct {
-	ch   chan net.Conn
-	done chan struct{}
-	once sync.Once
-}
-
-func newPipeListener() *pipeListener {
-	return &pipeListener{ch: make(chan net.Conn, 64), done: make(chan struct{})}
-}
-
-func (l *pipeListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.ch:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *pipeListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-type pipeAddr struct{}
-
-func (pipeAddr) Network() string { return "pipe" }
-func (pipeAddr) String() string  { return "pipe" }
-
-func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
-
-// dial hands the listener one pipe end and returns the other.
-func (l *pipeListener) dial() (net.Conn, error) {
-	client, srv := net.Pipe()
-	select {
-	case l.ch <- srv:
-		return client, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
 
 // chaosConfig is the shared fault schedule for the determinism runs:
 // every fault kind at once, rates high enough that a run of chaosCalls
@@ -160,14 +112,14 @@ func runChaosSession(t *testing.T, seed uint64, workers int) chaosOutcome {
 	s.WriteTimeout = 100 * time.Millisecond
 	s.DrainTimeout = 5 * time.Second
 	sched := faultnet.NewSchedule(chaosConfig(seed))
-	pl := newPipeListener()
+	pl := faultnet.NewPipeListener()
 	s.Serve(faultnet.Wrap(pl, sched))
 
 	c, err := DialConfig("pipe", ClientConfig{
 		Timeout:    2 * time.Second, // well past the server's deadlines: the server side times out first, deterministically
 		MaxRetries: 64,
 		Backoff:    -1, // immediate retries keep the run fast; determinism is schedule-given
-		Dial:       pl.dial,
+		Dial:       pl.Dial,
 		Obs:        creg,
 	})
 	if err != nil {
@@ -304,7 +256,7 @@ func TestChaosDeterminism(t *testing.T) {
 func TestChaosFailFastWithoutRetries(t *testing.T) {
 	m := testModel(t)
 	sched := faultnet.NewSchedule(chaosConfig(7))
-	pl := newPipeListener()
+	pl := faultnet.NewPipeListener()
 	s := New(m, 1)
 	s.Logf = func(format string, args ...interface{}) {}
 	s.Obs = obs.NewRegistry()
@@ -317,7 +269,7 @@ func TestChaosFailFastWithoutRetries(t *testing.T) {
 	c, err := DialConfig("pipe", ClientConfig{
 		Timeout:    2 * time.Second,
 		MaxRetries: -1, // fail on first transport error
-		Dial:       pl.dial,
+		Dial:       pl.Dial,
 		Obs:        creg,
 	})
 	if err != nil {

@@ -205,9 +205,9 @@ func TestCloseForceClosesStuckConns(t *testing.T) {
 	s.DrainTimeout = 50 * time.Millisecond
 	s.OnDegrade = dl.hook()
 	sched := faultnet.NewSchedule(faultnet.Config{StallRead: 1000})
-	pl := newPipeListener()
+	pl := faultnet.NewPipeListener()
 	s.Serve(faultnet.Wrap(pl, sched))
-	conn, err := pl.dial()
+	conn, err := pl.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}

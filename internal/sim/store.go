@@ -98,8 +98,9 @@ func (s *Store[T]) Add(id trace.ObjectID, size int64) *StoreEntry[T] {
 	return e
 }
 
-// Remove evicts an object. It panics if the object is not resident.
-func (s *Store[T]) Remove(id trace.ObjectID) {
+// Remove evicts an object and returns its entry, whose fields stay intact
+// until the next Add recycles it. It panics if the object is not resident.
+func (s *Store[T]) Remove(id trace.ObjectID) *StoreEntry[T] {
 	e, ok := s.entries[id]
 	if !ok {
 		panic(fmt.Sprintf("sim: remove of non-resident object %d", id))
@@ -116,6 +117,7 @@ func (s *Store[T]) Remove(id trace.ObjectID) {
 	s.dense = s.dense[:last]
 	//lfolint:ignore hotpath-alloc freelist backing array grows to the peak resident count, then recycles
 	s.free = append(s.free, e)
+	return e
 }
 
 // At returns the i-th resident entry in the store's dense index,
