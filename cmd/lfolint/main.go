@@ -1,9 +1,11 @@
-// Command lfolint runs the repository's custom static analyzer (see
-// internal/lint): determinism rules over the training pipeline,
-// float-safety rules over the numeric kernels, API-hygiene rules over all
-// library code, and the interprocedural flow analyses (see
-// internal/lint/flow): determinism taint tracking, //lfo:hotpath
-// allocation discipline, goroutine join paths, and lock ordering.
+// Command lfolint runs the repository's custom static analyzer: the
+// syntactic rules of internal/lint (map-iteration order in the
+// deterministic core, float safety in the numeric kernels, error, output
+// and lock-copy hygiene in library code) and the interprocedural rules of
+// internal/lint/flow (clocks, global rand, host reads and map order kept
+// out of the deterministic core through any helper chain, //lfo:hotpath
+// allocation discipline, goroutine join paths and WaitGroup use, and lock
+// ordering).
 //
 // Usage:
 //
@@ -43,7 +45,7 @@ func main() {
 	flag.Parse()
 
 	policy := lint.DefaultPolicy()
-	rules := append(lint.AllRules(), flow.Rules()...)
+	rules := flow.AllRules()
 	if *listRules {
 		for _, r := range rules {
 			fmt.Printf("%-16s %s\n", r.Name, r.Doc)

@@ -7,97 +7,15 @@ import (
 	"strings"
 )
 
-// callee resolves a call expression to the package-level function or
-// method it invokes, or nil.
-func callee(p *Package, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := p.Info.Uses[id].(*types.Func)
-	return fn
-}
-
-// calleeIs reports whether call invokes a package-level function of pkgPath
-// named one of names (any name if names is empty).
-func calleeIs(p *Package, call *ast.CallExpr, pkgPath string, names ...string) bool {
-	fn := callee(p, call)
+// calleeIs reports whether call invokes a package-level function of
+// pkgPath.
+func calleeIs(p *Package, call *ast.CallExpr, pkgPath string) bool {
+	fn := p.Callee(call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
 		return false
 	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return false
-	}
-	if len(names) == 0 {
-		return true
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
-// ruleTimeNow forbids wall-clock reads in the deterministic core: OPT
-// labels and trained models must be a pure function of the trace and the
-// seed, so timestamps must come from the trace (or an injected clock),
-// never from the host.
-func ruleTimeNow() Rule {
-	return Rule{
-		Name: "time-now",
-		Doc:  "forbid time.Now in the deterministic core; take timestamps from the trace or an injected clock",
-		Run: func(p *Package, report func(pos token.Pos, format string, args ...interface{})) {
-			inspect(p, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if calleeIs(p, call, "time", "Now") {
-					report(call.Pos(), "time.Now breaks run-to-run reproducibility; use trace timestamps or an injected clock")
-				}
-				return true
-			})
-		},
-	}
-}
-
-// randConstructors are the math/rand functions that build an explicitly
-// seeded generator; everything else at package level draws from the
-// process-global source.
-var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
-
-// ruleGlobalRand forbids the global math/rand functions (and the
-// deprecated rand.Seed) in the deterministic core: all randomness must
-// flow from an explicitly seeded *rand.Rand.
-func ruleGlobalRand() Rule {
-	return Rule{
-		Name: "global-rand",
-		Doc:  "forbid global math/rand functions in the deterministic core; use an explicitly seeded *rand.Rand",
-		Run: func(p *Package, report func(pos token.Pos, format string, args ...interface{})) {
-			inspect(p, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				for _, path := range []string{"math/rand", "math/rand/v2"} {
-					if calleeIs(p, call, path) {
-						fn := callee(p, call)
-						if randConstructors[fn.Name()] {
-							return true
-						}
-						report(call.Pos(), "global rand.%s draws from the process-wide source; use an explicitly seeded *rand.Rand", fn.Name())
-					}
-				}
-				return true
-			})
-		},
-	}
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() == nil
 }
 
 // ruleMapOrder flags `range` over a map whose body has order-dependent
@@ -112,33 +30,85 @@ func ruleMapOrder() Rule {
 		Doc:  "flag map iteration with order-dependent effects (appends, output, float accumulation)",
 		Run: func(p *Package, report func(pos token.Pos, format string, args ...interface{})) {
 			for _, f := range p.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					fn, ok := n.(*ast.FuncDecl)
+				for _, d := range f.Decls {
+					fn, ok := d.(*ast.FuncDecl)
 					if !ok || fn.Body == nil {
-						return true
+						continue
 					}
-					checkMapRanges(p, fn, report)
-					return true
-				})
+					for _, a := range MapAppends(p, fn.Body) {
+						if a.OnlyLoopVars && a.Sorted {
+							continue // collect-then-sort: the deterministic idiom
+						}
+						report(a.Stmt.Pos(), "append to %q inside map iteration makes its element order depend on map order; collect keys and sort first", a.Obj.Name())
+					}
+					eachMapRange(p, fn.Body, func(rs *ast.RangeStmt) { checkMapEffects(p, rs, report) })
+				}
 			}
 		},
 	}
 }
 
-func checkMapRanges(p *Package, fn *ast.FuncDecl, report func(pos token.Pos, format string, args ...interface{})) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
+// MapAppend is an append, inside a range over a map, to a slice declared
+// outside that range: unless the slice is sorted afterwards, its element
+// order is the map's iteration order. The map-order rule and the
+// flow-determinism rule's map-order taint source both read it.
+type MapAppend struct {
+	// Stmt is the `x = append(x, ...)` statement, and Obj is x.
+	Stmt *ast.AssignStmt
+	Obj  types.Object
+	// OnlyLoopVars reports whether every appended value is a bare key or
+	// value variable of the range: the loop only collects.
+	OnlyLoopVars bool
+	// Sorted reports whether the function passes x to a sort.* or
+	// slices.* call after the range.
+	Sorted bool
+}
+
+// MapAppends returns the map appends of a function body in source order,
+// those in function literals inside it included.
+func MapAppends(p *Package, body *ast.BlockStmt) []MapAppend {
+	var out []MapAppend
+	eachMapRange(p, body, func(rs *ast.RangeStmt) {
+		lv := loopVars(p, rs)
+		ast.Inspect(rs.Body, func(n ast.Node) bool {
+			stmt, ok := n.(*ast.AssignStmt)
+			if !ok || (stmt.Tok != token.ASSIGN && stmt.Tok != token.DEFINE) {
+				return true
+			}
+			for i, rhs := range stmt.Rhs {
+				call, ok := rhs.(*ast.CallExpr)
+				if !ok || p.Builtin(call) != "append" || i >= len(stmt.Lhs) {
+					continue
+				}
+				id, ok := stmt.Lhs[i].(*ast.Ident)
+				if !ok {
+					continue
+				}
+				if obj, outside := declaredOutside(p, id, rs); outside {
+					out = append(out, MapAppend{
+						Stmt:         stmt,
+						Obj:          obj,
+						OnlyLoopVars: appendsOnlyLoopVars(call, lv, p),
+						Sorted:       sortedAfter(p, body, rs, obj),
+					})
+				}
+			}
 			return true
+		})
+	})
+	return out
+}
+
+// eachMapRange calls fn for every range statement over a map in body.
+func eachMapRange(p *Package, body *ast.BlockStmt, fn func(*ast.RangeStmt)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if rs, ok := n.(*ast.RangeStmt); ok {
+			if t := p.Info.TypeOf(rs.X); t != nil {
+				if _, isMap := t.Underlying().(*types.Map); isMap {
+					fn(rs)
+				}
+			}
 		}
-		t := p.Info.TypeOf(rs.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		checkMapBody(p, fn, rs, report)
 		return true
 	})
 }
@@ -169,32 +139,13 @@ func declaredOutside(p *Package, id *ast.Ident, n ast.Node) (types.Object, bool)
 	return obj, obj.Pos() < n.Pos() || obj.Pos() > n.End()
 }
 
-func checkMapBody(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt, report func(pos token.Pos, format string, args ...interface{})) {
-	lv := loopVars(p, rs)
+// checkMapEffects reports the map range's order-dependent effects other
+// than appends: float accumulation into an outer variable and output.
+func checkMapEffects(p *Package, rs *ast.RangeStmt, report func(pos token.Pos, format string, args ...interface{})) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch stmt := n.(type) {
 		case *ast.AssignStmt:
 			switch stmt.Tok {
-			case token.ASSIGN, token.DEFINE:
-				// x = append(x, ...) into a slice declared outside the loop.
-				for i, rhs := range stmt.Rhs {
-					call, ok := rhs.(*ast.CallExpr)
-					if !ok || !isBuiltinAppend(p, call) || i >= len(stmt.Lhs) {
-						continue
-					}
-					id, ok := stmt.Lhs[i].(*ast.Ident)
-					if !ok {
-						continue
-					}
-					obj, outside := declaredOutside(p, id, rs)
-					if !outside {
-						continue
-					}
-					if appendsOnlyLoopVars(call, lv, p) && sortedAfter(p, fn, rs, obj) {
-						continue // collect-then-sort: the deterministic idiom
-					}
-					report(stmt.Pos(), "append to %q inside map iteration makes its element order depend on map order; collect keys and sort first", id.Name)
-				}
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 				// Float accumulation: addition is not associative, so the
 				// accumulated bits depend on visit order.
@@ -219,15 +170,6 @@ func checkMapBody(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt, report func(p
 	})
 }
 
-func isBuiltinAppend(p *Package, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := p.Info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "append"
-}
-
 // appendsOnlyLoopVars reports whether every appended value is a bare range
 // variable — i.e. the loop only collects keys/values.
 func appendsOnlyLoopVars(call *ast.CallExpr, lv map[types.Object]bool, p *Package) bool {
@@ -240,11 +182,11 @@ func appendsOnlyLoopVars(call *ast.CallExpr, lv map[types.Object]bool, p *Packag
 	return true
 }
 
-// sortedAfter reports whether, after the range statement, the enclosing
-// function passes obj to a sort.* or slices.Sort* call.
-func sortedAfter(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt, obj types.Object) bool {
+// sortedAfter reports whether, after the range statement, the function
+// body passes obj to a sort.* or slices.* call.
+func sortedAfter(p *Package, body *ast.BlockStmt, rs *ast.RangeStmt, obj types.Object) bool {
 	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || call.Pos() < rs.End() || found {
 			return !found
@@ -268,7 +210,7 @@ func sortedAfter(p *Package, fn *ast.FuncDecl, rs *ast.RangeStmt, obj types.Obje
 // writesOutput reports whether the call is an fmt print/write or an
 // io.Writer-style method — side effects whose order the map dictates.
 func writesOutput(p *Package, call *ast.CallExpr) bool {
-	if fn := callee(p, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+	if fn := p.Callee(call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 		name := fn.Name()
 		return strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")
 	}

@@ -88,13 +88,11 @@ func nodeSignals(p *lint.Package, node ast.Node, g *Graph, sig map[*Func]bool) b
 				}
 			}
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if b, ok := p.Info.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
-					found = true
-					return false
-				}
+			if p.Builtin(n) == "close" {
+				found = true
+				return false
 			}
-			fn, _ := p.Info.Uses[calleeIdent(n)].(*types.Func)
+			fn := p.Callee(n)
 			if isSyncMethod(fn, "WaitGroup", "Done", "Wait", "Add") {
 				found = true
 				return false
@@ -111,16 +109,18 @@ func nodeSignals(p *lint.Package, node ast.Node, g *Graph, sig map[*Func]bool) b
 	return found
 }
 
-// ruleGoroutineJoin builds the goroutine-join rule: every go statement
+// ruleGoroutineJoin builds the goroutine-join rule. Every go statement
 // must have a visible join path — a WaitGroup.Add on the spawning side
 // before the statement, or a completion signal (channel op / WaitGroup
-// method) inside the spawned function, possibly via its callees. A
-// goroutine nobody can wait for outlives shutdown silently: work is lost
-// on exit and tests leak state between cases.
+// method) inside the spawned function, possibly via its callees: a
+// goroutine nobody can wait for outlives shutdown silently, so work is
+// lost on exit and tests leak state between cases. A spawned function
+// literal must also use its WaitGroup the safe way (see
+// reportWaitGroupMisuse).
 func ruleGoroutineJoin() lint.Rule {
 	return lint.Rule{
 		Name: "goroutine-join",
-		Doc:  "flag goroutines spawned without a join path (no prior wg.Add, no channel/WaitGroup signal inside the goroutine)",
+		Doc:  "flag goroutines spawned without a join path (no prior wg.Add, no channel/WaitGroup signal inside), and wg.Add or a non-deferred wg.Done inside a spawned literal",
 		RunModule: func(pkgs []*lint.Package, inScope func(*lint.Package) bool, report func(pos token.Pos, format string, args ...interface{})) {
 			g := Build(pkgs)
 			sig := signalSummaries(g)
@@ -134,28 +134,67 @@ func ruleGoroutineJoin() lint.Rule {
 					if !ok {
 						return true
 					}
-					if addBeforePos(p, fn.Decl.Body, gs.Pos()) {
-						return true // accounted to a WaitGroup on the spawning side
+					lit, _ := ast.Unparen(gs.Call.Fun).(*ast.FuncLit)
+					if lit != nil {
+						reportWaitGroupMisuse(p, lit, report)
 					}
-					// Does the spawned function itself signal completion?
-					switch target := ast.Unparen(gs.Call.Fun).(type) {
-					case *ast.FuncLit:
-						if nodeSignals(p, target.Body, g, sig) {
-							return true
-						}
-					default:
-						if callee, _ := resolveCall(p, gs.Call); callee != nil {
-							if node := g.Node(callee); node != nil && sig[node] {
-								return true
-							}
-						}
+					if !joinable(g, sig, fn, gs, lit) {
+						report(gs.Pos(), "goroutine has no visible join path: no wg.Add before the spawn and no channel/WaitGroup signal inside it (or its callees); a caller cannot wait for this work to finish")
 					}
-					report(gs.Pos(), "goroutine has no visible join path: no wg.Add before the spawn and no channel/WaitGroup signal inside it (or its callees); a caller cannot wait for this work to finish")
 					return true
 				})
 			}
 		},
 	}
+}
+
+// joinable reports whether a caller can wait for the goroutine gs spawns
+// in fn: it is accounted to a WaitGroup before the spawn, or the spawned
+// function (lit, when it is a literal) signals completion itself or
+// through its callees.
+func joinable(g *Graph, sig map[*Func]bool, fn *Func, gs *ast.GoStmt, lit *ast.FuncLit) bool {
+	p := fn.Pkg
+	if addBeforePos(p, fn.Decl.Body, gs.Pos()) {
+		return true
+	}
+	if lit != nil {
+		return nodeSignals(p, lit.Body, g, sig)
+	}
+	callee, _ := resolveCall(p, gs.Call)
+	node := g.Node(callee)
+	return node != nil && sig[node]
+}
+
+// reportWaitGroupMisuse reports the two classic sync.WaitGroup mistakes
+// in a function literal launched by a go statement:
+//
+//   - wg.Add inside the spawned goroutine: the scheduler may run Wait
+//     before the goroutine's Add, so Wait returns early. Add must happen
+//     on the spawning side, before the go statement.
+//   - wg.Done as a plain statement instead of deferred: a panic or early
+//     return between the work and the Done leaks the WaitGroup and
+//     deadlocks Wait.
+//
+// Nested go statements are skipped (the rule's walk visits them in their
+// own right), and so are deferred calls. Named functions that happen to
+// run on a goroutine (an accept loop that Adds before spawning handlers)
+// are legitimate spawning sides, not misuse.
+func reportWaitGroupMisuse(p *lint.Package, lit *ast.FuncLit, report func(pos token.Pos, format string, args ...interface{})) {
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt, *ast.DeferStmt:
+			return false
+		case *ast.ExprStmt:
+			if call, ok := n.X.(*ast.CallExpr); ok && isSyncMethod(p.Callee(call), "WaitGroup", "Done") {
+				report(call.Pos(), "wg.Done is not deferred; a panic between here and the goroutine's end would deadlock Wait — use defer wg.Done()")
+			}
+		case *ast.CallExpr:
+			if isSyncMethod(p.Callee(n), "WaitGroup", "Add") {
+				report(n.Pos(), "wg.Add inside the spawned goroutine races with Wait; call Add before the go statement")
+			}
+		}
+		return true
+	})
 }
 
 // addBeforePos reports whether a WaitGroup.Add call occurs in body before
@@ -170,8 +209,7 @@ func addBeforePos(p *lint.Package, body *ast.BlockStmt, pos token.Pos) bool {
 		if !ok || call.Pos() >= pos {
 			return true
 		}
-		fn, _ := p.Info.Uses[calleeIdent(call)].(*types.Func)
-		if isSyncMethod(fn, "WaitGroup", "Add") {
+		if isSyncMethod(p.Callee(call), "WaitGroup", "Add") {
 			found = true
 		}
 		return !found
@@ -358,16 +396,5 @@ func ruleLockOrder() lint.Rule {
 					later.acquiredLabel, later.heldLabel, earlier.acquiredLabel, earlier.heldLabel, g.position(earlier.pos))
 			}
 		},
-	}
-}
-
-// Rules returns the interprocedural flow rules in stable order, for
-// appending to lint.AllRules.
-func Rules() []lint.Rule {
-	return []lint.Rule{
-		ruleFlowDeterminism(),
-		ruleHotpathAlloc(),
-		ruleGoroutineJoin(),
-		ruleLockOrder(),
 	}
 }

@@ -2,16 +2,18 @@
 // module-wide call graph with summary-based, fixed-point propagation, and
 // four rules built on top of it.
 //
-//   - flow-determinism: values and effects derived from wall clocks,
-//     global randomness, environment/filesystem reads, or unordered map
-//     iteration must not reach the deterministic core, even when laundered
-//     through arbitrarily deep helper chains across packages.
+//   - flow-determinism: wall clocks, global randomness, environment and
+//     filesystem reads, and unordered map iteration must not reach the
+//     deterministic core — called directly or laundered through
+//     arbitrarily deep helper chains across packages, from a function body
+//     or a package-level initializer.
 //   - hotpath-alloc: functions annotated //lfo:hotpath — and everything
 //     they statically call — must not allocate (composite literals, append
 //     growth, boxing, fmt, closures, goroutines, ...).
 //   - goroutine-join: every spawned goroutine needs a visible join path
 //     (a WaitGroup accounted before the spawn, or a completion signal —
-//     channel operation or WaitGroup.Done — inside the goroutine).
+//     channel operation or WaitGroup.Done — inside the goroutine), and a
+//     spawned literal must neither call wg.Add nor call wg.Done undeferred.
 //   - lock-order: mutexes must be acquired in a consistent pairwise order
 //     across the whole module, including locks taken by callees.
 //
@@ -99,7 +101,7 @@ func Build(pkgs []*lint.Package) *Graph {
 					continue
 				}
 				fn := &Func{Obj: canonical(obj), Decl: fd, Pkg: p}
-				fn.collectCalls()
+				fn.Calls, fn.Dynamic = collectCalls(p, fd.Body)
 				g.Funcs[fn.Obj] = fn
 				g.Order = append(g.Order, fn)
 			}
@@ -133,23 +135,40 @@ func canonical(fn *types.Func) *types.Func {
 	return fn.Origin()
 }
 
-// collectCalls resolves every call expression in the function body,
-// including those inside nested function literals.
-func (fn *Func) collectCalls() {
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+// collectCalls resolves every call expression under root, including those
+// inside nested function literals, in source order.
+func collectCalls(p *lint.Package, root ast.Node) (calls []Call, dynamic []DynSite) {
+	ast.Inspect(root, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		callee, dyn := resolveCall(fn.Pkg, call)
+		callee, dyn := resolveCall(p, call)
 		switch {
 		case callee != nil:
-			fn.Calls = append(fn.Calls, Call{Site: call, Callee: callee})
+			calls = append(calls, Call{Site: call, Callee: callee})
 		case dyn != "":
-			fn.Dynamic = append(fn.Dynamic, DynSite{Site: call, Desc: dyn})
+			dynamic = append(dynamic, DynSite{Site: call, Desc: dyn})
 		}
 		return true
 	})
+	return calls, dynamic
+}
+
+// initCalls returns the statically resolved calls in p's package-level
+// variable initializers, function literals among them, in source order.
+// No graph node holds them: they run once, at package initialization.
+func initCalls(p *lint.Package) []Call {
+	var calls []Call
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				c, _ := collectCalls(p, gd)
+				calls = append(calls, c...)
+			}
+		}
+	}
+	return calls
 }
 
 // resolveCall classifies a call expression. It returns a non-nil callee
@@ -221,6 +240,23 @@ func shortName(fn *types.Func) string {
 		name = strings.ReplaceAll(name, pkg.Path()+".", pkg.Name()+".")
 	}
 	return name
+}
+
+// Rules returns the interprocedural flow rules in stable order.
+func Rules() []lint.Rule {
+	return []lint.Rule{
+		ruleFlowDeterminism(),
+		ruleHotpathAlloc(),
+		ruleGoroutineJoin(),
+		ruleLockOrder(),
+	}
+}
+
+// AllRules returns every rule lfolint runs — the syntactic rules of
+// package lint, then the flow rules — the one list cmd/lfolint and the
+// repository gate share, and whose names are lint.DefaultPolicy's keys.
+func AllRules() []lint.Rule {
+	return append(lint.Rules(), Rules()...)
 }
 
 // matchesRel reports whether the module-relative package path rel matches

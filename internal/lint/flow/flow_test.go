@@ -87,11 +87,11 @@ func wants(pkgs []*lint.Package, rels []string) map[string][]string {
 
 // TestGoldenFixtures runs each flow rule over the full fixture module and
 // requires an exact match between reported diagnostics and // want
-// annotations. The fixtures are built so every finding crosses at least
-// one function boundary — and for the headline cases, a package boundary:
-// determinism taint surfaces in core only via helper → helper/deep →
-// time.Now, and the hotpath alloc in hotutil is two packages away from
-// the //lfo:hotpath annotation in hot.
+// annotations. The headline cases cross a package boundary: determinism
+// taint surfaces in core via helper → helper/deep → time.Now, and the
+// hotpath alloc in hotutil is two packages away from the //lfo:hotpath
+// annotation in hot. The single-package cases of flow-determinism and
+// goroutine-join are lint's timenow, globalrand and wgmisuse fixtures.
 func TestGoldenFixtures(t *testing.T) {
 	pkgs := loadFixtures(t)
 	for ruleName, rels := range ruleFixtures {
@@ -169,25 +169,38 @@ func TestHotpathWaiverIsHonored(t *testing.T) {
 }
 
 // TestAllRulesHaveFixtures keeps flow.Rules and the fixture map in sync,
-// and pins every flow rule into DefaultPolicy so the repo gate runs them.
+// and keeps DefaultPolicy's keys exactly the names of flow.AllRules plus
+// stale-waiver, so the repo gate runs every rule and no policy entry
+// names a rule that does not exist.
 func TestAllRulesHaveFixtures(t *testing.T) {
-	policy := lint.DefaultPolicy()
 	for _, r := range flow.Rules() {
 		if _, ok := ruleFixtures[r.Name]; !ok {
 			t.Errorf("flow rule %q has no fixture entry in ruleFixtures", r.Name)
-		}
-		if _, ok := policy[r.Name]; !ok {
-			t.Errorf("flow rule %q missing from lint.DefaultPolicy", r.Name)
 		}
 		if r.RunModule == nil {
 			t.Errorf("flow rule %q must be module-wide (RunModule)", r.Name)
 		}
 	}
+	policy := lint.DefaultPolicy()
+	names := map[string]bool{lint.StaleWaiverRule: true}
+	for _, r := range flow.AllRules() {
+		names[r.Name] = true
+		if _, ok := policy[r.Name]; !ok {
+			t.Errorf("rule %q missing from lint.DefaultPolicy", r.Name)
+		}
+	}
+	for name := range policy {
+		if !names[name] {
+			t.Errorf("lint.DefaultPolicy scopes %q, which is no rule", name)
+		}
+	}
 }
 
-// TestRepoIsFlowClean is the enforceable gate for the interprocedural
-// rules: the repository itself must stay free of non-suppressed flow
-// findings, mirroring lint's TestRepoIsLintClean.
+// TestRepoIsFlowClean is the enforceable gate: the repository itself must
+// stay free of non-suppressed findings under the rule list and policy
+// cmd/lfolint runs — syntactic and flow rules and the stale-waiver audit
+// over one module load — so a regression fails go test (tier 1) as well
+// as scripts/check.sh.
 func TestRepoIsFlowClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module from source")
@@ -200,7 +213,7 @@ func TestRepoIsFlowClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	diags := lint.Run(pkgs, flow.Rules(), lint.DefaultPolicy())
+	diags := lint.Run(pkgs, flow.AllRules(), lint.DefaultPolicy())
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

@@ -152,7 +152,7 @@ func panicRanges(fn *Func) func(token.Pos) bool {
 	type span struct{ lo, hi token.Pos }
 	var spans []span
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isPanicCall(fn.Pkg, call) {
+		if call, ok := n.(*ast.CallExpr); ok && fn.Pkg.Builtin(call) == "panic" {
 			spans = append(spans, span{call.Lparen, call.Rparen})
 			return false
 		}
@@ -208,7 +208,7 @@ func reportAllocSites(fn *Func, ctx string, report func(pos token.Pos, format st
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if isPanicCall(p, n) {
+			if p.Builtin(n) == "panic" {
 				return false // allocations on the panic path are exempt
 			}
 			reportCallAlloc(p, n, ctx, report)
@@ -232,7 +232,7 @@ func reportAllocSites(fn *Func, ctx string, report func(pos token.Pos, format st
 		case *ast.GoStmt:
 			report(n.Pos(), "in %s: go statement allocates a goroutine", ctx)
 		case *ast.BinaryExpr:
-			if n.Op == token.ADD && isStringExpr(p, n) && !isConstExpr(p, n) {
+			if n.Op == token.ADD && isString(p.Info.TypeOf(n)) && !isConstExpr(p, n) {
 				report(n.Pos(), "in %s: string concatenation allocates", ctx)
 				// Children of a concat chain would re-report; one finding
 				// per chain is enough.
@@ -246,19 +246,14 @@ func reportAllocSites(fn *Func, ctx string, report func(pos token.Pos, format st
 // reportCallAlloc handles the call-shaped allocation sources: builtins,
 // conversions, fmt, and interface boxing at argument positions.
 func reportCallAlloc(p *lint.Package, call *ast.CallExpr, ctx string, report func(pos token.Pos, format string, args ...interface{})) {
-	fun := ast.Unparen(call.Fun)
-	if id, ok := fun.(*ast.Ident); ok {
-		if b, ok := p.Info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append":
-				report(call.Pos(), "in %s: append may grow and reallocate; preallocate or waive with the amortization argument", ctx)
-			case "make":
-				report(call.Pos(), "in %s: make allocates", ctx)
-			case "new":
-				report(call.Pos(), "in %s: new allocates", ctx)
-			}
-			return
+	if b := p.Builtin(call); b != "" {
+		switch b {
+		case "append":
+			report(call.Pos(), "in %s: append may grow and reallocate; preallocate or waive with the amortization argument", ctx)
+		case "make", "new":
+			report(call.Pos(), "in %s: %s allocates", ctx, b)
 		}
+		return
 	}
 	// Conversions: string <-> []byte/[]rune copy their payload.
 	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
@@ -310,17 +305,9 @@ func reportCallAlloc(p *lint.Package, call *ast.CallExpr, ctx string, report fun
 	}
 }
 
-func isPanicCall(p *lint.Package, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := p.Info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
-}
-
-func isStringExpr(p *lint.Package, e ast.Expr) bool {
-	t := p.Info.TypeOf(e)
+// isString reports whether t (nil for an untyped expression) is a string
+// type.
+func isString(t types.Type) bool {
 	if t == nil {
 		return false
 	}
@@ -336,8 +323,8 @@ func isConstExpr(p *lint.Package, e ast.Expr) bool {
 func isStringSliceConv(to, from types.Type) bool {
 	toSlice, toIsSlice := to.(*types.Slice)
 	fromSlice, fromIsSlice := from.(*types.Slice)
-	toStr := isBasicString(to)
-	fromStr := isBasicString(from)
+	toStr := isString(to)
+	fromStr := isString(from)
 	byteOrRune := func(s *types.Slice) bool {
 		b, ok := s.Elem().Underlying().(*types.Basic)
 		return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune || b.Kind() == types.Uint8 || b.Kind() == types.Int32)
@@ -349,11 +336,6 @@ func isStringSliceConv(to, from types.Type) bool {
 		return byteOrRune(fromSlice)
 	}
 	return false
-}
-
-func isBasicString(t types.Type) bool {
-	b, ok := t.(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
 }
 
 // isPointerShaped reports whether values of t fit the interface data word

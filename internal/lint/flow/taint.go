@@ -52,10 +52,20 @@ var osFSReads = map[string]bool{
 	"Stat": true, "Lstat": true, "ReadLink": true,
 }
 
-// randConstructors build explicitly seeded generators and are therefore
-// deterministic; every other package-level math/rand function draws from
-// the process-global source.
+// randConstructors build explicitly seeded generators (math/rand's New,
+// NewSource, NewZipf; math/rand/v2's New, NewPCG, NewChaCha8, NewZipf)
+// and are therefore deterministic; every other package-level function of
+// either package draws from the process-global source.
 var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true}
+
+// sourceRemedy is what flow-determinism says about a direct source call
+// in the deterministic core, after the callee's name.
+var sourceRemedy = map[taintKind]string{
+	taintClock: "reads the wall clock; the deterministic core must take timestamps from the trace or an injected clock",
+	taintRand:  "draws from the process-wide random source; the deterministic core must use an explicitly seeded *rand.Rand",
+	taintEnv:   "reads the process environment; the deterministic core must take configuration as explicit inputs",
+	taintFS:    "reads the filesystem; the deterministic core must take data as explicit inputs (load outside, pass values in)",
+}
 
 // sourceTaint classifies a statically resolved callee as a nondeterminism
 // source, or returns "".
@@ -156,152 +166,74 @@ func (g *Graph) position(pos token.Pos) string {
 }
 
 // mapOrderReturn reports whether fn returns a slice whose element order is
-// dictated by map iteration: a `range` over a map appends to a variable
-// declared outside the loop, the variable reaches a return statement, and
-// no sort.*/slices.* call touches it after the loop. This is the
-// interprocedural extension of the syntactic map-order rule: it marks the
-// *function* as a taint source so callers in the deterministic core are
-// flagged even when the map lives in a helper package.
+// dictated by map iteration: an unsorted lint.MapAppend whose slice
+// reaches a return statement. It marks the *function* as a taint source,
+// so callers in the deterministic core are flagged even when the map lives
+// in a helper package.
 func mapOrderReturn(fn *Func) (token.Pos, bool) {
-	p := fn.Pkg
-	var found token.Pos
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		if found.IsValid() {
-			return false
+	for _, a := range lint.MapAppends(fn.Pkg, fn.Decl.Body) {
+		if !a.Sorted && returns(fn.Pkg, fn.Decl.Body, a.Obj) {
+			return a.Stmt.Pos(), true
 		}
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := p.Info.TypeOf(rs.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		ast.Inspect(rs.Body, func(m ast.Node) bool {
-			as, ok := m.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				call, ok := rhs.(*ast.CallExpr)
-				if !ok || i >= len(as.Lhs) {
-					continue
-				}
-				id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if b, ok := p.Info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
-					continue
-				}
-				lhs, ok := as.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := p.Info.Uses[lhs]
-				if obj == nil {
-					obj = p.Info.Defs[lhs]
-				}
-				if obj == nil || (obj.Pos() >= rs.Pos() && obj.Pos() <= rs.End()) {
-					continue // loop-local collector
-				}
-				if returnedUnsorted(p, fn.Decl, rs, obj) {
-					found = as.Pos()
-					return false
-				}
-			}
-			return true
-		})
-		return true
-	})
-	return found, found.IsValid()
-}
-
-// returnedUnsorted reports whether obj appears in a return statement of fn
-// and is not passed to a sort.*/slices.* call after the range statement.
-func returnedUnsorted(p *lint.Package, fn *ast.FuncDecl, rs *ast.RangeStmt, obj types.Object) bool {
-	returned, sorted := false, false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			for _, e := range n.Results {
-				if id, ok := ast.Unparen(e).(*ast.Ident); ok && p.Info.Uses[id] == obj {
-					returned = true
-				}
-			}
-		case *ast.CallExpr:
-			if n.Pos() < rs.End() {
-				return true
-			}
-			fnObj, _ := p.Info.Uses[calleeIdent(n)].(*types.Func)
-			if fnObj == nil || fnObj.Pkg() == nil {
-				return true
-			}
-			if path := fnObj.Pkg().Path(); path != "sort" && path != "slices" {
-				return true
-			}
-			for _, arg := range n.Args {
-				ast.Inspect(arg, func(an ast.Node) bool {
-					if id, ok := an.(*ast.Ident); ok && p.Info.Uses[id] == obj {
-						sorted = true
-					}
-					return !sorted
-				})
-			}
-		}
-		return true
-	})
-	return returned && !sorted
-}
-
-// calleeIdent returns the identifier naming a call's target, or nil.
-func calleeIdent(call *ast.CallExpr) *ast.Ident {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun
-	case *ast.SelectorExpr:
-		return fun.Sel
 	}
-	return nil
+	return token.NoPos, false
+}
+
+// returns reports whether a return statement in body returns obj itself.
+func returns(p *lint.Package, body *ast.BlockStmt, obj types.Object) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if r, ok := n.(*ast.ReturnStmt); ok {
+			for _, e := range r.Results {
+				if id, ok := ast.Unparen(e).(*ast.Ident); ok && p.Info.Uses[id] == obj {
+					found = true
+				}
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // ruleFlowDeterminism builds the flow-determinism rule: in scoped packages
-// (the deterministic core), report every call to a module function whose
-// summary is tainted, plus direct environment/filesystem reads (direct
-// clock and rand calls are already covered by the syntactic rules).
+// (the deterministic core), report every direct source call and every
+// call to a module function whose summary is tainted, in function bodies
+// and in package-level variable initializers alike.
 func ruleFlowDeterminism() lint.Rule {
 	return lint.Rule{
 		Name: "flow-determinism",
-		Doc:  "forbid values/effects derived from clocks, global rand, env/FS reads, or map order from reaching the deterministic core through any helper chain",
+		Doc:  "forbid clocks, global rand, env/FS reads, and map order in the deterministic core, called directly or through any helper chain",
 		RunModule: func(pkgs []*lint.Package, inScope func(*lint.Package) bool, report func(pos token.Pos, format string, args ...interface{})) {
 			g := Build(pkgs)
 			sum := taintSummaries(g)
+			check := func(c Call) {
+				if k := sourceTaint(c.Callee); k != "" {
+					report(c.Site.Pos(), "%s %s", shortName(c.Callee), sourceRemedy[k])
+					return
+				}
+				callee := g.Node(c.Callee)
+				if callee == nil || sanctioned(callee.Pkg) {
+					return
+				}
+				if w := sum[callee]; w != nil {
+					report(c.Site.Pos(), "call to %s is nondeterministic (%s: %s → %s); deterministic-core outputs must not depend on it",
+						shortName(callee.Obj), w.kind, shortName(callee.Obj), strings.Join(w.chain, " → "))
+				}
+			}
+			for _, p := range pkgs {
+				if !inScope(p) || sanctioned(p) {
+					continue
+				}
+				for _, c := range initCalls(p) {
+					check(c)
+				}
+			}
 			for _, fn := range g.Order {
 				if !inScope(fn.Pkg) || sanctioned(fn.Pkg) {
 					continue
 				}
 				for _, c := range fn.Calls {
-					// Direct env/FS sources have no syntactic rule of
-					// their own; report them here.
-					switch sourceTaint(c.Callee) {
-					case taintEnv:
-						report(c.Site.Pos(), "%s reads the process environment; the deterministic core must take configuration as explicit inputs", shortName(c.Callee))
-						continue
-					case taintFS:
-						report(c.Site.Pos(), "%s reads the filesystem; the deterministic core must take data as explicit inputs (load outside, pass values in)", shortName(c.Callee))
-						continue
-					}
-					callee := g.Node(c.Callee)
-					if callee == nil || sanctioned(callee.Pkg) {
-						continue
-					}
-					if w := sum[callee]; w != nil {
-						report(c.Site.Pos(), "call to %s is nondeterministic (%s: %s → %s); deterministic-core outputs must not depend on it",
-							shortName(callee.Obj), w.kind, shortName(callee.Obj), strings.Join(w.chain, " → "))
-					}
+					check(c)
 				}
 			}
 		},

@@ -3,13 +3,37 @@
 package core
 
 import (
+	"math/rand/v2"
 	"os"
 	"sort"
+	"time"
 
 	"fixture/helper"
 	"fixture/helper/deep"
 	"fixture/internal/obs"
 )
+
+// Package-level initializers run in the core too: a laundered clock read
+// in a variable's value or in a package-level function literal is found.
+var bootStamp = helper.Laundered() // want "nondeterministic (wall clock: helper.Laundered → deep.Stamp → time.Now"
+
+var stampFn = func() int64 {
+	return helper.Laundered() // want "nondeterministic (wall clock: helper.Laundered"
+}
+
+// Age measures against the wall clock directly.
+func Age(start time.Time) time.Duration {
+	return time.Since(start) // want "time.Since reads the wall clock"
+}
+
+// Seeded builds explicitly seeded generators, through a helper and with
+// math/rand/v2's constructors directly — allowed.
+func Seeded(seed uint64) float64 {
+	var key [32]byte
+	pcg := rand.New(rand.NewPCG(seed, seed))
+	cha := rand.New(rand.NewChaCha8(key))
+	return helper.Seeded(int64(seed)) + pcg.Float64() + cha.Float64()
+}
 
 // Label computes a deterministic label but launders a wall-clock read
 // through two helper hops.

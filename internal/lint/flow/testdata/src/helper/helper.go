@@ -2,7 +2,11 @@
 // core calls into it, so taint must be tracked through it.
 package helper
 
-import "fixture/helper/deep"
+import (
+	"math/rand"
+
+	"fixture/helper/deep"
+)
 
 // Laundered hides a wall-clock read behind two helper hops.
 func Laundered() int64 {
@@ -16,6 +20,12 @@ func Keys(m map[string]int) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// Seeded constructs an explicitly seeded generator; calls to it are fine.
+func Seeded(seed int64) float64 {
+	r := rand.New(rand.NewSource(seed))
+	return r.Float64()
 }
 
 // Clean is a pure helper; calls to it are fine.

@@ -56,7 +56,7 @@ func isErrorType(t types.Type) bool {
 // uncheckable: terminal output, or writes to in-memory buffers whose
 // Write* methods are documented to never fail.
 func errorExempt(p *Package, call *ast.CallExpr) bool {
-	if fn := callee(p, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+	if fn := p.Callee(call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 		name := fn.Name()
 		if strings.HasPrefix(name, "Print") {
 			return true // process stdout: best-effort by convention
@@ -95,7 +95,7 @@ func neverFailWriter(t types.Type) bool {
 }
 
 func calleeName(p *Package, call *ast.CallExpr) string {
-	if fn := callee(p, call); fn != nil {
+	if fn := p.Callee(call); fn != nil {
 		return fn.Name()
 	}
 	return "call"
@@ -114,7 +114,7 @@ func ruleFmtPrint() Rule {
 				if !ok {
 					return true
 				}
-				fn := callee(p, call)
+				fn := p.Callee(call)
 				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" {
 					return true
 				}
@@ -224,7 +224,7 @@ func ruleMutexCopy() Rule {
 						}
 					}
 				case *ast.CallExpr:
-					if isBuiltinAppend(p, n) {
+					if p.Builtin(n) == "append" {
 						return true
 					}
 					for _, arg := range n.Args {

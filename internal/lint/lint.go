@@ -1,14 +1,15 @@
 // Package lint implements lfolint, the repository's custom static
-// analyzer. It enforces the invariants the LFO reproduction depends on —
-// determinism of the training pipeline, float-comparison safety in the
-// numeric kernels, and API hygiene in library code — using only the
-// standard library's go/parser, go/ast, go/types, and go/token.
+// analyzer: the package loader, the rule runner with its policy tiers and
+// waivers, and the five syntactic rules — map-iteration order in the
+// deterministic core, float-comparison safety in the numeric kernels, and
+// error, output and lock-copy hygiene in library code — using only the
+// standard library's go/parser, go/ast, go/types, and go/token. Wall
+// clocks, global randomness and WaitGroup discipline are checked by the
+// interprocedural rules of package flow, which follow them through
+// helper calls.
 //
-// Rules are gated by per-package policy tiers (DefaultPolicy): the
-// deterministic core forbids wall clocks and global randomness, the
-// numeric kernels forbid exact float equality, and every package is held
-// to error-handling and lock-copy hygiene. Individual findings can be
-// waived in place with
+// Rules are gated by per-package policy tiers (DefaultPolicy). Individual
+// findings can be waived in place with
 //
 //	//lfolint:ignore <rule> <reason>
 //
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -27,7 +29,7 @@ import (
 type Diagnostic struct {
 	// Pos locates the finding.
 	Pos token.Position
-	// Rule names the rule that produced it (e.g. "time-now").
+	// Rule names the rule that produced it (e.g. "map-order").
 	Rule string
 	// Message describes the problem and the expected remedy.
 	Message string
@@ -115,23 +117,20 @@ var NumericKernels = []string{
 	"internal/analysis",
 }
 
-// DefaultPolicy returns the repository's policy tiers. The interprocedural
-// flow rules (built in internal/lint/flow) are scoped here alongside the
-// syntactic ones: flow-determinism guards the same deterministic core the
-// time-now/global-rand rules do, but follows taint through helper chains
-// in *any* package; the remaining flow rules are module-wide because
-// their findings are rooted wherever the annotation or spawn site lives.
+// DefaultPolicy returns the repository's policy tiers, for the syntactic
+// rules of this package and the interprocedural rules of package flow
+// alike: flow-determinism keeps clocks, global rand and host reads out of
+// the deterministic core, however deep in a helper chain they hide; the
+// other flow rules are module-wide because their findings are rooted
+// wherever the annotation or spawn site lives.
 func DefaultPolicy() Policy {
 	mapOrder := append(append([]string(nil), DeterministicCore...), NumericKernels...)
 	return Policy{
-		"time-now":         {Include: DeterministicCore},
-		"global-rand":      {Include: DeterministicCore},
 		"map-order":        {Include: mapOrder},
 		"float-equal":      {Include: NumericKernels},
 		"unchecked-error":  {},
 		"fmt-print":        {Include: []string{"internal"}, Exclude: []string{"internal/cliutil"}},
 		"mutex-copy":       {},
-		"waitgroup-misuse": {},
 		"flow-determinism": {Include: DeterministicCore},
 		"hotpath-alloc":    {},
 		"goroutine-join":   {},
@@ -140,17 +139,14 @@ func DefaultPolicy() Policy {
 	}
 }
 
-// AllRules returns every rule lfolint knows, in stable order.
-func AllRules() []Rule {
+// Rules returns the syntactic rules of this package, in stable order.
+func Rules() []Rule {
 	return []Rule{
-		ruleTimeNow(),
-		ruleGlobalRand(),
 		ruleMapOrder(),
 		ruleFloatEqual(),
 		ruleUncheckedError(),
 		ruleFmtPrint(),
 		ruleMutexCopy(),
-		ruleWaitGroupMisuse(),
 	}
 }
 
@@ -158,15 +154,17 @@ func AllRules() []Rule {
 // directives which no longer suppress anything. It is emitted by Run
 // itself (not by a Rule) because staleness is only decidable after every
 // other rule has reported: a directive is stale when all the rules it
-// names ran and none of them produced a finding on its line. Enable it by
-// including it in the policy; lfolint -only drops it automatically when
-// the requested subset could not prove staleness.
+// names ran and none of them produced a finding on its line, and dead
+// when it names a rule the policy does not know. Enable it by including
+// it in the policy; lfolint -only drops it automatically when the
+// requested subset could not prove staleness.
 const StaleWaiverRule = "stale-waiver"
 
 // Run applies every rule its policy scopes to each package and returns the
 // non-suppressed diagnostics sorted by position. Module-wide rules run
 // once over the full package list. When the policy enables
-// StaleWaiverRule, directives that suppressed nothing are reported too.
+// StaleWaiverRule, directives that suppress nothing, or name a rule the
+// policy does not know, are reported too.
 func Run(pkgs []*Package, rules []Rule, policy Policy) []Diagnostic {
 	sup, diags := collectSuppressions(pkgs)
 	ran := make(map[string]bool)
@@ -196,7 +194,7 @@ func Run(pkgs []*Package, rules []Rule, policy Policy) []Diagnostic {
 		}
 	}
 	if _, ok := policy[StaleWaiverRule]; ok {
-		diags = append(diags, staleWaivers(sup, ran)...)
+		diags = append(diags, staleWaivers(sup, ran, policy)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -296,39 +294,35 @@ func collectSuppressions(pkgs []*Package) (*suppressed, []Diagnostic) {
 	return sup, malformed
 }
 
-// staleWaivers reports directives that provably suppressed nothing: every
-// rule the directive names was executed this run and none fired on its
-// line. Directives naming a rule that did not run are skipped — their
+// staleWaivers reports directives that provably suppress nothing: those
+// naming a rule the policy does not know, which can never fire, and those
+// whose every rule was executed this run without firing on their line.
+// Directives naming a known rule that did not run are skipped — their
 // staleness is undecidable — except in test files, where no rule ever
 // runs and every directive is dead by construction.
-func staleWaivers(sup *suppressed, ran map[string]bool) []Diagnostic {
+func staleWaivers(sup *suppressed, ran map[string]bool, policy Policy) []Diagnostic {
 	var out []Diagnostic
 	for _, dir := range sup.all {
-		if dir.used {
-			continue
-		}
-		if dir.testFile {
-			out = append(out, Diagnostic{
-				Pos:     dir.pos,
-				Rule:    StaleWaiverRule,
-				Message: fmt.Sprintf("//lfolint:ignore %s in a _test.go file has no effect: lfolint does not lint test files; delete the directive", strings.Join(dir.rules, ",")),
-			})
-			continue
-		}
+		var unknown []string
 		decidable := true
 		for _, r := range dir.rules {
-			if !ran[r] {
-				decidable = false
-				break
+			if _, ok := policy[r]; !ok {
+				unknown = append(unknown, r)
 			}
+			decidable = decidable && ran[r]
 		}
-		if decidable {
-			out = append(out, Diagnostic{
-				Pos:     dir.pos,
-				Rule:    StaleWaiverRule,
-				Message: fmt.Sprintf("stale waiver: rule(s) %s no longer report on this line; delete the //lfolint:ignore directive", strings.Join(dir.rules, ",")),
-			})
+		var msg string
+		switch {
+		case dir.testFile:
+			msg = fmt.Sprintf("//lfolint:ignore %s in a _test.go file has no effect: lfolint does not lint test files; delete the directive", strings.Join(dir.rules, ","))
+		case len(unknown) > 0:
+			msg = fmt.Sprintf("unknown rule(s) %s can never report, so the waiver suppresses nothing; name a rule from lfolint -rules or delete the //lfolint:ignore directive", strings.Join(unknown, ","))
+		case decidable && !dir.used:
+			msg = fmt.Sprintf("stale waiver: rule(s) %s no longer report on this line; delete the //lfolint:ignore directive", strings.Join(dir.rules, ","))
+		default:
+			continue
 		}
+		out = append(out, Diagnostic{Pos: dir.pos, Rule: StaleWaiverRule, Message: msg})
 	}
 	return out
 }
@@ -338,4 +332,34 @@ func inspect(p *Package, fn func(ast.Node) bool) {
 	for _, f := range p.Files {
 		ast.Inspect(f, fn)
 	}
+}
+
+// Callee resolves a call expression to the package-level function or
+// method it names, or nil: builtins, conversions and calls through func
+// values have no callee.
+func (p *Package) Callee(call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.Info.Uses[id].(*types.Func)
+	return fn
+}
+
+// Builtin returns the name of the builtin function call invokes
+// ("append", "panic", "close", ...), or "".
+func (p *Package) Builtin(call *ast.CallExpr) string {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if b, ok := p.Info.Uses[id].(*types.Builtin); ok {
+		return b.Name()
+	}
+	return ""
 }

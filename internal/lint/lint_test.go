@@ -8,23 +8,27 @@ import (
 	"testing"
 
 	"lfo/internal/lint"
+	"lfo/internal/lint/flow"
 )
 
 // fixtureRule maps each fixture package under testdata/src to the rule it
-// exercises. Every rule must appear at least once: the golden files are
-// what proves a rule actually fires.
+// exercises. Every syntactic rule must appear at least once: the golden
+// files are what proves a rule actually fires. The single-package cases of
+// two flow rules live here too — direct clock and rand reads for
+// flow-determinism, WaitGroup misuse for goroutine-join — while their
+// cross-package cases are in the flow fixture module.
 var fixtureRule = map[string]string{
-	"timenow":      "time-now",
-	"globalrand":   "global-rand",
+	"timenow":      "flow-determinism",
+	"globalrand":   "flow-determinism",
 	"maporder":     "map-order",
 	"floateq":      "float-equal",
 	"uncheckederr": "unchecked-error",
 	"fmtprint":     "fmt-print",
 	"mutexcopy":    "mutex-copy",
-	"wgmisuse":     "waitgroup-misuse",
-	"suppress":     "time-now", // exercises the waiver mechanism
-	"suppressbad":  "time-now", // checked by TestMalformedSuppression
-	"stalewaiver":  "time-now", // checked by TestStaleWaiver
+	"wgmisuse":     "goroutine-join",
+	"suppress":     "fmt-print", // exercises the waiver mechanism
+	"suppressbad":  "fmt-print", // checked by TestMalformedSuppression
+	"stalewaiver":  "fmt-print", // checked by TestStaleWaiver
 }
 
 func loadFixtures(t *testing.T) map[string]*lint.Package {
@@ -46,7 +50,7 @@ func loadFixtures(t *testing.T) map[string]*lint.Package {
 
 func ruleByName(t *testing.T, name string) lint.Rule {
 	t.Helper()
-	for _, r := range lint.AllRules() {
+	for _, r := range flow.AllRules() {
 		if r.Name == name {
 			return r
 		}
@@ -131,7 +135,7 @@ func TestMalformedSuppression(t *testing.T) {
 	if p == nil {
 		t.Fatal("fixture package suppressbad not loaded")
 	}
-	rule := ruleByName(t, "time-now")
+	rule := ruleByName(t, "fmt-print")
 	diags := lint.Run([]*lint.Package{p}, []lint.Rule{rule}, lint.Policy{rule.Name: lint.Scope{}})
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want 2 (malformed directive + unsuppressed finding):\n%v", len(diags), diags)
@@ -139,36 +143,40 @@ func TestMalformedSuppression(t *testing.T) {
 	if diags[0].Rule != "suppression" || !strings.Contains(diags[0].Message, "malformed") {
 		t.Errorf("first diagnostic should report the malformed directive, got %s", diags[0])
 	}
-	if diags[1].Rule != "time-now" {
-		t.Errorf("second diagnostic should be the unsuppressed time-now finding, got %s", diags[1])
+	if diags[1].Rule != "fmt-print" {
+		t.Errorf("second diagnostic should be the unsuppressed fmt-print finding, got %s", diags[1])
 	}
 }
 
-// TestStaleWaiver pins the three directive fates: a waiver suppressing a
-// live finding stays silent, a waiver whose rule ran but no longer fires
-// becomes a finding, a waiver naming a rule that did not run is left
-// alone, and a waiver in a _test.go file is always reported dead.
+// TestStaleWaiver pins the directive fates: a waiver suppressing a live
+// finding stays silent, a waiver whose rule ran but no longer fires
+// becomes a finding, a waiver naming a policy rule that did not run is
+// left alone, a waiver naming a rule the policy does not know is
+// reported, and a waiver in a _test.go file is always reported dead.
 func TestStaleWaiver(t *testing.T) {
 	p := loadFixtures(t)["stalewaiver"]
 	if p == nil {
 		t.Fatal("fixture package stalewaiver not loaded")
 	}
-	rule := ruleByName(t, "time-now")
-	policy := lint.Policy{rule.Name: lint.Scope{}, lint.StaleWaiverRule: lint.Scope{}}
+	rule := ruleByName(t, "fmt-print")
+	// float-equal is in the policy but not run: the Undecidable waiver.
+	policy := lint.Policy{rule.Name: lint.Scope{}, "float-equal": lint.Scope{}, lint.StaleWaiverRule: lint.Scope{}}
 	diags := lint.Run([]*lint.Package{p}, []lint.Rule{rule}, policy)
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2 (one stale waiver + one dead test-file waiver):\n%v", len(diags), diags)
+	want := []struct{ file, msg string }{
+		{"stalewaiver.go", "stale waiver: rule(s) fmt-print"},
+		{"stalewaiver.go", "unknown rule(s) time-now"},
+		{"stalewaiver_test.go", "_test.go file has no effect"},
 	}
-	for _, d := range diags {
+	if len(diags) != len(want) {
+		t.Fatalf("got %d diagnostics, want %d (stale, unknown, dead test-file waiver):\n%v", len(diags), len(want), diags)
+	}
+	for i, d := range diags {
 		if d.Rule != lint.StaleWaiverRule {
 			t.Errorf("diagnostic has rule %q, want %q: %s", d.Rule, lint.StaleWaiverRule, d)
 		}
-	}
-	if !strings.Contains(diags[0].Message, "stale waiver") || !strings.Contains(diags[0].Pos.Filename, "stalewaiver.go") {
-		t.Errorf("first diagnostic should be the stale waiver in stalewaiver.go, got %s", diags[0])
-	}
-	if !strings.Contains(diags[1].Message, "_test.go file has no effect") || !strings.Contains(diags[1].Pos.Filename, "stalewaiver_test.go") {
-		t.Errorf("second diagnostic should be the dead test-file waiver, got %s", diags[1])
+		if filepath.Base(d.Pos.Filename) != want[i].file || !strings.Contains(d.Message, want[i].msg) {
+			t.Errorf("diagnostic %d = %s, want one in %s containing %q", i, d, want[i].file, want[i].msg)
+		}
 	}
 	// Without StaleWaiverRule in the policy nothing is reported: the live
 	// waiver suppresses its finding and staleness is not audited.
@@ -183,13 +191,13 @@ func TestEveryRuleHasFixture(t *testing.T) {
 	for _, rn := range fixtureRule {
 		covered[rn] = true
 	}
-	for _, r := range lint.AllRules() {
+	for _, r := range lint.Rules() {
 		if !covered[r.Name] {
 			t.Errorf("rule %q has no golden fixture under testdata/src", r.Name)
 		}
 	}
 	policy := lint.DefaultPolicy()
-	for _, r := range lint.AllRules() {
+	for _, r := range lint.Rules() {
 		if _, ok := policy[r.Name]; !ok {
 			t.Errorf("rule %q missing from DefaultPolicy", r.Name)
 		}
@@ -206,13 +214,13 @@ func TestDefaultPolicyTiers(t *testing.T) {
 		rel  string
 		want bool
 	}{
-		{"time-now", "internal/gbdt", true},
-		{"time-now", "internal/opt", true},
-		{"time-now", "internal/experiments", true},
-		{"time-now", "internal/trace", false}, // I/O layer may read clocks
-		{"time-now", "cmd/lfosim", false},
-		{"global-rand", "internal/gen", true},
-		{"global-rand", "internal/server", false},
+		{"flow-determinism", "internal/gbdt", true},
+		{"flow-determinism", "internal/opt", true},
+		{"flow-determinism", "internal/experiments", true},
+		{"flow-determinism", "internal/trace", false}, // I/O layer may read clocks
+		{"flow-determinism", "cmd/lfosim", false},
+		{"flow-determinism", "internal/gen", true},
+		{"flow-determinism", "internal/server", false},
 		{"map-order", "internal/analysis", true},
 		{"map-order", "internal/core", true},
 		{"float-equal", "internal/mcf", true},
@@ -226,9 +234,9 @@ func TestDefaultPolicyTiers(t *testing.T) {
 		{"fmt-print", "cmd/lfosim", false},       // CLIs own their stdout
 		{"mutex-copy", "internal/tiered", true},
 		{"mutex-copy", "examples/quickstart", true},
-		{"waitgroup-misuse", "internal/server", true},
-		{"waitgroup-misuse", "internal/par", true},
-		{"waitgroup-misuse", "cmd/lfosim", true},
+		{"goroutine-join", "internal/server", true},
+		{"goroutine-join", "internal/par", true},
+		{"goroutine-join", "cmd/lfosim", true},
 	}
 	for _, c := range cases {
 		scope, ok := policy[c.rule]
@@ -242,9 +250,9 @@ func TestDefaultPolicyTiers(t *testing.T) {
 	}
 }
 
-// TestRepoIsLintClean is the enforceable gate: the repository itself must
-// stay free of non-suppressed findings, so a regression fails go test
-// (tier 1) as well as scripts/check.sh.
+// TestRepoIsLintClean gates the repository under the syntactic rules, so
+// go test ./internal/lint alone catches a regression. The full gate, every
+// rule cmd/lfolint runs, is flow's TestRepoIsFlowClean.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module from source")
@@ -257,7 +265,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	diags := lint.Run(pkgs, lint.AllRules(), lint.DefaultPolicy())
+	diags := lint.Run(pkgs, lint.Rules(), lint.DefaultPolicy())
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

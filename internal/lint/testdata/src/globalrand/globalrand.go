@@ -1,16 +1,17 @@
-// Fixture for the global-rand rule.
+// Fixture for flow-determinism: direct draws from the global math/rand
+// source.
 package globalrand
 
 import "math/rand"
 
 // Draw uses the process-global source — forbidden.
 func Draw() float64 {
-	return rand.Float64() // want "global rand.Float64 draws from the process-wide source"
+	return rand.Float64() // want "rand.Float64 draws from the process-wide random source"
 }
 
 // Pick uses the process-global source — forbidden.
 func Pick(n int) int {
-	return rand.Intn(n) // want "global rand.Intn draws from the process-wide source"
+	return rand.Intn(n) // want "rand.Intn draws from the process-wide random source"
 }
 
 // Seeded constructs an explicitly seeded generator — allowed.

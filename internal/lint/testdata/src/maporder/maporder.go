@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // AppendDerived appends computed values in map order — forbidden even
@@ -62,6 +63,40 @@ func SumInts(m map[string]int) int {
 		n += v
 	}
 	return n
+}
+
+// SumLens assigns a call's result to a loop-local and sums integers —
+// allowed: only appends are collection.
+func SumLens(m map[string]int) int {
+	total := 0
+	for k := range m {
+		n := len(k)
+		total += n
+	}
+	return total
+}
+
+// LocalFloat accumulates into a variable scoped inside the loop body —
+// allowed: its bits do not outlive one visit.
+func LocalFloat(m map[string][]float64) int {
+	big := 0
+	for _, vs := range m {
+		local := 0.0
+		for _, v := range vs {
+			local += v
+		}
+		if local > 1 {
+			big++
+		}
+	}
+	return big
+}
+
+// WriteKeys writes through a method in map order — forbidden.
+func WriteKeys(b *strings.Builder, m map[string]int) {
+	for k := range m {
+		b.WriteString(k) // want "output written inside map iteration"
+	}
 }
 
 // LocalAppend appends to a slice scoped inside the loop body — allowed.

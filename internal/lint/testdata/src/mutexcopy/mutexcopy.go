@@ -74,6 +74,9 @@ func take(c Counter) int { // want "take passes sync.Mutex by value"
 	return c.n
 }
 
+// Arrays of locks copy every element — forbidden.
+func Stripes(locks [4]sync.Mutex) {} // want "Stripes passes sync.Mutex by value"
+
 // WaitGroups are locks too — forbidden.
 func WaitForAll(wg sync.WaitGroup) { // want "WaitForAll passes sync.WaitGroup by value"
 	wg.Wait()

@@ -1,23 +1,22 @@
 // Fixture for the //lfolint:ignore suppression mechanism, exercised with
-// the time-now rule.
+// the fmt-print rule.
 package suppress
 
-import "time"
+import "fmt"
 
 // StandaloneDirective is waived by the comment on the line above.
-func StandaloneDirective() int64 {
-	//lfolint:ignore time-now fixture demonstrates a justified waiver
-	start := time.Now()
-	return start.UnixNano()
+func StandaloneDirective() {
+	//lfolint:ignore fmt-print fixture demonstrates a justified waiver
+	fmt.Println("standalone")
 }
 
 // SameLineDirective is waived by the trailing comment.
-func SameLineDirective() int64 {
-	return time.Now().UnixNano() //lfolint:ignore time-now same-line waivers work too
+func SameLineDirective() {
+	fmt.Println("same line") //lfolint:ignore fmt-print same-line waivers work too
 }
 
-// WrongRule names a different rule, so time-now still fires.
-func WrongRule() int64 {
+// WrongRule names a different rule, so fmt-print still fires.
+func WrongRule() {
 	//lfolint:ignore float-equal reason given but for an unrelated rule
-	return time.Now().UnixNano() // want "time.Now breaks run-to-run reproducibility"
+	fmt.Println("wrong rule") // want "fmt.Println writes to process stdout"
 }

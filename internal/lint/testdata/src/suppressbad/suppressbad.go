@@ -3,10 +3,10 @@
 // TestMalformedSuppression rather than via want annotations.
 package suppressbad
 
-import "time"
+import "fmt"
 
 // MissingReason carries a reasonless directive.
-func MissingReason() int64 {
-	//lfolint:ignore time-now
-	return time.Now().UnixNano()
+func MissingReason() {
+	//lfolint:ignore fmt-print
+	fmt.Println("unwaived")
 }

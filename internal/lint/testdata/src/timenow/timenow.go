@@ -1,11 +1,11 @@
-// Fixture for the time-now rule.
+// Fixture for flow-determinism: direct wall-clock reads.
 package timenow
 
 import "time"
 
 // Stamp reads the wall clock — forbidden in the deterministic core.
 func Stamp() int64 {
-	t := time.Now() // want "time.Now breaks run-to-run reproducibility"
+	t := time.Now() // want "time.Now reads the wall clock"
 	return t.UnixNano()
 }
 

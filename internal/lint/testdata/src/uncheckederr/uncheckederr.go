@@ -18,6 +18,11 @@ func DropEncode(enc interface{ Encode(v interface{}) error }) {
 	enc.Encode(1) // want "error return of Encode is discarded"
 }
 
+// DropValue discards the error of a call through a func value — forbidden.
+func DropValue(flush func() error) {
+	flush() // want "error return of call is discarded"
+}
+
 // Handled propagates the error — allowed.
 func Handled(f *os.File) error {
 	return f.Close()

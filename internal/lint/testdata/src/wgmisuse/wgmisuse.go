@@ -1,4 +1,4 @@
-// Fixture for the waitgroup-misuse rule.
+// Fixture for goroutine-join's WaitGroup misuse checks.
 package wgmisuse
 
 import "sync"
@@ -39,10 +39,11 @@ func Correct(work func()) {
 }
 
 // SpawningSide shows the accept-loop shape written as a func literal: the
-// rule flags the Add conservatively (an accept loop that holds its own
-// count may Add for children safely — use //lfolint:ignore there, or a
-// named method, which is out of the rule's FuncLit scope). The nested
-// goroutine's plain Done is flagged through the outer walk.
+// Add is flagged conservatively (an accept loop that holds its own count
+// may Add for children safely — use //lfolint:ignore there, or a named
+// method, which is out of this check's FuncLit scope). The nested
+// goroutine's plain Done is flagged when the walk reaches its go
+// statement.
 func SpawningSide(work func()) {
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -57,16 +58,17 @@ func SpawningSide(work func()) {
 	wg.Wait()
 }
 
-// NotAWaitGroup has Add/Done methods but is not sync.WaitGroup — ignored.
+// NotAWaitGroup has Add/Done methods but is not sync.WaitGroup.
 type NotAWaitGroup struct{ n int }
 
 func (c *NotAWaitGroup) Add(d int) { c.n += d }
 func (c *NotAWaitGroup) Done()     { c.n-- }
 
-// Lookalike exercises the type check: same method names, different type.
+// Lookalike exercises the type check: same method names, different type,
+// so neither misuse is reported — and neither call is a join path.
 func Lookalike() {
 	var c NotAWaitGroup
-	go func() {
+	go func() { // want "no visible join path"
 		c.Add(1)
 		c.Done()
 	}()

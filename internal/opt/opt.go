@@ -29,8 +29,11 @@ import (
 type Algorithm int
 
 const (
-	// AlgoAuto uses AlgoFlow when the (ranked) interval count is small
-	// enough and AlgoGreedy otherwise.
+	// AlgoAuto solves every segment exactly, as AlgoFlow does: a window
+	// above AutoFlowLimit intervals is cut into segments (see Segments),
+	// and the greedy only stitches the intervals that cross a cut. Unlike
+	// AlgoFlow, a segment still over the limit (only possible when
+	// Segments forces few cuts) is labelled by the greedy.
 	AlgoAuto Algorithm = iota
 	// AlgoFlow solves the FOO min-cost flow exactly over the selected
 	// intervals.
@@ -63,7 +66,8 @@ type Config struct {
 	// RankFraction, in (0, 1], keeps only the top fraction of intervals
 	// ranked by C/(S·L) (§2.1: "split the set of requests along a
 	// ranking axis"); the remainder are declared uncached without
-	// solving. Zero means 1.0 (solve everything).
+	// solving. Zero means 1.0 (solve everything); Compute rejects a
+	// value outside [0, 1], NaN included.
 	RankFraction float64
 	// CostScale converts fractional per-byte costs to the integral costs
 	// the flow solver needs. Zero means 1024.
@@ -106,7 +110,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.RankFraction <= 0 || c.RankFraction > 1 {
+	if c.RankFraction == 0 {
 		c.RankFraction = 1
 	}
 	if c.CostScale <= 0 {
@@ -252,6 +256,9 @@ func selectByRank(ivs []interval, fraction float64) []interval {
 
 // Compute derives OPT's decisions for the trace under the config.
 func Compute(tr *trace.Trace, cfg Config) (*Result, error) {
+	if !(cfg.RankFraction >= 0 && cfg.RankFraction <= 1) {
+		return nil, fmt.Errorf("opt: RankFraction must be in [0, 1], got %v", cfg.RankFraction)
+	}
 	cfg = cfg.withDefaults()
 	if cfg.CacheSize <= 0 {
 		return nil, fmt.Errorf("opt: CacheSize must be positive, got %d", cfg.CacheSize)

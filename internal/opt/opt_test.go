@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -261,6 +262,32 @@ func TestRankFractionReducesWork(t *testing.T) {
 	// (the rank prioritizes high-value intervals).
 	if float64(half.HitBytes) < 0.5*float64(full.HitBytes) {
 		t.Errorf("ranked approximation lost too much: %d vs %d hit bytes", half.HitBytes, full.HitBytes)
+	}
+}
+
+// TestRankFractionRange: a RankFraction outside [0, 1] is an error, not
+// silently a full solve (NaN would otherwise reach selectByRank and keep
+// one interval); 0 keeps meaning 1.
+func TestRankFractionRange(t *testing.T) {
+	tr := paperTrace(trace.ObjectiveBHR)
+	full, err := Compute(tr, Config{CacheSize: 4, RankFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		fraction float64
+		ok       bool
+	}{{-0.5, false}, {1.5, false}, {math.NaN(), false}, {0, true}, {1, true}} {
+		res, err := Compute(tr, Config{CacheSize: 4, RankFraction: c.fraction})
+		switch {
+		case !c.ok && err == nil:
+			t.Errorf("RankFraction %v: no error", c.fraction)
+		case c.ok && err != nil:
+			t.Errorf("RankFraction %v: %v", c.fraction, err)
+		case c.ok && (res.Solved != full.Solved || res.HitBytes != full.HitBytes):
+			t.Errorf("RankFraction %v solved %d for %d hit bytes, want the full solve's %d for %d",
+				c.fraction, res.Solved, res.HitBytes, full.Solved, full.HitBytes)
+		}
 	}
 }
 

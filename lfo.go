@@ -185,6 +185,8 @@ type (
 
 // OPT algorithm selectors.
 const (
+	// OPTAuto solves every segment of the window exactly; only a segment
+	// still over AutoFlowLimit falls back to the greedy (see opt.AlgoAuto).
 	OPTAuto   = opt.AlgoAuto
 	OPTFlow   = opt.AlgoFlow
 	OPTGreedy = opt.AlgoGreedy

@@ -55,9 +55,9 @@ go test -race ./internal/server ./internal/fleet ./internal/faultnet \
     ./internal/mcf ./internal/obs ./internal/evict \
     ./internal/policy/ogd ./internal/drift
 
-# Coverage floors on the serving path: the chaos/fuzz suites are the
-# main guard on these packages, so a silent drop in what they exercise
-# should fail the gate.
+# Coverage floors on the serving path, where the chaos/fuzz suites are the
+# main guard, and on the analyzer, whose golden fixtures are its only
+# guard: a silent drop in what they exercise should fail the gate.
 cover_floor() {
     pkg=$1 floor=$2
     pct=$(go test -cover "$pkg" | awk '{for (i = 1; i <= NF; i++) if ($i == "coverage:") {gsub("%", "", $(i+1)); print $(i+1)}}')
@@ -78,6 +78,8 @@ cover_floor ./internal/faultnet 70
 cover_floor ./internal/evict 80
 cover_floor ./internal/policy/ogd 80
 cover_floor ./internal/drift 80
+cover_floor ./internal/lint 90
+cover_floor ./internal/lint/flow 90
 
 # Alloc-budget regression gate over the pinned hot-path benchmarks. The
 # budgets in testdata/alloc_budgets.txt are exact current figures; any
