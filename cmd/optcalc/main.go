@@ -6,7 +6,12 @@
 // Usage:
 //
 //	optcalc -trace trace.txt -size 256m
-//	optcalc -gen cdn -n 50000 -size 64m -algo flow -rank 0.3 -decisions out.txt
+//	optcalc -gen cdn -n 50000 -size 64m -algo greedy -rank 0.3 -decisions out.txt
+//
+// -algo flow (the default) solves the min-cost flow exactly, segment by
+// segment (-segments; 0 = one solve up to 12 000 intervals, ~4000-interval
+// segments beyond); -algo greedy labels the whole trace in one feasible
+// rank-order pass and ignores -segments and -workers.
 package main
 
 import (
@@ -29,10 +34,10 @@ func main() {
 		seed      = flag.Int64("seed", 1, "generator seed")
 		sizeStr   = flag.String("size", "64m", "cache size")
 		objective = flag.String("objective", "bhr", "cost objective: bhr, ohr or cost")
-		algo      = flag.String("algo", "auto", "solver: auto, flow or greedy")
+		algo      = flag.String("algo", "flow", "solver: flow or greedy")
 		rank      = flag.Float64("rank", 1.0, "rank fraction of intervals to solve (0,1]")
-		segments  = flag.Int("segments", 0, "time-axis solve segments: 0=auto, 1=unsegmented, N>1 as given")
-		workers   = flag.Int("workers", 0, "goroutines for concurrent segment solves: 0=all cores, 1=sequential")
+		segments  = flag.Int("segments", 0, "time-axis flow segments: 0=auto, 1=unsegmented, N>1 as given")
+		workers   = flag.Int("workers", 0, "goroutines for concurrent flow segment solves: 0=all cores, 1=sequential")
 		decisions = flag.String("decisions", "", "write per-request decisions (0/1) to this file")
 	)
 	flag.Parse()
@@ -47,8 +52,6 @@ func main() {
 	}
 	var algorithm opt.Algorithm
 	switch *algo {
-	case "auto":
-		algorithm = opt.AlgoAuto
 	case "flow":
 		algorithm = opt.AlgoFlow
 	case "greedy":
@@ -80,9 +83,8 @@ func main() {
 	fmt.Printf("intervals:  %d (solved %d, dropped %d)\n", res.Intervals, res.Solved, res.DroppedIntervals())
 	fmt.Printf("cache:      %s, objective %s, algorithm %s, rank %.2f\n",
 		cliutil.FormatBytes(size), obj, algorithm, *rank)
-	fmt.Printf("labeled by: %s (%d segments: %d flow, %d greedy; %d flow ivs, %d greedy ivs, %d boundary)\n",
-		res.AlgoLabel(), res.Segments, res.FlowSegments, res.GreedySegments,
-		res.FlowIntervals, res.GreedyIntervals, res.BoundaryIntervals)
+	fmt.Printf("labeled by: %s (%d segments; %d flow ivs, %d greedy ivs, %d boundary)\n",
+		res.AlgoLabel(), res.Segments, res.FlowIntervals, res.GreedyIntervals, res.BoundaryIntervals)
 	fmt.Printf("flow work:  %d paths in %d passes, %d potential moves\n",
 		res.FlowAugmentations, res.FlowPasses, res.FlowPotentialMoves)
 	fmt.Printf("OPT BHR:    %.4f\n", res.BHR())

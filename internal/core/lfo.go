@@ -130,7 +130,7 @@ type Config struct {
 // the tables, the simulator and a served model agree on what a label is:
 // §2.1's ranking cut at the top half of the intervals, then the exact flow
 // where it is affordable.
-var HarnessOPT = opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5}
+var HarnessOPT = opt.Config{Algorithm: opt.AlgoFlow, RankFraction: 0.5}
 
 // CutoffAdmitAll is the Config.Cutoff sentinel for an effective cutoff of
 // exactly 0 (see sim.ResolveCutoff, which New applies).

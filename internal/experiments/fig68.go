@@ -62,7 +62,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 	// OPT bound over the measured (post-warmup) portion.
 	optRes, err := opt.Compute(tr.Slice(warmup, tr.Len()), opt.Config{
 		CacheSize: cfg.CacheSize,
-		Algorithm: opt.AlgoAuto,
+		Algorithm: opt.AlgoFlow,
 	})
 	if err != nil {
 		return nil, err

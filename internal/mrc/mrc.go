@@ -135,13 +135,16 @@ func (c *Curve) Sample(sizes []int64) []Point {
 }
 
 // ComputeOPT samples the offline-optimal hit ratios at each cache size
-// using the opt package (exact flow per time-axis segment up to
-// opt.Config.AutoFlowLimit intervals, segmented beyond — see
-// opt.Config.Segments). cfg.CacheSize is overridden per point; leave
-// cfg.RankFraction at its full-solve default so the curve upper-bounds
-// every online policy at every size. The sizes are solved concurrently
-// under cfg.Workers (0 = all cores); each point writes only its own slot,
-// so the curve is byte-identical for any worker count.
+// using the opt package (exact flow per time-axis segment, one segment up
+// to 12 000 intervals — see opt.Config.Segments). cfg.CacheSize is
+// overridden per point. The schedule opt.Compute extracts is feasible
+// (all-bytes-central extraction plus repair, greedy stitching at the
+// cuts), so each point is a lower bound on OPT, not an upper bound: an
+// online policy can beat it, as the drift grid's negative regret does.
+// The upper side (PFOO-U) is ROADMAP.md's OPT-bracket item. The sizes
+// are solved concurrently under cfg.Workers (0 = all cores); each point
+// writes only its own slot, so the curve is byte-identical for any
+// worker count.
 func ComputeOPT(tr *trace.Trace, sizes []int64, cfg opt.Config) ([]Point, error) {
 	for _, s := range sizes {
 		if s <= 0 {

@@ -7,30 +7,25 @@ import (
 	"lfo/internal/trace"
 )
 
-// flowWindows cuts a seeded CDN-mix trace into the windows the
-// repository benchmark's default_flow workload hands to Compute: 7000
-// requests each, costs as generated (BHR).
-func flowWindows(tb testing.TB, windows int, seed int64) []*trace.Trace {
+// cdnWindows cuts a seeded CDN-mix trace into the windows a repository
+// benchmark workload hands to Compute: size requests each, costs as
+// generated (BHR).
+func cdnWindows(tb testing.TB, windows, size int, seed int64) []*trace.Trace {
 	tb.Helper()
-	const window = 7000
-	tr, err := gen.Generate(gen.CDNMix(windows*window, seed))
+	tr, err := gen.Generate(gen.CDNMix(windows*size, seed))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	out := make([]*trace.Trace, windows)
 	for w := range out {
-		out[w] = &trace.Trace{Requests: tr.Requests[w*window : (w+1)*window]}
+		out[w] = &trace.Trace{Requests: tr.Requests[w*size : (w+1)*size]}
 	}
 	return out
 }
 
-// BenchmarkFlowWindow is the labelling step of the default_flow handoff:
-// what a cache configured with nothing but its size pays per window
-// (AlgoAuto, one exact flow solve of ~2100 intervals at 64 MiB, one
-// worker), cycling the first four windows of the seed-7 trace.
-func BenchmarkFlowWindow(b *testing.B) {
-	wins := flowWindows(b, 4, 7)
-	cfg := Config{CacheSize: 64 << 20, Workers: 1}
+// benchmarkWindows runs one Compute per iteration, cycling wins, and
+// reports the last window's solved interval count.
+func benchmarkWindows(b *testing.B, wins []*trace.Trace, cfg Config) {
 	var res *Result
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -40,5 +35,20 @@ func BenchmarkFlowWindow(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(res.FlowIntervals), "flow-ivs")
+	b.ReportMetric(float64(res.Solved), "ivs")
+}
+
+// BenchmarkFlowWindow is the labelling step of the default_flow handoff:
+// what a cache configured with nothing but its size pays per window
+// (AlgoFlow, one exact flow solve of ~2100 intervals at 64 MiB, one
+// worker), cycling the first four 7000-request windows of the seed-7 trace.
+func BenchmarkFlowWindow(b *testing.B) {
+	benchmarkWindows(b, cdnWindows(b, 4, 7000, 7), Config{CacheSize: 64 << 20, Workers: 1})
+}
+
+// BenchmarkGreedyWindow is the labelling step of the admit_rank handoff:
+// one greedy pass over a 10 000-request CDN-mix window at 64 MiB, one
+// worker, cycling the first four windows of the seed-7 trace.
+func BenchmarkGreedyWindow(b *testing.B) {
+	benchmarkWindows(b, cdnWindows(b, 4, 10000, 7), Config{CacheSize: 64 << 20, Algorithm: AlgoGreedy, Workers: 1})
 }

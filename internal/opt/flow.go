@@ -8,16 +8,21 @@ import (
 )
 
 // flowSegment labels one segment with the FOO min-cost flow (Figure 4 of
-// the paper): it builds the graph over the segment's intervals, solves it,
-// and marks Admit[i] for every interval whose bytes are routed entirely
-// along the cache (central) path, then lets repairSegment add what the
-// all-or-nothing reading of the flow left out.
-//
-// sc.occ must be sized for the segment and pre-seeded with the boundary
-// occupancy (indices relative to sg.lo); the graph, solver, and buffers in
-// sc are reused across calls.
+// the paper): it seeds the local occupancy tree with the boundary bytes
+// reserved across the segment's span, builds the graph over the segment's
+// intervals, solves it, and marks Admit[i] for every interval whose bytes
+// are routed entirely along the cache (central) path, then lets
+// repairSegment add what the all-or-nothing reading of the flow left out.
+// The graph, solver, and buffers in sc are reused across calls.
 func flowSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
-	buildFlowGraph(sg, cfg, sc)
+	if len(sg.ivs) == 0 {
+		return nil
+	}
+	sc.occ.reset(sg.hi - sg.lo)
+	for _, b := range sg.bnd {
+		sc.occ.Add(max(b.from, sg.lo)-sg.lo, min(b.to, sg.hi)-sg.lo, b.size)
+	}
+	buildFlowGraph(sg, cfg.CacheSize, costScale, sc)
 	_, err := sc.solver.Solve(sc.g)
 	sg.stats = sc.solver.Stats()
 	if err != nil {
@@ -33,7 +38,8 @@ func flowSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
 }
 
 // buildFlowGraph resets sc.g to the FOO graph of one segment and records
-// each interval's bypass edge in sc.bypass.
+// each interval's bypass edge in sc.bypass. sc.occ must hold the boundary
+// occupancy (indices relative to sg.lo); scale is quantiseCosts' costScale.
 //
 // The graph uses the per-interval formulation, which is equivalent to the
 // paper's first-to-last-request formulation after supply cancellation at
@@ -48,7 +54,7 @@ func flowSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
 // Only request indices that appear as interval endpoints become nodes
 // (consecutive endpoints are joined by a single central arc), which keeps
 // the graph small when rank selection drops intervals.
-func buildFlowGraph(sg *segment, cfg Config, sc *solveScratch) {
+func buildFlowGraph(sg *segment, capacity, scale int64, sc *solveScratch) {
 	// Collect endpoint request indices and compress to node ids: sort,
 	// dedup in place, and look nodes up by binary search — no maps, so the
 	// hot path stays allocation-free across reuses.
@@ -72,14 +78,14 @@ func buildFlowGraph(sg *segment, cfg Config, sc *solveScratch) {
 	// Central path: consecutive compressed nodes, capacity = cache size
 	// minus peak boundary occupancy over the gap.
 	for k := 0; k+1 < len(idx); k++ {
-		free := cfg.CacheSize - sc.occ.Max(idx[k]-sg.lo, idx[k+1]-sg.lo)
+		free := capacity - sc.occ.Max(idx[k]-sg.lo, idx[k+1]-sg.lo)
 		if free < 0 {
 			free = 0
 		}
 		g.AddEdge(k, k+1, free, 0)
 	}
 	// Bypass arcs and supplies per interval.
-	sc.costs, _ = quantiseCosts(sg.ivs, cfg.CostScale, sc.costs)
+	sc.costs, _ = quantiseCosts(sg.ivs, scale, sc.costs)
 	bypass := sc.bypass[:0]
 	for k, iv := range sg.ivs {
 		u := sort.SearchInts(idx, iv.from)
@@ -145,9 +151,9 @@ func quantiseCosts(ivs []interval, costScale int64, out []int64) ([]int64, float
 // cache and the bypass (footnote 2 of the paper); the all-bytes-central
 // extraction rule then discards the interval even when fully caching it
 // would have been feasible. The repair replays occupancy of the admitted
-// set on top of the boundary reservation already in sc.occ and adds any
-// remaining interval, highest C/(S·L) rank first, that fits at every time
-// step. The result is feasible and never worse than the raw extraction.
+// set on top of the boundary reservation already in sc.occ and adds the
+// rest with admitByRank. The result is feasible and never worse than the
+// raw extraction.
 func repairSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) {
 	rest := sc.rest[:0]
 	for _, iv := range sg.ivs {
@@ -157,12 +163,6 @@ func repairSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) {
 			rest = append(rest, iv)
 		}
 	}
-	sortByRank(rest)
-	for _, iv := range rest {
-		if sc.occ.Max(iv.from-sg.lo, iv.to-sg.lo)+iv.size <= cfg.CacheSize {
-			sc.occ.Add(iv.from-sg.lo, iv.to-sg.lo, iv.size)
-			res.Admit[iv.from] = true
-		}
-	}
+	admitByRank(rest, sc.occ, sg.lo, cfg.CacheSize, res.Admit)
 	sc.rest = rest[:0]
 }

@@ -12,26 +12,26 @@ import (
 )
 
 // TestQuantiseCostsBHRUniform: under BHR every interval's per-byte cost is
-// exactly 1, so every bypass arc costs exactly CostScale — the graphs the
+// exactly 1, so every bypass arc costs exactly costScale — the graphs the
 // flow solver sees for BHR windows do not depend on how the scale is
 // chosen per segment.
 func TestQuantiseCostsBHRUniform(t *testing.T) {
-	ivs := buildIntervals(flowWindows(t, 1, 7)[0])
+	ivs := buildIntervals(cdnWindows(t, 1, 7000, 7)[0])
 	for _, costScale := range []int64{64, 1024, 1 << 20} {
 		costs, scale := quantiseCosts(ivs, costScale, nil)
 		if len(costs) != len(ivs) || scale != float64(costScale) {
-			t.Fatalf("CostScale %d: %d costs for %d intervals at scale %v", costScale, len(costs), len(ivs), scale)
+			t.Fatalf("costScale %d: %d costs for %d intervals at scale %v", costScale, len(costs), len(ivs), scale)
 		}
 		for k, c := range costs {
 			if c != costScale {
-				t.Fatalf("CostScale %d: interval %d costs %d per byte", costScale, k, c)
+				t.Fatalf("costScale %d: interval %d costs %d per byte", costScale, k, c)
 			}
 		}
 	}
 }
 
 // TestQuantiseCosts pins the helper's contract on hand-made intervals:
-// ratios survive, the cheapest positive cost lands on CostScale, a zero
+// ratios survive, the cheapest positive cost lands on costScale, a zero
 // cost is floored at 1, the buffer is reused, and absurd costs are scaled
 // down until neither the flow's total cost nor a potential can overflow.
 func TestQuantiseCosts(t *testing.T) {
@@ -125,7 +125,7 @@ func TestFlowOHRObjective(t *testing.T) {
 // counters reach the registry, stay zero for greedy labels, and add up
 // over segments.
 func TestFlowCounters(t *testing.T) {
-	tr := flowWindows(t, 1, 7)[0]
+	tr := cdnWindows(t, 1, 7000, 7)[0]
 	reg := obs.NewRegistry()
 	res, err := Compute(tr, Config{CacheSize: 64 << 20, Workers: 1, Obs: reg})
 	if err != nil {
@@ -163,8 +163,8 @@ func TestFlowCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if split.FlowSegments < 2 || split.FlowPotentialMoves < split.FlowSegments {
-		t.Errorf("%d flow segments moved the potentials %d times in all", split.FlowSegments, split.FlowPotentialMoves)
+	if split.Segments < 2 || split.FlowPotentialMoves < split.Segments {
+		t.Errorf("%d flow segments moved the potentials %d times in all", split.Segments, split.FlowPotentialMoves)
 	}
 }
 
@@ -208,34 +208,45 @@ func bruteForceMissCost(tr *trace.Trace, capacity int64) float64 {
 	return best
 }
 
+// wholeWindowFlow builds the unsegmented FOO graph of the whole trace with
+// the cheapest per-byte cost quantised to scale, solves it, and returns the
+// from-sorted intervals, the solved scratch (bypass arcs in sc.bypass) and
+// the flow's integer cost; nothing is solved for a trace without intervals.
+func wholeWindowFlow(t *testing.T, tr *trace.Trace, capacity, scale int64) ([]interval, *solveScratch, int64) {
+	t.Helper()
+	ivs := buildIntervals(tr)
+	if len(ivs) == 0 {
+		return nil, nil, 0
+	}
+	sort.Slice(ivs, func(a, b int) bool { return ivs[a].from < ivs[b].from })
+	sc := newSolveScratch()
+	sc.occ.reset(tr.Len())
+	buildFlowGraph(&segment{lo: 0, hi: tr.Len(), ivs: ivs}, capacity, scale, sc)
+	cost, err := sc.solver.Solve(sc.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ivs, sc, cost
+}
+
 // flowLowerBound solves the unsegmented FOO flow of the whole trace and
 // returns its optimum in cost units (the flow's integer cost divided by
 // the quantisation scale, plus the compulsory misses the graph leaves
 // out) together with the most the rounding of the arc costs can have
 // added to it.
-func flowLowerBound(t *testing.T, tr *trace.Trace, cfg Config) (bound, slack float64) {
+func flowLowerBound(t *testing.T, tr *trace.Trace, capacity int64) (bound, slack float64) {
 	t.Helper()
-	cfg = cfg.withDefaults()
-	ivs := buildIntervals(tr)
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].from < ivs[b].from })
 	prev := tr.PrevRequestIndex()
 	for j, r := range tr.Requests {
 		if prev[j] < 0 {
 			bound += r.Cost
 		}
 	}
+	ivs, _, cost := wholeWindowFlow(t, tr, capacity, costScale)
 	if len(ivs) == 0 {
 		return bound, 0
 	}
-	sg := &segment{lo: 0, hi: tr.Len(), ivs: ivs}
-	sc := newSolveScratch()
-	sc.occ.reset(tr.Len())
-	buildFlowGraph(sg, cfg, sc)
-	cost, err := sc.solver.Solve(sc.g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, scale := quantiseCosts(ivs, cfg.CostScale, nil)
+	_, scale := quantiseCosts(ivs, costScale, nil)
 	for _, iv := range ivs {
 		slack += 0.5 * float64(iv.size) / scale
 	}
@@ -267,7 +278,7 @@ func TestLabelsAgainstBruteForce(t *testing.T) {
 		for _, obj := range []trace.Objective{trace.ObjectiveBHR, trace.ObjectiveOHR} {
 			tr := base.WithCosts(obj)
 			brute := bruteForceMissCost(tr, capacity)
-			lp, slack := flowLowerBound(t, tr, Config{CacheSize: capacity})
+			lp, slack := flowLowerBound(t, tr, capacity)
 			if lp > brute+slack+1e-9 {
 				t.Fatalf("trial %d %v: flow optimum %.6f above exhaustive OPT %.6f\n%+v cap %d", trial, obj, lp, brute, tr.Requests, capacity)
 			}

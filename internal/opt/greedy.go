@@ -1,27 +1,44 @@
 package opt
 
-// greedySegment computes a feasible OPT approximation in the spirit of
-// PFOO over one segment: intervals are considered in decreasing C/(S·L)
-// rank order and admitted when the object fits in the cache over the
-// interval's entire time span. Occupancy over time is tracked with a lazy
-// segment tree (pre-seeded with stitched boundary reservations), so each
-// admission check is O(log n).
+import "sort"
+
+// solveGreedy computes a feasible OPT approximation in the spirit of
+// PFOO-L: one rank-order pass over the whole window (admitByRank). The
+// pass is O(I log n) for I intervals over n requests, so unlike the flow
+// it gains nothing from segmenting and ignores Segments and Workers.
 //
 // Unlike the flow relaxation, the greedy schedule is feasible — it
 // corresponds to an actual cache content assignment — so its hit ratio
 // lower-bounds OPT while remaining within a few percent on CDN-like
 // workloads.
-func greedySegment(sg *segment, cfg Config, res *Result, sc *solveScratch) {
-	ivs := append(sc.rest[:0], sg.ivs...)
-	sortByRank(ivs)
+func solveGreedy(n int, selected []interval, cfg Config, res *Result) {
+	if len(selected) == 0 {
+		return
+	}
+	res.Segments = 1
+	res.GreedyIntervals = len(selected)
+	admitByRank(selected, newSegTree(n), 0, cfg.CacheSize, res.Admit)
+}
+
+// admitByRank is the one rank-order admission loop: the greedy pass, the
+// stitching of intervals that cross a segment cut, and the repair after a
+// flow extraction. It sorts ivs by descending C/(S·L) rank (from-ascending
+// on ties) and admits each interval whose size fits on top of occ at every
+// time step of its span [from, to) — the object must be resident from the
+// instant request from completes until request to arrives. occ covers the
+// requests from lo on; an admitted interval is added to it and marked in
+// admit.
+func admitByRank(ivs []interval, occ *segTree, lo int, capacity int64, admit []bool) {
+	sort.Slice(ivs, func(a, b int) bool {
+		if ivs[a].rank != ivs[b].rank {
+			return ivs[a].rank > ivs[b].rank
+		}
+		return ivs[a].from < ivs[b].from
+	})
 	for _, iv := range ivs {
-		// The object occupies cache space during [from, to): it must be
-		// resident the instant request `from` completes and until
-		// request `to` arrives.
-		if sc.occ.Max(iv.from-sg.lo, iv.to-sg.lo)+iv.size <= cfg.CacheSize {
-			sc.occ.Add(iv.from-sg.lo, iv.to-sg.lo, iv.size)
-			res.Admit[iv.from] = true
+		if occ.Max(iv.from-lo, iv.to-lo)+iv.size <= capacity {
+			occ.Add(iv.from-lo, iv.to-lo, iv.size)
+			admit[iv.from] = true
 		}
 	}
-	sc.rest = ivs[:0]
 }

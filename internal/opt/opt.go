@@ -29,25 +29,20 @@ import (
 type Algorithm int
 
 const (
-	// AlgoAuto solves every segment exactly, as AlgoFlow does: a window
-	// above AutoFlowLimit intervals is cut into segments (see Segments),
-	// and the greedy only stitches the intervals that cross a cut. Unlike
-	// AlgoFlow, a segment still over the limit (only possible when
-	// Segments forces few cuts) is labelled by the greedy.
-	AlgoAuto Algorithm = iota
-	// AlgoFlow solves the FOO min-cost flow exactly over the selected
-	// intervals.
-	AlgoFlow
+	// AlgoFlow, the default, solves the FOO min-cost flow exactly per
+	// time-axis segment: a window above autoFlowLimit intervals is cut
+	// into segments (see Segments), and the greedy only stitches the
+	// intervals that cross a cut.
+	AlgoFlow Algorithm = iota
 	// AlgoGreedy admits intervals in C/(S·L) rank order subject to a
-	// feasible per-time-step capacity constraint.
+	// feasible per-time-step capacity constraint, in one pass over the
+	// whole window.
 	AlgoGreedy
 )
 
 // String returns the algorithm name.
 func (a Algorithm) String() string {
 	switch a {
-	case AlgoAuto:
-		return "auto"
 	case AlgoFlow:
 		return "flow"
 	case AlgoGreedy:
@@ -61,7 +56,7 @@ func (a Algorithm) String() string {
 type Config struct {
 	// CacheSize is the cache capacity in bytes. Required.
 	CacheSize int64
-	// Algorithm selects the solver; AlgoAuto by default.
+	// Algorithm selects the solver; AlgoFlow by default.
 	Algorithm Algorithm
 	// RankFraction, in (0, 1], keeps only the top fraction of intervals
 	// ranked by C/(S·L) (§2.1: "split the set of requests along a
@@ -69,32 +64,19 @@ type Config struct {
 	// solving. Zero means 1.0 (solve everything); Compute rejects a
 	// value outside [0, 1], NaN included.
 	RankFraction float64
-	// CostScale converts fractional per-byte costs to the integral costs
-	// the flow solver needs. Zero means 1024.
-	CostScale int64
-	// AutoFlowLimit is the interval count up to which a single segment is
-	// solved with the exact flow solver (the solve grows super-linearly
-	// in the interval count). With Segments=0 it is also the window size
-	// above which the solve auto-segments; under AlgoAuto a segment that
-	// still exceeds the limit (only possible when Segments forces very
-	// few cuts) falls back to the feasible greedy for that segment alone.
-	// Zero means 12000, a figure sized for the path-at-a-time solver this
-	// package used to sit on (a 13.6k-interval window took it 50 s; the
-	// primal-dual solver takes 4.9 s) and therefore conservative now;
-	// raising it re-labels every large window, so it waits for its own
-	// measurement.
-	AutoFlowLimit int
-	// Segments controls PFOO-style time-axis segmentation of the solve
-	// (Berger/Beckmann/Harchol-Balter: the FOO flow problem decomposes
-	// at low-occupancy points on the time axis). The window's intervals
+	// Segments controls PFOO-style time-axis segmentation of the flow
+	// solve (Berger/Beckmann/Harchol-Balter: the FOO flow problem
+	// decomposes at low-occupancy points on the time axis); the greedy
+	// always takes the whole window in one pass. The window's intervals
 	// are partitioned at low-crossing cut points, each segment's flow is
 	// solved independently (concurrently under Workers), and intervals
 	// that span a cut are stitched deterministically by rank-order
 	// greedy admission before the segment solves. 0 (auto) keeps one
-	// segment up to AutoFlowLimit intervals and targets ~4000 intervals
-	// per segment beyond; 1 forces the unsegmented whole-window solve;
-	// values > 1 request that many segments (best effort — cuts are
-	// placed near equal-interval-count positions).
+	// segment up to autoFlowLimit (12 000) intervals and targets ~4000
+	// intervals per segment beyond; 1 forces the unsegmented whole-window
+	// solve; values > 1 request that many segments (best effort — cuts
+	// are placed near equal-interval-count positions). Compute rejects a
+	// negative value.
 	Segments int
 	// Workers caps the goroutines used for concurrent segment solves:
 	// 0 means all available cores, 1 solves segments sequentially. The
@@ -104,22 +86,9 @@ type Config struct {
 	// pipeline's Workers knob).
 	Workers int
 	// Obs, when set, records per-solve totals (solves, flow vs greedy
-	// segment and interval counts, dropped intervals). Metrics never
+	// interval counts, dropped intervals, flow work). Metrics never
 	// influence the solve; nil disables recording (see internal/obs).
 	Obs *obs.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.RankFraction == 0 {
-		c.RankFraction = 1
-	}
-	if c.CostScale <= 0 {
-		c.CostScale = 1024
-	}
-	if c.AutoFlowLimit <= 0 {
-		c.AutoFlowLimit = 12000
-	}
-	return c
 }
 
 // Result holds OPT's per-request decisions and the performance OPT
@@ -149,13 +118,9 @@ type Result struct {
 	// Intervals is the total number of intervals (requests with a next
 	// request).
 	Intervals int
-	// Segments is the number of time-axis segments the solve used
-	// (0 when no intervals were selected).
+	// Segments is the number of time-axis segments the solve used: 1
+	// for the greedy, 0 when no intervals were selected.
 	Segments int
-	// FlowSegments and GreedySegments count the segments labeled by the
-	// exact flow solver and by the feasible greedy, respectively.
-	FlowSegments   int
-	GreedySegments int
 	// FlowIntervals and GreedyIntervals count selected intervals labeled
 	// by each solver; intervals stitched across segment cuts count as
 	// greedy. FlowIntervals + GreedyIntervals == Solved.
@@ -165,7 +130,7 @@ type Result struct {
 	// were therefore stitched greedily rather than solved exactly.
 	BoundaryIntervals int
 	// FlowAugmentations, FlowPasses and FlowPotentialMoves sum the flow
-	// solver's work over the flow segments (see mcf.Stats): paths flow
+	// solver's work over the segments (see mcf.Stats): paths flow
 	// was pushed along, breadth-first passes, and Dijkstra runs that
 	// raised the potentials. They say what a window's exact labels cost
 	// independently of the machine; potential moves in the thousands
@@ -259,7 +224,12 @@ func Compute(tr *trace.Trace, cfg Config) (*Result, error) {
 	if !(cfg.RankFraction >= 0 && cfg.RankFraction <= 1) {
 		return nil, fmt.Errorf("opt: RankFraction must be in [0, 1], got %v", cfg.RankFraction)
 	}
-	cfg = cfg.withDefaults()
+	if cfg.RankFraction == 0 {
+		cfg.RankFraction = 1
+	}
+	if cfg.Segments < 0 {
+		return nil, fmt.Errorf("opt: Segments must be >= 0, got %d", cfg.Segments)
+	}
 	if cfg.CacheSize <= 0 {
 		return nil, fmt.Errorf("opt: CacheSize must be positive, got %d", cfg.CacheSize)
 	}
@@ -274,10 +244,12 @@ func Compute(tr *trace.Trace, cfg Config) (*Result, error) {
 	res.Solved = len(selected)
 
 	switch cfg.Algorithm {
-	case AlgoAuto, AlgoFlow, AlgoGreedy:
-		if err := solveSegmented(tr, selected, cfg, res); err != nil {
+	case AlgoFlow:
+		if err := solveSegmented(n, selected, cfg, res); err != nil {
 			return nil, err
 		}
+	case AlgoGreedy:
+		solveGreedy(n, selected, cfg, res)
 	default:
 		return nil, fmt.Errorf("opt: unknown algorithm %v", cfg.Algorithm)
 	}
@@ -309,8 +281,6 @@ func recordSolve(r *obs.Registry, res *Result) {
 	r.Counter("opt_intervals_total").Add(int64(res.Intervals))
 	r.Counter("opt_solved_intervals_total").Add(int64(res.Solved))
 	r.Counter("opt_dropped_intervals_total").Add(int64(res.DroppedIntervals()))
-	r.Counter("opt_flow_segments_total").Add(int64(res.FlowSegments))
-	r.Counter("opt_greedy_segments_total").Add(int64(res.GreedySegments))
 	r.Counter("opt_flow_intervals_total").Add(int64(res.FlowIntervals))
 	r.Counter("opt_greedy_intervals_total").Add(int64(res.GreedyIntervals))
 	r.Counter("opt_boundary_intervals_total").Add(int64(res.BoundaryIntervals))

@@ -3,6 +3,7 @@ package opt
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"lfo/internal/gen"
@@ -291,32 +292,49 @@ func TestRankFractionRange(t *testing.T) {
 	}
 }
 
-// TestAutoSelectsFlowForSmall ensures AlgoAuto picks flow under the limit
-// and greedy above it.
-func TestAutoSelectsFlowForSmall(t *testing.T) {
+// TestSegmentsRange: a negative Segments is an error, not silently "auto";
+// 0 keeps meaning auto, for the flow and the greedy alike.
+func TestSegmentsRange(t *testing.T) {
 	tr := paperTrace(trace.ObjectiveBHR)
-	auto, err := Compute(tr, Config{CacheSize: 4, Algorithm: AlgoAuto})
+	for _, algo := range []Algorithm{AlgoFlow, AlgoGreedy} {
+		for _, segments := range []int{-1, -3} {
+			if _, err := Compute(tr, Config{CacheSize: 4, Algorithm: algo, Segments: segments}); err == nil {
+				t.Errorf("%v, Segments %d: no error", algo, segments)
+			}
+		}
+		if _, err := Compute(tr, Config{CacheSize: 4, Algorithm: algo}); err != nil {
+			t.Errorf("%v, Segments 0: %v", algo, err)
+		}
+	}
+}
+
+// TestAutoSelectsFlowForSmall: the zero-value Config labels exactly as
+// AlgoFlow, on a window solved in one piece and on one above
+// autoFlowLimit that it auto-segments.
+func TestAutoSelectsFlowForSmall(t *testing.T) {
+	cdn, err := gen.Generate(gen.CDNMix(40000, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := Compute(tr, Config{CacheSize: 4, Algorithm: AlgoFlow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.HitBytes != flow.HitBytes {
-		t.Errorf("auto HitBytes %d != flow %d", auto.HitBytes, flow.HitBytes)
-	}
-	// Force greedy via a tiny AutoFlowLimit.
-	g, err := Compute(tr, Config{CacheSize: 4, Algorithm: AlgoAuto, AutoFlowLimit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := Compute(tr, Config{CacheSize: 4, Algorithm: AlgoGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.HitBytes != greedy.HitBytes {
-		t.Errorf("auto(limit=1) HitBytes %d != greedy %d", g.HitBytes, greedy.HitBytes)
+	for _, tr := range []*trace.Trace{paperTrace(trace.ObjectiveBHR), cdn} {
+		capacity := int64(4)
+		if tr == cdn {
+			capacity = 64 << 20
+		}
+		zero, err := Compute(tr, Config{CacheSize: capacity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flow, err := Compute(tr, Config{CacheSize: capacity, Algorithm: AlgoFlow})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(zero, flow) {
+			t.Errorf("%d requests: the zero-value Config labels differently from AlgoFlow", tr.Len())
+		}
+		if zero.AlgoLabel() == "greedy" || zero.FlowIntervals == 0 {
+			t.Errorf("%d requests: labeled by %s", tr.Len(), zero.AlgoLabel())
+		}
 	}
 }
 
@@ -344,7 +362,7 @@ func TestAlgorithmString(t *testing.T) {
 	for _, tc := range []struct {
 		a    Algorithm
 		want string
-	}{{AlgoAuto, "auto"}, {AlgoFlow, "flow"}, {AlgoGreedy, "greedy"}} {
+	}{{AlgoFlow, "flow"}, {AlgoGreedy, "greedy"}, {Algorithm(2), "algorithm(2)"}} {
 		if got := tc.a.String(); got != tc.want {
 			t.Errorf("String() = %q, want %q", got, tc.want)
 		}
@@ -414,19 +432,26 @@ func TestSegTreeEmptyRange(t *testing.T) {
 }
 
 // TestCostScaleInsensitive: for BHR costs the per-byte cost is uniform,
-// so the solution value must not depend on the fixed-point scale.
+// so neither the flow's optimum (in bytes missed) nor the intervals it
+// routes entirely through the cache may depend on the fixed-point scale
+// that buildFlowGraph hands quantiseCosts.
 func TestCostScaleInsensitive(t *testing.T) {
 	tr := paperTrace(trace.ObjectiveBHR)
-	var prev int64 = -1
-	for _, scale := range []int64{64, 1024, 1 << 20} {
-		res, err := Compute(tr, Config{CacheSize: 4, Algorithm: AlgoFlow, CostScale: scale})
-		if err != nil {
-			t.Fatal(err)
+	var prevMissed int64 = -1
+	var prevCached []bool
+	for _, scale := range []int64{64, costScale, 1 << 20} {
+		ivs, sc, cost := wholeWindowFlow(t, tr, 4, scale)
+		if cost%scale != 0 {
+			t.Fatalf("scale %d: flow cost %d is not a whole number of bytes", scale, cost)
 		}
-		if prev >= 0 && res.HitBytes != prev {
-			t.Errorf("scale %d: HitBytes %d != %d", scale, res.HitBytes, prev)
+		cached := make([]bool, len(ivs))
+		for k := range ivs {
+			cached[k] = sc.g.Flow(sc.bypass[k]) == 0
 		}
-		prev = res.HitBytes
+		if prevMissed >= 0 && (cost/scale != prevMissed || !reflect.DeepEqual(cached, prevCached)) {
+			t.Errorf("scale %d: %d bytes missed, cached %v; want %d, %v", scale, cost/scale, cached, prevMissed, prevCached)
+		}
+		prevMissed, prevCached = cost/scale, cached
 	}
 }
 

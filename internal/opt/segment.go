@@ -17,8 +17,17 @@ import (
 // only on the trace and the config — never on scheduling — the result is
 // byte-identical for any Workers value.
 
+// autoFlowLimit is the interval count up to which Segments=0 keeps the
+// window in one exact solve (the solve grows super-linearly in the
+// interval count). 12 000 was sized for the path-at-a-time solver this
+// package used to sit on (a 13.6k-interval window took it 50 s; the
+// primal-dual solver takes 4.9 s) and is therefore conservative now;
+// raising it re-labels every large window, so it waits for its own
+// measurement.
+const autoFlowLimit = 12000
+
 // autoSegmentIntervals is the per-segment interval target when Segments=0
-// auto-segments a window larger than AutoFlowLimit. The flow solve grows
+// auto-segments a window larger than autoFlowLimit. The flow solve grows
 // super-linearly in the interval count, so many moderate segments beat
 // one big solve even on a single core. The target trades exactness
 // against time: smaller segments cut more intervals (each stitched
@@ -31,24 +40,27 @@ import (
 // is left to a change that measures what the extra exactness buys.
 const autoSegmentIntervals = 4000
 
+// costScale is what the cheapest per-byte miss cost of a segment becomes
+// in the flow solver's integral arc costs (see quantiseCosts).
+const costScale = 1024
+
 // segment is one time-axis slice of the window: the request span [lo, hi)
 // plus the selected intervals fully contained in it.
 type segment struct {
 	lo, hi int
 	ivs    []interval // contained intervals, sorted by from
 	bnd    []interval // admitted boundary intervals overlapping the span
-	greedy bool       // true when this segment uses the greedy fallback
-	stats  mcf.Stats  // the flow solver's work counters (zero when greedy)
+	stats  mcf.Stats  // the flow solver's work counters
 }
 
-// solveSegmented partitions the selected intervals into time-axis
-// segments, stitches boundary intervals, and solves the segments
-// concurrently, writing admissions and label stats into res.
-func solveSegmented(tr trLike, selected []interval, cfg Config, res *Result) error {
+// solveSegmented partitions the selected intervals of an n-request window
+// into time-axis segments, stitches boundary intervals, and solves the
+// segments' flows concurrently, writing admissions and label stats into
+// res.
+func solveSegmented(n int, selected []interval, cfg Config, res *Result) error {
 	if len(selected) == 0 {
 		return nil
 	}
-	n := tr.Len()
 
 	// Normalize to from-order: froms are unique (one interval per request
 	// index), so this is a strict total order independent of how rank
@@ -65,29 +77,8 @@ func solveSegmented(tr trLike, selected []interval, cfg Config, res *Result) err
 	// the same reserved bytes. This runs before (and independent of) the
 	// parallel phase — in-order, deterministic.
 	if len(boundary) > 0 {
-		sortByRank(boundary)
-		occ := newSegTree(n)
-		admitted := boundary[:0] // reuse: admitted is a prefix-filtered view
-		for _, iv := range boundary {
-			if occ.Max(iv.from, iv.to)+iv.size <= cfg.CacheSize {
-				occ.Add(iv.from, iv.to, iv.size)
-				res.Admit[iv.from] = true
-				admitted = append(admitted, iv)
-			}
-		}
-		distributeBoundary(segs, admitted)
-	}
-
-	// Per-segment solver choice. Only AlgoAuto may fall back to greedy,
-	// and only for segments whose interval count exceeds AutoFlowLimit
-	// (possible when Segments forces fewer cuts than auto would pick).
-	for i := range segs {
-		switch cfg.Algorithm {
-		case AlgoGreedy:
-			segs[i].greedy = true
-		case AlgoAuto:
-			segs[i].greedy = len(segs[i].ivs) > cfg.AutoFlowLimit
-		}
+		admitByRank(boundary, newSegTree(n), 0, cfg.CacheSize, res.Admit)
+		distributeBoundary(segs, boundary, res.Admit)
 	}
 
 	// Solve segments concurrently. Each chunk of segments shares one
@@ -99,7 +90,7 @@ func solveSegmented(tr trLike, selected []interval, cfg Config, res *Result) err
 	par.Ranges(len(segs), cfg.Workers, 1, func(lo, hi int) {
 		sc := newSolveScratch()
 		for s := lo; s < hi; s++ {
-			errs[s] = solveSegment(&segs[s], cfg, res, sc)
+			errs[s] = flowSegment(&segs[s], cfg, res, sc)
 		}
 	})
 	for s, err := range errs {
@@ -110,24 +101,14 @@ func solveSegmented(tr trLike, selected []interval, cfg Config, res *Result) err
 
 	// Reduce label stats in segment order.
 	for i := range segs {
-		if segs[i].greedy {
-			res.GreedySegments++
-			res.GreedyIntervals += len(segs[i].ivs)
-		} else {
-			res.FlowSegments++
-			res.FlowIntervals += len(segs[i].ivs)
-			res.FlowAugmentations += segs[i].stats.Augmentations
-			res.FlowPasses += segs[i].stats.Passes
-			res.FlowPotentialMoves += segs[i].stats.PotentialMoves
-		}
+		res.FlowIntervals += len(segs[i].ivs)
+		res.FlowAugmentations += segs[i].stats.Augmentations
+		res.FlowPasses += segs[i].stats.Passes
+		res.FlowPotentialMoves += segs[i].stats.PotentialMoves
 	}
 	res.GreedyIntervals += len(boundary) // stitched greedily
 	return nil
 }
-
-// trLike is the slice of trace.Trace the solver needs; it keeps the
-// segmented solver testable without building full traces.
-type trLike interface{ Len() int }
 
 // planSegments picks the segment count, the cut points, and partitions
 // the from-sorted intervals into contained-per-segment and boundary sets.
@@ -161,17 +142,14 @@ func planSegments(n int, ivs []interval, cfg Config) ([]segment, []interval) {
 // segmentCount resolves the Segments knob to a target segment count.
 func segmentCount(nIntervals int, cfg Config) int {
 	s := cfg.Segments
-	if s <= 0 {
-		if nIntervals <= cfg.AutoFlowLimit {
+	if s == 0 {
+		if nIntervals <= autoFlowLimit {
 			return 1
 		}
 		s = (nIntervals + autoSegmentIntervals - 1) / autoSegmentIntervals
 	}
 	if s > nIntervals {
 		s = nIntervals
-	}
-	if s < 1 {
-		s = 1
 	}
 	return s
 }
@@ -236,25 +214,17 @@ func chooseCuts(n int, ivs []interval, segments int) []int {
 // distributeBoundary hands each admitted boundary interval to every
 // segment whose span it overlaps, so segment solves can subtract the
 // reserved bytes from their local capacity profile.
-func distributeBoundary(segs []segment, admitted []interval) {
-	for _, iv := range admitted {
+func distributeBoundary(segs []segment, boundary []interval, admit []bool) {
+	for _, iv := range boundary {
+		if !admit[iv.from] {
+			continue
+		}
 		// First segment whose span extends past the interval start.
 		s := sort.Search(len(segs), func(i int) bool { return segs[i].hi > iv.from })
 		for ; s < len(segs) && segs[s].lo < iv.to; s++ {
 			segs[s].bnd = append(segs[s].bnd, iv)
 		}
 	}
-}
-
-// sortByRank orders intervals by descending C/(S·L) rank with the
-// deterministic from-ascending tie-break shared by every greedy pass.
-func sortByRank(ivs []interval) {
-	sort.Slice(ivs, func(a, b int) bool {
-		if ivs[a].rank != ivs[b].rank {
-			return ivs[a].rank > ivs[b].rank
-		}
-		return ivs[a].from < ivs[b].from
-	})
 }
 
 // solveScratch is the reusable per-worker state for segment solves: the
@@ -277,30 +247,6 @@ func newSolveScratch() *solveScratch {
 		solver: mcf.NewSolver(),
 		occ:    newSegTree(1),
 	}
-}
-
-// solveSegment labels one segment's intervals, seeding the local
-// occupancy tree with the boundary bytes reserved across its span.
-func solveSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
-	if len(sg.ivs) == 0 {
-		return nil
-	}
-	sc.occ.reset(sg.hi - sg.lo)
-	for _, b := range sg.bnd {
-		lo, hi := b.from, b.to
-		if lo < sg.lo {
-			lo = sg.lo
-		}
-		if hi > sg.hi {
-			hi = sg.hi
-		}
-		sc.occ.Add(lo-sg.lo, hi-sg.lo, b.size)
-	}
-	if sg.greedy {
-		greedySegment(sg, cfg, res, sc)
-		return nil
-	}
-	return flowSegment(sg, cfg, res, sc)
 }
 
 func absInt(x int) int {

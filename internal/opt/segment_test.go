@@ -2,6 +2,7 @@ package opt
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"lfo/internal/gen"
@@ -59,8 +60,8 @@ func TestSegmentedFlowMatchesUnsegmented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if whole.Segments != 1 || whole.FlowSegments != 1 {
-		t.Fatalf("unsegmented solve: got %d segments (%d flow)", whole.Segments, whole.FlowSegments)
+	if whole.Segments != 1 || whole.AlgoLabel() != "flow" {
+		t.Fatalf("unsegmented solve: got %d segments labeled by %s", whole.Segments, whole.AlgoLabel())
 	}
 	seg, err := Compute(tr, Config{CacheSize: 4, Algorithm: AlgoFlow, Segments: phases})
 	if err != nil {
@@ -135,8 +136,8 @@ func TestSegmentedNeverBeatsBelady(t *testing.T) {
 }
 
 // TestOPTDeterministicAcrossWorkers: the full Result must be byte-identical
-// for every Workers value, for flow segments and for the greedy fallback
-// path alike.
+// for every Workers value, for segmented flow solves and for the greedy
+// pass alike.
 func TestOPTDeterministicAcrossWorkers(t *testing.T) {
 	tr, err := gen.Generate(gen.CDNMix(6000, 19))
 	if err != nil {
@@ -144,15 +145,16 @@ func TestOPTDeterministicAcrossWorkers(t *testing.T) {
 	}
 	tr = tr.WithCosts(trace.ObjectiveBHR)
 	cases := []struct {
-		name string
-		cfg  Config
+		name     string
+		cfg      Config
+		segments int // want exactly this many segments; 0 means >= 2
 	}{
-		// Auto with a low flow limit: forces segmentation AND drives some
-		// segments through the greedy fallback.
-		{"auto-fallback", Config{CacheSize: 8 << 20, Algorithm: AlgoAuto, AutoFlowLimit: 400, Segments: 3}},
-		{"flow-seg4", Config{CacheSize: 8 << 20, Algorithm: AlgoFlow, Segments: 4}},
-		{"flow-seg9", Config{CacheSize: 8 << 20, Algorithm: AlgoFlow, Segments: 9}},
-		{"greedy-seg2", Config{CacheSize: 8 << 20, Algorithm: AlgoGreedy, Segments: 2}},
+		// The zero-value algorithm: the segmented flow.
+		{"auto-fallback", Config{CacheSize: 8 << 20, Segments: 3}, 0},
+		{"flow-seg4", Config{CacheSize: 8 << 20, Algorithm: AlgoFlow, Segments: 4}, 0},
+		{"flow-seg9", Config{CacheSize: 8 << 20, Algorithm: AlgoFlow, Segments: 9}, 0},
+		// Segments applies to the flow only: the greedy is one pass.
+		{"greedy-seg2", Config{CacheSize: 8 << 20, Algorithm: AlgoGreedy, Segments: 2}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,12 +168,11 @@ func TestOPTDeterministicAcrossWorkers(t *testing.T) {
 				}
 				if base == nil {
 					base = res
-					if res.Segments < 2 {
+					switch {
+					case tc.segments == 0 && res.Segments < 2:
 						t.Fatalf("want >= 2 segments to exercise the parallel path, got %d", res.Segments)
-					}
-					if tc.name == "auto-fallback" && (res.GreedySegments == 0 || res.FlowSegments == 0) {
-						t.Fatalf("fallback case: want a mix of flow and greedy segments, got %d flow / %d greedy",
-							res.FlowSegments, res.GreedySegments)
+					case tc.segments > 0 && res.Segments != tc.segments:
+						t.Fatalf("want %d segments, got %d", tc.segments, res.Segments)
 					}
 					continue
 				}
@@ -183,23 +184,20 @@ func TestOPTDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestGreedyFallbackRecorded: AlgoAuto on an oversized single segment
-// falls back to greedy and says so in the stats.
+// TestGreedyFallbackRecorded: AlgoGreedy labels in one pass, whatever
+// Segments asks for, and says so in the stats.
 func TestGreedyFallbackRecorded(t *testing.T) {
 	tr, err := gen.Generate(gen.CDNMix(2000, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr = tr.WithCosts(trace.ObjectiveBHR)
-	res, err := Compute(tr, Config{
-		CacheSize: 8 << 20, Algorithm: AlgoAuto,
-		AutoFlowLimit: 10, Segments: 1,
-	})
+	res, err := Compute(tr, Config{CacheSize: 8 << 20, Algorithm: AlgoGreedy, Segments: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GreedySegments != 1 || res.FlowSegments != 0 {
-		t.Errorf("want 1 greedy / 0 flow segments, got %d / %d", res.GreedySegments, res.FlowSegments)
+	if res.Segments != 1 || res.BoundaryIntervals != 0 {
+		t.Errorf("want 1 segment and no boundary, got %d / %d", res.Segments, res.BoundaryIntervals)
 	}
 	if res.GreedyIntervals != res.Solved || res.FlowIntervals != 0 {
 		t.Errorf("want all %d solved intervals greedy, got %d greedy / %d flow",
@@ -208,6 +206,77 @@ func TestGreedyFallbackRecorded(t *testing.T) {
 	if got := res.AlgoLabel(); got != "greedy" {
 		t.Errorf("AlgoLabel = %q, want greedy", got)
 	}
+}
+
+// TestGreedyMatchesArrayScan: the greedy's Admit equals a plain reference
+// that sorts the intervals by rank (descending, from ascending on ties)
+// and admits one iff the largest occupancy over [from, to) plus its size
+// is at most the capacity — on a CDN-mix window above autoFlowLimit, which
+// the greedy must not segment, and on a unit-size window, where
+// admissions land exactly on the capacity.
+func TestGreedyMatchesArrayScan(t *testing.T) {
+	cdn, err := gen.Generate(gen.CDNMix(40000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit, err := gen.Generate(gen.UnitMix(3000, 7, 200, 0.8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tr       *trace.Trace
+		capacity int64
+	}{{cdn, 64 << 20}, {unit.WithCosts(trace.ObjectiveOHR), 20}} {
+		res, err := Compute(c.tr, Config{CacheSize: c.capacity, Algorithm: AlgoGreedy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.tr == cdn && res.Intervals <= autoFlowLimit {
+			t.Fatalf("%d intervals: the window does not exceed autoFlowLimit", res.Intervals)
+		}
+		want := arrayScanGreedy(c.tr, c.capacity)
+		for i := range want {
+			if res.Admit[i] != want[i] {
+				t.Fatalf("%d requests: Admit[%d] = %v, reference %v", c.tr.Len(), i, res.Admit[i], want[i])
+			}
+		}
+	}
+}
+
+// arrayScanGreedy is the greedy labeler written as plainly as possible:
+// per-request occupancy in an array, scanned for every interval.
+func arrayScanGreedy(tr *trace.Trace, capacity int64) []bool {
+	next := tr.NextRequestIndex()
+	var from []int
+	rank := make([]float64, tr.Len())
+	for i, r := range tr.Requests {
+		if j := next[i]; j >= 0 {
+			from = append(from, i)
+			rank[i] = tr.Requests[j].Cost / (float64(r.Size) * float64(j-i))
+		}
+	}
+	sort.Slice(from, func(a, b int) bool {
+		if rank[from[a]] != rank[from[b]] {
+			return rank[from[a]] > rank[from[b]]
+		}
+		return from[a] < from[b]
+	})
+	occ := make([]int64, tr.Len())
+	admit := make([]bool, tr.Len())
+	for _, i := range from {
+		size, peak := tr.Requests[i].Size, int64(0)
+		for s := i; s < next[i]; s++ {
+			peak = max(peak, occ[s])
+		}
+		if peak+size > capacity {
+			continue
+		}
+		for s := i; s < next[i]; s++ {
+			occ[s] += size
+		}
+		admit[i] = true
+	}
+	return admit
 }
 
 // TestIntervalAccounting: flow + greedy interval counts partition the

@@ -190,7 +190,7 @@ func TestModelAdmitterEndToEnd(t *testing.T) {
 	model, _, err := core.TrainOnWindow(train, core.Config{
 		CacheSize:  total, // aggregate cache space, per §5
 		WindowSize: train.Len(),
-		OPT:        opt.Config{Algorithm: opt.AlgoAuto, RankFraction: 0.5},
+		OPT:        opt.Config{Algorithm: opt.AlgoFlow, RankFraction: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -185,10 +185,10 @@ type (
 
 // OPT algorithm selectors.
 const (
-	// OPTAuto solves every segment of the window exactly; only a segment
-	// still over AutoFlowLimit falls back to the greedy (see opt.AlgoAuto).
-	OPTAuto   = opt.AlgoAuto
-	OPTFlow   = opt.AlgoFlow
+	// OPTFlow, the default, solves the window exactly, segment by segment
+	// (see opt.AlgoFlow).
+	OPTFlow = opt.AlgoFlow
+	// OPTGreedy labels the window in one feasible rank-order pass.
 	OPTGreedy = opt.AlgoGreedy
 )
 

@@ -114,9 +114,11 @@ step "alloc budgets"
     # test binary itself allocates per run divides away to the exact figure.
     go test -run '^$' -bench '^BenchmarkTrainWindow$' -benchmem -benchtime 10x ./internal/gbdt
     # One exact-flow labelling of a default_flow window, cycling four
-    # windows: two rounds. Its budget has headroom for the two request-index
-    # maps, whose overflow buckets vary with the hash seed.
+    # windows: two rounds; one greedy labelling of an admit_rank window, ten
+    # rounds. Their budgets have headroom for the two request-index maps,
+    # whose overflow buckets vary with the hash seed.
     go test -run '^$' -bench '^BenchmarkFlowWindow$' -benchmem -benchtime 8x ./internal/opt
+    go test -run '^$' -bench '^BenchmarkGreedyWindow$' -benchmem -benchtime 40x ./internal/opt
 } | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgate.awk
 
 # Short fuzz smoke over the frame codec, the model parser, the scorer, the
