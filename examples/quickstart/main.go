@@ -24,14 +24,13 @@ func main() {
 
 	// The LFO cache: every 15000 requests it computes OPT's decisions
 	// for the window just served, trains a boosted decision tree to
-	// imitate them, and uses the model for admission and eviction.
+	// imitate them, and uses the model for admission and eviction. Each
+	// window handoff reports to the metrics registry.
+	reg := lfo.NewMetricsRegistry()
 	cache, err := lfo.NewCache(lfo.CacheConfig{
 		CacheSize:  cacheSize,
 		WindowSize: 15000,
-		OnRetrain: func(s lfo.RetrainStats) {
-			fmt.Printf("window %d trained: %d samples, %.1f%% admitted by OPT, %.1f%% train accuracy\n",
-				s.Window, s.Samples, 100*s.PositiveRate, 100*s.TrainAccuracy)
-		},
+		Obs:        reg,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -39,6 +38,10 @@ func main() {
 
 	opts := lfo.SimOptions{Warmup: 15000} // skip the bootstrap window
 	lfoMetrics := lfo.Simulate(tr, cache, opts)
+	fmt.Printf("%d windows trained; the last: %d samples, %.1f%% admitted by OPT, %.1f%% train agreement\n",
+		cache.Windows(), reg.Gauge("core_window_requests").Value(),
+		float64(reg.Gauge("core_label_positive_ppm").Value())/1e4,
+		float64(reg.Gauge("core_train_agreement_ppm").Value())/1e4)
 
 	lru, err := lfo.NewPolicy("lru", cacheSize, 1)
 	if err != nil {

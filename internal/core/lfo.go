@@ -101,9 +101,6 @@ type Config struct {
 	// DriftCheckEvery is how often (in requests) the drift statistic is
 	// evaluated. Zero means 1000.
 	DriftCheckEvery int
-	// OnRetrain, when set, is called after each training round with
-	// diagnostics about the new model.
-	OnRetrain func(stats RetrainStats)
 	// AsyncTraining trains each window's model in a background goroutine
 	// and deploys it when ready, instead of blocking the request path —
 	// the production concern §3 raises ("training tasks [must] not
@@ -118,10 +115,10 @@ type Config struct {
 	InitialModel *gbdt.Model
 	// Obs, when set, records the cache's runtime metrics: request/hit
 	// counts, retrain stage durations (OPT labeling, GBDT training,
-	// resident rescoring), async windows dropped, and deployed-window
-	// lag. Metrics observe the pipeline and never feed back into
-	// decisions, so determinism is unaffected; when nil, recording is a
-	// no-op (see internal/obs).
+	// resident rescoring), async windows dropped, deployed-window lag,
+	// and each handoff's report on its window. Metrics observe the
+	// pipeline and never feed back into decisions, so determinism is
+	// unaffected; when nil, recording is a no-op (see internal/obs).
 	Obs *obs.Registry
 }
 
@@ -136,38 +133,8 @@ var HarnessOPT = opt.Config{Algorithm: opt.AlgoFlow, RankFraction: 0.5}
 // exactly 0 (see sim.ResolveCutoff, which New applies).
 const CutoffAdmitAll = sim.CutoffAdmitAll
 
-// RetrainStats summarizes one retraining round, surfaced via OnRetrain.
-type RetrainStats struct {
-	// Window is the index of the completed window (0-based).
-	Window int
-	// Samples is the training set size.
-	Samples int
-	// PositiveRate is the fraction of OPT-admitted samples.
-	PositiveRate float64
-	// TrainAccuracy is the model's agreement with OPT on its own
-	// training window.
-	TrainAccuracy float64
-	// OPTAlgo reports which solver(s) labeled the window: "flow",
-	// "greedy", "flow+greedy", or "none" (see opt.Result.AlgoLabel).
-	OPTAlgo string
-	// OPTSegments is the number of time-axis segments the OPT solve used.
-	OPTSegments int
-	// OPTFlowIntervals and OPTGreedyIntervals count the intervals labeled
-	// by the exact flow solver and by the feasible greedy (including
-	// segment-boundary stitching), respectively.
-	OPTFlowIntervals   int
-	OPTGreedyIntervals int
-	// OPTDroppedIntervals counts intervals excluded by rank selection and
-	// declared uncached without solving.
-	OPTDroppedIntervals int
-	// WindowsDropped is the cumulative number of completed windows
-	// discarded untrained because an async round was still in flight
-	// (always 0 for synchronous training).
-	WindowsDropped int
-}
-
 func (c Config) withDefaults() Config {
-	if c.WindowSize <= 0 {
+	if c.WindowSize == 0 {
 		c.WindowSize = 50000
 	}
 	if c.Eviction == "" {
@@ -182,7 +149,7 @@ func (c Config) withDefaults() Config {
 	if c.OGDEta == 0 {
 		c.OGDEta = ogd.DefaultEta
 	}
-	if c.DriftCheckEvery <= 0 {
+	if c.DriftCheckEvery == 0 {
 		c.DriftCheckEvery = 1000
 	}
 	if c.GBDT.Workers == 0 {
@@ -239,13 +206,11 @@ type LFO struct {
 	m coreMetrics // nil-safe handles; zero cost when cfg.Obs is nil
 }
 
-// trainResult is one finished training round: the admission model, the
-// eviction ranker (nil unless Eviction == "learned"), and the OnRetrain
-// diagnostics (stats are only populated when OnRetrain is set).
+// trainResult is one finished training round: the admission model and the
+// eviction ranker (nil unless Eviction == "learned").
 type trainResult struct {
 	model      *gbdt.Model
 	evictModel *gbdt.Model
-	stats      RetrainStats
 }
 
 // coreMetrics bundles the LFO hot-path metric handles, resolved once at
@@ -263,12 +228,15 @@ type coreMetrics struct {
 	evictTrainNS   *obs.Histogram
 
 	// Refreshed when a window closes, never per request: what the feature
-	// tracker and the cache hold, and the share of the window OPT admitted.
-	trackedObjects   *obs.Gauge
-	gapRings         *obs.Gauge
-	trackerBytes     *obs.Gauge
-	residentBytes    *obs.Gauge
-	labelPositivePPM *obs.Gauge
+	// tracker and the cache hold, and the handoff's report on the window
+	// just labelled: its rows, OPT's admit share, the new model's agreement.
+	trackedObjects    *obs.Gauge
+	gapRings          *obs.Gauge
+	trackerBytes      *obs.Gauge
+	residentBytes     *obs.Gauge
+	windowRequests    *obs.Gauge
+	labelPositivePPM  *obs.Gauge
+	trainAgreementPPM *obs.Gauge
 }
 
 func newCoreMetrics(r *obs.Registry) coreMetrics {
@@ -283,11 +251,13 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 		rescoreNS:      r.Histogram("core_retrain_rescore_ns", obs.LatencyBounds),
 		evictTrainNS:   r.Histogram("core_retrain_evict_train_ns", obs.LatencyBounds),
 
-		trackedObjects:   r.Gauge("core_tracked_objects"),
-		gapRings:         r.Gauge("core_gap_rings"),
-		trackerBytes:     r.Gauge("core_tracker_bytes"),
-		residentBytes:    r.Gauge("core_resident_bytes"),
-		labelPositivePPM: r.Gauge("core_label_positive_ppm"),
+		trackedObjects:    r.Gauge("core_tracked_objects"),
+		gapRings:          r.Gauge("core_gap_rings"),
+		trackerBytes:      r.Gauge("core_tracker_bytes"),
+		residentBytes:     r.Gauge("core_resident_bytes"),
+		windowRequests:    r.Gauge("core_window_requests"),
+		labelPositivePPM:  r.Gauge("core_label_positive_ppm"),
+		trainAgreementPPM: r.Gauge("core_train_agreement_ppm"),
 	}
 }
 
@@ -303,6 +273,10 @@ func New(cfg Config) (*LFO, error) {
 	cfg = cfg.withDefaults()
 	if cfg.CacheSize <= 0 {
 		return nil, fmt.Errorf("core: CacheSize must be positive, got %d", cfg.CacheSize)
+	}
+	if cfg.WindowSize < 0 || cfg.MaxTrackedObjects < 0 || cfg.DriftCheckEvery < 0 {
+		return nil, fmt.Errorf("core: WindowSize, MaxTrackedObjects and DriftCheckEvery must be >= 0, got %d, %d, %d",
+			cfg.WindowSize, cfg.MaxTrackedObjects, cfg.DriftCheckEvery)
 	}
 	var err error
 	if cfg.Cutoff, err = sim.ResolveCutoff(cfg.Cutoff); err != nil {
@@ -529,10 +503,8 @@ func (p *LFO) trainAsync() {
 // training set without a copy, and the admission model is fitted. The
 // eviction ranker trains from the same window's labels (an object OPT
 // would not cache is the ideal victim), so one solve supervises both
-// models. Stats — the new model against OPT on its own training window,
-// one batched prediction — are computed only when someone will read them;
-// Window and WindowsDropped are stamped at deploy time, when the live
-// cache's counters are in scope.
+// models. The new model's agreement with OPT on its own window — one
+// batched prediction — is computed only when a registry will record it.
 func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetrics) trainResult {
 	sc := obs.Start(m.optNS)
 	res, err := opt.Compute(&trace.Trace{Requests: reqs}, cfg.OPT)
@@ -543,6 +515,7 @@ func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetric
 		// silently.
 		panic(fmt.Sprintf("core: OPT computation failed: %v", err))
 	}
+	m.windowRequests.Set(int64(len(reqs)))
 	// An admitted interval ends in exactly one OPT hit: Hits counts positives.
 	m.labelPositivePPM.Set(int64(res.Hits) * 1e6 / int64(len(reqs)))
 	sc = obs.Start(m.trainNS)
@@ -550,6 +523,17 @@ func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetric
 	sc.Stop()
 	if err != nil {
 		panic(fmt.Sprintf("core: training failed: %v", err))
+	}
+	if cfg.Obs != nil {
+		preds := make([]float64, len(reqs))
+		model.PredictMatrix(feats, preds, cfg.Workers)
+		agree := 0
+		for i, pred := range preds {
+			if (pred >= cfg.Cutoff) == res.Admit[i] {
+				agree++
+			}
+		}
+		m.trainAgreementPPM.Set(int64(agree) * 1e6 / int64(len(reqs)))
 	}
 	tr := trainResult{model: model}
 	if cfg.Eviction == "learned" {
@@ -560,42 +544,13 @@ func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetric
 			panic(fmt.Sprintf("core: eviction training failed: %v", err))
 		}
 	}
-	if cfg.OnRetrain != nil {
-		preds := make([]float64, len(reqs))
-		model.PredictMatrix(feats, preds, cfg.Workers)
-		pos, correct := 0, 0
-		for i, pred := range preds {
-			if res.Admit[i] {
-				pos++
-			}
-			if (pred >= cfg.Cutoff) == res.Admit[i] {
-				correct++
-			}
-		}
-		tr.stats = RetrainStats{
-			Samples:             len(reqs),
-			PositiveRate:        float64(pos) / float64(len(reqs)),
-			TrainAccuracy:       float64(correct) / float64(len(reqs)),
-			OPTAlgo:             res.AlgoLabel(),
-			OPTSegments:         res.Segments,
-			OPTFlowIntervals:    res.FlowIntervals,
-			OPTGreedyIntervals:  res.GreedyIntervals,
-			OPTDroppedIntervals: res.DroppedIntervals(),
-		}
-	}
 	return tr
 }
 
-// deploy reports a finished training round through OnRetrain and swaps its
-// models in: both at the same point, atomically between requests. The
-// fresh model owns the adapted state again, so the bridge bias starts over
-// from zero.
+// deploy swaps a finished training round's models in: both at the same
+// point, atomically between requests. The fresh model owns the adapted
+// state again, so the bridge bias starts over from zero.
 func (p *LFO) deploy(tr trainResult) {
-	if p.cfg.OnRetrain != nil {
-		tr.stats.Window = p.windows
-		tr.stats.WindowsDropped = p.windowsDropped
-		p.cfg.OnRetrain(tr.stats)
-	}
 	p.model = tr.model
 	p.resetBias()
 	p.res.Evictor.SetModel(tr.evictModel) // nil, and ignored, unless learned

@@ -46,7 +46,7 @@ func (c Config) withDefaults() Config {
 	if c.Eviction == "" {
 		c.Eviction = "learned"
 	}
-	if c.WindowSize <= 0 {
+	if c.WindowSize == 0 {
 		c.WindowSize = 50000
 	}
 	if c.GBDT.NumIterations == 0 {
@@ -102,6 +102,9 @@ func New(cfg Config) (*Cache, error) {
 	cfg = cfg.withDefaults()
 	if cfg.CacheSize <= 0 {
 		return nil, fmt.Errorf("evict: CacheSize must be positive, got %d", cfg.CacheSize)
+	}
+	if cfg.WindowSize < 0 {
+		return nil, fmt.Errorf("evict: WindowSize must be >= 0, got %d", cfg.WindowSize)
 	}
 	if err := cfg.GBDT.Validate(); err != nil {
 		return nil, err

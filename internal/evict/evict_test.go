@@ -34,6 +34,21 @@ func TestNewEvictorUnknown(t *testing.T) {
 	}
 }
 
+// TestWindowSizeRange: a negative WindowSize is an error, not silently the
+// default; 0 keeps meaning 50000.
+func TestWindowSizeRange(t *testing.T) {
+	if _, err := New(Config{CacheSize: 1024, WindowSize: -1}); err == nil {
+		t.Error("WindowSize -1: no error")
+	}
+	c, err := New(Config{CacheSize: 1024})
+	if err != nil {
+		t.Fatalf("WindowSize 0: %v", err)
+	}
+	if c.cfg.WindowSize != 50000 {
+		t.Errorf("WindowSize 0 resolved to %d, want 50000", c.cfg.WindowSize)
+	}
+}
+
 // standaloneLRU is the former standalone LRU policy, kept as an oracle:
 // a recency list beside a sim.Store, evicting from the tail.
 type standaloneLRU struct {

@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"lfo/internal/gen"
+	"lfo/internal/trace"
 )
 
 // The experiment tests validate the paper's qualitative shape targets at
@@ -349,6 +352,23 @@ func TestRobustness(t *testing.T) {
 		t.Errorf("LFO degradation %.3f >= LRU %.3f under scans", lfo.Degradation, lru.Degradation)
 	}
 	RobustnessTable(rs)
+}
+
+// hitSmall hits every request under 20 bytes and misses the rest.
+type hitSmall struct{}
+
+func (hitSmall) Name() string                 { return "hit-small" }
+func (hitSmall) Request(r trace.Request) bool { return r.Size < 20 }
+
+// TestBaseBHRCountsEveryGeneratedClass: baseBHR leaves out exactly the
+// objects WithScans injected, so a base request of class 8 (ID 8<<56)
+// counts and the scan request beside it does not.
+func TestBaseBHRCountsEveryGeneratedClass(t *testing.T) {
+	base := &trace.Trace{Requests: []trace.Request{{Time: 1, ID: 8 << 56, Size: 10, Cost: 10}}}
+	scanned := gen.WithScans(base, gen.ScanConfig{Every: 1, Burst: 1, ObjectSize: 30})
+	if got := baseBHR(scanned, hitSmall{}, 0); got != 1 {
+		t.Errorf("baseBHR = %v, want 1: the class-8 request's bytes, all hit, and no scan bytes", got)
+	}
 }
 
 func TestEvictionGridDeterministicAcrossWorkers(t *testing.T) {

@@ -78,7 +78,7 @@ func baseBHR(tr *trace.Trace, p sim.Policy, warmup int) float64 {
 	var hitBytes, reqBytes int64
 	for i, r := range tr.Requests {
 		hit := p.Request(r)
-		if i < warmup || uint64(r.ID) >= 1<<59 { // skip warmup and injected objects
+		if i < warmup || gen.IsScan(r.ID) { // skip warmup and injected objects
 			continue
 		}
 		reqBytes += r.Size

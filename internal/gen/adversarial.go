@@ -19,15 +19,18 @@ type ScanConfig struct {
 	ObjectSize int64
 }
 
+// IsScan reports whether id names an object WithScans injected.
+func IsScan(id trace.ObjectID) bool { return uint64(id) >= scanBase }
+
 // WithScans returns a new trace interleaving scan bursts into the base
-// trace. Scan objects use a dedicated ID namespace and never repeat.
-// Timestamps are rebased to remain non-decreasing.
+// trace. Scan objects use a dedicated ID namespace (see IsScan) and never
+// repeat. Timestamps are rebased to remain non-decreasing.
 func WithScans(base *trace.Trace, cfg ScanConfig) *trace.Trace {
 	if cfg.Every <= 0 || cfg.Burst <= 0 || cfg.ObjectSize <= 0 {
 		return base
 	}
 	out := &trace.Trace{Requests: make([]trace.Request, 0, base.Len()+base.Len()/cfg.Every*cfg.Burst)}
-	nextScanID := uint64(1) << 60 // disjoint from generator IDs (class<<56, class<16)
+	nextScanID := scanBase
 	now := int64(0)
 	emit := func(r trace.Request) {
 		if r.Time < now {

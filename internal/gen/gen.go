@@ -61,8 +61,8 @@ func (c *Config) Validate() error {
 	if c.Requests <= 0 {
 		return fmt.Errorf("gen: Requests must be positive, got %d", c.Requests)
 	}
-	if len(c.Classes) == 0 {
-		return fmt.Errorf("gen: at least one content class required")
+	if len(c.Classes) == 0 || len(c.Classes) > maxClasses {
+		return fmt.Errorf("gen: between 1 and %d content classes required, got %d", maxClasses, len(c.Classes))
 	}
 	for i, cl := range c.Classes {
 		if cl.Objects == 0 {
@@ -171,6 +171,13 @@ func Generate(cfg Config) (*trace.Trace, error) {
 	}
 	return t, nil
 }
+
+// Generated IDs are class<<56 for at most maxClasses classes, so all of
+// them lie below scanBase, where WithScans numbers its objects (IsScan).
+const (
+	maxClasses = 16
+	scanBase   = uint64(maxClasses) << 56
+)
 
 // makeID packs (class, epoch, object index) into a single ObjectID.
 // Layout: 8 bits class | 8 bits epoch | 48 bits object.

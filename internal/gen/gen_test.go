@@ -132,6 +132,11 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero requests", func(c *Config) { c.Requests = 0 }},
 		{"no classes", func(c *Config) { c.Classes = nil }},
+		{"17 classes", func(c *Config) { // class 16's IDs would be scan IDs
+			for len(c.Classes) < 17 {
+				c.Classes = append(c.Classes, c.Classes[0])
+			}
+		}},
 		{"zero objects", func(c *Config) { c.Classes[0].Objects = 0 }},
 		{"zero alpha", func(c *Config) { c.Classes[0].ZipfAlpha = 0 }},
 		{"nil sizes", func(c *Config) { c.Classes[0].Sizes = nil }},
@@ -304,7 +309,7 @@ func TestWithScansInjectsBursts(t *testing.T) {
 	seen := map[trace.ObjectID]int{}
 	scans := 0
 	for _, r := range out.Requests {
-		if uint64(r.ID) >= 1<<60 {
+		if IsScan(r.ID) {
 			scans++
 			seen[r.ID]++
 			if seen[r.ID] > 1 {
@@ -317,6 +322,9 @@ func TestWithScansInjectsBursts(t *testing.T) {
 	}
 	if scans != 100 {
 		t.Errorf("scan requests = %d, want 100", scans)
+	}
+	if IsScan(makeID(maxClasses-1, 0xff, 1<<48-1)) {
+		t.Error("the last valid class's largest ID is a scan ID")
 	}
 	// Degenerate configs return the base unchanged.
 	if got := WithScans(base, ScanConfig{}); got != base {

@@ -281,6 +281,7 @@ func recordSolve(r *obs.Registry, res *Result) {
 	r.Counter("opt_intervals_total").Add(int64(res.Intervals))
 	r.Counter("opt_solved_intervals_total").Add(int64(res.Solved))
 	r.Counter("opt_dropped_intervals_total").Add(int64(res.DroppedIntervals()))
+	r.Counter("opt_segments_total").Add(int64(res.Segments))
 	r.Counter("opt_flow_intervals_total").Add(int64(res.FlowIntervals))
 	r.Counter("opt_greedy_intervals_total").Add(int64(res.GreedyIntervals))
 	r.Counter("opt_boundary_intervals_total").Add(int64(res.BoundaryIntervals))

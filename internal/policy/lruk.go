@@ -60,14 +60,18 @@ func (p *LRUK) touch(id trace.ObjectID) []int64 {
 	}
 	p.hist[id] = h
 	if !seen {
-		p.histFIFO = append(p.histFIFO, id)
-		for len(p.hist) > p.histCap && len(p.histFIFO) > 0 {
+		// At most one pass over the older entries. A resident's history is
+		// never dropped: it goes back to the tail, to leave once evicted.
+		for n := len(p.histFIFO); len(p.hist) > p.histCap && n > 0; n-- {
 			old := p.histFIFO[0]
 			p.histFIFO = p.histFIFO[1:]
-			if !p.store.Has(old) { // never drop history of resident objects
+			if p.store.Has(old) {
+				p.histFIFO = append(p.histFIFO, old)
+			} else {
 				delete(p.hist, old)
 			}
 		}
+		p.histFIFO = append(p.histFIFO, id)
 	}
 	return h
 }

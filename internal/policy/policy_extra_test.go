@@ -198,6 +198,32 @@ func TestLRUKHistorySurvivesEviction(t *testing.T) {
 	}
 }
 
+// TestLRUKHistoryStaysBounded: once the history bound is reached, an
+// evicted object's history leaves, residents' histories stay, and a new
+// object's first reference is kept, including one too large to admit.
+func TestLRUKHistoryStaysBounded(t *testing.T) {
+	p := NewLRUK(3, 2)
+	p.histCap = 2
+	for id := trace.ObjectID(1); id <= 199; id++ {
+		p.Request(trace.Request{Time: int64(id), ID: id, Size: 1, Cost: 1})
+	}
+	p.Request(trace.Request{Time: 200, ID: 200, Size: 10, Cost: 10}) // never admitted
+	if _, ok := p.hist[200]; !ok {
+		t.Error("the new object's first reference was dropped")
+	}
+	if _, ok := p.hist[1]; ok {
+		t.Error("object 1, evicted long ago, still has history")
+	}
+	for i := 0; i < p.store.Len(); i++ {
+		if id := p.store.At(i).ID; p.hist[id] == nil {
+			t.Errorf("resident %d lost its history", id)
+		}
+	}
+	if len(p.hist) > p.histCap+p.store.Len() {
+		t.Errorf("%d histories kept, want at most %d", len(p.hist), p.histCap+p.store.Len())
+	}
+}
+
 func TestS4LRUSegmentAccounting(t *testing.T) {
 	p := NewS4LRU(40)
 	ids := []trace.ObjectID{1, 2, 3, 4, 5}

@@ -141,8 +141,6 @@ type (
 	CacheConfig = core.Config
 	// Cache is the online-learning LFO cache; it implements Policy.
 	Cache = core.LFO
-	// RetrainStats describes one retraining round.
-	RetrainStats = core.RetrainStats
 )
 
 // CutoffAdmitAll is the CacheConfig.Cutoff sentinel for an effective

@@ -2,7 +2,7 @@
 # check.sh — the repository's full verification gate (tier 1+).
 #
 # Runs formatting, vet, build, the custom lfolint analyzer, the full test
-# suite, the golden-table diff, the benchmark module's own vet and tests,
+# suite, the examples, the golden-table diff, the benchmark module's own vet and tests,
 # and the race detector over the concurrent packages. Every step must pass; the script exits
 # non-zero on the first failure, so it is directly usable as a CI gate.
 #
@@ -31,6 +31,14 @@ go run ./cmd/lfolint ./...
 
 step "go test ./..."
 go test ./...
+
+# The examples document the façade, and building them proves only that
+# they compile: run both, and check that the quickstart reads its last
+# window's report from the metrics registry.
+step "examples"
+go run ./examples/quickstart | grep '^4 windows trained; the last: 15000 samples' ||
+    { echo "quickstart printed no registry line" >&2; exit 1; }
+go run ./examples/predictionserver >/dev/null
 
 # Every lfobench table is a pure function of its flags (no figure reads a
 # clock), so the whole quick-scale output is a committed file. A change
