@@ -8,10 +8,13 @@
 //	optcalc -trace trace.txt -size 256m
 //	optcalc -gen cdn -n 50000 -size 64m -algo greedy -rank 0.3 -decisions out.txt
 //
-// -algo flow (the default) solves the min-cost flow exactly, segment by
-// segment (-segments; 0 = one solve up to 12 000 intervals, ~4000-interval
-// segments beyond); -algo greedy labels the whole trace in one feasible
-// rank-order pass and ignores -segments and -workers.
+// -algo flow (the default) solves the FOO LP exactly, segment by segment:
+// by the furthest-next-request sweep where every interval costs the same
+// per byte (-objective bhr), by the min-cost flow otherwise (-segments;
+// 0 = one solve for uniform costs or up to 12 000 intervals,
+// ~4000-interval flow segments beyond); -algo greedy labels the whole
+// trace in one feasible rank-order pass and ignores -segments and
+// -workers.
 package main
 
 import (
@@ -83,8 +86,8 @@ func main() {
 	fmt.Printf("intervals:  %d (solved %d, dropped %d)\n", res.Intervals, res.Solved, res.DroppedIntervals())
 	fmt.Printf("cache:      %s, objective %s, algorithm %s, rank %.2f\n",
 		cliutil.FormatBytes(size), obj, algorithm, *rank)
-	fmt.Printf("labeled by: %s (%d segments; %d flow ivs, %d greedy ivs, %d boundary)\n",
-		res.AlgoLabel(), res.Segments, res.FlowIntervals, res.GreedyIntervals, res.BoundaryIntervals)
+	fmt.Printf("labeled by: %s (%d segments; %d exact ivs, %d by sweep, %d greedy ivs, %d boundary)\n",
+		res.AlgoLabel(), res.Segments, res.FlowIntervals, res.SweepIntervals, res.GreedyIntervals, res.BoundaryIntervals)
 	fmt.Printf("flow work:  %d paths in %d passes, %d potential moves\n",
 		res.FlowAugmentations, res.FlowPasses, res.FlowPotentialMoves)
 	fmt.Printf("OPT BHR:    %.4f\n", res.BHR())

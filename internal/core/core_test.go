@@ -118,8 +118,8 @@ func TestCutoffDefaultsAndSentinel(t *testing.T) {
 // handoffReport is what the registry says about the window handoff that
 // just deployed: the gauges of that window and the cumulative counters.
 type handoffReport struct {
-	requests, agreementPPM, positivePPM   int64
-	dropped, flowIvs, greedyIvs, segments int64
+	requests, agreementPPM, positivePPM             int64
+	dropped, flowIvs, sweepIvs, greedyIvs, segments int64
 }
 
 func readHandoff(reg *obs.Registry) handoffReport {
@@ -129,6 +129,7 @@ func readHandoff(reg *obs.Registry) handoffReport {
 		positivePPM:  reg.Gauge("core_label_positive_ppm").Value(),
 		dropped:      reg.Counter("core_windows_dropped_total").Value(),
 		flowIvs:      reg.Counter("opt_flow_intervals_total").Value(),
+		sweepIvs:     reg.Counter("opt_sweep_intervals_total").Value(),
 		greedyIvs:    reg.Counter("opt_greedy_intervals_total").Value(),
 		segments:     reg.Counter("opt_segments_total").Value(),
 	}
@@ -144,12 +145,13 @@ func TestLFOTrainsAndServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each handoff's report, read as Windows() advances and pinned exactly.
-	// Every window is one unsegmented flow solve, so the counters grow by
-	// one segment and no greedy interval per window.
+	// Every window is one unsegmented exact solve, by the sweep since the
+	// costs are BHR, so the counters grow by one segment and no greedy
+	// interval per window.
 	want := []handoffReport{
-		{requests: 4000, agreementPPM: 888500, positivePPM: 325750, flowIvs: 1525, segments: 1},
-		{requests: 4000, agreementPPM: 931250, positivePPM: 323500, flowIvs: 1525 + 1499, segments: 2},
-		{requests: 4000, agreementPPM: 940250, positivePPM: 331000, flowIvs: 1525 + 1499 + 1534, segments: 3},
+		{requests: 4000, agreementPPM: 883500, positivePPM: 326500, flowIvs: 1525, sweepIvs: 1525, segments: 1},
+		{requests: 4000, agreementPPM: 935500, positivePPM: 321750, flowIvs: 1525 + 1499, sweepIvs: 1525 + 1499, segments: 2},
+		{requests: 4000, agreementPPM: 938750, positivePPM: 334250, flowIvs: 1525 + 1499 + 1534, sweepIvs: 1525 + 1499 + 1534, segments: 3},
 	}
 	var got []handoffReport
 	hits := 0
@@ -427,7 +429,7 @@ func TestAsyncDroppedWindowCounted(t *testing.T) {
 	if lfo.Windows() != 1 || len(got) != 1 {
 		t.Fatalf("Windows = %d after %d advances, want 1", lfo.Windows(), len(got))
 	}
-	want := handoffReport{requests: 1000, agreementPPM: 945000, positivePPM: 228000, dropped: 1, flowIvs: 263, segments: 1}
+	want := handoffReport{requests: 1000, agreementPPM: 933000, positivePPM: 236000, dropped: 1, flowIvs: 263, sweepIvs: 263, segments: 1}
 	if got[0] != want {
 		t.Errorf("registry reports %+v, want %+v", got[0], want)
 	}

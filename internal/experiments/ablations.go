@@ -16,14 +16,11 @@ import (
 // RankFractionPoint measures the OPT ranking approximation (§2.1).
 type RankFractionPoint struct {
 	Fraction float64
-	// Solved is the number of intervals handed to the flow solver, and
-	// FlowAugmentations, FlowPasses and FlowPotentialMoves the work it did
-	// on them (see opt.Result): what the solve costs on any machine. For
-	// seconds see the repository benchmark's opt.compute_s.
-	Solved             int
-	FlowAugmentations  int
-	FlowPasses         int
-	FlowPotentialMoves int
+	// Solved is the number of intervals handed to the exact solver: what
+	// the solve costs on any machine. Under BHR costs that solver is the
+	// sweep, O(I log I) in the intervals. For seconds see the repository
+	// benchmark's opt.compute_s.
+	Solved int
 	// HitBytesShare is the approximation's OPT hit bytes relative to the
 	// exact solve.
 	HitBytesShare float64
@@ -64,12 +61,9 @@ func AblationRankFraction(cfg Config, fractions []float64) ([]RankFractionPoint,
 			}
 		}
 		pt := RankFractionPoint{
-			Fraction:           f,
-			Solved:             res.Solved,
-			FlowAugmentations:  res.FlowAugmentations,
-			FlowPasses:         res.FlowPasses,
-			FlowPotentialMoves: res.FlowPotentialMoves,
-			Agreement:          float64(agree) / float64(len(res.Admit)),
+			Fraction:  f,
+			Solved:    res.Solved,
+			Agreement: float64(agree) / float64(len(res.Admit)),
 		}
 		if exact.HitBytes > 0 {
 			pt.HitBytesShare = float64(res.HitBytes) / float64(exact.HitBytes)
@@ -83,15 +77,12 @@ func AblationRankFraction(cfg Config, fractions []float64) ([]RankFractionPoint,
 func AblationRankFractionTable(pts []RankFractionPoint) *Table {
 	t := &Table{
 		Title:  "Ablation: OPT rank-based trace splitting (C/(S·L), §2.1)",
-		Header: []string{"fraction solved", "intervals solved", "flow paths", "passes", "potential moves", "hit-bytes share", "decision agreement"},
+		Header: []string{"fraction solved", "intervals solved", "hit-bytes share", "decision agreement"},
 	}
 	for _, p := range pts {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", p.Fraction),
 			fmt.Sprintf("%d", p.Solved),
-			fmt.Sprintf("%d", p.FlowAugmentations),
-			fmt.Sprintf("%d", p.FlowPasses),
-			fmt.Sprintf("%d", p.FlowPotentialMoves),
 			fmt.Sprintf("%.3f", p.HitBytesShare),
 			fmt.Sprintf("%.3f", p.Agreement),
 		})

@@ -218,13 +218,9 @@ func TestAblationRankFraction(t *testing.T) {
 	if pts[1].HitBytesShare > 1.0+1e-9 {
 		t.Errorf("approximation hit bytes exceed exact: %.3f", pts[1].HitBytesShare)
 	}
-	// The cost columns are work, not seconds: fewer intervals to solve and
-	// no more paths to push than the exact solve needed.
+	// The cost column is work, not seconds: fewer intervals to solve.
 	if pts[1].Solved >= pts[0].Solved || pts[1].Solved == 0 {
 		t.Errorf("intervals solved: %d at 0.3, %d at 1.0", pts[1].Solved, pts[0].Solved)
-	}
-	if pts[0].FlowAugmentations == 0 || pts[0].FlowPasses == 0 || pts[1].FlowAugmentations > pts[0].FlowAugmentations {
-		t.Errorf("flow work: %+v at 1.0, %+v at 0.3", pts[0], pts[1])
 	}
 	AblationRankFractionTable(pts)
 }

@@ -181,7 +181,7 @@ func TestSolveMatchesReference(t *testing.T) {
 }
 
 // fooSpec builds the FOO graph package opt hands the solver for one
-// window under BHR costs (opt.flowSegment: a node per interval endpoint,
+// window under BHR costs (opt.buildFlowGraph: a node per interval endpoint,
 // a central arc of the cache's capacity between consecutive endpoints,
 // per interval a bypass arc of the object's size at 1024 per byte and
 // the object's bytes as supply at its start and demand at its end).

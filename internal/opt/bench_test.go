@@ -40,10 +40,20 @@ func benchmarkWindows(b *testing.B, wins []*trace.Trace, cfg Config) {
 
 // BenchmarkFlowWindow is the labelling step of the default_flow handoff:
 // what a cache configured with nothing but its size pays per window
-// (AlgoFlow, one exact flow solve of ~2100 intervals at 64 MiB, one
+// (AlgoFlow; under BHR one sweep of ~2100 intervals at 64 MiB, one
 // worker), cycling the first four 7000-request windows of the seed-7 trace.
 func BenchmarkFlowWindow(b *testing.B) {
 	benchmarkWindows(b, cdnWindows(b, 4, 7000, 7), Config{CacheSize: 64 << 20, Workers: 1})
+}
+
+// BenchmarkFlowWindowOHR is BenchmarkFlowWindow's windows under OHR costs,
+// whose per-byte prices differ: one exact min-cost flow solve per window.
+func BenchmarkFlowWindowOHR(b *testing.B) {
+	wins := cdnWindows(b, 4, 7000, 7)
+	for w, tr := range wins {
+		wins[w] = tr.WithCosts(trace.ObjectiveOHR)
+	}
+	benchmarkWindows(b, wins, Config{CacheSize: 64 << 20, Workers: 1})
 }
 
 // BenchmarkGreedyWindow is the labelling step of the admit_rank handoff:

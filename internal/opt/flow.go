@@ -7,34 +7,49 @@ import (
 	"sort"
 )
 
-// flowSegment labels one segment with the FOO min-cost flow (Figure 4 of
-// the paper): it seeds the local occupancy tree with the boundary bytes
-// reserved across the segment's span, builds the graph over the segment's
-// intervals, solves it, and marks Admit[i] for every interval whose bytes
-// are routed entirely along the cache (central) path, then lets
-// repairSegment add what the all-or-nothing reading of the flow left out.
-// The graph, solver, and buffers in sc are reused across calls.
-func flowSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
+// solveSegment labels one segment with an exact optimum of the FOO LP
+// (Figure 4 of the paper): it seeds the local occupancy tree with the
+// boundary bytes reserved across the segment's span and marks Admit[i] for
+// every interval whose bytes all stay in the cache, then lets
+// repairSegment add what the all-or-nothing reading of the optimum left
+// out. The segment's costs choose the solver: when every interval costs
+// the same per byte (uniformCosts) the furthest-next-request sweep solves
+// the LP, otherwise the min-cost flow does, and an interval is cached iff
+// no byte of it bypassed the cache (§2.1: "verify that all the request's
+// bytes are routed along the central path"). The graph, solver, and
+// buffers in sc are reused across calls.
+func solveSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
 	if len(sg.ivs) == 0 {
 		return nil
 	}
-	sc.occ.reset(sg.hi - sg.lo)
-	for _, b := range sg.bnd {
-		sc.occ.Add(max(b.from, sg.lo)-sg.lo, min(b.to, sg.hi)-sg.lo, b.size)
-	}
-	buildFlowGraph(sg, cfg.CacheSize, costScale, sc)
-	_, err := sc.solver.Solve(sc.g)
-	sg.stats = sc.solver.Stats()
-	if err != nil {
-		return fmt.Errorf("FOO flow solve: %w", err)
-	}
-	for k, iv := range sg.ivs {
-		// Cached iff no byte bypassed the cache (§2.1: "verify that all
-		// the request's bytes are routed along the central path").
-		res.Admit[iv.from] = sc.g.Flow(sc.bypass[k]) == 0
+	sg.reserve(sc.occ)
+	if sg.swept = uniformCosts(sg.ivs); sg.swept {
+		kept := sweepKept(sg, cfg.CacheSize, sc)
+		for k, iv := range sg.ivs {
+			res.Admit[iv.from] = kept[k] == iv.size
+		}
+	} else {
+		buildFlowGraph(sg, cfg.CacheSize, costScale, sc)
+		_, err := sc.solver.Solve(sc.g)
+		sg.stats = sc.solver.Stats()
+		if err != nil {
+			return fmt.Errorf("FOO flow solve: %w", err)
+		}
+		for k, iv := range sg.ivs {
+			res.Admit[iv.from] = sc.g.Flow(sc.bypass[k]) == 0
+		}
 	}
 	repairSegment(sg, cfg, res, sc)
 	return nil
+}
+
+// reserve resets occ to the segment's span and adds the bytes the
+// stitched boundary intervals hold across it.
+func (sg *segment) reserve(occ *segTree) {
+	occ.reset(sg.hi - sg.lo)
+	for _, b := range sg.bnd {
+		occ.Add(max(b.from, sg.lo)-sg.lo, min(b.to, sg.hi)-sg.lo, b.size)
+	}
 }
 
 // buildFlowGraph resets sc.g to the FOO graph of one segment and records
@@ -116,6 +131,34 @@ const maxFlowCost = 1 << 62
 // floored at 1, since a free bypass arc would make a miss as good as a
 // hit.
 func quantiseCosts(ivs []interval, costScale int64, out []int64) ([]int64, float64) {
+	scale := quantScale(ivs, costScale)
+	out = slices.Grow(out[:0], len(ivs))
+	for _, iv := range ivs {
+		out = append(out, quantise(iv, scale))
+	}
+	return out, scale
+}
+
+// uniformCosts reports whether quantiseCosts gives every interval the same
+// arc cost. Then the flow's cost is a multiple of the bytes it bypasses
+// and sweepKept reaches its optimum; under BHR this holds for every
+// segment.
+func uniformCosts(ivs []interval) bool {
+	if len(ivs) == 0 {
+		return true
+	}
+	scale := quantScale(ivs, costScale)
+	c := quantise(ivs[0], scale)
+	for _, iv := range ivs[1:] {
+		if quantise(iv, scale) != c {
+			return false
+		}
+	}
+	return true
+}
+
+// quantScale is the factor quantiseCosts multiplies per-byte costs by.
+func quantScale(ivs []interval, costScale int64) float64 {
 	minPB, maxPB, total := math.Inf(1), 0.0, 0.0
 	for _, iv := range ivs {
 		pb := iv.cost / float64(iv.size)
@@ -135,25 +178,22 @@ func quantiseCosts(ivs []interval, costScale int64, out []int64) ([]int64, float
 			scale = lim
 		}
 	}
-	out = slices.Grow(out[:0], len(ivs))
-	for _, iv := range ivs {
-		c := int64(iv.cost/float64(iv.size)*scale + 0.5)
-		if c < 1 {
-			c = 1
-		}
-		out = append(out, c)
-	}
-	return out, scale
+	return scale
 }
 
-// repairSegment greedily re-admits intervals the flow extraction left
-// out. Min-cost flow optima can split an interval's bytes between the
-// cache and the bypass (footnote 2 of the paper); the all-bytes-central
-// extraction rule then discards the interval even when fully caching it
-// would have been feasible. The repair replays occupancy of the admitted
-// set on top of the boundary reservation already in sc.occ and adds the
-// rest with admitByRank. The result is feasible and never worse than the
-// raw extraction.
+// quantise is one interval's arc cost at the given scale.
+func quantise(iv interval, scale float64) int64 {
+	return max(int64(iv.cost/float64(iv.size)*scale+0.5), 1)
+}
+
+// repairSegment greedily re-admits intervals the extraction left out. LP
+// optima, the flow's and the sweep's alike, can split an interval's bytes
+// between the cache and the bypass (footnote 2 of the paper); the
+// all-bytes-central extraction rule then discards the interval even when
+// fully caching it would have been feasible. The repair replays
+// occupancy of the admitted set on top of the boundary reservation
+// already in sc.occ and adds the rest with admitByRank. The result is
+// feasible and never worse than the raw extraction.
 func repairSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) {
 	rest := sc.rest[:0]
 	for _, iv := range sg.ivs {

@@ -114,58 +114,81 @@ func TestFlowOHRObjective(t *testing.T) {
 	if len(distinct) <= 100 {
 		t.Errorf("the OHR window hands the solver %d distinct costs, want > 100", len(distinct))
 	}
-	t.Logf("OHR costs: %d distinct prices, %d potential moves (BHR costs: %d)",
-		len(distinct), ohr.FlowPotentialMoves, bhr.FlowPotentialMoves)
+	t.Logf("OHR costs: %d distinct prices, %d potential moves; BHR costs labelled by %s",
+		len(distinct), ohr.FlowPotentialMoves, bhr.AlgoLabel())
 }
 
-// TestFlowCounters pins the solver's work counters on the benchmark's
-// default_flow window (7000 CDN-mix requests, seed 7, 64 MiB): with
-// uniform per-byte costs the potentials move a few dozen times while
-// thousands of paths are routed, several per breadth-first pass. The
-// counters reach the registry, stay zero for greedy labels, and add up
-// over segments.
+// TestFlowCounters pins which exact solver labels the benchmark's
+// default_flow window (7000 CDN-mix requests, seed 7, 64 MiB) and the
+// work counters it reports. Under OHR costs the per-byte prices differ,
+// so the min-cost flow solves it: paths, passes and potential moves are
+// counted, and add up over segments. Under BHR costs the sweep labels
+// every solved interval and the flow does no work. The counters reach the
+// registry, and greedy labels count no flow work.
 func TestFlowCounters(t *testing.T) {
-	tr := cdnWindows(t, 1, 7000, 7)[0]
-	reg := obs.NewRegistry()
-	res, err := Compute(tr, Config{CacheSize: 64 << 20, Workers: 1, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AlgoLabel() != "flow" || res.Segments != 1 {
-		t.Fatalf("labels by %s in %d segments, want one flow solve", res.AlgoLabel(), res.Segments)
-	}
-	if res.FlowPotentialMoves < 1 || res.FlowPotentialMoves > 64 {
-		t.Errorf("%d potential moves, want 1..64", res.FlowPotentialMoves)
-	}
-	if res.FlowAugmentations < 1000 || res.FlowPasses >= res.FlowAugmentations {
-		t.Errorf("%d augmentations in %d passes, want thousands and fewer passes than paths",
-			res.FlowAugmentations, res.FlowPasses)
-	}
-	for name, want := range map[string]int{
-		"opt_flow_augmentations_total":   res.FlowAugmentations,
-		"opt_flow_passes_total":          res.FlowPasses,
-		"opt_flow_potential_moves_total": res.FlowPotentialMoves,
-	} {
-		if got := reg.Counter(name).Value(); got != int64(want) {
-			t.Errorf("%s = %d, want %d", name, got, want)
+	base := cdnWindows(t, 1, 7000, 7)[0]
+	counters := func(t *testing.T, reg *obs.Registry, want map[string]int) {
+		t.Helper()
+		for name, want := range want {
+			if got := reg.Counter(name).Value(); got != int64(want) {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
 		}
 	}
 
-	greedy, err := Compute(tr, Config{CacheSize: 64 << 20, Algorithm: AlgoGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if greedy.FlowAugmentations != 0 || greedy.FlowPasses != 0 || greedy.FlowPotentialMoves != 0 {
-		t.Errorf("greedy labels counted flow work: %+v", greedy)
-	}
+	t.Run("ohr", func(t *testing.T) {
+		tr := base.WithCosts(trace.ObjectiveOHR)
+		reg := obs.NewRegistry()
+		res, err := Compute(tr, Config{CacheSize: 64 << 20, Workers: 1, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AlgoLabel() != "flow" || res.Segments != 1 || res.SweepIntervals != 0 {
+			t.Fatalf("labels by %s in %d segments, %d swept, want one flow solve", res.AlgoLabel(), res.Segments, res.SweepIntervals)
+		}
+		if res.FlowAugmentations < 1 || res.FlowPasses < 1 || res.FlowPotentialMoves < 1 {
+			t.Errorf("flow work: %d paths in %d passes, %d potential moves", res.FlowAugmentations, res.FlowPasses, res.FlowPotentialMoves)
+		}
+		counters(t, reg, map[string]int{
+			"opt_flow_intervals_total":       res.Solved,
+			"opt_sweep_intervals_total":      0,
+			"opt_flow_augmentations_total":   res.FlowAugmentations,
+			"opt_flow_passes_total":          res.FlowPasses,
+			"opt_flow_potential_moves_total": res.FlowPotentialMoves,
+		})
+		split, err := Compute(tr, Config{CacheSize: 64 << 20, Algorithm: AlgoFlow, Segments: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if split.Segments < 2 || split.FlowPotentialMoves < split.Segments {
+			t.Errorf("%d flow segments moved the potentials %d times in all", split.Segments, split.FlowPotentialMoves)
+		}
+	})
 
-	split, err := Compute(tr, Config{CacheSize: 64 << 20, Algorithm: AlgoFlow, Segments: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if split.Segments < 2 || split.FlowPotentialMoves < split.Segments {
-		t.Errorf("%d flow segments moved the potentials %d times in all", split.Segments, split.FlowPotentialMoves)
-	}
+	t.Run("bhr", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		res, err := Compute(base, Config{CacheSize: 64 << 20, Workers: 1, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AlgoLabel() != "sweep" || res.Segments != 1 || res.SweepIntervals != res.Solved {
+			t.Fatalf("labels by %s in %d segments, %d of %d swept, want one sweep", res.AlgoLabel(), res.Segments, res.SweepIntervals, res.Solved)
+		}
+		counters(t, reg, map[string]int{
+			"opt_flow_intervals_total":       res.Solved,
+			"opt_sweep_intervals_total":      res.Solved,
+			"opt_flow_augmentations_total":   0,
+			"opt_flow_passes_total":          0,
+			"opt_flow_potential_moves_total": 0,
+		})
+		greedy, err := Compute(base, Config{CacheSize: 64 << 20, Algorithm: AlgoGreedy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if greedy.FlowAugmentations != 0 || greedy.FlowPasses != 0 || greedy.FlowPotentialMoves != 0 || greedy.SweepIntervals != 0 {
+			t.Errorf("greedy labels counted exact work: %+v", greedy)
+		}
+	})
 }
 
 // bruteForceMissCost is exhaustive OPT for a tiny trace with variable

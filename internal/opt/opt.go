@@ -8,6 +8,10 @@
 // cache size) or bypass it (a miss, costing the retrieval cost). See
 // Figure 4 of the paper.
 //
+// When every interval costs the same per byte (the BHR objective) the LP
+// is fractional paging on bytes, and a furthest-next-request sweep
+// reaches the flow's optimum in O(I log I); the min-cost flow solves the
+// objectives whose per-byte costs differ, and is the sweep's test oracle.
 // Because min-cost flow on multi-million-node graphs is slow, the package
 // also implements the paper's ranking approximation — solve only for the
 // intervals with the highest C/(S·L) rank and declare the rest uncached —
@@ -20,6 +24,7 @@ package opt
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"lfo/internal/obs"
 	"lfo/internal/trace"
@@ -29,10 +34,11 @@ import (
 type Algorithm int
 
 const (
-	// AlgoFlow, the default, solves the FOO min-cost flow exactly per
-	// time-axis segment: a window above autoFlowLimit intervals is cut
-	// into segments (see Segments), and the greedy only stitches the
-	// intervals that cross a cut.
+	// AlgoFlow, the default, solves the FOO LP exactly per time-axis
+	// segment: by the sweep where the segment's per-byte costs are
+	// uniform, by the min-cost flow otherwise. A non-uniform window above
+	// autoFlowLimit intervals is cut into segments (see Segments), and the
+	// greedy only stitches the intervals that cross a cut.
 	AlgoFlow Algorithm = iota
 	// AlgoGreedy admits intervals in C/(S·L) rank order subject to a
 	// feasible per-time-step capacity constraint, in one pass over the
@@ -72,11 +78,11 @@ type Config struct {
 	// solved independently (concurrently under Workers), and intervals
 	// that span a cut are stitched deterministically by rank-order
 	// greedy admission before the segment solves. 0 (auto) keeps one
-	// segment up to autoFlowLimit (12 000) intervals and targets ~4000
-	// intervals per segment beyond; 1 forces the unsegmented whole-window
-	// solve; values > 1 request that many segments (best effort — cuts
-	// are placed near equal-interval-count positions). Compute rejects a
-	// negative value.
+	// segment when the per-byte costs are uniform or up to autoFlowLimit
+	// (12 000) intervals, and targets ~4000 intervals per segment beyond;
+	// 1 forces the unsegmented whole-window solve; values > 1 request
+	// that many segments (best effort — cuts are placed near
+	// equal-interval-count positions). Compute rejects a negative value.
 	Segments int
 	// Workers caps the goroutines used for concurrent segment solves:
 	// 0 means all available cores, 1 solves segments sequentially. The
@@ -85,8 +91,8 @@ type Config struct {
 	// disjoint part of the result (same determinism bar as the training
 	// pipeline's Workers knob).
 	Workers int
-	// Obs, when set, records per-solve totals (solves, flow vs greedy
-	// interval counts, dropped intervals, flow work). Metrics never
+	// Obs, when set, records per-solve totals (solves, exact (flow or
+	// sweep) vs greedy interval counts, dropped intervals, flow work). Metrics never
 	// influence the solve; nil disables recording (see internal/obs).
 	Obs *obs.Registry
 }
@@ -122,20 +128,25 @@ type Result struct {
 	// for the greedy, 0 when no intervals were selected.
 	Segments int
 	// FlowIntervals and GreedyIntervals count selected intervals labeled
-	// by each solver; intervals stitched across segment cuts count as
-	// greedy. FlowIntervals + GreedyIntervals == Solved.
+	// by an exact segment solve and by the greedy; intervals stitched
+	// across segment cuts count as greedy. FlowIntervals +
+	// GreedyIntervals == Solved.
 	FlowIntervals   int
 	GreedyIntervals int
+	// SweepIntervals is the part of FlowIntervals whose segments had
+	// uniform per-byte costs and were solved by the furthest-next-request
+	// sweep instead of the min-cost flow.
+	SweepIntervals int
 	// BoundaryIntervals counts intervals that crossed a segment cut and
 	// were therefore stitched greedily rather than solved exactly.
 	BoundaryIntervals int
 	// FlowAugmentations, FlowPasses and FlowPotentialMoves sum the flow
-	// solver's work over the segments (see mcf.Stats): paths flow
-	// was pushed along, breadth-first passes, and Dijkstra runs that
-	// raised the potentials. They say what a window's exact labels cost
-	// independently of the machine; potential moves in the thousands
-	// mean the costs are far from uniform and the solve is back to one
-	// heap search per path.
+	// solver's work over the segments it solved (see mcf.Stats; zero for
+	// swept segments): paths flow was pushed along, breadth-first passes,
+	// and Dijkstra runs that raised the potentials. They say what a
+	// window's flow labels cost independently of the machine; potential
+	// moves in the thousands mean the costs are far from uniform and the
+	// solve is back to one heap search per path.
 	FlowAugmentations  int
 	FlowPasses         int
 	FlowPotentialMoves int
@@ -145,19 +156,24 @@ type Result struct {
 // declared uncached without solving.
 func (r *Result) DroppedIntervals() int { return r.Intervals - r.Solved }
 
-// AlgoLabel reports which solver(s) actually produced the labels:
-// "flow", "greedy", "flow+greedy", or "none" (no intervals).
+// AlgoLabel reports which solvers actually produced the labels, joined by
+// "+" in the order flow, sweep, greedy ("sweep", "sweep+greedy", "flow",
+// "flow+sweep+greedy", ...), or "none" (no intervals).
 func (r *Result) AlgoLabel() string {
-	switch {
-	case r.FlowIntervals > 0 && r.GreedyIntervals > 0:
-		return "flow+greedy"
-	case r.FlowIntervals > 0:
-		return "flow"
-	case r.GreedyIntervals > 0:
-		return "greedy"
-	default:
+	var parts []string
+	if r.FlowIntervals > r.SweepIntervals {
+		parts = append(parts, "flow")
+	}
+	if r.SweepIntervals > 0 {
+		parts = append(parts, "sweep")
+	}
+	if r.GreedyIntervals > 0 {
+		parts = append(parts, "greedy")
+	}
+	if len(parts) == 0 {
 		return "none"
 	}
+	return strings.Join(parts, "+")
 }
 
 // BHR returns the byte hit ratio achieved by OPT's schedule.
@@ -283,6 +299,7 @@ func recordSolve(r *obs.Registry, res *Result) {
 	r.Counter("opt_dropped_intervals_total").Add(int64(res.DroppedIntervals()))
 	r.Counter("opt_segments_total").Add(int64(res.Segments))
 	r.Counter("opt_flow_intervals_total").Add(int64(res.FlowIntervals))
+	r.Counter("opt_sweep_intervals_total").Add(int64(res.SweepIntervals))
 	r.Counter("opt_greedy_intervals_total").Add(int64(res.GreedyIntervals))
 	r.Counter("opt_boundary_intervals_total").Add(int64(res.BoundaryIntervals))
 	r.Counter("opt_flow_augmentations_total").Add(int64(res.FlowAugmentations))

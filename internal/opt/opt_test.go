@@ -310,11 +310,15 @@ func TestSegmentsRange(t *testing.T) {
 
 // TestAutoSelectsFlowForSmall: the zero-value Config labels exactly as
 // AlgoFlow, on a window solved in one piece and on one above
-// autoFlowLimit that it auto-segments.
+// autoFlowLimit, which the sweep labels whole. The same window under OHR
+// costs would be cut into flow segments.
 func TestAutoSelectsFlowForSmall(t *testing.T) {
 	cdn, err := gen.Generate(gen.CDNMix(40000, 3))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s := segmentCount(buildIntervals(cdn.WithCosts(trace.ObjectiveOHR)), Config{}); s < 2 {
+		t.Errorf("the OHR window would be solved in %d segments, want several", s)
 	}
 	for _, tr := range []*trace.Trace{paperTrace(trace.ObjectiveBHR), cdn} {
 		capacity := int64(4)
@@ -332,8 +336,8 @@ func TestAutoSelectsFlowForSmall(t *testing.T) {
 		if !reflect.DeepEqual(zero, flow) {
 			t.Errorf("%d requests: the zero-value Config labels differently from AlgoFlow", tr.Len())
 		}
-		if zero.AlgoLabel() == "greedy" || zero.FlowIntervals == 0 {
-			t.Errorf("%d requests: labeled by %s", tr.Len(), zero.AlgoLabel())
+		if zero.AlgoLabel() != "sweep" || zero.Segments != 1 {
+			t.Errorf("%d requests: labeled by %s in %d segments", tr.Len(), zero.AlgoLabel(), zero.Segments)
 		}
 	}
 }
@@ -365,6 +369,25 @@ func TestAlgorithmString(t *testing.T) {
 	}{{AlgoFlow, "flow"}, {AlgoGreedy, "greedy"}, {Algorithm(2), "algorithm(2)"}} {
 		if got := tc.a.String(); got != tc.want {
 			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
+func TestAlgoLabel(t *testing.T) {
+	for _, tc := range []struct {
+		flow, sweep, greedy int
+		want                string
+	}{
+		{0, 0, 0, "none"},
+		{5, 0, 0, "flow"},
+		{5, 5, 0, "sweep"},
+		{5, 5, 2, "sweep+greedy"},
+		{5, 3, 2, "flow+sweep+greedy"},
+		{0, 0, 2, "greedy"},
+	} {
+		r := &Result{FlowIntervals: tc.flow, SweepIntervals: tc.sweep, GreedyIntervals: tc.greedy}
+		if got := r.AlgoLabel(); got != tc.want {
+			t.Errorf("%d flow, %d swept, %d greedy: AlgoLabel %q, want %q", tc.flow, tc.sweep, tc.greedy, got, tc.want)
 		}
 	}
 }

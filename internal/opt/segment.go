@@ -17,19 +17,20 @@ import (
 // only on the trace and the config — never on scheduling — the result is
 // byte-identical for any Workers value.
 
-// autoFlowLimit is the interval count up to which Segments=0 keeps the
-// window in one exact solve (the solve grows super-linearly in the
-// interval count). 12 000 was sized for the path-at-a-time solver this
-// package used to sit on (a 13.6k-interval window took it 50 s; the
-// primal-dual solver takes 4.9 s) and is therefore conservative now;
-// raising it re-labels every large window, so it waits for its own
-// measurement.
+// autoFlowLimit is the interval count up to which Segments=0 keeps a
+// window whose per-byte costs differ (the ohr and cost objectives) in one
+// exact flow solve (the solve grows super-linearly in the interval count);
+// a window with uniform costs is swept whole at any size. 12 000 was
+// sized for the path-at-a-time solver this package used to sit on (a
+// 13.6k-interval window took it 50 s; the primal-dual solver takes 4.9 s)
+// and is therefore conservative now; raising it re-labels every large
+// non-uniform window, so it waits for its own measurement.
 const autoFlowLimit = 12000
 
 // autoSegmentIntervals is the per-segment interval target when Segments=0
-// auto-segments a window larger than autoFlowLimit. The flow solve grows
-// super-linearly in the interval count, so many moderate segments beat
-// one big solve even on a single core. The target trades exactness
+// auto-segments a non-uniform window larger than autoFlowLimit. The flow
+// solve grows super-linearly in the interval count, so many moderate
+// segments beat one big solve even on a single core. The target trades exactness
 // against time: smaller segments cut more intervals (each stitched
 // greedily instead of solved), larger ones blow up the per-segment solve.
 // ~4000 was chosen to keep a segment around half a second on the old
@@ -50,6 +51,7 @@ type segment struct {
 	lo, hi int
 	ivs    []interval // contained intervals, sorted by from
 	bnd    []interval // admitted boundary intervals overlapping the span
+	swept  bool       // labelled by the sweep rather than the flow
 	stats  mcf.Stats  // the flow solver's work counters
 }
 
@@ -61,25 +63,9 @@ func solveSegmented(n int, selected []interval, cfg Config, res *Result) error {
 	if len(selected) == 0 {
 		return nil
 	}
-
-	// Normalize to from-order: froms are unique (one interval per request
-	// index), so this is a strict total order independent of how rank
-	// selection permuted the slice.
-	ivs := append([]interval(nil), selected...)
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].from < ivs[b].from })
-
-	segs, boundary := planSegments(n, ivs, cfg)
+	segs, boundary := stitchSegments(n, selected, cfg, res.Admit)
 	res.Segments = len(segs)
 	res.BoundaryIntervals = len(boundary)
-
-	// Stitch boundary intervals first: admit them greedily in rank order
-	// against a whole-window occupancy tree, so every segment then sees
-	// the same reserved bytes. This runs before (and independent of) the
-	// parallel phase — in-order, deterministic.
-	if len(boundary) > 0 {
-		admitByRank(boundary, newSegTree(n), 0, cfg.CacheSize, res.Admit)
-		distributeBoundary(segs, boundary, res.Admit)
-	}
 
 	// Solve segments concurrently. Each chunk of segments shares one
 	// scratch set (graph arena, solver state, occupancy tree); each
@@ -90,7 +76,7 @@ func solveSegmented(n int, selected []interval, cfg Config, res *Result) error {
 	par.Ranges(len(segs), cfg.Workers, 1, func(lo, hi int) {
 		sc := newSolveScratch()
 		for s := lo; s < hi; s++ {
-			errs[s] = flowSegment(&segs[s], cfg, res, sc)
+			errs[s] = solveSegment(&segs[s], cfg, res, sc)
 		}
 	})
 	for s, err := range errs {
@@ -102,6 +88,9 @@ func solveSegmented(n int, selected []interval, cfg Config, res *Result) error {
 	// Reduce label stats in segment order.
 	for i := range segs {
 		res.FlowIntervals += len(segs[i].ivs)
+		if segs[i].swept {
+			res.SweepIntervals += len(segs[i].ivs)
+		}
 		res.FlowAugmentations += segs[i].stats.Augmentations
 		res.FlowPasses += segs[i].stats.Passes
 		res.FlowPotentialMoves += segs[i].stats.PotentialMoves
@@ -110,10 +99,28 @@ func solveSegmented(n int, selected []interval, cfg Config, res *Result) error {
 	return nil
 }
 
+// stitchSegments puts the selected intervals in from-order (froms are
+// unique, so the order does not depend on how rank selection permuted
+// them), plans the segments, and stitches the intervals that cross a cut:
+// it admits them greedily in rank order against a whole-window occupancy
+// tree and hands each segment the admitted ones overlapping its span, so
+// every segment sees the same reserved bytes. It runs before and apart
+// from the parallel phase, in order, so it is deterministic.
+func stitchSegments(n int, selected []interval, cfg Config, admit []bool) ([]segment, []interval) {
+	ivs := append([]interval(nil), selected...)
+	sort.Slice(ivs, func(a, b int) bool { return ivs[a].from < ivs[b].from })
+	segs, boundary := planSegments(n, ivs, cfg)
+	if len(boundary) > 0 {
+		admitByRank(boundary, newSegTree(n), 0, cfg.CacheSize, admit)
+		distributeBoundary(segs, boundary, admit)
+	}
+	return segs, boundary
+}
+
 // planSegments picks the segment count, the cut points, and partitions
 // the from-sorted intervals into contained-per-segment and boundary sets.
 func planSegments(n int, ivs []interval, cfg Config) ([]segment, []interval) {
-	target := segmentCount(len(ivs), cfg)
+	target := segmentCount(ivs, cfg)
 	cuts := chooseCuts(n, ivs, target)
 	bounds := make([]int, 0, len(cuts)+2)
 	bounds = append(bounds, 0)
@@ -139,19 +146,17 @@ func planSegments(n int, ivs []interval, cfg Config) ([]segment, []interval) {
 	return segs, boundary
 }
 
-// segmentCount resolves the Segments knob to a target segment count.
-func segmentCount(nIntervals int, cfg Config) int {
+// segmentCount resolves the Segments knob to a target segment count. The
+// sweep is O(I log I), so auto keeps a window with uniform costs whole.
+func segmentCount(ivs []interval, cfg Config) int {
 	s := cfg.Segments
 	if s == 0 {
-		if nIntervals <= autoFlowLimit {
+		if len(ivs) <= autoFlowLimit || uniformCosts(ivs) {
 			return 1
 		}
-		s = (nIntervals + autoSegmentIntervals - 1) / autoSegmentIntervals
+		s = (len(ivs) + autoSegmentIntervals - 1) / autoSegmentIntervals
 	}
-	if s > nIntervals {
-		s = nIntervals
-	}
-	return s
+	return min(s, len(ivs))
 }
 
 // chooseCuts picks up to segments-1 interior cut times in (0, n), each
@@ -228,9 +233,10 @@ func distributeBoundary(segs []segment, boundary []interval, admit []bool) {
 }
 
 // solveScratch is the reusable per-worker state for segment solves: the
-// flow graph arena, the SSP solver scratch, the local occupancy tree, and
-// the endpoint/bypass/repair buffers. One scratch serves all segments of
-// a worker's chunk, so repeated window solves stop reallocating.
+// flow graph arena, the SSP solver scratch, the local occupancy tree, the
+// sweep's buffers and the endpoint/bypass/repair buffers. One scratch
+// serves all segments of a worker's chunk, so repeated window solves stop
+// reallocating.
 type solveScratch struct {
 	g      *mcf.Graph
 	solver *mcf.Solver
@@ -239,6 +245,9 @@ type solveScratch struct {
 	bypass []int
 	costs  []int64
 	rest   []interval
+	kept   []int64
+	ending []int32
+	heap   []int32
 }
 
 func newSolveScratch() *solveScratch {

@@ -36,10 +36,9 @@ func phaseTrace(t *testing.T, cfgs []gen.Config, obj trace.Objective) *trace.Tra
 // with disjoint IDs per phase. No interval crosses a phase join, so the
 // cuts land at zero-crossing points and the per-segment flow solves must
 // reproduce the unsegmented AlgoFlow schedule admit for admit. (Generic
-// traces under BHR give every bypass arc the same per-byte cost, so the
-// flow has many optima and tie-breaking may legitimately differ between
-// the combined and per-phase solves; the paper trace's optimum is pinned
-// by the hand-verified hit set.)
+// traces under BHR have many optima; the sweep picks one by the order of
+// ends, which no cut changes, but the paper trace's optimum is also
+// pinned by the hand-verified hit set.)
 func TestSegmentedFlowMatchesUnsegmented(t *testing.T) {
 	const phases = 5
 	ids := []trace.ObjectID{1, 2, 3, 2, 4, 1, 3, 4, 1, 2, 2, 1}
@@ -60,7 +59,7 @@ func TestSegmentedFlowMatchesUnsegmented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if whole.Segments != 1 || whole.AlgoLabel() != "flow" {
+	if whole.Segments != 1 || whole.AlgoLabel() != "sweep" {
 		t.Fatalf("unsegmented solve: got %d segments labeled by %s", whole.Segments, whole.AlgoLabel())
 	}
 	seg, err := Compute(tr, Config{CacheSize: 4, Algorithm: AlgoFlow, Segments: phases})
@@ -296,6 +295,9 @@ func TestIntervalAccounting(t *testing.T) {
 	}
 	if got := res.FlowIntervals + res.GreedyIntervals; got != res.Solved {
 		t.Errorf("FlowIntervals+GreedyIntervals = %d, want Solved = %d", got, res.Solved)
+	}
+	if res.SweepIntervals != res.FlowIntervals {
+		t.Errorf("SweepIntervals = %d of %d exact BHR intervals", res.SweepIntervals, res.FlowIntervals)
 	}
 	if res.GreedyIntervals < res.BoundaryIntervals {
 		t.Errorf("GreedyIntervals %d < BoundaryIntervals %d", res.GreedyIntervals, res.BoundaryIntervals)

@@ -121,18 +121,20 @@ step "alloc budgets"
     # objects every time; ten iterations are enough that the handful the
     # test binary itself allocates per run divides away to the exact figure.
     go test -run '^$' -bench '^BenchmarkTrainWindow$' -benchmem -benchtime 10x ./internal/gbdt
-    # One exact-flow labelling of a default_flow window, cycling four
+    # One exact labelling of a default_flow window, by the sweep (BHR) and
+    # by the min-cost flow (the same windows under OHR costs), cycling four
     # windows: two rounds; one greedy labelling of an admit_rank window, ten
     # rounds. Their budgets have headroom for the two request-index maps,
     # whose overflow buckets vary with the hash seed.
-    go test -run '^$' -bench '^BenchmarkFlowWindow$' -benchmem -benchtime 8x ./internal/opt
+    go test -run '^$' -bench '^BenchmarkFlowWindow(OHR)?$' -benchmem -benchtime 8x ./internal/opt
     go test -run '^$' -bench '^BenchmarkGreedyWindow$' -benchmem -benchtime 40x ./internal/opt
 } | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgate.awk
 
 # Short fuzz smoke over the frame codec, the model parser, the scorer, the
 # trainer's split scan, the min-cost flow solver and the feature tracker
-# (those four against their _test.go oracles) and the trace reader (accept
-# implies validates and round-trips). The
+# (those four against their _test.go oracles), the OPT sweep (against the
+# min-cost flow) and the trace reader (accept implies validates and
+# round-trips). The
 # committed seed corpora under testdata/fuzz always replay; the smoke
 # additionally mutates for a few seconds per target. -fuzzminimizetime
 # is capped because the engine's default 60s minimization budget would
@@ -144,6 +146,7 @@ go test -run '^$' -fuzz '^FuzzModelLoad$' -fuzztime 5s -fuzzminimizetime 5s ./in
 go test -run '^$' -fuzz '^FuzzScoreMatchesOracle$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzSplitScanMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzSolveMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/mcf
+go test -run '^$' -fuzz '^FuzzSweepMatchesFlow$' -fuzztime 5s -fuzzminimizetime 5s ./internal/opt
 go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s -fuzzminimizetime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzTrackerMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/features
 
