@@ -18,16 +18,20 @@ import (
 
 // runSeededPipeline executes the full window pipeline — synthetic trace
 // generation, OPT labeling, online feature tracking, GBDT training, and
-// simulation — from a fixed seed with the given worker count and returns
-// every stage's result in serialized form.
-func runSeededPipeline(t *testing.T, workers int) (traceBytes, optBytes, modelBytes, metricBytes []byte) {
+// simulation — from a fixed seed with the given worker count and deploy lag
+// and returns every stage's result in serialized form.
+func runSeededPipeline(t *testing.T, workers, lag int) (traceBytes, optBytes, modelBytes, metricBytes []byte) {
 	t.Helper()
-	return runSeededPipelineObs(t, workers, nil)
+	return runSeededPipelineObs(t, workers, lag, nil)
 }
+
+// pipelineLags are the deploy lags the determinism tests run at: the
+// boundary itself, and a third of the 3000-request window.
+var pipelineLags = []int{0, 1000}
 
 // runSeededPipelineObs is runSeededPipeline with an optional metrics
 // registry wired through every stage that accepts one.
-func runSeededPipelineObs(t *testing.T, workers int, reg *MetricsRegistry) (traceBytes, optBytes, modelBytes, metricBytes []byte) {
+func runSeededPipelineObs(t *testing.T, workers, lag int, reg *MetricsRegistry) (traceBytes, optBytes, modelBytes, metricBytes []byte) {
 	t.Helper()
 
 	tr, err := GenerateCDNMix(8000, 7)
@@ -51,11 +55,12 @@ func runSeededPipelineObs(t *testing.T, workers int, reg *MetricsRegistry) (trac
 		}
 	}
 
-	cache, err := NewCache(CacheConfig{CacheSize: 8 << 20, WindowSize: 3000, Workers: workers, Obs: reg})
+	cache, err := NewCache(CacheConfig{CacheSize: 8 << 20, WindowSize: 3000, DeployLag: lag, Workers: workers, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := Simulate(tr, cache, SimOptions{Warmup: 2000, Obs: reg})
+	cache.Close()
 	if cache.Model() == nil {
 		t.Fatal("pipeline never trained a model")
 	}
@@ -79,20 +84,29 @@ func runSeededPipelineObs(t *testing.T, workers int, reg *MetricsRegistry) (trac
 // in optBytes at opt/mcf, in modelBytes at features/gbdt, and in
 // metricBytes at core/sim.
 func TestPipelineDeterminism(t *testing.T) {
-	tr1, opt1, model1, met1 := runSeededPipeline(t, 1)
-	tr2, opt2, model2, met2 := runSeededPipeline(t, 1)
+	var served [][]byte // each lag's metrics
+	for _, lag := range pipelineLags {
+		tr1, opt1, model1, met1 := runSeededPipeline(t, 1, lag)
+		served = append(served, met1)
+		tr2, opt2, model2, met2 := runSeededPipeline(t, 1, lag)
 
-	if !bytes.Equal(tr1, tr2) {
-		t.Error("generated traces differ between identically seeded runs")
+		if !bytes.Equal(tr1, tr2) {
+			t.Errorf("lag=%d: generated traces differ between identically seeded runs", lag)
+		}
+		if !bytes.Equal(opt1, opt2) {
+			t.Errorf("lag=%d: OPT decisions differ between identically seeded runs", lag)
+		}
+		if !bytes.Equal(model1, model2) {
+			t.Errorf("lag=%d: serialized models differ between identically seeded runs", lag)
+		}
+		if !bytes.Equal(met1, met2) {
+			t.Errorf("lag=%d: simulation metrics differ between identically seeded runs", lag)
+		}
 	}
-	if !bytes.Equal(opt1, opt2) {
-		t.Error("OPT decisions differ between identically seeded runs")
-	}
-	if !bytes.Equal(model1, model2) {
-		t.Error("serialized models differ between identically seeded runs")
-	}
-	if !bytes.Equal(met1, met2) {
-		t.Error("simulation metrics differ between identically seeded runs")
+	// Guard against a lag that is silently ignored: serving the first
+	// requests of a window on the outgoing model changes the hits.
+	if bytes.Equal(served[0], served[1]) {
+		t.Error("DeployLag 1000 served exactly what DeployLag 0 served")
 	}
 }
 
@@ -103,10 +117,10 @@ func TestPipelineDeterminism(t *testing.T) {
 // deterministic (durations, of course, are not — only histogram
 // observation counts are compared).
 func TestObsCountersDeterministic(t *testing.T) {
-	base1, base2, base3, base4 := runSeededPipeline(t, 1)
+	base1, base2, base3, base4 := runSeededPipeline(t, 1, 0)
 
 	regA := NewMetricsRegistry()
-	a1, a2, a3, a4 := runSeededPipelineObs(t, 1, regA)
+	a1, a2, a3, a4 := runSeededPipelineObs(t, 1, 0, regA)
 	for i, pair := range [][2][]byte{{base1, a1}, {base2, a2}, {base3, a3}, {base4, a4}} {
 		if !bytes.Equal(pair[0], pair[1]) {
 			t.Errorf("stage %d: instrumented run differs from uninstrumented run", i)
@@ -114,7 +128,7 @@ func TestObsCountersDeterministic(t *testing.T) {
 	}
 
 	regB := NewMetricsRegistry()
-	runSeededPipelineObs(t, 1, regB)
+	runSeededPipelineObs(t, 1, 0, regB)
 	sa, sb := regA.Snapshot(), regB.Snapshot()
 	if len(sa.Counters) == 0 {
 		t.Fatal("instrumented run recorded no counters")
@@ -146,24 +160,27 @@ func TestObsCountersDeterministic(t *testing.T) {
 
 // TestPipelineDeterminismAcrossWorkers requires the parallel pipeline to
 // reproduce the sequential run byte-for-byte at every stage, for several
-// worker counts. Workers changes only how the work is scheduled — fixed
-// shard decomposition and in-order reduction keep every float sum, split
-// choice, and feature row identical.
+// worker counts and deploy lags. Workers changes only how the work is
+// scheduled — fixed shard decomposition and in-order reduction keep every
+// float sum, split choice, and feature row identical — and a lagged round
+// deploys at a request count, not when the goroutine happens to finish.
 func TestPipelineDeterminismAcrossWorkers(t *testing.T) {
-	tr1, opt1, model1, met1 := runSeededPipeline(t, 1)
-	for _, workers := range []int{2, 4, 8} {
-		trN, optN, modelN, metN := runSeededPipeline(t, workers)
-		if !bytes.Equal(tr1, trN) {
-			t.Errorf("workers=%d: generated trace differs from sequential run", workers)
-		}
-		if !bytes.Equal(opt1, optN) {
-			t.Errorf("workers=%d: OPT decisions differ from sequential run", workers)
-		}
-		if !bytes.Equal(model1, modelN) {
-			t.Errorf("workers=%d: serialized model differs from sequential run", workers)
-		}
-		if !bytes.Equal(met1, metN) {
-			t.Errorf("workers=%d: simulation metrics differ from sequential run", workers)
+	for _, lag := range pipelineLags {
+		tr1, opt1, model1, met1 := runSeededPipeline(t, 1, lag)
+		for _, workers := range []int{2, 4, 8} {
+			trN, optN, modelN, metN := runSeededPipeline(t, workers, lag)
+			if !bytes.Equal(tr1, trN) {
+				t.Errorf("lag=%d workers=%d: generated trace differs from sequential run", lag, workers)
+			}
+			if !bytes.Equal(opt1, optN) {
+				t.Errorf("lag=%d workers=%d: OPT decisions differ from sequential run", lag, workers)
+			}
+			if !bytes.Equal(model1, modelN) {
+				t.Errorf("lag=%d workers=%d: serialized model differs from sequential run", lag, workers)
+			}
+			if !bytes.Equal(met1, metN) {
+				t.Errorf("lag=%d workers=%d: simulation metrics differ from sequential run", lag, workers)
+			}
 		}
 	}
 }

@@ -52,8 +52,10 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
-// TestNegativeSizesRejected: a negative window, tracker bound or drift
-// cadence is an error, not silently a default; 0 keeps meaning the default.
+// TestNegativeSizesRejected: a negative window, tracker bound, drift
+// cadence or deploy lag is an error, not silently a default; 0 keeps meaning
+// the default. A lag of a whole window is an error too: the round would
+// deploy after the next boundary.
 func TestNegativeSizesRejected(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -62,6 +64,7 @@ func TestNegativeSizesRejected(t *testing.T) {
 		{"WindowSize", func(c *Config, v int) { c.WindowSize = v }},
 		{"MaxTrackedObjects", func(c *Config, v int) { c.MaxTrackedObjects = v }},
 		{"DriftCheckEvery", func(c *Config, v int) { c.DriftCheckEvery = v }},
+		{"DeployLag", func(c *Config, v int) { c.DeployLag = v }},
 	} {
 		for _, v := range []int{-1, 0} {
 			cfg := testConfig(1<<20, 1000)
@@ -70,6 +73,14 @@ func TestNegativeSizesRejected(t *testing.T) {
 			if ok := v == 0; ok != (err == nil) {
 				t.Errorf("%s %d: err = %v", c.name, v, err)
 			}
+		}
+	}
+	for _, lag := range []int{999, 1000} {
+		cfg := testConfig(1<<20, 1000)
+		cfg.DeployLag = lag
+		_, err := New(cfg)
+		if ok := lag < 1000; ok != (err == nil) {
+			t.Errorf("DeployLag %d of a 1000-request window: err = %v", lag, err)
 		}
 	}
 }
@@ -118,8 +129,8 @@ func TestCutoffDefaultsAndSentinel(t *testing.T) {
 // handoffReport is what the registry says about the window handoff that
 // just deployed: the gauges of that window and the cumulative counters.
 type handoffReport struct {
-	requests, agreementPPM, positivePPM             int64
-	dropped, flowIvs, sweepIvs, greedyIvs, segments int64
+	requests, agreementPPM, positivePPM    int64
+	flowIvs, sweepIvs, greedyIvs, segments int64
 }
 
 func readHandoff(reg *obs.Registry) handoffReport {
@@ -127,7 +138,6 @@ func readHandoff(reg *obs.Registry) handoffReport {
 		requests:     reg.Gauge("core_window_requests").Value(),
 		agreementPPM: reg.Gauge("core_train_agreement_ppm").Value(),
 		positivePPM:  reg.Gauge("core_label_positive_ppm").Value(),
-		dropped:      reg.Counter("core_windows_dropped_total").Value(),
 		flowIvs:      reg.Counter("opt_flow_intervals_total").Value(),
 		sweepIvs:     reg.Counter("opt_sweep_intervals_total").Value(),
 		greedyIvs:    reg.Counter("opt_greedy_intervals_total").Value(),
@@ -329,9 +339,11 @@ func TestLFOHitCanEvictHitObject(t *testing.T) {
 	if lfo.Windows() == 0 {
 		t.Fatal("never trained")
 	}
-	// The behavior must at least be exercisable; on heavy-tailed traces
-	// some hit objects do get demoted below the cutoff.
-	t.Logf("hits that evicted the hit object: %d", evictedOnHit)
+	// On heavy-tailed traces some hit objects do get demoted below the
+	// cutoff.
+	if evictedOnHit == 0 {
+		t.Error("no hit evicted the hit object")
+	}
 }
 
 func TestDisableEvictOnHitKeepsResidents(t *testing.T) {
@@ -357,87 +369,87 @@ func TestDisableEvictOnHitKeepsResidents(t *testing.T) {
 func TestLFOAsyncTrainingDeploys(t *testing.T) {
 	tr := webTrace(t, 20000, 12)
 	cfg := testConfig(1<<20, 4000)
-	cfg.AsyncTraining = true
+	cfg.DeployLag = 2000
 	lfo, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := sim.Run(tr, lfo, sim.Options{})
 	lfo.Close()
-	if lfo.Windows() == 0 {
-		t.Fatal("async training never deployed a model")
+	if lfo.Windows() != 5 {
+		t.Fatalf("Windows = %d after Close, want all 5 boundaries deployed", lfo.Windows())
 	}
 	if lfo.Model() == nil {
 		t.Fatal("no model after Close")
 	}
 	if m.Hits == 0 {
-		t.Error("async LFO scored no hits")
+		t.Error("lagged LFO scored no hits")
 	}
 }
 
+// TestAsyncDroppedWindowCounted: at the longest lag, DeployLag = W-1, no
+// window is dropped. Every boundary's round deploys W-1 requests later (the
+// last one at Close), the lag gauge reads 1 from each boundary to its deploy
+// point and 0 after it, and each deploy carries its own window's report.
 func TestAsyncDroppedWindowCounted(t *testing.T) {
-	// Regression: retrainAsync used to snapshot the window (two copies)
-	// before noticing a round was still in flight, then discard the
-	// copies silently. The drop must now happen before the copies and be
-	// counted in the obs registry.
-	tr := webTrace(t, 2000, 14)
-	cfg := testConfig(1<<20, 1000)
-	cfg.AsyncTraining = true
+	const window, lag = 1000, 999
+	tr := webTrace(t, 4*window, 14)
+	cfg := testConfig(1<<20, window)
+	cfg.DeployLag = lag
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
 	lfo, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Simulate a training round that is still in flight at the first
-	// window boundary, deterministically: pending is non-nil and nothing
-	// ever arrives on it.
-	stuck := make(chan trainResult, 1)
-	lfo.pending = stuck
-	for _, r := range tr.Requests[:1000] {
-		lfo.Request(r)
-	}
-	if lfo.windowsDropped != 1 {
-		t.Fatalf("windowsDropped = %d, want 1", lfo.windowsDropped)
-	}
-	if got := reg.Counter("core_windows_dropped_total").Value(); got != 1 {
-		t.Errorf("core_windows_dropped_total = %d, want 1", got)
-	}
-	if len(lfo.winReqs) != 0 || len(lfo.winFeats) != 0 {
-		t.Error("dropped window left samples behind")
-	}
-	if lag := reg.Gauge("core_window_lag").Value(); lag != 0 {
-		t.Errorf("window lag after drop = %d, want 0 (dropped windows never deploy)", lag)
-	}
-
-	// Release the simulated round and complete a real one; the registry's
-	// report of it carries the cumulative drop count.
-	lfo.pending = nil
 	var got []handoffReport
-	advance := func(step func()) {
+	for i, r := range tr.Requests {
 		w := lfo.Windows()
-		step()
+		lfo.Request(r)
 		if lfo.Windows() != w {
 			got = append(got, readHandoff(reg))
 		}
+		n := i + 1 // requests served
+		boundaries := n / window
+		inFlight := int64(0)
+		if boundaries > 0 && n%window < lag {
+			inFlight = 1
+		}
+		if g := reg.Gauge("core_window_lag").Value(); g != inFlight {
+			t.Fatalf("request %d: core_window_lag = %d, want %d", n, g, inFlight)
+		}
+		if retrains := reg.Counter("core_retrains_total").Value(); retrains != int64(boundaries)-inFlight {
+			t.Fatalf("request %d: core_retrains_total = %d, want %d", n, retrains, int64(boundaries)-inFlight)
+		}
 	}
-	for _, r := range tr.Requests[1000:2000] {
-		advance(func() { lfo.Request(r) })
+	w := lfo.Windows()
+	lfo.Close()
+	if lfo.Windows() != w+1 {
+		t.Fatal("Close deployed nothing, with the last boundary's round in flight")
 	}
-	advance(lfo.Close)
-	if lfo.Windows() != 1 || len(got) != 1 {
-		t.Fatalf("Windows = %d after %d advances, want 1", lfo.Windows(), len(got))
+	got = append(got, readHandoff(reg))
+	if retrains := reg.Counter("core_retrains_total").Value(); retrains != 4 {
+		t.Errorf("core_retrains_total = %d after Close, want the 4 boundaries crossed", retrains)
 	}
-	want := handoffReport{requests: 1000, agreementPPM: 933000, positivePPM: 236000, dropped: 1, flowIvs: 263, sweepIvs: 263, segments: 1}
-	if got[0] != want {
-		t.Errorf("registry reports %+v, want %+v", got[0], want)
+	if g := reg.Gauge("core_window_lag").Value(); g != 0 {
+		t.Errorf("core_window_lag = %d after Close, want 0", g)
 	}
-	if got := reg.Counter("core_retrains_total").Value(); got != 1 {
-		t.Errorf("core_retrains_total = %d, want 1", got)
+	// Window 2's report is the one the old asynchronous path pinned for the
+	// round it trained after dropping window 1: the same labels and the
+	// same agreement, its interval count now on top of window 1's 240.
+	want := []handoffReport{
+		{requests: 1000, agreementPPM: 889000, positivePPM: 239000, flowIvs: 240, sweepIvs: 240, segments: 1},
+		{requests: 1000, agreementPPM: 933000, positivePPM: 236000, flowIvs: 240 + 263, sweepIvs: 240 + 263, segments: 2},
+		{requests: 1000, agreementPPM: 959000, positivePPM: 237000, flowIvs: 503 + 238, sweepIvs: 503 + 238, segments: 3},
+		{requests: 1000, agreementPPM: 963000, positivePPM: 229000, flowIvs: 741 + 230, sweepIvs: 741 + 230, segments: 4},
 	}
-	if lag := reg.Gauge("core_window_lag").Value(); lag != 0 {
-		t.Errorf("window lag after deploy = %d, want 0", lag)
+	if len(got) != len(want) {
+		t.Fatalf("%d deploys, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("deploy %d: registry reports %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -487,12 +499,21 @@ func TestObsMetricsRecorded(t *testing.T) {
 	}
 }
 
-func TestLFOCloseWithoutAsyncIsNoop(t *testing.T) {
+func TestLFOCloseAtZeroLagIsNoop(t *testing.T) {
 	lfo, err := New(testConfig(1<<20, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lfo.Close() // must not block or panic
+	for _, r := range webTrace(t, 1000, 16).Requests {
+		lfo.Request(r)
+	}
+	if lfo.Windows() != 1 || lfo.round != nil {
+		t.Fatalf("at DeployLag 0 the boundary left Windows = %d and a round in flight = %v", lfo.Windows(), lfo.round != nil)
+	}
+	lfo.Close() // must not block, panic or deploy
+	if lfo.Windows() != 1 {
+		t.Errorf("Close deployed at DeployLag 0: Windows = %d", lfo.Windows())
+	}
 }
 
 func TestLFOInitialModelSkipsBootstrap(t *testing.T) {

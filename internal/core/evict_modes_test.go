@@ -118,18 +118,18 @@ func TestLFOLearnedEvictionAsyncDeploys(t *testing.T) {
 	tr := webTrace(t, 12000, 14)
 	cfg := testConfig(2<<20, 3000)
 	cfg.Eviction = "learned"
-	cfg.AsyncTraining = true
+	cfg.DeployLag = 1500
 	lfo, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(tr, lfo, sim.Options{})
 	lfo.Close()
-	if lfo.Windows() == 0 {
-		t.Fatal("no window deployed")
+	if lfo.Windows() != 4 {
+		t.Fatalf("Windows = %d after Close, want all 4 boundaries deployed", lfo.Windows())
 	}
 	if lfo.res.Evictor.(*evict.Learned).Model() == nil {
-		t.Error("async round deployed no eviction ranker")
+		t.Error("lagged round deployed no eviction ranker")
 	}
 }
 

@@ -16,9 +16,9 @@
 // model's training round launched. When any monitored feature's PSI
 // crosses DriftThreshold and enough of the current window has
 // accumulated, the window retrains early instead of waiting for the
-// boundary. If an async round is already in flight the trigger is
-// suppressed (and counted): one training round at a time, no
-// double-train, no deadlock.
+// boundary. A round still in flight (DeployLag > 0, before its deploy
+// point) deploys first: the trigger is never suppressed, and there is
+// one training round at a time.
 package core
 
 import (
@@ -72,7 +72,6 @@ func sizeClass(size int64) int {
 // when the registry is nil).
 type hybridMetrics struct {
 	earlyRetrains   *obs.Counter
-	earlySuppressed *obs.Counter
 	bias            *obs.Histogram
 	driftMax        *obs.Gauge
 	driftPerFeature [driftFeatures]*obs.Gauge
@@ -80,10 +79,9 @@ type hybridMetrics struct {
 
 func newHybridMetrics(r *obs.Registry) hybridMetrics {
 	m := hybridMetrics{
-		earlyRetrains:   r.Counter("core_early_retrains_total"),
-		earlySuppressed: r.Counter("core_early_retrains_suppressed_total"),
-		bias:            r.Histogram("core_hybrid_bias_micro", HybridBiasBounds),
-		driftMax:        r.Gauge("core_drift_psi_max_micro"),
+		earlyRetrains: r.Counter("core_early_retrains_total"),
+		bias:          r.Histogram("core_hybrid_bias_micro", HybridBiasBounds),
+		driftMax:      r.Gauge("core_drift_psi_max_micro"),
 	}
 	for i, name := range driftFeatureNames {
 		m.driftPerFeature[i] = r.Gauge("core_drift_psi_" + name + "_micro")
@@ -138,8 +136,6 @@ func (p *LFO) resetBias() {
 // snapshot and fires the early-retrain trigger when it has shifted. The
 // trigger needs a deployed model (bootstrap has nothing to re-fit), a
 // Ready detector, and at least a quarter window of rows to train on.
-// With an async round already in flight the trigger is suppressed and
-// counted — never a second concurrent round.
 func (p *LFO) driftCheck() {
 	// The first reference is the bootstrap window, recorded by an empty
 	// tracker against a draining cache: its gap-missingness and
@@ -155,10 +151,6 @@ func (p *LFO) driftCheck() {
 		p.hm.driftPerFeature[f].Set(driftMicro(s))
 	}
 	if score <= p.cfg.DriftThreshold || len(p.winReqs) < p.cfg.WindowSize/4 {
-		return
-	}
-	if p.pending != nil {
-		p.hm.earlySuppressed.Inc()
 		return
 	}
 	p.earlyRetrains++

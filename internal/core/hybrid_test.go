@@ -218,17 +218,18 @@ func TestEarlyRetrainStableTraceQuiet(t *testing.T) {
 	}
 }
 
-// TestEarlyRetrainSuppressedWhileAsyncPending extends the PR 4 dropped-
-// window accounting to the trigger path: a drift trigger that lands
-// while an async round is in flight must be suppressed and counted —
-// never a second concurrent round, never a deadlock. Run under -race by
-// scripts/check.sh.
-func TestEarlyRetrainSuppressedWhileAsyncPending(t *testing.T) {
-	const window = 4000
+// TestEarlyRetrainAwaitsRoundInFlight: with a deploy lag past the
+// trigger's quarter-window floor, a drift trigger can fire while the
+// previous boundary's round is still in flight. The early close deploys
+// that round first and then launches its own — never a second concurrent
+// round, never a suppressed trigger, never a dropped window. Run under
+// -race by scripts/check.sh.
+func TestEarlyRetrainAwaitsRoundInFlight(t *testing.T) {
+	const window, lag = 4000, 2000
 	shiftAt := 2*window + window/4
 	reqs := driftTrace(4*window, shiftAt)
 	cfg := testConfig(1<<26, window)
-	cfg.AsyncTraining = true
+	cfg.DeployLag = lag
 	cfg.DriftThreshold = 0.25
 	cfg.DriftCheckEvery = 200
 	reg := obs.NewRegistry()
@@ -237,53 +238,31 @@ func TestEarlyRetrainSuppressedWhileAsyncPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two windows train async off their boundaries, Close deploying each,
-	// so the trigger is armed (two references, warm on both sides).
-	for _, r := range reqs[:window] {
+	fired := -1
+	for i, r := range reqs {
+		inFlight, w := lfo.round != nil, lfo.Windows()
 		lfo.Request(r)
+		if fired >= 0 || lfo.EarlyRetrains() == 0 {
+			continue
+		}
+		fired = i
+		if !inFlight || lfo.Windows() != w+1 || lfo.round == nil {
+			t.Fatalf("request %d fired the trigger with a round in flight = %v, deployed %d rounds and left one in flight = %v; want true, 1, true",
+				i, inFlight, lfo.Windows()-w, lfo.round != nil)
+		}
+	}
+	if fired < 0 {
+		t.Fatal("the size shift never fired the trigger")
 	}
 	lfo.Close()
-	for _, r := range reqs[window : 2*window] {
-		lfo.Request(r)
-	}
-	lfo.Close()
-	if lfo.Windows() != 2 {
-		t.Fatalf("Windows = %d after two Closes, want 2", lfo.Windows())
-	}
-
-	// Wedge a fake in-flight round, then drive the shifted stream far
-	// past every trigger condition: the trigger must keep suppressing.
-	stuck := make(chan trainResult, 1)
-	lfo.pending = stuck
-	for _, r := range reqs[2*window : 3*window] {
-		lfo.Request(r)
-	}
-	if lfo.EarlyRetrains() != 0 {
-		t.Fatalf("EarlyRetrains = %d with a round in flight, want 0", lfo.EarlyRetrains())
-	}
-	suppressed := reg.Counter("core_early_retrains_suppressed_total").Value()
-	if suppressed == 0 {
-		t.Fatal("trigger conditions held while pending but nothing was counted as suppressed")
-	}
-	// The boundary crossed while wedged must have dropped its window, as
-	// in the plain async path.
-	if lfo.windowsDropped != 1 {
-		t.Errorf("windowsDropped = %d, want 1", lfo.windowsDropped)
-	}
-
-	// Release the wedge: the next drift check fires a real early retrain
-	// (the shifted distribution persists and the dropped window means no
-	// re-baselining happened meanwhile).
-	lfo.pending = nil
-	for _, r := range reqs[3*window:] {
-		lfo.Request(r)
-	}
-	lfo.Close()
-	if lfo.EarlyRetrains() == 0 {
-		t.Error("trigger never fired after the in-flight round cleared")
+	if got := reg.Counter("core_retrains_total").Value(); int64(lfo.Windows()) != got {
+		t.Errorf("Windows = %d, core_retrains_total = %d", lfo.Windows(), got)
 	}
 	if got := reg.Counter("core_early_retrains_total").Value(); got != int64(lfo.EarlyRetrains()) {
 		t.Errorf("core_early_retrains_total = %d, want %d", got, lfo.EarlyRetrains())
+	}
+	if g := reg.Gauge("core_window_lag").Value(); g != 0 {
+		t.Errorf("core_window_lag = %d after Close, want 0", g)
 	}
 }
 

@@ -62,8 +62,7 @@ type Config struct {
 	// prediction and resident feature extraction. The stages run one
 	// after the other. 0 means all available cores, 1 reproduces the
 	// fully sequential pipeline. Every stage reduces in a fixed order, so
-	// results are byte-identical for any value (unlike AsyncTraining,
-	// which trades reproducibility for latency).
+	// results are byte-identical for any value.
 	Workers int
 	// DisableEvictOnHit keeps hit objects resident even when their
 	// re-evaluated likelihood falls below Cutoff. By default LFO evicts
@@ -101,21 +100,23 @@ type Config struct {
 	// DriftCheckEvery is how often (in requests) the drift statistic is
 	// evaluated. Zero means 1000.
 	DriftCheckEvery int
-	// AsyncTraining trains each window's model in a background goroutine
-	// and deploys it when ready, instead of blocking the request path —
+	// DeployLag is how many requests of the next window are served on the
+	// outgoing model while a window's round trains in the background —
 	// the production concern §3 raises ("training tasks [must] not
-	// interfere with the request traffic"). The request path stays on
-	// the previous model until the swap; results are therefore no longer
-	// bit-reproducible across runs. Callers must Close the cache to wait
-	// for an in-flight training round.
-	AsyncTraining bool
+	// interfere with the request traffic"). The round deploys right after
+	// request DeployLag of the next window, waiting there if it has not
+	// finished, so results are byte-identical for any value and across
+	// reruns. 0 (the default) deploys at the boundary itself; values must
+	// lie in [0, WindowSize). Callers must Close the cache to deploy a
+	// round still in flight when the trace ends.
+	DeployLag int
 	// InitialModel warm-starts the cache with a previously trained model
 	// (e.g. gbdt.Load of a persisted model), skipping the admit-all
 	// bootstrap phase.
 	InitialModel *gbdt.Model
 	// Obs, when set, records the cache's runtime metrics: request/hit
 	// counts, retrain stage durations (OPT labeling, GBDT training,
-	// resident rescoring), async windows dropped, deployed-window lag,
+	// resident rescoring, the deploy point's wait), deployed-window lag,
 	// and each handoff's report on its window. Metrics observe the
 	// pipeline and never feed back into decisions, so determinism is
 	// unaffected; when nil, recording is a no-op (see internal/obs).
@@ -173,23 +174,25 @@ type LFO struct {
 	tracker *features.Tracker
 	model   *gbdt.Model
 
-	// Window recording.
-	winReqs  []trace.Request
-	winFeats []float64 // flat rows, features.Dim wide
-	windows  int
+	// Window recording, double-buffered: the current window records into
+	// winReqs/winFeats while a round in flight owns the spare pair, which
+	// the request path does not touch until the round has landed.
+	winReqs    []trace.Request
+	winFeats   []float64 // flat rows, features.Dim wide
+	spareReqs  []trace.Request
+	spareFeats []float64
+	windows    int
 
 	clock int64 // request counter (bootstrap LRU rank)
 	now   int64 // last request's trace time (feature time base)
 
-	// Async training state: pending receives at most one in-flight
-	// result; training spawns only when pending is nil.
-	pending chan trainResult
+	// round receives the result of the training round in flight; nil when
+	// none is. At most one round is ever in flight.
+	round chan trainResult
 
-	// completedWindows counts window boundaries crossed; windowsDropped
-	// counts the subset discarded untrained by the async path. Their gap
-	// against the deployed count p.windows is the window lag gauge.
+	// completedWindows counts window boundaries crossed; its gap against
+	// the deployed count p.windows is the window lag gauge.
 	completedWindows int
-	windowsDropped   int
 
 	// Online-learning bridge state (hybrid.go): the shadow OGD learner
 	// and per-size-class bias (nil unless cfg.Hybrid), the drift
@@ -217,15 +220,15 @@ type trainResult struct {
 // construction. All handles are nil (single-branch no-ops) when the
 // registry is nil.
 type coreMetrics struct {
-	requests       *obs.Counter
-	hits           *obs.Counter
-	retrains       *obs.Counter
-	windowsDropped *obs.Counter
-	windowLag      *obs.Gauge
-	optNS          *obs.Histogram
-	trainNS        *obs.Histogram
-	rescoreNS      *obs.Histogram
-	evictTrainNS   *obs.Histogram
+	requests     *obs.Counter
+	hits         *obs.Counter
+	retrains     *obs.Counter
+	windowLag    *obs.Gauge
+	optNS        *obs.Histogram
+	trainNS      *obs.Histogram
+	rescoreNS    *obs.Histogram
+	evictTrainNS *obs.Histogram
+	deployWaitNS *obs.Histogram
 
 	// Refreshed when a window closes, never per request: what the feature
 	// tracker and the cache hold, and the handoff's report on the window
@@ -241,15 +244,15 @@ type coreMetrics struct {
 
 func newCoreMetrics(r *obs.Registry) coreMetrics {
 	return coreMetrics{
-		requests:       r.Counter("core_requests_total"),
-		hits:           r.Counter("core_hits_total"),
-		retrains:       r.Counter("core_retrains_total"),
-		windowsDropped: r.Counter("core_windows_dropped_total"),
-		windowLag:      r.Gauge("core_window_lag"),
-		optNS:          r.Histogram("core_retrain_opt_ns", obs.LatencyBounds),
-		trainNS:        r.Histogram("core_retrain_train_ns", obs.LatencyBounds),
-		rescoreNS:      r.Histogram("core_retrain_rescore_ns", obs.LatencyBounds),
-		evictTrainNS:   r.Histogram("core_retrain_evict_train_ns", obs.LatencyBounds),
+		requests:     r.Counter("core_requests_total"),
+		hits:         r.Counter("core_hits_total"),
+		retrains:     r.Counter("core_retrains_total"),
+		windowLag:    r.Gauge("core_window_lag"),
+		optNS:        r.Histogram("core_retrain_opt_ns", obs.LatencyBounds),
+		trainNS:      r.Histogram("core_retrain_train_ns", obs.LatencyBounds),
+		rescoreNS:    r.Histogram("core_retrain_rescore_ns", obs.LatencyBounds),
+		evictTrainNS: r.Histogram("core_retrain_evict_train_ns", obs.LatencyBounds),
+		deployWaitNS: r.Histogram("core_deploy_wait_ns", obs.LatencyBounds),
 
 		trackedObjects:    r.Gauge("core_tracked_objects"),
 		gapRings:          r.Gauge("core_gap_rings"),
@@ -262,9 +265,9 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 }
 
 // updateLag refreshes the deployed-window lag gauge: completed window
-// boundaries not yet accounted for by a deployed or dropped round.
+// boundaries whose round has not deployed yet.
 func (p *LFO) updateLag() {
-	p.m.windowLag.Set(int64(p.completedWindows - p.windows - p.windowsDropped))
+	p.m.windowLag.Set(int64(p.completedWindows - p.windows))
 }
 
 // New returns an LFO cache. Until the first window completes, LFO runs a
@@ -277,6 +280,9 @@ func New(cfg Config) (*LFO, error) {
 	if cfg.WindowSize < 0 || cfg.MaxTrackedObjects < 0 || cfg.DriftCheckEvery < 0 {
 		return nil, fmt.Errorf("core: WindowSize, MaxTrackedObjects and DriftCheckEvery must be >= 0, got %d, %d, %d",
 			cfg.WindowSize, cfg.MaxTrackedObjects, cfg.DriftCheckEvery)
+	}
+	if cfg.DeployLag < 0 || cfg.DeployLag >= cfg.WindowSize {
+		return nil, fmt.Errorf("core: DeployLag must be in [0, WindowSize %d), got %d", cfg.WindowSize, cfg.DeployLag)
 	}
 	var err error
 	if cfg.Cutoff, err = sim.ResolveCutoff(cfg.Cutoff); err != nil {
@@ -344,7 +350,7 @@ func (p *LFO) Name() string { return p.name }
 // Model returns the currently deployed model (nil during bootstrap).
 func (p *LFO) Model() *gbdt.Model { return p.model }
 
-// Windows returns the number of completed training windows.
+// Windows returns the number of training rounds deployed.
 func (p *LFO) Windows() int { return p.windows }
 
 // Request implements sim.Policy.
@@ -406,14 +412,9 @@ func (p *LFO) Request(r trace.Request) bool {
 		p.res.Admit(r, score)
 	}
 
-	if p.pending != nil {
-		// Deploy an asynchronously trained model as soon as it lands.
-		select {
-		case tr := <-p.pending:
-			p.pending = nil
-			p.deploy(tr)
-		default:
-		}
+	// A lagged round deploys right after request DeployLag of the window.
+	if p.round != nil && len(p.winReqs) >= p.cfg.DeployLag {
+		p.await()
 	}
 	if len(p.winReqs) >= p.cfg.WindowSize {
 		p.closeWindow()
@@ -421,80 +422,67 @@ func (p *LFO) Request(r trace.Request) bool {
 	return hit
 }
 
-// Close waits for any in-flight background training round and deploys its
-// model. It is a no-op without AsyncTraining.
+// Close deploys the round still in flight when the trace ends, waiting for
+// it. It is a no-op at DeployLag 0, whose rounds deploy at the boundary.
 func (p *LFO) Close() {
-	if p.pending != nil {
-		tr := <-p.pending
-		p.pending = nil
-		p.deploy(tr)
+	if p.round != nil {
+		p.await()
 	}
 }
 
-// closeWindow ends the current window — at the boundary, or early when
-// the drift trigger fires — and hands it to training: in the background
-// with AsyncTraining, otherwise on the spot. If a background round is
-// still in flight, the window is dropped without snapshotting it (training
-// lags the traffic), which matches a production deployment that sheds
-// stale training work — the drop is counted, not silent.
+// closeWindow ends the current window — at the boundary, or early when the
+// drift trigger fires — and launches its training round. A round still in
+// flight, which only an early close before the deploy point can meet, is
+// awaited and deployed first: one round at a time, and no window is ever
+// dropped. At DeployLag 0 the new round is awaited on the spot, before the
+// request that closed the window touches the cache.
 func (p *LFO) closeWindow() {
 	p.completedWindows++
 	p.m.trackedObjects.Set(int64(p.tracker.Len()))
 	p.m.gapRings.Set(int64(p.tracker.Rings()))
 	p.m.trackerBytes.Set(p.tracker.Bytes())
 	p.m.residentBytes.Set(p.res.Store.Used())
-	if p.pending != nil {
-		p.resetWindow()
-		p.windowsDropped++
-		p.m.windowsDropped.Inc()
-		p.updateLag()
-		return
+	if p.round != nil {
+		p.await()
 	}
 	if p.det != nil {
 		// The rows observed since the previous round's launch are what this
-		// round trains on (plus any dropped windows, which the incoming
-		// model never saw but which are the best available stand-in for its
-		// training distribution); snapshot them as its drift reference.
+		// round trains on; snapshot them as its drift reference.
 		p.det.SetReference()
 		p.driftRefs++
 	}
-	if p.cfg.AsyncTraining {
-		p.trainAsync()
-	} else {
-		p.retrain()
+	p.swapWindow()
+	// Buffered, so the round's goroutine exits even if no one awaits it.
+	ch := make(chan trainResult, 1)
+	p.round = ch
+	reqs, feats, cfg, m := p.spareReqs, p.spareFeats, p.cfg, p.m
+	go func() { ch <- trainWindow(reqs, feats, cfg, m) }()
+	p.updateLag()
+	if p.cfg.DeployLag == 0 {
+		p.await()
 	}
 }
 
-// resetWindow releases the recorded window, keeping its backing arrays.
-func (p *LFO) resetWindow() {
-	p.winReqs = p.winReqs[:0]
-	p.winFeats = p.winFeats[:0]
+// swapWindow exchanges the recording and spare buffer pairs, emptying the
+// new recording pair and keeping both backing arrays.
+func (p *LFO) swapWindow() {
+	p.winReqs, p.spareReqs = p.spareReqs[:0], p.winReqs
+	p.winFeats, p.spareFeats = p.spareFeats[:0], p.winFeats
 }
 
-// retrain is the synchronous window handoff (Figure 2): the asynchronous
-// one awaited. The recorded window becomes the training set without a
-// copy, and is released only once training is done with it.
-func (p *LFO) retrain() {
-	tr := trainWindow(p.winReqs, p.winFeats, p.cfg, p.m)
-	p.resetWindow()
+// await blocks until the round in flight lands, then deploys it. If nothing
+// has been recorded since the launch (DeployLag 0, or a trace that ended on
+// a boundary), the round's buffers take recording back, so the spare pair is
+// never grown where the lag does not need it.
+func (p *LFO) await() {
+	sc := obs.Start(p.m.deployWaitNS)
+	tr := <-p.round
+	sc.Stop()
+	p.round = nil
+	if len(p.winReqs) == 0 {
+		p.swapWindow()
+	}
 	p.deploy(tr)
-}
-
-// trainAsync snapshots the window and trains in a goroutine; the model
-// deploys on a later Request (or Close). The request path keeps serving
-// on the previous model meanwhile.
-func (p *LFO) trainAsync() {
-	reqs := append([]trace.Request(nil), p.winReqs...)
-	feats := append([]float64(nil), p.winFeats...)
-	p.resetWindow()
-	p.updateLag()
-	ch := make(chan trainResult, 1)
-	p.pending = ch
-	cfg := p.cfg
-	m := p.m
-	go func() {
-		ch <- trainWindow(reqs, feats, cfg, m)
-	}()
 }
 
 // trainWindow is the learning half of a window handoff; it is free of

@@ -99,8 +99,9 @@ func pinGrid() []pinCase {
 	return grid
 }
 
-// replay runs tr through the cache and digests what the refactor must not
-// move; after, when set, runs after every Request. On the way it holds the
+// replay runs tr through the cache, Closes it, and digests what the
+// refactor must not move; after, when set, runs after every Request. On the
+// way it holds the
 // cache to its invariants at every request: a hit is returned exactly for
 // an object that was resident, the residents fit the capacity, and the
 // evictor's queue or list holds exactly the residents (the learned evictor
@@ -130,6 +131,7 @@ func replay(t *testing.T, lfo *LFO, tr *trace.Trace, after func()) string {
 				i, lfo.res.Evictor.Name(), tracked.Len(), store.Len())
 		}
 	}
+	lfo.Close()
 	h := sha256.New()
 	h.Write(hits)
 	var tail [16]byte
@@ -187,31 +189,56 @@ func TestRefactorPins(t *testing.T) {
 	}
 }
 
-// TestAsyncAwaitedIsSync holds the merged handoff to its definition:
-// synchronous training is asynchronous training awaited. With Close after
-// every Request a background round always lands before the next request,
-// and the run is hit-for-hit and model-for-model the synchronous one.
-// (The drift trigger stays off: an early retrain fires inside Request,
-// where the synchronous round rescores before the current object is
-// touched and the awaited one after.)
-func TestAsyncAwaitedIsSync(t *testing.T) {
+// TestDeployLagDeterministic holds a lagged handoff to byte-identical
+// runs: for the cells a handoff deploys something into (rank and learned
+// eviction, and the bridge, whose early closes meet rounds in flight), a
+// rerun at another worker count repeats the digest at every lag. The first
+// model is the DeployLag 0 run's first model, bit for bit, and deploys
+// right after request W+L.
+func TestDeployLagDeterministic(t *testing.T) {
 	for _, c := range pinGrid() {
-		if c.bridge || c.noEvictOnHit || (c.eviction != "rank" && c.eviction != "learned") {
-			continue // the two modes a handoff deploys something into
+		if c.noEvictOnHit || (c.eviction != "rank" && c.eviction != "learned") {
+			continue
 		}
 		tr := c.trace(t)
-		cfg := c.config(1)
-		cfg.AsyncTraining = true
-		lfo, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+		// run replays the cell and returns its digest, the first deployed
+		// model's bytes and the request that deployed it.
+		run := func(lag, workers int) (digest string, first []byte, at int) {
+			cfg := c.config(workers)
+			cfg.DeployLag = lag
+			lfo, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := 0
+			digest = replay(t, lfo, tr, func() {
+				served++
+				if at == 0 && lfo.Windows() > 0 {
+					at = served
+					var b bytes.Buffer
+					if err := lfo.Model().Save(&b); err != nil {
+						t.Fatal(err)
+					}
+					first = b.Bytes()
+				}
+			})
+			return digest, first, at
 		}
-		got := replay(t, lfo, tr, lfo.Close)
-		if lfo.Windows() != pinWindows {
-			t.Errorf("%s: %d windows deployed, want %d", c.name(), lfo.Windows(), pinWindows)
+		_, first0, at0 := run(0, 1)
+		if at0 != pinWindow {
+			t.Fatalf("%s: DeployLag 0 deployed first after request %d, want %d", c.name(), at0, pinWindow)
 		}
-		if want := refactorPins[c.name()]; got != want {
-			t.Errorf("%s: awaited async digest %s, want the synchronous %s", c.name(), got, want)
+		for _, lag := range []int{1, pinWindow / 4, pinWindow - 1} {
+			digest, first, at := run(lag, 1)
+			if at != pinWindow+lag {
+				t.Errorf("%s lag=%d: first deploy after request %d, want %d", c.name(), lag, at, pinWindow+lag)
+			}
+			if !bytes.Equal(first, first0) {
+				t.Errorf("%s lag=%d: first model differs from the DeployLag 0 run's", c.name(), lag)
+			}
+			if par, _, _ := run(lag, 4); par != digest {
+				t.Errorf("%s lag=%d: workers=4 digest %s, workers=1 %s", c.name(), lag, par, digest)
+			}
 		}
 	}
 }

@@ -552,71 +552,3 @@ func TestHistogramSubtraction(t *testing.T) {
 		}
 	}
 }
-
-func TestGOSSLearnsXOR(t *testing.T) {
-	p := DefaultParams()
-	p.GOSSTopRate = 0.2
-	p.GOSSOtherRate = 0.2
-	p.NumIterations = 40
-	train := synth(4000, 20, 0)
-	test := synth(1000, 21, 0)
-	m, err := Train(train, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := accuracy(m, test); acc < 0.93 {
-		t.Errorf("GOSS XOR accuracy = %.3f, want >= 0.93", acc)
-	}
-}
-
-func TestGOSSDeterministic(t *testing.T) {
-	p := DefaultParams()
-	p.GOSSTopRate = 0.3
-	p.GOSSOtherRate = 0.2
-	p.Seed = 5
-	d := synth(1500, 22, 0.05)
-	a, err := Train(d, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Train(d, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := []float64{7, 1, 0, 0.3}
-	if a.RawPredict(row) != b.RawPredict(row) {
-		t.Error("GOSS training nondeterministic for fixed seed")
-	}
-}
-
-func TestGOSSParamValidation(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		top, oth float64
-		bagFreq  int
-		bagFrac  float64
-	}{
-		{"top=1", 1, 0.1, 0, 1},
-		{"negative top", -0.1, 0.1, 0, 1},
-		{"zero other", 0.3, 0, 0, 1},
-		{"sum>1", 0.7, 0.4, 0, 1},
-		{"with bagging", 0.3, 0.2, 1, 0.5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := DefaultParams()
-			p.GOSSTopRate = tc.top
-			p.GOSSOtherRate = tc.oth
-			p.BaggingFreq = tc.bagFreq
-			p.BaggingFraction = tc.bagFrac
-			if err := p.Validate(); err == nil {
-				t.Error("invalid GOSS params accepted")
-			}
-		})
-	}
-	p := DefaultParams()
-	p.GOSSTopRate = 0.2
-	p.GOSSOtherRate = 0.1
-	if err := p.Validate(); err != nil {
-		t.Errorf("valid GOSS params rejected: %v", err)
-	}
-}

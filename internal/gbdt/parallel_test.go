@@ -32,7 +32,6 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	}{
 		{"default", func(p *Params) {}},
 		{"bagging", func(p *Params) { p.BaggingFraction = 0.7; p.BaggingFreq = 2 }},
-		{"goss", func(p *Params) { p.GOSSTopRate = 0.3; p.GOSSOtherRate = 0.2 }},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -55,17 +55,7 @@ type Params struct {
 	BaggingFreq int
 	// FeatureFraction subsamples features per tree, in (0, 1].
 	FeatureFraction float64
-	// GOSSTopRate enables LightGBM's gradient-based one-side sampling
-	// when positive: each tree trains on the GOSSTopRate fraction of
-	// rows with the largest gradient magnitudes plus a GOSSOtherRate
-	// random sample of the rest, re-weighted by (1-a)/b to keep the
-	// gradient distribution unbiased. GOSS and bagging are mutually
-	// exclusive.
-	GOSSTopRate float64
-	// GOSSOtherRate is the sampling rate for small-gradient rows; only
-	// meaningful when GOSSTopRate > 0.
-	GOSSOtherRate float64
-	// Seed drives bagging, GOSS and feature sampling.
+	// Seed drives bagging and feature sampling.
 	Seed int64
 	// Workers caps the goroutines used inside Train: row-sharded
 	// gradient/score updates and feature-parallel histogram building and
@@ -114,12 +104,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("gbdt: FeatureFraction must be in (0,1], got %g", p.FeatureFraction)
 	case p.Lambda < 0:
 		return fmt.Errorf("gbdt: Lambda must be >= 0, got %g", p.Lambda)
-	case p.GOSSTopRate < 0 || p.GOSSTopRate >= 1:
-		return fmt.Errorf("gbdt: GOSSTopRate must be in [0,1), got %g", p.GOSSTopRate)
-	case p.GOSSTopRate > 0 && (p.GOSSOtherRate <= 0 || p.GOSSTopRate+p.GOSSOtherRate > 1):
-		return fmt.Errorf("gbdt: GOSSOtherRate %g invalid for top rate %g", p.GOSSOtherRate, p.GOSSTopRate)
-	case p.GOSSTopRate > 0 && p.BaggingFreq > 0 && p.BaggingFraction < 1:
-		return fmt.Errorf("gbdt: GOSS and bagging are mutually exclusive")
 	case p.Workers < 0:
 		return fmt.Errorf("gbdt: Workers must be >= 0, got %d", p.Workers)
 	}

@@ -60,13 +60,8 @@ func referenceTrain(d *Dataset, p Params) (*Model, error) {
 			t.grad[i] = pr - d.Label(i)
 			t.hess[i] = pr * (1 - pr)
 		}
-		switch {
-		case p.GOSSTopRate > 0:
-			rows = t.sampleGOSS()
-		case p.BaggingFreq > 0 && p.BaggingFraction < 1:
-			if iter%p.BaggingFreq == 0 {
-				rows = t.sampleRows()
-			}
+		if p.BaggingFreq > 0 && p.BaggingFraction < 1 && iter%p.BaggingFreq == 0 {
+			rows = t.sampleRows()
 		}
 		feats := t.sampleFeatures()
 		tree := t.buildTree(rows, feats)
@@ -80,6 +75,30 @@ func referenceTrain(d *Dataset, p Params) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// predict returns the tree's raw contribution for a feature row, walking
+// the node structs.
+func (t *Tree) predict(row []float64) float64 {
+	i := int32(0)
+	for {
+		n := &t.Nodes[i]
+		if n.Feature < 0 {
+			return n.Value
+		}
+		v := row[n.Feature]
+		if math.IsNaN(v) {
+			if n.MissingLeft {
+				i = n.Left
+			} else {
+				i = n.Right
+			}
+		} else if v <= n.Threshold {
+			i = n.Left
+		} else {
+			i = n.Right
+		}
+	}
 }
 
 // nodeRawPredict is the pointer-chasing walk over the Trees structs: the
@@ -441,45 +460,6 @@ func (t *refTrainer) sampleRows() []int32 {
 	return rows
 }
 
-func (t *refTrainer) sampleGOSS() []int32 {
-	n := t.d.Len()
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ga, gb := math.Abs(t.grad[idx[a]]), math.Abs(t.grad[idx[b]])
-		if ga != gb {
-			return ga > gb
-		}
-		return idx[a] < idx[b]
-	})
-	topN := int(t.p.GOSSTopRate * float64(n))
-	if topN < 1 {
-		topN = 1
-	}
-	if topN > n {
-		topN = n
-	}
-	rows := append([]int32(nil), idx[:topN]...)
-	rest := idx[topN:]
-	sampleN := int(t.p.GOSSOtherRate * float64(n))
-	if sampleN > len(rest) {
-		sampleN = len(rest)
-	}
-	if sampleN > 0 {
-		amplify := (1 - t.p.GOSSTopRate) / t.p.GOSSOtherRate
-		perm := t.rng.Perm(len(rest))
-		for i := 0; i < sampleN; i++ {
-			r := rest[perm[i]]
-			t.grad[r] *= amplify
-			t.hess[r] *= amplify
-			rows = append(rows, r)
-		}
-	}
-	return rows
-}
-
 func (t *refTrainer) sampleFeatures() []int {
 	dim := t.d.Dim()
 	if t.p.FeatureFraction >= 1 {
@@ -782,7 +762,6 @@ func TestTrainMatchesReference(t *testing.T) {
 		{"min1-lambda1", func(p *Params) { p.MinDataInLeaf = 1; p.Lambda = 1 }},
 		{"lambda1-depth3", func(p *Params) { p.Lambda = 1; p.MaxDepth = 3 }},
 		{"bagging", func(p *Params) { p.BaggingFraction = 0.6; p.BaggingFreq = 2 }},
-		{"goss", func(p *Params) { p.GOSSTopRate = 0.3; p.GOSSOtherRate = 0.2 }},
 		{"featfrac", func(p *Params) { p.FeatureFraction = 0.5 }},
 		{"bagging-featfrac-min1", func(p *Params) {
 			p.BaggingFraction = 0.5

@@ -69,16 +69,8 @@ func Train(d *Dataset, p Params) (*Model, error) {
 	rows := t.allRows()
 	for iter := 0; iter < p.NumIterations; iter++ {
 		t.computeGradients()
-		switch {
-		case p.GOSSTopRate > 0:
-			// GOSS re-samples (and re-weights gradients) every tree;
-			// gradients are recomputed fresh above, so the in-place
-			// amplification cannot compound across iterations.
-			rows = t.sampleGOSS()
-		case p.BaggingFreq > 0 && p.BaggingFraction < 1:
-			if iter%p.BaggingFreq == 0 {
-				rows = t.sampleRows()
-			}
+		if p.BaggingFreq > 0 && p.BaggingFraction < 1 && iter%p.BaggingFreq == 0 {
+			rows = t.sampleRows()
 		}
 		t.sampleFeatures()
 		leaves := t.buildTree(rows)
@@ -113,7 +105,7 @@ type trainer struct {
 	// are their histogram bin offsets (len(feats)+1 entries).
 	feats   []int
 	offsets []int
-	// outRows are the rows outside the current bagging/GOSS sample; empty
+	// outRows are the rows outside the current bagging sample; empty
 	// when every row is in it.
 	outRows []int32
 
@@ -124,8 +116,6 @@ type trainer struct {
 
 	// Scratch reused across boosting rounds to avoid per-iteration churn.
 	rowScratch  []int32     // allRows / sampleRows output
-	gossIdx     []int32     // GOSS gradient-order permutation
-	gossRows    []int32     // GOSS sampled-row output
 	partG       []float64   // per-shard gradient sums (rowSums)
 	partH       []float64   // per-shard hessian sums (rowSums)
 	bestScratch []splitInfo // per-live-feature split candidates (findBestSplit)
@@ -214,61 +204,6 @@ func (t *trainer) sampleRows() []int32 {
 	}
 	t.outRows = buf[k:]
 	return buf[:k]
-}
-
-// sampleGOSS implements gradient-based one-side sampling (Ke et al.,
-// NeurIPS 2017): keep the top-a fraction of rows by |gradient|, sample a
-// b fraction of the remainder uniformly, and amplify the sampled rows'
-// gradient and hessian by (1-a)/b so histogram statistics stay unbiased.
-// The unsampled remainder is the out-of-sample set.
-func (t *trainer) sampleGOSS() []int32 {
-	n := t.d.Len()
-	if cap(t.gossIdx) < n {
-		t.gossIdx = make([]int32, n)
-	}
-	idx := t.gossIdx[:n]
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ga, gb := math.Abs(t.grad[idx[a]]), math.Abs(t.grad[idx[b]])
-		if ga != gb {
-			return ga > gb
-		}
-		return idx[a] < idx[b] // deterministic tie-break
-	})
-	topN := int(t.p.GOSSTopRate * float64(n))
-	if topN < 1 {
-		topN = 1
-	}
-	if topN > n {
-		topN = n
-	}
-	rows := append(t.gossRows[:0], idx[:topN]...)
-	rest := idx[topN:]
-	sampleN := int(t.p.GOSSOtherRate * float64(n))
-	if sampleN > len(rest) {
-		sampleN = len(rest)
-	}
-	out := t.outRows[:0]
-	if sampleN > 0 {
-		amplify := (1 - t.p.GOSSTopRate) / t.p.GOSSOtherRate
-		perm := t.rng.Perm(len(rest))
-		for _, pi := range perm[:sampleN] {
-			r := rest[pi]
-			t.grad[r] *= amplify
-			t.hess[r] *= amplify
-			rows = append(rows, r)
-		}
-		for _, pi := range perm[sampleN:] {
-			out = append(out, rest[pi])
-		}
-	} else {
-		out = append(out, rest...)
-	}
-	t.gossRows = rows
-	t.outRows = out
-	return rows
 }
 
 // sampleFeatures draws FeatureFraction of the features for one tree into

@@ -1,7 +1,5 @@
 package gbdt
 
-import "math"
-
 // node is one tree node. Leaves have Feature == -1.
 type node struct {
 	Feature     int32   // split feature, -1 for leaf
@@ -14,29 +12,6 @@ type node struct {
 // Tree is a single regression tree over raw feature values.
 type Tree struct {
 	Nodes []node
-}
-
-// predict returns the tree's raw contribution for a feature row.
-func (t *Tree) predict(row []float64) float64 {
-	i := int32(0)
-	for {
-		n := &t.Nodes[i]
-		if n.Feature < 0 {
-			return n.Value
-		}
-		v := row[n.Feature]
-		if math.IsNaN(v) {
-			if n.MissingLeft {
-				i = n.Left
-			} else {
-				i = n.Right
-			}
-		} else if v <= n.Threshold {
-			i = n.Left
-		} else {
-			i = n.Right
-		}
-	}
 }
 
 // numLeaves counts leaf nodes.

@@ -63,6 +63,11 @@ go test -race ./internal/server ./internal/fleet ./internal/faultnet \
     ./internal/mcf ./internal/obs ./internal/evict \
     ./internal/policy/ogd ./internal/drift
 
+# A lagged handoff trains in a goroutine while requests are served; rerun
+# its tests a few times so the race detector sees several schedules.
+step "go test -race -count 3 (deploy lag)"
+go test -race -count 3 -run 'DeployLag|EarlyRetrainAwaits|AsyncDropped' ./internal/core
+
 # Coverage floors on the serving path, where the chaos/fuzz suites are the
 # main guard, and on the analyzer, whose golden fixtures are its only
 # guard: a silent drop in what they exercise should fail the gate.
