@@ -20,7 +20,7 @@ func TestHybridValidation(t *testing.T) {
 		t.Error("negative DriftThreshold accepted")
 	}
 	cfg = testConfig(1<<20, 1000)
-	cfg.HybridLR = 0.5 // implies Hybrid
+	cfg.HybridLR = 0.5 // enables the bridge
 	lfo, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -54,11 +54,11 @@ func scenarioTraces(t *testing.T, n int, seed int64) map[string]*trace.Trace {
 	return out
 }
 
-// TestHybridZeroLRMatchesFrozen pins that the bridge is opt-in: with the
-// full hybrid machinery running but a bias learning rate of zero, the
-// decision log is identical to the frozen-GBDT path on all three
-// scenarios. The shadow learner runs, the bias table is consulted — and
-// adds exactly 0.0 to every score.
+// TestHybridZeroLRMatchesFrozen pins that the bias is all the bridge
+// modulates: a cache built with the bridge, whose learning rate is then
+// zeroed before its first request, logs the decisions of the frozen-GBDT
+// path on all three scenarios. The shadow learner runs, the bias table is
+// consulted — and adds exactly 0.0 to every score.
 func TestHybridZeroLRMatchesFrozen(t *testing.T) {
 	for name, tr := range scenarioTraces(t, 2000, 42) {
 		t.Run(name, func(t *testing.T) {
@@ -67,11 +67,12 @@ func TestHybridZeroLRMatchesFrozen(t *testing.T) {
 				t.Fatal(err)
 			}
 			hcfg := testConfig(1<<20, 1000)
-			hcfg.Hybrid = true // HybridLR stays 0
+			hcfg.HybridLR = 0.5
 			hybrid, err := New(hcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			hybrid.cfg.HybridLR = 0 // the machinery stays, the modulation goes
 			for i, r := range tr.Requests {
 				a, b := frozen.Request(r), hybrid.Request(r)
 				if a != b {

@@ -79,17 +79,13 @@ type Config struct {
 	// Seed seeds the learned evictor's candidate sampler. Runs are
 	// byte-reproducible for a fixed seed.
 	Seed int64
-	// Hybrid enables the online-learning bridge (see hybrid.go): a
-	// shadow OGD learner runs beside the model and a per-size-class bias
-	// pulls admission likelihoods toward the online learner's view
-	// between retrains. With HybridLR == 0 the bias stays zero and
-	// decisions are identical to the frozen-GBDT path — the machinery
-	// runs, the modulation is inert.
-	Hybrid bool
-	// HybridLR is the bias learning rate; > 0 implies Hybrid.
+	// HybridLR, when positive, enables the online-learning bridge (see
+	// hybrid.go) at that bias learning rate: a shadow OGD learner runs
+	// beside the model and a per-size-class bias pulls admission
+	// likelihoods toward the online learner's view between retrains.
 	HybridLR float64
 	// OGDEta overrides the shadow learner's gradient step scale
-	// (default ogd.DefaultEta). Only meaningful with Hybrid.
+	// (default ogd.DefaultEta). Only meaningful with HybridLR > 0.
 	OGDEta float64
 	// DriftThreshold, when positive, enables the feature-drift detector
 	// and its early-retrain trigger: when any monitored feature's PSI
@@ -144,9 +140,6 @@ func (c Config) withDefaults() Config {
 	if c.GBDT.NumIterations == 0 {
 		c.GBDT = gbdt.DefaultParams()
 	}
-	if c.HybridLR > 0 {
-		c.Hybrid = true
-	}
 	if c.OGDEta == 0 {
 		c.OGDEta = ogd.DefaultEta
 	}
@@ -195,7 +188,7 @@ type LFO struct {
 	completedWindows int
 
 	// Online-learning bridge state (hybrid.go): the shadow OGD learner
-	// and per-size-class bias (nil unless cfg.Hybrid), the drift
+	// and per-size-class bias (nil unless cfg.HybridLR > 0), the drift
 	// detector and its row buffer (nil unless cfg.DriftThreshold > 0),
 	// and the early-retrain count.
 	shadow        *ogd.Learner
@@ -308,10 +301,10 @@ func New(cfg Config) (*LFO, error) {
 		tracker: features.NewTracker(cfg.MaxTrackedObjects),
 		m:       newCoreMetrics(cfg.Obs),
 	}
-	if cfg.Hybrid || cfg.DriftThreshold > 0 {
+	if cfg.HybridLR > 0 || cfg.DriftThreshold > 0 {
 		p.hm = newHybridMetrics(cfg.Obs)
 	}
-	if cfg.Hybrid {
+	if cfg.HybridLR > 0 {
 		shadow, err := ogd.NewLearner(ogd.Config{CacheSize: cfg.CacheSize, Eta: cfg.OGDEta})
 		if err != nil {
 			return nil, fmt.Errorf("core: %v", err)

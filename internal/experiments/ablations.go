@@ -36,7 +36,7 @@ func AblationRankFraction(cfg Config, fractions []float64) ([]RankFractionPoint,
 	if len(fractions) == 0 {
 		fractions = []float64{1.0, 0.5, 0.3, 0.1}
 	}
-	tr, err := cfg.cdnTrace()
+	tr, err := cfg.workload("cdn-drift")
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,7 @@ type PolicyDesignResult struct {
 // disable parts of §2.4's design: hit-triggered eviction off, and a
 // higher (more aggressive) cutoff as §3 suggests.
 func AblationPolicyDesign(cfg Config) ([]PolicyDesignResult, error) {
-	tr, err := cfg.cdnTrace()
+	tr, err := cfg.workload("cdn-drift")
 	if err != nil {
 		return nil, err
 	}

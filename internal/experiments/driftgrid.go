@@ -5,7 +5,6 @@ import (
 
 	"lfo/internal/core"
 	"lfo/internal/drift"
-	"lfo/internal/gen"
 	"lfo/internal/opt"
 	"lfo/internal/policy"
 	"lfo/internal/sim"
@@ -94,12 +93,11 @@ func optWindowBHR(cfg Config, tr *trace.Trace, wins []sim.WindowMetrics) ([]floa
 // parallelize).
 func DriftGrid(cfg Config) ([]DriftGridResult, error) {
 	var out []DriftGridResult
-	for _, sc := range evictionScenarios(cfg) {
-		tr, err := gen.Generate(sc.gen)
+	for _, sc := range scenarios {
+		trc, err := cfg.workload(sc.name)
 		if err != nil {
 			return nil, err
 		}
-		trc := tr.WithCosts(cfg.Objective)
 		opts := sim.Options{Warmup: cfg.Requests / 5, WindowSize: cfg.Window, Obs: cfg.Obs}
 		var optBHR []float64
 		for _, polName := range driftGridPolicies {

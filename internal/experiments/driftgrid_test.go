@@ -14,7 +14,7 @@ import (
 // under the given worker count.
 func ogdRegret(t *testing.T, cfg Config, workers int) []float64 {
 	t.Helper()
-	tr, err := cfg.webTrace()
+	tr, err := cfg.workload("stable")
 	if err != nil {
 		t.Fatal(err)
 	}

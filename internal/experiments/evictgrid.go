@@ -5,7 +5,6 @@ import (
 
 	"lfo/internal/core"
 	"lfo/internal/evict"
-	"lfo/internal/gen"
 	"lfo/internal/policy"
 	"lfo/internal/sim"
 )
@@ -22,28 +21,6 @@ type EvictionGridResult struct {
 	// MissCost is the summed retrieval cost of missed requests after
 	// warmup (lower is better; under BHR costs it equals missed bytes).
 	MissCost float64
-}
-
-// evictionScenarios are the grid's drift scenarios: a stationary web
-// workload, the full CDN mix with its built-in flash crowd and
-// load-balancer shift, and a web workload whose hot set is remapped
-// wholesale mid-trace (the hardest case for a stale eviction ranker).
-func evictionScenarios(cfg Config) []struct {
-	name string
-	gen  gen.Config
-} {
-	reshuffle := gen.WebMix(cfg.Requests, cfg.Seed)
-	reshuffle.Drift = []gen.DriftEvent{
-		{At: 0.5, Class: 0, NewWeight: 1, Reshuffle: true},
-	}
-	return []struct {
-		name string
-		gen  gen.Config
-	}{
-		{"stable", gen.WebMix(cfg.Requests, cfg.Seed)},
-		{"cdn-drift", gen.CDNMix(cfg.Requests, cfg.Seed)},
-		{"reshuffle", reshuffle},
-	}
 }
 
 // gridAdmissions and gridEvictions enumerate the grid axes.
@@ -88,12 +65,11 @@ func gridPolicy(cfg Config, admission, eviction string) (sim.Policy, error) {
 // identical tables.
 func EvictionGrid(cfg Config) ([]EvictionGridResult, error) {
 	var out []EvictionGridResult
-	for _, sc := range evictionScenarios(cfg) {
-		tr, err := gen.Generate(sc.gen)
+	for _, sc := range scenarios {
+		trc, err := cfg.workload(sc.name)
 		if err != nil {
 			return nil, err
 		}
-		trc := tr.WithCosts(cfg.Objective)
 		opts := sim.Options{Warmup: cfg.Requests / 5, Obs: cfg.Obs}
 		for _, adm := range gridAdmissions {
 			for _, ev := range gridEvictions {

@@ -77,22 +77,40 @@ func Default() Config {
 	}
 }
 
-// cdnTrace generates the standard mixed-content evaluation trace.
-func (c Config) cdnTrace() (*trace.Trace, error) {
-	tr, err := gen.Generate(gen.CDNMix(c.Requests, c.Seed))
-	if err != nil {
-		return nil, err
-	}
-	return tr.WithCosts(c.Objective), nil
+// scenarios is the one table of generated workloads the figures run on,
+// in the order the eviction and drift grids emit them: a stationary web
+// workload, the full CDN mix with its built-in flash crowd and
+// load-balancer shift, and a web workload whose hot set is remapped
+// wholesale mid-trace (the hardest case for a stale eviction ranker). The
+// other figures look one up by name; the robustness table contaminates
+// "stable" with scans.
+var scenarios = []struct {
+	name string
+	mix  func(requests int, seed int64) gen.Config
+}{
+	{"stable", gen.WebMix},
+	{"cdn-drift", gen.CDNMix},
+	{"reshuffle", func(requests int, seed int64) gen.Config {
+		c := gen.WebMix(requests, seed)
+		c.Drift = []gen.DriftEvent{{At: 0.5, Class: 0, NewWeight: 1, Reshuffle: true}}
+		return c
+	}},
 }
 
-// webTrace generates the single-class web trace (Fig 1, Fig 5).
-func (c Config) webTrace() (*trace.Trace, error) {
-	tr, err := gen.Generate(gen.WebMix(c.Requests, c.Seed))
-	if err != nil {
-		return nil, err
+// workload generates the named scenario at this scale, costed by the
+// objective.
+func (c Config) workload(name string) (*trace.Trace, error) {
+	for _, sc := range scenarios {
+		if sc.name != name {
+			continue
+		}
+		tr, err := gen.Generate(sc.mix(c.Requests, c.Seed))
+		if err != nil {
+			return nil, err
+		}
+		return tr.WithCosts(c.Objective), nil
 	}
-	return tr.WithCosts(c.Objective), nil
+	return nil, fmt.Errorf("experiments: unknown scenario %q", name)
 }
 
 // lfoConfig returns the LFO configuration for this harness scale. GBDT
@@ -120,7 +138,7 @@ type windowPair struct {
 // windowPair trains on [0, w) and extracts [w, 2w) under lcfg, with
 // w = c.Window clamped to half the trace.
 func (c Config) windowPair(lcfg core.Config) (*windowPair, error) {
-	tr, err := c.cdnTrace()
+	tr, err := c.workload("cdn-drift")
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +206,7 @@ type PolicyResult struct {
 // GDSF, showing that model-free RL caching (RLC) is not competitive with
 // a simple heuristic (GDSF).
 func Fig1(cfg Config) ([]PolicyResult, error) {
-	tr, err := cfg.webTrace()
+	tr, err := cfg.workload("stable")
 	if err != nil {
 		return nil, err
 	}

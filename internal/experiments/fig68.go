@@ -34,7 +34,7 @@ var fig6PolicyNames = []string{
 // policies and OPT. Shape targets: OPT > LFO > best heuristic; LFO at
 // roughly 80% of OPT.
 func Fig6(cfg Config) (*Fig6Result, error) {
-	tr, err := cfg.cdnTrace()
+	tr, err := cfg.workload("cdn-drift")
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ type ImportanceEntry struct {
 // long tail of higher gaps, and the cost feature is unused under the BHR
 // objective (it is redundant with size).
 func Fig8(cfg Config) ([]ImportanceEntry, error) {
-	tr, err := cfg.cdnTrace()
+	tr, err := cfg.workload("cdn-drift")
 	if err != nil {
 		return nil, err
 	}

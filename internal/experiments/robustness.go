@@ -28,7 +28,7 @@ type RobustnessResult struct {
 // policies (LFO, TinyLFU, AdaptSize) should shrug scans off; admit-all
 // recency caches (LRU, FIFO) should bleed.
 func Robustness(cfg Config) ([]RobustnessResult, error) {
-	base, err := cfg.webTrace()
+	base, err := cfg.workload("stable")
 	if err != nil {
 		return nil, err
 	}
@@ -54,14 +54,11 @@ func Robustness(cfg Config) ([]RobustnessResult, error) {
 			baseBHR(base, clean, warmup), baseBHR(scanned, dirty, warmup)))
 	}
 
-	mkLFO := func() (sim.Policy, error) {
-		return core.New(cfg.lfoConfig())
-	}
-	cleanLFO, err := mkLFO()
+	cleanLFO, err := core.New(cfg.lfoConfig())
 	if err != nil {
 		return nil, err
 	}
-	dirtyLFO, err := mkLFO()
+	dirtyLFO, err := core.New(cfg.lfoConfig())
 	if err != nil {
 		return nil, err
 	}

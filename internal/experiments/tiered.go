@@ -24,7 +24,7 @@ type TieredResult struct {
 // and top-tier-only placement. Tier read costs model relative latencies
 // (RAM 1, SSD 10, HDD 100), so ReadCost summarizes where hits land.
 func TieredExperiment(cfg Config) ([]TieredResult, error) {
-	tr, err := cfg.cdnTrace()
+	tr, err := cfg.workload("cdn-drift")
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,8 @@
 // (RLC), and a TinyLFU extension. RND, FIFO, LRU, LFU, LFUDA and GDSF are
 // internal/evict's evictor kinds behind an admit-all evict.Cache, the
 // code the eviction grid's columns and LFO's own eviction run; TinyLFU and
-// AdaptSize add their admission logic to an evict.Residents of kind lru.
+// AdaptSize add their admission logic to an evict.Residents of kind lru;
+// S4LRU is internal/tiered's multi-level LRU with four equal tiers.
 // All policies implement sim.Policy, are byte-accurate, and are
 // deterministic given their construction parameters.
 package policy
@@ -17,6 +18,8 @@ import (
 	"lfo/internal/evict"
 	"lfo/internal/policy/ogd"
 	"lfo/internal/sim"
+	"lfo/internal/tiered"
+	"lfo/internal/trace"
 )
 
 // Constructor builds a policy instance for a given cache capacity (bytes)
@@ -80,9 +83,31 @@ func heuristic(name string) Constructor {
 	}
 }
 
+// s4Segments is S4LRU's queue count (Huang et al., SOSP 2013 [33]).
+const s4Segments = 4
+
+// NewS4LRU returns segmented LRU with four equally sized segments, built as
+// a tiered cache of four equal tiers: admit-all, every new object enters
+// the bottom tier, a hit promotes an object one tier up, and a tier's
+// overflow demotes its least recent objects one tier down, the bottom
+// tier's to the origin. Below 4 B there is no whole byte per segment, so
+// the cache has one 1-byte tier per byte of capacity.
+func NewS4LRU(capacity int64) sim.Policy {
+	n := min(max(capacity, 0), s4Segments)
+	tiers := make([]tiered.Tier, n)
+	for i := range tiers {
+		tiers[i].Capacity = capacity / n
+	}
+	c, err := tiered.New(tiers, nil, func(trace.Request, float64) int { return len(tiers) - 1 })
+	if err != nil {
+		panic(err) // only reachable with a non-positive capacity
+	}
+	return named{c, "S4LRU"}
+}
+
 // named reports a cache under its baseline table name.
 type named struct {
-	*evict.Cache
+	sim.Policy
 	name string
 }
 

@@ -1,11 +1,13 @@
 package policy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"lfo/internal/gen"
 	"lfo/internal/sim"
+	"lfo/internal/tiered"
 	"lfo/internal/trace"
 )
 
@@ -232,15 +234,39 @@ func TestS4LRUSegmentAccounting(t *testing.T) {
 			p.Request(trace.Request{Time: int64(round*5 + int(id)), ID: id, Size: 2, Cost: 2})
 		}
 	}
-	// Total segment bytes must equal store usage.
-	var segTotal int64
-	for i := range p.segBytes {
-		segTotal += p.segBytes[i]
-		if p.segBytes[i] < 0 {
-			t.Fatalf("segment %d negative bytes", i)
-		}
+	// Three rounds of hits carry all five objects from the bottom tier to
+	// the top one, which they fill exactly.
+	if got := s4Levels(t, p); fmt.Sprint(got) != "[10 0 0 0]" {
+		t.Errorf("tier bytes = %v, want [10 0 0 0]", got)
 	}
-	if segTotal != p.store.Used() {
-		t.Errorf("segment bytes %d != store used %d", segTotal, p.store.Used())
+}
+
+// s4Levels returns an S4LRU's resident bytes per tier, top tier first.
+func s4Levels(t *testing.T, p sim.Policy) []int64 {
+	t.Helper()
+	c, ok := p.(named).Policy.(*tiered.TieredCache)
+	if !ok {
+		t.Fatalf("%s is not a tiered cache", p.Name())
+	}
+	return c.Used()
+}
+
+// TestS4LRUBelowFourBytes: below 4 B there is no whole byte per segment.
+// The cache must still build and hold at most its capacity after every
+// request.
+func TestS4LRUBelowFourBytes(t *testing.T) {
+	tr := smallObjectTrace(3000, 3, true)
+	for capacity := int64(1); capacity <= 3; capacity++ {
+		p := NewS4LRU(capacity)
+		for i, r := range tr.Requests {
+			p.Request(r)
+			var used int64
+			for _, u := range s4Levels(t, p) {
+				used += u
+			}
+			if used > capacity {
+				t.Fatalf("capacity %d: %d bytes resident after request %d", capacity, used, i)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"lfo/internal/gen"
@@ -176,12 +177,15 @@ func TestLFUDAAgingAllowsTurnover(t *testing.T) {
 func TestS4LRUPromotion(t *testing.T) {
 	// Hits promote across segments; a once-hit object outlives streams of
 	// one-timers.
-	p := NewS4LRU(8)
+	p := NewS4LRU(8) // four 2-byte tiers
 	p.Request(trace.Request{Time: 0, ID: 1, Size: 1, Cost: 1})
-	p.Request(trace.Request{Time: 1, ID: 1, Size: 1, Cost: 1}) // promote to seg 1
-	// Stream 20 distinct one-timers through: they churn segment 0 only.
+	p.Request(trace.Request{Time: 1, ID: 1, Size: 1, Cost: 1}) // promote one tier up
+	// Stream 20 distinct one-timers through: they churn the bottom tier only.
 	for i := 0; i < 20; i++ {
 		p.Request(trace.Request{Time: int64(2 + i), ID: trace.ObjectID(100 + i), Size: 1, Cost: 1})
+	}
+	if got := s4Levels(t, p); fmt.Sprint(got) != "[0 0 1 2]" {
+		t.Errorf("tier bytes = %v, want [0 0 1 2]", got)
 	}
 	if !p.Request(trace.Request{Time: 50, ID: 1, Size: 1, Cost: 1}) {
 		t.Error("promoted object was churned out of S4LRU")
@@ -277,7 +281,7 @@ func TestOversizedObjectsBypassed(t *testing.T) {
 }
 
 // TestHeuristicsMatchReference replays the registry's RND, FIFO, LRU, LFU,
-// LFUDA, GDSF, TinyLFU, AdaptSize, Hyperbolic and LHD against the
+// LFUDA, GDSF, TinyLFU, AdaptSize, Hyperbolic, LHD and S4LRU against the
 // implementations they replaced (reference_test.go) and fails at the first
 // request whose hit differs: CDN and web mixes × BHR and OHR costs × 1, 16 and 256 MiB ×
 // seeds 1 and 42, each trace long enough that AdaptSize retunes and, in
@@ -294,6 +298,7 @@ func TestHeuristicsMatchReference(t *testing.T) {
 		"adaptsize":  func(c, s int64) sim.Policy { return newReferenceAdaptSize(c, s) },
 		"hyperbolic": func(c, s int64) sim.Policy { return newReferenceHyperbolic(c, s) },
 		"lhd":        func(c, s int64) sim.Policy { return newReferenceLHD(c, s) },
+		"s4lru":      func(c, s int64) sim.Policy { return newReferenceS4LRU(c) },
 	}
 	const n = 60000
 	for _, mix := range []struct {
@@ -308,7 +313,7 @@ func TestHeuristicsMatchReference(t *testing.T) {
 			for _, obj := range []trace.Objective{trace.ObjectiveBHR, trace.ObjectiveOHR} {
 				costed := tr.WithCosts(obj)
 				for _, size := range []int64{1 << 20, 16 << 20, 256 << 20} {
-					for _, name := range []string{"rnd", "fifo", "lru", "lfu", "lfuda", "gdsf", "tinylfu", "adaptsize", "hyperbolic", "lhd"} {
+					for _, name := range []string{"rnd", "fifo", "lru", "lfu", "lfuda", "gdsf", "tinylfu", "adaptsize", "hyperbolic", "lhd", "s4lru"} {
 						t.Run(fmt.Sprintf("%s/seed%d/%s/%dMiB/%s", mix.name, seed, obj, size>>20, name), func(t *testing.T) {
 							got, want := mustNew(t, name, size, seed), refs[name](size, seed)
 							if got.Name() != want.Name() {
@@ -324,5 +329,70 @@ func TestHeuristicsMatchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// smallObjectTrace is n requests over 64 objects of 1–7 B, the low IDs
+// requested most. With resize every request draws its object's size afresh,
+// so hits arrive at sizes other than the stored one.
+func smallObjectTrace(n int, seed int64, resize bool) *trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	sizes := map[trace.ObjectID]int64{}
+	tr := &trace.Trace{}
+	for i := 0; i < n; i++ {
+		id := trace.ObjectID(rng.Intn(1 + rng.Intn(64)))
+		size, ok := sizes[id]
+		if !ok || resize {
+			size = 1 + rng.Int63n(7)
+			sizes[id] = size
+		}
+		tr.Requests = append(tr.Requests, trace.Request{Time: int64(i), ID: id, Size: size, Cost: float64(size)})
+	}
+	return tr
+}
+
+// TestS4LRUMatchesReference replays S4LRU against the segmented LRU it
+// replaced (referenceS4LRU) on 1–7 B objects at every capacity from 4 B to
+// 64 B and at a few up to 2000 B, with fixed sizes and with sizes that
+// change from request to request. The CDN and web mixes are in
+// TestHeuristicsMatchReference.
+func TestS4LRUMatchesReference(t *testing.T) {
+	capacities := []int64{100, 333, 1000, 2000}
+	for c := int64(4); c <= 64; c++ {
+		capacities = append(capacities, c)
+	}
+	for _, resize := range []bool{false, true} {
+		tr := smallObjectTrace(4000, 7, resize)
+		for _, capacity := range capacities {
+			got, want := mustNew(t, "s4lru", capacity, 1), newReferenceS4LRU(capacity)
+			for i, r := range tr.Requests {
+				if g, w := got.Request(r), want.Request(r); g != w {
+					t.Fatalf("resize %v, %d B: request %d (id %d, size %d): hit=%v, reference hit=%v",
+						resize, capacity, i, r.ID, r.Size, g, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkS4LRURequest replays a 50 000-request web mix through an 8 MiB
+// S4LRU warmed by two passes, so every tier's store freelist and map
+// buckets have reached their steady state. Pinned at 0 allocs/op in
+// testdata/alloc_budgets.txt.
+func BenchmarkS4LRURequest(b *testing.B) {
+	tr, err := gen.Generate(gen.WebMix(50000, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := NewS4LRU(8 << 20)
+	for round := 0; round < 2; round++ {
+		for _, r := range tr.Requests {
+			p.Request(r)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Request(tr.Requests[i%len(tr.Requests)])
 	}
 }

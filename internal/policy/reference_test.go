@@ -5,9 +5,10 @@ package policy
 // registry against: RND, FIFO, LRU and LFU, LFUDA and GDSF over sim.Store
 // + pq, the intrusive entry list, TinyLFU and AdaptSize over
 // container/list, and Hyperbolic and LHD with a private index of resident
-// IDs beside the store's. The registry now builds the first six as
-// evict.Cache evictor kinds, TinyLFU and AdaptSize over an
-// evict.Residents, and Hyperbolic and LHD sample the store's own index.
+// IDs beside the store's, and S4LRU over four container/list segments.
+// The registry now builds the first six as evict.Cache evictor kinds,
+// TinyLFU and AdaptSize over an evict.Residents, Hyperbolic and LHD sample
+// the store's own index, and S4LRU is a tiered cache of four equal tiers.
 
 import (
 	"container/list"
@@ -722,5 +723,97 @@ func (p *referenceLHD) Request(r trace.Request) bool {
 	e.Payload = len(p.ids)
 	p.ids = append(p.ids, r.ID)
 	p.meta[r.ID] = &referenceLHDMeta{lastAccess: p.clock, class: lhdClass(r.Size)}
+	return false
+}
+
+// referenceS4LRU is segmented LRU with four equally sized segments. Objects enter
+// the lowest segment; a hit promotes an object to the head of the next
+// higher segment. When a segment overflows, its tail demotes to the head
+// of the segment below; overflow of the lowest segment evicts.
+type referenceS4LRU struct {
+	store    *sim.Store[*referenceS4Meta]
+	segs     [s4Segments]*list.List // front = most recent
+	segBytes [s4Segments]int64
+	segCap   int64
+}
+
+type referenceS4Meta struct {
+	id   trace.ObjectID
+	elem *list.Element
+	seg  int
+	size int64
+}
+
+// newReferenceS4LRU returns a four-segment segmented-LRU cache.
+func newReferenceS4LRU(capacity int64) *referenceS4LRU {
+	p := &referenceS4LRU{store: sim.NewStore[*referenceS4Meta](capacity), segCap: capacity / s4Segments}
+	if p.segCap < 1 {
+		p.segCap = 1
+	}
+	for i := range p.segs {
+		p.segs[i] = list.New()
+	}
+	return p
+}
+
+// Name implements sim.Policy.
+func (p *referenceS4LRU) Name() string { return "S4LRU" }
+
+// insert places an object at the head of segment s and rebalances
+// overflow downwards, evicting from segment 0.
+func (p *referenceS4LRU) insert(m *referenceS4Meta, s int) {
+	m.seg = s
+	m.elem = p.segs[s].PushFront(m)
+	p.segBytes[s] += m.size
+	// Cascade overflow down the segments.
+	for i := s; i >= 1; i-- {
+		for p.segBytes[i] > p.segCap {
+			tail := p.segs[i].Back()
+			tm := tail.Value.(*referenceS4Meta)
+			p.segs[i].Remove(tail)
+			p.segBytes[i] -= tm.size
+			tm.seg = i - 1
+			tm.elem = p.segs[i-1].PushFront(tm)
+			p.segBytes[i-1] += tm.size
+		}
+	}
+	p.evictOverflow()
+}
+
+// evictOverflow evicts from segment 0 while the total exceeds capacity.
+func (p *referenceS4LRU) evictOverflow() {
+	for p.store.Used() > p.store.Capacity() || p.segBytes[0] > p.segCap {
+		tail := p.segs[0].Back()
+		if tail == nil {
+			return
+		}
+		tm := tail.Value.(*referenceS4Meta)
+		p.segs[0].Remove(tail)
+		p.segBytes[0] -= tm.size
+		p.store.Remove(tm.id)
+	}
+}
+
+// Request implements sim.Policy.
+func (p *referenceS4LRU) Request(r trace.Request) bool {
+	if e := p.store.Get(r.ID); e != nil {
+		m := e.Payload
+		// Promote to the next segment (capped at the top).
+		p.segs[m.seg].Remove(m.elem)
+		p.segBytes[m.seg] -= m.size
+		next := m.seg + 1
+		if next >= s4Segments {
+			next = s4Segments - 1
+		}
+		p.insert(m, next)
+		return true
+	}
+	if r.Size > p.store.Capacity() || r.Size > p.segCap {
+		return false
+	}
+	e := p.store.Add(r.ID, r.Size)
+	m := &referenceS4Meta{size: r.Size, id: r.ID}
+	e.Payload = m
+	p.insert(m, 0)
 	return false
 }

@@ -4,20 +4,23 @@
 // SSD + HDD), learning first whether to cache an object at all, and then
 // where to place it based on storage characteristics.
 //
-// A TieredCache is a stack of byte-accurate tiers. Lookups probe tiers in
-// order; a hit in a lower tier promotes the object toward the top. On a
-// miss, a sim.Admitter decides whether to cache the object at all (level one
-// of the hierarchical model — typically LFO's learned admission), and a
-// Placer maps the admission likelihood and object size onto a tier (level
-// two — e.g. likely-hot small objects to RAM, bulky or lukewarm objects
-// to SSD/HDD). Evictions demote objects to the next tier down instead of
-// discarding them; the bottom tier evicts to the origin.
+// A TieredCache is a stack of byte-accurate tiers, each an internal/evict
+// resident set of kind lru. Lookups probe tiers in order; a hit in a lower
+// tier promotes the object one tier toward the top. On a miss, a
+// sim.Admitter decides whether to cache the object at all (level one of the
+// hierarchical model — typically LFO's learned admission), and a Placer
+// maps the admission likelihood and object size onto a tier (level two —
+// e.g. likely-hot small objects to RAM, bulky or lukewarm objects to
+// SSD/HDD). Evictions demote objects to the next tier down instead of
+// discarding them; the bottom tier evicts to the origin. The same stack
+// with four equal tiers, admit-all, and every new object placed in the
+// bottom tier is segmented LRU: internal/policy's S4LRU is built that way.
 package tiered
 
 import (
-	"container/list"
 	"fmt"
 
+	"lfo/internal/evict"
 	"lfo/internal/features"
 	"lfo/internal/gbdt"
 	"lfo/internal/sim"
@@ -144,8 +147,7 @@ type Stats struct {
 // any tier counts as a hit.
 type TieredCache struct {
 	tiers    []Tier
-	stores   []*sim.Store[*list.Element]
-	lrus     []*list.List
+	levels   []*evict.Residents // one LRU resident set per tier
 	admitter sim.Admitter
 	placer   Placer
 	stats    Stats
@@ -153,7 +155,8 @@ type TieredCache struct {
 
 // New returns a tiered cache. At least one tier is required; the placer
 // may return any index in [0, len(tiers)); out-of-range placements are
-// clamped.
+// clamped. A nil admitter admits everything; a nil placer places into
+// tier 0.
 func New(tiers []Tier, admitter sim.Admitter, placer Placer) (*TieredCache, error) {
 	if len(tiers) == 0 {
 		return nil, fmt.Errorf("tiered: at least one tier required")
@@ -164,17 +167,16 @@ func New(tiers []Tier, admitter sim.Admitter, placer Placer) (*TieredCache, erro
 	if placer == nil {
 		placer = func(trace.Request, float64) int { return 0 }
 	}
-	c := &TieredCache{
-		tiers:    tiers,
-		admitter: admitter,
-		placer:   placer,
-	}
+	c := &TieredCache{tiers: tiers, admitter: admitter, placer: placer}
 	for _, t := range tiers {
 		if t.Capacity <= 0 {
 			return nil, fmt.Errorf("tiered: tier %q has non-positive capacity", t.Name)
 		}
-		c.stores = append(c.stores, sim.NewStore[*list.Element](t.Capacity))
-		c.lrus = append(c.lrus, list.New())
+		lvl, err := evict.NewResidents(t.Capacity, "lru", evict.Options{})
+		if err != nil {
+			return nil, err
+		}
+		c.levels = append(c.levels, lvl)
 	}
 	c.stats.Hits = make([]int, len(tiers))
 	c.stats.HitBytes = make([]int64, len(tiers))
@@ -187,12 +189,21 @@ func (c *TieredCache) Name() string { return "Tiered" }
 // Stats returns per-tier hit statistics.
 func (c *TieredCache) Stats() Stats { return c.stats }
 
+// Used returns each tier's resident bytes, top tier first.
+func (c *TieredCache) Used() []int64 {
+	used := make([]int64, len(c.levels))
+	for i, lvl := range c.levels {
+		used[i] = lvl.Store.Used()
+	}
+	return used
+}
+
 // FreeBytes returns the aggregate free space across tiers — the §5 idea
 // of treating RAM+SSD+HDD as one aggregate cache space for the model.
 func (c *TieredCache) FreeBytes() int64 {
 	var free int64
-	for _, s := range c.stores {
-		free += s.Free()
+	for _, lvl := range c.levels {
+		free += lvl.Store.Free()
 	}
 	return free
 }
@@ -200,22 +211,28 @@ func (c *TieredCache) FreeBytes() int64 {
 // Request implements sim.Policy.
 func (c *TieredCache) Request(r trace.Request) bool {
 	// Probe tiers top-down.
-	for i, s := range c.stores {
-		if e := s.Get(r.ID); e != nil {
-			c.stats.Hits[i]++
-			c.stats.HitBytes[i] += r.Size
-			c.stats.ReadCost += c.tiers[i].ReadCost
-			c.lrus[i].MoveToFront(e.Payload)
-			// Promote hits from lower tiers one level up (standard
-			// multi-level caching; keeps hot objects migrating toward
-			// RAM).
-			if i > 0 && r.Size <= c.tiers[i-1].Capacity {
-				c.removeFrom(i, r.ID)
-				c.insertInto(i-1, r)
-			}
-			c.admitter.Observe(r)
-			return true
+	for i, lvl := range c.levels {
+		e := lvl.Store.Get(r.ID)
+		if e == nil {
+			continue
 		}
+		c.stats.Hits[i]++
+		c.stats.HitBytes[i] += r.Size
+		c.stats.ReadCost += c.tiers[i].ReadCost
+		// Promote hits from lower tiers one level up (standard multi-level
+		// caching; keeps hot objects migrating toward RAM), at the size the
+		// object was stored with.
+		if i > 0 && e.Size <= c.tiers[i-1].Capacity {
+			promoted := r
+			promoted.Size = e.Size
+			lvl.Evictor.OnRemove(e)
+			lvl.Store.Remove(r.ID)
+			c.insertInto(i-1, promoted)
+		} else {
+			lvl.Evictor.OnHit(e, r)
+		}
+		c.admitter.Observe(r)
+		return true
 	}
 
 	admit, likelihood := c.admitter.Admit(r, c.FreeBytes())
@@ -223,13 +240,7 @@ func (c *TieredCache) Request(r trace.Request) bool {
 	if !admit {
 		return false
 	}
-	tier := c.placer(r, likelihood)
-	if tier < 0 {
-		tier = 0
-	}
-	if tier >= len(c.tiers) {
-		tier = len(c.tiers) - 1
-	}
+	tier := min(max(c.placer(r, likelihood), 0), len(c.tiers)-1)
 	// Skip tiers the object cannot physically fit.
 	for tier < len(c.tiers) && r.Size > c.tiers[tier].Capacity {
 		tier++
@@ -241,27 +252,19 @@ func (c *TieredCache) Request(r trace.Request) bool {
 	return false
 }
 
-// insertInto places an object at the head of a tier, demoting evicted
-// objects down the hierarchy.
+// insertInto places an object at the head of a tier, demoting the tier's
+// least recently used objects down the hierarchy to make room.
 func (c *TieredCache) insertInto(tier int, r trace.Request) {
-	s := c.stores[tier]
-	for !s.Fits(r.Size) {
-		tail := c.lrus[tier].Back()
-		victim := tail.Value.(trace.ObjectID)
-		victimSize := s.Get(victim).Size
-		c.removeFrom(tier, victim)
+	lvl := c.levels[tier]
+	for !lvl.Store.Fits(r.Size) {
+		victim := lvl.Store.Get(lvl.Evictor.Victim(r.Time))
+		demoted := trace.Request{Time: r.Time, ID: victim.ID, Size: victim.Size}
+		lvl.Evict(victim.ID)
 		// Demote to the next tier down if it fits there at all.
-		if next := tier + 1; next < len(c.tiers) && victimSize <= c.tiers[next].Capacity {
+		if next := tier + 1; next < len(c.tiers) && demoted.Size <= c.tiers[next].Capacity {
 			c.stats.Demotions++
-			c.insertInto(next, trace.Request{ID: victim, Size: victimSize})
+			c.insertInto(next, demoted)
 		}
 	}
-	e := s.Add(r.ID, r.Size)
-	e.Payload = c.lrus[tier].PushFront(r.ID)
-}
-
-func (c *TieredCache) removeFrom(tier int, id trace.ObjectID) {
-	e := c.stores[tier].Get(id)
-	c.lrus[tier].Remove(e.Payload)
-	c.stores[tier].Remove(id)
+	lvl.Admit(r, 0)
 }

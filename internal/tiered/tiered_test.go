@@ -252,3 +252,95 @@ func TestModelAdmitterCutoff(t *testing.T) {
 func TestTieredIsPolicy(t *testing.T) {
 	var _ sim.Policy = &TieredCache{}
 }
+
+// TestPromotionKeepsStoredSize: a hit promotes the object at the size it
+// was stored with, as every other policy keeps the stored size on a hit.
+// Re-counted at the request's size, RAM would hold 8 B.
+func TestPromotionKeepsStoredSize(t *testing.T) {
+	tiers := []Tier{{Name: "ram", Capacity: 10}, {Name: "ssd", Capacity: 10}}
+	c, err := New(tiers, nil, func(trace.Request, float64) int { return 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Request(req(0, 1, 2))
+	if !c.Request(req(1, 1, 8)) {
+		t.Fatal("second request missed")
+	}
+	if got := c.Used(); got[0] != 2 || got[1] != 0 {
+		t.Errorf("tier bytes = %v, want [2 0]", got)
+	}
+}
+
+// TestTieredInvariants replays the CDN and web mixes through the §5
+// RAM/SSD/HDD shape and the S4LRU shape (four equal tiers, new objects in
+// the bottom one) and checks after every request: a hit iff the object was
+// resident in some tier; every tier within its capacity, its recency list
+// as long as its store; every resident in exactly one tier; the per-tier
+// hit counts summing to the run's hits.
+func TestTieredInvariants(t *testing.T) {
+	shapes := []struct {
+		name   string
+		tiers  []Tier
+		placer Placer
+	}{
+		{"ram-ssd-hdd", []Tier{{Name: "ram", Capacity: 256 << 10}, {Name: "ssd", Capacity: 1 << 20}, {Name: "hdd", Capacity: 4 << 20}},
+			PlaceBySize(16<<10, 256<<10)},
+		{"s4lru", []Tier{{Capacity: 4 << 20}, {Capacity: 4 << 20}, {Capacity: 4 << 20}, {Capacity: 4 << 20}},
+			func(trace.Request, float64) int { return 3 }},
+	}
+	for _, mix := range []struct {
+		name string
+		cfg  func(int, int64) gen.Config
+	}{{"cdn", gen.CDNMix}, {"web", gen.WebMix}} {
+		tr, err := gen.Generate(mix.cfg(20000, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shapes {
+			t.Run(mix.name+"/"+sh.name, func(t *testing.T) {
+				c, err := New(sh.tiers, nil, sh.placer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hits := 0
+				for i, r := range tr.Requests {
+					resident := false
+					for _, lvl := range c.levels {
+						resident = resident || lvl.Store.Has(r.ID)
+					}
+					if hit := c.Request(r); hit != resident {
+						t.Fatalf("request %d (id %d): hit=%v but resident before the call=%v", i, r.ID, hit, resident)
+					} else if hit {
+						hits++
+					}
+					for k, lvl := range c.levels {
+						if lvl.Store.Used() > sh.tiers[k].Capacity {
+							t.Fatalf("request %d: tier %d holds %d bytes of %d", i, k, lvl.Store.Used(), sh.tiers[k].Capacity)
+						}
+						if n := lvl.Evictor.(interface{ Len() int }).Len(); n != lvl.Store.Len() {
+							t.Fatalf("request %d: tier %d lists %d objects and stores %d", i, k, n, lvl.Store.Len())
+						}
+						for j := 0; j < lvl.Store.Len(); j++ {
+							id := lvl.Store.At(j).ID
+							for m, other := range c.levels {
+								if m != k && other.Store.Has(id) {
+									t.Fatalf("request %d: object %d resident in tiers %d and %d", i, id, k, m)
+								}
+							}
+						}
+					}
+					total := 0
+					for _, h := range c.Stats().Hits {
+						total += h
+					}
+					if total != hits {
+						t.Fatalf("request %d: the tiers count %d hits, the run %d", i, total, hits)
+					}
+				}
+				if c.Stats().Demotions == 0 {
+					t.Fatal("the trace never demoted an object")
+				}
+			})
+		}
+	}
+}

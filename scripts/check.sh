@@ -89,6 +89,7 @@ cover_floor ./internal/server 85
 cover_floor ./internal/fleet 80
 cover_floor ./internal/faultnet 70
 cover_floor ./internal/evict 80
+cover_floor ./internal/tiered 90
 cover_floor ./internal/policy/ogd 80
 cover_floor ./internal/drift 80
 cover_floor ./internal/lint 90
@@ -115,8 +116,8 @@ fi
 step "alloc budgets"
 {
     go test -run '^$' \
-        -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictStable|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkServeAdmitBatch|BenchmarkClientAdmit|BenchmarkPickVictim|BenchmarkHeuristicRequest|BenchmarkOGDRequest)$' \
-        -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/server ./internal/evict ./internal/policy/ogd
+        -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictStable|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkServeAdmitBatch|BenchmarkClientAdmit|BenchmarkPickVictim|BenchmarkHeuristicRequest|BenchmarkOGDRequest|BenchmarkS4LRURequest)$' \
+        -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/server ./internal/evict ./internal/policy/ogd ./internal/policy
     # The tracker's stream sub-benchmark warms itself before its timer
     # starts; cold tracks a new object every iteration, and the handful of
     # slab chunks and index-map doublings that takes rounds to zero where
