@@ -65,10 +65,12 @@ func BenchmarkPickVictim(b *testing.B) {
 // BenchmarkHeuristicRequest drives each heuristic kind through an admit-all
 // Cache at steady-state eviction churn: 256 objects of 1 KiB cycled through
 // 64 KiB, so every request is a miss that evicts one resident and admits
-// the newcomer (rnd's random victims let the odd object survive a cycle),
-// the worst case for per-admission allocation. Recycled store entries and
-// the pq freelist make it allocation-free; every sub-benchmark is pinned at
-// 0 in testdata/alloc_budgets.txt.
+// the newcomer (the sampling kinds' victims let the odd object survive a
+// cycle), the worst case for per-admission allocation. Recycled store
+// entries and the pq freelist make it allocation-free but for GD-Wheel's
+// wheel entry and list element per admission; every sub-benchmark is
+// pinned in testdata/alloc_budgets.txt. The request times cycle, so a
+// time-keeping kind also sees time run backwards.
 func BenchmarkHeuristicRequest(b *testing.B) {
 	const (
 		capacity = 1 << 16 // 64 resident objects of 1 KiB

@@ -22,19 +22,14 @@ type Config struct {
 	// Eviction selects the eviction strategy, one of Kinds; default
 	// "learned". "rank" evicts the lowest admission likelihood.
 	Eviction string
-	// Seed seeds the learned evictor's candidate sampler and the random
-	// evictor's draws.
+	// Seed seeds the learned evictor's candidate sampler and the draws of
+	// the random, hyperbolic and lhd evictors.
 	Seed int64
 	// WindowSize is the eviction-ranker retrain cadence in requests,
 	// matching core's admission window (default 50000). Only the learned
-	// evictor trains; heuristic evictors ignore the window entirely.
+	// evictor trains, on exact OPT labels with gbdt.DefaultParams;
+	// heuristic evictors ignore the window entirely.
 	WindowSize int
-	// OPT configures the offline label solve; OPT.CacheSize is overridden
-	// with CacheSize.
-	OPT opt.Config
-	// GBDT configures the ranker's learner; zero value means
-	// gbdt.DefaultParams.
-	GBDT gbdt.Params
 	// Workers caps OPT/GBDT parallelism at retrain time. Results are
 	// byte-identical for any value.
 	Workers int
@@ -49,19 +44,6 @@ func (c Config) withDefaults() Config {
 	if c.WindowSize == 0 {
 		c.WindowSize = 50000
 	}
-	if c.GBDT.NumIterations == 0 {
-		c.GBDT = gbdt.DefaultParams()
-	}
-	if c.GBDT.Workers == 0 {
-		c.GBDT.Workers = c.Workers
-	}
-	if c.OPT.Workers == 0 {
-		c.OPT.Workers = c.Workers
-	}
-	if c.OPT.Obs == nil {
-		c.OPT.Obs = c.Obs
-	}
-	c.OPT.CacheSize = c.CacheSize
 	if c.AdmitterName == "" {
 		if c.Admitter == nil {
 			c.AdmitterName = "admit-all"
@@ -105,9 +87,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	if cfg.WindowSize < 0 {
 		return nil, fmt.Errorf("evict: WindowSize must be >= 0, got %d", cfg.WindowSize)
-	}
-	if err := cfg.GBDT.Validate(); err != nil {
-		return nil, err
 	}
 	res, err := NewResidents(cfg.CacheSize, cfg.Eviction, Options{Seed: cfg.Seed, Obs: cfg.Obs})
 	if err != nil {
@@ -178,13 +157,15 @@ func (c *Cache) Request(r trace.Request) bool {
 func (c *Cache) retrain() {
 	win := &trace.Trace{Requests: c.winReqs}
 	sc := obs.Start(c.cm.optNS)
-	res, err := opt.Compute(win, c.cfg.OPT)
+	res, err := opt.Compute(win, opt.Config{CacheSize: c.cfg.CacheSize, Workers: c.cfg.Workers, Obs: c.cfg.Obs})
 	sc.Stop()
 	if err != nil {
 		panic(fmt.Sprintf("evict: OPT computation failed: %v", err))
 	}
 	sc = obs.Start(c.cm.trainNS)
-	model, err := Train(c.winReqs, res.Admit, c.cfg.GBDT)
+	params := gbdt.DefaultParams()
+	params.Workers = c.cfg.Workers
+	model, err := Train(c.winReqs, res.Admit, params)
 	sc.Stop()
 	if err != nil {
 		panic(fmt.Sprintf("evict: training failed: %v", err))

@@ -18,20 +18,21 @@
 // both models.
 //
 // The package provides the Evictor strategy interface over a shared Meta
-// payload — §2.4's likelihood-ranked queue, the learned ranker, and the
-// heuristics of the paper's baseline column (GDSF, LFUDA, LFU, LRU, FIFO,
-// RND; see Kinds) — and Residents, the one make-room-then-add loop every
-// cache here runs them through: internal/core's LFO, internal/policy's
-// baselines, and the standalone Cache that pairs any sim.Admitter
-// (admit-all, SecondHitCensor, ...) with any Evictor and retrains the
-// eviction ranker on the same window cadence — the {admission}×{eviction}
-// ablation grid's building block.
+// payload — §2.4's score-ranked queue, the learned ranker, and the
+// heuristics of the paper's baseline columns (GDSF, LFUDA, LFU, LRU, FIFO,
+// RND, GD-Wheel, Hyperbolic, LHD; see Kinds) — and Residents, the one
+// make-room-then-add loop every cache here runs them through:
+// internal/core's LFO, internal/tiered's levels, every internal/policy
+// baseline and OGD's integral cache, and the standalone Cache that pairs
+// any sim.Admitter (admit-all, SecondHitCensor, ...) with any Evictor and
+// retrains the eviction ranker on the same window cadence — the
+// {admission}×{eviction} ablation grid's building block. Outside the
+// benchmark harness, no other package keeps a resident set.
 package evict
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 
 	"lfo/internal/gbdt"
@@ -56,12 +57,13 @@ const (
 	FeatIdle        // time since last access
 )
 
-// DefaultCandidates is the sampled candidate set size K. 64 samples enough
-// of the resident set that the empirical victim quality is close to a full
-// scan, and the candidate buffers stay a few cache lines; what a pick costs
-// is the candidates whose cached score has lapsed, about a third of them,
-// not K. It is a constant, not an option: nothing ever ran with another
-// value.
+// DefaultCandidates is the sampled candidate set size K, for the learned
+// ranker and for Hyperbolic's and LHD's draws. 64 samples enough of the
+// resident set that the empirical victim quality is close to a full scan,
+// and the candidate buffers stay a few cache lines; what a learned pick
+// costs is the candidates whose cached score has lapsed, about a third of
+// them, not K. It is a constant, not an option: nothing ever ran with
+// another value.
 const DefaultCandidates = 64
 
 // Meta is the per-object payload every evictor shares. The embedded
@@ -76,11 +78,11 @@ type Meta struct {
 	Freq int64
 	// Cost is the retrieval cost observed at the last access.
 	Cost float64
-	// Score is the admission likelihood the owning cache scored the object
-	// with at its last request (or rescore). The cache writes it before
-	// OnAdmit and OnHit; it is the ranked evictor's queue key and the others
-	// ignore it. It is not the learned evictor's ranker score: that one is
-	// cached in rank, below.
+	// Score is what the owning cache scored the object with at its last
+	// request (or rescore): LFO's admission likelihood, LRU-K's K-distance,
+	// OGD's allocation. The cache writes it before OnAdmit and OnHit; it is
+	// the ranked evictor's queue key and the others ignore it. It is not the
+	// learned evictor's ranker score: that one is cached in rank, below.
 	Score float64
 
 	// rank is the learned evictor's score cache: what the eviction ranker of
@@ -126,7 +128,9 @@ func featuresInto(row []float64, size int64, m *Meta, now int64) {
 // Evictor is an eviction strategy over a store of Meta payloads. The
 // owning cache calls the On* hooks as objects move through the store and
 // Victim when it must free space; implementations keep their auxiliary
-// state (heap, list, model) consistent through those hooks alone.
+// state (heap, list, model) consistent through those hooks alone. Time is
+// the request's Time as the cache hands it over: trace time under LFO and
+// Cache, the request count under internal/policy's admit-all baselines.
 type Evictor interface {
 	// Name identifies the strategy in reports.
 	Name() string
@@ -150,8 +154,8 @@ type Evictor interface {
 
 // kinds are the strategies NewEvictor builds: §2.4's queue keyed by
 // Meta.Score, the sampled-candidate ranker, and the heuristics the paper's
-// baseline column measures.
-var kinds = [...]string{"rank", "learned", "gdsf", "lru", "fifo", "lfu", "lfuda", "rnd"}
+// baseline columns measure.
+var kinds = [...]string{"rank", "learned", "gdsf", "lru", "fifo", "lfu", "lfuda", "rnd", "gdwheel", "hyperbolic", "lhd"}
 
 // Kinds returns the names NewEvictor accepts, in a fixed order.
 func Kinds() []string { return append([]string(nil), kinds[:]...) }
@@ -171,7 +175,13 @@ func NewEvictor(kind string, store *sim.Store[Meta], opts Options) (Evictor, err
 	case "fifo":
 		return &fifoEvictor{}, nil
 	case "rnd":
-		return &rndEvictor{store: store, rng: rand.New(rand.NewSource(opts.Seed))}, nil
+		return &rndEvictor{newDrawer(store, opts.Seed)}, nil
+	case "gdwheel":
+		return newGDWheel(), nil
+	case "hyperbolic":
+		return &hyperbolic{newDrawer(store, opts.Seed)}, nil
+	case "lhd":
+		return newLHD(store, opts.Seed), nil
 	default:
 		return nil, fmt.Errorf("evict: unknown evictor %q (want one of %s)", kind, strings.Join(kinds[:], ", "))
 	}
@@ -179,8 +189,8 @@ func NewEvictor(kind string, store *sim.Store[Meta], opts Options) (Evictor, err
 
 // Options tunes evictor construction.
 type Options struct {
-	// Seed seeds the learned evictor's candidate sampler and the random
-	// evictor's victim draws.
+	// Seed seeds the learned evictor's candidate sampler and the draws of
+	// the random, hyperbolic and lhd evictors.
 	Seed int64
 	// Obs, when set, records eviction metrics (ranker latency, candidate
 	// counts, victims by size tier, model swaps); nil disables recording

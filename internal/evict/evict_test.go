@@ -362,7 +362,7 @@ func sizeOf(c *Cache) int64 { return c.res.Store.Used() }
 // a seeded CDN and web trace: the residents fit the capacity, Used is the
 // sum of the sizes the store's dense index reaches, a hit is returned
 // exactly when the object was resident before the request, and a queue or
-// list evictor tracks exactly the residents. The learned cells retrain
+// list or wheel evictor tracks exactly the residents. The learned cells retrain
 // every 2500 requests, so both bootstrap and ranked picks are held, and
 // the caches hold more than K residents, so the picks sample.
 func TestEvictorInvariants(t *testing.T) {
@@ -402,7 +402,8 @@ func checkInvariants(t *testing.T, c *Cache, tr *trace.Trace) {
 	t.Helper()
 	store := c.res.Store
 	tracked, isTracked := c.res.Evictor.(interface{ Len() int })
-	if kind := c.res.Evictor.Name(); isTracked != (kind != "learned" && kind != "rnd") {
+	sampled := map[string]bool{"learned": true, "rnd": true, "hyperbolic": true, "lhd": true}
+	if kind := c.res.Evictor.Name(); isTracked == sampled[kind] {
 		t.Fatalf("the %s evictor has a Len: %v", kind, isTracked)
 	}
 	evictions := 0

@@ -2,7 +2,6 @@ package evict
 
 import (
 	"math"
-	"math/rand"
 
 	"lfo/internal/gbdt"
 	"lfo/internal/obs"
@@ -12,11 +11,12 @@ import (
 )
 
 // Ranked is §2.4's eviction: a total order over the residents by the
-// likelihood their cache last scored them with (Meta.Score), evicting the
-// minimum. Equal scores fall in order of their last touch, oldest first,
-// which makes the bootstrap's request-counter score plain LRU. The queue
-// calls are direct — this is the request path of every rank-mode cache,
-// held to the zero-allocation discipline.
+// score their cache last gave them (Meta.Score), evicting the minimum —
+// LFO's admission likelihood, LRU-K's K-distance, OGD's allocation. Equal
+// scores fall in order of their last touch, oldest first, which makes the
+// bootstrap's request-counter score plain LRU. The queue calls are direct
+// — this is the request path of every rank-mode cache, held to the
+// zero-allocation discipline.
 type Ranked struct {
 	q *pq.Queue
 }
@@ -68,8 +68,8 @@ func (k *Ranked) Rescore(e *sim.StoreEntry[Meta], score float64) {
 func (k *Ranked) Len() int { return k.q.Len() }
 
 // sampler is the bookkeeping of the evictors that keep no structure of
-// their own and draw victims from the store's dense index (learned, rnd):
-// their hooks only keep the shared Meta current.
+// their own and draw victims from the store's dense index (learned, rnd,
+// hyperbolic, lhd): their hooks only keep the shared Meta current.
 type sampler struct{}
 
 // OnAdmit implements Evictor.
@@ -316,21 +316,13 @@ func (h *heapEvictor) SetModel(m *gbdt.Model) {}
 // Len returns how many objects the queue holds: exactly the residents.
 func (h *heapEvictor) Len() int { return h.q.Len() }
 
-// rndEvictor evicts a uniformly random resident (RND in Fig 1): an index
-// into the store's dense entry index, drawn from a seeded math/rand stream.
-type rndEvictor struct {
-	sampler
-	store *sim.Store[Meta]
-	rng   *rand.Rand
-}
+// rndEvictor evicts a uniformly random resident (RND in Fig 1): one draw
+// from the store's dense entry index.
+type rndEvictor struct{ drawer }
 
 func (v *rndEvictor) Name() string { return "rnd" }
 
-func (v *rndEvictor) Victim(now int64) trace.ObjectID {
-	return v.store.At(v.rng.Intn(v.store.Len())).ID
-}
-
-func (v *rndEvictor) SetModel(m *gbdt.Model) {}
+func (v *rndEvictor) Victim(now int64) trace.ObjectID { return v.draw().ID }
 
 // fifoEvictor is the recency list left alone on a hit: victims leave in
 // admission order.

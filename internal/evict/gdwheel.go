@@ -1,9 +1,10 @@
-package policy
+package evict
 
 import (
 	"container/list"
 	"math/bits"
 
+	"lfo/internal/gbdt"
 	"lfo/internal/sim"
 	"lfo/internal/trace"
 )
@@ -15,21 +16,21 @@ const (
 	wheelLevels = 4
 )
 
-// GDWheel implements the Greedy-Dual cost-aware policy with hierarchical
-// cost wheels (Li & Cox, EuroSys 2015 [49]). Greedy-Dual assigns each
-// object the priority H = L + C (L the global age, C the retrieval cost)
-// and evicts the minimum; GD-Wheel makes this O(1) by placing objects on
+// gdWheel is the Greedy-Dual cost-aware evictor with hierarchical cost
+// wheels (Li & Cox, EuroSys 2015). Greedy-Dual assigns each object the
+// priority H = L + C (L the global age, C the retrieval cost) and evicts
+// the minimum; GD-Wheel makes this O(1) by placing objects on
 // timing-wheel-like cost wheels and representing L as the wheel hands.
 // A hit restores the object's priority by repositioning it C slots ahead
 // of the hand. Per-level occupancy bitmaps let the hands jump directly to
 // the next occupied slot, so evictions stay O(1) even when costs span the
 // full wheel range (CDN byte costs do).
-type GDWheel struct {
-	store    *sim.Store[*gdwEntry]
+type gdWheel struct {
 	wheels   [wheelLevels][wheelSlots]*list.List
 	occupied [wheelLevels]slotmap
 	hand     [wheelLevels]int
 	count    int // total queued entries, to guard hand advancement
+	entries  map[trace.ObjectID]*gdwEntry
 }
 
 // gdwEntry locates an object on the wheels.
@@ -41,19 +42,62 @@ type gdwEntry struct {
 	id        trace.ObjectID
 }
 
-// NewGDWheel returns a Greedy-Dual cache backed by cost wheels.
-func NewGDWheel(capacity int64) *GDWheel {
-	p := &GDWheel{store: sim.NewStore[*gdwEntry](capacity)}
+func newGDWheel() *gdWheel {
+	w := &gdWheel{entries: make(map[trace.ObjectID]*gdwEntry, 1024)}
 	for l := 0; l < wheelLevels; l++ {
 		for s := 0; s < wheelSlots; s++ {
-			p.wheels[l][s] = list.New()
+			w.wheels[l][s] = list.New()
 		}
 	}
-	return p
+	return w
 }
 
-// Name implements sim.Policy.
-func (p *GDWheel) Name() string { return "GD-Wheel" }
+func (w *gdWheel) Name() string { return "gdwheel" }
+
+func (w *gdWheel) OnAdmit(e *sim.StoreEntry[Meta], r trace.Request) {
+	e.Payload.admitted(r)
+	ent := &gdwEntry{id: e.ID}
+	w.entries[e.ID] = ent
+	w.place(ent, costUnits(r.Cost))
+}
+
+// OnHit restores the object's priority to H = L + C.
+func (w *gdWheel) OnHit(e *sim.StoreEntry[Meta], r trace.Request) {
+	e.Payload.touched(r)
+	ent := w.entries[e.ID]
+	w.unlink(ent)
+	w.place(ent, costUnits(r.Cost))
+}
+
+func (w *gdWheel) OnRemove(e *sim.StoreEntry[Meta]) {
+	w.unlink(w.entries[e.ID])
+	delete(w.entries, e.ID)
+}
+
+// Victim moves the hands to the next due object and returns it.
+func (w *gdWheel) Victim(now int64) trace.ObjectID {
+	if w.count == 0 {
+		panic("evict: GD-Wheel victim with empty wheels")
+	}
+	for guard := 0; ; guard++ {
+		if guard > wheelLevels*wheelSlots {
+			panic("evict: GD-Wheel hand sweep failed to locate entries")
+		}
+		if s, ok := w.occupied[0].next(w.hand[0]); ok {
+			w.hand[0] = s
+			return w.wheels[0][s].Front().Value.(*gdwEntry).id
+		}
+		// Level 0 exhausted for this rotation: wrap and pull the next
+		// occupied higher-level slot down.
+		w.hand[0] = 0
+		w.pull(1)
+	}
+}
+
+func (w *gdWheel) SetModel(m *gbdt.Model) {}
+
+// Len returns how many objects the wheels hold: exactly the residents.
+func (w *gdWheel) Len() int { return w.count }
 
 // levelSpan[l] = wheelSlots^l, the cost covered by one slot of level l.
 var levelSpan = func() [wheelLevels + 1]int64 {
@@ -78,52 +122,29 @@ func costUnits(c float64) int64 {
 }
 
 // place inserts an entry c cost units ahead of the hands.
-func (p *GDWheel) place(e *gdwEntry, c int64) {
+func (w *gdWheel) place(e *gdwEntry, c int64) {
 	level := 0
 	for level+1 < wheelLevels && c >= levelSpan[level+1] {
 		level++
 	}
 	offset := c / levelSpan[level]
 	e.level = level
-	e.slot = int((int64(p.hand[level]) + offset) % wheelSlots)
+	e.slot = int((int64(w.hand[level]) + offset) % wheelSlots)
 	e.remainder = c % levelSpan[level]
-	e.elem = p.wheels[level][e.slot].PushBack(e)
-	p.occupied[level].set(e.slot)
-	p.count++
+	e.elem = w.wheels[level][e.slot].PushBack(e)
+	w.occupied[level].set(e.slot)
+	w.count++
 }
 
 // unlink removes an entry from its wheel slot.
-func (p *GDWheel) unlink(e *gdwEntry) {
-	l := p.wheels[e.level][e.slot]
+func (w *gdWheel) unlink(e *gdwEntry) {
+	l := w.wheels[e.level][e.slot]
 	l.Remove(e.elem)
 	if l.Len() == 0 {
-		p.occupied[e.level].clear(e.slot)
+		w.occupied[e.level].clear(e.slot)
 	}
 	e.elem = nil
-	p.count--
-}
-
-// evictOne moves the hands to the next due object and evicts it.
-func (p *GDWheel) evictOne() {
-	if p.count == 0 {
-		panic("policy: GDWheel evict with empty wheels")
-	}
-	for guard := 0; ; guard++ {
-		if guard > wheelLevels*wheelSlots {
-			panic("policy: GDWheel hand sweep failed to locate entries")
-		}
-		if s, ok := p.occupied[0].next(p.hand[0]); ok {
-			p.hand[0] = s
-			e := p.wheels[0][s].Front().Value.(*gdwEntry)
-			p.unlink(e)
-			p.store.Remove(e.id)
-			return
-		}
-		// Level 0 exhausted for this rotation: wrap and pull the next
-		// occupied higher-level slot down.
-		p.hand[0] = 0
-		p.pull(1)
-	}
+	w.count--
 }
 
 // pull advances level l's hand to its next occupied slot — cascading to
@@ -131,59 +152,37 @@ func (p *GDWheel) evictOne() {
 // slot's entries down to finer wheels. Migration always places entries at
 // levels strictly below l (remainders are below this level's resolution),
 // so after pull returns, the caller re-scans its own level.
-func (p *GDWheel) pull(l int) {
+func (w *gdWheel) pull(l int) {
 	if l >= wheelLevels {
 		// Carry beyond the top wheel is vacuous: lower levels wrap and
 		// re-scan entries placed for their next rotation.
 		return
 	}
-	if s, ok := p.occupied[l].next(p.hand[l] + 1); ok {
-		p.migrate(l, s)
+	if s, ok := w.occupied[l].next(w.hand[l] + 1); ok {
+		w.migrate(l, s)
 		return
 	}
 	// This rotation of level l is exhausted: wrap, carry into level l+1
 	// (which migrates entries into levels <= l), then forward anything
 	// now due on this level — including entries that had been placed
 	// "behind the hand" for this new rotation.
-	p.hand[l] = 0
-	p.pull(l + 1)
-	if s, ok := p.occupied[l].next(0); ok {
-		p.migrate(l, s)
+	w.hand[l] = 0
+	w.pull(l + 1)
+	if s, ok := w.occupied[l].next(0); ok {
+		w.migrate(l, s)
 	}
 }
 
 // migrate moves level l's hand to slot s and re-places the slot's entries
 // on finer wheels according to their remainders.
-func (p *GDWheel) migrate(l, s int) {
-	p.hand[l] = s
-	slot := p.wheels[l][s]
+func (w *gdWheel) migrate(l, s int) {
+	w.hand[l] = s
+	slot := w.wheels[l][s]
 	for slot.Len() > 0 {
 		e := slot.Front().Value.(*gdwEntry)
-		p.unlink(e)
-		p.place(e, e.remainder)
+		w.unlink(e)
+		w.place(e, e.remainder)
 	}
-}
-
-// Request implements sim.Policy.
-func (p *GDWheel) Request(r trace.Request) bool {
-	if e := p.store.Get(r.ID); e != nil {
-		// Hit: restore priority to H = L + C.
-		ent := e.Payload
-		p.unlink(ent)
-		p.place(ent, costUnits(r.Cost))
-		return true
-	}
-	if r.Size > p.store.Capacity() {
-		return false
-	}
-	for !p.store.Fits(r.Size) {
-		p.evictOne()
-	}
-	e := p.store.Add(r.ID, r.Size)
-	ent := &gdwEntry{id: r.ID}
-	e.Payload = ent
-	p.place(ent, costUnits(r.Cost))
-	return false
 }
 
 // slotmap is a 256-bit occupancy bitmap.

@@ -36,7 +36,7 @@ type asStat struct {
 // coin flips.
 func NewAdaptSize(capacity, seed int64) *AdaptSize {
 	return &AdaptSize{
-		res:    newLRUResidents(capacity),
+		res:    newResidents(capacity, "lru", 0),
 		rng:    rand.New(rand.NewSource(seed)),
 		c:      float64(capacity) / 100, // permissive start; tuned online
 		window: 50000,

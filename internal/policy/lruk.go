@@ -3,8 +3,7 @@ package policy
 import (
 	"math"
 
-	"lfo/internal/pq"
-	"lfo/internal/sim"
+	"lfo/internal/evict"
 	"lfo/internal/trace"
 )
 
@@ -14,11 +13,11 @@ import (
 // references have infinite backward K-distance and are evicted first.
 //
 // Reference history is retained for recently seen non-resident objects as
-// well (the paper's HIST), bounded to historyLimit entries.
+// well (the paper's HIST), bounded to histCap entries beyond the residents.
+// The residents sit in evict's ranked queue keyed by the K-distance.
 type LRUK struct {
-	store    *sim.Store[struct{}]
+	res      *evict.Residents // kind rank: score = K-th last reference time (min = oldest = evict)
 	k        int
-	pq       *pq.Queue // priority = K-th last reference time (min = oldest = evict)
 	hist     map[trace.ObjectID][]int64
 	histCap  int
 	histFIFO []trace.ObjectID
@@ -31,9 +30,8 @@ func NewLRUK(capacity int64, k int) *LRUK {
 		panic("policy: LRU-K requires k >= 1")
 	}
 	return &LRUK{
-		store:   sim.NewStore[struct{}](capacity),
+		res:     newResidents(capacity, "rank", 0),
 		k:       k,
-		pq:      pq.New(),
 		hist:    make(map[trace.ObjectID][]int64, 1024),
 		histCap: 1 << 20,
 	}
@@ -65,7 +63,7 @@ func (p *LRUK) touch(id trace.ObjectID) []int64 {
 		for n := len(p.histFIFO); len(p.hist) > p.histCap && n > 0; n-- {
 			old := p.histFIFO[0]
 			p.histFIFO = p.histFIFO[1:]
-			if p.store.Has(old) {
+			if p.res.Store.Has(old) {
 				p.histFIFO = append(p.histFIFO, old)
 			} else {
 				delete(p.hist, old)
@@ -80,18 +78,13 @@ func (p *LRUK) touch(id trace.ObjectID) []int64 {
 func (p *LRUK) Request(r trace.Request) bool {
 	p.clock++
 	h := p.touch(r.ID)
-	if p.store.Has(r.ID) {
-		p.pq.Update(r.ID, p.kDistance(h))
+	if e := p.res.Store.Get(r.ID); e != nil {
+		e.Payload.Score = p.kDistance(h)
+		p.res.Evictor.OnHit(e, r)
 		return true
 	}
-	if r.Size > p.store.Capacity() {
-		return false
+	if r.Size <= p.res.Store.Capacity() {
+		p.res.Admit(r, p.kDistance(h))
 	}
-	for !p.store.Fits(r.Size) {
-		id, _ := p.pq.PopMin()
-		p.store.Remove(id)
-	}
-	p.store.Add(r.ID, r.Size)
-	p.pq.Push(r.ID, p.kDistance(h))
 	return false
 }

@@ -21,18 +21,19 @@
 //
 // Because a real cache stores whole objects, the fractional state is
 // rounded deterministically: an object is admitted to the integral cache
-// when its allocation reaches RoundThreshold, and evictions pop the
-// resident with the smallest allocation. No randomness anywhere — the
-// policy is byte-identical across reruns, seeds, and worker counts
-// (nothing in it is parallel), which is what lets the hybrid bridge in
-// internal/core lean on it between window retrains.
+// (an evict.Residents of kind rank) when its allocation reaches
+// RoundThreshold, and evictions pop the resident with the smallest
+// allocation. No randomness anywhere — the policy is byte-identical
+// across reruns, seeds, and worker counts (nothing in it is parallel),
+// which is what lets the hybrid bridge in internal/core lean on it
+// between window retrains.
 package ogd
 
 import (
 	"fmt"
 
+	"lfo/internal/evict"
 	"lfo/internal/pq"
-	"lfo/internal/sim"
 	"lfo/internal/trace"
 )
 
@@ -195,11 +196,10 @@ func (l *Learner) Tracked() int { return l.frac.Len() }
 type Cache struct {
 	learner *Learner
 	thresh  float64
-	store   *sim.Store[struct{}]
 	// res ranks residents by the fractional allocation they held at
-	// their last request, min first, so eviction drops the object the
-	// online learner values least.
-	res *pq.Queue
+	// their last request (evict's ranked queue, min first), so eviction
+	// drops the object the online learner values least.
+	res *evict.Residents
 }
 
 // New returns an OGD cache. The seed every other policy constructor
@@ -210,12 +210,11 @@ func New(cfg Config) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cache{
-		learner: learner,
-		thresh:  cfg.RoundThreshold,
-		store:   sim.NewStore[struct{}](cfg.CacheSize),
-		res:     pq.New(),
-	}, nil
+	res, err := evict.NewResidents(cfg.CacheSize, "rank", evict.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return &Cache{learner: learner, thresh: cfg.RoundThreshold, res: res}, nil
 }
 
 // Name implements sim.Policy.
@@ -228,23 +227,16 @@ func (c *Cache) Learner() *Learner { return c.learner }
 // decision against the integral store.
 func (c *Cache) Request(r trace.Request) bool {
 	y := c.learner.Update(r)
-	if c.store.Has(r.ID) {
-		c.res.Update(r.ID, y)
+	if e := c.res.Store.Get(r.ID); e != nil {
+		e.Payload.Score = y
+		c.res.Evictor.OnHit(e, r)
 		return true
 	}
-	if y >= c.thresh && r.Size <= c.store.Capacity() {
-		for !c.store.Fits(r.Size) {
-			id, _ := c.res.PopMin()
-			c.store.Remove(id)
-		}
-		c.store.Add(r.ID, r.Size)
-		c.res.Push(r.ID, y)
+	if y >= c.thresh && r.Size <= c.res.Store.Capacity() {
+		c.res.Admit(r, y)
 	}
 	return false
 }
 
-// Residents returns the integral cache's object count.
-func (c *Cache) Residents() int { return c.store.Len() }
-
-// UsedBytes returns the integral cache's resident bytes.
-func (c *Cache) UsedBytes() int64 { return c.store.Used() }
+// Residents returns the integral cache's resident set.
+func (c *Cache) Residents() *evict.Residents { return c.res }

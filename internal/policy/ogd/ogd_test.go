@@ -110,14 +110,14 @@ func TestCacheCapacity(t *testing.T) {
 		if c.Request(r) {
 			hits++
 		}
-		if c.UsedBytes() > capacity {
-			t.Fatalf("store used %d bytes over capacity %d", c.UsedBytes(), capacity)
+		if c.Residents().Store.Used() > capacity {
+			t.Fatalf("store used %d bytes over capacity %d", c.Residents().Store.Used(), capacity)
 		}
 	}
 	if hits == 0 {
 		t.Error("OGD cache scored zero hits on a Zipf-skewed trace")
 	}
-	if c.Residents() == 0 {
+	if c.Residents().Store.Len() == 0 {
 		t.Error("OGD cache ended with zero residents")
 	}
 }
@@ -135,8 +135,8 @@ func TestOversizedObjectSkipped(t *testing.T) {
 			t.Fatal("oversized object reported as hit")
 		}
 	}
-	if c.Residents() != 0 {
-		t.Fatalf("oversized object admitted (%d residents)", c.Residents())
+	if c.Residents().Store.Len() != 0 {
+		t.Fatalf("oversized object admitted (%d residents)", c.Residents().Store.Len())
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package policy is the table of caching systems the paper compares LFO
 // against (Fig 1 and Fig 6): RND, FIFO, LRU, LRU-K, LFU, LFUDA, GDSF,
 // GD-Wheel, S4LRU, AdaptSize, Hyperbolic, LHD, a model-free RL baseline
-// (RLC), and a TinyLFU extension. RND, FIFO, LRU, LFU, LFUDA and GDSF are
-// internal/evict's evictor kinds behind an admit-all evict.Cache, the
-// code the eviction grid's columns and LFO's own eviction run; TinyLFU and
+// (RLC), OGD, and a TinyLFU extension. None keeps a store of its own:
+// RND, FIFO, LRU, LFU, LFUDA, GDSF, GD-Wheel, Hyperbolic and LHD are
+// internal/evict's evictor kinds behind one admit-all adapter, the code
+// the eviction grid's columns and LFO's own eviction run; LRU-K and OGD
+// key evict's ranked queue with their own score; RLC, TinyLFU and
 // AdaptSize add their admission logic to an evict.Residents of kind lru;
 // S4LRU is internal/tiered's multi-level LRU with four equal tiers.
 // All policies implement sim.Policy, are byte-accurate, and are
@@ -13,7 +15,6 @@ package policy
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"lfo/internal/evict"
 	"lfo/internal/policy/ogd"
@@ -28,18 +29,18 @@ type Constructor func(capacity int64, seed int64) sim.Policy
 
 // registry maps policy names to constructors.
 var registry = map[string]Constructor{
-	"rnd":        heuristic("RND"),
-	"fifo":       heuristic("FIFO"),
-	"lru":        heuristic("LRU"),
+	"rnd":        heuristic("rnd", "RND"),
+	"fifo":       heuristic("fifo", "FIFO"),
+	"lru":        heuristic("lru", "LRU"),
 	"lruk":       func(c, s int64) sim.Policy { return NewLRUK(c, 2) },
-	"lfu":        heuristic("LFU"),
-	"lfuda":      heuristic("LFUDA"),
-	"gdsf":       heuristic("GDSF"),
-	"gdwheel":    func(c, s int64) sim.Policy { return NewGDWheel(c) },
+	"lfu":        heuristic("lfu", "LFU"),
+	"lfuda":      heuristic("lfuda", "LFUDA"),
+	"gdsf":       heuristic("gdsf", "GDSF"),
+	"gdwheel":    heuristic("gdwheel", "GD-Wheel"),
 	"s4lru":      func(c, s int64) sim.Policy { return NewS4LRU(c) },
 	"adaptsize":  func(c, s int64) sim.Policy { return NewAdaptSize(c, s) },
-	"hyperbolic": func(c, s int64) sim.Policy { return NewHyperbolic(c, s) },
-	"lhd":        func(c, s int64) sim.Policy { return NewLHD(c, s) },
+	"hyperbolic": heuristic("hyperbolic", "Hyperbolic"),
+	"lhd":        heuristic("lhd", "LHD"),
 	"tinylfu":    func(c, s int64) sim.Policy { return NewTinyLFU(c) },
 	"rlc":        func(c, s int64) sim.Policy { return NewRLC(c, s) },
 	"ogd": func(c, s int64) sim.Policy {
@@ -70,17 +71,39 @@ func Names() []string {
 	return out
 }
 
-// heuristic builds the named baseline as an admit-all evict.Cache whose
-// evictor kind is the lower-cased name; the seed reaches the random
-// evictor's draws.
-func heuristic(name string) Constructor {
+// heuristic builds the baseline of the given evictor kind, reported under
+// its table name, as an admit-all cache; the seed reaches the sampling
+// evictors' draws.
+func heuristic(kind, name string) Constructor {
 	return func(capacity, seed int64) sim.Policy {
-		c, err := evict.New(evict.Config{CacheSize: capacity, Eviction: strings.ToLower(name), Seed: seed})
-		if err != nil {
-			panic(err) // only reachable with a non-positive capacity
-		}
-		return named{c, name}
+		return &admitAll{res: newResidents(capacity, kind, seed), name: name}
 	}
+}
+
+// admitAll is a resident set that admits every object that fits. Its clock
+// is the request count, oversized requests included: the time Hyperbolic
+// and LHD measure ages in, and which the other kinds ignore.
+type admitAll struct {
+	res   *evict.Residents
+	name  string
+	count int64
+}
+
+// Name implements sim.Policy.
+func (p *admitAll) Name() string { return p.name }
+
+// Request implements sim.Policy.
+func (p *admitAll) Request(r trace.Request) bool {
+	p.count++
+	r.Time = p.count
+	if e := p.res.Store.Get(r.ID); e != nil {
+		p.res.Evictor.OnHit(e, r)
+		return true
+	}
+	if r.Size <= p.res.Store.Capacity() {
+		p.res.Admit(r, 1)
+	}
+	return false
 }
 
 // s4Segments is S4LRU's queue count (Huang et al., SOSP 2013 [33]).
@@ -114,11 +137,12 @@ type named struct {
 // Name implements sim.Policy.
 func (n named) Name() string { return n.name }
 
-// newLRUResidents is the LRU resident set TinyLFU and AdaptSize admit into.
-func newLRUResidents(capacity int64) *evict.Residents {
-	res, err := evict.NewResidents(capacity, "lru", evict.Options{})
+// newResidents is a baseline's resident set under the evictor kind, whose
+// draws, if it samples, are seeded with seed.
+func newResidents(capacity int64, kind string, seed int64) *evict.Residents {
+	res, err := evict.NewResidents(capacity, kind, evict.Options{Seed: seed})
 	if err != nil {
-		panic(err) // "lru" is always a kind
+		panic(err) // the table names only kinds
 	}
 	return res
 }

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"lfo/internal/gen"
@@ -17,7 +16,7 @@ import (
 func TestGDWheelEvictsCheapestFirst(t *testing.T) {
 	// Greedy-Dual: priority H = L + C. With equal recency, the object
 	// with the lowest retrieval cost is evicted first.
-	p := NewGDWheel(2)
+	p := mustNew(t, "gdwheel", 2, 0)
 	p.Request(trace.Request{Time: 0, ID: 1, Size: 1, Cost: 1000})
 	p.Request(trace.Request{Time: 1, ID: 2, Size: 1, Cost: 5})
 	// Cache full; inserting 3 must evict the cheap object 2.
@@ -33,7 +32,7 @@ func TestGDWheelEvictsCheapestFirst(t *testing.T) {
 func TestGDWheelHitRestoresPriority(t *testing.T) {
 	// After its priority decays (hand advances past it), a hit must
 	// re-arm an object's priority to H = L + C.
-	p := NewGDWheel(2)
+	p := mustNew(t, "gdwheel", 2, 0)
 	p.Request(trace.Request{Time: 0, ID: 1, Size: 1, Cost: 10})
 	p.Request(trace.Request{Time: 1, ID: 2, Size: 1, Cost: 10})
 	// Touch 1 repeatedly while streaming evictions through.
@@ -48,38 +47,12 @@ func TestGDWheelHitRestoresPriority(t *testing.T) {
 
 func TestGDWheelHugeCostClamped(t *testing.T) {
 	// Costs beyond the wheel range must clamp, not panic or corrupt.
-	p := NewGDWheel(10)
+	p := mustNew(t, "gdwheel", 10, 0)
 	p.Request(trace.Request{Time: 0, ID: 1, Size: 5, Cost: 1e18})
 	p.Request(trace.Request{Time: 1, ID: 2, Size: 5, Cost: 3})
 	p.Request(trace.Request{Time: 2, ID: 3, Size: 5, Cost: 1e18}) // forces eviction
 	if !p.Request(trace.Request{Time: 3, ID: 1, Size: 5, Cost: 1e18}) {
 		t.Error("max-cost object evicted before cheap one")
-	}
-}
-
-func TestSlotmapNext(t *testing.T) {
-	var m slotmap
-	if _, ok := m.next(0); ok {
-		t.Error("empty slotmap found a slot")
-	}
-	m.set(5)
-	m.set(130)
-	m.set(255)
-	if s, ok := m.next(0); !ok || s != 5 {
-		t.Errorf("next(0) = %d,%v, want 5", s, ok)
-	}
-	if s, ok := m.next(6); !ok || s != 130 {
-		t.Errorf("next(6) = %d,%v, want 130", s, ok)
-	}
-	if s, ok := m.next(131); !ok || s != 255 {
-		t.Errorf("next(131) = %d,%v, want 255", s, ok)
-	}
-	if _, ok := m.next(256); ok {
-		t.Error("next past end found a slot")
-	}
-	m.clear(130)
-	if s, _ := m.next(6); s != 255 {
-		t.Errorf("after clear, next(6) = %d, want 255", s)
 	}
 }
 
@@ -121,37 +94,6 @@ func TestAdaptSizeRejectsHugeObjectsUnderPressure(t *testing.T) {
 	}
 }
 
-func TestLHDClassesBySize(t *testing.T) {
-	if lhdClass(1) == lhdClass(1<<20) {
-		t.Error("1B and 1MB objects share an LHD class")
-	}
-	if got := lhdClass(1 << 62); got != lhdSizeClasses-1 {
-		t.Errorf("huge object class = %d, want %d", got, lhdSizeClasses-1)
-	}
-}
-
-func TestLHDSurvivesReconfigure(t *testing.T) {
-	// Push enough traffic through to trigger several reconfigurations.
-	tr, err := gen.Generate(gen.WebMix(3*lhdReconfigure, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewLHD(4<<20, 1)
-	m := sim.Run(tr, p, sim.Options{})
-	if m.Hits == 0 {
-		t.Error("LHD scored no hits across reconfigurations")
-	}
-	// Densities must remain finite and non-negative.
-	for c := 0; c < lhdSizeClasses; c++ {
-		for a := 0; a <= lhdAgeBuckets; a++ {
-			d := p.density[c][a]
-			if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-				t.Fatalf("density[%d][%d] = %g", c, a, d)
-			}
-		}
-	}
-}
-
 func TestRLCLearnsFromDelayedRewards(t *testing.T) {
 	// The Q-table must move away from zero as rewards arrive — the
 	// mechanism works, it is just slow (the paper's point).
@@ -174,14 +116,22 @@ func TestRLCLearnsFromDelayedRewards(t *testing.T) {
 	}
 }
 
-func TestHyperbolicPriorityDecaysWithAge(t *testing.T) {
-	p := NewHyperbolic(100, 1)
-	p.Request(trace.Request{Time: 0, ID: 1, Size: 10, Cost: 10})
-	early := p.priority(p.store.Get(1))
-	p.clock += 1000
-	late := p.priority(p.store.Get(1))
-	if late >= early {
-		t.Errorf("priority did not decay: %g -> %g", early, late)
+// TestRLCLastSeenStaysBounded: a stream of one-hit wonders keeps at most
+// two generations of rlcRecencySpan last-seen times, and the admission
+// states held for delayed rewards are exactly the residents'.
+func TestRLCLastSeenStaysBounded(t *testing.T) {
+	p := NewRLC(1<<20, 1)
+	for i := 0; i < 100000; i++ {
+		p.Request(trace.Request{Time: int64(i), ID: trace.ObjectID(i), Size: 1 << 10, Cost: 1 << 10})
+		if n := len(p.lastSeen) + len(p.prevSeen); n > 2*rlcRecencySpan {
+			t.Fatalf("request %d: %d last-seen times kept, want at most %d", i, n, 2*rlcRecencySpan)
+		}
+		if len(p.admitted) != p.res.Store.Len() {
+			t.Fatalf("request %d: %d admission states for %d residents", i, len(p.admitted), p.res.Store.Len())
+		}
+	}
+	if p.res.Store.Len() == 0 {
+		t.Fatal("nothing was admitted")
 	}
 }
 
@@ -216,13 +166,13 @@ func TestLRUKHistoryStaysBounded(t *testing.T) {
 	if _, ok := p.hist[1]; ok {
 		t.Error("object 1, evicted long ago, still has history")
 	}
-	for i := 0; i < p.store.Len(); i++ {
-		if id := p.store.At(i).ID; p.hist[id] == nil {
+	for i := 0; i < p.res.Store.Len(); i++ {
+		if id := p.res.Store.At(i).ID; p.hist[id] == nil {
 			t.Errorf("resident %d lost its history", id)
 		}
 	}
-	if len(p.hist) > p.histCap+p.store.Len() {
-		t.Errorf("%d histories kept, want at most %d", len(p.hist), p.histCap+p.store.Len())
+	if len(p.hist) > p.histCap+p.res.Store.Len() {
+		t.Errorf("%d histories kept, want at most %d", len(p.hist), p.histCap+p.res.Store.Len())
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"lfo/internal/evict"
 	"lfo/internal/gen"
+	"lfo/internal/policy/ogd"
 	"lfo/internal/sim"
 	"lfo/internal/trace"
 )
@@ -281,9 +283,9 @@ func TestOversizedObjectsBypassed(t *testing.T) {
 }
 
 // TestHeuristicsMatchReference replays the registry's RND, FIFO, LRU, LFU,
-// LFUDA, GDSF, TinyLFU, AdaptSize, Hyperbolic, LHD and S4LRU against the
-// implementations they replaced (reference_test.go) and fails at the first
-// request whose hit differs: CDN and web mixes × BHR and OHR costs × 1, 16 and 256 MiB ×
+// LFUDA, GDSF, LRU-K, GD-Wheel, RLC, TinyLFU, AdaptSize, Hyperbolic, LHD
+// and S4LRU against the implementations they replaced (reference_test.go)
+// and fails at the first request whose hit differs: CDN and web mixes × BHR and OHR costs × 1, 16 and 256 MiB ×
 // seeds 1 and 42, each trace long enough that AdaptSize retunes and, in
 // the smaller caches, TinyLFU's sketch resets.
 func TestHeuristicsMatchReference(t *testing.T) {
@@ -294,6 +296,9 @@ func TestHeuristicsMatchReference(t *testing.T) {
 		"lfu":        func(c, s int64) sim.Policy { return newReferenceLFU(c) },
 		"lfuda":      func(c, s int64) sim.Policy { return newReferenceLFUDA(c) },
 		"gdsf":       func(c, s int64) sim.Policy { return newReferenceGDSF(c) },
+		"lruk":       func(c, s int64) sim.Policy { return newReferenceLRUK(c, 2) },
+		"gdwheel":    func(c, s int64) sim.Policy { return newReferenceGDWheel(c) },
+		"rlc":        func(c, s int64) sim.Policy { return newReferenceRLC(c, s) },
 		"tinylfu":    func(c, s int64) sim.Policy { return newReferenceTinyLFU(c) },
 		"adaptsize":  func(c, s int64) sim.Policy { return newReferenceAdaptSize(c, s) },
 		"hyperbolic": func(c, s int64) sim.Policy { return newReferenceHyperbolic(c, s) },
@@ -313,7 +318,7 @@ func TestHeuristicsMatchReference(t *testing.T) {
 			for _, obj := range []trace.Objective{trace.ObjectiveBHR, trace.ObjectiveOHR} {
 				costed := tr.WithCosts(obj)
 				for _, size := range []int64{1 << 20, 16 << 20, 256 << 20} {
-					for _, name := range []string{"rnd", "fifo", "lru", "lfu", "lfuda", "gdsf", "tinylfu", "adaptsize", "hyperbolic", "lhd", "s4lru"} {
+					for _, name := range []string{"rnd", "fifo", "lru", "lfu", "lfuda", "gdsf", "lruk", "gdwheel", "rlc", "tinylfu", "adaptsize", "hyperbolic", "lhd", "s4lru"} {
 						t.Run(fmt.Sprintf("%s/seed%d/%s/%dMiB/%s", mix.name, seed, obj, size>>20, name), func(t *testing.T) {
 							got, want := mustNew(t, name, size, seed), refs[name](size, seed)
 							if got.Name() != want.Name() {
@@ -330,6 +335,81 @@ func TestHeuristicsMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBaselineInvariants replays every baseline built on one
+// evict.Residents — all of the table but S4LRU, whose tiers
+// TestTieredInvariants holds — over a CDN and a web mix and checks after
+// every request that a hit is returned exactly when the object was
+// resident before the request, that the resident bytes fit the capacity,
+// and that an evictor keeping a structure of its own (queue, list, wheels)
+// holds exactly the residents. It fails if nothing was ever evicted.
+func TestBaselineInvariants(t *testing.T) {
+	for _, mix := range []struct {
+		name string
+		cfg  gen.Config
+		size int64
+	}{
+		{"cdn", gen.CDNMix(20000, 5), 64 << 20},
+		{"web", gen.WebMix(20000, 5), 4 << 20},
+	} {
+		tr, err := gen.Generate(mix.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range Names() {
+			if name == "s4lru" {
+				continue
+			}
+			t.Run(mix.name+"/"+name, func(t *testing.T) {
+				p := mustNew(t, name, mix.size, 1)
+				res := residentsOf(t, p)
+				store := res.Store
+				tracked, isTracked := res.Evictor.(interface{ Len() int })
+				evictions := 0
+				for i, r := range tr.Requests {
+					resident, before := store.Has(r.ID), store.Len()
+					if hit := p.Request(r); hit != resident {
+						t.Fatalf("request %d (id %d): hit=%v but resident before the call=%v", i, r.ID, hit, resident)
+					}
+					if store.Used() > store.Capacity() {
+						t.Fatalf("request %d: %d bytes resident in a cache of %d", i, store.Used(), store.Capacity())
+					}
+					if isTracked && tracked.Len() != store.Len() {
+						t.Fatalf("request %d: the evictor tracks %d objects, the store holds %d", i, tracked.Len(), store.Len())
+					}
+					if !resident && store.Has(r.ID) {
+						before++
+					}
+					evictions += before - store.Len()
+				}
+				if evictions == 0 {
+					t.Fatal("the trace never filled the cache")
+				}
+			})
+		}
+	}
+}
+
+// residentsOf returns the one resident set a baseline is built on.
+func residentsOf(t *testing.T, p sim.Policy) *evict.Residents {
+	t.Helper()
+	switch p := p.(type) {
+	case *admitAll:
+		return p.res
+	case *LRUK:
+		return p.res
+	case *RLC:
+		return p.res
+	case *TinyLFU:
+		return p.res
+	case *AdaptSize:
+		return p.res
+	case *ogd.Cache:
+		return p.Residents()
+	}
+	t.Fatalf("%s is not built on one evict.Residents", p.Name())
+	return nil
 }
 
 // smallObjectTrace is n requests over 64 objects of 1–7 B, the low IDs

@@ -4,15 +4,19 @@ package policy
 // (renamed) as the oracle TestHeuristicsMatchReference replays the
 // registry against: RND, FIFO, LRU and LFU, LFUDA and GDSF over sim.Store
 // + pq, the intrusive entry list, TinyLFU and AdaptSize over
-// container/list, and Hyperbolic and LHD with a private index of resident
-// IDs beside the store's, and S4LRU over four container/list segments.
-// The registry now builds the first six as evict.Cache evictor kinds,
-// TinyLFU and AdaptSize over an evict.Residents, Hyperbolic and LHD sample
-// the store's own index, and S4LRU is a tiered cache of four equal tiers.
+// container/list, Hyperbolic and LHD with a private index of resident IDs
+// beside the store's, S4LRU over four container/list segments, LRU-K over
+// sim.Store + pq, GD-Wheel's cost wheels in a store payload, and RLC over
+// sim.Store + container/list with an unbounded last-seen map. The registry
+// now builds RND, FIFO, LRU, LFU, LFUDA, GDSF, GD-Wheel, Hyperbolic and
+// LHD as evict evictor kinds behind one admit-all adapter, LRU-K over
+// evict's ranked queue, RLC, TinyLFU and AdaptSize over an evict.Residents
+// of kind lru, and S4LRU as a tiered cache of four equal tiers.
 
 import (
 	"container/list"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"lfo/internal/che"
@@ -815,5 +819,428 @@ func (p *referenceS4LRU) Request(r trace.Request) bool {
 	m := &referenceS4Meta{size: r.Size, id: r.ID}
 	e.Payload = m
 	p.insert(m, 0)
+	return false
+}
+
+// evictionSamples is the candidate count for sampled-eviction policies
+// (Hyperbolic and LHD both use sampling, [13], [7]).
+const evictionSamples = 64
+
+// LHD geometry.
+const (
+	lhdAgeBuckets  = 128   // coarsened age histogram size
+	lhdSizeClasses = 16    // objects are classified by log2(size)
+	lhdAgeShift    = 6     // age bucket = (now - lastAccess) >> shift
+	lhdReconfigure = 20000 // accesses between density-table rebuilds
+	lhdEWMADecay   = 0.9   // histogram decay per reconfiguration
+)
+
+func lhdClass(size int64) int {
+	c := bits.Len64(uint64(size)) // log2 bucket
+	if c >= lhdSizeClasses {
+		c = lhdSizeClasses - 1
+	}
+	return c
+}
+
+// referenceLRUK implements the LRU-K replacement policy (O'Neil et al. [60]):
+// evict the resident object whose K-th most recent reference is oldest
+// (its "backward K-distance" is largest). Objects with fewer than K
+// references have infinite backward K-distance and are evicted first.
+//
+// Reference history is retained for recently seen non-resident objects as
+// well (the paper's HIST), bounded to historyLimit entries.
+type referenceLRUK struct {
+	store    *sim.Store[struct{}]
+	k        int
+	pq       *pq.Queue // priority = K-th last reference time (min = oldest = evict)
+	hist     map[trace.ObjectID][]int64
+	histCap  int
+	histFIFO []trace.ObjectID
+	clock    int64
+}
+
+// newReferenceLRUK returns an LRU-K cache (typically k=2).
+func newReferenceLRUK(capacity int64, k int) *referenceLRUK {
+	if k < 1 {
+		panic("policy: LRU-K requires k >= 1")
+	}
+	return &referenceLRUK{
+		store:   sim.NewStore[struct{}](capacity),
+		k:       k,
+		pq:      pq.New(),
+		hist:    make(map[trace.ObjectID][]int64, 1024),
+		histCap: 1 << 20,
+	}
+}
+
+// Name implements sim.Policy.
+func (p *referenceLRUK) Name() string { return "LRU-K" }
+
+// kDistance returns the K-th most recent reference time, or -Inf when the
+// object has fewer than K references (making it the preferred victim).
+func (p *referenceLRUK) kDistance(h []int64) float64 {
+	if len(h) < p.k {
+		return math.Inf(-1)
+	}
+	return float64(h[len(h)-p.k])
+}
+
+// touch appends a reference and trims history to K entries.
+func (p *referenceLRUK) touch(id trace.ObjectID) []int64 {
+	h, seen := p.hist[id]
+	h = append(h, p.clock)
+	if len(h) > p.k {
+		h = h[len(h)-p.k:]
+	}
+	p.hist[id] = h
+	if !seen {
+		// At most one pass over the older entries. A resident's history is
+		// never dropped: it goes back to the tail, to leave once evicted.
+		for n := len(p.histFIFO); len(p.hist) > p.histCap && n > 0; n-- {
+			old := p.histFIFO[0]
+			p.histFIFO = p.histFIFO[1:]
+			if p.store.Has(old) {
+				p.histFIFO = append(p.histFIFO, old)
+			} else {
+				delete(p.hist, old)
+			}
+		}
+		p.histFIFO = append(p.histFIFO, id)
+	}
+	return h
+}
+
+// Request implements sim.Policy.
+func (p *referenceLRUK) Request(r trace.Request) bool {
+	p.clock++
+	h := p.touch(r.ID)
+	if p.store.Has(r.ID) {
+		p.pq.Update(r.ID, p.kDistance(h))
+		return true
+	}
+	if r.Size > p.store.Capacity() {
+		return false
+	}
+	for !p.store.Fits(r.Size) {
+		id, _ := p.pq.PopMin()
+		p.store.Remove(id)
+	}
+	p.store.Add(r.ID, r.Size)
+	p.pq.Push(r.ID, p.kDistance(h))
+	return false
+}
+
+// GD-Wheel geometry: wheelLevels hierarchical wheels of wheelSlots slots
+// each cover cost values up to wheelSlots^wheelLevels - 1.
+const (
+	wheelSlots  = 256
+	wheelLevels = 4
+)
+
+// referenceGDWheel implements the Greedy-Dual cost-aware policy with hierarchical
+// cost wheels (Li & Cox, EuroSys 2015 [49]). Greedy-Dual assigns each
+// object the priority H = L + C (L the global age, C the retrieval cost)
+// and evicts the minimum; GD-Wheel makes this O(1) by placing objects on
+// timing-wheel-like cost wheels and representing L as the wheel hands.
+// A hit restores the object's priority by repositioning it C slots ahead
+// of the hand. Per-level occupancy bitmaps let the hands jump directly to
+// the next occupied slot, so evictions stay O(1) even when costs span the
+// full wheel range (CDN byte costs do).
+type referenceGDWheel struct {
+	store    *sim.Store[*referenceGDWEntry]
+	wheels   [wheelLevels][wheelSlots]*list.List
+	occupied [wheelLevels]slotmap
+	hand     [wheelLevels]int
+	count    int // total queued entries, to guard hand advancement
+}
+
+// referenceGDWEntry locates an object on the wheels.
+type referenceGDWEntry struct {
+	elem      *list.Element
+	level     int
+	slot      int
+	remainder int64 // cost below this level's resolution, for migration
+	id        trace.ObjectID
+}
+
+// newReferenceGDWheel returns a Greedy-Dual cache backed by cost wheels.
+func newReferenceGDWheel(capacity int64) *referenceGDWheel {
+	p := &referenceGDWheel{store: sim.NewStore[*referenceGDWEntry](capacity)}
+	for l := 0; l < wheelLevels; l++ {
+		for s := 0; s < wheelSlots; s++ {
+			p.wheels[l][s] = list.New()
+		}
+	}
+	return p
+}
+
+// Name implements sim.Policy.
+func (p *referenceGDWheel) Name() string { return "GD-Wheel" }
+
+// levelSpan[l] = wheelSlots^l, the cost covered by one slot of level l.
+var levelSpan = func() [wheelLevels + 1]int64 {
+	var s [wheelLevels + 1]int64
+	s[0] = 1
+	for i := 1; i <= wheelLevels; i++ {
+		s[i] = s[i-1] * wheelSlots
+	}
+	return s
+}()
+
+// costUnits quantizes a retrieval cost onto the wheel range [1, max].
+func costUnits(c float64) int64 {
+	u := int64(c)
+	if u < 1 {
+		u = 1
+	}
+	if max := levelSpan[wheelLevels] - 1; u > max {
+		u = max
+	}
+	return u
+}
+
+// place inserts an entry c cost units ahead of the hands.
+func (p *referenceGDWheel) place(e *referenceGDWEntry, c int64) {
+	level := 0
+	for level+1 < wheelLevels && c >= levelSpan[level+1] {
+		level++
+	}
+	offset := c / levelSpan[level]
+	e.level = level
+	e.slot = int((int64(p.hand[level]) + offset) % wheelSlots)
+	e.remainder = c % levelSpan[level]
+	e.elem = p.wheels[level][e.slot].PushBack(e)
+	p.occupied[level].set(e.slot)
+	p.count++
+}
+
+// unlink removes an entry from its wheel slot.
+func (p *referenceGDWheel) unlink(e *referenceGDWEntry) {
+	l := p.wheels[e.level][e.slot]
+	l.Remove(e.elem)
+	if l.Len() == 0 {
+		p.occupied[e.level].clear(e.slot)
+	}
+	e.elem = nil
+	p.count--
+}
+
+// evictOne moves the hands to the next due object and evicts it.
+func (p *referenceGDWheel) evictOne() {
+	if p.count == 0 {
+		panic("policy: GDWheel evict with empty wheels")
+	}
+	for guard := 0; ; guard++ {
+		if guard > wheelLevels*wheelSlots {
+			panic("policy: GDWheel hand sweep failed to locate entries")
+		}
+		if s, ok := p.occupied[0].next(p.hand[0]); ok {
+			p.hand[0] = s
+			e := p.wheels[0][s].Front().Value.(*referenceGDWEntry)
+			p.unlink(e)
+			p.store.Remove(e.id)
+			return
+		}
+		// Level 0 exhausted for this rotation: wrap and pull the next
+		// occupied higher-level slot down.
+		p.hand[0] = 0
+		p.pull(1)
+	}
+}
+
+// pull advances level l's hand to its next occupied slot — cascading to
+// level l+1 when this rotation of level l is exhausted — and migrates that
+// slot's entries down to finer wheels. Migration always places entries at
+// levels strictly below l (remainders are below this level's resolution),
+// so after pull returns, the caller re-scans its own level.
+func (p *referenceGDWheel) pull(l int) {
+	if l >= wheelLevels {
+		// Carry beyond the top wheel is vacuous: lower levels wrap and
+		// re-scan entries placed for their next rotation.
+		return
+	}
+	if s, ok := p.occupied[l].next(p.hand[l] + 1); ok {
+		p.migrate(l, s)
+		return
+	}
+	// This rotation of level l is exhausted: wrap, carry into level l+1
+	// (which migrates entries into levels <= l), then forward anything
+	// now due on this level — including entries that had been placed
+	// "behind the hand" for this new rotation.
+	p.hand[l] = 0
+	p.pull(l + 1)
+	if s, ok := p.occupied[l].next(0); ok {
+		p.migrate(l, s)
+	}
+}
+
+// migrate moves level l's hand to slot s and re-places the slot's entries
+// on finer wheels according to their remainders.
+func (p *referenceGDWheel) migrate(l, s int) {
+	p.hand[l] = s
+	slot := p.wheels[l][s]
+	for slot.Len() > 0 {
+		e := slot.Front().Value.(*referenceGDWEntry)
+		p.unlink(e)
+		p.place(e, e.remainder)
+	}
+}
+
+// Request implements sim.Policy.
+func (p *referenceGDWheel) Request(r trace.Request) bool {
+	if e := p.store.Get(r.ID); e != nil {
+		// Hit: restore priority to H = L + C.
+		ent := e.Payload
+		p.unlink(ent)
+		p.place(ent, costUnits(r.Cost))
+		return true
+	}
+	if r.Size > p.store.Capacity() {
+		return false
+	}
+	for !p.store.Fits(r.Size) {
+		p.evictOne()
+	}
+	e := p.store.Add(r.ID, r.Size)
+	ent := &referenceGDWEntry{id: r.ID}
+	e.Payload = ent
+	p.place(ent, costUnits(r.Cost))
+	return false
+}
+
+// slotmap is a 256-bit occupancy bitmap.
+type slotmap [wheelSlots / 64]uint64
+
+func (m *slotmap) set(i int)   { m[i/64] |= 1 << (i % 64) }
+func (m *slotmap) clear(i int) { m[i/64] &^= 1 << (i % 64) }
+
+// next returns the first occupied slot >= from, if any.
+func (m *slotmap) next(from int) (int, bool) {
+	if from >= wheelSlots {
+		return 0, false
+	}
+	w := from / 64
+	// Mask off bits below `from` in the first word.
+	cur := m[w] &^ ((1 << (from % 64)) - 1)
+	for {
+		if cur != 0 {
+			return w*64 + bits.TrailingZeros64(cur), true
+		}
+		w++
+		if w >= len(m) {
+			return 0, false
+		}
+		cur = m[w]
+	}
+}
+
+// referenceRLC is a model-free reinforcement-learning cache in the style of the
+// RL-based caching evaluated at HotNets'17 [48] and reproduced in Fig 1 of
+// the paper: ε-greedy Q-learning chooses between admitting and bypassing
+// each missed object over a coarse (size, recency) state space, with LRU
+// eviction. Rewards arrive only when an admitted object later hits (or is
+// evicted unused) — exactly the delayed-feedback pathology the paper
+// identifies as the root cause of model-free RL's weakness for caching.
+// Expect it to land near RND and LRU, well below GDSF.
+type referenceRLC struct {
+	store *sim.Store[*referenceRLCMeta]
+	lru   *list.List
+	rng   *rand.Rand
+
+	q        [rlcSizeBuckets][rlcRecencyBuckets][2]float64
+	epsilon  float64
+	alpha    float64
+	lastSeen map[trace.ObjectID]int64
+	clock    int64
+}
+
+type referenceRLCMeta struct {
+	elem *list.Element
+	sb   int // state at admission time
+	rb   int
+	hits int
+}
+
+// newReferenceRLC returns the Q-learning cache baseline.
+func newReferenceRLC(capacity, seed int64) *referenceRLC {
+	return &referenceRLC{
+		store:    sim.NewStore[*referenceRLCMeta](capacity),
+		lru:      list.New(),
+		rng:      rand.New(rand.NewSource(seed)),
+		epsilon:  0.1,
+		alpha:    0.1,
+		lastSeen: make(map[trace.ObjectID]int64, 1024),
+	}
+}
+
+// Name implements sim.Policy.
+func (p *referenceRLC) Name() string { return "RLC" }
+
+func (p *referenceRLC) state(r trace.Request) (int, int) {
+	sb := bits.Len64(uint64(r.Size))
+	if sb >= rlcSizeBuckets {
+		sb = rlcSizeBuckets - 1
+	}
+	rb := rlcRecencyBuckets - 1 // never seen
+	if last, ok := p.lastSeen[r.ID]; ok {
+		rb = bits.Len64(uint64(p.clock - last))
+		if rb >= rlcRecencyBuckets {
+			rb = rlcRecencyBuckets - 1
+		}
+	}
+	return sb, rb
+}
+
+// learn applies a bandit-style Q update for a delayed reward.
+func (p *referenceRLC) learn(sb, rb, action int, reward float64) {
+	q := &p.q[sb][rb][action]
+	*q += p.alpha * (reward - *q)
+}
+
+// Request implements sim.Policy.
+func (p *referenceRLC) Request(r trace.Request) bool {
+	p.clock++
+	sb, rb := p.state(r)
+	defer func() { p.lastSeen[r.ID] = p.clock }()
+
+	if e := p.store.Get(r.ID); e != nil {
+		m := e.Payload
+		m.hits++
+		// Delayed reward: the admission decision that placed this
+		// object finally pays off.
+		p.learn(m.sb, m.rb, 1, 1)
+		p.lru.MoveToFront(m.elem)
+		return true
+	}
+	if r.Size > p.store.Capacity() {
+		return false
+	}
+	// ε-greedy action selection: 0 = bypass, 1 = admit.
+	action := 0
+	if p.rng.Float64() < p.epsilon {
+		action = p.rng.Intn(2)
+	} else if p.q[sb][rb][1] >= p.q[sb][rb][0] {
+		action = 1
+	}
+	if action == 0 {
+		p.learn(sb, rb, 0, 0) // bypass: neutral immediate reward
+		return false
+	}
+	for !p.store.Fits(r.Size) {
+		tail := p.lru.Back()
+		victim := tail.Value.(trace.ObjectID)
+		vm := p.store.Get(victim).Payload
+		if vm.hits == 0 {
+			// Evicted unused: the admission wasted space.
+			p.learn(vm.sb, vm.rb, 1, -0.2)
+		}
+		p.lru.Remove(tail)
+		p.store.Remove(victim)
+	}
+	e := p.store.Add(r.ID, r.Size)
+	m := &referenceRLCMeta{sb: sb, rb: rb}
+	m.elem = p.lru.PushFront(r.ID)
+	e.Payload = m
 	return false
 }

@@ -1,11 +1,10 @@
 package policy
 
 import (
-	"container/list"
 	"math/bits"
 	"math/rand"
 
-	"lfo/internal/sim"
+	"lfo/internal/evict"
 	"lfo/internal/trace"
 )
 
@@ -14,6 +13,12 @@ const (
 	rlcSizeBuckets    = 16
 	rlcRecencyBuckets = 10
 )
+
+// rlcRecencySpan is the request gap from which on a recency falls in the
+// last bucket, the never-seen one: bits.Len64(gap) >= rlcRecencyBuckets-1.
+// A request time older than that changes no decision, so RLC keeps its
+// last-seen times in two generations of rlcRecencySpan requests each.
+const rlcRecencySpan = 1 << (rlcRecencyBuckets - 2)
 
 // RLC is a model-free reinforcement-learning cache in the style of the
 // RL-based caching evaluated at HotNets'17 [48] and reproduced in Fig 1 of
@@ -24,33 +29,35 @@ const (
 // identifies as the root cause of model-free RL's weakness for caching.
 // Expect it to land near RND and LRU, well below GDSF.
 type RLC struct {
-	store *sim.Store[*rlcMeta]
-	lru   *list.List
-	rng   *rand.Rand
+	res *evict.Residents // kind lru
+	// admitted holds each resident's state at its admission, the state a
+	// delayed reward is credited to.
+	admitted map[trace.ObjectID]rlcState
+	rng      *rand.Rand
 
-	q        [rlcSizeBuckets][rlcRecencyBuckets][2]float64
-	epsilon  float64
-	alpha    float64
-	lastSeen map[trace.ObjectID]int64
-	clock    int64
+	q       [rlcSizeBuckets][rlcRecencyBuckets][2]float64
+	epsilon float64
+	alpha   float64
+	// lastSeen maps an object to the clock of its latest request within
+	// the current generation, prevSeen within the previous one; the
+	// generations rotate every rlcRecencySpan requests.
+	lastSeen, prevSeen map[trace.ObjectID]int64
+	clock              int64
 }
 
-type rlcMeta struct {
-	elem *list.Element
-	sb   int // state at admission time
-	rb   int
-	hits int
-}
+// rlcState is a (size, recency) state.
+type rlcState struct{ sb, rb int }
 
 // NewRLC returns the Q-learning cache baseline.
 func NewRLC(capacity, seed int64) *RLC {
 	return &RLC{
-		store:    sim.NewStore[*rlcMeta](capacity),
-		lru:      list.New(),
+		res:      newResidents(capacity, "lru", 0),
+		admitted: make(map[trace.ObjectID]rlcState, 1024),
 		rng:      rand.New(rand.NewSource(seed)),
 		epsilon:  0.1,
 		alpha:    0.1,
-		lastSeen: make(map[trace.ObjectID]int64, 1024),
+		lastSeen: make(map[trace.ObjectID]int64, rlcRecencySpan),
+		prevSeen: make(map[trace.ObjectID]int64, rlcRecencySpan),
 	}
 }
 
@@ -63,7 +70,11 @@ func (p *RLC) state(r trace.Request) (int, int) {
 		sb = rlcSizeBuckets - 1
 	}
 	rb := rlcRecencyBuckets - 1 // never seen
-	if last, ok := p.lastSeen[r.ID]; ok {
+	last, ok := p.lastSeen[r.ID]
+	if !ok {
+		last, ok = p.prevSeen[r.ID]
+	}
+	if ok {
 		rb = bits.Len64(uint64(p.clock - last))
 		if rb >= rlcRecencyBuckets {
 			rb = rlcRecencyBuckets - 1
@@ -81,19 +92,22 @@ func (p *RLC) learn(sb, rb, action int, reward float64) {
 // Request implements sim.Policy.
 func (p *RLC) Request(r trace.Request) bool {
 	p.clock++
+	if p.clock%rlcRecencySpan == 0 {
+		p.lastSeen, p.prevSeen = p.prevSeen, p.lastSeen
+		clear(p.lastSeen)
+	}
 	sb, rb := p.state(r)
 	defer func() { p.lastSeen[r.ID] = p.clock }()
 
-	if e := p.store.Get(r.ID); e != nil {
-		m := e.Payload
-		m.hits++
+	if e := p.res.Store.Get(r.ID); e != nil {
 		// Delayed reward: the admission decision that placed this
 		// object finally pays off.
+		m := p.admitted[r.ID]
 		p.learn(m.sb, m.rb, 1, 1)
-		p.lru.MoveToFront(m.elem)
+		p.res.Evictor.OnHit(e, r)
 		return true
 	}
-	if r.Size > p.store.Capacity() {
+	if r.Size > p.res.Store.Capacity() {
 		return false
 	}
 	// ε-greedy action selection: 0 = bypass, 1 = admit.
@@ -107,20 +121,17 @@ func (p *RLC) Request(r trace.Request) bool {
 		p.learn(sb, rb, 0, 0) // bypass: neutral immediate reward
 		return false
 	}
-	for !p.store.Fits(r.Size) {
-		tail := p.lru.Back()
-		victim := tail.Value.(trace.ObjectID)
-		vm := p.store.Get(victim).Payload
-		if vm.hits == 0 {
+	for !p.res.Store.Fits(r.Size) {
+		victim := p.res.Evictor.Victim(r.Time)
+		if p.res.Store.Get(victim).Payload.Freq == 1 {
 			// Evicted unused: the admission wasted space.
-			p.learn(vm.sb, vm.rb, 1, -0.2)
+			m := p.admitted[victim]
+			p.learn(m.sb, m.rb, 1, -0.2)
 		}
-		p.lru.Remove(tail)
-		p.store.Remove(victim)
+		delete(p.admitted, victim)
+		p.res.Evict(victim)
 	}
-	e := p.store.Add(r.ID, r.Size)
-	m := &rlcMeta{sb: sb, rb: rb}
-	m.elem = p.lru.PushFront(r.ID)
-	e.Payload = m
+	p.res.Admit(r, 1)
+	p.admitted[r.ID] = rlcState{sb, rb}
 	return false
 }

@@ -35,7 +35,7 @@ func NewTinyLFU(capacity int64) *TinyLFU {
 		width = 1 << 22
 	}
 	return &TinyLFU{
-		res:        newLRUResidents(capacity),
+		res:        newResidents(capacity, "lru", 0),
 		cm:         sketch.NewCountMin(width, 4),
 		door:       sketch.NewBloom(width*4, 3),
 		sampleSize: width * 8,

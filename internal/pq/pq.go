@@ -1,7 +1,8 @@
 // Package pq provides an indexed min-heap over cache objects keyed by a
 // float64 priority, supporting O(log n) update and removal by object ID.
-// It backs internal/evict's likelihood-ranked queue and its GDSF, LFUDA
-// and LFU evictor, and the LRU-K and OGD baselines.
+// It backs internal/evict's queues — the score-ranked queue LFO, LRU-K
+// and OGD's integral cache key, and the GDSF, LFUDA and LFU evictor — and
+// the fractional allocation of ogd.Learner.
 package pq
 
 import (

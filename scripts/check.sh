@@ -90,6 +90,7 @@ cover_floor ./internal/fleet 80
 cover_floor ./internal/faultnet 70
 cover_floor ./internal/evict 80
 cover_floor ./internal/tiered 90
+cover_floor ./internal/policy 90
 cover_floor ./internal/policy/ogd 80
 cover_floor ./internal/drift 80
 cover_floor ./internal/lint 90
