@@ -156,8 +156,7 @@ func lockstep(t *testing.T, reqs []trace.Request, capacity int64, swaps map[int]
 // windowRankers trains one eviction ranker per window of reqs on OPT's
 // labels for a cache of capacity bytes, the way Cache.retrain does, and
 // returns them keyed by the index of the request after their window. The
-// second ranker grows trees of up to 200 leaves: several bitvector words,
-// entries that clear a span of them.
+// second ranker grows trees of up to 64 leaves, a full bitvector word.
 func windowRankers(t *testing.T, reqs []trace.Request, window int, capacity int64) map[int]*gbdt.Model {
 	t.Helper()
 	swaps := make(map[int]*gbdt.Model)
@@ -170,18 +169,35 @@ func windowRankers(t *testing.T, reqs []trace.Request, window int, capacity int6
 		p := gbdt.DefaultParams()
 		p.Workers = 1
 		if len(swaps) == 1 {
-			p.NumLeaves, p.MinDataInLeaf = 200, 2
+			p.NumLeaves = 64
 		}
 		m, err := Train(win, res.Admit, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wide := m.NumLeaves() > 64*m.NumTrees(); wide != (len(swaps) == 1) {
-			t.Fatalf("ranker %d has %d leaves in %d trees: some tree of several words: %v", len(swaps), m.NumLeaves(), m.NumTrees(), wide)
+		if full := fullWordTree(m); full != (len(swaps) == 1) {
+			t.Fatalf("ranker %d has %d leaves in %d trees: some tree of 64 leaves: %v", len(swaps), m.NumLeaves(), m.NumTrees(), full)
 		}
 		swaps[lo+window] = m
 	}
 	return swaps
+}
+
+// fullWordTree reports whether some tree of m has 64 leaves, every bit of
+// its bitvector word.
+func fullWordTree(m *gbdt.Model) bool {
+	for _, tree := range m.Trees {
+		leaves := 0
+		for _, n := range tree.Nodes {
+			if n.Feature < 0 {
+				leaves++
+			}
+		}
+		if leaves == 64 {
+			return true
+		}
+	}
+	return false
 }
 
 func genRequests(t *testing.T, cfg gen.Config) []trace.Request {
@@ -197,7 +213,7 @@ func genRequests(t *testing.T, cfg gen.Config) []trace.Request {
 // learned evictor in lock-step, same sampler seed, through replays that
 // between them hold everything that ends a cached score's life or could
 // corrupt one: hits, evictions, re-admission of a just-evicted object into
-// a recycled entry, three model swaps (one to a ranker of several-word
+// a recycled entry, three model swaps (one to a ranker of 64-leaf
 // trees), resident sets small enough for the exhaustive branch, runs of
 // equal timestamps, times that start negative and cross zero, one step
 // backwards in time, and a hand-built ranker whose ±1e300 thresholds

@@ -137,18 +137,10 @@ func AblationFeatureVariants(cfg Config) ([]FeatureVariantResult, error) {
 		out = append(out, FeatureVariantResult{
 			Variant: v.name,
 			ErrPct:  100 * ev.Error,
-			Splits:  countSplits(model),
+			Splits:  model.NumLeaves() - model.NumTrees(), // a split adds one leaf to its tree
 		})
 	}
 	return out, nil
-}
-
-func countSplits(m *gbdt.Model) int {
-	n := 0
-	for i := range m.Trees {
-		n += len(m.Trees[i].Nodes) / 2 // splits = (nodes-1)/2 per tree; close enough per-model
-	}
-	return n
 }
 
 func cloneExtraction(e *core.Extraction) *core.Extraction {

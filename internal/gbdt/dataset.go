@@ -79,7 +79,7 @@ type binner struct {
 }
 
 // buildBinner computes per-feature quantile bin edges from the dataset.
-func buildBinner(d *Dataset, maxBins int) *binner {
+func buildBinner(d *Dataset) *binner {
 	b := &binner{edges: make([][]float64, d.dim)}
 	vals := make([]float64, 0, d.Len())
 	for f := 0; f < d.dim; f++ {
@@ -96,22 +96,22 @@ func buildBinner(d *Dataset, maxBins int) *binner {
 }
 
 // quantileEdges returns ascending bin upper bounds for values, at most
-// maxBins of them, ending in +Inf.
-func quantileEdges(vals []float64, maxBins int) []float64 {
+// bins of them, ending in +Inf.
+func quantileEdges(vals []float64, bins int) []float64 {
 	if len(vals) == 0 {
 		return []float64{math.Inf(1)}
 	}
 	sort.Float64s(vals)
 	// One bin per distinct value while they fit; upper bound is the value
 	// itself.
-	edges := make([]float64, 0, maxBins)
+	edges := make([]float64, 0, bins)
 	fits := true
 	for i, v := range vals {
 		//lfolint:ignore float-equal dedup of sorted values is exact by design: identical bits share a bin
 		if i > 0 && v == vals[i-1] {
 			continue
 		}
-		if len(edges) == maxBins {
+		if len(edges) == bins {
 			fits = false
 			break
 		}
@@ -122,8 +122,8 @@ func quantileEdges(vals []float64, maxBins int) []float64 {
 		// heavy values get their own bins.
 		edges = edges[:0]
 		prev := math.Inf(-1)
-		for b := 1; b <= maxBins; b++ {
-			idx := b*len(vals)/maxBins - 1
+		for b := 1; b <= bins; b++ {
+			idx := b*len(vals)/bins - 1
 			v := vals[idx]
 			//lfolint:ignore float-equal cut-point dedup is exact by design: only bit-identical edges collapse
 			if v != prev {

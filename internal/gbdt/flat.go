@@ -22,8 +22,9 @@ import (
 //     is false sends the row right, so the leaves under its left child are
 //     out: the split's entry carries the mask that clears exactly those bits.
 //     After every false test has been applied, the lowest bit still set is
-//     the leaf the walk would have ended in. A 31-leaf tree is one word; a
-//     wider tree takes several and its entries clear a span of them.
+//     the leaf the walk would have ended in. A tree is one word: Compile
+//     refuses a tree of more than 64 leaves, and Params.Validate caps
+//     NumLeaves there.
 //   - Compile sorts the entries of each split feature by threshold, so the
 //     false tests of a value v are a prefix — the entries with threshold < v —
 //     and the scan stops at the first threshold it does not exceed. That is
@@ -40,11 +41,11 @@ import (
 //     touching those features' entries at all. A first-seen object costs a
 //     copy and two short scans.
 //
-// Trees are grouped into blocks of at most scratchWords bitvector words so
-// the vector lives on the scorer's stack whatever the ensemble size; a
-// window model is one block. Leaf values are summed base + tree 0 + tree 1 +
-// … exactly like the pointer walk (Tree.predict), so every score is
-// bit-identical to it.
+// Trees are grouped into blocks of at most blockTrees trees, one bitvector
+// word each, so the vector lives on the scorer's stack whatever the
+// ensemble size; a window model is one block. Leaf values are summed
+// base + tree 0 + tree 1 + … exactly like the pointer walk (Tree.predict),
+// so every score is bit-identical to it.
 //
 // The vector the scans leave also says how long a score lasts. A feature
 // that only grows — an object's age — can only turn true tests false, and
@@ -53,9 +54,12 @@ import (
 // per feature asked for (horizon), and a caller keeps the score until the
 // feature passes it instead of scoring again.
 
-// scratchWords is the size of the on-stack bitvector and so the most words
-// a block of trees may use.
-const scratchWords = 64
+// blockTrees is the most trees a block holds, and so the words of the
+// bitvector the scorer keeps on its stack.
+const blockTrees = 64
+
+// maxLeaves is the most leaves a tree may have: one bitvector word.
+const maxLeaves = 64
 
 // matrixChunk is the fewest rows PredictMatrix hands one goroutine.
 const matrixChunk = 64
@@ -66,11 +70,6 @@ const matrixChunk = 64
 // vectors of small models from checkpointing every other entry.
 const minStep = 16
 
-// wideRef marks an entry whose cleared leaves span more than one word:
-// the rest of ref indexes Flat.spans. Any ref that is not a word of the
-// bitvector is wide, so the scorer's bounds test doubles as the flag test.
-const wideRef = 1 << 31
-
 // nanRight marks, in entry.feat, a split whose NaN values go right.
 const nanRight = 1 << 31
 
@@ -80,19 +79,15 @@ type Flat struct {
 	dim    int
 	base   float64
 	blocks []block
-	// words is the longest bitvector a block needs: at most scratchWords,
-	// unless a single tree has more than 64*scratchWords leaves.
-	words int
 
 	ents   []entry   // per block, per split feature, ascending threshold
-	spans  []span    // what the wide entries clear beyond their first word
-	trees  []treeRef // in model order
+	trees  []uint32  // per tree in model order, its first leaf in leaves
 	leaves []float64 // per tree, left to right
 }
 
 // entry is one split seen from the row's side: when the test is false
 // (threshold < value, or NaN at a nanRight split) the bits that mask lacks
-// leave word ref of the block's bitvector.
+// leave word ref of the block's bitvector, its tree's.
 type entry struct {
 	thr  float64
 	mask uint64
@@ -100,59 +95,39 @@ type entry struct {
 	feat uint32 // split feature, with nanRight
 }
 
-// span is the tail of a wide entry: words (first, last) exclusive are
-// cleared whole and word last keeps lastMask.
-type span struct {
-	first, last uint32
-	lastMask    uint64
-}
-
-// block is a run of consecutive trees that share one bitvector.
+// block is a run of consecutive trees that share one bitvector, a word
+// per tree.
 type block struct {
-	words int         // bitvector length
-	step  int         // entries per checkpoint: max(words, minStep)
+	step  int         // entries per checkpoint: max(len(trees), minStep)
 	feats []featRange // split features, ascending
-	trees []treeRef   // of Flat.trees
+	trees []uint32    // of Flat.trees
 	// checks holds the features' checkpoints: a feature with many splits is
 	// not scanned from its first entry but from the last checkpoint whose
 	// entries the value exceeds, one AND over the vector standing for them.
 	checks []uint64
-	// suffix holds rows of words words: row n is the bitvector after NaN in
-	// the last n split features, row 0 is all ones. tail lists the features
-	// the table reaches, last first; NaN in an earlier one goes through the
-	// feature's entries.
+	// suffix holds rows of len(trees) words: row n is the bitvector after
+	// NaN in the last n split features, row 0 is all ones. tail lists the
+	// features the table reaches, last first; NaN in an earlier one goes
+	// through the feature's entries.
 	suffix []uint64
 	tail   []int32
-	// wide lists the trees of more than one word, for the stability horizon
-	// (see horizon); a window model has none.
-	wide []wideTree
-}
-
-// wideTree is the run of bitvector words [first, end) one tree of more than
-// 64 leaves takes.
-type wideTree struct {
-	first, end uint32
 }
 
 // featRange locates one split feature's entries in Flat.ents and its
-// checkpoints in the block's checks: (hi-lo)/step vectors of words words,
-// the c-th the bitvector after the feature's first (c+1)*step entries.
+// checkpoints in the block's checks: (hi-lo)/step bitvectors, the c-th the
+// one the feature's first (c+1)*step entries leave.
 type featRange struct {
 	feature int32
 	lo, hi  int32
 	check   int32
 }
 
-// treeRef locates one tree: its first bitvector word and first leaf value.
-type treeRef struct {
-	word, leaf uint32
-}
-
 // compileFlat validates a model's shape and builds its scorer. It is the
 // single validation point for hostile models: Load and Compile both funnel
 // here. Features must lie within dim and children strictly after their
 // parent, each node under at most one parent (the shape the trainer emits,
-// and what makes "the leaves under the left child" a range of bits);
+// and what makes "the leaves under the left child" a range of bits), and no
+// tree may reach more than maxLeaves leaves, its bitvector word's bits;
 // thresholds must be finite, because the sorted scan compares them against
 // ±Inf values, and so must base and leaf values, so a hostile stream cannot
 // launder NaN into every score. A model with zero trees is valid (it
@@ -183,14 +158,14 @@ func compileFlat(dim int, base float64, trees []Tree) (*Flat, error) {
 		dim:    dim,
 		base:   base,
 		ents:   make([]entry, 0, splits),
-		trees:  make([]treeRef, 0, len(trees)),
+		trees:  make([]uint32, 0, len(trees)),
 		leaves: make([]float64, 0, leaves),
 	}
 	// pos[i] is node i's first leaf bit within its tree (-1: no parent leads
 	// to it), cnt[i] the number of leaves under it.
-	scratch := make([]int32, 2*maxNodes)
-	pos, cnt := scratch[:maxNodes], scratch[maxNodes:]
-	words, tree0, ent0 := 0, 0, 0 // the block being filled
+	work := make([]int32, 2*maxNodes)
+	pos, cnt := work[:maxNodes], work[maxNodes:]
+	tree0, ent0 := 0, 0 // the block being filled
 	for ti := range trees {
 		nodes := trees[ti].Nodes
 		for i := range nodes {
@@ -234,14 +209,15 @@ func compileFlat(dim int, base float64, trees []Tree) (*Flat, error) {
 				cnt[i] = cnt[n.Left] + cnt[n.Right]
 			}
 		}
-		w := (int(cnt[0]) + 63) / 64
-		if words > 0 && words+w > scratchWords {
-			f.finishBlock(words, tree0, ent0)
-			words, tree0, ent0 = 0, len(f.trees), len(f.ents)
+		if cnt[0] > maxLeaves {
+			return nil, fmt.Errorf("gbdt: model tree %d has %d leaves, more than %d", ti, cnt[0], maxLeaves)
 		}
-		word, leaf := uint32(words), len(f.leaves)
-		words += w
-		f.trees = append(f.trees, treeRef{word: word, leaf: uint32(leaf)})
+		if len(f.trees)-tree0 == blockTrees {
+			f.finishBlock(tree0, ent0)
+			tree0, ent0 = len(f.trees), len(f.ents)
+		}
+		word, leaf := uint32(len(f.trees)-tree0), len(f.leaves)
+		f.trees = append(f.trees, uint32(leaf))
 		f.leaves = f.leaves[:leaf+int(cnt[0])]
 		for i := range nodes {
 			n := &nodes[i]
@@ -255,21 +231,15 @@ func compileFlat(dim int, base float64, trees []Tree) (*Flat, error) {
 			// False test: leaves [a, b), the left child's, are out.
 			a, b := uint32(pos[i]), uint32(pos[i]+cnt[n.Left])
 			pos[n.Left], pos[n.Right] = int32(a), int32(b)
-			e := entry{thr: n.Threshold, feat: uint32(n.Feature)}
+			e := entry{thr: n.Threshold, mask: clearBits(a, b), ref: word, feat: uint32(n.Feature)}
 			if !n.MissingLeft {
 				e.feat |= nanRight
-			}
-			if wa, wb := a>>6, (b-1)>>6; wa == wb {
-				e.ref, e.mask = word+wa, clearBits(a&63, (b-1)&63+1)
-			} else {
-				e.ref, e.mask = wideRef|uint32(len(f.spans)), clearBits(a&63, 64)
-				f.spans = append(f.spans, span{first: word + wa, last: word + wb, lastMask: clearBits(0, (b-1)&63+1)})
 			}
 			f.ents = append(f.ents, e)
 		}
 	}
-	if words > 0 {
-		f.finishBlock(words, tree0, ent0)
+	if len(f.trees) > tree0 {
+		f.finishBlock(tree0, ent0)
 	}
 	return f, nil
 }
@@ -339,10 +309,11 @@ func sortEntries(ents []entry) {
 	}
 }
 
-// finishBlock closes the block of words bitvector words whose trees and
-// entries begin at tree0 and ent0: it orders the entries for the scan,
-// indexes them by split feature and fills the suffix table.
-func (f *Flat) finishBlock(words, tree0, ent0 int) {
+// finishBlock closes the block whose trees and entries begin at tree0 and
+// ent0: it orders the entries for the scan, indexes them by split feature
+// and fills the suffix table.
+func (f *Flat) finishBlock(tree0, ent0 int) {
+	words := len(f.trees) - tree0
 	ents := f.ents[ent0:]
 	sortEntries(ents)
 	m := 0
@@ -351,7 +322,7 @@ func (f *Flat) finishBlock(words, tree0, ent0 int) {
 			m++
 		}
 	}
-	b := block{words: words, feats: make([]featRange, 0, m), trees: f.trees[tree0:len(f.trees):len(f.trees)]}
+	b := block{feats: make([]featRange, 0, m), trees: f.trees[tree0:len(f.trees):len(f.trees)]}
 	for i := range ents {
 		ft := int32(ents[i].feat &^ nanRight)
 		if i == 0 || ft != b.feats[len(b.feats)-1].feature {
@@ -377,8 +348,8 @@ func (f *Flat) finishBlock(words, tree0, ent0 int) {
 			} else {
 				copy(v, b.checks[int(ft.check)+(c-1)*words:])
 			}
-			for i := int(ft.lo) + c*b.step; i < int(ft.lo)+(c+1)*b.step; i++ {
-				f.apply(v, &f.ents[i])
+			for _, e := range f.ents[int(ft.lo)+c*b.step : int(ft.lo)+(c+1)*b.step] {
+				v[e.ref] &= e.mask
 			}
 		}
 	}
@@ -396,17 +367,7 @@ func (f *Flat) finishBlock(words, tree0, ent0 int) {
 		copy(row, b.suffix[n*words:])
 		f.applyNaN(row, ft)
 	}
-	for i, t := range b.trees {
-		end := uint32(words)
-		if i+1 < len(b.trees) {
-			end = b.trees[i+1].word
-		}
-		if end-t.word > 1 {
-			b.wide = append(b.wide, wideTree{first: t.word, end: end})
-		}
-	}
 	f.blocks = append(f.blocks, b)
-	f.words = max(f.words, words)
 }
 
 func isFinite(v float64) bool {
@@ -419,24 +380,6 @@ func fillOnes(v []uint64) {
 	}
 }
 
-// apply takes from v the leaves that entry e rules out.
-//
-//lfo:hotpath
-func (f *Flat) apply(v []uint64, e *entry) {
-	if r := uint(e.ref); r < uint(len(v)) {
-		v[r] &= e.mask
-		return
-	}
-	// A wide entry: mask to its first word, zero to the words between, the
-	// span's own mask to the last.
-	sp := &f.spans[e.ref&^wideRef]
-	v[sp.first] &= e.mask
-	for w := sp.first + 1; w < sp.last; w++ {
-		v[w] = 0
-	}
-	v[sp.last] &= sp.lastMask
-}
-
 // applyNaN takes from v the leaves that NaN in feature ft rules out: those
 // of its nanRight splits.
 //
@@ -444,7 +387,7 @@ func (f *Flat) apply(v []uint64, e *entry) {
 func (f *Flat) applyNaN(v []uint64, ft featRange) {
 	for i := ft.lo; i < ft.hi; i++ {
 		if e := &f.ents[i]; e.feat&nanRight != 0 {
-			f.apply(v, e)
+			v[e.ref] &= e.mask
 		}
 	}
 }
@@ -482,20 +425,20 @@ func (f *Flat) scan(v []uint64, b *block, ft featRange, x float64) {
 		if !(e.thr < x) {
 			return
 		}
-		f.apply(v, e)
+		v[e.ref] &= e.mask
 	}
 }
 
 // scoreBlock adds to s the leaves row reaches in the trees of block b and
-// leaves in bv[:b.words] the bitvector that says so; bv is scratch of at
-// least the widest block's words. A row's unsquashed margin is the base
+// leaves in bv[:len(b.trees)] the bitvector that says so; bv has
+// blockTrees words. A row's unsquashed margin is the base
 // score taken through every block in turn — a loop its three callers each
 // write out, so that a prediction is no deeper in calls than the scan needs.
 //
 //lfo:hotpath
 func (f *Flat) scoreBlock(b *block, row []float64, bv []uint64, s float64) float64 {
 	leaves := f.leaves
-	v := bv[:b.words]
+	v := bv[:len(b.trees)]
 	feats := b.feats
 	// The row's NaN suffix, as far as the table goes.
 	n := 0
@@ -514,13 +457,8 @@ func (f *Flat) scoreBlock(b *block, row []float64, bv []uint64, s float64) float
 		}
 		f.scan(v, b, ft, x)
 	}
-	for _, t := range b.trees {
-		w, x := t.word, v[t.word]
-		for x == 0 { // a tree of several words: the leaf is further on
-			w++
-			x = v[w]
-		}
-		s += leaves[t.leaf+(w-t.word)<<6+uint32(bits.TrailingZeros64(x))]
+	for w, leaf := range b.trees {
+		s += leaves[leaf+uint32(bits.TrailingZeros64(v[w]))]
 	}
 	return s
 }
@@ -530,7 +468,7 @@ func (f *Flat) scoreBlock(b *block, row []float64, bv []uint64, s float64) float
 // value the feature may grow to with every tree of the block still ending in
 // the same leaf.
 //
-// After the scans a tree's exit leaf is the lowest bit set in its words. A
+// After the scans a tree's exit leaf is the lowest bit set in its word. A
 // value that grows can only turn tests v <= threshold from true to false,
 // and a test turned false clears the leaves under its left child; that moves
 // the tree's lowest set bit only if the exit leaf is one of them, i.e. the
@@ -547,18 +485,6 @@ func (f *Flat) scoreBlock(b *block, row []float64, bv []uint64, s float64) float
 //
 //lfo:hotpath
 func (f *Flat) horizon(b *block, v []uint64, row []float64, ask []int, limits []float64) {
-	// The tests below read a word's lowest set bit as its tree's exit leaf.
-	// In a tree of several words that holds for the exit word only; the words
-	// before it are zero already, zero the ones behind it.
-	for _, t := range b.wide {
-		w := t.first
-		for v[w] == 0 {
-			w++
-		}
-		for w++; w < t.end; w++ {
-			v[w] = 0
-		}
-	}
 	for k, feature := range ask {
 		x := row[feature]
 		// The block's split features are ascending: find this one.
@@ -581,31 +507,12 @@ func (f *Flat) horizon(b *block, v []uint64, row []float64, ask []int, limits []
 		for limit := limits[k]; i < len(es) && es[i].thr < limit; i++ {
 			// Would e, its test false, clear the exit leaf of its tree?
 			e := &es[i]
-			if r := uint(e.ref); r < uint(len(v)) {
-				if x := v[r]; x&-x&^e.mask == 0 {
-					continue
-				}
-			} else if !f.exitsWide(v, e) {
-				continue
+			if x := v[e.ref]; x&-x&^e.mask != 0 {
+				limits[k] = e.thr
+				break
 			}
-			limits[k] = e.thr
-			break
 		}
 	}
-}
-
-// exitsWide is horizon's test for an entry that clears a span of words.
-//
-//lfo:hotpath
-func (f *Flat) exitsWide(v []uint64, e *entry) bool {
-	sp := &f.spans[e.ref&^wideRef]
-	x := v[sp.first]
-	hit := x & -x &^ e.mask
-	for w := sp.first + 1; w < sp.last; w++ {
-		hit |= v[w]
-	}
-	x = v[sp.last]
-	return hit|x&-x&^sp.lastMask != 0
 }
 
 // RawPredict returns the unsquashed margin for one feature row.
@@ -613,25 +520,12 @@ func (f *Flat) exitsWide(v []uint64, e *entry) bool {
 //lfo:hotpath
 func (f *Flat) RawPredict(row []float64) float64 {
 	mustRowDim(len(row), f.dim)
-	var stack [scratchWords]uint64
-	bv := f.scratch(stack[:])
+	var bv [blockTrees]uint64
 	s := f.base
 	for bi := range f.blocks {
-		s = f.scoreBlock(&f.blocks[bi], row, bv, s)
+		s = f.scoreBlock(&f.blocks[bi], row, bv[:], s)
 	}
 	return s
-}
-
-// scratch returns the bitvector to score with: the caller's, from its
-// stack, unless the model has a tree too wide for it — more than
-// 64*scratchWords = 4096 leaves, which no trainer setting in this
-// repository grows.
-func (f *Flat) scratch(stack []uint64) []uint64 {
-	if f.words <= len(stack) {
-		return stack
-	}
-	//lfolint:ignore hotpath-alloc only for a tree of more than 4096 leaves; every other model scores from the stack
-	return make([]uint64, f.words)
 }
 
 // Predict returns the positive-class probability for one row.
@@ -663,13 +557,12 @@ func (f *Flat) PredictStable(row []float64, feats []int, limits []float64) float
 			limits[k] = row[feature]
 		}
 	}
-	var stack [scratchWords]uint64
-	bv := f.scratch(stack[:])
+	var bv [blockTrees]uint64
 	s := f.base
 	for bi := range f.blocks {
 		b := &f.blocks[bi]
-		s = f.scoreBlock(b, row, bv, s)
-		f.horizon(b, bv[:b.words], row, feats, limits)
+		s = f.scoreBlock(b, row, bv[:], s)
+		f.horizon(b, bv[:len(b.trees)], row, feats, limits)
 	}
 	return sigmoid(s)
 }
@@ -682,19 +575,18 @@ type matrixArgs struct {
 	rows, out []float64
 }
 
-// flatScoreRange scores rows [lo, hi) one after another from one scratch
+// flatScoreRange scores rows [lo, hi) one after another from one stack
 // vector.
 //
 //lfo:hotpath
 func flatScoreRange(a matrixArgs, lo, hi int) {
-	var stack [scratchWords]uint64
-	bv := a.f.scratch(stack[:])
+	var bv [blockTrees]uint64
 	dim := a.f.dim
 	for i := lo; i < hi; i++ {
 		row := a.rows[i*dim : (i+1)*dim]
 		s := a.f.base
 		for bi := range a.f.blocks {
-			s = a.f.scoreBlock(&a.f.blocks[bi], row, bv, s)
+			s = a.f.scoreBlock(&a.f.blocks[bi], row, bv[:], s)
 		}
 		a.out[i] = sigmoid(s)
 	}

@@ -3,6 +3,7 @@ package gbdt
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -357,7 +358,8 @@ func TestScoreWindowRows(t *testing.T) {
 
 // TestScoreEdgeValues: thresholds shared across trees, values exactly on a
 // threshold and one ulp off, ±Inf, negative zero and scattered NaN, over
-// hand-grown trees of every shape the compiler treats differently.
+// hand-grown trees of every shape the compiler treats differently, up to
+// trees of 64 leaves, a full bitvector word.
 func TestScoreEdgeValues(t *testing.T) {
 	cases := []struct {
 		name                  string
@@ -367,9 +369,9 @@ func TestScoreEdgeValues(t *testing.T) {
 	}{
 		{"one-word trees", 6, 30, 31, 1, false},
 		{"stumps and single leaves", 3, 40, 2, 1, false},
-		{"multi-word trees", 5, 7, 300, 1, false},
+		{"full-word trees", 5, 7, maxLeaves, 1, false},
 		{"several blocks", 4, 150, 40, 3, false},
-		{"wide trees in several blocks", 9, 20, 900, 3, false},
+		{"wide trees in several blocks", 9, 200, maxLeaves, 3, false},
 		{"many features, table cut short", 250, 64, 31, 1, true},
 	}
 	for _, tc := range cases {
@@ -380,10 +382,13 @@ func TestScoreEdgeValues(t *testing.T) {
 				t.Fatal(err)
 			}
 			f := m.Flat()
-			if len(f.blocks) < tc.blocks || f.words > scratchWords {
-				t.Errorf("layout: %d blocks (want at least %d), widest of %d words (want at most %d)", len(f.blocks), tc.blocks, f.words, scratchWords)
+			if len(f.blocks) < tc.blocks {
+				t.Errorf("layout: %d blocks, want at least %d", len(f.blocks), tc.blocks)
 			}
 			for _, b := range f.blocks {
+				if len(b.trees) > blockTrees {
+					t.Errorf("a block of %d trees, more than the %d words of the stack vector", len(b.trees), blockTrees)
+				}
 				if cut := len(b.tail) < len(b.feats); cut != tc.cut || len(b.tail) == 0 {
 					t.Errorf("suffix table covers %d of %d split features, cut short: want %v", len(b.tail), len(b.feats), tc.cut)
 				}
@@ -399,33 +404,46 @@ func TestScoreEdgeValues(t *testing.T) {
 }
 
 // TestScoreDegenerateModels: no trees at all, only single-leaf trees, and
-// chains — each split's left (or right) child a leaf — long enough that an
-// entry clears whole words and one tree outgrows the on-stack bitvector.
+// chains — each split's left (or right) child a leaf — of 64 leaves, whose
+// entries clear every bit of the word but one. A chain of more than 64
+// leaves does not fit one word: Compile refuses it and names the tree.
 func TestScoreDegenerateModels(t *testing.T) {
 	leaf := Tree{Nodes: []node{{Feature: -1, Value: 0.75}}}
 	cases := []struct {
-		name  string
-		trees []Tree
-		words int // the widest block's
+		name   string
+		trees  []Tree
+		reject int // the tree Compile must refuse, or -1
 	}{
-		{"zero trees", nil, 0},
-		{"single-leaf trees", []Tree{leaf, leaf, leaf}, 3},
+		{"zero trees", nil, -1},
+		{"single-leaf trees", []Tree{leaf, leaf, leaf}, -1},
 		{"single leaves around a stump", []Tree{leaf, {Nodes: []node{
 			{Feature: 1, Threshold: 4, MissingLeft: true, Left: 1, Right: 2},
 			{Feature: -1, Value: -0.25}, {Feature: -1, Value: 0.125},
-		}}, leaf}, 3},
-		{"130-leaf chains", []Tree{chainTree(130, true), chainTree(130, false)}, 6},
-		{"65-leaf chain", []Tree{chainTree(65, false)}, 2},
-		{"4200-leaf chains beside small trees", []Tree{leaf, chainTree(4200, false), chainTree(5, true), chainTree(4200, true)}, 66},
+		}}, leaf}, -1},
+		{"64-leaf chains", []Tree{chainTree(maxLeaves, true), leaf, chainTree(maxLeaves, false)}, -1},
+		{"130-leaf chains", []Tree{chainTree(130, true), chainTree(130, false)}, 0},
+		{"65-leaf chain", []Tree{chainTree(64, true), chainTree(65, false)}, 1},
+		{"4200-leaf chains beside small trees", []Tree{leaf, chainTree(4200, false), chainTree(5, true), chainTree(4200, true)}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := &Model{Dim: 3, BaseScore: -0.5, Trees: tc.trees}
-			if err := m.Compile(); err != nil {
-				t.Fatal(err)
+			err := m.Compile()
+			if tc.reject >= 0 {
+				if want := fmt.Sprintf("tree %d has", tc.reject); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Compile: %v, want an error naming tree %d", err, tc.reject)
+				}
+				var buf bytes.Buffer
+				if err := m.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tree %d has", tc.reject)) {
+					t.Fatalf("Load: %v, want an error naming tree %d", err, tc.reject)
+				}
+				return
 			}
-			if got := m.Flat().words; got != tc.words {
-				t.Errorf("widest block %d words, want %d", got, tc.words)
+			if err != nil {
+				t.Fatal(err)
 			}
 			rng := splitMix{s: 31}
 			rows := gridRows(&rng, 200, m.Dim)
@@ -441,7 +459,7 @@ func TestScoreDegenerateModels(t *testing.T) {
 
 // chainTree grows a tree whose every split has a leaf for its left child
 // (or, with leafLeft false, its right), over three features and eleven
-// thresholds: with enough leaves its entries clear whole words.
+// thresholds.
 func chainTree(leaves int, leafLeft bool) Tree {
 	var nodes []node
 	for i := 0; i < leaves-1; i++ {
@@ -524,8 +542,8 @@ func between(rng *splitMix, lo, hi float64) float64 {
 // TestPredictStableMatchesOracle: the stability horizon against the pointer
 // walk (referenceHorizon) on trained models shaped like a window's and like
 // the evictor's, and on hand-grown ones of every layout the scorer treats
-// differently: one-word trees, trees of several words whose entries clear a
-// span, several blocks, thresholds shared across trees, values exactly on a
+// differently: window-sized trees, trees and chains of 64 leaves, a full
+// word, several blocks, thresholds shared across trees, values exactly on a
 // threshold (the limit is the value itself), no true test left (+Inf), NaN
 // in the other features, NaN and ±Inf in the feature asked for, and a
 // feature no tree splits on.
@@ -566,14 +584,14 @@ func TestPredictStableMatchesOracle(t *testing.T) {
 	}{
 		{"one-word trees", randomModel(&rng, 6, 30, 31)},
 		{"stumps and single leaves", randomModel(&rng, 3, 40, 2)},
-		{"multi-word trees", randomModel(&rng, 5, 7, 300)},
+		{"full-word trees", randomModel(&rng, 5, 7, maxLeaves)},
 		{"several blocks", randomModel(&rng, 4, 150, 40)},
-		{"wide trees in several blocks", randomModel(&rng, 9, 20, 900)},
+		{"wide trees in several blocks", randomModel(&rng, 9, 200, maxLeaves)},
 		{"one feature", randomModel(&rng, 1, 12, 31)},
 		{"no trees", &Model{Dim: 3, BaseScore: 0.25}},
-		{"130-leaf chains", &Model{Dim: 3, Trees: []Tree{chainTree(130, true), chainTree(130, false)}}},
-		{"4200-leaf chains beside small trees", &Model{Dim: 3, BaseScore: -0.5,
-			Trees: []Tree{leaf, chainTree(4200, false), chainTree(5, true), chainTree(4200, true)}}},
+		{"64-leaf chains", &Model{Dim: 3, Trees: []Tree{chainTree(maxLeaves, true), chainTree(maxLeaves, false)}}},
+		{"64-leaf chains beside small trees", &Model{Dim: 3, BaseScore: -0.5,
+			Trees: []Tree{leaf, chainTree(maxLeaves, false), chainTree(5, true), chainTree(maxLeaves, true)}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.m

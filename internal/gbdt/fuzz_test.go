@@ -116,10 +116,10 @@ func FuzzScoreMatchesOracle(f *testing.F) {
 	for _, seed := range scoreSeeds {
 		f.Add(seed.seed, seed.dim, seed.trees, seed.maxLeaves, seed.keep)
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, dim, trees uint8, maxLeaves uint16, keep uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, dim, trees uint8, leaves uint16, keep uint8) {
 		rng := splitMix{s: seed}
 		d := 1 + int(dim)%64
-		m := randomModel(&rng, d, int(trees)%80, 1+int(maxLeaves)%600)
+		m := randomModel(&rng, d, int(trees)%80, 1+int(leaves)%maxLeaves)
 		if err := m.Compile(); err != nil {
 			t.Fatalf("a grown model did not compile: %v", err)
 		}
@@ -133,8 +133,8 @@ func FuzzScoreMatchesOracle(f *testing.F) {
 }
 
 // scoreSeeds is FuzzScoreMatchesOracle's seed corpus, in code and (through
-// TestRegenerateFuzzCorpus) under testdata/fuzz: one-word trees, stumps, no
-// trees, trees of several words, more trees than one block holds.
+// TestRegenerateFuzzCorpus) under testdata/fuzz: window-sized trees,
+// stumps, no trees, full-word trees, more trees than one block holds.
 var scoreSeeds = []struct {
 	seed       uint64
 	dim, trees uint8
@@ -144,15 +144,15 @@ var scoreSeeds = []struct {
 	{1, 53, 30, 31, 3},
 	{2, 3, 79, 2, 0},
 	{3, 7, 0, 1, 7},
-	{4, 16, 9, 599, 5},
-	{5, 1, 40, 64, 1},
-	{6, 63, 70, 100, 20},
+	{4, 16, 9, 63, 5},
+	{5, 1, 40, 63, 1},
+	{6, 63, 70, 40, 20},
 }
 
 // FuzzSplitScanMatchesReference builds one feature's histogram in a random
 // leaf and demands that bestSplitForFeature, started from a bound, return
 // referenceSplit's split whenever that split's gain exceeds the bound, and
-// no split otherwise. The bounds tried are MinGainToSplit, a random one
+// no split otherwise. The bounds tried are minGainToSplit, a random one
 // above it and, around the reference's gain g, g itself and the floats one
 // and two units in the last place below and one above — where the
 // pre-test's margin is all that stands between a winner and a skip.
@@ -162,9 +162,9 @@ func FuzzSplitScanMatchesReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, bins, shape uint8) {
 		rng := splitMix{s: seed}
-		tr, c, cells := randomSplitCase(&rng, 2+int(bins)%255, shape)
-		want := tr.referenceSplit(c, 7, cells)
-		minGain := tr.p.MinGainToSplit
+		c, cells := randomSplitCase(&rng, 2+int(bins)%255, shape)
+		want := referenceSplit(c, 7, cells)
+		const minGain = minGainToSplit
 		bounds := []float64{minGain, minGain + rng.float()*math.Abs(want.gain)}
 		if want.valid {
 			g, down := want.gain, math.Inf(-1)
@@ -173,94 +173,73 @@ func FuzzSplitScanMatchesReference(f *testing.F) {
 		}
 		for _, bound := range bounds {
 			if bound < minGain {
-				continue // the scan's contract: a bound of at least MinGainToSplit
+				continue // the scan's contract: a bound of at least minGainToSplit
 			}
 			exp := splitInfo{}
 			if want.valid && want.gain > bound {
 				exp = want
 			}
-			if got := tr.bestSplitForFeature(c, 7, cells, bound); got != exp {
-				t.Fatalf("bound %v (MinGainToSplit %v, Lambda %v, MinSumHessianInLeaf %v, MinDataInLeaf %d): got %+v, want %+v",
-					bound, minGain, tr.p.Lambda, tr.p.MinSumHessianInLeaf, tr.p.MinDataInLeaf, got, exp)
+			if got := bestSplitForFeature(c, 7, cells, bound); got != exp {
+				t.Fatalf("bound %v: got %+v, want %+v", bound, got, exp)
 			}
 		}
 	})
 }
 
 // splitSeeds is FuzzSplitScanMatchesReference's seed corpus, in code and
-// (through TestRegenerateFuzzCorpus) under testdata/fuzz: one seed per
-// shape bit of randomSplitCase, a few combined, and the widest histogram.
+// (through TestRegenerateFuzzCorpus) under testdata/fuzz: plain cases from
+// a leaf with too few present rows to split to the widest histogram, one
+// seed per shape bit of randomSplitCase, a few combined, and the mutant
+// killers.
 var splitSeeds = []struct {
 	seed        uint64
 	bins, shape uint8
 }{
 	{1, 30, 0},
-	{2, 30, splitLambda},
-	{3, 60, 1 << 1},
-	{4, 60, 2 << 1},
-	{5, 60, 3 << 1},
+	{9, 3, 0},
+	{3, 60, 0},
+	{4, 8, 0},
+	{5, 254, 0},
 	{6, 12, splitEmptyFirst},
 	{7, 40, splitResidue},
 	{8, 40, splitTies},
 	{9, 40, splitTiny},
 	{10, 40, splitAllEmpty},
-	{11, 254, splitLambda | splitResidue},
-	{12, 8, splitEmptyFirst | splitTies | 2<<1},
-	{13, 100, splitTiny | splitTies | splitLambda},
-	// Found by the fuzzer against mutants: with preTestMargin 0 the
-	// pre-test rejects a winner one unit in the last place above the bound
-	// (the first four; the third and fourth send missing left), and
-	// without preTestLimit's gate a subnormal one (the fifth).
-	{8, 51, 1 << 1},
-	{1, 254, splitLambda},
-	{1, 10, splitTies},
-	{10, 100, splitEmptyFirst},
-	{4, 48, splitTiny | 3<<1},
+	{11, 254, splitResidue},
+	{12, 8, splitEmptyFirst | splitTies},
+	{13, 100, splitTiny | splitTies},
+	// Found by a search against mutants: with preTestMargin 0 the pre-test
+	// rejects a winner one unit in the last place above the bound (the
+	// first three; the second and third send missing left), and without
+	// preTestLimit's gate a subnormal one (the last two).
+	{4, 40, 0},
+	{4, 10, 0},
+	{3, 30, splitTies},
+	{13, 30, splitTiny},
+	{15, 100, splitTiny},
 }
 
-// randomSplitCase's shape bits. Bits 1–2 pick MinGainToSplit: 0, a small
-// positive value, a negative one, or a negative one close to zero.
+// randomSplitCase's shape bits.
 const (
-	splitLambda     = 1 << 0 // Lambda 1 instead of 0
-	splitEmptyFirst = 1 << 3 // bin 1 holds nothing: {missing | present} is its only split
-	splitResidue    = 1 << 4 // some rowless cells keep a float residue, as subtraction leaves
-	splitTies       = 1 << 5 // every data cell equal and a value-free missing cell: gains tie
-	splitTiny       = 1 << 6 // gradients scaled by 2^-530, so the squares go subnormal
-	splitAllEmpty   = 1 << 7 // no data cell holds anything
+	splitEmptyFirst = 1 << 0 // bin 1 holds nothing: {missing | present} is its only split
+	splitResidue    = 1 << 1 // some rowless cells keep a float residue, as subtraction leaves
+	splitTies       = 1 << 2 // every data cell equal and a value-free missing cell: gains tie
+	splitTiny       = 1 << 3 // gradients scaled by 2^-530, so the squares go subnormal
+	splitAllEmpty   = 1 << 4 // no data cell holds anything
 )
 
-// randomSplitCase draws trainer parameters, a leaf and one feature's nb
-// histogram cells (missing bin first). Cell sums are multiples of 1/64 — a
-// row's gradient is in [-1, 1], its hessian in [0, 1/4] — so equal sums
-// are common and exact; the leaf's totals are the cells' sums.
-func randomSplitCase(rng *splitMix, nb int, shape uint8) (*trainer, *leafCand, []histBin) {
-	p := DefaultParams()
-	p.MinDataInLeaf = 1 + int(rng.next()%6)
-	if shape&splitLambda != 0 {
-		p.Lambda = 1
-	}
-	switch shape >> 1 & 3 {
-	case 1:
-		p.MinGainToSplit = rng.float() / 8
-	case 2:
-		p.MinGainToSplit = -rng.float()
-	case 3:
-		p.MinGainToSplit = -1e-12
-	}
-	switch rng.next() % 5 {
-	case 1:
-		p.MinSumHessianInLeaf = 0
-	case 2:
-		p.MinSumHessianInLeaf = 0.5
-	case 3:
-		p.MinSumHessianInLeaf = 1e-310
-	}
+// randomSplitCase draws a leaf and one feature's nb histogram cells
+// (missing bin first). Cell sums are multiples of 1/64 — a row's gradient
+// is in [-1, 1], its hessian in [0, 1/4] — so equal sums are common and
+// exact; the leaf's totals are the cells' sums. A cell holds up to 24
+// rows, so that a side reaches minDataInLeaf within a few bins.
+func randomSplitCase(rng *splitMix, nb int, shape uint8) (*leafCand, []histBin) {
 	scale := 1.0
 	if shape&splitTiny != 0 {
 		scale = 0x1p-530
 	}
 	draw := func() histBin {
-		n := int32(rng.next() % 9)
+		n := int32(rng.next() % 25)
 		if rng.next()%4 == 0 {
 			n = 0
 		}
@@ -300,13 +279,14 @@ func randomSplitCase(rng *splitMix, nb int, shape uint8) (*trainer, *leafCand, [
 		c.sumHess += cell.hess
 	}
 	c.rows = make([]int32, total)
-	return &trainer{p: p}, c, cells
+	return c, cells
 }
 
 // hostileSeeds serializes models that gob decodes without error but that
 // compilation must reject: non-finite thresholds, leaf values, and base
-// scores. The scorer's sorted threshold scan is only exact against ±Inf
-// values because these can never reach it (see compileFlat).
+// scores, and a tree wider than one bitvector word. The scorer's sorted
+// threshold scan is only exact against ±Inf values because these can never
+// reach it (see compileFlat).
 func hostileSeeds(tb testing.TB) map[string][]byte {
 	leaf := func(v float64) []node { return []node{{Feature: -1, Value: v}} }
 	split := func(th float64) []node {
@@ -318,6 +298,7 @@ func hostileSeeds(tb testing.TB) map[string][]byte {
 		"seed-nan-leaf":      {Dim: 4, Trees: []Tree{{Nodes: leaf(math.NaN())}}},
 		"seed-neginf-leaf":   {Dim: 4, Trees: []Tree{{Nodes: leaf(math.Inf(-1))}}},
 		"seed-nan-base":      {Dim: 4, BaseScore: math.NaN(), Trees: []Tree{{Nodes: leaf(0.5)}}},
+		"seed-wide-tree":     {Dim: 4, Trees: []Tree{{Nodes: leaf(0.5)}, chainTree(maxLeaves+1, false)}},
 	}
 	out := make(map[string][]byte, len(models))
 	for name, m := range models {

@@ -187,35 +187,9 @@ func TestNumLeavesRespected(t *testing.T) {
 	}
 }
 
-func TestMaxDepthRespected(t *testing.T) {
-	p := DefaultParams()
-	p.MaxDepth = 2
-	m, err := Train(synth(2000, 10, 0), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ti := range m.Trees {
-		var walk func(i int32, depth int)
-		walk = func(i int32, depth int) {
-			n := m.Trees[ti].Nodes[i]
-			if n.Feature < 0 {
-				return
-			}
-			if depth >= 2 {
-				t.Fatalf("tree %d splits at depth %d, max 2", ti, depth)
-			}
-			walk(n.Left, depth+1)
-			walk(n.Right, depth+1)
-		}
-		walk(0, 0)
-	}
-}
-
 func TestMinDataInLeafRespected(t *testing.T) {
-	p := DefaultParams()
-	p.MinDataInLeaf = 100
 	d := synth(500, 11, 0)
-	m, err := Train(d, p)
+	m, err := Train(d, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +201,8 @@ func TestMinDataInLeafRespected(t *testing.T) {
 			counts[leaf]++
 		}
 		for leaf, c := range counts {
-			if c < 100 {
-				t.Errorf("tree %d leaf %d holds %d rows, want >= 100", ti, leaf, c)
+			if c < minDataInLeaf {
+				t.Errorf("tree %d leaf %d holds %d rows, want >= %d", ti, leaf, c, minDataInLeaf)
 			}
 		}
 	}
@@ -358,14 +332,12 @@ func TestParamsValidate(t *testing.T) {
 		mut  func(*Params)
 	}{
 		{"iterations", func(p *Params) { p.NumIterations = 0 }},
-		{"learning rate", func(p *Params) { p.LearningRate = 0 }},
 		{"leaves", func(p *Params) { p.NumLeaves = 1 }},
-		{"min data", func(p *Params) { p.MinDataInLeaf = 0 }},
-		{"bins low", func(p *Params) { p.MaxBins = 1 }},
-		{"bins high", func(p *Params) { p.MaxBins = 300 }},
+		{"leaves past one word", func(p *Params) { p.NumLeaves = maxLeaves + 1 }},
 		{"bagging", func(p *Params) { p.BaggingFraction = 1.5 }},
+		{"bagging NaN", func(p *Params) { p.BaggingFraction = math.NaN() }},
 		{"feature fraction", func(p *Params) { p.FeatureFraction = 0 }},
-		{"lambda", func(p *Params) { p.Lambda = -1 }},
+		{"feature fraction NaN", func(p *Params) { p.FeatureFraction = math.NaN() }},
 	}
 	for _, tc := range mods {
 		t.Run(tc.name, func(t *testing.T) {
@@ -375,6 +347,11 @@ func TestParamsValidate(t *testing.T) {
 				t.Error("Validate accepted bad params")
 			}
 		})
+	}
+	p := DefaultParams()
+	p.NumLeaves = maxLeaves
+	if err := p.Validate(); err != nil {
+		t.Errorf("one-word trees rejected: %v", err)
 	}
 	if err := DefaultParams().Validate(); err != nil {
 		t.Errorf("default params rejected: %v", err)
@@ -409,19 +386,18 @@ func TestDatasetPanics(t *testing.T) {
 }
 
 func TestBinnerMonotone(t *testing.T) {
-	// Bins must be monotone in the raw value.
+	// Bins must be monotone in the raw value, quantile cuts included: 16
+	// bins, fewer than the values quick draws.
 	f := func(raw []float64) bool {
 		if len(raw) < 3 {
 			return true
 		}
-		d := NewDataset(1)
-		for i, v := range raw {
+		for _, v := range raw {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return true
 			}
-			d.Append([]float64{v}, float64(i%2))
 		}
-		b := buildBinner(d, 16)
+		b := &binner{edges: [][]float64{quantileEdges(append([]float64(nil), raw...), 16)}}
 		for i := 0; i < len(raw); i++ {
 			for j := 0; j < len(raw); j++ {
 				if raw[i] < raw[j] && b.bin(0, raw[i]) > b.bin(0, raw[j]) {
@@ -440,7 +416,7 @@ func TestBinnerMissingBin(t *testing.T) {
 	d := NewDataset(1)
 	d.Append([]float64{1}, 0)
 	d.Append([]float64{2}, 1)
-	b := buildBinner(d, 8)
+	b := buildBinner(d)
 	if got := b.bin(0, math.NaN()); got != missingBin {
 		t.Errorf("NaN bin = %d, want %d", got, missingBin)
 	}
@@ -504,7 +480,7 @@ func TestHistogramSubtraction(t *testing.T) {
 	p := DefaultParams()
 	tr := &trainer{p: p, d: d, rng: rand.New(rand.NewSource(0))}
 	tr.workers = 1
-	tr.b = buildBinner(d, p.MaxBins)
+	tr.b = buildBinner(d)
 	tr.bins = binRows(d, tr.b)
 	tr.grad = make([]float64, d.Len())
 	tr.hess = make([]float64, d.Len())

@@ -127,8 +127,8 @@ func (m *Model) Save(w io.Writer) error {
 // non-finite values into scores: every split feature must be within Dim,
 // every tree must be a tree whose child indices point past their parent
 // (the shape the trainer emits — children are always appended after the
-// node that split), and thresholds, leaf values, and the base score must
-// be finite.
+// node that split) with at most 64 leaves, and thresholds, leaf values,
+// and the base score must be finite.
 func Load(r io.Reader) (*Model, error) {
 	var m Model
 	if err := gob.NewDecoder(r).Decode(&m); err != nil {

@@ -6,8 +6,10 @@
 // directions.
 //
 // The repro environment has no tree-learning library for Go, so this
-// package is a from-scratch substrate. Defaults mirror LightGBM's, with
-// the paper's one deviation: NumIterations is 30 instead of 100.
+// package is a from-scratch substrate. It trains at LightGBM's defaults,
+// with the paper's one deviation: NumIterations is 30 instead of 100.
+// Params holds only what a caller varies: iterations and leaves, sampling,
+// the seed and the worker count.
 //
 // The trainer (train.go) works on a row-major binned copy of the data:
 // histograms are built row by row, the larger child's is derived by
@@ -26,28 +28,27 @@ import (
 	"fmt"
 )
 
+// The trainer runs LightGBM's defaults for everything Params does not set:
+// a learning rate of 0.1, unlimited depth, at least 20 rows and 1e-3 of
+// hessian mass per leaf, no L2 regularisation, any positive gain admitted,
+// and at most 255 histogram bins per feature.
+const (
+	learningRate        = 0.1
+	minDataInLeaf       = 20
+	minSumHessianInLeaf = 1e-3
+	minGainToSplit      = 0
+	maxBins             = 255
+)
+
 // Params configures training. The zero value is not valid; start from
 // DefaultParams.
 type Params struct {
 	// NumIterations is the number of boosting rounds (trees). The paper
 	// reduces LightGBM's default 100 to 30 (§2.3).
 	NumIterations int
-	// LearningRate shrinks each tree's contribution.
-	LearningRate float64
-	// NumLeaves caps leaves per tree (leaf-wise growth).
+	// NumLeaves caps leaves per tree (leaf-wise growth), at most 64: the
+	// scorer holds a tree's leaves in one bitvector word.
 	NumLeaves int
-	// MaxDepth caps tree depth; 0 means unlimited.
-	MaxDepth int
-	// MinDataInLeaf is the minimum sample count per leaf.
-	MinDataInLeaf int
-	// MinSumHessianInLeaf is the minimal hessian mass per leaf.
-	MinSumHessianInLeaf float64
-	// Lambda is the L2 regularization on leaf values.
-	Lambda float64
-	// MinGainToSplit prunes splits with smaller gain.
-	MinGainToSplit float64
-	// MaxBins caps histogram bins per feature (≤ 255).
-	MaxBins int
 	// BaggingFraction subsamples rows per bagging round, in (0, 1].
 	BaggingFraction float64
 	// BaggingFreq re-samples rows every BaggingFreq iterations; 0
@@ -69,19 +70,12 @@ type Params struct {
 // iterations.
 func DefaultParams() Params {
 	return Params{
-		NumIterations:       30,
-		LearningRate:        0.1,
-		NumLeaves:           31,
-		MaxDepth:            0,
-		MinDataInLeaf:       20,
-		MinSumHessianInLeaf: 1e-3,
-		Lambda:              0,
-		MinGainToSplit:      0,
-		MaxBins:             255,
-		BaggingFraction:     1,
-		BaggingFreq:         0,
-		FeatureFraction:     1,
-		Seed:                0,
+		NumIterations:   30,
+		NumLeaves:       31,
+		BaggingFraction: 1,
+		BaggingFreq:     0,
+		FeatureFraction: 1,
+		Seed:            0,
 	}
 }
 
@@ -90,20 +84,12 @@ func (p Params) Validate() error {
 	switch {
 	case p.NumIterations <= 0:
 		return fmt.Errorf("gbdt: NumIterations must be positive, got %d", p.NumIterations)
-	case p.LearningRate <= 0:
-		return fmt.Errorf("gbdt: LearningRate must be positive, got %g", p.LearningRate)
-	case p.NumLeaves < 2:
-		return fmt.Errorf("gbdt: NumLeaves must be >= 2, got %d", p.NumLeaves)
-	case p.MinDataInLeaf < 1:
-		return fmt.Errorf("gbdt: MinDataInLeaf must be >= 1, got %d", p.MinDataInLeaf)
-	case p.MaxBins < 2 || p.MaxBins > 255:
-		return fmt.Errorf("gbdt: MaxBins must be in [2,255], got %d", p.MaxBins)
-	case p.BaggingFraction <= 0 || p.BaggingFraction > 1:
+	case p.NumLeaves < 2 || p.NumLeaves > maxLeaves:
+		return fmt.Errorf("gbdt: NumLeaves must be in [2,%d], got %d", maxLeaves, p.NumLeaves)
+	case !(p.BaggingFraction > 0 && p.BaggingFraction <= 1):
 		return fmt.Errorf("gbdt: BaggingFraction must be in (0,1], got %g", p.BaggingFraction)
-	case p.FeatureFraction <= 0 || p.FeatureFraction > 1:
+	case !(p.FeatureFraction > 0 && p.FeatureFraction <= 1):
 		return fmt.Errorf("gbdt: FeatureFraction must be in (0,1], got %g", p.FeatureFraction)
-	case p.Lambda < 0:
-		return fmt.Errorf("gbdt: Lambda must be >= 0, got %g", p.Lambda)
 	case p.Workers < 0:
 		return fmt.Errorf("gbdt: Workers must be >= 0, got %d", p.Workers)
 	}

@@ -295,16 +295,15 @@ func (f *blockFlat) accumBlock(rows, inout []float64, lo, hi int) {
 // holds bestSplitForFeature to: every candidate's gain computed with its
 // two divisions and compared against the best so far, with the
 // empty-cell skip rule and its "bin 1 is never skipped" exception.
-func (t *trainer) referenceSplit(c *leafCand, feature int, cells []histBin) splitInfo {
+func referenceSplit(c *leafCand, feature int, cells []histBin) splitInfo {
 	miss := cells[missingBin]
 	totalC := int32(len(c.rows))
-	minData := int32(t.p.MinDataInLeaf)
+	const minData, minHess, minGain = minDataInLeaf, minSumHessianInLeaf, minGainToSplit
 	if totalC-miss.count < minData {
 		return splitInfo{}
 	}
 	totalG, totalH := c.sumGrad, c.sumHess
-	lambda, minHess, minGain := t.p.Lambda, t.p.MinSumHessianInLeaf, t.p.MinGainToSplit
-	parentObj := totalG * totalG / (totalH + lambda)
+	parentObj := totalG * totalG / totalH
 	bestBin, bestGain, bestMissLeft := 0, 0.0, false
 	var accG, accH float64
 	var accC int32
@@ -324,7 +323,7 @@ func (t *trainer) referenceSplit(c *leafCand, feature int, cells []histBin) spli
 		if accC >= minData {
 			rg, rh := totalG-accG, totalH-accH
 			if accH >= minHess && rh >= minHess {
-				gain := accG*accG/(accH+lambda) + rg*rg/(rh+lambda) - parentObj
+				gain := accG*accG/accH + rg*rg/rh - parentObj
 				if gain > minGain && (bestBin == 0 || gain > bestGain) {
 					bestBin, bestGain, bestMissLeft = b, gain, false
 				}
@@ -335,7 +334,7 @@ func (t *trainer) referenceSplit(c *leafCand, feature int, cells []histBin) spli
 			lg, lh := accG+miss.grad, accH+miss.hess
 			rg, rh := totalG-accG-miss.grad, totalH-accH-miss.hess
 			if lh >= minHess && rh >= minHess {
-				gain := lg*lg/(lh+lambda) + rg*rg/(rh+lambda) - parentObj
+				gain := lg*lg/lh + rg*rg/rh - parentObj
 				if gain > minGain && (bestBin == 0 || gain > bestGain) {
 					bestBin, bestGain, bestMissLeft = b, gain, true
 				}
@@ -401,7 +400,7 @@ func (t *refTrainer) bin() {
 				vals = append(vals, v)
 			}
 		}
-		e := refQuantileEdges(vals, t.p.MaxBins)
+		e := refQuantileEdges(vals, maxBins)
 		t.edges[f] = e
 		col := make([]uint8, n)
 		for i := 0; i < n; i++ {
@@ -528,18 +527,17 @@ type refLeaf struct {
 	rows    []int32
 	sumGrad float64
 	sumHess float64
-	depth   int
 	nodeIdx int32
 	hist    refHist
 	best    refSplit
 }
 
 func (t *refTrainer) leafObjective(g, h float64) float64 {
-	return g * g / (h + t.p.Lambda)
+	return g * g / h
 }
 
 func (t *refTrainer) leafValue(g, h float64) float64 {
-	return -t.p.LearningRate * g / (h + t.p.Lambda)
+	return -learningRate * g / h
 }
 
 // findBestSplit scans every feature in order and every bin of it in order,
@@ -573,15 +571,14 @@ func (t *refTrainer) findBestSplit(c *refLeaf, feats []int) refSplit {
 
 func (t *refTrainer) evalSplit(best *refSplit, parentObj float64, f, b int, missingLeft bool,
 	lg, lh float64, lc int32, rg, rh float64, rc int32) {
-	minData := int32(t.p.MinDataInLeaf)
-	if lc < minData || rc < minData {
+	if lc < minDataInLeaf || rc < minDataInLeaf {
 		return
 	}
-	if lh < t.p.MinSumHessianInLeaf || rh < t.p.MinSumHessianInLeaf {
+	if lh < minSumHessianInLeaf || rh < minSumHessianInLeaf {
 		return
 	}
 	gain := t.leafObjective(lg, lh) + t.leafObjective(rg, rh) - parentObj
-	if gain <= t.p.MinGainToSplit {
+	if gain <= minGainToSplit {
 		return
 	}
 	if !best.valid || gain > best.gain {
@@ -617,20 +614,15 @@ func (t *refTrainer) buildTree(rows []int32, feats []int) *Tree {
 		left, right := t.applySplit(tree, c)
 		numLeaves++
 
-		if t.p.MaxDepth > 0 && left.depth >= t.p.MaxDepth {
-			left.best = refSplit{}
-			right.best = refSplit{}
+		if len(left.rows) <= len(right.rows) {
+			left.hist = t.buildHist(feats, left.rows)
+			right.hist = refSubtract(c.hist, left.hist)
 		} else {
-			if len(left.rows) <= len(right.rows) {
-				left.hist = t.buildHist(feats, left.rows)
-				right.hist = refSubtract(c.hist, left.hist)
-			} else {
-				right.hist = t.buildHist(feats, right.rows)
-				left.hist = refSubtract(c.hist, right.hist)
-			}
-			left.best = t.findBestSplit(left, feats)
-			right.best = t.findBestSplit(right, feats)
+			right.hist = t.buildHist(feats, right.rows)
+			left.hist = refSubtract(c.hist, right.hist)
 		}
+		left.best = t.findBestSplit(left, feats)
+		right.best = t.findBestSplit(right, feats)
 		open = append(open, left, right)
 	}
 	if numLeaves == 1 {
@@ -674,8 +666,8 @@ func (t *refTrainer) applySplit(tree *Tree, c *refLeaf) (left, right *refLeaf) {
 	n.Left, n.Right = li, ri
 	n.Value = 0
 
-	left = &refLeaf{rows: leftRows, sumGrad: lg, sumHess: lh, depth: c.depth + 1, nodeIdx: li}
-	right = &refLeaf{rows: rightRows, sumGrad: c.sumGrad - lg, sumHess: c.sumHess - lh, depth: c.depth + 1, nodeIdx: ri}
+	left = &refLeaf{rows: leftRows, sumGrad: lg, sumHess: lh, nodeIdx: li}
+	right = &refLeaf{rows: rightRows, sumGrad: c.sumGrad - lg, sumHess: c.sumHess - lh, nodeIdx: ri}
 	return left, right
 }
 
@@ -727,8 +719,7 @@ func refDataset(n int, cols []refColumn, seed int64) *Dataset {
 // byte on Model.Save, across the data shapes the skip rules of the split
 // scan care about (very sparse, all-NaN, constant and few-valued columns,
 // and a window's NaN suffix, which kills features at every depth), every
-// sampling mode, the regularisation and size limits that change which
-// candidates are admissible and which leaves can split, and several worker
+// sampling mode, the default and the widest trees, and several worker
 // counts.
 func TestTrainMatchesReference(t *testing.T) {
 	narrow := []refColumn{
@@ -758,27 +749,16 @@ func TestTrainMatchesReference(t *testing.T) {
 		mut  func(*Params)
 	}{
 		{"default", func(p *Params) {}},
-		{"min1", func(p *Params) { p.MinDataInLeaf = 1 }},
-		{"min1-lambda1", func(p *Params) { p.MinDataInLeaf = 1; p.Lambda = 1 }},
-		{"lambda1-depth3", func(p *Params) { p.Lambda = 1; p.MaxDepth = 3 }},
 		{"bagging", func(p *Params) { p.BaggingFraction = 0.6; p.BaggingFreq = 2 }},
 		{"featfrac", func(p *Params) { p.FeatureFraction = 0.5 }},
-		{"bagging-featfrac-min1", func(p *Params) {
+		{"bagging-featfrac", func(p *Params) {
 			p.BaggingFraction = 0.5
 			p.BaggingFreq = 1
 			p.FeatureFraction = 0.5
-			p.MinDataInLeaf = 1
 		}},
-		{"bins16-gain", func(p *Params) { p.MaxBins = 16; p.MinGainToSplit = 0.05 }},
-		// Most leaves below the first splits hold fewer than 400 rows and
-		// cannot split: no scan, and no histogram when both children are
-		// that small.
-		{"min200", func(p *Params) { p.MinDataInLeaf = 200 }},
-		// Trees that run out of splits, not of leaves.
-		{"leaves255", func(p *Params) { p.NumLeaves = 255 }},
-		// Each feature's scan starts below zero, where the division-free
-		// pre-test is off.
-		{"neggain", func(p *Params) { p.MinGainToSplit = -0.5 }},
+		// The widest trees the scorer takes; the smaller datasets' trees run
+		// out of splits, not of leaves.
+		{"leaves64", func(p *Params) { p.NumLeaves = maxLeaves }},
 	}
 	for _, ds := range datasets {
 		for _, v := range variants {
@@ -786,9 +766,6 @@ func TestTrainMatchesReference(t *testing.T) {
 			p.NumIterations = 12
 			p.Seed = 9
 			v.mut(&p)
-			if ds.d.Len() < 2*p.MinDataInLeaf {
-				continue // not even the root can split
-			}
 			t.Run(ds.name+"/"+v.name, func(t *testing.T) {
 				t.Parallel()
 				ref, err := referenceTrain(ds.d, p)

@@ -37,7 +37,7 @@ func Train(d *Dataset, p Params) (*Model, error) {
 		rng:     rand.New(rand.NewSource(p.Seed)),
 		workers: par.Resolve(p.Workers),
 	}
-	t.b = buildBinner(d, p.MaxBins)
+	t.b = buildBinner(d)
 	t.bins = binRows(d, t.b)
 
 	n := d.Len()
@@ -341,7 +341,6 @@ type leafCand struct {
 	rows    []int32 // a sub-range of the trainer's arena
 	sumGrad float64
 	sumHess float64
-	depth   int
 	nodeIdx int32
 	// live lists, ascending, the positions in feats of the features that
 	// may still split in the leaf's subtree; its own list, in liveBuf.
@@ -351,14 +350,14 @@ type leafCand struct {
 }
 
 // leafValue is the shrunk optimal leaf weight.
-func (t *trainer) leafValue(g, h float64) float64 {
-	return -t.p.LearningRate * g / (h + t.p.Lambda)
+func leafValue(g, h float64) float64 {
+	return -learningRate * g / h
 }
 
 // canSplit reports whether the leaf can have an admissible split: both
-// sides need MinDataInLeaf rows, and a split needs a live feature.
-func (t *trainer) canSplit(c *leafCand) bool {
-	return len(c.rows) >= 2*t.p.MinDataInLeaf && len(c.live) > 0
+// sides need minDataInLeaf rows, and a split needs a live feature.
+func canSplit(c *leafCand) bool {
+	return len(c.rows) >= 2*minDataInLeaf && len(c.live) > 0
 }
 
 // splitArgs binds one findBestSplit call for par.RangesArg.
@@ -379,7 +378,7 @@ type splitArgs struct {
 // sibling (histogram subtraction) and are scanned at once, while they are
 // in the nearest cache. Every live cell is subtracted exactly once,
 // whatever the scan skips. Then c.live loses every feature in which the
-// leaf has fewer than MinDataInLeaf non-missing rows: no descendant, whose
+// leaf has fewer than minDataInLeaf non-missing rows: no descendant, whose
 // rows are a subset of the leaf's, can split on it either.
 func (t *trainer) findBestSplit(c *leafCand, sibling histogram) splitInfo {
 	workers := t.workers
@@ -394,7 +393,7 @@ func (t *trainer) findBestSplit(c *leafCand, sibling histogram) splitInfo {
 		if s := &t.bestScratch[k]; s.valid && (!best.valid || s.gain > best.gain) {
 			best = *s
 		}
-		if len(c.rows)-int(c.hist[t.offsets[fi]+missingBin].count) >= t.p.MinDataInLeaf {
+		if len(c.rows)-int(c.hist[t.offsets[fi]+missingBin].count) >= minDataInLeaf {
 			kept = append(kept, fi)
 		}
 	}
@@ -408,14 +407,14 @@ func (t *trainer) findBestSplit(c *leafCand, sibling histogram) splitInfo {
 // beats every feature before it, is found whatever the ranges are.
 func bestSplitRange(a splitArgs, lo, hi int) {
 	t := a.t
-	bound := t.p.MinGainToSplit
+	bound := float64(minGainToSplit)
 	for k := lo; k < hi; k++ {
 		fi := a.c.live[k]
 		cells := a.c.hist[t.offsets[fi]:t.offsets[fi+1]]
 		if a.sibling != nil {
 			subtractCells(cells, a.sibling[t.offsets[fi]:t.offsets[fi+1]])
 		}
-		t.bestScratch[k] = t.bestSplitForFeature(a.c, t.feats[fi], cells, bound)
+		t.bestScratch[k] = bestSplitForFeature(a.c, t.feats[fi], cells, bound)
 		if s := &t.bestScratch[k]; s.valid {
 			bound = s.gain
 		}
@@ -424,9 +423,8 @@ func bestSplitRange(a splitArgs, lo, hi int) {
 
 // The scan's pre-test (bestSplitForFeature) allows preTestMargin, far more
 // than its few units in the last place of rounding, and runs only where
-// its cut, MinSumHessianInLeaf and Lambda lie in [1/preTestLimit,
-// preTestLimit], where no product under- or overflows; DESIGN.md
-// ("Trainer inner loops") writes the bound out.
+// its cut lies in [1/preTestLimit, preTestLimit], where no product under-
+// or overflows; DESIGN.md ("Trainer inner loops") writes the bound out.
 const (
 	preTestMargin = 1e-9
 	preTestLimit  = 0x1p300
@@ -434,17 +432,16 @@ const (
 
 // preTestCut returns (thr + parentObj)·(1 − preTestMargin), or NaN, which
 // rejects nothing, where the pre-test is off.
-func (t *trainer) preTestCut(thr, parentObj float64) float64 {
+func preTestCut(thr, parentObj float64) float64 {
 	s := thr + parentObj
-	if thr < 0 || !(s >= 1/preTestLimit && s <= preTestLimit) ||
-		t.p.MinSumHessianInLeaf < 1/preTestLimit || t.p.Lambda > preTestLimit {
+	if thr < 0 || !(s >= 1/preTestLimit && s <= preTestLimit) {
 		return math.NaN()
 	}
 	return s * (1 - preTestMargin)
 }
 
 // bestSplitForFeature scans one feature's histogram cells in leaf c for its
-// best split whose gain beats thr (at least MinGainToSplit): for b = 1, …
+// best split whose gain beats thr (at least minGainToSplit): for b = 1, …
 // "bins 1..b left, missing right" and then, when the leaf has missing rows,
 // "bins 1..b and missing left"; the last bin is excluded (empty right
 // side). A candidate replaces the best so far only on a strictly greater
@@ -452,27 +449,25 @@ func (t *trainer) preTestCut(thr, parentObj float64) float64 {
 // cell, whose candidates repeat the previous bin's, never does. What is
 // skipped cannot win:
 //
-//   - Fewer non-missing rows than MinDataInLeaf: every candidate has a
+//   - Fewer non-missing rows than minDataInLeaf: every candidate has a
 //     side made only of non-missing rows (the left when missing goes
 //     right, the right when missing goes left), so none is admissible.
 //   - The right side only shrinks as b grows; once it has fewer than
-//     MinDataInLeaf rows with missing sent right, no later candidate in
+//     minDataInLeaf rows with missing sent right, no later candidate in
 //     either direction is admissible.
-//   - The divisions of a candidate that fails the pre-test: with
-//     dl = lh + Lambda and dr = rh + Lambda (≥ MinSumHessianInLeaf > 0),
-//     gain > thr means a²·dr + r²·dl > (thr + parentObj)·dl·dr, which
-//     rounding cannot miss by preTestMargin.
-func (t *trainer) bestSplitForFeature(c *leafCand, feature int, cells []histBin, thr float64) splitInfo {
+//   - The divisions of a candidate that fails the pre-test: with the two
+//     sides' hessian sums lh and rh (≥ minSumHessianInLeaf > 0), gain > thr
+//     means a²·rh + r²·lh > (thr + parentObj)·lh·rh, which rounding cannot
+//     miss by preTestMargin.
+func bestSplitForFeature(c *leafCand, feature int, cells []histBin, thr float64) splitInfo {
 	miss := cells[missingBin]
 	totalC := int32(len(c.rows))
-	minData := int32(t.p.MinDataInLeaf)
-	if totalC-miss.count < minData {
+	if totalC-miss.count < minDataInLeaf {
 		return splitInfo{}
 	}
 	totalG, totalH := c.sumGrad, c.sumHess
-	lambda, minHess := t.p.Lambda, t.p.MinSumHessianInLeaf
-	parentObj := totalG * totalG / (totalH + lambda)
-	cut := t.preTestCut(thr, parentObj)
+	parentObj := totalG * totalG / totalH
+	cut := preTestCut(thr, parentObj)
 	bestBin, bestMissLeft := 0, false
 	var accG, accH float64
 	var accC int32
@@ -482,35 +477,31 @@ func (t *trainer) bestSplitForFeature(c *leafCand, feature int, cells []histBin,
 		accH += cell.hess
 		accC += cell.count
 		rc := totalC - accC
-		if rc < minData {
+		if rc < minDataInLeaf {
 			break
 		}
 		// Missing goes right.
-		if accC >= minData {
+		if accC >= minDataInLeaf {
 			rg, rh := totalG-accG, totalH-accH
-			if accH >= minHess && rh >= minHess {
-				dl, dr := accH+lambda, rh+lambda
-				if !(accG*accG*dr+rg*rg*dl < cut*dl*dr) {
-					gain := accG*accG/dl + rg*rg/dr - parentObj
-					if gain > thr {
-						bestBin, thr, bestMissLeft = b, gain, false
-						cut = t.preTestCut(thr, parentObj)
-					}
+			if accH >= minSumHessianInLeaf && rh >= minSumHessianInLeaf &&
+				!(accG*accG*rh+rg*rg*accH < cut*accH*rh) {
+				gain := accG*accG/accH + rg*rg/rh - parentObj
+				if gain > thr {
+					bestBin, thr, bestMissLeft = b, gain, false
+					cut = preTestCut(thr, parentObj)
 				}
 			}
 		}
 		// Missing goes left.
-		if miss.count > 0 && accC+miss.count >= minData && rc-miss.count >= minData {
+		if miss.count > 0 && accC+miss.count >= minDataInLeaf && rc-miss.count >= minDataInLeaf {
 			lg, lh := accG+miss.grad, accH+miss.hess
 			rg, rh := totalG-accG-miss.grad, totalH-accH-miss.hess
-			if lh >= minHess && rh >= minHess {
-				dl, dr := lh+lambda, rh+lambda
-				if !(lg*lg*dr+rg*rg*dl < cut*dl*dr) {
-					gain := lg*lg/dl + rg*rg/dr - parentObj
-					if gain > thr {
-						bestBin, thr, bestMissLeft = b, gain, true
-						cut = t.preTestCut(thr, parentObj)
-					}
+			if lh >= minSumHessianInLeaf && rh >= minSumHessianInLeaf &&
+				!(lg*lg*rh+rg*rg*lh < cut*lh*rh) {
+				gain := lg*lg/lh + rg*rg/rh - parentObj
+				if gain > thr {
+					bestBin, thr, bestMissLeft = b, gain, true
+					cut = preTestCut(thr, parentObj)
 				}
 			}
 		}
@@ -530,7 +521,7 @@ func (t *trainer) bestSplitForFeature(c *leafCand, feature int, cells []histBin,
 // a tree holds few at a time.
 func (t *trainer) buildTree(rows []int32) []*leafCand {
 	sumG, sumH := t.rowSums(rows)
-	t.nodes = append(t.nodes[:0], node{Feature: -1, Value: t.leafValue(sumG, sumH)})
+	t.nodes = append(t.nodes[:0], node{Feature: -1, Value: leafValue(sumG, sumH)})
 	t.nodeBin = append(t.nodeBin[:0], 0)
 	// The arena holds the tree's rows once; a split reorders its leaf's
 	// range in place, so the sampled rows themselves stay as drawn for the
@@ -546,7 +537,7 @@ func (t *trainer) buildTree(rows []int32) []*leafCand {
 
 	t.cands = append(t.cands[:0], leafCand{rows: t.arena, sumGrad: sumG, sumHess: sumH, live: t.liveBuf})
 	root := &t.cands[0]
-	if t.canSplit(root) {
+	if canSplit(root) {
 		root.hist = t.newHistogram(root.live)
 		t.buildHist(root.hist, root.live, root.rows)
 		root.best = t.findBestSplit(root, nil)
@@ -574,10 +565,10 @@ func (t *trainer) buildTree(rows []int32) []*leafCand {
 		if len(left.rows) > len(right.rows) {
 			small, large = right, left
 		}
-		// Children that can never split get no histogram and no scan: at
-		// the depth limit, when they bring the tree to NumLeaves, or when
-		// the larger, and so both, cannot split.
-		if len(open)+2 == t.p.NumLeaves || (t.p.MaxDepth > 0 && left.depth >= t.p.MaxDepth) || !t.canSplit(large) {
+		// Children that can never split get no histogram and no scan: when
+		// they bring the tree to NumLeaves, or when the larger, and so both,
+		// cannot split.
+		if len(open)+2 == t.p.NumLeaves || !canSplit(large) {
 			t.releaseHist(c)
 		} else {
 			// Histogram subtraction: materialize the smaller child,
@@ -586,7 +577,7 @@ func (t *trainer) buildTree(rows []int32) []*leafCand {
 			small.hist = t.newHistogram(small.live)
 			t.buildHist(small.hist, small.live, small.rows)
 			large.hist, c.hist = c.hist, nil
-			if t.canSplit(small) {
+			if canSplit(small) {
 				small.best = t.findBestSplit(small, nil)
 			}
 			large.best = t.findBestSplit(large, small.hist)
@@ -666,8 +657,8 @@ func (t *trainer) applySplit(c *leafCand) (left, right *leafCand) {
 	li := int32(len(t.nodes))
 	ri := li + 1
 	t.nodes = append(t.nodes,
-		node{Feature: -1, Value: t.leafValue(lg, lh)},
-		node{Feature: -1, Value: t.leafValue(c.sumGrad-lg, c.sumHess-lh)})
+		node{Feature: -1, Value: leafValue(lg, lh)},
+		node{Feature: -1, Value: leafValue(c.sumGrad-lg, c.sumHess-lh)})
 	t.nodeBin = append(t.nodeBin, 0, 0)
 
 	n := &t.nodes[c.nodeIdx]
@@ -682,9 +673,8 @@ func (t *trainer) applySplit(c *leafCand) (left, right *leafCand) {
 	nf, at := len(c.live), len(t.liveBuf)
 	t.liveBuf = append(append(t.liveBuf, c.live...), c.live...)
 	t.cands = append(t.cands,
-		leafCand{rows: rows[:nl:nl], sumGrad: lg, sumHess: lh, depth: c.depth + 1, nodeIdx: li,
-			live: t.liveBuf[at : at+nf : at+nf]},
-		leafCand{rows: rows[nl:], sumGrad: c.sumGrad - lg, sumHess: c.sumHess - lh, depth: c.depth + 1, nodeIdx: ri,
+		leafCand{rows: rows[:nl:nl], sumGrad: lg, sumHess: lh, nodeIdx: li, live: t.liveBuf[at : at+nf : at+nf]},
+		leafCand{rows: rows[nl:], sumGrad: c.sumGrad - lg, sumHess: c.sumHess - lh, nodeIdx: ri,
 			live: t.liveBuf[at+nf : at+2*nf : at+2*nf]})
 	return &t.cands[len(t.cands)-2], &t.cands[len(t.cands)-1]
 }

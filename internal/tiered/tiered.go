@@ -47,22 +47,6 @@ func (AdmitAll) Admit(r trace.Request, freeBytes int64) (bool, float64) { return
 // Observe implements sim.Admitter.
 func (AdmitAll) Observe(trace.Request) {}
 
-// SizeThreshold admits objects up to MaxSize bytes.
-type SizeThreshold struct {
-	MaxSize int64
-}
-
-// Admit implements sim.Admitter.
-func (s SizeThreshold) Admit(r trace.Request, freeBytes int64) (bool, float64) {
-	if r.Size <= s.MaxSize {
-		return true, 1
-	}
-	return false, 0
-}
-
-// Observe implements sim.Admitter.
-func (SizeThreshold) Observe(trace.Request) {}
-
 // ModelAdmitter is the learned level-one decision of §5's hierarchical
 // model: a trained LFO admission model over the aggregate cache space.
 type ModelAdmitter struct {

@@ -122,21 +122,6 @@ func TestBottomTierEvictsToOrigin(t *testing.T) {
 	}
 }
 
-func TestSizeThresholdAdmitter(t *testing.T) {
-	c, err := New(threeTiers(), SizeThreshold{MaxSize: 1 << 10}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Request(req(0, 1, 2<<10)) // rejected
-	if c.Request(req(1, 1, 2<<10)) {
-		t.Error("rejected object hit")
-	}
-	c.Request(req(2, 2, 512)) // admitted
-	if !c.Request(req(3, 2, 512)) {
-		t.Error("admitted object missed")
-	}
-}
-
 func TestOversizedObjectSkipsTiers(t *testing.T) {
 	c, err := New(threeTiers(), AdmitAll{}, nil) // placer -> tier 0
 	if err != nil {

@@ -69,8 +69,9 @@ step "go test -race -count 3 (deploy lag)"
 go test -race -count 3 -run 'DeployLag|EarlyRetrainAwaits|AsyncDropped' ./internal/core
 
 # Coverage floors on the serving path, where the chaos/fuzz suites are the
-# main guard, and on the analyzer, whose golden fixtures are its only
-# guard: a silent drop in what they exercise should fail the gate.
+# main guard, on gbdt, whose reference trainer and pointer-walk oracles are,
+# and on the analyzer, whose golden fixtures are its only guard: a silent
+# drop in what they exercise should fail the gate.
 cover_floor() {
     pkg=$1 floor=$2
     pct=$(go test -cover "$pkg" | awk '{for (i = 1; i <= NF; i++) if ($i == "coverage:") {gsub("%", "", $(i+1)); print $(i+1)}}')
@@ -89,6 +90,7 @@ cover_floor ./internal/server 85
 cover_floor ./internal/fleet 80
 cover_floor ./internal/faultnet 70
 cover_floor ./internal/evict 80
+cover_floor ./internal/gbdt 95
 cover_floor ./internal/tiered 90
 cover_floor ./internal/policy 90
 cover_floor ./internal/policy/ogd 80
