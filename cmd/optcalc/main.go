@@ -1,5 +1,5 @@
 // Command optcalc computes the offline-optimal caching decisions (OPT)
-// for a trace via the FOO min-cost-flow model (§2.1 of the paper) and
+// for a trace under the FOO min-cost-flow model (§2.1 of the paper) and
 // reports OPT's hit ratios. Optionally it writes the per-request
 // admission decisions for inspection or external training pipelines.
 //
@@ -8,13 +8,12 @@
 //	optcalc -trace trace.txt -size 256m
 //	optcalc -gen cdn -n 50000 -size 64m -algo greedy -rank 0.3 -decisions out.txt
 //
-// -algo flow (the default) solves the FOO LP exactly, segment by segment:
-// by the furthest-next-request sweep where every interval costs the same
-// per byte (-objective bhr), by the min-cost flow otherwise (-segments;
-// 0 = one solve for uniform costs or up to 12 000 intervals,
-// ~4000-interval flow segments beyond); -algo greedy labels the whole
-// trace in one feasible rank-order pass and ignores -segments and
-// -workers.
+// -algo flow (the default) solves the FOO LP exactly by one
+// furthest-next-request sweep of the whole trace where every interval
+// costs the same per byte (-objective bhr), and labels it as -algo greedy
+// does otherwise (-objective ohr or cost); -algo greedy labels the whole
+// trace in one feasible rank-order pass. The "labeled by" line names the
+// solver that ran: sweep or greedy.
 package main
 
 import (
@@ -39,8 +38,6 @@ func main() {
 		objective = flag.String("objective", "bhr", "cost objective: bhr, ohr or cost")
 		algo      = flag.String("algo", "flow", "solver: flow or greedy")
 		rank      = flag.Float64("rank", 1.0, "rank fraction of intervals to solve (0,1]")
-		segments  = flag.Int("segments", 0, "time-axis flow segments: 0=auto, 1=unsegmented, N>1 as given")
-		workers   = flag.Int("workers", 0, "goroutines for concurrent flow segment solves: 0=all cores, 1=sequential")
 		decisions = flag.String("decisions", "", "write per-request decisions (0/1) to this file")
 	)
 	flag.Parse()
@@ -74,8 +71,6 @@ func main() {
 		CacheSize:    size,
 		Algorithm:    algorithm,
 		RankFraction: *rank,
-		Segments:     *segments,
-		Workers:      *workers,
 	})
 	if err != nil {
 		fatalf("compute OPT: %v", err)
@@ -86,10 +81,8 @@ func main() {
 	fmt.Printf("intervals:  %d (solved %d, dropped %d)\n", res.Intervals, res.Solved, res.DroppedIntervals())
 	fmt.Printf("cache:      %s, objective %s, algorithm %s, rank %.2f\n",
 		cliutil.FormatBytes(size), obj, algorithm, *rank)
-	fmt.Printf("labeled by: %s (%d segments; %d exact ivs, %d by sweep, %d greedy ivs, %d boundary)\n",
-		res.AlgoLabel(), res.Segments, res.FlowIntervals, res.SweepIntervals, res.GreedyIntervals, res.BoundaryIntervals)
-	fmt.Printf("flow work:  %d paths in %d passes, %d potential moves\n",
-		res.FlowAugmentations, res.FlowPasses, res.FlowPotentialMoves)
+	fmt.Printf("labeled by: %s (%d exact ivs, %d greedy ivs)\n",
+		res.AlgoLabel(), res.FlowIntervals, res.GreedyIntervals)
 	fmt.Printf("OPT BHR:    %.4f\n", res.BHR())
 	fmt.Printf("OPT OHR:    %.4f\n", res.OHR())
 	fmt.Printf("miss cost:  %.0f\n", res.MissCost)

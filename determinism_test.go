@@ -81,7 +81,7 @@ func runSeededPipelineObs(t *testing.T, workers, lag int, reg *MetricsRegistry) 
 // simulate pipeline twice with the same seed and requires byte-identical
 // results at every stage — the reproducibility property lfolint's
 // determinism rules exist to protect. A diff in traceBytes points at gen,
-// in optBytes at opt/mcf, in modelBytes at features/gbdt, and in
+// in optBytes at opt, in modelBytes at features/gbdt, and in
 // metricBytes at core/sim.
 func TestPipelineDeterminism(t *testing.T) {
 	var served [][]byte // each lag's metrics

@@ -129,8 +129,8 @@ func TestCutoffDefaultsAndSentinel(t *testing.T) {
 // handoffReport is what the registry says about the window handoff that
 // just deployed: the gauges of that window and the cumulative counters.
 type handoffReport struct {
-	requests, agreementPPM, positivePPM    int64
-	flowIvs, sweepIvs, greedyIvs, segments int64
+	requests, agreementPPM, positivePPM int64
+	flowIvs, greedyIvs                  int64
 }
 
 func readHandoff(reg *obs.Registry) handoffReport {
@@ -139,9 +139,7 @@ func readHandoff(reg *obs.Registry) handoffReport {
 		agreementPPM: reg.Gauge("core_train_agreement_ppm").Value(),
 		positivePPM:  reg.Gauge("core_label_positive_ppm").Value(),
 		flowIvs:      reg.Counter("opt_flow_intervals_total").Value(),
-		sweepIvs:     reg.Counter("opt_sweep_intervals_total").Value(),
 		greedyIvs:    reg.Counter("opt_greedy_intervals_total").Value(),
-		segments:     reg.Counter("opt_segments_total").Value(),
 	}
 }
 
@@ -155,13 +153,12 @@ func TestLFOTrainsAndServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each handoff's report, read as Windows() advances and pinned exactly.
-	// Every window is one unsegmented exact solve, by the sweep since the
-	// costs are BHR, so the counters grow by one segment and no greedy
-	// interval per window.
+	// Every window is one exact sweep, since the costs are BHR, so no
+	// greedy interval is counted.
 	want := []handoffReport{
-		{requests: 4000, agreementPPM: 883500, positivePPM: 326500, flowIvs: 1525, sweepIvs: 1525, segments: 1},
-		{requests: 4000, agreementPPM: 935500, positivePPM: 321750, flowIvs: 1525 + 1499, sweepIvs: 1525 + 1499, segments: 2},
-		{requests: 4000, agreementPPM: 938750, positivePPM: 334250, flowIvs: 1525 + 1499 + 1534, sweepIvs: 1525 + 1499 + 1534, segments: 3},
+		{requests: 4000, agreementPPM: 883500, positivePPM: 326500, flowIvs: 1525},
+		{requests: 4000, agreementPPM: 935500, positivePPM: 321750, flowIvs: 1525 + 1499},
+		{requests: 4000, agreementPPM: 938750, positivePPM: 334250, flowIvs: 1525 + 1499 + 1534},
 	}
 	var got []handoffReport
 	hits := 0
@@ -438,10 +435,10 @@ func TestAsyncDroppedWindowCounted(t *testing.T) {
 	// round it trained after dropping window 1: the same labels and the
 	// same agreement, its interval count now on top of window 1's 240.
 	want := []handoffReport{
-		{requests: 1000, agreementPPM: 889000, positivePPM: 239000, flowIvs: 240, sweepIvs: 240, segments: 1},
-		{requests: 1000, agreementPPM: 933000, positivePPM: 236000, flowIvs: 240 + 263, sweepIvs: 240 + 263, segments: 2},
-		{requests: 1000, agreementPPM: 959000, positivePPM: 237000, flowIvs: 503 + 238, sweepIvs: 503 + 238, segments: 3},
-		{requests: 1000, agreementPPM: 963000, positivePPM: 229000, flowIvs: 741 + 230, sweepIvs: 741 + 230, segments: 4},
+		{requests: 1000, agreementPPM: 889000, positivePPM: 239000, flowIvs: 240},
+		{requests: 1000, agreementPPM: 933000, positivePPM: 236000, flowIvs: 240 + 263},
+		{requests: 1000, agreementPPM: 959000, positivePPM: 237000, flowIvs: 503 + 238},
+		{requests: 1000, agreementPPM: 963000, positivePPM: 229000, flowIvs: 741 + 230},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d deploys, want %d: %+v", len(got), len(want), got)

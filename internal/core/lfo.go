@@ -58,8 +58,8 @@ type Config struct {
 	// (0 = unbounded).
 	MaxTrackedObjects int
 	// Workers caps the goroutines the stages of a window handoff may use
-	// inside themselves: segmented OPT labeling, GBDT training, batched
-	// prediction and resident feature extraction. The stages run one
+	// inside themselves: GBDT training, batched prediction and resident
+	// feature extraction (OPT labeling is one sequential pass). The stages run one
 	// after the other. 0 means all available cores, 1 reproduces the
 	// fully sequential pipeline. Every stage reduces in a fixed order, so
 	// results are byte-identical for any value.
@@ -148,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GBDT.Workers == 0 {
 		c.GBDT.Workers = c.Workers
-	}
-	if c.OPT.Workers == 0 {
-		c.OPT.Workers = c.Workers
 	}
 	if c.OPT.Obs == nil {
 		c.OPT.Obs = c.Obs

@@ -157,7 +157,7 @@ func (c *Cache) Request(r trace.Request) bool {
 func (c *Cache) retrain() {
 	win := &trace.Trace{Requests: c.winReqs}
 	sc := obs.Start(c.cm.optNS)
-	res, err := opt.Compute(win, opt.Config{CacheSize: c.cfg.CacheSize, Workers: c.cfg.Workers, Obs: c.cfg.Obs})
+	res, err := opt.Compute(win, opt.Config{CacheSize: c.cfg.CacheSize, Obs: c.cfg.Obs})
 	sc.Stop()
 	if err != nil {
 		panic(fmt.Sprintf("evict: OPT computation failed: %v", err))

@@ -44,8 +44,8 @@ type Config struct {
 	Seed int64
 	// Objective assigns retrieval costs (BHR by default).
 	Objective trace.Objective
-	// Workers caps the goroutines LFO's training/scoring pipeline and the
-	// segmented OPT solve may use; 0 means all cores, 1 is sequential.
+	// Workers caps the goroutines LFO's training/scoring pipeline may
+	// use; 0 means all cores, 1 is sequential.
 	// Results are byte-identical for any value.
 	Workers int
 	// Obs, when set, accumulates runtime metrics across the harness's LFO

@@ -98,7 +98,6 @@ var DeterministicCore = []string{
 	"internal/gen",
 	"internal/gbdt",
 	"internal/opt",
-	"internal/mcf",
 	"internal/core",
 	"internal/evict",
 	"internal/experiments",
@@ -111,7 +110,6 @@ var DeterministicCore = []string{
 // correctness hazard.
 var NumericKernels = []string{
 	"internal/gbdt",
-	"internal/mcf",
 	"internal/mrc",
 	"internal/opt",
 	"internal/analysis",

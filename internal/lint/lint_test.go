@@ -223,7 +223,7 @@ func TestDefaultPolicyTiers(t *testing.T) {
 		{"flow-determinism", "internal/server", false},
 		{"map-order", "internal/analysis", true},
 		{"map-order", "internal/core", true},
-		{"float-equal", "internal/mcf", true},
+		{"float-equal", "internal/opt", true},
 		{"float-equal", "internal/mrc", true},
 		{"float-equal", "internal/gen", false},
 		{"unchecked-error", "cmd/optcalc", true},

@@ -135,11 +135,11 @@ func (c *Curve) Sample(sizes []int64) []Point {
 }
 
 // ComputeOPT samples the offline-optimal hit ratios at each cache size
-// using the opt package (exact flow per time-axis segment, one segment up
-// to 12 000 intervals — see opt.Config.Segments). cfg.CacheSize is
-// overridden per point. The schedule opt.Compute extracts is feasible
-// (all-bytes-central extraction plus repair, greedy stitching at the
-// cuts), so each point is a lower bound on OPT, not an upper bound: an
+// using the opt package (one exact sweep of the whole trace under uniform
+// per-byte costs, the greedy otherwise — see opt.AlgoFlow). cfg.CacheSize
+// is overridden per point. The schedule opt.Compute extracts is feasible
+// (all-bytes-central extraction plus repair, or the greedy's rank-order
+// admission), so each point is a lower bound on OPT, not an upper bound: an
 // online policy can beat it, as the drift grid's negative regret does.
 // The upper side (PFOO-U) is ROADMAP.md's OPT-bracket item. The sizes
 // are solved concurrently under cfg.Workers (0 = all cores); each point

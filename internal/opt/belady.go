@@ -10,7 +10,7 @@ import (
 // evict the resident object whose next request is furthest in the future.
 // Belady is provably optimal for the object hit ratio when all objects
 // have equal sizes; the opt package uses it to anchor correctness tests of
-// the flow and greedy solvers (footnote 6 of the paper: in settings with
+// the sweep and greedy solvers (footnote 6 of the paper: in settings with
 // unit sizes, computing OPT is simple).
 //
 // capacity is expressed in bytes, like Config.CacheSize; with unit-size
@@ -100,13 +100,12 @@ func Belady(tr *trace.Trace, capacity int64) *Result {
 			res.Admit[i] = next[i] >= 0 && res.Hit[next[i]]
 		}
 	}
-	res.Solved = 0
-	res.Intervals = 0
 	for i := range tr.Requests {
 		if next[i] >= 0 {
 			res.Intervals++
 		}
 	}
+	res.Solved = res.Intervals
 	return res
 }
 

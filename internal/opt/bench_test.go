@@ -40,25 +40,16 @@ func benchmarkWindows(b *testing.B, wins []*trace.Trace, cfg Config) {
 
 // BenchmarkFlowWindow is the labelling step of the default_flow handoff:
 // what a cache configured with nothing but its size pays per window
-// (AlgoFlow; under BHR one sweep of ~2100 intervals at 64 MiB, one
-// worker), cycling the first four 7000-request windows of the seed-7 trace.
+// (AlgoFlow; under BHR one sweep of ~2100 intervals at 64 MiB), cycling
+// the first four 7000-request windows of the seed-7 trace.
 func BenchmarkFlowWindow(b *testing.B) {
-	benchmarkWindows(b, cdnWindows(b, 4, 7000, 7), Config{CacheSize: 64 << 20, Workers: 1})
-}
-
-// BenchmarkFlowWindowOHR is BenchmarkFlowWindow's windows under OHR costs,
-// whose per-byte prices differ: one exact min-cost flow solve per window.
-func BenchmarkFlowWindowOHR(b *testing.B) {
-	wins := cdnWindows(b, 4, 7000, 7)
-	for w, tr := range wins {
-		wins[w] = tr.WithCosts(trace.ObjectiveOHR)
-	}
-	benchmarkWindows(b, wins, Config{CacheSize: 64 << 20, Workers: 1})
+	benchmarkWindows(b, cdnWindows(b, 4, 7000, 7), Config{CacheSize: 64 << 20})
 }
 
 // BenchmarkGreedyWindow is the labelling step of the admit_rank handoff:
-// one greedy pass over a 10 000-request CDN-mix window at 64 MiB, one
-// worker, cycling the first four windows of the seed-7 trace.
+// one greedy pass over a 10 000-request CDN-mix window at 64 MiB, cycling
+// the first four windows of the seed-7 trace. Windows whose per-byte costs
+// differ take the same pass under AlgoFlow.
 func BenchmarkGreedyWindow(b *testing.B) {
-	benchmarkWindows(b, cdnWindows(b, 4, 10000, 7), Config{CacheSize: 64 << 20, Algorithm: AlgoGreedy, Workers: 1})
+	benchmarkWindows(b, cdnWindows(b, 4, 10000, 7), Config{CacheSize: 64 << 20, Algorithm: AlgoGreedy})
 }

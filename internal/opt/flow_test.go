@@ -3,6 +3,7 @@ package opt
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,10 +12,163 @@ import (
 	"lfo/internal/trace"
 )
 
+// The FOO min-cost flow (Figure 4 of the paper) as the tests' oracle: the
+// graph of a window, its integral arc costs, and the labels Compute read
+// off the flow before the sweep and the greedy replaced it.
+
+// costScale is what the cheapest per-byte miss cost of a window becomes
+// in the flow solver's integral arc costs (see quantiseCosts).
+const costScale = 1024
+
+// maxFlowCost bounds both the total cost of a window's flow and the
+// largest node potential the solver can reach, well inside int64.
+const maxFlowCost = 1 << 62
+
+// fooFlow is the FOO graph of one window: the graph, a solver for it,
+// each interval's bypass arc and its integral per-byte cost.
+type fooFlow struct {
+	g      *Graph
+	solver *Solver
+	bypass []int
+	costs  []int64
+}
+
+// buildFlowGraph builds the FOO graph of the intervals of a window,
+// sorted by from, under a cache of capacity bytes, with the cheapest
+// per-byte cost quantised to scale.
+//
+// The graph uses the per-interval formulation, which is equivalent to the
+// paper's first-to-last-request formulation after supply cancellation at
+// interior nodes: each interval injects size bytes at its start request and
+// withdraws them at its end request; a bypass arc of capacity size and
+// per-byte cost C/S (made integral by quantiseCosts) models a miss, while
+// central arcs of zero cost and the cache's capacity model storing bytes
+// in the cache. Only request indices that appear as interval endpoints
+// become nodes (consecutive endpoints are joined by a single central arc),
+// which keeps the graph small when rank selection drops intervals.
+func buildFlowGraph(ivs []interval, capacity, scale int64) *fooFlow {
+	var idx []int
+	for _, iv := range ivs {
+		idx = append(idx, iv.from, iv.to)
+	}
+	sort.Ints(idx)
+	idx = slices.Compact(idx)
+
+	f := &fooFlow{g: NewGraph(len(idx)), solver: NewSolver()}
+	for k := 0; k+1 < len(idx); k++ {
+		f.g.AddEdge(k, k+1, capacity, 0)
+	}
+	f.costs, _ = quantiseCosts(ivs, scale, nil)
+	for k, iv := range ivs {
+		u := sort.SearchInts(idx, iv.from)
+		v := sort.SearchInts(idx, iv.to)
+		f.bypass = append(f.bypass, f.g.AddEdge(u, v, iv.size, f.costs[k]))
+		f.g.AddSupply(u, iv.size)
+		f.g.AddSupply(v, -iv.size)
+	}
+	return f
+}
+
+// quantiseCosts turns the intervals' per-byte miss costs C/S into the
+// integral arc costs the flow solver needs: one per interval in out[:0],
+// each C/S times the returned scale, rounded. The scale is chosen per
+// window: the smallest per-byte cost maps to costScale and the others
+// proportionally, so the cost ratios between intervals survive whatever
+// the objective's unit is. (Under the OHR objective C/S is 1/size, far
+// below one; a single global scale rounded nearly every object to the
+// floor of 1 and the flow minimised missed bytes instead of misses.)
+// Under BHR every C/S is exactly 1 and every arc costs exactly costScale.
+// The scale is capped so that Σ cost·size, the most a flow can cost, and
+// nodes × the largest cost, the most a potential can reach, stay below
+// maxFlowCost; a cost that the cap or a zero C rounds to nothing is
+// floored at 1, since a free bypass arc would make a miss as good as a
+// hit.
+func quantiseCosts(ivs []interval, costScale int64, out []int64) ([]int64, float64) {
+	scale := quantScale(ivs, costScale)
+	out = slices.Grow(out[:0], len(ivs))
+	for _, iv := range ivs {
+		out = append(out, max(int64(iv.cost/float64(iv.size)*scale+0.5), 1))
+	}
+	return out, scale
+}
+
+// quantScale is the factor quantiseCosts multiplies per-byte costs by.
+func quantScale(ivs []interval, costScale int64) float64 {
+	minPB, maxPB, total := math.Inf(1), 0.0, 0.0
+	for _, iv := range ivs {
+		pb := iv.cost / float64(iv.size)
+		if pb > 0 && pb < minPB {
+			minPB = pb
+		}
+		if pb > maxPB {
+			maxPB = pb
+		}
+		total += iv.cost
+	}
+	scale := float64(costScale)
+	if maxPB > 0 {
+		scale /= minPB
+		nodes := float64(2*len(ivs) + 2)
+		if lim := maxFlowCost / 2 / math.Max(total, nodes*maxPB); scale > lim {
+			scale = lim
+		}
+	}
+	return scale
+}
+
+// wholeWindowFlow builds the FOO graph of the whole trace with the
+// cheapest per-byte cost quantised to scale, solves it, and returns the
+// from-sorted intervals, the solved flow and its integer cost; nothing is
+// solved for a trace without intervals.
+func wholeWindowFlow(t testing.TB, tr *trace.Trace, capacity, scale int64) ([]interval, *fooFlow, int64) {
+	t.Helper()
+	ivs := buildIntervals(tr)
+	if len(ivs) == 0 {
+		return nil, nil, 0
+	}
+	f := buildFlowGraph(ivs, capacity, scale)
+	cost, err := f.solver.Solve(f.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ivs, f, cost
+}
+
+// flowLabels labels tr as Compute did while the min-cost flow labelled
+// windows whose per-byte costs differ: an interval is admitted iff the
+// flow routes none of its bytes over the bypass, and repair adds what
+// that left out. It returns the admissions and the flow's work counters.
+func flowLabels(t testing.TB, tr *trace.Trace, capacity int64) ([]bool, Stats) {
+	t.Helper()
+	admit := make([]bool, tr.Len())
+	ivs, f, _ := wholeWindowFlow(t, tr, capacity, costScale)
+	if len(ivs) == 0 {
+		return admit, Stats{}
+	}
+	for k, iv := range ivs {
+		admit[iv.from] = f.g.Flow(f.bypass[k]) == 0
+	}
+	repair(ivs, tr.Len(), capacity, admit)
+	return admit, f.solver.Stats()
+}
+
+// scoreAdmit replays an admission schedule: the requests it hits and the
+// bytes they carry.
+func scoreAdmit(tr *trace.Trace, admit []bool) (hits int, hitBytes int64) {
+	prev := tr.PrevRequestIndex()
+	for j, r := range tr.Requests {
+		if i := prev[j]; i >= 0 && admit[i] {
+			hits++
+			hitBytes += r.Size
+		}
+	}
+	return hits, hitBytes
+}
+
 // TestQuantiseCostsBHRUniform: under BHR every interval's per-byte cost is
 // exactly 1, so every bypass arc costs exactly costScale — the graphs the
 // flow solver sees for BHR windows do not depend on how the scale is
-// chosen per segment.
+// chosen per window.
 func TestQuantiseCostsBHRUniform(t *testing.T) {
 	ivs := buildIntervals(cdnWindows(t, 1, 7000, 7)[0])
 	for _, costScale := range []int64{64, 1024, 1 << 20} {
@@ -81,32 +235,29 @@ func TestQuantiseCosts(t *testing.T) {
 	}
 }
 
-// TestFlowOHRObjective is the flow twin of TestGreedyOHRObjective: labels
-// from the flow under OHR costs must reach at least the OHR of labels from
-// the flow under BHR costs (and the other way round for BHR), which
-// requires the solver to actually see per-object costs: more than a
-// hundred distinct integer prices on this window, where one global scale
-// handed it two.
+// TestFlowOHRObjective is the oracle's twin of TestGreedyOHRObjective:
+// the flow's labels under OHR costs must reach at least the OHR of its
+// labels under BHR costs (and the other way round for BHR), which requires
+// the solver to actually see per-object costs: more than a hundred
+// distinct integer prices on this window, where one global scale handed
+// it two.
 func TestFlowOHRObjective(t *testing.T) {
 	tr, err := gen.Generate(gen.CDNMix(4000, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bhr, err := Compute(tr.WithCosts(trace.ObjectiveBHR), Config{CacheSize: 16 << 20, Algorithm: AlgoFlow})
-	if err != nil {
-		t.Fatal(err)
+	const capacity = 16 << 20
+	bhrAdmit, _ := flowLabels(t, tr.WithCosts(trace.ObjectiveBHR), capacity)
+	ohrAdmit, st := flowLabels(t, tr.WithCosts(trace.ObjectiveOHR), capacity)
+	bhrHits, bhrBytes := scoreAdmit(tr, bhrAdmit)
+	ohrHits, ohrBytes := scoreAdmit(tr, ohrAdmit)
+	if ohrHits < bhrHits {
+		t.Errorf("OHR-objective hits %d < BHR-objective hits %d", ohrHits, bhrHits)
 	}
-	ohr, err := Compute(tr.WithCosts(trace.ObjectiveOHR), Config{CacheSize: 16 << 20, Algorithm: AlgoFlow})
-	if err != nil {
-		t.Fatal(err)
+	if bhrBytes < ohrBytes {
+		t.Errorf("BHR-objective hit bytes %d < OHR-objective hit bytes %d", bhrBytes, ohrBytes)
 	}
-	if ohr.OHR() < bhr.OHR() {
-		t.Errorf("OHR-objective OHR %.4f < BHR-objective OHR %.4f", ohr.OHR(), bhr.OHR())
-	}
-	if bhr.BHR() < ohr.BHR() {
-		t.Errorf("BHR-objective BHR %.4f < OHR-objective BHR %.4f", bhr.BHR(), ohr.BHR())
-	}
-	costs, _ := quantiseCosts(buildIntervals(tr.WithCosts(trace.ObjectiveOHR)), 1024, nil)
+	costs, _ := quantiseCosts(buildIntervals(tr.WithCosts(trace.ObjectiveOHR)), costScale, nil)
 	distinct := map[int64]bool{}
 	for _, c := range costs {
 		distinct[c] = true
@@ -114,81 +265,86 @@ func TestFlowOHRObjective(t *testing.T) {
 	if len(distinct) <= 100 {
 		t.Errorf("the OHR window hands the solver %d distinct costs, want > 100", len(distinct))
 	}
-	t.Logf("OHR costs: %d distinct prices, %d potential moves; BHR costs labelled by %s",
-		len(distinct), ohr.FlowPotentialMoves, bhr.AlgoLabel())
+	if st.PotentialMoves < 1 {
+		t.Errorf("the OHR flow never moved its potentials: %+v", st)
+	}
+	t.Logf("OHR costs: %d distinct prices, %d potential moves", len(distinct), st.PotentialMoves)
 }
 
-// TestFlowCounters pins which exact solver labels the benchmark's
-// default_flow window (7000 CDN-mix requests, seed 7, 64 MiB) and the
-// work counters it reports. Under OHR costs the per-byte prices differ,
-// so the min-cost flow solves it: paths, passes and potential moves are
-// counted, and add up over segments. Under BHR costs the sweep labels
-// every solved interval and the flow does no work. The counters reach the
-// registry, and greedy labels count no flow work.
+// TestFlowCounters pins which solver labels the benchmark's default_flow
+// window (7000 CDN-mix requests, seed 7, 64 MiB) and what reaches the
+// registry. Under OHR costs the per-byte prices differ, so the greedy
+// labels every solved interval; under BHR costs the sweep does. Either
+// way the window is one piece.
 func TestFlowCounters(t *testing.T) {
 	base := cdnWindows(t, 1, 7000, 7)[0]
-	counters := func(t *testing.T, reg *obs.Registry, want map[string]int) {
-		t.Helper()
-		for name, want := range want {
-			if got := reg.Counter(name).Value(); got != int64(want) {
-				t.Errorf("%s = %d, want %d", name, got, want)
+	for _, c := range []struct {
+		name, label string
+		obj         trace.Objective
+	}{{"ohr", "greedy", trace.ObjectiveOHR}, {"bhr", "sweep", trace.ObjectiveBHR}} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			res, err := Compute(base.WithCosts(c.obj), Config{CacheSize: 64 << 20, Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.AlgoLabel() != c.label || res.Segments != 1 {
+				t.Fatalf("labels by %s in %d segments, want %s in one", res.AlgoLabel(), res.Segments, c.label)
+			}
+			exact, greedy := res.Solved, 0
+			if c.label == "greedy" {
+				exact, greedy = 0, res.Solved
+			}
+			for name, want := range map[string]int{
+				"opt_solves_total":           1,
+				"opt_solved_intervals_total": res.Solved,
+				"opt_flow_intervals_total":   exact,
+				"opt_greedy_intervals_total": greedy,
+			} {
+				if got := reg.Counter(name).Value(); got != int64(want) {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestNonUniformCostsLabelledByGreedy: a window whose per-byte costs
+// differ — OHR costs, or costs a trace carries of its own (the cost
+// objective) — gets AlgoFlow labels bit-identical to AlgoGreedy's, on the
+// first two default_flow windows; a BHR window is swept.
+func TestNonUniformCostsLabelledByGreedy(t *testing.T) {
+	for w, base := range cdnWindows(t, 2, 7000, 7) {
+		own := &trace.Trace{Requests: slices.Clone(base.Requests)}
+		for i := range own.Requests {
+			r := &own.Requests[i]
+			r.Cost = float64(r.Size) * float64(1+uint64(r.ID)%7)
+		}
+		for _, tr := range []*trace.Trace{base.WithCosts(trace.ObjectiveOHR), own.WithCosts(trace.ObjectiveCost)} {
+			flow, err := Compute(tr, Config{CacheSize: 64 << 20, Algorithm: AlgoFlow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			greedy, err := Compute(tr, Config{CacheSize: 64 << 20, Algorithm: AlgoGreedy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(flow.Admit, greedy.Admit) {
+				t.Errorf("window %d: AlgoFlow's labels differ from AlgoGreedy's", w)
+			}
+			if flow.AlgoLabel() != "greedy" || flow.FlowIntervals != 0 || flow.Segments != 1 {
+				t.Errorf("window %d: labelled by %s, %d exact intervals, %d segments; want greedy, 0, 1",
+					w, flow.AlgoLabel(), flow.FlowIntervals, flow.Segments)
 			}
 		}
+		res, err := Compute(base.WithCosts(trace.ObjectiveBHR), Config{CacheSize: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AlgoLabel() != "sweep" || res.FlowIntervals != res.Solved {
+			t.Errorf("window %d under BHR: labelled by %s, %d of %d exact", w, res.AlgoLabel(), res.FlowIntervals, res.Solved)
+		}
 	}
-
-	t.Run("ohr", func(t *testing.T) {
-		tr := base.WithCosts(trace.ObjectiveOHR)
-		reg := obs.NewRegistry()
-		res, err := Compute(tr, Config{CacheSize: 64 << 20, Workers: 1, Obs: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.AlgoLabel() != "flow" || res.Segments != 1 || res.SweepIntervals != 0 {
-			t.Fatalf("labels by %s in %d segments, %d swept, want one flow solve", res.AlgoLabel(), res.Segments, res.SweepIntervals)
-		}
-		if res.FlowAugmentations < 1 || res.FlowPasses < 1 || res.FlowPotentialMoves < 1 {
-			t.Errorf("flow work: %d paths in %d passes, %d potential moves", res.FlowAugmentations, res.FlowPasses, res.FlowPotentialMoves)
-		}
-		counters(t, reg, map[string]int{
-			"opt_flow_intervals_total":       res.Solved,
-			"opt_sweep_intervals_total":      0,
-			"opt_flow_augmentations_total":   res.FlowAugmentations,
-			"opt_flow_passes_total":          res.FlowPasses,
-			"opt_flow_potential_moves_total": res.FlowPotentialMoves,
-		})
-		split, err := Compute(tr, Config{CacheSize: 64 << 20, Algorithm: AlgoFlow, Segments: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if split.Segments < 2 || split.FlowPotentialMoves < split.Segments {
-			t.Errorf("%d flow segments moved the potentials %d times in all", split.Segments, split.FlowPotentialMoves)
-		}
-	})
-
-	t.Run("bhr", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		res, err := Compute(base, Config{CacheSize: 64 << 20, Workers: 1, Obs: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.AlgoLabel() != "sweep" || res.Segments != 1 || res.SweepIntervals != res.Solved {
-			t.Fatalf("labels by %s in %d segments, %d of %d swept, want one sweep", res.AlgoLabel(), res.Segments, res.SweepIntervals, res.Solved)
-		}
-		counters(t, reg, map[string]int{
-			"opt_flow_intervals_total":       res.Solved,
-			"opt_sweep_intervals_total":      res.Solved,
-			"opt_flow_augmentations_total":   0,
-			"opt_flow_passes_total":          0,
-			"opt_flow_potential_moves_total": 0,
-		})
-		greedy, err := Compute(base, Config{CacheSize: 64 << 20, Algorithm: AlgoGreedy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if greedy.FlowAugmentations != 0 || greedy.FlowPasses != 0 || greedy.FlowPotentialMoves != 0 || greedy.SweepIntervals != 0 {
-			t.Errorf("greedy labels counted exact work: %+v", greedy)
-		}
-	})
 }
 
 // bruteForceMissCost is exhaustive OPT for a tiny trace with variable
@@ -231,32 +387,11 @@ func bruteForceMissCost(tr *trace.Trace, capacity int64) float64 {
 	return best
 }
 
-// wholeWindowFlow builds the unsegmented FOO graph of the whole trace with
-// the cheapest per-byte cost quantised to scale, solves it, and returns the
-// from-sorted intervals, the solved scratch (bypass arcs in sc.bypass) and
-// the flow's integer cost; nothing is solved for a trace without intervals.
-func wholeWindowFlow(t *testing.T, tr *trace.Trace, capacity, scale int64) ([]interval, *solveScratch, int64) {
-	t.Helper()
-	ivs := buildIntervals(tr)
-	if len(ivs) == 0 {
-		return nil, nil, 0
-	}
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].from < ivs[b].from })
-	sc := newSolveScratch()
-	sc.occ.reset(tr.Len())
-	buildFlowGraph(&segment{lo: 0, hi: tr.Len(), ivs: ivs}, capacity, scale, sc)
-	cost, err := sc.solver.Solve(sc.g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ivs, sc, cost
-}
-
-// flowLowerBound solves the unsegmented FOO flow of the whole trace and
-// returns its optimum in cost units (the flow's integer cost divided by
-// the quantisation scale, plus the compulsory misses the graph leaves
-// out) together with the most the rounding of the arc costs can have
-// added to it.
+// flowLowerBound solves the FOO flow of the whole trace and returns its
+// optimum in cost units (the flow's integer cost divided by the
+// quantisation scale, plus the compulsory misses the graph leaves out)
+// together with the most the rounding of the arc costs can have added to
+// it.
 func flowLowerBound(t *testing.T, tr *trace.Trace, capacity int64) (bound, slack float64) {
 	t.Helper()
 	prev := tr.PrevRequestIndex()
@@ -278,10 +413,11 @@ func flowLowerBound(t *testing.T, tr *trace.Trace, capacity int64) (bound, slack
 
 // TestLabelsAgainstBruteForce is the variable-size ground truth under the
 // labeler, whatever solver sits below it: on tiny random traces (up to 12
-// requests, sizes 1–4, capacity 2–6, BHR and unit costs) the flow's LP
+// requests, sizes 1–4, capacity 2–6, BHR and OHR costs) the flow's LP
 // optimum is a lower bound on exhaustive OPT's miss cost, and every
-// schedule the labeler extracts — unsegmented flow, flow forced into two
-// segments, greedy — is feasible and misses at least what OPT misses.
+// schedule — AlgoFlow's (the sweep under BHR, the greedy under OHR),
+// AlgoGreedy's, and the labels read off the flow (flowLabels) — is
+// feasible and misses at least what OPT misses.
 func TestLabelsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tight := 0
@@ -305,30 +441,44 @@ func TestLabelsAgainstBruteForce(t *testing.T) {
 			if lp > brute+slack+1e-9 {
 				t.Fatalf("trial %d %v: flow optimum %.6f above exhaustive OPT %.6f\n%+v cap %d", trial, obj, lp, brute, tr.Requests, capacity)
 			}
-			for _, cfg := range []Config{
-				{CacheSize: capacity, Algorithm: AlgoFlow},
-				{CacheSize: capacity, Algorithm: AlgoFlow, Segments: 2},
-				{CacheSize: capacity, Algorithm: AlgoGreedy},
-			} {
-				res, err := Compute(tr, cfg)
+			schedules := map[string][]bool{}
+			for _, algo := range []Algorithm{AlgoFlow, AlgoGreedy} {
+				res, err := Compute(tr, Config{CacheSize: capacity, Algorithm: algo})
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkFeasible(t, tr, res.Admit, capacity)
-				if res.MissCost < brute-1e-9 {
-					t.Fatalf("trial %d %v %v segments=%d: schedule misses %.6f, exhaustive OPT %.6f\n%+v cap %d",
-						trial, obj, cfg.Algorithm, cfg.Segments, res.MissCost, brute, tr.Requests, capacity)
+				schedules[algo.String()] = res.Admit
+			}
+			schedules["flow labels"], _ = flowLabels(t, tr, capacity)
+			for _, name := range []string{"flow", "greedy", "flow labels"} {
+				admit := schedules[name]
+				checkFeasible(t, tr, admit, capacity)
+				miss := 0.0
+				prev := tr.PrevRequestIndex()
+				for j, r := range tr.Requests {
+					if i := prev[j]; i < 0 || !admit[i] {
+						miss += r.Cost
+					}
 				}
-				if cfg.Algorithm == AlgoFlow && cfg.Segments == 0 && res.MissCost < brute+1e-9 {
+				if miss < brute-1e-9 {
+					t.Fatalf("trial %d %v %s: schedule misses %.6f, exhaustive OPT %.6f\n%+v cap %d",
+						trial, obj, name, miss, brute, tr.Requests, capacity)
+				}
+				// The exact labels: the sweep's under BHR, the flow's under OHR.
+				exact := "flow labels"
+				if obj == trace.ObjectiveBHR {
+					exact = "flow"
+				}
+				if name == exact && miss < brute+1e-9 {
 					tight++
 				}
 			}
 		}
 	}
 	// Not a theorem (the extraction is all-or-nothing per interval), but
-	// if the flow's schedule stopped reaching OPT on most tiny traces the
+	// if the exact schedules stopped reaching OPT on most tiny traces the
 	// labels got worse.
 	if tight < 700 {
-		t.Errorf("flow labels reached exhaustive OPT on %d of 800 traces", tight)
+		t.Errorf("exact labels reached exhaustive OPT on %d of 800 traces", tight)
 	}
 }

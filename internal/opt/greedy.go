@@ -3,9 +3,8 @@ package opt
 import "sort"
 
 // solveGreedy computes a feasible OPT approximation in the spirit of
-// PFOO-L: one rank-order pass over the whole window (admitByRank). The
-// pass is O(I log n) for I intervals over n requests, so unlike the flow
-// it gains nothing from segmenting and ignores Segments and Workers.
+// PFOO-L: one rank-order pass over the whole window (admitByRank),
+// O(I log n) for I intervals over n requests.
 //
 // Unlike the flow relaxation, the greedy schedule is feasible — it
 // corresponds to an actual cache content assignment — so its hit ratio
@@ -17,18 +16,17 @@ func solveGreedy(n int, selected []interval, cfg Config, res *Result) {
 	}
 	res.Segments = 1
 	res.GreedyIntervals = len(selected)
-	admitByRank(selected, newSegTree(n), 0, cfg.CacheSize, res.Admit)
+	admitByRank(selected, newSegTree(n), cfg.CacheSize, res.Admit)
 }
 
-// admitByRank is the one rank-order admission loop: the greedy pass, the
-// stitching of intervals that cross a segment cut, and the repair after a
-// flow extraction. It sorts ivs by descending C/(S·L) rank (from-ascending
-// on ties) and admits each interval whose size fits on top of occ at every
-// time step of its span [from, to) — the object must be resident from the
-// instant request from completes until request to arrives. occ covers the
-// requests from lo on; an admitted interval is added to it and marked in
-// admit.
-func admitByRank(ivs []interval, occ *segTree, lo int, capacity int64, admit []bool) {
+// admitByRank is the one rank-order admission loop: the greedy pass and
+// the repair after the sweep's extraction. It sorts ivs by descending
+// C/(S·L) rank (from-ascending on ties) and admits each interval whose
+// size fits on top of occ at every time step of its span [from, to) —
+// the object must be resident from the instant request from completes
+// until request to arrives. An admitted interval is added to occ and
+// marked in admit.
+func admitByRank(ivs []interval, occ *segTree, capacity int64, admit []bool) {
 	sort.Slice(ivs, func(a, b int) bool {
 		if ivs[a].rank != ivs[b].rank {
 			return ivs[a].rank > ivs[b].rank
@@ -36,8 +34,8 @@ func admitByRank(ivs []interval, occ *segTree, lo int, capacity int64, admit []b
 		return ivs[a].from < ivs[b].from
 	})
 	for _, iv := range ivs {
-		if occ.Max(iv.from-lo, iv.to-lo)+iv.size <= capacity {
-			occ.Add(iv.from-lo, iv.to-lo, iv.size)
+		if occ.Max(iv.from, iv.to)+iv.size <= capacity {
+			occ.Add(iv.from, iv.to, iv.size)
 			admit[iv.from] = true
 		}
 	}

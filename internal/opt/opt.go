@@ -1,30 +1,30 @@
 // Package opt computes the offline-optimal caching decisions (OPT) that
 // LFO learns from (§2.1 of the paper).
 //
-// The exact method models OPT as a min-cost flow problem (FOO — flow-based
+// The paper models OPT as a min-cost flow problem (FOO — flow-based
 // offline optimal, after Berger, Beckmann and Harchol-Balter, SIGMETRICS
 // 2018): each pair of consecutive requests to the same object forms an
 // interval whose bytes either rest in the cache (zero cost, bounded by the
 // cache size) or bypass it (a miss, costing the retrieval cost). See
 // Figure 4 of the paper.
 //
-// When every interval costs the same per byte (the BHR objective) the LP
-// is fractional paging on bytes, and a furthest-next-request sweep
-// reaches the flow's optimum in O(I log I); the min-cost flow solves the
-// objectives whose per-byte costs differ, and is the sweep's test oracle.
-// Because min-cost flow on multi-million-node graphs is slow, the package
-// also implements the paper's ranking approximation — solve only for the
-// intervals with the highest C/(S·L) rank and declare the rest uncached —
-// and a fast feasible greedy (in the spirit of PFOO-L) that admits
-// intervals in rank order subject to a per-time-step capacity check.
-// Belady's algorithm is provided for the unit-size special case, where it
-// is provably optimal and anchors correctness tests.
+// When every interval costs the same per byte (the BHR objective) that
+// LP is fractional paging on bytes, and a furthest-next-request sweep
+// reaches the flow's optimum over the whole window in O(I log I); the
+// min-cost flow itself lives in the package's tests, as the sweep's
+// oracle. A window whose per-byte costs differ (the OHR and cost
+// objectives) is labelled by a fast feasible greedy (PFOO-L, after
+// Berger, Beckmann and Harchol-Balter's practical bounds) that admits
+// intervals in rank order subject to a per-time-step capacity check. The
+// package also implements the paper's ranking approximation — solve only
+// for the intervals with the highest C/(S·L) rank and declare the rest
+// uncached. Belady's algorithm is provided for the unit-size special
+// case, where it is provably optimal and anchors correctness tests.
 package opt
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"lfo/internal/obs"
 	"lfo/internal/trace"
@@ -34,11 +34,9 @@ import (
 type Algorithm int
 
 const (
-	// AlgoFlow, the default, solves the FOO LP exactly per time-axis
-	// segment: by the sweep where the segment's per-byte costs are
-	// uniform, by the min-cost flow otherwise. A non-uniform window above
-	// autoFlowLimit intervals is cut into segments (see Segments), and the
-	// greedy only stitches the intervals that cross a cut.
+	// AlgoFlow, the default, solves the FOO LP exactly by one sweep over
+	// the whole window when every selected interval costs the same per
+	// byte, and labels the window as AlgoGreedy does otherwise.
 	AlgoFlow Algorithm = iota
 	// AlgoGreedy admits intervals in C/(S·L) rank order subject to a
 	// feasible per-time-step capacity constraint, in one pass over the
@@ -70,30 +68,13 @@ type Config struct {
 	// solving. Zero means 1.0 (solve everything); Compute rejects a
 	// value outside [0, 1], NaN included.
 	RankFraction float64
-	// Segments controls PFOO-style time-axis segmentation of the flow
-	// solve (Berger/Beckmann/Harchol-Balter: the FOO flow problem
-	// decomposes at low-occupancy points on the time axis); the greedy
-	// always takes the whole window in one pass. The window's intervals
-	// are partitioned at low-crossing cut points, each segment's flow is
-	// solved independently (concurrently under Workers), and intervals
-	// that span a cut are stitched deterministically by rank-order
-	// greedy admission before the segment solves. 0 (auto) keeps one
-	// segment when the per-byte costs are uniform or up to autoFlowLimit
-	// (12 000) intervals, and targets ~4000 intervals per segment beyond;
-	// 1 forces the unsegmented whole-window solve; values > 1 request
-	// that many segments (best effort — cuts are placed near
-	// equal-interval-count positions). Compute rejects a negative value.
-	Segments int
-	// Workers caps the goroutines used for concurrent segment solves:
-	// 0 means all available cores, 1 solves segments sequentially. The
-	// result is byte-identical for every value — segmentation depends
-	// only on the trace and the config, and each segment writes a
-	// disjoint part of the result (same determinism bar as the training
-	// pipeline's Workers knob).
+	// Workers has no effect on Compute, which labels a window in one
+	// sequential pass; mrc.ComputeOPT spreads its cache sizes over this
+	// many goroutines (0 means all available cores).
 	Workers int
-	// Obs, when set, records per-solve totals (solves, exact (flow or
-	// sweep) vs greedy interval counts, dropped intervals, flow work). Metrics never
-	// influence the solve; nil disables recording (see internal/obs).
+	// Obs, when set, records per-solve totals (solves, exact vs greedy
+	// interval counts, dropped intervals). Metrics never influence the
+	// solve; nil disables recording (see internal/obs).
 	Obs *obs.Registry
 }
 
@@ -124,56 +105,30 @@ type Result struct {
 	// Intervals is the total number of intervals (requests with a next
 	// request).
 	Intervals int
-	// Segments is the number of time-axis segments the solve used: 1
-	// for the greedy, 0 when no intervals were selected.
+	// Segments is 1 when any interval was selected and 0 otherwise: the
+	// window is always labelled in one piece.
 	Segments int
 	// FlowIntervals and GreedyIntervals count selected intervals labeled
-	// by an exact segment solve and by the greedy; intervals stitched
-	// across segment cuts count as greedy. FlowIntervals +
-	// GreedyIntervals == Solved.
+	// by the exact sweep and by the greedy. One of them is Solved and the
+	// other zero.
 	FlowIntervals   int
 	GreedyIntervals int
-	// SweepIntervals is the part of FlowIntervals whose segments had
-	// uniform per-byte costs and were solved by the furthest-next-request
-	// sweep instead of the min-cost flow.
-	SweepIntervals int
-	// BoundaryIntervals counts intervals that crossed a segment cut and
-	// were therefore stitched greedily rather than solved exactly.
-	BoundaryIntervals int
-	// FlowAugmentations, FlowPasses and FlowPotentialMoves sum the flow
-	// solver's work over the segments it solved (see mcf.Stats; zero for
-	// swept segments): paths flow was pushed along, breadth-first passes,
-	// and Dijkstra runs that raised the potentials. They say what a
-	// window's flow labels cost independently of the machine; potential
-	// moves in the thousands mean the costs are far from uniform and the
-	// solve is back to one heap search per path.
-	FlowAugmentations  int
-	FlowPasses         int
-	FlowPotentialMoves int
 }
 
 // DroppedIntervals returns the intervals excluded by rank selection and
 // declared uncached without solving.
 func (r *Result) DroppedIntervals() int { return r.Intervals - r.Solved }
 
-// AlgoLabel reports which solvers actually produced the labels, joined by
-// "+" in the order flow, sweep, greedy ("sweep", "sweep+greedy", "flow",
-// "flow+sweep+greedy", ...), or "none" (no intervals).
+// AlgoLabel reports which solver produced the labels: "sweep", "greedy",
+// or "none" (no intervals).
 func (r *Result) AlgoLabel() string {
-	var parts []string
-	if r.FlowIntervals > r.SweepIntervals {
-		parts = append(parts, "flow")
+	switch {
+	case r.FlowIntervals > 0:
+		return "sweep"
+	case r.GreedyIntervals > 0:
+		return "greedy"
 	}
-	if r.SweepIntervals > 0 {
-		parts = append(parts, "sweep")
-	}
-	if r.GreedyIntervals > 0 {
-		parts = append(parts, "greedy")
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, "+")
+	return "none"
 }
 
 // BHR returns the byte hit ratio achieved by OPT's schedule.
@@ -243,9 +198,6 @@ func Compute(tr *trace.Trace, cfg Config) (*Result, error) {
 	if cfg.RankFraction == 0 {
 		cfg.RankFraction = 1
 	}
-	if cfg.Segments < 0 {
-		return nil, fmt.Errorf("opt: Segments must be >= 0, got %d", cfg.Segments)
-	}
 	if cfg.CacheSize <= 0 {
 		return nil, fmt.Errorf("opt: CacheSize must be positive, got %d", cfg.CacheSize)
 	}
@@ -261,9 +213,7 @@ func Compute(tr *trace.Trace, cfg Config) (*Result, error) {
 
 	switch cfg.Algorithm {
 	case AlgoFlow:
-		if err := solveSegmented(n, selected, cfg, res); err != nil {
-			return nil, err
-		}
+		solveExact(n, selected, cfg, res)
 	case AlgoGreedy:
 		solveGreedy(n, selected, cfg, res)
 	default:
@@ -297,12 +247,6 @@ func recordSolve(r *obs.Registry, res *Result) {
 	r.Counter("opt_intervals_total").Add(int64(res.Intervals))
 	r.Counter("opt_solved_intervals_total").Add(int64(res.Solved))
 	r.Counter("opt_dropped_intervals_total").Add(int64(res.DroppedIntervals()))
-	r.Counter("opt_segments_total").Add(int64(res.Segments))
 	r.Counter("opt_flow_intervals_total").Add(int64(res.FlowIntervals))
-	r.Counter("opt_sweep_intervals_total").Add(int64(res.SweepIntervals))
 	r.Counter("opt_greedy_intervals_total").Add(int64(res.GreedyIntervals))
-	r.Counter("opt_boundary_intervals_total").Add(int64(res.BoundaryIntervals))
-	r.Counter("opt_flow_augmentations_total").Add(int64(res.FlowAugmentations))
-	r.Counter("opt_flow_passes_total").Add(int64(res.FlowPasses))
-	r.Counter("opt_flow_potential_moves_total").Add(int64(res.FlowPotentialMoves))
 }

@@ -54,20 +54,13 @@ func TestFlowPaperExampleBHR(t *testing.T) {
 	}
 }
 
-// TestFlowPaperExampleOHR checks the OHR objective on the same trace:
-// the optimum caches b1,b2,b3,c1,d1 and the last a-interval for 6 of 12
-// hits.
+// TestFlowPaperExampleOHR checks the OHR objective on the same trace
+// against the min-cost flow: the optimum caches b1,b2,b3,c1,d1 and the
+// last a-interval for 6 of 12 hits.
 func TestFlowPaperExampleOHR(t *testing.T) {
-	tr := paperTrace(trace.ObjectiveOHR)
-	res, err := Compute(tr, Config{CacheSize: 4, Algorithm: AlgoFlow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Hits != 6 {
-		t.Errorf("Hits = %d, want 6", res.Hits)
-	}
-	if got := res.OHR(); got != 0.5 {
-		t.Errorf("OHR = %g, want 0.5", got)
+	admit, _ := flowLabels(t, paperTrace(trace.ObjectiveOHR), 4)
+	if hits, _ := scoreAdmit(paperTrace(trace.ObjectiveOHR), admit); hits != 6 {
+		t.Errorf("Hits = %d, want 6", hits)
 	}
 }
 
@@ -82,8 +75,14 @@ func TestComputeEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Hits != 0 || len(res.Admit) != 0 {
+	if res.Hits != 0 || len(res.Admit) != 0 || res.BHR() != 0 || res.OHR() != 0 || res.AlgoLabel() != "none" {
 		t.Error("empty trace produced hits")
+	}
+}
+
+func TestComputeRejectsUnknownAlgorithm(t *testing.T) {
+	if _, err := Compute(paperTrace(trace.ObjectiveBHR), Config{CacheSize: 4, Algorithm: Algorithm(2)}); err == nil {
+		t.Error("Algorithm(2) accepted")
 	}
 }
 
@@ -129,8 +128,8 @@ func checkFeasible(t *testing.T, tr *trace.Trace, admit []bool, capacity int64) 
 	}
 }
 
-// TestFlowScheduleFeasible: admitted intervals from the flow solution fit
-// within the cache at every time step (see the cut argument in flow.go).
+// TestFlowScheduleFeasible: admitted intervals from the exact labeler fit
+// within the cache at every time step.
 func TestFlowScheduleFeasible(t *testing.T) {
 	cfg := gen.CDNMix(3000, 17)
 	tr, err := gen.Generate(cfg)
@@ -207,6 +206,9 @@ func TestBeladySmall(t *testing.T) {
 	if !res.Hit[3] || !res.Hit[4] {
 		t.Errorf("Hit = %v, want hits at 3 and 4", res.Hit)
 	}
+	if res.Intervals != 3 || res.DroppedIntervals() != 0 {
+		t.Errorf("%d intervals, %d dropped; want 3 and none (Belady drops nothing by rank)", res.Intervals, res.DroppedIntervals())
+	}
 }
 
 // TestBeladyAdmitConsistent: Admit[i] implies Hit[next[i]].
@@ -259,6 +261,13 @@ func TestRankFractionReducesWork(t *testing.T) {
 	if half.Intervals != full.Intervals {
 		t.Errorf("interval counts differ: %d vs %d", half.Intervals, full.Intervals)
 	}
+	tiny, err := Compute(tr, Config{CacheSize: 32 << 20, RankFraction: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiny.Solved != 1 {
+		t.Errorf("RankFraction=1e-9 solved %d intervals, want the top one", tiny.Solved)
+	}
 	// The approximation should retain most of the achievable hit bytes
 	// (the rank prioritizes high-value intervals).
 	if float64(half.HitBytes) < 0.5*float64(full.HitBytes) {
@@ -288,56 +297,6 @@ func TestRankFractionRange(t *testing.T) {
 		case c.ok && (res.Solved != full.Solved || res.HitBytes != full.HitBytes):
 			t.Errorf("RankFraction %v solved %d for %d hit bytes, want the full solve's %d for %d",
 				c.fraction, res.Solved, res.HitBytes, full.Solved, full.HitBytes)
-		}
-	}
-}
-
-// TestSegmentsRange: a negative Segments is an error, not silently "auto";
-// 0 keeps meaning auto, for the flow and the greedy alike.
-func TestSegmentsRange(t *testing.T) {
-	tr := paperTrace(trace.ObjectiveBHR)
-	for _, algo := range []Algorithm{AlgoFlow, AlgoGreedy} {
-		for _, segments := range []int{-1, -3} {
-			if _, err := Compute(tr, Config{CacheSize: 4, Algorithm: algo, Segments: segments}); err == nil {
-				t.Errorf("%v, Segments %d: no error", algo, segments)
-			}
-		}
-		if _, err := Compute(tr, Config{CacheSize: 4, Algorithm: algo}); err != nil {
-			t.Errorf("%v, Segments 0: %v", algo, err)
-		}
-	}
-}
-
-// TestAutoSelectsFlowForSmall: the zero-value Config labels exactly as
-// AlgoFlow, on a window solved in one piece and on one above
-// autoFlowLimit, which the sweep labels whole. The same window under OHR
-// costs would be cut into flow segments.
-func TestAutoSelectsFlowForSmall(t *testing.T) {
-	cdn, err := gen.Generate(gen.CDNMix(40000, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := segmentCount(buildIntervals(cdn.WithCosts(trace.ObjectiveOHR)), Config{}); s < 2 {
-		t.Errorf("the OHR window would be solved in %d segments, want several", s)
-	}
-	for _, tr := range []*trace.Trace{paperTrace(trace.ObjectiveBHR), cdn} {
-		capacity := int64(4)
-		if tr == cdn {
-			capacity = 64 << 20
-		}
-		zero, err := Compute(tr, Config{CacheSize: capacity})
-		if err != nil {
-			t.Fatal(err)
-		}
-		flow, err := Compute(tr, Config{CacheSize: capacity, Algorithm: AlgoFlow})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(zero, flow) {
-			t.Errorf("%d requests: the zero-value Config labels differently from AlgoFlow", tr.Len())
-		}
-		if zero.AlgoLabel() != "sweep" || zero.Segments != 1 {
-			t.Errorf("%d requests: labeled by %s in %d segments", tr.Len(), zero.AlgoLabel(), zero.Segments)
 		}
 	}
 }
@@ -375,19 +334,16 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestAlgoLabel(t *testing.T) {
 	for _, tc := range []struct {
-		flow, sweep, greedy int
-		want                string
+		exact, greedy int
+		want          string
 	}{
-		{0, 0, 0, "none"},
-		{5, 0, 0, "flow"},
-		{5, 5, 0, "sweep"},
-		{5, 5, 2, "sweep+greedy"},
-		{5, 3, 2, "flow+sweep+greedy"},
-		{0, 0, 2, "greedy"},
+		{0, 0, "none"},
+		{5, 0, "sweep"},
+		{0, 2, "greedy"},
 	} {
-		r := &Result{FlowIntervals: tc.flow, SweepIntervals: tc.sweep, GreedyIntervals: tc.greedy}
+		r := &Result{FlowIntervals: tc.exact, GreedyIntervals: tc.greedy}
 		if got := r.AlgoLabel(); got != tc.want {
-			t.Errorf("%d flow, %d swept, %d greedy: AlgoLabel %q, want %q", tc.flow, tc.sweep, tc.greedy, got, tc.want)
+			t.Errorf("%d exact, %d greedy: AlgoLabel %q, want %q", tc.exact, tc.greedy, got, tc.want)
 		}
 	}
 }
@@ -452,6 +408,13 @@ func TestSegTreeEmptyRange(t *testing.T) {
 	if got := st.Max(0, 5); got != 0 {
 		t.Errorf("Max after no-op add = %d, want 0", got)
 	}
+	st.Add(-2, 99, 1) // clamped to [0, 5)
+	if got := st.Max(-5, 50); got != 1 {
+		t.Errorf("Max after clamped add = %d, want 1", got)
+	}
+	if one := newSegTree(0); one.n != 1 {
+		t.Errorf("newSegTree(0) has %d slots, want 1", one.n)
+	}
 }
 
 // TestCostScaleInsensitive: for BHR costs the per-byte cost is uniform,
@@ -463,13 +426,13 @@ func TestCostScaleInsensitive(t *testing.T) {
 	var prevMissed int64 = -1
 	var prevCached []bool
 	for _, scale := range []int64{64, costScale, 1 << 20} {
-		ivs, sc, cost := wholeWindowFlow(t, tr, 4, scale)
+		ivs, f, cost := wholeWindowFlow(t, tr, 4, scale)
 		if cost%scale != 0 {
 			t.Fatalf("scale %d: flow cost %d is not a whole number of bytes", scale, cost)
 		}
 		cached := make([]bool, len(ivs))
 		for k := range ivs {
-			cached[k] = sc.g.Flow(sc.bypass[k]) == 0
+			cached[k] = f.g.Flow(f.bypass[k]) == 0
 		}
 		if prevMissed >= 0 && (cost/scale != prevMissed || !reflect.DeepEqual(cached, prevCached)) {
 			t.Errorf("scale %d: %d bytes missed, cached %v; want %d, %v", scale, cost/scale, cached, prevMissed, prevCached)

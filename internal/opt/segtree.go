@@ -19,28 +19,6 @@ func newSegTree(n int) *segTree {
 	return &segTree{n: n, max: make([]int64, 4*n), lazy: make([]int64, 4*n)}
 }
 
-// reset clears the tree and resizes it to n slots, reusing the node
-// arrays when they are large enough. Per-segment occupancy trees are
-// reset once per segment instead of reallocated.
-func (s *segTree) reset(n int) {
-	if n <= 0 {
-		n = 1
-	}
-	if cap(s.max) < 4*n {
-		s.max = make([]int64, 4*n)
-		s.lazy = make([]int64, 4*n)
-		s.n = n
-		return
-	}
-	s.max = s.max[:4*n]
-	s.lazy = s.lazy[:4*n]
-	for i := range s.max {
-		s.max[i] = 0
-		s.lazy[i] = 0
-	}
-	s.n = n
-}
-
 // Add adds v to every slot in [lo, hi).
 func (s *segTree) Add(lo, hi int, v int64) {
 	if lo < 0 {

@@ -183,8 +183,9 @@ type (
 
 // OPT algorithm selectors.
 const (
-	// OPTFlow, the default, solves the window exactly, segment by segment
-	// (see opt.AlgoFlow).
+	// OPTFlow, the default, solves the window exactly in one sweep when
+	// every interval costs the same per byte, and greedily otherwise (see
+	// opt.AlgoFlow).
 	OPTFlow = opt.AlgoFlow
 	// OPTGreedy labels the window in one feasible rank-order pass.
 	OPTGreedy = opt.AlgoGreedy

@@ -60,7 +60,7 @@ step "go test -race (concurrent packages)"
 go test -race ./internal/server ./internal/fleet ./internal/faultnet \
     ./internal/tiered ./internal/sim ./internal/par ./internal/pq \
     ./internal/gbdt ./internal/features ./internal/core ./internal/opt \
-    ./internal/mcf ./internal/obs ./internal/evict \
+    ./internal/obs ./internal/evict \
     ./internal/policy/ogd ./internal/drift
 
 # A lagged handoff trains in a goroutine while requests are served; rerun
@@ -69,8 +69,8 @@ step "go test -race -count 3 (deploy lag)"
 go test -race -count 3 -run 'DeployLag|EarlyRetrainAwaits|AsyncDropped' ./internal/core
 
 # Coverage floors on the serving path, where the chaos/fuzz suites are the
-# main guard, on gbdt, whose reference trainer and pointer-walk oracles are,
-# and on the analyzer, whose golden fixtures are its only guard: a silent
+# main guard, on gbdt and opt, whose reference trainer, pointer-walk and
+# min-cost flow oracles are, and on the analyzer, whose golden fixtures are its only guard: a silent
 # drop in what they exercise should fail the gate.
 cover_floor() {
     pkg=$1 floor=$2
@@ -91,6 +91,7 @@ cover_floor ./internal/fleet 80
 cover_floor ./internal/faultnet 70
 cover_floor ./internal/evict 80
 cover_floor ./internal/gbdt 95
+cover_floor ./internal/opt 95
 cover_floor ./internal/tiered 90
 cover_floor ./internal/policy 90
 cover_floor ./internal/policy/ogd 80
@@ -130,19 +131,18 @@ step "alloc budgets"
     # objects every time; ten iterations are enough that the handful the
     # test binary itself allocates per run divides away to the exact figure.
     go test -run '^$' -bench '^BenchmarkTrainWindow$' -benchmem -benchtime 10x ./internal/gbdt
-    # One exact labelling of a default_flow window, by the sweep (BHR) and
-    # by the min-cost flow (the same windows under OHR costs), cycling four
-    # windows: two rounds; one greedy labelling of an admit_rank window, ten
-    # rounds. Their budgets have headroom for the two request-index maps,
-    # whose overflow buckets vary with the hash seed.
-    go test -run '^$' -bench '^BenchmarkFlowWindow(OHR)?$' -benchmem -benchtime 8x ./internal/opt
+    # One exact labelling of a default_flow window by the sweep, cycling
+    # four windows: two rounds; one greedy labelling of an admit_rank
+    # window, ten rounds. Their budgets have headroom for the two
+    # request-index maps, whose overflow buckets vary with the hash seed.
+    go test -run '^$' -bench '^BenchmarkFlowWindow$' -benchmem -benchtime 8x ./internal/opt
     go test -run '^$' -bench '^BenchmarkGreedyWindow$' -benchmem -benchtime 40x ./internal/opt
 } | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgate.awk
 
 # Short fuzz smoke over the frame codec, the model parser, the scorer, the
-# trainer's split scan, the min-cost flow solver and the feature tracker
-# (those four against their _test.go oracles), the OPT sweep (against the
-# min-cost flow) and the trace reader (accept implies validates and
+# trainer's split scan, the test-side min-cost flow solver and the feature
+# tracker (those four against their _test.go oracles), the OPT sweep
+# (against that min-cost flow) and the trace reader (accept implies validates and
 # round-trips). The
 # committed seed corpora under testdata/fuzz always replay; the smoke
 # additionally mutates for a few seconds per target. -fuzzminimizetime
@@ -154,7 +154,7 @@ go test -run '^$' -fuzz '^FuzzMuxFrameDecode$' -fuzztime 5s -fuzzminimizetime 5s
 go test -run '^$' -fuzz '^FuzzModelLoad$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzScoreMatchesOracle$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzSplitScanMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
-go test -run '^$' -fuzz '^FuzzSolveMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/mcf
+go test -run '^$' -fuzz '^FuzzSolveMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/opt
 go test -run '^$' -fuzz '^FuzzSweepMatchesFlow$' -fuzztime 5s -fuzzminimizetime 5s ./internal/opt
 go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s -fuzzminimizetime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzTrackerMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/features
