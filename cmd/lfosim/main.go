@@ -148,7 +148,6 @@ func makePolicy(name string, size, seed int64, window, workers int, evictMode, a
 		case "", "admit-all":
 		case "second-hit":
 			cfg.Admitter = policy.NewSecondHitCensor(0)
-			cfg.AdmitterName = "second-hit"
 		default:
 			return nil, fmt.Errorf("unknown -admit %q (want admit-all or second-hit)", admit)
 		}

@@ -122,8 +122,8 @@ type Config struct {
 // HarnessOPT is the labeler every harness in the repository configures LFO
 // with — lfobench's figures, lfosim -policy lfo, predserve's -train-* — so
 // the tables, the simulator and a served model agree on what a label is:
-// §2.1's ranking cut at the top half of the intervals, then the exact flow
-// where it is affordable.
+// §2.1's ranking cut at the top half of the intervals, then the sweep
+// solving a uniform-cost window whole and the greedy labelling any other.
 var HarnessOPT = opt.Config{Algorithm: opt.AlgoFlow, RankFraction: 0.5}
 
 // CutoffAdmitAll is the Config.Cutoff sentinel for an effective cutoff of

@@ -14,11 +14,10 @@ import (
 type Config struct {
 	// CacheSize is the capacity in bytes. Required.
 	CacheSize int64
-	// Admitter decides admission; nil means admit everything.
+	// Admitter decides admission; nil means admit everything. Name()
+	// labels it by its own Name method: "admit-all" when nil, "custom"
+	// when it has none.
 	Admitter sim.Admitter
-	// AdmitterName labels the admission side in Name() ("admit-all" when
-	// the Admitter is nil, "custom" otherwise unless set).
-	AdmitterName string
 	// Eviction selects the eviction strategy, one of Kinds; default
 	// "learned". "rank" evicts the lowest admission likelihood.
 	Eviction string
@@ -43,13 +42,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WindowSize == 0 {
 		c.WindowSize = 50000
-	}
-	if c.AdmitterName == "" {
-		if c.Admitter == nil {
-			c.AdmitterName = "admit-all"
-		} else {
-			c.AdmitterName = "custom"
-		}
 	}
 	return c
 }
@@ -107,9 +99,16 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Name implements sim.Policy.
+// Name implements sim.Policy: the admitter's label, "+", the evictor's.
 func (c *Cache) Name() string {
-	return c.cfg.AdmitterName + "+" + c.res.Evictor.Name()
+	adm := "custom"
+	switch a := c.cfg.Admitter.(type) {
+	case nil:
+		adm = "admit-all"
+	case interface{ Name() string }:
+		adm = a.Name()
+	}
+	return adm + "+" + c.res.Evictor.Name()
 }
 
 // Windows returns the number of completed eviction-ranker training

@@ -309,6 +309,32 @@ func (s secondHit) Admit(r trace.Request, free int64) (bool, float64) {
 
 func (s secondHit) Observe(r trace.Request) { s[r.ID] = true }
 
+// namedSecondHit is a secondHit that labels itself.
+type namedSecondHit struct{ secondHit }
+
+func (namedSecondHit) Name() string { return "second-hit" }
+
+// TestCacheNameFromAdmitter: the cache's name leads with the admitter's
+// own Name, "admit-all" for no admitter and "custom" for one without Name.
+func TestCacheNameFromAdmitter(t *testing.T) {
+	for _, tc := range []struct {
+		adm  sim.Admitter
+		want string
+	}{
+		{nil, "admit-all+lru"},
+		{secondHit{}, "custom+lru"},
+		{namedSecondHit{secondHit{}}, "second-hit+lru"},
+	} {
+		c, err := New(Config{CacheSize: 1 << 20, Eviction: "lru", Admitter: tc.adm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Name(); got != tc.want {
+			t.Errorf("Name = %q, want %q", got, tc.want)
+		}
+	}
+}
+
 // TestCacheOversizedAndAdmitters covers the oversized-object guard and
 // the Admitter hook for every evictor kind.
 func TestCacheOversizedAndAdmitters(t *testing.T) {
@@ -316,16 +342,15 @@ func TestCacheOversizedAndAdmitters(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			const size = 1 << 20
 			c, err := New(Config{
-				CacheSize:    size,
-				Eviction:     kind,
-				Admitter:     secondHit{},
-				AdmitterName: "secondhit",
-				WindowSize:   1 << 30,
+				CacheSize:  size,
+				Eviction:   kind,
+				Admitter:   secondHit{},
+				WindowSize: 1 << 30,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := c.Name(), "secondhit+"+kind; got != want {
+			if got, want := c.Name(), "custom+"+kind; got != want {
 				t.Errorf("Name = %q, want %q", got, want)
 			}
 			// Oversized request against the empty cache: plain miss.

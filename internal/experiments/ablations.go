@@ -31,7 +31,8 @@ type RankFractionPoint struct {
 
 // AblationRankFraction quantifies the paper's claim that ranking by
 // C/(S·L) and solving only the top share of intervals saves most of the
-// computation at minor decision cost.
+// computation at minor decision cost. Every point is judged against the
+// exact solve at fraction 1, whatever the list's order.
 func AblationRankFraction(cfg Config, fractions []float64) ([]RankFractionPoint, error) {
 	if len(fractions) == 0 {
 		fractions = []float64{1.0, 0.5, 0.3, 0.1}
@@ -40,19 +41,20 @@ func AblationRankFraction(cfg Config, fractions []float64) ([]RankFractionPoint,
 	if err != nil {
 		return nil, err
 	}
-	var exact *opt.Result
+	solve := func(f float64) (*opt.Result, error) {
+		return opt.Compute(tr, opt.Config{CacheSize: cfg.CacheSize, Algorithm: opt.AlgoFlow, RankFraction: f})
+	}
+	exact, err := solve(1)
+	if err != nil {
+		return nil, err
+	}
 	var out []RankFractionPoint
 	for _, f := range fractions {
-		res, err := opt.Compute(tr, opt.Config{
-			CacheSize:    cfg.CacheSize,
-			Algorithm:    opt.AlgoFlow,
-			RankFraction: f,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if exact == nil {
-			exact = res // fractions[0] must be 1.0 for exact baseline
+		res := exact
+		if f != 1 {
+			if res, err = solve(f); err != nil {
+				return nil, err
+			}
 		}
 		agree := 0
 		for i := range res.Admit {
@@ -212,23 +214,15 @@ func AblationFeatureVariantsTable(rs []FeatureVariantResult) *Table {
 	return t
 }
 
-// PolicyDesignResult compares LFO policy-design variants (§2.4 and §5's
-// "policy design" discussion).
-type PolicyDesignResult struct {
-	Variant string
-	BHR     float64
-	OHR     float64
-}
-
 // AblationPolicyDesign compares the full LFO policy against variants that
 // disable parts of §2.4's design: hit-triggered eviction off, and a
-// higher (more aggressive) cutoff as §3 suggests.
-func AblationPolicyDesign(cfg Config) ([]PolicyDesignResult, error) {
+// higher (more aggressive) cutoff as §3 suggests. Each row is named by its
+// variant.
+func AblationPolicyDesign(cfg Config) ([]PolicyResult, error) {
 	tr, err := cfg.workload("cdn-drift")
 	if err != nil {
 		return nil, err
 	}
-	opts := sim.Options{Warmup: cfg.Window}
 	variants := []struct {
 		name string
 		mut  func(*core.Config)
@@ -238,28 +232,27 @@ func AblationPolicyDesign(cfg Config) ([]PolicyDesignResult, error) {
 		{"cutoff 0.65 (aggressive)", func(c *core.Config) { c.Cutoff = 0.65 }},
 		{"cutoff 0.25 (permissive)", func(c *core.Config) { c.Cutoff = 0.25 }},
 	}
-	var out []PolicyDesignResult
-	for _, v := range variants {
+	line := make([]entry, len(variants))
+	for i, v := range variants {
 		c := cfg.lfoConfig()
 		v.mut(&c)
-		lfo, err := core.New(c)
-		if err != nil {
-			return nil, err
-		}
-		m := sim.Run(tr, lfo, opts)
-		out = append(out, PolicyDesignResult{Variant: v.name, BHR: m.BHR(), OHR: m.OHR()})
+		line[i] = lfoEntry(v.name, c)
 	}
-	return out, nil
+	rows, err := cfg.replay(tr, sim.Options{Warmup: cfg.Window}, line)
+	if err != nil {
+		return nil, err
+	}
+	return results(rows), nil
 }
 
 // AblationPolicyDesignTable formats the policy-design ablation.
-func AblationPolicyDesignTable(rs []PolicyDesignResult) *Table {
+func AblationPolicyDesignTable(rs []PolicyResult) *Table {
 	t := &Table{
 		Title:  "Ablation: LFO policy design (§2.4)",
 		Header: []string{"variant", "BHR", "OHR"},
 	}
 	for _, r := range rs {
-		t.Rows = append(t.Rows, []string{r.Variant, fmt.Sprintf("%.4f", r.BHR), fmt.Sprintf("%.4f", r.OHR)})
+		t.Rows = append(t.Rows, []string{r.Name, fmt.Sprintf("%.4f", r.BHR), fmt.Sprintf("%.4f", r.OHR)})
 	}
 	return t
 }

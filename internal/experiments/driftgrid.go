@@ -6,7 +6,6 @@ import (
 	"lfo/internal/core"
 	"lfo/internal/drift"
 	"lfo/internal/opt"
-	"lfo/internal/policy"
 	"lfo/internal/sim"
 	"lfo/internal/trace"
 )
@@ -37,42 +36,31 @@ type DriftGridResult struct {
 // shift within a window, slow enough not to chase per-object noise.
 const hybridGridLR = 0.01
 
-// driftGridPolicies enumerates the serving strategies, in the fixed
-// order the grid emits rows.
-var driftGridPolicies = []string{"frozen-gbdt", "ogd", "hybrid", "hybrid+early-retrain"}
-
-// driftGridPolicy builds the cache for one grid row. The frozen row is
-// the plain windowed LFO pipeline (frozen between retrains); ogd is the
-// pure online learner with no model at all; the hybrid rows bridge the
-// two, the last also arming the drift detector's early-retrain trigger.
-func driftGridPolicy(cfg Config, name string) (sim.Policy, error) {
-	switch name {
-	case "frozen-gbdt":
-		return core.New(cfg.lfoConfig())
-	case "ogd":
-		return policy.New("ogd", cfg.CacheSize, cfg.Seed)
-	case "hybrid":
-		lcfg := cfg.lfoConfig()
-		lcfg.HybridLR = hybridGridLR
-		return core.New(lcfg)
-	case "hybrid+early-retrain":
-		lcfg := cfg.lfoConfig()
-		lcfg.HybridLR = hybridGridLR
-		lcfg.DriftThreshold = drift.DefaultThreshold
-		return core.New(lcfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown drift-grid policy %q", name)
+// driftGridLineup is the grid's serving strategies, in the fixed order it
+// emits rows. The frozen row is the plain windowed LFO pipeline (frozen
+// between retrains); ogd is the pure online learner with no model at all;
+// the hybrid rows bridge the two, the last also arming the drift
+// detector's early-retrain trigger.
+func driftGridLineup(cfg Config) []entry {
+	hybrid := cfg.lfoConfig()
+	hybrid.HybridLR = hybridGridLR
+	early := hybrid
+	early.DriftThreshold = drift.DefaultThreshold
+	return []entry{
+		lfoEntry("frozen-gbdt", cfg.lfoConfig()),
+		{"ogd", cfg.baselines("ogd")[0].build},
+		lfoEntry("hybrid", hybrid),
+		lfoEntry("hybrid+early-retrain", early),
 	}
 }
 
 // optWindowBHR is the reference side of the regret metric: for each
 // window, OPT solved clairvoyantly on exactly that window's requests. Every
 // grid row of a scenario shares the same window boundaries, so the solve is
-// shared too; it is byte-deterministic for any cfg.Workers.
+// shared too.
 func optWindowBHR(cfg Config, tr *trace.Trace, wins []sim.WindowMetrics) ([]float64, error) {
 	oc := cfg.lfoConfig().OPT
 	oc.CacheSize = cfg.CacheSize
-	oc.Workers = cfg.Workers
 	out := make([]float64, len(wins))
 	for i, w := range wins {
 		res, err := opt.Compute(tr.Slice(w.Start, w.Start+w.Requests), oc)
@@ -92,29 +80,26 @@ func optWindowBHR(cfg Config, tr *trace.Trace, wins []sim.WindowMetrics) ([]floa
 // (the grid policies are synchronous; only solver internals
 // parallelize).
 func DriftGrid(cfg Config) ([]DriftGridResult, error) {
+	line := driftGridLineup(cfg)
 	var out []DriftGridResult
 	for _, sc := range scenarios {
 		trc, err := cfg.workload(sc.name)
 		if err != nil {
 			return nil, err
 		}
-		opts := sim.Options{Warmup: cfg.Requests / 5, WindowSize: cfg.Window, Obs: cfg.Obs}
-		var optBHR []float64
-		for _, polName := range driftGridPolicies {
-			p, err := driftGridPolicy(cfg, polName)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s/%s: %v", sc.name, polName, err)
-			}
-			m := sim.Run(trc, p, opts)
-			if optBHR == nil {
-				if optBHR, err = optWindowBHR(cfg, trc, m.Windows); err != nil {
-					return nil, fmt.Errorf("experiments: %s: per-window OPT: %v", sc.name, err)
-				}
-			}
-			regret := make([]float64, len(m.Windows))
+		rows, err := cfg.replay(trc, sim.Options{Warmup: cfg.Requests / 5, WindowSize: cfg.Window}, line)
+		if err != nil {
+			return nil, err
+		}
+		optBHR, err := optWindowBHR(cfg, trc, rows[0].m.Windows)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: per-window OPT: %v", sc.name, err)
+		}
+		for _, r := range rows {
+			regret := make([]float64, len(r.m.Windows))
 			sum := 0.0
-			for i := range m.Windows {
-				regret[i] = optBHR[i] - m.Windows[i].BHR()
+			for i := range r.m.Windows {
+				regret[i] = optBHR[i] - r.m.Windows[i].BHR()
 				sum += regret[i]
 			}
 			avg := 0.0
@@ -122,14 +107,14 @@ func DriftGrid(cfg Config) ([]DriftGridResult, error) {
 				avg = sum / float64(len(regret))
 			}
 			early := 0
-			if lfo, ok := p.(*core.LFO); ok {
+			if lfo, ok := r.p.(*core.LFO); ok {
 				early = lfo.EarlyRetrains()
 			}
 			out = append(out, DriftGridResult{
 				Scenario:      sc.name,
-				Policy:        polName,
-				BHR:           m.BHR(),
-				OHR:           m.OHR(),
+				Policy:        r.name,
+				BHR:           r.m.BHR(),
+				OHR:           r.m.OHR(),
 				Regret:        regret,
 				AvgRegret:     avg,
 				EarlyRetrains: early,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"lfo/internal/core"
 	"lfo/internal/evict"
@@ -50,9 +51,6 @@ func gridPolicy(cfg Config, admission, eviction string) (sim.Policy, error) {
 	}
 	if admission == "second-hit" {
 		ecfg.Admitter = policy.NewSecondHitCensor(0)
-		ecfg.AdmitterName = "second-hit"
-	} else {
-		ecfg.AdmitterName = "admit-all"
 	}
 	return evict.New(ecfg)
 }
@@ -64,29 +62,32 @@ func gridPolicy(cfg Config, admission, eviction string) (sim.Policy, error) {
 // given Config (including across Workers values), so reruns produce
 // identical tables.
 func EvictionGrid(cfg Config) ([]EvictionGridResult, error) {
+	var line []entry
+	for _, adm := range gridAdmissions {
+		for _, ev := range gridEvictions {
+			line = append(line, entry{adm + "/" + ev, func() (sim.Policy, error) { return gridPolicy(cfg, adm, ev) }})
+		}
+	}
 	var out []EvictionGridResult
 	for _, sc := range scenarios {
 		trc, err := cfg.workload(sc.name)
 		if err != nil {
 			return nil, err
 		}
-		opts := sim.Options{Warmup: cfg.Requests / 5, Obs: cfg.Obs}
-		for _, adm := range gridAdmissions {
-			for _, ev := range gridEvictions {
-				p, err := gridPolicy(cfg, adm, ev)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s/%s/%s: %v", sc.name, adm, ev, err)
-				}
-				m := sim.Run(trc, p, opts)
-				out = append(out, EvictionGridResult{
-					Scenario:  sc.name,
-					Admission: adm,
-					Eviction:  ev,
-					BHR:       m.BHR(),
-					OHR:       m.OHR(),
-					MissCost:  m.MissCost,
-				})
-			}
+		rows, err := cfg.replay(trc, sim.Options{Warmup: cfg.Requests / 5}, line)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range rows {
+			adm, ev, _ := strings.Cut(r.name, "/")
+			out = append(out, EvictionGridResult{
+				Scenario:  sc.name,
+				Admission: adm,
+				Eviction:  ev,
+				BHR:       r.m.BHR(),
+				OHR:       r.m.OHR(),
+				MissCost:  r.m.MissCost,
+			})
 		}
 	}
 	return out, nil

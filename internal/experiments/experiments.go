@@ -7,7 +7,7 @@
 // Every table is a pure function of Config: no figure reads a clock, so a
 // rerun prints the same bytes (testdata/lfobench_quick.golden, diffed by
 // scripts/check.sh) and a cost column counts machine-independent work —
-// intervals solved, flow passes, trees, leaves. Seconds are cited from the
+// intervals solved, trees, leaves. Seconds are cited from the
 // repository benchmark (bench/: opt.compute_s, gbdt.train_s,
 // gbdt.predict_ns), never printed here.
 //
@@ -20,7 +20,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"lfo/internal/core"
@@ -202,6 +201,65 @@ type PolicyResult struct {
 	OHR  float64
 }
 
+// entry is one cache of a figure's line-up: the name its row reports (""
+// for the cache's own Name) and how to build a fresh one.
+type entry struct {
+	name  string
+	build func() (sim.Policy, error)
+}
+
+// row is one replayed entry: its name, its run's metrics, and the cache
+// itself for the tables that read more than the run (early retrains, tier
+// hits).
+type row struct {
+	name string
+	m    *sim.Metrics
+	p    sim.Policy
+}
+
+// replay is the one runner of every cache-replaying figure: it builds
+// each entry's cache in line-up order, replays tr through it with sim.Run
+// under opts, recording into c.Obs, and returns one row per entry.
+func (c Config) replay(tr *trace.Trace, opts sim.Options, line []entry) ([]row, error) {
+	opts.Obs = c.Obs
+	rows := make([]row, len(line))
+	for i, e := range line {
+		p, err := e.build()
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = row{name: e.name, m: sim.Run(tr, p, opts), p: p}
+		if e.name == "" {
+			rows[i].name = rows[i].m.Policy
+		}
+	}
+	return rows, nil
+}
+
+// baselines is the line-up of the named policy.New baselines at this
+// scale, each row under the policy's own name.
+func (c Config) baselines(names ...string) []entry {
+	line := make([]entry, len(names))
+	for i, name := range names {
+		line[i].build = func() (sim.Policy, error) { return policy.New(name, c.CacheSize, c.Seed) }
+	}
+	return line
+}
+
+// lfoEntry is a line-up entry for an LFO cache under lcfg.
+func lfoEntry(name string, lcfg core.Config) entry {
+	return entry{name, func() (sim.Policy, error) { return core.New(lcfg) }}
+}
+
+// results reads each row's hit ratios under its name.
+func results(rows []row) []PolicyResult {
+	out := make([]PolicyResult, len(rows))
+	for i, r := range rows {
+		out[i] = PolicyResult{Name: r.name, BHR: r.m.BHR(), OHR: r.m.OHR()}
+	}
+	return out
+}
+
 // Fig1 reproduces Figure 1: the object hit ratio of RND, LRU, RLC and
 // GDSF, showing that model-free RL caching (RLC) is not competitive with
 // a simple heuristic (GDSF).
@@ -213,17 +271,11 @@ func Fig1(cfg Config) ([]PolicyResult, error) {
 	// Figure 1 reports the object hit ratio; GDSF's classic
 	// OHR-optimizing configuration uses unit costs.
 	tr = tr.WithCosts(trace.ObjectiveOHR)
-	opts := sim.Options{Warmup: cfg.Requests / 5, Obs: cfg.Obs}
-	var out []PolicyResult
-	for _, name := range []string{"rnd", "lru", "rlc", "gdsf"} {
-		p, err := policy.New(name, cfg.CacheSize, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		m := sim.Run(tr, p, opts)
-		out = append(out, PolicyResult{Name: m.Policy, BHR: m.BHR(), OHR: m.OHR()})
+	rows, err := cfg.replay(tr, sim.Options{Warmup: cfg.Requests / 5}, cfg.baselines("rnd", "lru", "rlc", "gdsf"))
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return results(rows), nil
 }
 
 // Fig1Table formats Fig1 results.
@@ -278,9 +330,4 @@ func AccuracyTable(r *AccuracyResult) *Table {
 			fmt.Sprintf("%d", r.EvalWindow),
 		}},
 	}
-}
-
-// sortByBHR sorts policy results descending by BHR.
-func sortByBHR(rs []PolicyResult) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].BHR > rs[j].BHR })
 }

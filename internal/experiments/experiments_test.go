@@ -5,8 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"lfo/internal/gen"
-	"lfo/internal/trace"
+	"lfo/internal/obs"
 )
 
 // The experiment tests validate the paper's qualitative shape targets at
@@ -209,6 +208,18 @@ func TestAblationRankFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The baseline is the exact solve whatever the list's order: a list
+	// that ends at 1.0 judges that point exact and the 0.5 one against it.
+	rev, err := AblationRankFraction(cfg, []float64{0.5, 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rev[1].Agreement != 1 || rev[1].HitBytesShare != 1 {
+		t.Errorf("fraction 1.0 after 0.5: agreement %.3f, hit-bytes share %.3f, want 1 and 1", rev[1].Agreement, rev[1].HitBytesShare)
+	}
+	if rev[0].HitBytesShare > 1.0+1e-9 || rev[0].Agreement == 1 {
+		t.Errorf("fraction 0.5 before 1.0: agreement %.3f, hit-bytes share %.3f", rev[0].Agreement, rev[0].HitBytesShare)
+	}
 	if pts[0].Agreement != 1.0 {
 		t.Errorf("exact baseline agreement = %.3f, want 1.0", pts[0].Agreement)
 	}
@@ -260,10 +271,46 @@ func TestAblationPolicyDesign(t *testing.T) {
 	}
 	for _, r := range rs {
 		if r.BHR <= 0 || r.BHR >= 1 {
-			t.Errorf("%s: BHR %.4f degenerate", r.Variant, r.BHR)
+			t.Errorf("%s: BHR %.4f degenerate", r.Name, r.BHR)
 		}
 	}
 	AblationPolicyDesignTable(rs)
+}
+
+// TestObsRecordsEveryReplay: a registry in Config counts every replay of
+// the tables that once ran without it, and leaves their rows as they are
+// without one.
+func TestObsRecordsEveryReplay(t *testing.T) {
+	cfg := quick(t)
+	cfg.Requests = 8000
+	cfg.Window = 2000
+	cfg.CacheSize = 8 << 20
+	for _, tc := range []struct {
+		name string
+		run  func(Config) (any, error)
+		runs int64
+	}{
+		{"policy design", func(c Config) (any, error) { return AblationPolicyDesign(c) }, 4},
+		{"tiered", func(c Config) (any, error) { return TieredExperiment(c) }, 4},
+		{"robustness", func(c Config) (any, error) { return Robustness(c) }, 14},
+	} {
+		plain, err := tc.run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Obs = obs.NewRegistry()
+		recorded, err := tc.run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Obs.Counter("sim_runs_total").Value(); got != tc.runs {
+			t.Errorf("%s: sim_runs_total = %d, want %d", tc.name, got, tc.runs)
+		}
+		if !reflect.DeepEqual(plain, recorded) {
+			t.Errorf("%s: rows differ with a registry", tc.name)
+		}
+	}
 }
 
 func TestAblationIterations(t *testing.T) {
@@ -348,23 +395,6 @@ func TestRobustness(t *testing.T) {
 		t.Errorf("LFO degradation %.3f >= LRU %.3f under scans", lfo.Degradation, lru.Degradation)
 	}
 	RobustnessTable(rs)
-}
-
-// hitSmall hits every request under 20 bytes and misses the rest.
-type hitSmall struct{}
-
-func (hitSmall) Name() string                 { return "hit-small" }
-func (hitSmall) Request(r trace.Request) bool { return r.Size < 20 }
-
-// TestBaseBHRCountsEveryGeneratedClass: baseBHR leaves out exactly the
-// objects WithScans injected, so a base request of class 8 (ID 8<<56)
-// counts and the scan request beside it does not.
-func TestBaseBHRCountsEveryGeneratedClass(t *testing.T) {
-	base := &trace.Trace{Requests: []trace.Request{{Time: 1, ID: 8 << 56, Size: 10, Cost: 10}}}
-	scanned := gen.WithScans(base, gen.ScanConfig{Every: 1, Burst: 1, ObjectSize: 30})
-	if got := baseBHR(scanned, hitSmall{}, 0); got != 1 {
-		t.Errorf("baseBHR = %v, want 1: the class-8 request's bytes, all hit, and no scan bytes", got)
-	}
 }
 
 func TestEvictionGridDeterministicAcrossWorkers(t *testing.T) {

@@ -74,9 +74,8 @@ func Fig5b(cfg Config, sizes []int, repeats int) ([]TrainingSizePoint, error) {
 	lcfg := cfg.lfoConfig()
 	var out []TrainingSizePoint
 	for _, n := range sizes {
-		pt := TrainingSizePoint{Samples: n, MinErrPct: 101}
-		var sum float64
-		for rep := 0; rep < repeats; rep++ {
+		errs := make([]float64, repeats)
+		for rep := range errs {
 			// A fresh trace subset per repeat (different generator seed),
 			// like the paper's "ten random subsets of the trace".
 			sub := cfg
@@ -87,16 +86,10 @@ func Fig5b(cfg Config, sizes []int, repeats int) ([]TrainingSizePoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			errPct := 100 * core.Evaluate(wp.model, wp.eval, 0.5).Error
-			sum += errPct
-			if errPct < pt.MinErrPct {
-				pt.MinErrPct = errPct
-			}
-			if errPct > pt.MaxErrPct {
-				pt.MaxErrPct = errPct
-			}
+			errs[rep] = 100 * core.Evaluate(wp.model, wp.eval, 0.5).Error
 		}
-		pt.MeanErrPct = sum / float64(repeats)
+		pt := TrainingSizePoint{Samples: n}
+		pt.MeanErrPct, pt.MinErrPct, pt.MaxErrPct = errSpread(errs)
 		out = append(out, pt)
 	}
 	return out, nil
@@ -143,8 +136,7 @@ func Fig5c(cfg Config, seeds int) (*SeedResult, error) {
 	lcfg.GBDT.BaggingFreq = 1
 	lcfg.GBDT.FeatureFraction = 0.9
 
-	res := &SeedResult{Seeds: seeds, MinErrPct: 101}
-	var sum float64
+	res := &SeedResult{Seeds: seeds}
 	for s := 0; s < seeds; s++ {
 		sub := cfg
 		// Different trace subset per seed (like the paper's 100 subsets).
@@ -155,19 +147,28 @@ func Fig5c(cfg Config, seeds int) (*SeedResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		errPct := 100 * core.Evaluate(wp.model, wp.eval, 0.5).Error
-		res.ErrPcts = append(res.ErrPcts, errPct)
-		sum += errPct
-		if errPct < res.MinErrPct {
-			res.MinErrPct = errPct
-		}
-		if errPct > res.MaxErrPct {
-			res.MaxErrPct = errPct
-		}
+		res.ErrPcts = append(res.ErrPcts, 100*core.Evaluate(wp.model, wp.eval, 0.5).Error)
 	}
-	res.MeanErrPct = sum / float64(seeds)
+	res.MeanErrPct, res.MinErrPct, res.MaxErrPct = errSpread(res.ErrPcts)
 	res.SpreadPct = res.MaxErrPct - res.MinErrPct
 	return res, nil
+}
+
+// errSpread is the mean, min and max of a non-empty series of error
+// percentages: the one aggregate of Fig 5b's repeats and Fig 5c's seeds.
+func errSpread(errs []float64) (mean, lo, hi float64) {
+	lo, hi = errs[0], errs[0]
+	sum := 0.0
+	for _, e := range errs {
+		sum += e
+		if e < lo {
+			lo = e
+		}
+		if e > hi {
+			hi = e
+		}
+	}
+	return sum / float64(len(errs)), lo, hi
 }
 
 // Fig5cTable formats Fig5c results.

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"lfo/internal/core"
 	"lfo/internal/features"
 	"lfo/internal/opt"
-	"lfo/internal/policy"
 	"lfo/internal/sim"
 )
 
@@ -39,25 +39,13 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		return nil, err
 	}
 	warmup := cfg.Window // first LFO window is bootstrap; exclude for all
-	opts := sim.Options{Warmup: warmup, Obs: cfg.Obs}
-
-	res := &Fig6Result{Objective: cfg.Objective.String()}
-	for _, name := range fig6PolicyNames {
-		p, err := policy.New(name, cfg.CacheSize, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		m := sim.Run(tr, p, opts)
-		res.Policies = append(res.Policies, PolicyResult{Name: m.Policy, BHR: m.BHR(), OHR: m.OHR()})
-	}
-
-	lfo, err := core.New(cfg.lfoConfig())
+	line := append(cfg.baselines(fig6PolicyNames...), lfoEntry("", cfg.lfoConfig()))
+	rows, err := cfg.replay(tr, sim.Options{Warmup: warmup}, line)
 	if err != nil {
 		return nil, err
 	}
-	lfoM := sim.Run(tr, lfo, opts)
-	lfoRes := PolicyResult{Name: lfoM.Policy, BHR: lfoM.BHR(), OHR: lfoM.OHR()}
-	res.Policies = append(res.Policies, lfoRes)
+	res := &Fig6Result{Objective: cfg.Objective.String(), Policies: results(rows)}
+	lfoRes := res.Policies[len(rows)-1]
 
 	// OPT bound over the measured (post-warmup) portion.
 	optRes, err := opt.Compute(tr.Slice(warmup, tr.Len()), opt.Config{
@@ -71,7 +59,7 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 	if res.OPT.BHR > 0 {
 		res.LFOShareOfOPT = lfoRes.BHR / res.OPT.BHR
 	}
-	sortByBHR(res.Policies)
+	sort.Slice(res.Policies, func(i, j int) bool { return res.Policies[i].BHR > res.Policies[j].BHR })
 	return res, nil
 }
 

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"lfo/internal/core"
 	"lfo/internal/gen"
-	"lfo/internal/policy"
 	"lfo/internal/sim"
 	"lfo/internal/trace"
 )
@@ -21,6 +19,15 @@ type RobustnessResult struct {
 	Degradation float64
 }
 
+// robustnessScans contaminates the robustness workload; hefty scan
+// objects maximize pollution.
+var robustnessScans = gen.ScanConfig{Every: 20, Burst: 5, ObjectSize: 256 << 10}
+
+// robustnessLineup is the robustness table's policies, in row order.
+func robustnessLineup(cfg Config) []entry {
+	return append(cfg.baselines("lru", "fifo", "s4lru", "gdsf", "tinylfu", "adaptsize"), lfoEntry("", cfg.lfoConfig()))
+}
+
 // Robustness evaluates §1's motivation that CDN policies must survive
 // "unexpected (or even adversarial) traffic patterns": a web workload is
 // contaminated with periodic scan bursts of never-reused objects, and
@@ -32,69 +39,44 @@ func Robustness(cfg Config) ([]RobustnessResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	scanned := gen.WithScans(base, gen.ScanConfig{
-		Every:      20,
-		Burst:      5,
-		ObjectSize: 256 << 10, // hefty scan objects maximize pollution
-	})
-
-	names := []string{"lru", "fifo", "s4lru", "gdsf", "tinylfu", "adaptsize"}
-	warmup := cfg.Requests / 5
-	var out []RobustnessResult
-	for _, name := range names {
-		clean, err := policy.New(name, cfg.CacheSize, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		dirty, err := policy.New(name, cfg.CacheSize, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, robustnessRow(clean.Name(),
-			baseBHR(base, clean, warmup), baseBHR(scanned, dirty, warmup)))
-	}
-
-	cleanLFO, err := core.New(cfg.lfoConfig())
+	scanned := gen.WithScans(base, robustnessScans)
+	line := robustnessLineup(cfg)
+	opts := sim.Options{Warmup: cfg.Requests / 5}
+	clean, err := cfg.replay(base, opts, line)
 	if err != nil {
 		return nil, err
 	}
-	dirtyLFO, err := core.New(cfg.lfoConfig())
+	dirty, err := cfg.replay(scanned, opts, line)
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, robustnessRow("LFO",
-		baseBHR(base, cleanLFO, warmup), baseBHR(scanned, dirtyLFO, warmup)))
+	out := make([]RobustnessResult, len(line))
+	for i := range line {
+		r := RobustnessResult{
+			Policy:     clean[i].name,
+			CleanBHR:   baseOnlyBHR(*clean[i].m, base, opts.Warmup),
+			ScannedBHR: baseOnlyBHR(*dirty[i].m, scanned, opts.Warmup),
+		}
+		if r.CleanBHR > 0 {
+			r.Degradation = 1 - r.ScannedBHR/r.CleanBHR
+		}
+		out[i] = r
+	}
 	return out, nil
 }
 
-// baseBHR replays the (possibly contaminated) trace but measures the byte
-// hit ratio over base requests only: scan objects are compulsory misses
-// by construction, so counting them would hide the pollution effect under
-// a constant penalty every policy pays equally.
-func baseBHR(tr *trace.Trace, p sim.Policy, warmup int) float64 {
-	var hitBytes, reqBytes int64
-	for i, r := range tr.Requests {
-		hit := p.Request(r)
-		if i < warmup || gen.IsScan(r.ID) { // skip warmup and injected objects
-			continue
-		}
-		reqBytes += r.Size
-		if hit {
-			hitBytes += r.Size
+// baseOnlyBHR is a run's byte hit ratio over the base requests of tr only:
+// scan objects are compulsory misses by construction, so counting them
+// would hide the pollution effect under a constant penalty every policy
+// pays equally. gen.WithScans never repeats a scan object, so none hits
+// and leaving them out takes only their post-warmup bytes off ReqBytes.
+func baseOnlyBHR(m sim.Metrics, tr *trace.Trace, warmup int) float64 {
+	for _, r := range tr.Requests[min(warmup, tr.Len()):] {
+		if gen.IsScan(r.ID) {
+			m.ReqBytes -= r.Size
 		}
 	}
-	if reqBytes == 0 {
-		return 0
-	}
-	return float64(hitBytes) / float64(reqBytes)
-}
-
-func robustnessRow(name string, clean, scanned float64) RobustnessResult {
-	r := RobustnessResult{Policy: name, CleanBHR: clean, ScannedBHR: scanned}
-	if clean > 0 {
-		r.Degradation = 1 - scanned/clean
-	}
-	return r
+	return m.BHR()
 }
 
 // RobustnessTable formats the robustness experiment.

@@ -49,31 +49,22 @@ func TieredExperiment(cfg Config) ([]TieredResult, error) {
 		return nil, err
 	}
 
-	variants := []struct {
-		name     string
-		admitter sim.Admitter
-		placer   tiered.Placer
-	}{
-		{"LFO admission + likelihood placement", tiered.NewModelAdmitter(model, 0.5), tiered.PlaceByLikelihood(0.85, 0.6)},
-		{"LFO admission + size placement", tiered.NewModelAdmitter(model, 0.5), tiered.PlaceBySize(64<<10, 1<<20)},
-		{"admit-all + size placement", tiered.AdmitAll{}, tiered.PlaceBySize(64<<10, 1<<20)},
-		{"admit-all + top-tier placement", tiered.AdmitAll{}, nil},
+	cache := func(a sim.Admitter, pl tiered.Placer) func() (sim.Policy, error) {
+		return func() (sim.Policy, error) { return tiered.New(tiers, a, pl) }
 	}
-	var out []TieredResult
-	for _, v := range variants {
-		c, err := tiered.New(tiers, v.admitter, v.placer)
-		if err != nil {
-			return nil, err
-		}
-		m := sim.Run(eval, c, sim.Options{})
-		st := c.Stats()
-		out = append(out, TieredResult{
-			Variant:  v.name,
-			BHR:      m.BHR(),
-			OHR:      m.OHR(),
-			RAMHits:  st.Hits[0],
-			ReadCost: st.ReadCost,
-		})
+	rows, err := cfg.replay(eval, sim.Options{}, []entry{
+		{"LFO admission + likelihood placement", cache(tiered.NewModelAdmitter(model, 0.5), tiered.PlaceByLikelihood(0.85, 0.6))},
+		{"LFO admission + size placement", cache(tiered.NewModelAdmitter(model, 0.5), tiered.PlaceBySize(64<<10, 1<<20))},
+		{"admit-all + size placement", cache(tiered.AdmitAll{}, tiered.PlaceBySize(64<<10, 1<<20))},
+		{"admit-all + top-tier placement", cache(tiered.AdmitAll{}, nil)},
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]TieredResult, len(rows))
+	for i, r := range rows {
+		st := r.p.(*tiered.TieredCache).Stats()
+		out[i] = TieredResult{Variant: r.name, BHR: r.m.BHR(), OHR: r.m.OHR(), RAMHits: st.Hits[0], ReadCost: st.ReadCost}
 	}
 	return out, nil
 }

@@ -292,6 +292,26 @@ func TestUnitMixAllUnitSizes(t *testing.T) {
 	}
 }
 
+// TestWithScansMarksOnlyInjected: IsScan names exactly the objects
+// WithScans injected, so a base request of class 8 (ID 8<<56) is not a scan
+// and the scan request beside it is.
+func TestWithScansMarksOnlyInjected(t *testing.T) {
+	base := &trace.Trace{Requests: []trace.Request{{Time: 1, ID: 8 << 56, Size: 10, Cost: 10}}}
+	out := WithScans(base, ScanConfig{Every: 1, Burst: 1, ObjectSize: 30})
+	scans := 0
+	for _, r := range out.Requests {
+		if IsScan(r.ID) != (r.Size == 30) {
+			t.Errorf("request %+v: IsScan = %v", r, IsScan(r.ID))
+		}
+		if IsScan(r.ID) {
+			scans++
+		}
+	}
+	if out.Len() != 2 || scans != 1 {
+		t.Errorf("%d requests, %d scans; want the class-8 request and one scan", out.Len(), scans)
+	}
+}
+
 func TestWithScansInjectsBursts(t *testing.T) {
 	base, err := Generate(WebMix(1000, 1))
 	if err != nil {

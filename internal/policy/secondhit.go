@@ -40,6 +40,9 @@ func NewSecondHitCensor(maxIDs int) *SecondHitCensor {
 	}
 }
 
+// Name labels the censor in a combined cache's name (evict.Cache).
+func (p *SecondHitCensor) Name() string { return "second-hit" }
+
 // seen reports whether the object appears in either generation.
 func (p *SecondHitCensor) seen(id trace.ObjectID) bool {
 	if _, ok := p.cur[id]; ok {

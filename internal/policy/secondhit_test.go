@@ -3,6 +3,7 @@ package policy
 import (
 	"testing"
 
+	"lfo/internal/evict"
 	"lfo/internal/trace"
 )
 
@@ -22,6 +23,18 @@ func TestSecondHitCensorAdmitsOnSecondRequest(t *testing.T) {
 	// Other objects remain unseen.
 	if ok, _ := p.Admit(shReq(2), 0); ok {
 		t.Error("unseen object admitted")
+	}
+}
+
+// TestSecondHitCensorLabelsEvictCache: a combined cache behind the censor
+// is named after it, as lfosim -admit second-hit prints it.
+func TestSecondHitCensorLabelsEvictCache(t *testing.T) {
+	c, err := evict.New(evict.Config{CacheSize: 1 << 20, Eviction: "lru", Admitter: NewSecondHitCensor(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Name(), "second-hit+lru"; got != want {
+		t.Errorf("Name = %q, want %q", got, want)
 	}
 }
 

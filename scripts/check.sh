@@ -70,8 +70,9 @@ go test -race -count 3 -run 'DeployLag|EarlyRetrainAwaits|AsyncDropped' ./intern
 
 # Coverage floors on the serving path, where the chaos/fuzz suites are the
 # main guard, on gbdt and opt, whose reference trainer, pointer-walk and
-# min-cost flow oracles are, and on the analyzer, whose golden fixtures are its only guard: a silent
-# drop in what they exercise should fail the gate.
+# min-cost flow oracles are, on the figure harness, whose golden tables
+# are, and on the analyzer, whose golden fixtures are its only guard: a
+# silent drop in what they exercise should fail the gate.
 cover_floor() {
     pkg=$1 floor=$2
     pct=$(go test -cover "$pkg" | awk '{for (i = 1; i <= NF; i++) if ($i == "coverage:") {gsub("%", "", $(i+1)); print $(i+1)}}')
@@ -96,6 +97,7 @@ cover_floor ./internal/tiered 90
 cover_floor ./internal/policy 90
 cover_floor ./internal/policy/ogd 80
 cover_floor ./internal/drift 80
+cover_floor ./internal/experiments 88
 cover_floor ./internal/lint 90
 cover_floor ./internal/lint/flow 90
 
