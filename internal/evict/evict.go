@@ -10,9 +10,12 @@
 // resident keeps its score, in its Meta, for as long as the ranker would
 // provably return the same bits — until it is touched, the model is
 // swapped, or its age or idle time crosses the nearest threshold on its
-// paths through the trees (gbdt's stability horizon) — so a pick runs the
-// ranker on about a third of its candidates and picks the victims it would
-// pick scoring all of them. The ranker is trained from the same OPT window
+// paths through the trees (gbdt's stability horizon). A score that lapses
+// only because age and idle time grew is carried forward over the tests
+// they crossed (gbdt's Advance, from state kept in a slab slot) rather
+// than scored again, so a pick scores about 3 % of its candidates in full,
+// carries about a third, and picks the victims it would pick scoring all
+// of them. The ranker is trained from the same OPT window
 // labels that train LFO's admission model: an object OPT would not cache
 // now is the ideal eviction victim, so one offline solve per window labels
 // both models.
@@ -62,8 +65,8 @@ const (
 // resident set that the empirical victim quality is close to a full scan,
 // and the candidate buffers stay a few cache lines; what a learned pick
 // costs is the candidates whose cached score has lapsed, about a third of
-// them, not K. It is a constant, not an option: nothing ever ran with
-// another value.
+// them, nearly all carried forward rather than scored, not K. It is a
+// constant, not an option: nothing ever ran with another value.
 const DefaultCandidates = 64
 
 // Meta is the per-object payload every evictor shares. The embedded
@@ -93,6 +96,10 @@ type Meta struct {
 	rank      float64
 	rankUntil int64
 	rankEpoch uint64
+	// slot is 1 + the learned evictor's slab slot that carries this
+	// resident's score forward (Learned.state), 0 for none: taken at the
+	// first full score, given back in OnRemove.
+	slot uint32
 
 	prev, next *sim.StoreEntry[Meta] // intrusive LRU list
 }
@@ -205,6 +212,7 @@ type metrics struct {
 	candidates     *obs.Counter
 	candidateSets  *obs.Counter
 	scoredRows     *obs.Counter
+	carriedRows    *obs.Counter
 	cacheHits      *obs.Counter
 	bootstrapPicks *obs.Counter
 	modelSwaps     *obs.Counter
@@ -216,6 +224,7 @@ func newEvictMetrics(r *obs.Registry) metrics {
 		candidates:     r.Counter("evict_candidates_total"),
 		candidateSets:  r.Counter("evict_candidate_sets_total"),
 		scoredRows:     r.Counter("evict_scored_rows_total"),
+		carriedRows:    r.Counter("evict_carried_rows_total"),
 		cacheHits:      r.Counter("evict_score_cache_hits_total"),
 		bootstrapPicks: r.Counter("evict_bootstrap_picks_total"),
 		modelSwaps:     r.Counter("evict_model_swaps_total"),

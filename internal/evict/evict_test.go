@@ -389,7 +389,10 @@ func sizeOf(c *Cache) int64 { return c.res.Store.Used() }
 // exactly when the object was resident before the request, and a queue or
 // list or wheel evictor tracks exactly the residents. The learned cells retrain
 // every 2500 requests, so both bootstrap and ranked picks are held, and
-// the caches hold more than K residents, so the picks sample.
+// the caches hold more than K residents, so the picks sample; they also hold
+// the slab that carries lapsed scores: no two residents share a slot, no
+// resident holds a freed one, and the slots in use are exactly those the
+// residents hold.
 func TestEvictorInvariants(t *testing.T) {
 	for _, mix := range []struct {
 		name string
@@ -450,6 +453,9 @@ func checkInvariants(t *testing.T, c *Cache, tr *trace.Trace) {
 		if isTracked && tracked.Len() != store.Len() {
 			t.Fatalf("request %d: the evictor tracks %d objects, the store holds %d", i, tracked.Len(), store.Len())
 		}
+		if c.learned != nil {
+			checkSlots(t, i, c.learned)
+		}
 		if !resident && store.Has(r.ID) {
 			before++
 		}
@@ -458,8 +464,37 @@ func checkInvariants(t *testing.T, c *Cache, tr *trace.Trace) {
 	if evictions == 0 {
 		t.Fatal("the trace never filled the cache")
 	}
-	if c.learned != nil && c.Windows() == 0 {
-		t.Fatal("the learned cache never retrained")
+	if c.learned != nil && (c.Windows() == 0 || c.learned.slots == 0) {
+		t.Fatalf("the learned cache retrained %d times and handed out %d slab slots", c.Windows(), c.learned.slots)
+	}
+}
+
+// checkSlots fails unless the learned evictor's slab slots are held by one
+// resident each, and the slots not given back are exactly those.
+func checkSlots(t *testing.T, i int, l *Learned) {
+	t.Helper()
+	held := make([]bool, l.slots+1)
+	holders := 0
+	for j := 0; j < l.store.Len(); j++ {
+		e := l.store.At(j)
+		s := e.Payload.slot
+		if s == 0 {
+			continue
+		}
+		if s > l.slots || held[s] {
+			t.Fatalf("request %d: object %d holds slot %d of %d, held already: %v", i, e.ID, s, l.slots, s <= l.slots && held[s])
+		}
+		held[s] = true
+		holders++
+	}
+	for _, s := range l.free {
+		if held[s] {
+			t.Fatalf("request %d: slot %d is both free and held", i, s)
+		}
+	}
+	if live := int(l.slots) - len(l.free); live != holders || len(l.slab) != l.words*int(l.slots) {
+		t.Fatalf("request %d: %d slots in use, %d residents hold one; slab of %d words for %d slots of %d",
+			i, live, holders, len(l.slab), l.slots, l.words)
 	}
 }
 
@@ -500,17 +535,21 @@ func TestEvictObsMetrics(t *testing.T) {
 	if scored.Value() != 0 || cacheHits.Value() != 0 {
 		t.Errorf("bootstrap picks scored %d rows and hit the score cache %d times, want 0 and 0", scored.Value(), cacheHits.Value())
 	}
-	// With a ranker deployed every sampled candidate is either scored or
-	// answered from the cache, and both happen: the 32 residents are all
-	// candidates of every pick, one of them new each time.
+	// With a ranker deployed every sampled candidate is scored in full,
+	// carried forward from its lapsed score or answered from the cache, and
+	// the first and the last happen: the 32 residents are all candidates of
+	// every pick, one of them new each time (this ranker's horizons outlast
+	// the replay; core's TestLearnedScoreCacheShare sees scores carried).
 	bootCands := reg.Counter("evict_candidates_total").Value()
+	carried := reg.Counter("evict_carried_rows_total")
 	c.learned.SetModel(trainedRanker(t))
 	for i := 256; i < 512; i++ {
 		c.Request(trace.Request{Time: int64(i), ID: trace.ObjectID(i), Size: 8 << 10, Cost: 1})
 	}
 	ranked := reg.Counter("evict_candidates_total").Value() - bootCands
-	if ranked == 0 || scored.Value() == 0 || cacheHits.Value() == 0 || scored.Value()+cacheHits.Value() != ranked {
-		t.Errorf("model-ranked picks saw %d candidates: %d scored + %d from the score cache", ranked, scored.Value(), cacheHits.Value())
+	if ranked == 0 || scored.Value() == 0 || cacheHits.Value() == 0 || scored.Value()+carried.Value()+cacheHits.Value() != ranked {
+		t.Errorf("model-ranked picks saw %d candidates: %d scored + %d carried + %d from the score cache",
+			ranked, scored.Value(), carried.Value(), cacheHits.Value())
 	}
 	if boots := reg.Counter("evict_bootstrap_picks_total").Value(); boots != victims {
 		t.Errorf("bootstrap picks went from %d to %d under a deployed ranker", victims, boots)

@@ -89,10 +89,13 @@ func (sampler) OnRemove(e *sim.StoreEntry[Meta]) {}
 //
 // A resident's score is kept in its Meta and reused for as long as it is
 // provably the bits the ranker would return (pickVictim), so a pick runs
-// the ranker only on the candidates whose score has lapsed; the victims are
-// those of scoring all K afresh. The candidate buffer is preallocated, so a
-// pick is allocation-free; the sampler is a seeded SplitMix64 stream, so
-// victim sequences are byte-reproducible for a given seed.
+// the ranker only on the candidates whose score has lapsed, and a score
+// that lapsed only because age and idle time grew is carried forward over
+// the tests they crossed instead of scored again; the victims are those of
+// scoring all K afresh. The candidate buffer is preallocated and the
+// carried state lives in a slab of recycled slots, so a pick is
+// allocation-free at steady state; the sampler is a seeded SplitMix64
+// stream, so victim sequences are byte-reproducible for a given seed.
 type Learned struct {
 	sampler
 	store *sim.Store[Meta]
@@ -104,7 +107,17 @@ type Learned struct {
 	epoch uint64
 	// now is the trace time of the latest model-ranked pick.
 	now int64
-	m   metrics
+	// slab holds, words to a slot, the state gbdt's PredictCarry leaves for
+	// a resident's score under the deployed ranker (0 words: it does not
+	// carry); slots counts the slots handed out, free those given back.
+	slab  []uint32
+	words int
+	slots uint32
+	free  []uint32
+	// carried is how many candidates of the last pick had their lapsed
+	// score advanced rather than scored afresh.
+	carried int
+	m       metrics
 }
 
 func newLearned(store *sim.Store[Meta], opts Options) *Learned {
@@ -114,14 +127,35 @@ func newLearned(store *sim.Store[Meta], opts Options) *Learned {
 // Name implements Evictor.
 func (l *Learned) Name() string { return "learned" }
 
+// OnRemove implements Evictor: the resident's slab slot goes back.
+func (l *Learned) OnRemove(e *sim.StoreEntry[Meta]) {
+	if s := e.Payload.slot; s != 0 {
+		l.free = append(l.free, s)
+		e.Payload.slot = 0
+	}
+}
+
 // SetModel deploys a trained eviction ranker. The swap is atomic with
 // respect to requests (the owning cache is single-threaded), so every
 // subsequent Victim ranks with the new model; the scores the old one left
-// in the residents' Meta lapse with the epoch.
+// in the residents' Meta lapse with the epoch, and the slab takes the new
+// ranker's stride (the residents keep their slots; what the slots hold is
+// rewritten by each resident's next full score). The slab is sized here for
+// every resident and an eighth more, so that picks seldom grow it.
 func (l *Learned) SetModel(m *gbdt.Model) {
 	l.model = m
 	l.epoch++
 	l.m.modelSwaps.Inc()
+	l.words = 0
+	if m != nil {
+		l.words = m.CarryWords(len(movingFeats))
+	}
+	need := l.words * int(l.slots)
+	if room := l.words * max(int(l.slots), l.store.Len()); room > cap(l.slab) {
+		l.slab = make([]uint32, need, room+room/8)
+	} else {
+		l.slab = l.slab[:need]
+	}
 }
 
 // Model returns the deployed ranker (nil during bootstrap).
@@ -139,7 +173,8 @@ func (l *Learned) Victim(now int64) trace.ObjectID {
 		l.m.bootstrapPicks.Inc()
 	} else {
 		l.m.scoredRows.Add(int64(scored))
-		l.m.cacheHits.Add(int64(n - scored))
+		l.m.carriedRows.Add(int64(l.carried))
+		l.m.cacheHits.Add(int64(n - scored - l.carried))
 	}
 	return id
 }
@@ -149,23 +184,30 @@ func (l *Learned) Victim(now int64) trace.ObjectID {
 // touched.
 var movingFeats = [...]int{FeatAge, FeatIdle}
 
-// pickVictim samples min(K, Len) candidates with replacement and returns
-// the lowest-scored one (first-wins on ties), with the number of candidates
-// and how many of them went through the ranker. This is the per-eviction
-// hot path: no map lookups, no allocation.
+// pickVictim draws min(K, Len) candidates — K with replacement, or every
+// resident when there are no more than K — and returns the lowest-scored one
+// (first-wins on ties), with the number of candidates and how many of them
+// went through the ranker in full; l.carried says how many were advanced.
+// This is the per-eviction hot path: no map lookups, no allocation.
 //
 // Only a candidate without a valid cached score is scored: its row is built
-// straight from the entry's metadata and goes through PredictStable, which
-// returns with the score how far age and idle time may grow before any
-// tree's exit leaf can move. Both grow by exactly the trace time that
+// straight from the entry's metadata and goes through PredictStable (or
+// PredictCarry, which also keeps its state in the resident's slab slot),
+// which returns with the score how far age and idle time may grow before
+// any tree's exit leaf can move. Both grow by exactly the trace time that
 // passes, so the score is the ranker's, bit for bit, until the earlier of
 // AdmitTime + ⌊age limit⌋ and LastAccess + ⌊idle limit⌋, and until then a
 // pick copies it. What else could change it ends the cached score's life
 // explicitly: a hit or a (re-)admission (touched, admitted), a model swap
 // (SetModel), and a pick earlier than the one before — the horizon only
-// looks forward — which start a new epoch. The minimum is therefore taken
-// over the same scores in the same candidate order as scoring all of them
-// afresh would give: same victims, same sampler stream.
+// looks forward — which start a new epoch. A score that outlives its
+// horizon inside its epoch has seen only age and idle time grow, so when
+// the ranker carries scores (every tree of at most 32 leaves) the state its
+// last score left in the slot is advanced over the tests they crossed
+// (Advance), which gives a full score's bits. The
+// minimum is therefore taken over the same scores in the same candidate
+// order as scoring all of them afresh would give: same victims, same
+// sampler stream.
 //
 //lfo:hotpath
 func (l *Learned) pickVictim(now int64) (id trace.ObjectID, n, scored int) {
@@ -184,6 +226,7 @@ func (l *Learned) pickVictim(now int64) (id trace.ObjectID, n, scored int) {
 			l.cands[i] = l.store.At(l.intn(resident))
 		}
 	}
+	l.carried = 0
 	best := l.cands[0]
 	if l.model == nil {
 		// Bootstrap: sampled-LRU (oldest last access wins).
@@ -205,16 +248,45 @@ func (l *Learned) pickVictim(now int64) (id trace.ObjectID, n, scored int) {
 		m := &e.Payload
 		if m.rankEpoch != l.epoch || now > m.rankUntil {
 			featuresInto(row[:], e.Size, m, now)
-			m.rank = l.model.PredictStable(row[:], movingFeats[:], limits[:])
+			switch {
+			case l.words == 0:
+				m.rank = l.model.PredictStable(row[:], movingFeats[:], limits[:])
+				scored++
+			case m.rankEpoch == l.epoch:
+				// Lapsed inside its epoch: its last score, this epoch's,
+				// left its slot's state.
+				m.rank = l.model.Advance(row[:], movingFeats[:], limits[:], l.state(m))
+				l.carried++
+			default:
+				m.rank = l.model.PredictCarry(row[:], movingFeats[:], limits[:], l.state(m))
+				scored++
+			}
 			m.rankUntil = min(addFloor(m.AdmitTime, limits[0]), addFloor(m.LastAccess, limits[1]))
 			m.rankEpoch = l.epoch
-			scored++
 		}
 		if m.rank < bestScore {
 			best, bestScore = e, m.rank
 		}
 	}
 	return best.ID, n, scored
+}
+
+// state returns the slab words that carry m's score, taking a slot for m
+// if it holds none.
+//
+//lfo:hotpath
+func (l *Learned) state(m *Meta) []uint32 {
+	if m.slot == 0 {
+		if k := len(l.free); k > 0 {
+			m.slot, l.free = l.free[k-1], l.free[:k-1]
+		} else {
+			l.slots++
+			m.slot = l.slots
+			//lfolint:ignore hotpath-alloc the slab grows to the most residents that ever held a slot at once, then recycles them
+			l.slab = append(l.slab, make([]uint32, l.words)...)
+		}
+	}
+	return l.slab[int(m.slot-1)*l.words:][:l.words]
 }
 
 // addFloor returns t + ⌊d⌋ saturated to the int64 range, for d not NaN:

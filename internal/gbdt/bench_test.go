@@ -204,6 +204,55 @@ func BenchmarkPredictStable(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictStableAdvance is a lapsed score of the learned evictor
+// carried forward instead of scored again: each of the rows of
+// BenchmarkPredictStable is scored once with PredictCarry, then its age and
+// idle time grow together past the nearer of their horizons, by up to 500
+// time units more, and every iteration advances a copy of the row's state
+// (the copy, 32 words, is part of the measured cost). Pinned to 0
+// allocs/op in testdata/alloc_budgets.txt.
+func BenchmarkPredictStableAdvance(b *testing.B) {
+	p := DefaultParams()
+	p.Workers = 1
+	m, err := Train(evictionDataset(10000, 1), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := evictionDataset(benchRows, 2).x
+	for i, v := range rows {
+		if math.IsNaN(v) { // a resident always has an age
+			rows[i] = float64(i % 3000)
+		}
+	}
+	feats, limits := []int{3, 4}, make([]float64, 2)
+	words := m.CarryWords(len(feats))
+	states := make([]uint32, benchRows*words)
+	grown := append([]float64(nil), rows...)
+	for r := 0; r < benchRows; r++ {
+		row := rows[r*m.Dim : (r+1)*m.Dim]
+		m.PredictCarry(row, feats, limits, states[r*words:(r+1)*words])
+		gap := math.Min(limits[0]-row[3], limits[1]-row[4])
+		if math.IsInf(gap, 1) {
+			gap = 0
+		}
+		d := math.Floor(gap) + 1 + float64(r%500)
+		grown[r*m.Dim+3] += d
+		grown[r*m.Dim+4] += d
+	}
+	state := make([]uint32, words)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		r := i % benchRows
+		copy(state, states[r*words:(r+1)*words])
+		sink += m.Advance(grown[r*m.Dim:(r+1)*m.Dim], feats, limits, state) + limits[0]
+	}
+	if sink == -1 {
+		b.Fatal("impossible")
+	}
+}
+
 // BenchmarkTrainWindow is one window handoff's training: 30 default trees
 // on 10 000 window-shaped rows, single worker. Its allocs/op are pinned in
 // testdata/alloc_budgets.txt (scripts/check.sh): the trainer's scratch —

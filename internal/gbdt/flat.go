@@ -51,8 +51,13 @@ import (
 // that only grows — an object's age — can only turn true tests false, and
 // of those only the ones that would clear a tree's lowest set bit move a
 // leaf: PredictStable reports, with the score, the nearest such threshold
-// per feature asked for (horizon), and a caller keeps the score until the
-// feature passes it instead of scoring again.
+// per feature asked for (horizon, walked from where the feature's scan
+// stopped), and a caller keeps the score until the feature passes it
+// instead of scoring again. When the score does lapse, and only the asked
+// features have grown, the vector of the last score plus the masks of the
+// entries they have since passed is the vector a fresh scan would leave:
+// PredictCarry keeps it, 4 bytes a tree when every tree fits 32 leaves, and
+// Advance ANDs in those entries and sums the exit leaves again.
 
 // blockTrees is the most trees a block holds, and so the words of the
 // bitvector the scorer keeps on its stack.
@@ -73,6 +78,22 @@ const minStep = 16
 // nanRight marks, in entry.feat, a split whose NaN values go right.
 const nanRight = 1 << 31
 
+// maxAsk is the most features PredictStable takes: their scans' stops live
+// on its stack.
+const maxAsk = 8
+
+// carryLeaves is the most leaves a tree of a scorer whose scores can be
+// carried (PredictCarry) may have: its word of the vector is kept in 4
+// bytes.
+const carryLeaves = 32
+
+// noStop is the stop of an asked feature that a block does not scan: no
+// split tests it, or its value is NaN. Any other stop is the index of the
+// feature among the block's split features in the high 16 bits and, in the
+// low 16, how many of its entries the value exceeds — both under the 64·63
+// entries a block can have.
+const noStop = ^uint32(0)
+
 // Flat is a Model compiled for scoring. It is immutable after Compile and
 // safe for concurrent use.
 type Flat struct {
@@ -83,6 +104,8 @@ type Flat struct {
 	ents   []entry   // per block, per split feature, ascending threshold
 	trees  []uint32  // per tree in model order, its first leaf in leaves
 	leaves []float64 // per tree, left to right
+
+	narrow bool // every tree has at most carryLeaves leaves; set by Compile
 }
 
 // entry is one split seen from the row's side: when the test is false
@@ -463,58 +486,6 @@ func (f *Flat) scoreBlock(b *block, row []float64, bv []uint64, s float64) float
 	return s
 }
 
-// horizon lowers limits[k] to the stability horizon of feature ask[k] in
-// block b, whose bitvector v the scans of row have just left: the largest
-// value the feature may grow to with every tree of the block still ending in
-// the same leaf.
-//
-// After the scans a tree's exit leaf is the lowest bit set in its word. A
-// value that grows can only turn tests v <= threshold from true to false,
-// and a test turned false clears the leaves under its left child; that moves
-// the tree's lowest set bit only if the exit leaf is one of them, i.e. the
-// test lies on the row's own root-to-leaf path and the row went left there.
-// The feature's still-true tests are the entries from the first whose
-// threshold the value does not exceed, ascending, so the first of them that
-// would clear its tree's exit leaf is the nearest threshold on any path:
-// for every value in [x, that threshold] the trees exit where they do now.
-// The entries skipped on the way clear only leaves that are not exits, so
-// the horizons of several features hold jointly: move all of them inside
-// their intervals at once and no exit leaf moves, hence not one bit of the
-// sum. A NaN value takes default directions instead of tests and has no
-// horizon; its limit stays NaN.
-//
-//lfo:hotpath
-func (f *Flat) horizon(b *block, v []uint64, row []float64, ask []int, limits []float64) {
-	for k, feature := range ask {
-		x := row[feature]
-		// The block's split features are ascending: find this one.
-		lo, hi := 0, len(b.feats)
-		for lo < hi {
-			if mid := int(uint(lo+hi) >> 1); int(b.feats[mid].feature) < feature {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == len(b.feats) || int(b.feats[lo].feature) != feature || math.IsNaN(x) {
-			continue
-		}
-		es := f.ents[b.feats[lo].lo:b.feats[lo].hi]
-		i := skip(es, b.step, x) * b.step
-		for i < len(es) && es[i].thr < x {
-			i++
-		}
-		for limit := limits[k]; i < len(es) && es[i].thr < limit; i++ {
-			// Would e, its test false, clear the exit leaf of its tree?
-			e := &es[i]
-			if x := v[e.ref]; x&-x&^e.mask != 0 {
-				limits[k] = e.thr
-				break
-			}
-		}
-	}
-}
-
 // RawPredict returns the unsquashed margin for one feature row.
 //
 //lfo:hotpath
@@ -533,38 +504,6 @@ func (f *Flat) RawPredict(row []float64) float64 {
 //lfo:hotpath
 func (f *Flat) Predict(row []float64) float64 {
 	return sigmoid(f.RawPredict(row))
-}
-
-// PredictStable returns Predict(row) and, in limits[k], the stability
-// horizon of feature feats[k]: the largest value, at least row[feats[k]],
-// that the feature may take with the score staying bit for bit what it is —
-// for every row that differs from this one only in the features asked for,
-// each anywhere between its value and its limit, all of them at once. The
-// limit is the threshold of the nearest test on the row's root-to-leaf paths
-// that growth would flip (the value itself when it sits on one), +Inf when
-// no such test is left or no tree splits on the feature, and NaN for a NaN
-// value, which follows default directions and has no neighbourhood. The
-// learned evictor keeps a resident's score until age or idle time crosses
-// its limit instead of scoring it again at every pick.
-//
-//lfo:hotpath
-func (f *Flat) PredictStable(row []float64, feats []int, limits []float64) float64 {
-	mustRowDim(len(row), f.dim)
-	mustStableArgs(feats, len(limits), f.dim)
-	for k, feature := range feats {
-		limits[k] = math.Inf(1)
-		if math.IsNaN(row[feature]) {
-			limits[k] = row[feature]
-		}
-	}
-	var bv [blockTrees]uint64
-	s := f.base
-	for bi := range f.blocks {
-		b := &f.blocks[bi]
-		s = f.scoreBlock(b, row, bv[:], s)
-		f.horizon(b, bv[:len(b.trees)], row, feats, limits)
-	}
-	return sigmoid(s)
 }
 
 // matrixArgs carries one batched call's bindings through par.RangesArg, so
@@ -619,10 +558,25 @@ func mustStableArgs(feats []int, limits, dim int) {
 	if len(feats) != limits {
 		panic(fmt.Sprintf("gbdt: %d features asked for, room for %d limits", len(feats), limits))
 	}
+	if len(feats) > maxAsk {
+		panic(fmt.Sprintf("gbdt: %d features asked for, at most %d", len(feats), maxAsk))
+	}
 	for _, feature := range feats {
 		if feature < 0 || feature >= dim {
 			panic(fmt.Sprintf("gbdt: feature %d asked for, model dim %d", feature, dim))
 		}
+	}
+}
+
+// mustCarryArgs validates a carried score's state outside the annotated
+// kernels, for the same reason as mustRowDim: words is what CarryWords
+// asks for, 0 for a scorer that does not carry.
+func mustCarryArgs(words, state int) {
+	if words == 0 {
+		panic("gbdt: the model's scores cannot be carried (a tree has more than 32 leaves, or there are none)")
+	}
+	if state != words {
+		panic(fmt.Sprintf("gbdt: carried state of %d words, the model keeps %d", state, words))
 	}
 }
 
@@ -632,4 +586,246 @@ func mustMatrixDims(rowsLen, n, dim int) {
 	if rowsLen != n*dim {
 		panic(fmt.Sprintf("gbdt: rows length %d != %d rows × dim %d", rowsLen, n, dim))
 	}
+}
+
+// The stable path: PredictStable, and the scores PredictCarry keeps and
+// Advance carries forward. It comes after the plain path, and Compile rather
+// than compileFlat records whether scores can be carried, so that the plain
+// kernels compile to the same code at the same addresses as before the
+// stable path had kernels of its own: the same loops 32 bytes off their old
+// alignment read 3–7 % slower on the benchmark's wire_fleet workload.
+
+// scanStop is scan for PredictStable: it also returns where the scan
+// stopped, the number of the feature's entries whose threshold x exceeds.
+// The plain path keeps scan, whose loop has nothing to return.
+//
+//lfo:hotpath
+func (f *Flat) scanStop(v []uint64, b *block, ft featRange, x float64) int {
+	es := f.ents[ft.lo:ft.hi]
+	c := skip(es, b.step, x)
+	if c > 0 {
+		check := b.checks[int(ft.check)+(c-1)*len(v):][:len(v)]
+		for i := range v {
+			v[i] &= check[i]
+		}
+	}
+	i := c * b.step
+	for ; i < len(es) && es[i].thr < x; i++ {
+		v[es[i].ref] &= es[i].mask
+	}
+	return i
+}
+
+// scoreStable is scoreBlock for PredictStable: it also leaves in stops[k]
+// where the scan of feature ask[k] stopped (noStop for none). A loop of its
+// own, so that the plain path never carries the feature list.
+//
+//lfo:hotpath
+func (f *Flat) scoreStable(b *block, row []float64, bv []uint64, s float64, ask []int, stops []uint32) float64 {
+	leaves := f.leaves
+	v := bv[:len(b.trees)]
+	feats := b.feats
+	for k := range stops {
+		stops[k] = noStop
+	}
+	n := 0
+	for _, ft := range b.tail {
+		if !math.IsNaN(row[ft]) {
+			break
+		}
+		n++
+	}
+	copy(v, b.suffix[n*len(v):])
+	for fi, ft := range feats[:len(feats)-n] {
+		x := row[ft.feature]
+		if math.IsNaN(x) {
+			f.applyNaN(v, ft)
+			continue
+		}
+		i := f.scanStop(v, b, ft, x)
+		for k, feature := range ask {
+			if feature == int(ft.feature) {
+				stops[k] = uint32(fi)<<16 | uint32(i)
+			}
+		}
+	}
+	for w, leaf := range b.trees {
+		s += leaves[leaf+uint32(bits.TrailingZeros64(v[w]))]
+	}
+	return s
+}
+
+// horizon lowers limits[k] to the stability horizon in block b of the k-th
+// feature asked for, whose scan stopped at stops[k] and left, with the
+// others, the bitvector v: the largest value the feature may grow to with
+// every tree of the block still ending in the same leaf.
+//
+// After the scans a tree's exit leaf is the lowest bit set in its word. A
+// value that grows can only turn tests v <= threshold from true to false,
+// and a test turned false clears the leaves under its left child; that moves
+// the tree's lowest set bit only if the exit leaf is one of them, i.e. the
+// test lies on the row's own root-to-leaf path and the row went left there.
+// The feature's still-true tests are its entries from the stop on,
+// ascending, so the first of them that would clear its tree's exit leaf is
+// the nearest threshold on any path: for every value in [x, that threshold]
+// the trees exit where they do now. The entries passed on the way clear
+// only leaves that are not exits, so the horizons of several features hold
+// jointly: move all of them inside their intervals at once and no exit leaf
+// moves, hence not one bit of the sum. A NaN value takes default directions
+// instead of tests and has no horizon; its limit stays NaN.
+//
+// The vector is v's words, or a carried score's 4-byte ones (Advance).
+//
+//lfo:hotpath
+func horizon[W uint32 | uint64](f *Flat, b *block, v []W, stops []uint32, limits []float64) {
+	for k, stop := range stops {
+		if stop == noStop {
+			continue
+		}
+		ft := b.feats[stop>>16]
+		es := f.ents[ft.lo+int32(stop&0xffff) : ft.hi]
+		for i, limit := 0, limits[k]; i < len(es) && es[i].thr < limit; i++ {
+			// Would e, its test false, clear the exit leaf of its tree?
+			e := &es[i]
+			if x := v[e.ref]; x&-x&^W(e.mask) != 0 {
+				limits[k] = e.thr
+				break
+			}
+		}
+	}
+}
+
+// PredictStable returns Predict(row) and, in limits[k], the stability
+// horizon of feature feats[k]: the largest value, at least row[feats[k]],
+// that the feature may take with the score staying bit for bit what it is —
+// for every row that differs from this one only in the features asked for,
+// each anywhere between its value and its limit, all of them at once. The
+// limit is the threshold of the nearest test on the row's root-to-leaf paths
+// that growth would flip (the value itself when it sits on one), +Inf when
+// no such test is left or no tree splits on the feature, and NaN for a NaN
+// value, which follows default directions and has no neighbourhood. The
+// learned evictor keeps a resident's score until age or idle time crosses
+// its limit instead of scoring it again at every pick. At most 8 features
+// (maxAsk) may be asked for.
+//
+//lfo:hotpath
+func (f *Flat) PredictStable(row []float64, feats []int, limits []float64) float64 {
+	mustRowDim(len(row), f.dim)
+	mustStableArgs(feats, len(limits), f.dim)
+	return f.predictStable(row, feats, limits, nil)
+}
+
+// CarryWords returns the length of the state PredictCarry keeps for a score
+// with nfeats features asked for — a word per tree and a stop per block and
+// feature — or 0 when its scores cannot be carried: some tree has more than
+// 32 leaves, or there are no trees.
+func (f *Flat) CarryWords(nfeats int) int {
+	if !f.narrow {
+		return 0
+	}
+	return len(f.trees) + len(f.blocks)*nfeats
+}
+
+// fitsCarry reports whether every tree has at most carryLeaves leaves, so
+// that its word of the vector fits 4 bytes: what Compile records in narrow.
+func (f *Flat) fitsCarry() bool {
+	for t, first := range f.trees {
+		end := uint32(len(f.leaves))
+		if t+1 < len(f.trees) {
+			end = f.trees[t+1]
+		}
+		if end-first > carryLeaves {
+			return false
+		}
+	}
+	return true
+}
+
+// PredictCarry is PredictStable that also leaves in state (CarryWords long)
+// what Advance needs to carry the score forward: the bitvector, a word per
+// tree, and where each asked feature's scan stopped in each block.
+//
+//lfo:hotpath
+func (f *Flat) PredictCarry(row []float64, feats []int, limits []float64, state []uint32) float64 {
+	mustRowDim(len(row), f.dim)
+	mustStableArgs(feats, len(limits), f.dim)
+	mustCarryArgs(f.CarryWords(len(feats)), len(state))
+	return f.predictStable(row, feats, limits, state)
+}
+
+// predictStable is PredictStable and, with a state, PredictCarry.
+//
+//lfo:hotpath
+func (f *Flat) predictStable(row []float64, feats []int, limits []float64, state []uint32) float64 {
+	for k, feature := range feats {
+		limits[k] = math.Inf(1)
+		if math.IsNaN(row[feature]) {
+			limits[k] = row[feature]
+		}
+	}
+	var bv [blockTrees]uint64
+	var scratch [maxAsk]uint32
+	stops := scratch[:len(feats)]
+	s := f.base
+	t0 := 0
+	for bi := range f.blocks {
+		b := &f.blocks[bi]
+		v := bv[:len(b.trees)]
+		if state != nil {
+			stops = state[len(f.trees)+bi*len(feats):][:len(feats)]
+		}
+		s = f.scoreStable(b, row, v, s, feats, stops)
+		horizon(f, b, v, stops, limits)
+		if state != nil {
+			for w, x := range v {
+				state[t0+w] = uint32(x)
+			}
+		}
+		t0 += len(v)
+	}
+	return sigmoid(s)
+}
+
+// Advance returns PredictStable(row, feats, limits) for a row that differs
+// from the one state was left by (PredictCarry, or Advance) only in the
+// features asked for, none of them NaN there and none smaller here, and
+// moves state on to row. Growth only turns tests false, and the AND of
+// masks is the same in any order, so the bitvector of the last score, ANDed
+// with the masks of the entries each feature has passed since, is the one a
+// full scan of row leaves: the score and limits are its, bit for bit, at
+// the cost of the tests crossed and one pass over the exit leaves.
+//
+//lfo:hotpath
+func (f *Flat) Advance(row []float64, feats []int, limits []float64, state []uint32) float64 {
+	mustRowDim(len(row), f.dim)
+	mustStableArgs(feats, len(limits), f.dim)
+	mustCarryArgs(f.CarryWords(len(feats)), len(state))
+	for k := range limits {
+		limits[k] = math.Inf(1)
+	}
+	leaves := f.leaves
+	s := f.base
+	words, stops := state[:len(f.trees)], state[len(f.trees):]
+	for bi := range f.blocks {
+		b := &f.blocks[bi]
+		v, st := words[:len(b.trees)], stops[:len(feats)]
+		for k, stop := range st {
+			if stop == noStop {
+				continue
+			}
+			ft := b.feats[stop>>16]
+			es := f.ents[ft.lo:ft.hi]
+			i, x := int(stop&0xffff), row[feats[k]]
+			for ; i < len(es) && es[i].thr < x; i++ {
+				v[es[i].ref] &= uint32(es[i].mask)
+			}
+			st[k] = stop&^0xffff | uint32(i)
+		}
+		for w, leaf := range b.trees {
+			s += leaves[leaf+uint32(bits.TrailingZeros32(v[w]))]
+		}
+		horizon(f, b, v, st, limits)
+		words, stops = words[len(v):], stops[len(feats):]
+	}
+	return sigmoid(s)
 }

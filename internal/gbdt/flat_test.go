@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -635,9 +636,157 @@ func TestPredictStableRefusesBadArgs(t *testing.T) {
 		"a negative feature": func() { m.PredictStable(row, []int{-1}, make([]float64, 1)) },
 		"too few limits":     func() { m.PredictStable(row, []int{1, 2}, make([]float64, 1)) },
 		"a short row":        func() { m.PredictStable(row[:4], []int{1}, make([]float64, 1)) },
+		"nine features":      func() { m.PredictStable(row, make([]int, 9), make([]float64, 9)) },
 	} {
 		mustPanic(t, "PredictStable with "+name, call)
 	}
+}
+
+// featureThresholds returns, per feature, the thresholds m's trees test it
+// against, ascending.
+func featureThresholds(m *Model) [][]float64 {
+	ths := make([][]float64, m.Dim)
+	for _, tree := range m.Trees {
+		for _, n := range tree.Nodes {
+			if n.Feature >= 0 {
+				ths[n.Feature] = append(ths[n.Feature], n.Threshold)
+			}
+		}
+	}
+	for _, t := range ths {
+		slices.Sort(t)
+	}
+	return ths
+}
+
+// grow draws the next value of a feature at x whose horizon is limit and
+// whose thresholds are ths: x itself, onto the limit or a threshold ahead,
+// one ulp past either, or +Inf.
+func grow(rng *splitMix, x, limit float64, ths []float64) float64 {
+	next := limit
+	if i, _ := slices.BinarySearch(ths, x); i < len(ths) && rng.next()%2 == 0 {
+		next = ths[i+int(rng.next()%uint64(len(ths)-i))]
+	}
+	switch rng.next() % 8 {
+	case 0:
+		return x
+	case 1:
+		return math.Inf(1)
+	case 2, 3, 4:
+		next = math.Nextafter(next, math.Inf(1))
+	}
+	if math.IsNaN(next) || next < x {
+		return x
+	}
+	return next
+}
+
+// mustAdvance fails unless, for every row, a score PredictCarry leaves and
+// Advance then carries through a few growth steps of the features asked
+// for (two the rng draws per row; a NaN there becomes a number) equals, at
+// every step, a fresh PredictCarry of the grown row bit for bit: score,
+// limits and every word of the state.
+func mustAdvance(t *testing.T, m *Model, rows []float64, rng *splitMix) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	ths := featureThresholds(m)
+	ask := make([]int, min(m.Dim, 2))
+	words := m.CarryWords(len(ask))
+	state, fresh := make([]uint32, words), make([]uint32, words)
+	limits, want := make([]float64, len(ask)), make([]float64, len(ask))
+	row := make([]float64, m.Dim)
+	for i := 0; i < len(rows); i += m.Dim {
+		copy(row, rows[i:i+m.Dim])
+		ask[0] = int(rng.next() % uint64(m.Dim))
+		for k := 1; k < len(ask); k++ {
+			ask[k] = (ask[0] + 1 + int(rng.next()%uint64(m.Dim-1))) % m.Dim
+		}
+		for _, ft := range ask {
+			if math.IsNaN(row[ft]) {
+				row[ft] = gridValues[rng.next()%uint64(len(gridValues))]
+			}
+		}
+		got := m.PredictCarry(row, ask, limits, state)
+		if p := m.PredictStable(row, ask, want); !same(got, p) || !slices.EqualFunc(limits, want, same) {
+			t.Fatalf("row %v: PredictCarry %v, limits %v; PredictStable %v, %v", row, got, limits, p, want)
+		}
+		for step := 0; step < 6; step++ {
+			for k, ft := range ask {
+				row[ft] = grow(rng, row[ft], limits[k], ths[ft])
+			}
+			got = m.Advance(row, ask, limits, state)
+			p := m.PredictCarry(row, ask, want, fresh)
+			if !same(got, p) || !slices.Equal(state, fresh) || !slices.EqualFunc(limits, want, same) {
+				t.Fatalf("row %v, features %v, step %d: carried %v, limits %v, state %v; fresh %v, %v, %v",
+					row, ask, step, got, limits, state, p, want, fresh)
+			}
+		}
+	}
+}
+
+// TestAdvanceMatchesPredictStable: a carried score against a fresh one at
+// every growth step of the features asked for, on a trained eviction ranker
+// and on random models of at most 32 leaves a tree — one block and several,
+// thresholds shared across trees, the other features NaN or not — and a
+// model with one wider tree is never carried.
+func TestAdvanceMatchesPredictStable(t *testing.T) {
+	rng := splitMix{s: 1618}
+	t.Run("eviction model", func(t *testing.T) {
+		p := DefaultParams()
+		p.Workers = 1
+		m, err := Train(evictionDataset(4000, 1), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.CarryWords(2) != len(m.Trees)+2 {
+			t.Fatalf("a %d-tree ranker keeps %d words, want %d", len(m.Trees), m.CarryWords(2), len(m.Trees)+2)
+		}
+		rows := evictionDataset(400, 2).x
+		mustAdvance(t, m, rows, &rng)
+	})
+	for _, tc := range []struct {
+		name string
+		m    *Model
+	}{
+		{"one block", randomModel(&rng, 5, 30, carryLeaves)},
+		{"stumps", randomModel(&rng, 3, 40, 2)},
+		{"several blocks", randomModel(&rng, 4, 150, carryLeaves)},
+		{"one feature", randomModel(&rng, 1, 20, 31)},
+		{"32-leaf chains", &Model{Dim: 3, Trees: []Tree{chainTree(carryLeaves, true), chainTree(carryLeaves, false)}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			if err := m.Compile(); err != nil {
+				t.Fatal(err)
+			}
+			if m.CarryWords(1) == 0 {
+				t.Fatal("a model of at most 32 leaves a tree does not carry")
+			}
+			rows := gridRows(&rng, 300, m.Dim)
+			mustAdvance(t, m, rows, &rng)
+			nanSuffix(rows, m.Dim, (m.Dim+1)/2)
+			mustAdvance(t, m, rows, &rng)
+		})
+	}
+	t.Run("a wider tree", func(t *testing.T) {
+		m := &Model{Dim: 3, Trees: []Tree{chainTree(5, true), chainTree(carryLeaves+1, false)}}
+		if err := m.Compile(); err != nil {
+			t.Fatal(err)
+		}
+		if n := m.CarryWords(2); n != 0 {
+			t.Fatalf("a model with a %d-leaf tree keeps %d words", carryLeaves+1, n)
+		}
+		row, state := []float64{1, 2, 3}, make([]uint32, 4)
+		mustPanic(t, "PredictCarry", func() { m.PredictCarry(row, []int{0, 1}, make([]float64, 2), state) })
+		mustPanic(t, "Advance", func() { m.Advance(row, []int{0, 1}, make([]float64, 2), state) })
+	})
+	t.Run("a short state", func(t *testing.T) {
+		m := randomModel(&rng, 3, 4, 8)
+		if err := m.Compile(); err != nil {
+			t.Fatal(err)
+		}
+		mustPanic(t, "PredictCarry", func() { m.PredictCarry(make([]float64, 3), []int{0}, make([]float64, 1), make([]uint32, 4)) })
+	})
 }
 
 // TestCompileIsBoundedByTheModel: what Compile allocates follows the nodes

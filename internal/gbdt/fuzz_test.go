@@ -111,7 +111,10 @@ func FuzzModelLoad(f *testing.F) {
 // pointer walk's bits for random rows over the same threshold grid, with
 // and without a NaN suffix, row by row and through PredictMatrix — and that
 // PredictStable report the pointer walk's stability horizon for features
-// the fuzzed seed picks on each of those rows.
+// the fuzzed seed picks on each of those rows. When every tree fits 32
+// leaves, two such features also grow by seed-chosen steps (none, onto a
+// threshold, one ulp past one, +Inf), and the score Advance carries must
+// equal a fresh one's score, limits and state bit for bit (mustAdvance).
 func FuzzScoreMatchesOracle(f *testing.F) {
 	for _, seed := range scoreSeeds {
 		f.Add(seed.seed, seed.dim, seed.trees, seed.maxLeaves, seed.keep)
@@ -124,11 +127,18 @@ func FuzzScoreMatchesOracle(f *testing.F) {
 			t.Fatalf("a grown model did not compile: %v", err)
 		}
 		rows := gridRows(&rng, 16, d)
+		carried := m.CarryWords(1) > 0
 		mustMatchOracle(t, m, rows)
 		mustMatchHorizon(t, m, rows, &rng)
+		if carried {
+			mustAdvance(t, m, rows, &rng)
+		}
 		nanSuffix(rows, d, int(keep)%(d+1))
 		mustMatchOracle(t, m, rows)
 		mustMatchHorizon(t, m, rows, &rng)
+		if carried {
+			mustAdvance(t, m, rows, &rng)
+		}
 	})
 }
 

@@ -33,6 +33,7 @@ func (m *Model) Compile() error {
 	if err != nil {
 		return err
 	}
+	f.narrow = f.fitsCarry()
 	m.flat = f
 	return nil
 }
@@ -82,6 +83,29 @@ func (m *Model) PredictMatrix(rows []float64, out []float64, workers int) {
 //lfo:hotpath
 func (m *Model) PredictStable(row []float64, feats []int, limits []float64) float64 {
 	return m.compiled().PredictStable(row, feats, limits)
+}
+
+// CarryWords returns the length of the state PredictCarry keeps with nfeats
+// features asked for, or 0 when the model's scores cannot be carried (see
+// Flat.CarryWords).
+func (m *Model) CarryWords(nfeats int) int {
+	return m.compiled().CarryWords(nfeats)
+}
+
+// PredictCarry is PredictStable that also fills state for Advance (see
+// Flat.PredictCarry).
+//
+//lfo:hotpath
+func (m *Model) PredictCarry(row []float64, feats []int, limits []float64, state []uint32) float64 {
+	return m.compiled().PredictCarry(row, feats, limits, state)
+}
+
+// Advance carries a score that PredictCarry left in state forward to a row
+// whose asked features have grown (see Flat.Advance).
+//
+//lfo:hotpath
+func (m *Model) Advance(row []float64, feats []int, limits []float64, state []uint32) float64 {
+	return m.compiled().Advance(row, feats, limits, state)
 }
 
 // NumTrees returns the number of boosted stages.

@@ -70,7 +70,8 @@ go test -race -count 3 -run 'DeployLag|EarlyRetrainAwaits|AsyncDropped' ./intern
 
 # Coverage floors on the serving path, where the chaos/fuzz suites are the
 # main guard, on gbdt and opt, whose reference trainer, pointer-walk and
-# min-cost flow oracles are, on the figure harness, whose golden tables
+# min-cost flow oracles are, on evict and core, whose lock-step picks,
+# refactor pins and invariant replays are, on the figure harness, whose golden tables
 # are, and on the analyzer, whose golden fixtures are its only guard: a
 # silent drop in what they exercise should fail the gate.
 cover_floor() {
@@ -90,7 +91,8 @@ step "go test -cover floors"
 cover_floor ./internal/server 85
 cover_floor ./internal/fleet 80
 cover_floor ./internal/faultnet 70
-cover_floor ./internal/evict 80
+cover_floor ./internal/evict 95
+cover_floor ./internal/core 90
 cover_floor ./internal/gbdt 95
 cover_floor ./internal/opt 95
 cover_floor ./internal/tiered 90
@@ -122,7 +124,7 @@ fi
 step "alloc budgets"
 {
     go test -run '^$' \
-        -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictStable|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkServeAdmitBatch|BenchmarkClientAdmit|BenchmarkPickVictim|BenchmarkHeuristicRequest|BenchmarkOGDRequest|BenchmarkS4LRURequest)$' \
+        -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictStable|BenchmarkPredictStableAdvance|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkServeAdmitBatch|BenchmarkClientAdmit|BenchmarkPickVictim|BenchmarkHeuristicRequest|BenchmarkOGDRequest|BenchmarkS4LRURequest)$' \
         -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/server ./internal/evict ./internal/policy/ogd ./internal/policy
     # The tracker's stream sub-benchmark warms itself before its timer
     # starts; cold tracks a new object every iteration, and the handful of
