@@ -1,11 +1,11 @@
 // Command lfolint runs the repository's custom static analyzer: the
 // syntactic rules of internal/lint (map-iteration order in the
-// deterministic core, float safety in the numeric kernels, error, output
-// and lock-copy hygiene in library code) and the interprocedural rules of
+// deterministic core, float safety in the numeric kernels, error and
+// output hygiene in library code) and the interprocedural rules of
 // internal/lint/flow (clocks, global rand, host reads and map order kept
 // out of the deterministic core through any helper chain, //lfo:hotpath
 // allocation discipline, goroutine join paths and WaitGroup use, and lock
-// ordering).
+// ordering). Lock-copy hygiene is go vet's copylocks check.
 //
 // Usage:
 //

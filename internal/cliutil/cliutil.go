@@ -3,6 +3,7 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -34,6 +35,8 @@ func LoadTrace(path, mix string, n int, seed int64) (*trace.Trace, error) {
 // ParseBytes parses a human-friendly byte size: a plain integer, or an
 // integer/decimal with a k/m/g/t suffix (binary units), case-insensitive,
 // with an optional trailing "b" or "ib" (e.g. "64m", "1.5G", "256MiB").
+// Integers are exact; a size that is negative, not finite or at least
+// 2^63 bytes is an error.
 func ParseBytes(s string) (int64, error) {
 	in := strings.TrimSpace(strings.ToLower(s))
 	if in == "" {
@@ -60,13 +63,21 @@ func ParseBytes(s string) (int64, error) {
 	if in == "" {
 		return 0, fmt.Errorf("cliutil: size %q has no numeric part", s)
 	}
-	if f, err := strconv.ParseFloat(in, 64); err == nil {
-		if f < 0 {
-			return 0, fmt.Errorf("cliutil: negative size %q", s)
-		}
-		return int64(f * float64(mult)), nil
+	// A plain integer is exact, where float64 would round it; one too
+	// large falls through to the range check below.
+	if n, err := strconv.ParseUint(in, 10, 63); err == nil && int64(n) <= math.MaxInt64/mult {
+		return int64(n) * mult, nil
 	}
-	return 0, fmt.Errorf("cliutil: cannot parse size %q", s)
+	f, err := strconv.ParseFloat(in, 64)
+	switch {
+	case err != nil || math.IsNaN(f):
+		return 0, fmt.Errorf("cliutil: cannot parse size %q", s)
+	case f < 0:
+		return 0, fmt.Errorf("cliutil: negative size %q", s)
+	case f*float64(mult) >= 1<<63: // +Inf too; 2^63 is exact in float64
+		return 0, fmt.Errorf("cliutil: size %q is out of range", s)
+	}
+	return int64(f * float64(mult)), nil
 }
 
 // FormatBytes renders a byte count with a binary-unit suffix.

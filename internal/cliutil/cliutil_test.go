@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,6 +24,12 @@ func TestParseBytes(t *testing.T) {
 		{"2t", 2 << 40},
 		{"100b", 100},
 		{" 8M ", 8 << 20},
+		// Integers are exact, however large: float64 would round these.
+		{"9223372036854775807", math.MaxInt64},
+		{"9007199254740993", 1<<53 + 1},
+		{"8388607t", 8388607 << 40},
+		{"1e3", 1000},
+		{"8388607.5t", 8388607<<40 + 1<<39},
 	}
 	for _, tc := range tests {
 		got, err := ParseBytes(tc.in)
@@ -37,7 +44,11 @@ func TestParseBytes(t *testing.T) {
 }
 
 func TestParseBytesErrors(t *testing.T) {
-	for _, in := range []string{"", "x", "k", "-5", "-1g", "1.2.3m"} {
+	for _, in := range []string{"", "x", "k", "-5", "-1g", "1.2.3m",
+		// Out of int64's range, or no number at all.
+		"nan", "inf", "-inf", "infinity", "1e30", "1e400", "9223372036854775808",
+		"9.3e18", "16777216t", "8388608t", "8388608.5t",
+	} {
 		if _, err := ParseBytes(in); err == nil {
 			t.Errorf("ParseBytes(%q) accepted", in)
 		}

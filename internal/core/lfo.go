@@ -503,15 +503,8 @@ func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetric
 		panic(fmt.Sprintf("core: training failed: %v", err))
 	}
 	if cfg.Obs != nil {
-		preds := make([]float64, len(reqs))
-		model.PredictMatrix(feats, preds, cfg.Workers)
-		agree := 0
-		for i, pred := range preds {
-			if (pred >= cfg.Cutoff) == res.Admit[i] {
-				agree++
-			}
-		}
-		m.trainAgreementPPM.Set(int64(agree) * 1e6 / int64(len(reqs)))
+		_, fp, fn := tallyAgreement(model, feats, res.Admit, cfg.Cutoff, cfg.Workers)
+		m.trainAgreementPPM.Set(int64(len(reqs)-fp-fn) * 1e6 / int64(len(reqs)))
 	}
 	tr := trainResult{model: model}
 	if cfg.Eviction == "learned" {

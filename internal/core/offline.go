@@ -97,24 +97,8 @@ type EvalResult struct {
 // admission cutoff. Rows are scored with one batched prediction across
 // all cores; the verdict is identical to a sequential scan.
 func Evaluate(m *gbdt.Model, e *Extraction, cutoff float64) EvalResult {
-	probs := make([]float64, e.Requests)
-	m.PredictMatrix(e.Feats[:e.Requests*features.Dim], probs, 0)
-	var res EvalResult
-	fp, fn := 0, 0
-	for i := 0; i < e.Requests; i++ {
-		pred := probs[i] >= cutoff
-		if e.Labels[i] {
-			res.Positives++
-			if !pred {
-				fn++
-			}
-		} else {
-			res.Negatives++
-			if pred {
-				fp++
-			}
-		}
-	}
+	pos, fp, fn := tallyAgreement(m, e.Feats, e.Labels[:e.Requests], cutoff, 0)
+	res := EvalResult{Positives: pos, Negatives: e.Requests - pos}
 	if e.Requests > 0 {
 		res.Error = float64(fp+fn) / float64(e.Requests)
 	}
@@ -125,6 +109,28 @@ func Evaluate(m *gbdt.Model, e *Extraction, cutoff float64) EvalResult {
 		res.FalseNegativeRate = float64(fn) / float64(res.Positives)
 	}
 	return res
+}
+
+// tallyAgreement scores the first len(labels) rows of feats with one
+// batched prediction over the given workers and counts the verdicts at
+// the cutoff against OPT's labels: the OPT-admitted rows, the rows OPT
+// rejects and the model admits (fp), and the rows OPT admits and the
+// model rejects (fn). The one count behind Evaluate and the handoff's
+// core_train_agreement_ppm gauge.
+func tallyAgreement(m *gbdt.Model, feats []float64, labels []bool, cutoff float64, workers int) (positives, fp, fn int) {
+	preds := make([]float64, len(labels))
+	m.PredictMatrix(feats[:len(labels)*features.Dim], preds, workers)
+	for i, label := range labels {
+		if admit := preds[i] >= cutoff; label {
+			positives++
+			if !admit {
+				fn++
+			}
+		} else if admit {
+			fp++
+		}
+	}
+	return positives, fp, fn
 }
 
 // TrainOnWindow extracts a window and fits a model to it — the offline

@@ -10,6 +10,7 @@ import (
 	"lfo/internal/evict"
 	"lfo/internal/features"
 	"lfo/internal/gen"
+	"lfo/internal/obs"
 	"lfo/internal/opt"
 	"lfo/internal/trace"
 )
@@ -133,5 +134,39 @@ func TestTrainOnWindowModelPinned(t *testing.T) {
 				t.Errorf("%s workers=%d: model %s, pinned %s", name, workers, got, want)
 			}
 		}
+	}
+}
+
+// TestAgreementGaugeIsTally holds one window's handoff to the shared
+// count: core_train_agreement_ppm is (n − fp − fn)·10⁶/n from
+// tallyAgreement's counts for the model trainWindow fitted, scored here
+// at another worker count, and Evaluate reads the same counts.
+func TestAgreementGaugeIsTally(t *testing.T) {
+	tr := webTrace(t, 4000, 1)
+	cfg := testConfig(2<<20, tr.Len())
+	cfg.Workers = 4
+	cfg.Obs = obs.NewRegistry()
+	ex, err := Extract(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfo, err := New(cfg) // for the configuration and metrics a handoff runs with
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = lfo.cfg
+	model := trainWindow(tr.Requests, ex.Feats, cfg, lfo.m).model
+	n := tr.Len()
+	pos, fp, fn := tallyAgreement(model, ex.Feats, ex.Labels, cfg.Cutoff, 1)
+	if fp == 0 || fn == 0 {
+		t.Fatalf("fp=%d fn=%d: a window without both kinds of error pins neither", fp, fn)
+	}
+	want := int64(n-fp-fn) * 1e6 / int64(n)
+	if got := cfg.Obs.Gauge("core_train_agreement_ppm").Value(); got != want {
+		t.Errorf("core_train_agreement_ppm = %d, want (n − fp − fn)·10⁶/n = %d (n=%d fp=%d fn=%d)", got, want, n, fp, fn)
+	}
+	ev := Evaluate(model, ex, cfg.Cutoff)
+	if ev.Positives != pos || ev.Negatives != n-pos || ev.Error != float64(fp+fn)/float64(n) {
+		t.Errorf("Evaluate = %+v, disagrees with the tally: %d positives, fp=%d fn=%d", ev, pos, fp, fn)
 	}
 }

@@ -130,114 +130,3 @@ func ruleFmtPrint() Rule {
 		},
 	}
 }
-
-// lockTypes are the sync types that must never be copied once used.
-var lockTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true,
-	"Once": true, "Cond": true, "Map": true, "Pool": true,
-}
-
-// lockPath returns a human-readable path to a sync lock type contained by
-// value in t ("sync.Mutex", "struct field mu sync.Mutex"), or "".
-func lockPath(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	switch u := types.Unalias(t).(type) {
-	case *types.Named:
-		if obj := u.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" && lockTypes[obj.Name()] {
-			return "sync." + obj.Name()
-		}
-		return lockPath(u.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lp := lockPath(u.Field(i).Type(), seen); lp != "" {
-				return lp
-			}
-		}
-	case *types.Array:
-		return lockPath(u.Elem(), seen)
-	}
-	return ""
-}
-
-// copiesValue reports whether e reads an existing value (as opposed to
-// constructing a fresh one), so that using it by value is a copy.
-func copiesValue(e ast.Expr) bool {
-	switch ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	}
-	return false
-}
-
-// ruleMutexCopy flags sync primitives copied by value: non-pointer
-// receivers/params whose type contains a lock, assignments that
-// duplicate an existing lock-bearing value, lock-bearing loop variables,
-// and lock-bearing values passed as call arguments. A copied mutex forks
-// the lock state and silently stops excluding anything.
-func ruleMutexCopy() Rule {
-	return Rule{
-		Name: "mutex-copy",
-		Doc:  "flag sync.Mutex/RWMutex/WaitGroup/... copied by value (params, receivers, assignments, range)",
-		Run: func(p *Package, report func(pos token.Pos, format string, args ...interface{})) {
-			lockIn := func(e ast.Expr) string {
-				t := p.Info.TypeOf(e)
-				if t == nil {
-					return ""
-				}
-				if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-					return ""
-				}
-				return lockPath(t, make(map[types.Type]bool))
-			}
-			inspect(p, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					// Results are exempt: constructors returning a fresh
-					// zero-valued lock by value are idiomatic and safe.
-					fields := []*ast.FieldList{n.Recv, n.Type.Params}
-					for _, fl := range fields {
-						if fl == nil {
-							continue
-						}
-						for _, f := range fl.List {
-							if lp := lockIn(f.Type); lp != "" {
-								report(f.Pos(), "%s passes %s by value; use a pointer", n.Name.Name, lp)
-							}
-						}
-					}
-				case *ast.AssignStmt:
-					for i, rhs := range n.Rhs {
-						if i >= len(n.Lhs) || !copiesValue(rhs) {
-							continue
-						}
-						if lp := lockIn(rhs); lp != "" {
-							report(n.Pos(), "assignment copies %s by value; use a pointer", lp)
-						}
-					}
-				case *ast.RangeStmt:
-					if n.Value != nil {
-						if lp := lockIn(n.Value); lp != "" {
-							report(n.Value.Pos(), "range value copies %s each iteration; range over indices or pointers", lp)
-						}
-					}
-				case *ast.CallExpr:
-					if p.Builtin(n) == "append" {
-						return true
-					}
-					for _, arg := range n.Args {
-						if !copiesValue(arg) {
-							continue
-						}
-						if lp := lockIn(arg); lp != "" {
-							report(arg.Pos(), "argument copies %s by value; pass a pointer", lp)
-						}
-					}
-				}
-				return true
-			})
-		},
-	}
-}

@@ -1,12 +1,12 @@
 // Package lint implements lfolint, the repository's custom static
 // analyzer: the package loader, the rule runner with its policy tiers and
-// waivers, and the five syntactic rules — map-iteration order in the
+// waivers, and the four syntactic rules — map-iteration order in the
 // deterministic core, float-comparison safety in the numeric kernels, and
-// error, output and lock-copy hygiene in library code — using only the
-// standard library's go/parser, go/ast, go/types, and go/token. Wall
-// clocks, global randomness and WaitGroup discipline are checked by the
-// interprocedural rules of package flow, which follow them through
-// helper calls.
+// error and output hygiene in library code — using only the standard
+// library's go/parser, go/ast, go/types, and go/token. Wall clocks, global
+// randomness and WaitGroup discipline are checked by the interprocedural
+// rules of package flow, which follow them through helper calls; locks
+// copied by value are go vet's copylocks check.
 //
 // Rules are gated by per-package policy tiers (DefaultPolicy). Individual
 // findings can be waived in place with
@@ -128,7 +128,6 @@ func DefaultPolicy() Policy {
 		"float-equal":      {Include: NumericKernels},
 		"unchecked-error":  {},
 		"fmt-print":        {Include: []string{"internal"}, Exclude: []string{"internal/cliutil"}},
-		"mutex-copy":       {},
 		"flow-determinism": {Include: DeterministicCore},
 		"hotpath-alloc":    {},
 		"goroutine-join":   {},
@@ -144,7 +143,6 @@ func Rules() []Rule {
 		ruleFloatEqual(),
 		ruleUncheckedError(),
 		ruleFmtPrint(),
-		ruleMutexCopy(),
 	}
 }
 

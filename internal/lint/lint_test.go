@@ -24,7 +24,6 @@ var fixtureRule = map[string]string{
 	"floateq":      "float-equal",
 	"uncheckederr": "unchecked-error",
 	"fmtprint":     "fmt-print",
-	"mutexcopy":    "mutex-copy",
 	"wgmisuse":     "goroutine-join",
 	"suppress":     "fmt-print", // exercises the waiver mechanism
 	"suppressbad":  "fmt-print", // checked by TestMalformedSuppression
@@ -232,8 +231,6 @@ func TestDefaultPolicyTiers(t *testing.T) {
 		{"fmt-print", "internal/analysis", true},
 		{"fmt-print", "internal/cliutil", false}, // the sanctioned output layer
 		{"fmt-print", "cmd/lfosim", false},       // CLIs own their stdout
-		{"mutex-copy", "internal/tiered", true},
-		{"mutex-copy", "examples/quickstart", true},
 		{"goroutine-join", "internal/server", true},
 		{"goroutine-join", "internal/par", true},
 		{"goroutine-join", "cmd/lfosim", true},
@@ -247,26 +244,5 @@ func TestDefaultPolicyTiers(t *testing.T) {
 		if got := scope.Matches(c.rel); got != c.want {
 			t.Errorf("policy[%s].Matches(%q) = %v, want %v", c.rule, c.rel, got, c.want)
 		}
-	}
-}
-
-// TestRepoIsLintClean gates the repository under the syntactic rules, so
-// go test ./internal/lint alone catches a regression. The full gate, every
-// rule cmd/lfolint runs, is flow's TestRepoIsFlowClean.
-func TestRepoIsLintClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module from source")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.LoadModule(root)
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
-	diags := lint.Run(pkgs, lint.Rules(), lint.DefaultPolicy())
-	for _, d := range diags {
-		t.Errorf("%s", d)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"lfo/internal/gen"
 	"lfo/internal/policy/ogd"
 	"lfo/internal/sim"
+	"lfo/internal/tiered"
 	"lfo/internal/trace"
 )
 
@@ -339,11 +340,9 @@ func TestHeuristicsMatchReference(t *testing.T) {
 
 // TestBaselineInvariants replays every baseline built on one
 // evict.Residents — all of the table but S4LRU, whose tiers
-// TestTieredInvariants holds — over a CDN and a web mix and checks after
-// every request that a hit is returned exactly when the object was
-// resident before the request, that the resident bytes fit the capacity,
-// and that an evictor keeping a structure of its own (queue, list, wheels)
-// holds exactly the residents. It fails if nothing was ever evicted.
+// TestTieredInvariants holds — over a CDN and a web mix under
+// invariants.request's checks after every request. It fails if nothing
+// was ever evicted.
 func TestBaselineInvariants(t *testing.T) {
 	for _, mix := range []struct {
 		name string
@@ -362,28 +361,11 @@ func TestBaselineInvariants(t *testing.T) {
 				continue
 			}
 			t.Run(mix.name+"/"+name, func(t *testing.T) {
-				p := mustNew(t, name, mix.size, 1)
-				res := residentsOf(t, p)
-				store := res.Store
-				tracked, isTracked := res.Evictor.(interface{ Len() int })
-				evictions := 0
+				inv := newInvariants(t, mustNew(t, name, mix.size, 1), mix.size)
 				for i, r := range tr.Requests {
-					resident, before := store.Has(r.ID), store.Len()
-					if hit := p.Request(r); hit != resident {
-						t.Fatalf("request %d (id %d): hit=%v but resident before the call=%v", i, r.ID, hit, resident)
-					}
-					if store.Used() > store.Capacity() {
-						t.Fatalf("request %d: %d bytes resident in a cache of %d", i, store.Used(), store.Capacity())
-					}
-					if isTracked && tracked.Len() != store.Len() {
-						t.Fatalf("request %d: the evictor tracks %d objects, the store holds %d", i, tracked.Len(), store.Len())
-					}
-					if !resident && store.Has(r.ID) {
-						before++
-					}
-					evictions += before - store.Len()
+					inv.request(t, i, r)
 				}
-				if evictions == 0 {
+				if inv.evictions == 0 {
 					t.Fatal("the trace never filled the cache")
 				}
 			})
@@ -391,8 +373,105 @@ func TestBaselineInvariants(t *testing.T) {
 	}
 }
 
+// invariants holds a registered policy to what every cache of the table
+// must keep after each request: a hit exactly when the object was
+// resident before the request, the resident bytes within the capacity,
+// and an evictor keeping a structure of its own (queue, list, wheels)
+// tracking exactly the residents. S4LRU has no single resident set, so it
+// is held to the capacity alone: each of its equal tiers within its share.
+type invariants struct {
+	p        sim.Policy
+	capacity int64
+	store    *sim.Store[evict.Meta] // nil for S4LRU
+	tracked  interface{ Len() int } // nil unless the evictor keeps one
+	tiers    *tiered.TieredCache    // S4LRU only
+	// evictions counts residents removed to make room.
+	evictions int
+}
+
+func newInvariants(t testing.TB, p sim.Policy, capacity int64) *invariants {
+	t.Helper()
+	inv := &invariants{p: p, capacity: capacity}
+	if n, ok := p.(named); ok {
+		inv.tiers = n.Policy.(*tiered.TieredCache)
+		return inv
+	}
+	res := residentsOf(t, p)
+	inv.store = res.Store
+	inv.tracked, _ = res.Evictor.(interface{ Len() int })
+	return inv
+}
+
+// request serves request i and checks the invariants after it.
+func (inv *invariants) request(t testing.TB, i int, r trace.Request) {
+	t.Helper()
+	if inv.tiers != nil {
+		inv.p.Request(r)
+		used := inv.tiers.Used()
+		for tier, u := range used {
+			if u > inv.capacity/int64(len(used)) {
+				t.Fatalf("request %d: %d bytes resident in tier %d of %d, a cache of %d", i, u, tier, len(used), inv.capacity)
+			}
+		}
+		return
+	}
+	store := inv.store
+	resident, before := store.Has(r.ID), store.Len()
+	if hit := inv.p.Request(r); hit != resident {
+		t.Fatalf("request %d (id %d): hit=%v but resident before the call=%v", i, r.ID, hit, resident)
+	}
+	if store.Used() > inv.capacity || store.Capacity() != inv.capacity {
+		t.Fatalf("request %d: %d bytes resident in a store of %d, cache of %d", i, store.Used(), store.Capacity(), inv.capacity)
+	}
+	if inv.tracked != nil && inv.tracked.Len() != store.Len() {
+		t.Fatalf("request %d: the evictor tracks %d objects, the store holds %d", i, inv.tracked.Len(), store.Len())
+	}
+	if !resident && store.Has(r.ID) {
+		before++
+	}
+	inv.evictions += before - store.Len()
+}
+
+// FuzzPolicyTrace replays fuzz-drawn valid traces through every
+// registered policy under invariants.request's checks. The first two
+// bytes give the capacity (1 B to 64 KiB); each following group of three
+// is one request: an object of a 16-ID alphabet (low nibble) with a miss
+// cost of 1–16 (high nibble), a time step of 0–255 and, the first time
+// the object is seen, its size, between 1 B and twice the capacity. Sizes are fixed per object and times never go
+// back, so every trace passes trace.Validate.
+func FuzzPolicyTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		capacity := 1 + (int64(data[0])<<8 | int64(data[1]))
+		tr := &trace.Trace{}
+		sizes := make(map[trace.ObjectID]int64)
+		var now int64
+		for ops := data[2:]; len(ops) >= 3; ops = ops[3:] {
+			id := trace.ObjectID(ops[0] % 16)
+			now += int64(ops[1])
+			size, ok := sizes[id]
+			if !ok {
+				size = 1 + (int64(ops[2])*2*capacity)/256
+				sizes[id] = size
+			}
+			tr.Requests = append(tr.Requests, trace.Request{Time: now, ID: id, Size: size, Cost: float64(1 + ops[0]>>4)})
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("drew an invalid trace: %v", err)
+		}
+		for _, name := range Names() {
+			inv := newInvariants(t, mustNew(t, name, capacity, 1), capacity)
+			for i, r := range tr.Requests {
+				inv.request(t, i, r)
+			}
+		}
+	})
+}
+
 // residentsOf returns the one resident set a baseline is built on.
-func residentsOf(t *testing.T, p sim.Policy) *evict.Residents {
+func residentsOf(t testing.TB, p sim.Policy) *evict.Residents {
 	t.Helper()
 	switch p := p.(type) {
 	case *admitAll:

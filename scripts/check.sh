@@ -29,8 +29,12 @@ go build ./...
 step "lfolint ./..."
 go run ./cmd/lfolint ./...
 
-step "go test ./..."
-go test ./...
+# One run of the suite, with coverage on: the floors further down read
+# their figures from this output instead of testing those packages again.
+step "go test -cover ./..."
+cover_out=$(mktemp)
+trap 'rm -f "$cover_out"' EXIT
+go test -cover ./... | tee "$cover_out"
 
 # The examples document the façade, and building them proves only that
 # they compile: run both, and check that the quickstart reads its last
@@ -73,10 +77,11 @@ go test -race -count 3 -run 'DeployLag|EarlyRetrainAwaits|AsyncDropped' ./intern
 # min-cost flow oracles are, on evict and core, whose lock-step picks,
 # refactor pins and invariant replays are, on the figure harness, whose golden tables
 # are, and on the analyzer, whose golden fixtures are its only guard: a
-# silent drop in what they exercise should fail the gate.
+# silent drop in what they exercise should fail the gate. Each figure is
+# the one the suite run above printed for the package.
 cover_floor() {
     pkg=$1 floor=$2
-    pct=$(go test -cover "$pkg" | awk '{for (i = 1; i <= NF; i++) if ($i == "coverage:") {gsub("%", "", $(i+1)); print $(i+1)}}')
+    pct=$(awk -v p="lfo/${pkg#./}" '$2 == p {for (i = 1; i <= NF; i++) if ($i == "coverage:") {gsub("%", "", $(i+1)); print $(i+1)}}' "$cover_out")
     if [ -z "$pct" ]; then
         echo "no coverage figure for $pkg" >&2
         exit 1
@@ -146,8 +151,9 @@ step "alloc budgets"
 # Short fuzz smoke over the frame codec, the model parser, the scorer, the
 # trainer's split scan, the test-side min-cost flow solver and the feature
 # tracker (those four against their _test.go oracles), the OPT sweep
-# (against that min-cost flow) and the trace reader (accept implies validates and
-# round-trips). The
+# (against that min-cost flow), the trace reader (accept implies validates and
+# round-trips) and every registered policy (the per-request invariants of
+# TestBaselineInvariants over fuzz-drawn valid traces). The
 # committed seed corpora under testdata/fuzz always replay; the smoke
 # additionally mutates for a few seconds per target. -fuzzminimizetime
 # is capped because the engine's default 60s minimization budget would
@@ -162,6 +168,7 @@ go test -run '^$' -fuzz '^FuzzSolveMatchesReference$' -fuzztime 5s -fuzzminimize
 go test -run '^$' -fuzz '^FuzzSweepMatchesFlow$' -fuzztime 5s -fuzzminimizetime 5s ./internal/opt
 go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s -fuzzminimizetime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzTrackerMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/features
+go test -run '^$' -fuzz '^FuzzPolicyTrace$' -fuzztime 5s -fuzzminimizetime 5s ./internal/policy
 
 # Informational: the size ROADMAP.md quotes (north star: the same tables
 # and numbers from the least code), so its figure can be re-read here.
