@@ -142,10 +142,17 @@ func TestObsCountersDeterministic(t *testing.T) {
 				sa.Counters[i].Name, sa.Counters[i].Value, sb.Counters[i].Name, sb.Counters[i].Value)
 		}
 	}
+	recorded := false
 	for i := range sa.Gauges {
 		if sa.Gauges[i] != sb.Gauges[i] {
 			t.Errorf("gauge %s differs across identical runs", sa.Gauges[i].Name)
 		}
+		if sa.Gauges[i].Name == "core_window_record_bytes" {
+			recorded = sa.Gauges[i].Value > 0
+		}
+	}
+	if !recorded {
+		t.Error("core_window_record_bytes is missing or zero: the window record's size went unreported")
 	}
 	if len(sa.Histograms) != len(sb.Histograms) {
 		t.Fatalf("histogram sets differ: %d vs %d", len(sa.Histograms), len(sb.Histograms))

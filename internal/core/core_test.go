@@ -260,7 +260,7 @@ func TestExtractAlignsLabelsAndFeatures(t *testing.T) {
 	}
 	// Size feature must equal request size.
 	for i, r := range tr.Requests {
-		if got := ex.Feats[i*features.Dim+features.FeatSize]; got != float64(r.Size) {
+		if got := ex.Rows.Row(i)[features.FeatSize]; got != float64(r.Size) {
 			t.Fatalf("row %d size feature %g != %d", i, got, r.Size)
 		}
 	}
@@ -482,6 +482,8 @@ func TestObsMetricsRecorded(t *testing.T) {
 		"core_gap_rings":       int64(lfo.tracker.Rings()),
 		"core_tracker_bytes":   lfo.tracker.Bytes(),
 		"core_resident_bytes":  lfo.res.Store.Used(),
+		// Both record buffers; at DeployLag 0 the spare never records.
+		"core_window_record_bytes": lfo.winRows.Bytes() + lfo.spareRows.Bytes(),
 	} {
 		if got := reg.Gauge(name).Value(); got != want || want == 0 {
 			t.Errorf("%s = %d, want %d (non-zero)", name, got, want)

@@ -22,7 +22,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"lfo/internal/drift"
@@ -165,13 +164,14 @@ type LFO struct {
 	model   *gbdt.Model
 
 	// Window recording, double-buffered: the current window records into
-	// winReqs/winFeats while a round in flight owns the spare pair, which
-	// the request path does not touch until the round has landed.
-	winReqs    []trace.Request
-	winFeats   []float64 // flat rows, features.Dim wide
-	spareReqs  []trace.Request
-	spareFeats []float64
-	windows    int
+	// winReqs/winRows while a round in flight owns the spare pair, which
+	// the request path does not touch until the round has landed. A row is
+	// kept without its missing tail.
+	winReqs   []trace.Request
+	winRows   *gbdt.RowStore
+	spareReqs []trace.Request
+	spareRows *gbdt.RowStore
+	windows   int
 
 	clock int64 // request counter (bootstrap LRU rank)
 	now   int64 // last request's trace time (feature time base)
@@ -226,6 +226,7 @@ type coreMetrics struct {
 	trackedObjects    *obs.Gauge
 	gapRings          *obs.Gauge
 	trackerBytes      *obs.Gauge
+	recordBytes       *obs.Gauge
 	residentBytes     *obs.Gauge
 	windowRequests    *obs.Gauge
 	labelPositivePPM  *obs.Gauge
@@ -247,6 +248,7 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 		trackedObjects:    r.Gauge("core_tracked_objects"),
 		gapRings:          r.Gauge("core_gap_rings"),
 		trackerBytes:      r.Gauge("core_tracker_bytes"),
+		recordBytes:       r.Gauge("core_window_record_bytes"),
 		residentBytes:     r.Gauge("core_resident_bytes"),
 		windowRequests:    r.Gauge("core_window_requests"),
 		labelPositivePPM:  r.Gauge("core_label_positive_ppm"),
@@ -292,11 +294,13 @@ func New(cfg Config) (*LFO, error) {
 		return nil, fmt.Errorf("core: %v", err)
 	}
 	p := &LFO{
-		cfg:     cfg,
-		name:    "LFO",
-		res:     res,
-		tracker: features.NewTracker(cfg.MaxTrackedObjects),
-		m:       newCoreMetrics(cfg.Obs),
+		cfg:       cfg,
+		name:      "LFO",
+		res:       res,
+		tracker:   features.NewTracker(cfg.MaxTrackedObjects),
+		winRows:   gbdt.NewRowStore(features.Dim),
+		spareRows: gbdt.NewRowStore(features.Dim),
+		m:         newCoreMetrics(cfg.Obs),
 	}
 	if cfg.HybridLR > 0 || cfg.DriftThreshold > 0 {
 		p.hm = newHybridMetrics(cfg.Obs)
@@ -352,13 +356,12 @@ func (p *LFO) Request(r trace.Request) bool {
 
 	// Record the window sample before acting (features must reflect the
 	// pre-decision state, exactly what the deployed model would see). The
-	// row is written once, into the window record, where the model, the drift
-	// detector and training read it; the same call records the request.
+	// row is written once, in full, into the window record, where the model
+	// and the drift detector read it; the record keeps it up to its missing
+	// tail for training. The same call records the request.
 	p.winReqs = append(p.winReqs, r)
-	n := len(p.winFeats)
-	p.winFeats = slices.Grow(p.winFeats, features.Dim)[:n+features.Dim]
-	row := p.winFeats[n:]
-	p.tracker.Observe(r, store.Free(), row)
+	row := p.winRows.Next()
+	p.winRows.Commit(p.tracker.Observe(r, store.Free(), row))
 
 	// score is what the evictor is handed: the model's raw likelihood, or
 	// the request counter during bootstrap (admit all, LRU order).
@@ -431,6 +434,7 @@ func (p *LFO) closeWindow() {
 	p.m.trackedObjects.Set(int64(p.tracker.Len()))
 	p.m.gapRings.Set(int64(p.tracker.Rings()))
 	p.m.trackerBytes.Set(p.tracker.Bytes())
+	p.m.recordBytes.Set(p.winRows.Bytes() + p.spareRows.Bytes())
 	p.m.residentBytes.Set(p.res.Store.Used())
 	if p.round != nil {
 		p.await()
@@ -445,8 +449,8 @@ func (p *LFO) closeWindow() {
 	// Buffered, so the round's goroutine exits even if no one awaits it.
 	ch := make(chan trainResult, 1)
 	p.round = ch
-	reqs, feats, cfg, m := p.spareReqs, p.spareFeats, p.cfg, p.m
-	go func() { ch <- trainWindow(reqs, feats, cfg, m) }()
+	reqs, rows, cfg, m := p.spareReqs, p.spareRows, p.cfg, p.m
+	go func() { ch <- trainWindow(reqs, rows, cfg, m) }()
 	p.updateLag()
 	if p.cfg.DeployLag == 0 {
 		p.await()
@@ -454,10 +458,11 @@ func (p *LFO) closeWindow() {
 }
 
 // swapWindow exchanges the recording and spare buffer pairs, emptying the
-// new recording pair and keeping both backing arrays.
+// new recording pair and keeping both pairs' storage.
 func (p *LFO) swapWindow() {
 	p.winReqs, p.spareReqs = p.spareReqs[:0], p.winReqs
-	p.winFeats, p.spareFeats = p.spareFeats[:0], p.winFeats
+	p.winRows, p.spareRows = p.spareRows, p.winRows
+	p.winRows.Reset()
 }
 
 // await blocks until the round in flight lands, then deploys it. If nothing
@@ -477,13 +482,13 @@ func (p *LFO) await() {
 
 // trainWindow is the learning half of a window handoff; it is free of
 // references to the live cache so it can run concurrently with serving.
-// OPT's decisions become labels, the recorded feature matrix becomes the
-// training set without a copy, and the admission model is fitted. The
-// eviction ranker trains from the same window's labels (an object OPT
-// would not cache is the ideal victim), so one solve supervises both
-// models. The new model's agreement with OPT on its own window — one
-// batched prediction — is computed only when a registry will record it.
-func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetrics) trainResult {
+// OPT's decisions become labels, the recorded rows become the training set
+// without a copy, and the admission model is fitted. The eviction ranker
+// trains from the same window's labels (an object OPT would not cache is
+// the ideal victim), so one solve supervises both models. The new model's
+// agreement with OPT on its own window — one scoring pass over its rows —
+// is computed only when a registry will record it.
+func trainWindow(reqs []trace.Request, rows *gbdt.RowStore, cfg Config, m coreMetrics) trainResult {
 	sc := obs.Start(m.optNS)
 	res, err := opt.Compute(&trace.Trace{Requests: reqs}, cfg.OPT)
 	sc.Stop()
@@ -497,13 +502,13 @@ func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetric
 	// An admitted interval ends in exactly one OPT hit: Hits counts positives.
 	m.labelPositivePPM.Set(int64(res.Hits) * 1e6 / int64(len(reqs)))
 	sc = obs.Start(m.trainNS)
-	model, err := fit(feats, res.Admit, cfg.GBDT)
+	model, err := fit(rows, res.Admit, cfg.GBDT)
 	sc.Stop()
 	if err != nil {
 		panic(fmt.Sprintf("core: training failed: %v", err))
 	}
 	if cfg.Obs != nil {
-		_, fp, fn := tallyAgreement(model, feats, res.Admit, cfg.Cutoff, cfg.Workers)
+		_, fp, fn := tallyAgreement(model, rows, res.Admit, cfg.Cutoff, cfg.Workers)
 		m.trainAgreementPPM.Set(int64(len(reqs)-fp-fn) * 1e6 / int64(len(reqs)))
 	}
 	tr := trainResult{model: model}

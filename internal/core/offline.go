@@ -4,6 +4,7 @@ import (
 	"lfo/internal/features"
 	"lfo/internal/gbdt"
 	"lfo/internal/opt"
+	"lfo/internal/par"
 	"lfo/internal/trace"
 )
 
@@ -12,8 +13,9 @@ import (
 // held still so the accuracy experiments (Fig 5a/5b/5c) can measure
 // prediction error against OPT rather than through cache metrics.
 type Extraction struct {
-	// Feats is a flat row-major matrix, features.Dim wide.
-	Feats []float64
+	// Rows holds request i's feature row as row i, features.Dim wide and
+	// stored without its missing tail.
+	Rows *gbdt.RowStore
 	// Labels[i] reports whether OPT admits request i.
 	Labels []bool
 	// Requests is the number of rows.
@@ -48,33 +50,33 @@ func Extract(tr *trace.Trace, cfg Config) (*Extraction, error) {
 	for _, r := range tr.Requests {
 		rec.Request(r)
 	}
-	return &Extraction{Feats: rec.winFeats, Labels: res.Admit, Requests: tr.Len()}, nil
+	return &Extraction{Rows: rec.winRows, Labels: res.Admit, Requests: tr.Len()}, nil
 }
 
-// Dataset converts the extraction into a training set. The feature
-// matrix is shared, not copied; do not mutate the extraction while the
-// dataset is in use.
+// Dataset converts the extraction into a training set. The rows are
+// shared, not copied; do not mutate the extraction while the dataset is in
+// use.
 func (e *Extraction) Dataset() *gbdt.Dataset {
-	return dataset(e.Feats, e.Labels[:e.Requests])
+	return dataset(e.Rows, e.Labels[:e.Requests])
 }
 
 // dataset pairs recorded feature rows with OPT's decisions as 0/1 labels.
-// The matrix is shared, not copied.
-func dataset(feats []float64, admit []bool) *gbdt.Dataset {
+// The rows are shared, not copied.
+func dataset(rows *gbdt.RowStore, admit []bool) *gbdt.Dataset {
 	y := make([]float64, len(admit))
 	for i, a := range admit {
 		if a {
 			y[i] = 1
 		}
 	}
-	return gbdt.DatasetFromMatrix(features.Dim, feats, y)
+	return gbdt.DatasetFromRows(rows, y)
 }
 
 // fit is the learning step of Figure 2, shared by the online handoff
 // (trainWindow) and its offline counterpart (TrainOnWindow): a window's
 // recorded rows and OPT's decisions for them become the admission model.
-func fit(feats []float64, admit []bool, p gbdt.Params) (*gbdt.Model, error) {
-	return gbdt.Train(dataset(feats, admit), p)
+func fit(rows *gbdt.RowStore, admit []bool, p gbdt.Params) (*gbdt.Model, error) {
+	return gbdt.Train(dataset(rows, admit), p)
 }
 
 // EvalResult quantifies a model's agreement with OPT on an extraction.
@@ -94,10 +96,10 @@ type EvalResult struct {
 }
 
 // Evaluate measures model-vs-OPT agreement on the extraction at the given
-// admission cutoff. Rows are scored with one batched prediction across
-// all cores; the verdict is identical to a sequential scan.
+// admission cutoff. Rows are scored in parallel across all cores; the
+// verdict is identical to a sequential scan.
 func Evaluate(m *gbdt.Model, e *Extraction, cutoff float64) EvalResult {
-	pos, fp, fn := tallyAgreement(m, e.Feats, e.Labels[:e.Requests], cutoff, 0)
+	pos, fp, fn := tallyAgreement(m, e.Rows, e.Labels[:e.Requests], cutoff, 0)
 	res := EvalResult{Positives: pos, Negatives: e.Requests - pos}
 	if e.Requests > 0 {
 		res.Error = float64(fp+fn) / float64(e.Requests)
@@ -111,15 +113,21 @@ func Evaluate(m *gbdt.Model, e *Extraction, cutoff float64) EvalResult {
 	return res
 }
 
-// tallyAgreement scores the first len(labels) rows of feats with one
-// batched prediction over the given workers and counts the verdicts at
-// the cutoff against OPT's labels: the OPT-admitted rows, the rows OPT
-// rejects and the model admits (fp), and the rows OPT admits and the
-// model rejects (fn). The one count behind Evaluate and the handoff's
+// tallyAgreement scores the first len(labels) rows over the given workers,
+// each expanded into a dense row on the worker's stack, and counts the
+// verdicts at the cutoff against OPT's labels: the OPT-admitted rows, the
+// rows OPT rejects and the model admits (fp), and the rows OPT admits and
+// the model rejects (fn). The one count behind Evaluate and the handoff's
 // core_train_agreement_ppm gauge.
-func tallyAgreement(m *gbdt.Model, feats []float64, labels []bool, cutoff float64, workers int) (positives, fp, fn int) {
+func tallyAgreement(m *gbdt.Model, rows *gbdt.RowStore, labels []bool, cutoff float64, workers int) (positives, fp, fn int) {
 	preds := make([]float64, len(labels))
-	m.PredictMatrix(feats[:len(labels)*features.Dim], preds, workers)
+	par.Ranges(len(labels), workers, 256, func(lo, hi int) {
+		var row [features.Dim]float64
+		for i := lo; i < hi; i++ {
+			rows.Expand(i, row[:])
+			preds[i] = m.Predict(row[:])
+		}
+	})
 	for i, label := range labels {
 		if admit := preds[i] >= cutoff; label {
 			positives++
@@ -141,7 +149,7 @@ func TrainOnWindow(tr *trace.Trace, cfg Config) (*gbdt.Model, *Extraction, error
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := fit(ex.Feats, ex.Labels, cfg.GBDT)
+	m, err := fit(ex.Rows, ex.Labels, cfg.GBDT)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -18,8 +18,9 @@ import (
 // referenceExtract is Extract as it was before the online recorder took
 // over (parent of PR 23): the free-bytes column from a replay of a separate
 // admit-all LRU cache, then a sequential Features/Update pass of a fresh
-// tracker. Extract must return these rows bit for bit.
-func referenceExtract(t *testing.T, tr *trace.Trace, cfg Config) *Extraction {
+// tracker, as a dense row-major matrix. Extract must return these rows bit
+// for bit.
+func referenceExtract(t *testing.T, tr *trace.Trace, cfg Config) (feats []float64, labels []bool) {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	res, err := opt.Compute(tr, cfg.OPT)
@@ -31,13 +32,13 @@ func referenceExtract(t *testing.T, tr *trace.Trace, cfg Config) *Extraction {
 		t.Fatal(err)
 	}
 	tracker := features.NewTracker(cfg.MaxTrackedObjects)
-	feats := make([]float64, tr.Len()*features.Dim)
+	feats = make([]float64, tr.Len()*features.Dim)
 	for i, r := range tr.Requests {
 		tracker.Features(r, ref.Free(), feats[i*features.Dim:(i+1)*features.Dim])
 		tracker.Update(r)
 		ref.Request(r)
 	}
-	return &Extraction{Feats: feats, Labels: res.Admit, Requests: tr.Len()}
+	return feats, res.Admit
 }
 
 // TestExtractMatchesReferenceReplay: the rows the bootstrap cache's Request
@@ -75,24 +76,27 @@ func TestExtractMatchesReferenceReplay(t *testing.T) {
 					MaxTrackedObjects: c.tracked,
 					Workers:           workers,
 				}
-				want := referenceExtract(t, tr, cfg)
+				feats, labels := referenceExtract(t, tr, cfg)
 				got, err := Extract(tr, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Requests != want.Requests || len(got.Feats) != len(want.Feats) || len(got.Labels) != len(want.Labels) {
-					t.Fatalf("workers=%d: %d rows, %d values, %d labels; reference %d, %d, %d", workers,
-						got.Requests, len(got.Feats), len(got.Labels), want.Requests, len(want.Feats), len(want.Labels))
+				if got.Requests != tr.Len() || got.Rows.Len() != tr.Len() || len(got.Labels) != len(labels) {
+					t.Fatalf("workers=%d: %d requests, %d rows, %d labels; reference %d, %d, %d", workers,
+						got.Requests, got.Rows.Len(), len(got.Labels), tr.Len(), tr.Len(), len(labels))
 				}
-				for i := range want.Feats {
-					if math.Float64bits(got.Feats[i]) != math.Float64bits(want.Feats[i]) {
-						t.Fatalf("workers=%d: row %d feature %d = %v, reference %v", workers,
-							i/features.Dim, i%features.Dim, got.Feats[i], want.Feats[i])
+				row := make([]float64, features.Dim)
+				for i := 0; i < tr.Len(); i++ {
+					got.Rows.Expand(i, row)
+					for f, v := range feats[i*features.Dim : (i+1)*features.Dim] {
+						if math.Float64bits(row[f]) != math.Float64bits(v) {
+							t.Fatalf("workers=%d: row %d feature %d = %v, reference %v", workers, i, f, row[f], v)
+						}
 					}
 				}
-				for i := range want.Labels {
-					if got.Labels[i] != want.Labels[i] {
-						t.Fatalf("workers=%d: label %d = %v, reference %v", workers, i, got.Labels[i], want.Labels[i])
+				for i := range labels {
+					if got.Labels[i] != labels[i] {
+						t.Fatalf("workers=%d: label %d = %v, reference %v", workers, i, got.Labels[i], labels[i])
 					}
 				}
 			}
@@ -155,9 +159,9 @@ func TestAgreementGaugeIsTally(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg = lfo.cfg
-	model := trainWindow(tr.Requests, ex.Feats, cfg, lfo.m).model
+	model := trainWindow(tr.Requests, ex.Rows, cfg, lfo.m).model
 	n := tr.Len()
-	pos, fp, fn := tallyAgreement(model, ex.Feats, ex.Labels, cfg.Cutoff, 1)
+	pos, fp, fn := tallyAgreement(model, ex.Rows, ex.Labels, cfg.Cutoff, 1)
 	if fp == 0 || fn == 0 {
 		t.Fatalf("fp=%d fn=%d: a window without both kinds of error pins neither", fp, fn)
 	}

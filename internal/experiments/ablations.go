@@ -120,17 +120,17 @@ func AblationFeatureVariants(cfg Config) ([]FeatureVariantResult, error) {
 
 	variants := []struct {
 		name string
-		mut  func(*core.Extraction) *core.Extraction
+		mut  func(row []float64) // a row's stored cells, in place
 	}{
-		{"gaps (LFO)", func(e *core.Extraction) *core.Extraction { return e }},
+		{"gaps (LFO)", nil},
 		{"absolute (LRU-K style)", toAbsoluteTimes},
 		{"thinned gaps {1,2,4,8,16,32}", thinGaps},
 		{"log2-quantized gaps", quantizeGaps},
 	}
 	var out []FeatureVariantResult
 	for _, v := range variants {
-		trainV := v.mut(cloneExtraction(wp.train))
-		evalV := v.mut(cloneExtraction(wp.eval))
+		trainV := mapRows(wp.train, v.mut)
+		evalV := mapRows(wp.eval, v.mut)
 		model, err := gbdt.Train(trainV.Dataset(), lcfg.GBDT)
 		if err != nil {
 			return nil, err
@@ -145,61 +145,56 @@ func AblationFeatureVariants(cfg Config) ([]FeatureVariantResult, error) {
 	return out, nil
 }
 
-func cloneExtraction(e *core.Extraction) *core.Extraction {
-	return &core.Extraction{
-		Feats:    append([]float64(nil), e.Feats...),
-		Labels:   e.Labels,
-		Requests: e.Requests,
+// mapRows returns the extraction with mut applied to a copy of each row's
+// stored cells; a nil mut returns it as it is. The cells past a row's are
+// missing, and every variant leaves a missing gap missing.
+func mapRows(e *core.Extraction, mut func(row []float64)) *core.Extraction {
+	if mut == nil {
+		return e
 	}
+	rows := gbdt.NewRowStore(features.Dim)
+	for i := 0; i < e.Rows.Len(); i++ {
+		row := rows.Next()
+		n := copy(row, e.Rows.Row(i))
+		mut(row[:n])
+		rows.Commit(n)
+	}
+	return &core.Extraction{Rows: rows, Labels: e.Labels, Requests: e.Requests}
 }
 
 // toAbsoluteTimes converts gap features into LRU-K-style absolute
 // "time since k-th most recent request" features via prefix sums.
-func toAbsoluteTimes(e *core.Extraction) *core.Extraction {
-	for i := 0; i < e.Requests; i++ {
-		row := e.Feats[i*features.Dim : (i+1)*features.Dim]
-		sum := 0.0
-		for g := 0; g < features.NumGaps; g++ {
-			v := row[features.FeatGap0+g]
-			if math.IsNaN(v) {
-				break
-			}
-			sum += v
-			row[features.FeatGap0+g] = sum
+func toAbsoluteTimes(row []float64) {
+	sum := 0.0
+	for g := features.FeatGap0; g < len(row); g++ {
+		if math.IsNaN(row[g]) {
+			break
 		}
+		sum += row[g]
+		row[g] = sum
 	}
-	return e
 }
 
 // thinGaps keeps only gaps 1, 2, 4, 8, 16, 32, masking the rest.
-func thinGaps(e *core.Extraction) *core.Extraction {
-	keep := map[int]bool{1: true, 2: true, 4: true, 8: true, 16: true, 32: true}
-	for i := 0; i < e.Requests; i++ {
-		row := e.Feats[i*features.Dim : (i+1)*features.Dim]
-		for g := 1; g <= features.NumGaps; g++ {
-			if !keep[g] {
-				row[features.FeatGap0+g-1] = features.Missing
-			}
+func thinGaps(row []float64) {
+	for g := features.FeatGap0; g < len(row); g++ {
+		if !thinKept[g-features.FeatGap0+1] {
+			row[g] = features.Missing
 		}
 	}
-	return e
 }
+
+var thinKept = map[int]bool{1: true, 2: true, 4: true, 8: true, 16: true, 32: true}
 
 // quantizeGaps coarsens every gap to the nearest power of two — §2.2's
 // "we can likely decrease the feature accuracy without affecting the
 // learning results" (a 4-bit representation per gap would suffice).
-func quantizeGaps(e *core.Extraction) *core.Extraction {
-	for i := 0; i < e.Requests; i++ {
-		row := e.Feats[i*features.Dim : (i+1)*features.Dim]
-		for g := 0; g < features.NumGaps; g++ {
-			v := row[features.FeatGap0+g]
-			if math.IsNaN(v) || v <= 0 {
-				continue
-			}
-			row[features.FeatGap0+g] = math.Pow(2, math.Round(math.Log2(v)))
+func quantizeGaps(row []float64) {
+	for g := features.FeatGap0; g < len(row); g++ {
+		if v := row[g]; !math.IsNaN(v) && v > 0 {
+			row[g] = math.Pow(2, math.Round(math.Log2(v)))
 		}
 	}
-	return e
 }
 
 // AblationFeatureVariantsTable formats the feature-variant ablation.

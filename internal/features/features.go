@@ -195,21 +195,24 @@ func (t *Tracker) Update(r trace.Request) {
 
 // Observe is Features followed by Update with one index lookup: dst takes
 // the row as the tracker stood before the request, which is then recorded.
-func (t *Tracker) Observe(r trace.Request, freeBytes int64, dst []float64) {
+// It returns the row's width, FeatGap0 plus the gaps the object has: the
+// cells of dst from there on are Missing.
+func (t *Tracker) Observe(r trace.Request, freeBytes int64, dst []float64) int {
 	s := t.slotOf(r.ID)
-	t.row(s, r, freeBytes, dst)
+	w := t.row(s, r, freeBytes, dst)
 	if s != nil {
 		t.record(s, r)
 	} else {
 		t.insert(r)
 	}
+	return w
 }
 
 // row writes the row of a request to the object in s (nil: untracked, so
-// there is no gap to report).
+// there is no gap to report) and returns its width.
 //
 //lfo:hotpath
-func (t *Tracker) row(s *slot, r trace.Request, freeBytes int64, dst []float64) {
+func (t *Tracker) row(s *slot, r trace.Request, freeBytes int64, dst []float64) int {
 	if len(dst) < Dim {
 		panic("features: dst smaller than Dim")
 	}
@@ -231,6 +234,7 @@ func (t *Tracker) row(s *slot, r trace.Request, freeBytes int64, dst []float64) 
 		}
 	}
 	copy(gaps[n:], missingGaps[:])
+	return FeatGap0 + n
 }
 
 // record shifts the gap since the tracked object's previous request into

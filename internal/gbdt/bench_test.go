@@ -30,7 +30,7 @@ func windowModel(tb testing.TB) (*Model, []float64) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		windowBench.model, windowBench.rows = m, windowDataset(benchRows, 2).x
+		windowBench.model, windowBench.rows = m, windowDataset(benchRows, 2).matrix()
 	})
 	return windowBench.model, windowBench.rows
 }
@@ -185,7 +185,7 @@ func BenchmarkPredictStable(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows := evictionDataset(benchRows, 2).x
+	rows := evictionDataset(benchRows, 2).matrix()
 	for i, v := range rows {
 		if math.IsNaN(v) { // a resident always has an age
 			rows[i] = float64(i % 3000)
@@ -218,7 +218,7 @@ func BenchmarkPredictStableAdvance(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows := evictionDataset(benchRows, 2).x
+	rows := evictionDataset(benchRows, 2).matrix()
 	for i, v := range rows {
 		if math.IsNaN(v) { // a resident always has an age
 			rows[i] = float64(i % 3000)

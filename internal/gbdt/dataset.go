@@ -6,11 +6,14 @@ import (
 	"sort"
 )
 
-// Dataset is a row-major feature matrix with binary labels.
+// Dataset is a set of feature rows with binary labels. Its rows are a
+// dense row-major matrix (NewDataset, DatasetFromMatrix) or a RowStore's
+// rows without their missing tails (DatasetFromRows); the trainer reads
+// only the stored cells of either, so the two give the same model.
 type Dataset struct {
-	dim int
-	x   []float64 // n*dim, row-major
-	y   []float64 // labels in {0, 1}
+	dim  int
+	rows rowSet
+	y    []float64 // labels in {0, 1}
 }
 
 // NewDataset returns an empty dataset with the given feature dimension.
@@ -18,7 +21,7 @@ func NewDataset(dim int) *Dataset {
 	if dim <= 0 {
 		panic("gbdt: dataset dimension must be positive")
 	}
-	return &Dataset{dim: dim}
+	return &Dataset{dim: dim, rows: rowSet{chunks: [][]float64{nil}}}
 }
 
 // Dim returns the feature dimension.
@@ -32,11 +35,8 @@ func (d *Dataset) Append(row []float64, label float64) {
 	if len(row) != d.dim {
 		panic(fmt.Sprintf("gbdt: row dim %d != dataset dim %d", len(row), d.dim))
 	}
-	//lfolint:ignore float-equal labels are exact 0/1 sentinels assigned from constants, never computed
-	if label != 0 && label != 1 {
-		panic(fmt.Sprintf("gbdt: label must be 0 or 1, got %g", label))
-	}
-	d.x = append(d.x, row...)
+	mustLabels(label)
+	d.rows.chunks[0] = append(d.rows.chunks[0], row...)
 	d.y = append(d.y, label)
 }
 
@@ -50,19 +50,34 @@ func DatasetFromMatrix(dim int, x []float64, y []float64) *Dataset {
 	if len(x) != len(y)*dim {
 		panic(fmt.Sprintf("gbdt: matrix length %d != %d rows × dim %d", len(x), len(y), dim))
 	}
+	mustLabels(y...)
+	return &Dataset{dim: dim, rows: rowSet{chunks: [][]float64{x}}, y: y}
+}
+
+// DatasetFromRows wraps the rows of a store (len(y) of them) as a dataset
+// without copying. Labels must be 0 or 1. The caller must not write to the
+// store, or mutate y, while the dataset is in use.
+func DatasetFromRows(s *RowStore, y []float64) *Dataset {
+	if s.Len() != len(y) {
+		panic(fmt.Sprintf("gbdt: %d stored rows != %d labels", s.Len(), len(y)))
+	}
+	mustLabels(y...)
+	return &Dataset{dim: s.dim, rows: s.rowSet, y: y}
+}
+
+func mustLabels(y ...float64) {
 	for _, label := range y {
 		//lfolint:ignore float-equal labels are exact 0/1 sentinels assigned from constants, never computed
 		if label != 0 && label != 1 {
 			panic(fmt.Sprintf("gbdt: label must be 0 or 1, got %g", label))
 		}
 	}
-	return &Dataset{dim: dim, x: x, y: y}
 }
 
-// Row returns row i (not a copy; do not modify).
-func (d *Dataset) Row(i int) []float64 {
-	return d.x[i*d.dim : (i+1)*d.dim]
-}
+// Row returns row i's stored cells (not a copy; do not modify): all dim of
+// them for a dense dataset, a prefix for a RowStore's row, whose cells past
+// it are missing.
+func (d *Dataset) Row(i int) []float64 { return d.rows.row(i, d.dim) }
 
 // Label returns the label of row i.
 func (d *Dataset) Label(i int) float64 { return d.y[i] }
@@ -78,16 +93,16 @@ type binner struct {
 	edges [][]float64
 }
 
-// buildBinner computes per-feature quantile bin edges from the dataset.
+// buildBinner computes per-feature quantile bin edges from the dataset's
+// stored cells.
 func buildBinner(d *Dataset) *binner {
 	b := &binner{edges: make([][]float64, d.dim)}
 	vals := make([]float64, 0, d.Len())
 	for f := 0; f < d.dim; f++ {
 		vals = vals[:0]
 		for i := 0; i < d.Len(); i++ {
-			v := d.x[i*d.dim+f]
-			if !math.IsNaN(v) {
-				vals = append(vals, v)
+			if row := d.Row(i); f < len(row) && !math.IsNaN(row[f]) {
+				vals = append(vals, row[f])
 			}
 		}
 		b.edges[f] = quantileEdges(vals, maxBins)
@@ -166,17 +181,31 @@ func (b *binner) threshold(f int, bin int) float64 {
 	return b.edges[f][bin-1]
 }
 
-// binRows returns the row-major binned copy of the dataset: one byte per
-// cell, laid out like d.x (cell (r, f) at r*dim+f) and written in the order
-// d.x is read. The trainer's row loops — histogram build, partition,
-// out-of-sample walk — each touch one row's dim bytes together.
-func binRows(d *Dataset, b *binner) []uint8 {
-	bins := make([]uint8, len(d.x))
-	dim := d.dim
-	for base := 0; base < len(d.x); base += dim {
-		for f, v := range d.x[base : base+dim] {
-			bins[base+f] = b.bin(f, v)
+// binRows returns the binned copy of the dataset, row-major and without
+// missing tails: row i's bins are bins[start[i]:start[i+1]], one byte per
+// cell up to its last present one, and every feature past them is in
+// missingBin. The trainer's row loops — histogram build, partition,
+// out-of-sample walk — each touch one row's bytes together.
+func binRows(d *Dataset, b *binner) (bins []uint8, start []int32) {
+	n := d.Len()
+	start = make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		row := d.Row(i)
+		w := len(row)
+		for w > 0 && math.IsNaN(row[w-1]) {
+			w--
+		}
+		if int(start[i])+w > math.MaxInt32 {
+			panic("gbdt: dataset has more than 2^31 present cells")
+		}
+		start[i+1] = start[i] + int32(w)
+	}
+	bins = make([]uint8, start[n])
+	for i := 0; i < n; i++ {
+		out := bins[start[i]:start[i+1]]
+		for f, v := range d.Row(i)[:len(out)] {
+			out[f] = b.bin(f, v)
 		}
 	}
-	return bins
+	return bins, start
 }

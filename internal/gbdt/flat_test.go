@@ -334,7 +334,7 @@ func TestScoreWindowRows(t *testing.T) {
 	}
 	dim := d.Dim()
 	const perK = 40
-	dense := windowDataset(perK, 6).x
+	dense := windowDataset(perK, 6).matrix()
 	rng := splitMix{s: 99}
 	for i := range dense {
 		if math.IsNaN(dense[i]) {
@@ -561,13 +561,13 @@ func TestPredictStableMatchesOracle(t *testing.T) {
 	rng := splitMix{s: 2718}
 	t.Run("window model", func(t *testing.T) {
 		m := train(windowDataset(3000, 5))
-		rows := windowDataset(300, 6).x
+		rows := windowDataset(300, 6).matrix()
 		mustMatchHorizon(t, m, rows, &rng)
 		mustMatchHorizon(t, m, rows, &rng, 0, 3) // size and the newest gap
 	})
 	t.Run("eviction model", func(t *testing.T) {
 		m := train(evictionDataset(4000, 1))
-		rows := evictionDataset(400, 2).x
+		rows := evictionDataset(400, 2).matrix()
 		mustMatchHorizon(t, m, rows, &rng, 3, 4) // a first-seen row is NaN in both
 		for i, v := range rows {
 			if math.IsNaN(v) { // what the evictor sends: whole numbers, never NaN
@@ -741,7 +741,7 @@ func TestAdvanceMatchesPredictStable(t *testing.T) {
 		if m.CarryWords(2) != len(m.Trees)+2 {
 			t.Fatalf("a %d-tree ranker keeps %d words, want %d", len(m.Trees), m.CarryWords(2), len(m.Trees)+2)
 		}
-		rows := evictionDataset(400, 2).x
+		rows := evictionDataset(400, 2).matrix()
 		mustAdvance(t, m, rows, &rng)
 	})
 	for _, tc := range []struct {

@@ -346,7 +346,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	for name, data := range hostileSeeds(t) {
 		seeds[name] = data
 	}
-	entries := make(map[string]string, len(seeds)+len(scoreSeeds)+len(splitSeeds))
+	entries := make(map[string]string, len(seeds)+len(scoreSeeds)+len(splitSeeds)+len(rowsSeeds))
 	for name, data := range seeds {
 		entries[filepath.Join("FuzzModelLoad", name)] = fmt.Sprintf("[]byte(%q)\n", data)
 	}
@@ -357,6 +357,10 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	for i, s := range splitSeeds {
 		entries[filepath.Join("FuzzSplitScanMatchesReference", fmt.Sprintf("seed-%d", i+1))] = fmt.Sprintf(
 			"uint64(%d)\nbyte(%q)\nbyte(%q)\n", s.seed, s.bins, s.shape)
+	}
+	for i, s := range rowsSeeds {
+		entries[filepath.Join("FuzzRowsTrainLikeMatrix", fmt.Sprintf("seed-%d", i+1))] = fmt.Sprintf(
+			"int64(%d)\nuint16(%d)\nbyte(%q)\nbyte(%q)\nbyte(%q)\n", s.seed, s.rows, s.dim, s.shape, s.params)
 	}
 	for name, body := range entries {
 		path := filepath.Join("testdata", "fuzz", name)

@@ -481,7 +481,7 @@ func TestHistogramSubtraction(t *testing.T) {
 	tr := &trainer{p: p, d: d, rng: rand.New(rand.NewSource(0))}
 	tr.workers = 1
 	tr.b = buildBinner(d)
-	tr.bins = binRows(d, tr.b)
+	tr.bins, tr.rowStart = binRows(d, tr.b)
 	tr.grad = make([]float64, d.Len())
 	tr.hess = make([]float64, d.Len())
 	tr.scores = make([]float64, d.Len())

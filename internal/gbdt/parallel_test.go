@@ -76,7 +76,7 @@ func TestPredictMatrixMatchesPredict(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 3, 8} {
 		got := make([]float64, d.Len())
-		m.PredictMatrix(d.x, got, workers)
+		m.PredictMatrix(d.matrix(), got, workers)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d row %d: PredictMatrix %v != Predict %v", workers, i, got[i], want[i])
@@ -166,7 +166,7 @@ func TestPredictMatrixDuringModelSwap(t *testing.T) {
 					return
 				default:
 				}
-				current.Load().PredictMatrix(d.x, out, 2)
+				current.Load().PredictMatrix(d.matrix(), out, 2)
 			}
 		}()
 	}

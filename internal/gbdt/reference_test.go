@@ -32,6 +32,7 @@ func referenceTrain(d *Dataset, p Params) (*Model, error) {
 	t := &refTrainer{
 		p:      p,
 		d:      d,
+		x:      d.matrix(),
 		rng:    rand.New(rand.NewSource(p.Seed)),
 		grad:   make([]float64, n),
 		hess:   make([]float64, n),
@@ -69,12 +70,29 @@ func referenceTrain(d *Dataset, p Params) (*Model, error) {
 			continue
 		}
 		m.Trees = append(m.Trees, *tree)
-		compileBlockFlat(d.Dim(), 0, m.Trees[len(m.Trees)-1:]).AccumulateRaw(d.x, t.scores, 1)
+		compileBlockFlat(d.Dim(), 0, m.Trees[len(m.Trees)-1:]).AccumulateRaw(t.x, t.scores, 1)
 	}
 	if err := m.Compile(); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// matrix returns the dataset's rows as a dense row-major matrix: its own
+// for a dense dataset, each stored row expanded with its missing tail for a
+// RowStore's.
+func (d *Dataset) matrix() []float64 {
+	if d.rows.refs == nil {
+		return d.rows.chunks[0][:d.Len()*d.dim]
+	}
+	x := make([]float64, d.Len()*d.dim)
+	for i := 0; i < d.Len(); i++ {
+		row := x[i*d.dim : (i+1)*d.dim]
+		for j := copy(row, d.Row(i)); j < d.dim; j++ {
+			row[j] = math.NaN()
+		}
+	}
+	return x
 }
 
 // predict returns the tree's raw contribution for a feature row, walking
@@ -350,6 +368,7 @@ func referenceSplit(c *leafCand, feature int, cells []histBin) splitInfo {
 type refTrainer struct {
 	p     Params
 	d     *Dataset
+	x     []float64   // d's rows as a dense row-major matrix
 	edges [][]float64 // per-feature ascending bin upper bounds, last +Inf
 	cols  [][]uint8   // cols[f][row]: 0 for NaN, else 1 + index of first edge >= value
 	rng   *rand.Rand
@@ -396,7 +415,7 @@ func (t *refTrainer) bin() {
 	for f := 0; f < dim; f++ {
 		var vals []float64
 		for i := 0; i < n; i++ {
-			if v := t.d.x[i*dim+f]; !math.IsNaN(v) {
+			if v := t.x[i*dim+f]; !math.IsNaN(v) {
 				vals = append(vals, v)
 			}
 		}
@@ -404,7 +423,7 @@ func (t *refTrainer) bin() {
 		t.edges[f] = e
 		col := make([]uint8, n)
 		for i := 0; i < n; i++ {
-			v := t.d.x[i*dim+f]
+			v := t.x[i*dim+f]
 			if math.IsNaN(v) {
 				continue
 			}

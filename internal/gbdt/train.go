@@ -38,7 +38,7 @@ func Train(d *Dataset, p Params) (*Model, error) {
 		workers: par.Resolve(p.Workers),
 	}
 	t.b = buildBinner(d)
-	t.bins = binRows(d, t.b)
+	t.bins, t.rowStart = binRows(d, t.b)
 
 	n := d.Len()
 	t.grad = make([]float64, n)
@@ -91,12 +91,13 @@ func Train(d *Dataset, p Params) (*Model, error) {
 }
 
 type trainer struct {
-	p       Params
-	d       *Dataset
-	b       *binner
-	bins    []uint8 // row-major binned copy of d.x (binRows)
-	rng     *rand.Rand
-	workers int
+	p        Params
+	d        *Dataset
+	b        *binner
+	bins     []uint8 // the binned rows without their missing tails (binRows)
+	rowStart []int32 // row r's bins are bins[rowStart[r]:rowStart[r+1]]
+	rng      *rand.Rand
+	workers  int
 
 	grad, hess []float64
 	scores     []float64
@@ -283,11 +284,12 @@ type histArgs struct {
 
 // buildHist fills the live features' cells from the rows in idx,
 // row-major: a row's gradient and hessian are loaded once and added to one
-// cell per live feature, read from the row's contiguous bin bytes. Every
-// cell receives its rows in idx order — the order a feature-by-feature fill
-// adds them in — so the sums are bit-identical to it. With more than one
-// worker each owns a contiguous slice of the live features and writes only
-// that slice's cells, which changes no cell's order either.
+// cell per live feature, read from the row's contiguous bin bytes, or to
+// the missing cell for a feature past them. Every cell receives its rows
+// in idx order — the order a feature-by-feature fill adds them in — so the
+// sums are bit-identical to it. With more than one worker each owns a
+// contiguous slice of the live features and writes only that slice's
+// cells, which changes no cell's order either.
 func (t *trainer) buildHist(h histogram, live []int32, idx []int32) {
 	cols := t.histCols[:len(live)]
 	for k, fi := range live {
@@ -302,14 +304,20 @@ func (t *trainer) buildHist(h histogram, live []int32, idx []int32) {
 
 func buildHistRange(a histArgs, lo, hi int) {
 	t := a.t
-	dim := t.d.dim
 	cols := a.cols[lo:hi]
 	bins := a.h
 	for _, r := range a.idx {
 		g, hs := t.grad[r], t.hess[r]
-		row := t.bins[int(r)*dim : int(r)*dim+dim]
-		for _, col := range cols {
-			c := &bins[col.off+int(row[col.feat])]
+		row := t.bins[t.rowStart[r]:t.rowStart[r+1]]
+		k := 0 // cols are in feature order: the first ones lie in the row
+		for ; k < len(cols) && cols[k].feat < len(row); k++ {
+			c := &bins[cols[k].off+int(row[cols[k].feat])]
+			c.grad += g
+			c.hess += hs
+			c.count++
+		}
+		for _, col := range cols[k:] {
+			c := &bins[col.off+missingBin]
 			c.grad += g
 			c.hess += hs
 			c.count++
@@ -629,15 +637,13 @@ func (t *trainer) releaseSettled(open []*leafCand) {
 // unchanged.
 func (t *trainer) applySplit(c *leafCand) (left, right *leafCand) {
 	s := c.best
-	dim := t.d.dim
-	col := t.bins[s.feature:]
 	splitBin := uint8(s.bin)
 	rows := c.rows
 	staged := t.rightRows[:len(rows)]
 	nl, nr := 0, 0
 	var lg, lh float64
 	for _, r := range rows {
-		b := col[int(r)*dim]
+		b := t.bin(r, s.feature)
 		goLeft := b <= splitBin
 		if b == missingBin {
 			goLeft = s.missingLeft
@@ -696,13 +702,11 @@ func (t *trainer) updateScores(leaves []*leafCand) {
 }
 
 func walkOutRows(t *trainer, lo, hi int) {
-	dim := t.d.dim
 	for _, r := range t.outRows[lo:hi] {
-		row := t.bins[int(r)*dim : int(r)*dim+dim]
 		i := int32(0)
 		for t.nodes[i].Feature >= 0 {
 			n := &t.nodes[i]
-			b := row[n.Feature]
+			b := t.bin(r, int(n.Feature))
 			goLeft := b <= t.nodeBin[i]
 			if b == missingBin {
 				goLeft = n.MissingLeft
@@ -715,6 +719,14 @@ func walkOutRows(t *trainer, lo, hi int) {
 		}
 		t.scores[r] += t.nodes[i].Value
 	}
+}
+
+// bin returns row r's bin of feature f: missingBin past the row's bytes.
+func (t *trainer) bin(r int32, f int) uint8 {
+	if i := int(t.rowStart[r]) + f; i < int(t.rowStart[r+1]) {
+		return t.bins[i]
+	}
+	return missingBin
 }
 
 func clamp(v, lo, hi float64) float64 {

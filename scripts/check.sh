@@ -129,8 +129,8 @@ fi
 step "alloc budgets"
 {
     go test -run '^$' \
-        -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictStable|BenchmarkPredictStableAdvance|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkServeAdmitBatch|BenchmarkClientAdmit|BenchmarkPickVictim|BenchmarkHeuristicRequest|BenchmarkOGDRequest|BenchmarkS4LRURequest)$' \
-        -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/server ./internal/evict ./internal/policy/ogd ./internal/policy
+        -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictStable|BenchmarkPredictStableAdvance|BenchmarkPredictMatrix|BenchmarkCompile|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkServeAdmitBatch|BenchmarkClientAdmit|BenchmarkPickVictim|BenchmarkHeuristicRequest|BenchmarkOGDRequest|BenchmarkS4LRURequest|BenchmarkLFORequest)$' \
+        -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/server ./internal/evict ./internal/policy/ogd ./internal/policy ./internal/core
     # The tracker's stream sub-benchmark warms itself before its timer
     # starts; cold tracks a new object every iteration, and the handful of
     # slab chunks and index-map doublings that takes rounds to zero where
@@ -150,7 +150,8 @@ step "alloc budgets"
 
 # Short fuzz smoke over the frame codec, the model parser, the scorer, the
 # trainer's split scan, the test-side min-cost flow solver and the feature
-# tracker (those four against their _test.go oracles), the OPT sweep
+# tracker (those four against their _test.go oracles), the trainer on rows
+# stored without their missing tails (against the dense matrix), the OPT sweep
 # (against that min-cost flow), the trace reader (accept implies validates and
 # round-trips) and every registered policy (the per-request invariants of
 # TestBaselineInvariants over fuzz-drawn valid traces). The
@@ -164,6 +165,7 @@ go test -run '^$' -fuzz '^FuzzMuxFrameDecode$' -fuzztime 5s -fuzzminimizetime 5s
 go test -run '^$' -fuzz '^FuzzModelLoad$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzScoreMatchesOracle$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzSplitScanMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
+go test -run '^$' -fuzz '^FuzzRowsTrainLikeMatrix$' -fuzztime 5s -fuzzminimizetime 5s ./internal/gbdt
 go test -run '^$' -fuzz '^FuzzSolveMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/opt
 go test -run '^$' -fuzz '^FuzzSweepMatchesFlow$' -fuzztime 5s -fuzzminimizetime 5s ./internal/opt
 go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s -fuzzminimizetime 5s ./internal/trace
