@@ -16,10 +16,13 @@
 // re-admitted to the ring (and brought up to the current model version)
 // after a deterministic, count-based probe.
 //
-// The Router is single-goroutine and synchronous, like server.Client:
-// concurrency across shards comes from pipelining (the server works on
-// shard A's batch while the router writes to shard B), not from client
-// threads. Saturating a fleet takes one Router per client goroutine.
+// The Router is the repository's one retry and fallback stack:
+// server.Client is the bare synchronous round trip and fails fast, and a
+// single prediction server is a one-address Router. The Router is
+// single-goroutine and synchronous: concurrency across shards comes from
+// pipelining (the server works on shard A's batch while the router writes
+// to shard B), not from client threads. Saturating a fleet takes one
+// Router per client goroutine.
 package fleet
 
 import (

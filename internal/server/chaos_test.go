@@ -36,7 +36,7 @@ const chaosCalls = 80
 type chaosOutcome struct {
 	results string // per-call probabilities, bit-exact
 	server  string // server counters+gauges snapshot
-	client  string // client counters+gauges snapshot
+	dials   int64  // connections the session dialled, the first included
 	stats   faultnet.Stats
 }
 
@@ -99,12 +99,29 @@ func waitAcceptTail(t *testing.T, seed uint64, sreg *obs.Registry, accepted int6
 		sreg.Counter("server_accept_errors_total").Value(), want)
 }
 
+// chaosRedials bounds the fresh connections one chaos call may take.
+const chaosRedials = 64
+
+// dialChaos dials a Client through the pipe listener.
+func dialChaos(t *testing.T, pl *faultnet.PipeListener) *Client {
+	t.Helper()
+	conn, err := pl.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newClient(conn)
+	c.timeout = 2 * time.Second // well past the server's deadlines: the server side times out first, deterministically
+	return c
+}
+
 // runChaosSession drives chaosCalls sequential Predict calls through a
-// fault-injecting pipe listener and returns everything observed.
+// fault-injecting pipe listener and returns everything observed. The
+// Client never re-dials, so the session does: a failed call has closed
+// its connection, and the call is made again on a fresh one.
 func runChaosSession(t *testing.T, seed uint64, workers int) chaosOutcome {
 	t.Helper()
 	m := testModel(t)
-	sreg, creg := obs.NewRegistry(), obs.NewRegistry()
+	sreg := obs.NewRegistry()
 	s := New(m, workers)
 	s.Logf = func(format string, args ...interface{}) {} // injected drops are expected noise
 	s.Obs = sreg
@@ -115,17 +132,7 @@ func runChaosSession(t *testing.T, seed uint64, workers int) chaosOutcome {
 	pl := faultnet.NewPipeListener()
 	s.Serve(faultnet.Wrap(pl, sched))
 
-	c, err := DialConfig("pipe", ClientConfig{
-		Timeout:    2 * time.Second, // well past the server's deadlines: the server side times out first, deterministically
-		MaxRetries: 64,
-		Backoff:    -1, // immediate retries keep the run fast; determinism is schedule-given
-		Dial:       pl.Dial,
-		Obs:        creg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	c, dials := dialChaos(t, pl), int64(1)
 	rows := make([]float64, features.Dim)
 	var results strings.Builder
 	for i := 0; i < chaosCalls; i++ {
@@ -133,8 +140,12 @@ func runChaosSession(t *testing.T, seed uint64, workers int) chaosOutcome {
 			rows[j] = float64((i*31+j*7)%23) / 4
 		}
 		probs, err := c.Predict(rows)
-		if err != nil {
-			t.Fatalf("call %d surfaced an error retries should have absorbed: %v", i, err)
+		for redials := 0; err != nil; redials++ {
+			if redials == chaosRedials {
+				t.Fatalf("call %d failed on %d fresh connections: %v", i, chaosRedials, err)
+			}
+			c, dials = dialChaos(t, pl), dials+1
+			probs, err = c.Predict(rows)
 		}
 		if len(probs) != 1 {
 			t.Fatalf("call %d returned %d probs", i, len(probs))
@@ -145,11 +156,11 @@ func runChaosSession(t *testing.T, seed uint64, workers int) chaosOutcome {
 		t.Fatal(err)
 	}
 	waitNoOpenConns(t, s)
-	waitAcceptTail(t, seed, sreg, creg.Counter("client_reconnects_total").Value()+1)
+	waitAcceptTail(t, seed, sreg, dials)
 	out := chaosOutcome{
 		results: results.String(),
 		server:  dumpCountersGauges(sreg),
-		client:  dumpCountersGauges(creg),
+		dials:   dials,
 		stats:   sched.Stats(),
 	}
 	if err := s.Close(); err != nil {
@@ -170,7 +181,7 @@ func TestChaosSchedule(t *testing.T) {
 		t.Fatalf("schedule too tame, some fault kind never injected: %+v", st)
 	}
 	vars := map[string]int64{}
-	for _, line := range strings.Split(out.server+out.client, "\n") {
+	for _, line := range strings.Split(out.server, "\n") {
 		var name string
 		var v int64
 		if _, err := fmt.Sscanf(line, "%s %d", &name, &v); err == nil {
@@ -192,30 +203,21 @@ func TestChaosSchedule(t *testing.T) {
 		{"server_bad_requests_total", 0},
 		{"server_drain_force_closes_total", 0},
 		{"server_open_connections", 0},
-		// The client never exhausts retries and never hits its own (much
-		// longer) deadline: degradation is absorbed, not surfaced.
-		{"client_failures_total", 0},
-		{"client_timeouts_total", 0},
 	}
 	for _, c := range checks {
 		if got := vars[c.counter]; got != c.want {
 			t.Errorf("%s = %d, want %d (schedule %+v)", c.counter, got, c.want, st)
 		}
 	}
-	// Every retry re-dials a fresh connection after dropping the desynced
-	// one, so the two counters must agree.
-	if vars["client_retries_total"] != vars["client_reconnects_total"] {
-		t.Errorf("retries %d != reconnects %d", vars["client_retries_total"], vars["client_reconnects_total"])
-	}
-	if vars["client_retries_total"] == 0 {
-		t.Error("chaos run never forced a retry")
+	if out.dials == 1 {
+		t.Error("chaos run never failed a call")
 	}
 }
 
 // TestChaosDeterminism is the regression half of the gate: the same
-// seeded schedule must reproduce byte-identical client results, metrics
-// snapshots, and injection stats across runs and across server worker
-// counts.
+// seeded schedule must reproduce byte-identical client results, server
+// metrics snapshots, dial counts and injection stats across runs and
+// across server worker counts.
 func TestChaosDeterminism(t *testing.T) {
 	base := runChaosSession(t, 42, 1)
 	for _, tc := range []struct {
@@ -236,8 +238,8 @@ func TestChaosDeterminism(t *testing.T) {
 			if got.server != base.server {
 				t.Errorf("server snapshots diverged:\n--- base\n%s--- got\n%s", base.server, got.server)
 			}
-			if got.client != base.client {
-				t.Errorf("client snapshots diverged:\n--- base\n%s--- got\n%s", base.client, got.client)
+			if got.dials != base.dials {
+				t.Errorf("dials diverged: %d, base %d", got.dials, base.dials)
 			}
 		})
 	}
@@ -251,46 +253,43 @@ func TestChaosDeterminism(t *testing.T) {
 
 // TestChaosFailFastWithoutRetries pins the Client's half of the
 // degradation story (the Router's half is TestRouterAdmitChaosFallback in
-// internal/fleet): with retries disabled, every conn-killing fault
-// surfaces as exactly one client failure, deterministically.
+// internal/fleet): the Client retries nothing, so every conn-killing fault
+// surfaces as exactly one failed call, and the server accepts one
+// connection for the first call and one for each call after a failure.
 func TestChaosFailFastWithoutRetries(t *testing.T) {
 	m := testModel(t)
 	sched := faultnet.NewSchedule(chaosConfig(7))
 	pl := faultnet.NewPipeListener()
+	ln := &countingListener{Listener: faultnet.Wrap(pl, sched)}
 	s := New(m, 1)
 	s.Logf = func(format string, args ...interface{}) {}
 	s.Obs = obs.NewRegistry()
 	s.ReadTimeout = 100 * time.Millisecond
 	s.WriteTimeout = 100 * time.Millisecond
-	s.Serve(faultnet.Wrap(pl, sched))
+	s.Serve(ln)
 	defer s.Close()
 
-	creg := obs.NewRegistry()
-	c, err := DialConfig("pipe", ClientConfig{
-		Timeout:    2 * time.Second,
-		MaxRetries: -1, // fail on first transport error
-		Dial:       pl.Dial,
-		Obs:        creg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
+	c := dialChaos(t, pl)
 	rows := make([]float64, features.Dim)
 	var failures int64
 	for i := 0; i < 40; i++ {
 		if _, err := c.Predict(rows); err != nil {
 			failures++
+			c = dialChaos(t, pl) // the failed call closed the connection
 		}
 	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitNoOpenConns(t, s)
 	if failures == 0 {
 		t.Fatal("chaos schedule never failed a call")
 	}
-	if got := creg.Counter("client_failures_total").Value(); got != failures {
-		t.Errorf("client_failures_total = %d, observed %d failed calls", got, failures)
+	st := sched.Stats()
+	if killing := st.StallReads + st.StallWrites + st.DropReads + st.DropWrites + st.ShortWrites; killing != failures {
+		t.Errorf("%d conn-killing faults injected, %d failed calls (schedule %+v)", killing, failures, st)
 	}
-	if got := creg.Counter("client_retries_total").Value(); got != 0 {
-		t.Errorf("client_retries_total = %d with retries disabled", got)
+	if got := ln.accepted.Load(); got != 1+failures {
+		t.Errorf("server accepted %d connections, want 1 + %d failures", got, failures)
 	}
 }

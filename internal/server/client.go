@@ -10,7 +10,6 @@ import (
 
 	"lfo/internal/features"
 	"lfo/internal/gbdt"
-	"lfo/internal/obs"
 )
 
 // MuxConn is the pipelining side of one connection to a prediction
@@ -22,8 +21,7 @@ import (
 // It is not safe for concurrent use and never retries: the caller owns
 // failover policy (see internal/fleet), because by the time a pipelined
 // connection fails, earlier batches may be unanswered and only the caller
-// knows what to do with them. Client is a MuxConn plus such a policy for
-// one call at a time.
+// knows what to do with them. Client is a MuxConn with one call at a time.
 type MuxConn struct {
 	conn  net.Conn
 	wbuf  []byte
@@ -113,109 +111,41 @@ func (c *MuxConn) Rollout(version uint64, m *gbdt.Model) error {
 	return nil
 }
 
-// Default values for the client's robustness knobs. As on the server,
-// each knob reads as: 0 = the default below, negative = disabled.
-const (
-	// DefaultClientTimeout bounds one request/response attempt.
-	DefaultClientTimeout = 5 * time.Second
-	// DefaultMaxRetries is how many times a failed attempt is retried on
-	// a fresh connection before the error surfaces to the caller.
-	DefaultMaxRetries = 2
-	// DefaultBackoff is the sleep before the first retry; it doubles per
-	// subsequent retry of the same call.
-	DefaultBackoff = 5 * time.Millisecond
-)
+// DefaultClientTimeout bounds the I/O of one Client call — and, in
+// internal/fleet, of each Router pipeline window and shard dial.
+const DefaultClientTimeout = 5 * time.Second
 
-// ClientConfig tunes the client's robustness behavior. The zero value
-// gives safe defaults (per-attempt timeout, bounded retries with
-// exponential backoff).
-type ClientConfig struct {
-	// Timeout bounds one attempt — connect, request write, response
-	// read. 0 means DefaultClientTimeout; negative disables the
-	// deadline (an attempt may then block until the peer acts).
-	Timeout time.Duration
+// errClientClosed fails every call after a transport failure.
+var errClientClosed = errors.New("server: client connection closed by an earlier failure")
 
-	// MaxRetries is how many fresh-connection retries follow a failed
-	// attempt. 0 means DefaultMaxRetries; negative means fail on the
-	// first transport error. Remote application errors (opError frames)
-	// are never retried.
-	MaxRetries int
-
-	// Backoff is the sleep before the first retry, doubling per
-	// subsequent retry. 0 means DefaultBackoff; negative retries
-	// immediately.
-	Backoff time.Duration
-
-	// Dial, when set, replaces net.Dial("tcp", addr) — tests use it to
-	// interpose fault-injecting connections.
-	Dial func() (net.Conn, error)
-
-	// Obs, when set, counts retries, reconnects, per-attempt timeouts,
-	// and calls that failed after exhausting retries.
-	Obs *obs.Registry
-}
-
-// The knobs, resolved (0 where disabled).
-func (cfg ClientConfig) timeout() time.Duration { return knob(cfg.Timeout, DefaultClientTimeout, 0) }
-func (cfg ClientConfig) maxRetries() int        { return knob(cfg.MaxRetries, DefaultMaxRetries, 0) }
-func (cfg ClientConfig) backoff() time.Duration { return knob(cfg.Backoff, DefaultBackoff, 0) }
-
-type clientMetrics struct {
-	retries    *obs.Counter
-	reconnects *obs.Counter
-	timeouts   *obs.Counter
-	failures   *obs.Counter
-}
-
-func newClientMetrics(r *obs.Registry) clientMetrics {
-	return clientMetrics{
-		retries:    r.Counter("client_retries_total"),
-		reconnects: r.Counter("client_reconnects_total"),
-		timeouts:   r.Counter("client_timeouts_total"),
-		failures:   r.Counter("client_failures_total"),
-	}
-}
-
-// Client is a prediction-service client: a MuxConn with one request in
-// flight at a time. It is synchronous and not safe for concurrent use.
-//
-// Calls fail fast rather than hang: each attempt runs under
-// ClientConfig.Timeout, and a transport failure (error, timeout, partial
-// write, or a reply tagged for another request or carrying another number
-// of probabilities than the request had rows) closes the connection — the
-// stream may be desynchronized — and retries on a fresh one, with
-// exponential backoff, up to MaxRetries.
+// Client is the bare synchronous round trip to a prediction server: a
+// MuxConn with one call at a time, each under an I/O deadline of
+// DefaultClientTimeout. It is not safe for concurrent use and holds no
+// resilience policy: a transport failure (error, expired deadline, partial
+// write, or a reply under another tag or with another number of
+// probabilities than the request had rows) closes the connection, whose
+// stream may be desynchronized, and is returned; later calls fail fast.
+// It never re-dials, so the server's per-connection feature history behind
+// Admit never restarts unseen. Retries and fallback are fleet.Router's.
 type Client struct {
-	cfg  ClientConfig
-	dial func() (net.Conn, error)
-	mc   MuxConn // mc.conn is nil between a dropped connection and the next dial
-	tag  uint64  // the tag of the call in progress
-	rows int     // the row count of the call in progress
-	m    clientMetrics
+	mc      MuxConn       // mc.conn is nil once a transport failure closed it
+	timeout time.Duration // the per-call I/O deadline; package tests shorten it
+	tag     uint64        // the tag of the call in progress
+	rows    int           // the row count of the call in progress
 }
 
-// Dial connects to a prediction server with default robustness settings.
+// Dial connects to a prediction server within DefaultClientTimeout.
 func Dial(addr string) (*Client, error) {
-	return DialConfig(addr, ClientConfig{})
-}
-
-// DialConfig connects to a prediction server with explicit settings. The
-// initial connect fails fast like calls do (no retries: a dead address
-// should surface immediately).
-func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
-	c := &Client{cfg: cfg, dial: cfg.Dial, m: newClientMetrics(cfg.Obs)}
-	if c.dial == nil {
-		c.dial = func() (net.Conn, error) {
-			d := net.Dialer{Timeout: cfg.timeout()}
-			return d.Dial("tcp", addr)
-		}
-	}
-	conn, err := c.dial()
+	conn, err := net.DialTimeout("tcp", addr, DefaultClientTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
 	}
-	c.mc.conn = conn
-	return c, nil
+	return newClient(conn), nil
+}
+
+// newClient wraps an established connection.
+func newClient(conn net.Conn) *Client {
+	return &Client{mc: MuxConn{conn: conn}, timeout: DefaultClientTimeout}
 }
 
 // Close closes the connection.
@@ -238,12 +168,8 @@ func (c *Client) Predict(rows []float64) ([]float64, error) {
 }
 
 // Admit sends raw request tuples over the compact stateful protocol and
-// returns one admission probability per tuple.
-//
-// Note the session caveat: the server tracks per-object history per
-// connection, so a retry that reconnects loses accumulated history for
-// this client. The call still succeeds; early predictions after a
-// reconnect see cold features.
+// returns one admission probability per tuple. The server's feature
+// history for them lives as long as the Client's one connection.
 func (c *Client) Admit(reqs []AdmitRequest) ([]float64, error) {
 	c.tag++
 	c.rows = len(reqs)
@@ -251,62 +177,32 @@ func (c *Client) Admit(reqs []AdmitRequest) ([]float64, error) {
 	return c.call()
 }
 
-// call sends the assembled request frame and returns a copy of the
-// reply's probabilities, with retries. The frame is idempotent to resend:
-// each retry runs on a fresh connection.
+// call makes one round trip with the assembled request frame and returns a
+// copy of the reply's probabilities.
 func (c *Client) call() ([]float64, error) {
-	retries := c.cfg.maxRetries()
-	backoff := c.cfg.backoff()
-	var err error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			c.m.retries.Inc()
-			if backoff > 0 {
-				time.Sleep(backoff << uint(min(attempt-1, 16)))
-			}
-		}
-		if c.mc.conn == nil {
-			var conn net.Conn
-			conn, err = c.dial()
-			if err != nil {
-				continue
-			}
-			c.mc.conn = conn
-			c.m.reconnects.Inc()
-		}
-		if t := c.cfg.timeout(); t > 0 {
-			_ = c.mc.conn.SetDeadline(time.Now().Add(t)) // deadline errors surface on the I/O below
-		}
+	if c.mc.conn == nil {
+		return nil, errClientClosed
+	}
+	_ = c.mc.conn.SetDeadline(time.Now().Add(c.timeout)) // deadline errors surface on the I/O below
+	err := c.mc.send()
+	if err == nil {
+		var tag uint64
 		var probs []float64
-		if probs, err = c.attempt(); err == nil {
+		tag, probs, err = c.mc.ReadResponse()
+		switch {
+		case err != nil:
+		case tag != c.tag:
+			err = fmt.Errorf("reply tagged %d answers another request", tag)
+		case len(probs) != c.rows:
+			err = fmt.Errorf("reply carries %d probabilities for %d rows", len(probs), c.rows)
+		default:
 			return slices.Clone(probs), nil
 		}
-		var remote remoteError
-		if errors.As(err, &remote) {
-			return nil, err // the server refused the request; the stream is in step
-		}
-		if isTimeout(err) {
-			c.m.timeouts.Inc()
-		}
-		// The connection may hold a half-written request or a half-read
-		// or mis-paired reply; it cannot be reused.
-		_ = c.mc.Close() // the stream is desynced; nothing useful can fail here
-		c.mc.conn = nil
 	}
-	c.m.failures.Inc()
-	return nil, fmt.Errorf("server: call failed after %d attempts: %w", retries+1, err)
-}
-
-// attempt makes one round trip on the current connection.
-func (c *Client) attempt() ([]float64, error) {
-	if err := c.mc.send(); err != nil {
-		return nil, err
+	if errors.As(err, new(remoteError)) {
+		return nil, err // the server refused the request; the stream is in step
 	}
-	tag, probs, err := c.mc.ReadResponse()
-	if err == nil && tag != c.tag {
-		err = fmt.Errorf("server: reply tagged %d answers another request than %d", tag, c.tag)
-	} else if err == nil && len(probs) != c.rows {
-		err = fmt.Errorf("server: reply carries %d probabilities for %d rows", len(probs), c.rows)
-	}
-	return probs, err
+	_ = c.mc.Close() // the stream may be desynced; nothing useful can fail here
+	c.mc.conn = nil
+	return nil, fmt.Errorf("server: call %d: %w", c.tag, err)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -11,7 +12,6 @@ import (
 
 	"lfo/internal/features"
 	"lfo/internal/gbdt"
-	"lfo/internal/obs"
 )
 
 // dialMux connects a MuxConn to a test server.
@@ -179,22 +179,13 @@ func TestMuxErrorCorrelated(t *testing.T) {
 }
 
 // TestClientRejectsMisTaggedReply: a reply under another request's tag is
-// a desynchronized stream, not an answer — the call fails and the client
-// drops the connection, re-dialling for the next call.
+// a desynchronized stream, not an answer — the call fails, the client
+// drops the connection, and the next call fails without dialling again.
 func TestClientRejectsMisTaggedReply(t *testing.T) {
-	var conns []*scriptConn
-	reg := obs.NewRegistry()
-	c, err := DialConfig("script", ClientConfig{MaxRetries: -1, Obs: reg, Dial: func() (net.Conn, error) {
-		// Whatever it is asked, the peer answers the tag of a client's
-		// first call.
-		reply := appendPredict(nil, 1, []float64{0.5})
-		sc := &scriptConn{r: bytes.NewReader(append(reply, reply...))}
-		conns = append(conns, sc)
-		return sc, nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Whatever it is asked, the peer answers the tag of the first call.
+	reply := appendPredict(nil, 1, []float64{0.5})
+	sc := &scriptConn{r: bytes.NewReader(append(reply, reply...))}
+	c := newClient(sc)
 	one := []AdmitRequest{{Time: 1, ID: 1, Size: 1, Cost: 1}}
 	if probs, err := c.Admit(one); err != nil || len(probs) != 1 || probs[0] != 0.5 {
 		t.Fatalf("first call: %v, %v", probs, err)
@@ -202,21 +193,22 @@ func TestClientRejectsMisTaggedReply(t *testing.T) {
 	if _, err := c.Admit(one); err == nil || !strings.Contains(err.Error(), "another request") {
 		t.Fatalf("reply under tag 1 to the second call: err %v", err)
 	}
-	if !conns[0].closed || c.mc.conn != nil {
+	if !sc.closed || c.mc.conn != nil {
 		t.Fatal("connection kept after a mis-tagged reply")
 	}
-	if _, err := c.Admit(one); err == nil {
-		t.Fatal("third call paired with the fresh connection's tag-1 reply")
+	sent := sc.w.Len()
+	if _, err := c.Admit(one); !errors.Is(err, errClientClosed) {
+		t.Fatalf("third call after the drop: err %v, want %v", err, errClientClosed)
 	}
-	if len(conns) != 2 || reg.Counter("client_reconnects_total").Value() != 1 {
-		t.Errorf("%d dials, %d reconnects; want 2 and 1", len(conns), reg.Counter("client_reconnects_total").Value())
+	if sc.w.Len() != sent {
+		t.Error("third call wrote to the dropped connection")
 	}
 }
 
 // TestClientRejectsWrongRowCount: a reply must carry one probability per
 // request row. A short or long one is a desynchronized stream, as a
-// mis-tagged one is: the attempt fails, the connection is dropped, the call
-// is retried on a fresh one, and a call whose retries all fail is counted.
+// mis-tagged one is: the call fails, the connection is dropped, and the
+// next call fails without dialling again.
 func TestClientRejectsWrongRowCount(t *testing.T) {
 	two := []AdmitRequest{{Time: 1, ID: 1, Size: 1, Cost: 1}, {Time: 2, ID: 2, Size: 1, Cost: 1}}
 	for _, tc := range []struct {
@@ -230,27 +222,19 @@ func TestClientRejectsWrongRowCount(t *testing.T) {
 		{"predict long", func(c *Client) ([]float64, error) { return c.Predict(make([]float64, features.Dim)) }, []float64{0.5, 0.25}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var conns []*scriptConn
-			reg := obs.NewRegistry()
-			c, err := DialConfig("script", ClientConfig{MaxRetries: 1, Backoff: -1, Obs: reg, Dial: func() (net.Conn, error) {
-				// Every connection answers the client's first call with
-				// the wrong number of probabilities.
-				sc := &scriptConn{r: bytes.NewReader(appendPredict(nil, 1, tc.reply))}
-				conns = append(conns, sc)
-				return sc, nil
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The peer answers the first call with the wrong number of
+			// probabilities, then would answer the second correctly.
+			script := append(appendPredict(nil, 1, tc.reply), appendPredict(nil, 2, []float64{0.5, 0.5})...)
+			sc := &scriptConn{r: bytes.NewReader(script)}
+			c := newClient(sc)
 			if probs, err := tc.call(c); err == nil || !strings.Contains(err.Error(), "probabilities for") {
 				t.Fatalf("call answered with %d probabilities: %v, %v", len(tc.reply), probs, err)
 			}
-			if len(conns) != 2 || !conns[0].closed || !conns[1].closed || c.mc.conn != nil {
-				t.Fatalf("%d connections, want the first dropped and one retry, also dropped", len(conns))
+			if !sc.closed || c.mc.conn != nil {
+				t.Fatal("connection kept after a reply of the wrong length")
 			}
-			if reg.Counter("client_retries_total").Value() != 1 || reg.Counter("client_failures_total").Value() != 1 {
-				t.Errorf("retries %d, failures %d; want 1 and 1",
-					reg.Counter("client_retries_total").Value(), reg.Counter("client_failures_total").Value())
+			if _, err := tc.call(c); !errors.Is(err, errClientClosed) {
+				t.Fatalf("second call after the drop: err %v, want %v", err, errClientClosed)
 			}
 		})
 	}
@@ -265,11 +249,7 @@ func TestClientLargeReply(t *testing.T) {
 	for i := range want {
 		want[i] = float64(i) / float64(len(want))
 	}
-	peer := &scriptConn{r: bytes.NewReader(appendPredict(nil, 1, want))}
-	c, err := DialConfig("script", ClientConfig{Dial: func() (net.Conn, error) { return peer, nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newClient(&scriptConn{r: bytes.NewReader(appendPredict(nil, 1, want))})
 	probs, err := c.Admit(make([]AdmitRequest, len(want)))
 	if err != nil || len(probs) != len(want) || probs[len(want)-1] != want[len(want)-1] {
 		t.Fatalf("%d probabilities, err %v", len(probs), err)

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"errors"
 	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,9 +239,9 @@ func TestCloseForceClosesStuckConns(t *testing.T) {
 	}
 }
 
-// TestClientFailsFastOnStall is the satellite fix: a server that accepts
-// and then never responds must not hang Predict — the per-attempt
-// deadline fires and the bounded retries exhaust quickly.
+// TestClientFailsFastOnStall: a server that accepts and then never
+// responds must not hang Predict — the call's I/O deadline fires, the
+// connection is dropped, and the error says it timed out.
 func TestClientFailsFastOnStall(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -265,17 +267,12 @@ func TestClientFailsFastOnStall(t *testing.T) {
 			}
 		}
 	}()
-	reg := obs.NewRegistry()
-	c, err := DialConfig(ln.Addr().String(), ClientConfig{
-		Timeout:    60 * time.Millisecond,
-		MaxRetries: 1,
-		Backoff:    time.Millisecond,
-		Obs:        reg,
-	})
+	c, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.timeout = 60 * time.Millisecond
 	start := time.Now()
 	_, err = c.Predict(make([]float64, features.Dim))
 	elapsed := time.Since(start)
@@ -285,43 +282,56 @@ func TestClientFailsFastOnStall(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Errorf("Predict took %v against a stalling server, want fast failure", elapsed)
 	}
-	if got := reg.Counter("client_timeouts_total").Value(); got == 0 {
-		t.Error("client_timeouts_total = 0, want per-attempt timeouts counted")
-	}
-	if got := reg.Counter("client_failures_total").Value(); got != 1 {
-		t.Errorf("client_failures_total = %d, want 1", got)
+	if !isTimeout(err) || c.mc.conn != nil {
+		t.Errorf("err %v (timeout %v), connection kept %v; want a timeout and the connection dropped",
+			err, isTimeout(err), c.mc.conn != nil)
 	}
 }
 
-// TestClientRecoversAcrossServerRestart: retries re-dial, so a client
-// outlives its server connection being torn down entirely.
-func TestClientRecoversAcrossServerRestart(t *testing.T) {
-	s1 := New(testModel(t), 1)
-	s1.Logf = t.Logf
-	addr, err := s1.Listen("127.0.0.1:0")
+// countingListener counts the connections a server's accept loop takes.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
+}
+
+// TestClientDoesNotRedialAfterDrop: the Client is the bare round trip.
+// When the server drops its connection, the call fails, the next call
+// fails too, and the client never dials a second connection — which
+// would restart the server's per-connection feature history unseen.
+func TestClientDoesNotRedialAfterDrop(t *testing.T) {
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialConfig(addr.String(), ClientConfig{MaxRetries: 8, Backoff: 5 * time.Millisecond})
+	// Every server read drops its connection.
+	ln := &countingListener{Listener: faultnet.Wrap(tcp, faultnet.NewSchedule(faultnet.Config{Seed: 1, DropRead: 1000}))}
+	s := New(testModel(t), 1)
+	s.Logf = func(format string, args ...interface{}) {}
+	s.Obs = obs.NewRegistry()
+	s.Serve(ln)
+	t.Cleanup(func() { s.Close() })
+
+	c, err := Dial(tcp.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	rows := make([]float64, features.Dim)
-	if _, err := c.Predict(rows); err != nil {
-		t.Fatal(err)
+	if _, err := c.Predict(rows); err == nil {
+		t.Fatal("call succeeded on a connection the server dropped")
 	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := c.Predict(rows); !errors.Is(err, errClientClosed) {
+		t.Fatalf("call after the drop: err %v, want %v", err, errClientClosed)
 	}
-	// Rebind the same address and serve again.
-	s2 := New(testModel(t), 1)
-	s2.Logf = t.Logf
-	if _, err := s2.Listen(addr.String()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s2.Close() })
-	if _, err := c.Predict(rows); err != nil {
-		t.Errorf("client did not recover across server restart: %v", err)
+	if n := ln.accepted.Load(); n != 1 {
+		t.Errorf("server accepted %d connections, want 1: the client re-dialled", n)
 	}
 }

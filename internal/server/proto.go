@@ -1,8 +1,9 @@
 // Package server implements LFO's prediction service: a TCP server that
 // evaluates the trained admission model over a length-prefixed binary
-// protocol, plus two clients of it — Client, one call at a time under a
-// timeout with retries, and MuxConn, which keeps several batches in flight
-// on one connection (internal/fleet drives it). It backs the paper's
+// protocol, plus two clients of it — Client, the bare round trip (one call
+// at a time under an I/O deadline, no retries), and MuxConn, which keeps
+// several batches in flight on one connection (internal/fleet drives it
+// and owns failover and fallback). It backs the paper's
 // throughput experiment (Fig 7 — "can LFO predict fast enough for
 // production use?") and demonstrates how a CDN frontend would consult an
 // LFO model over the network.

@@ -425,9 +425,6 @@ func TestTrackerBoundMapping(t *testing.T) {
 		{"DrainTimeout", func(v int) int64 { return int64((&Server{DrainTimeout: time.Duration(v)}).drainTimeout()) }, int64(DefaultDrainTimeout), 0},
 		{"MaxFramePayload", func(v int) int64 { return int64((&Server{MaxFramePayload: v}).maxFrame()) }, maxFramePayload, math.MaxUint32},
 		{"MaxConns", func(v int) int64 { return int64((&Server{MaxConns: v}).maxConns()) }, DefaultMaxConns, 0},
-		{"Timeout", func(v int) int64 { return int64(ClientConfig{Timeout: time.Duration(v)}.timeout()) }, int64(DefaultClientTimeout), 0},
-		{"MaxRetries", func(v int) int64 { return int64(ClientConfig{MaxRetries: v}.maxRetries()) }, DefaultMaxRetries, 0},
-		{"Backoff", func(v int) int64 { return int64(ClientConfig{Backoff: time.Duration(v)}.backoff()) }, int64(DefaultBackoff), 0},
 	} {
 		for _, c := range []struct {
 			v    int

@@ -297,9 +297,6 @@ type (
 	PredictionServer = server.Server
 	// PredictionClient talks to a PredictionServer.
 	PredictionClient = server.Client
-	// PredictionClientConfig tunes the client's per-attempt timeout and
-	// bounded retry/backoff.
-	PredictionClientConfig = server.ClientConfig
 	// DegradeEvent describes one serving-path degradation (timeout,
 	// limit rejection, accept error, drain force-close); see
 	// PredictionServer.OnDegrade.
@@ -314,15 +311,11 @@ func NewPredictionServer(m *Model, workers int) *PredictionServer {
 	return server.New(m, workers)
 }
 
-// DialPrediction connects to a prediction server with default robustness
-// settings (per-attempt timeout, bounded retries with backoff).
+// DialPrediction connects to a prediction server and returns the bare
+// synchronous client: one call at a time under an I/O deadline, no retries
+// — a transport failure closes the connection and every later call fails.
+// Reconnection and fallback belong to NewFleetRouter's remote admitter.
 func DialPrediction(addr string) (*PredictionClient, error) { return server.Dial(addr) }
-
-// DialPredictionConfig connects to a prediction server with explicit
-// robustness settings.
-func DialPredictionConfig(addr string, cfg PredictionClientConfig) (*PredictionClient, error) {
-	return server.DialConfig(addr, cfg)
-}
 
 // SecondHitCensor admits objects on their second request within recent
 // (bounded) history — the degraded-mode heuristic a FleetRouter answers

@@ -60,8 +60,11 @@ go run ./cmd/lfobench -fig all -scale quick -seeds 3 -repeats 1 -workers 1 |
 step "bench module: go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
+# The three deploy-lag tests are skipped here: the -count 3 step below runs
+# them, and TestDeployLagDeterministic alone takes 100-120 s under -race.
 step "go test -race (concurrent packages)"
-go test -race ./internal/server ./internal/fleet ./internal/faultnet \
+go test -race -skip '^(TestDeployLagDeterministic|TestEarlyRetrainAwaitsRoundInFlight|TestAsyncDroppedWindowCounted)$' \
+    ./internal/server ./internal/fleet ./internal/faultnet \
     ./internal/tiered ./internal/sim ./internal/par ./internal/pq \
     ./internal/gbdt ./internal/features ./internal/core ./internal/opt \
     ./internal/obs ./internal/evict \
