@@ -40,7 +40,7 @@ func main() {
 		window    = flag.Int("window", 50000, "training window for lfo and evict policies")
 		evictMode = flag.String("evict", "", "eviction mechanism for -policy lfo (default rank) and -policy evict (default learned): "+strings.Join(evict.Kinds(), "|"))
 		admit     = flag.String("admit", "admit-all", "admission side for -policy evict: admit-all or second-hit")
-		workers   = flag.Int("workers", 0, "goroutines for LFO training/scoring and OPT labeling: 0=all cores, 1=sequential")
+		workers   = flag.Int("workers", 0, "goroutines for LFO training and scoring (OPT labeling is one sequential pass either way): 0=all cores, 1=sequential")
 		ogdEta    = flag.Float64("ogd", 0, "OGD gradient step scale for -policy ogd and the lfo hybrid shadow learner (0 = default)")
 		hybridLR  = flag.Float64("hybrid-lr", 0, "per-size-class bias learning rate for -policy lfo: > 0 enables the online-learning bridge")
 		driftThr  = flag.Float64("drift-threshold", 0, "PSI threshold for -policy lfo: > 0 enables the drift detector and early-retrain trigger")

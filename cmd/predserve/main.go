@@ -40,7 +40,7 @@ func main() {
 		n          = flag.Int("n", 50000, "generated training trace length")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		sizeStr    = flag.String("size", "64m", "cache size used for OPT labels")
-		workers    = flag.Int("workers", 0, "prediction parallelism per request batch (0 = serial)")
+		workers    = flag.Int("workers", 0, "prediction parallelism per request batch (0 = all cores, 1 = serial)")
 		shardID    = flag.Int("shard-id", -1, "fleet shard index: tags log lines with shard=<id> and metric names with shard<id>_ (negative = standalone)")
 		maxTracked = flag.Int("max-tracked", 0, "per-connection admit tracker bound in objects (0 = default 1<<22, negative = unbounded)")
 		saveModel  = flag.String("save-model", "", "after training, save the model here")

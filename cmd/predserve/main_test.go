@@ -28,8 +28,7 @@ func baseModel(t *testing.T, base float64) *gbdt.Model {
 
 // TestDebugAddrServesLiveCounts exercises the exact wiring -debug.addr
 // produces: the debug listener must serve /metrics, /debug/vars and
-// /debug/pprof/ with live counters after one Predict and one Admit
-// round-trip.
+// /debug/pprof/ with live counters after two Admit round trips.
 func TestDebugAddrServesLiveCounts(t *testing.T) {
 	model := baseModel(t, 1)
 	srv, dbg, err := buildServer(model, serveConfig{workers: 1, shardID: -1}, "127.0.0.1:0")
@@ -56,10 +55,10 @@ func TestDebugAddrServesLiveCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Predict(make([]float64, 2*features.Dim)); err != nil {
+	if _, err := c.Admit([]server.AdmitRequest{{Time: 1, ID: 3, Size: 64, Cost: 64, Free: 1 << 20}, {Time: 2, ID: 4, Size: 64, Cost: 64, Free: 1 << 20}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Admit([]server.AdmitRequest{{Time: 1, ID: 3, Size: 64, Cost: 64, Free: 1 << 20}}); err != nil {
+	if _, err := c.Admit([]server.AdmitRequest{{Time: 3, ID: 3, Size: 64, Cost: 64, Free: 1 << 20}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,9 +81,8 @@ func TestDebugAddrServesLiveCounts(t *testing.T) {
 
 	metrics := get("/metrics")
 	for _, want := range []string{
-		"server_predict_requests_total 1",
-		"server_predict_rows_total 2",
-		"server_admit_requests_total 1",
+		"server_admit_requests_total 2",
+		"server_admit_rows_total 3",
 	} {
 		if !strings.Contains(metrics, want+"\n") {
 			t.Errorf("/metrics missing %q; got:\n%s", want, metrics)
@@ -97,8 +95,8 @@ func TestDebugAddrServesLiveCounts(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
 		t.Fatalf("/debug/vars not JSON: %v", err)
 	}
-	if vars.LFO["server_admit_rows_total"] != 1 {
-		t.Errorf("/debug/vars server_admit_rows_total = %d, want 1", vars.LFO["server_admit_rows_total"])
+	if vars.LFO["server_admit_rows_total"] != 3 {
+		t.Errorf("/debug/vars server_admit_rows_total = %d, want 3", vars.LFO["server_admit_rows_total"])
 	}
 
 	if !strings.Contains(get("/debug/pprof/"), "goroutine") {
@@ -200,7 +198,7 @@ func TestShardIDTagsLogsAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Predict(make([]float64, features.Dim)); err != nil {
+	if _, err := c.Admit([]server.AdmitRequest{{Time: 1, ID: 3, Size: 64, Cost: 64, Free: 1 << 20}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -213,7 +211,7 @@ func TestShardIDTagsLogsAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(body), "shard2_server_predict_requests_total 1\n") {
+	if !strings.Contains(string(body), "shard2_server_admit_requests_total 1\n") {
 		t.Errorf("/metrics missing shard-prefixed counter; got:\n%s", body)
 	}
 

@@ -1,8 +1,10 @@
 // Prediction server: train an LFO admission model, serve it over TCP, and
-// drive it from a client that tracks online features for a live request
-// stream — the shape of a production deployment where CDN frontends
-// consult a shared prediction service (Fig 7 of the paper asks whether
-// this path is fast enough; see the wire_fleet workload of bench/).
+// consult it from a frontend through a one-address FleetRouter — the shape
+// of a production deployment where CDN frontends consult a shared
+// prediction service (Fig 7 of the paper asks whether this path is fast
+// enough; see the wire_fleet workload of bench/). The frontend sends raw
+// 40-byte request tuples; the server tracks each object's request history
+// and builds the features itself.
 //
 //	go run ./examples/predictionserver
 package main
@@ -41,94 +43,41 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("prediction server on %s\n", addr)
 
-	// A frontend: stream fresh traffic, build online features, and ask
-	// the server whether OPT would admit each object.
-	client, err := lfo.DialPrediction(addr.String())
+	// A frontend: a router with the one server as its only shard. It
+	// batches rows and keeps several batches in flight; a row the server
+	// could not answer in time would be answered by a local second-hit
+	// heuristic instead, and counted.
+	reg := lfo.NewMetricsRegistry()
+	router, err := lfo.NewFleetRouter(lfo.FleetConfig{Addrs: []string{addr.String()}, Obs: reg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer client.Close()
+	defer router.Close()
 
 	live, err := lfo.GenerateCDNMix(2000, 99)
 	if err != nil {
 		log.Fatal(err)
 	}
 	live = live.WithCosts(lfo.ObjectiveBHR)
-
-	tracker := lfo.NewFeatureTracker(0)
 	freeBytes := int64(cacheSize) // a real frontend reports its cache's free bytes
 
-	const batch = 256
-	rows := make([]float64, 0, batch*lfo.FeatureDim)
-	admitted, total := 0, 0
-	flush := func() {
-		if len(rows) == 0 {
-			return
-		}
-		probs, err := client.Predict(rows)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, p := range probs {
-			total++
-			if p >= 0.5 {
-				admitted++
-			}
-		}
-		rows = rows[:0]
-	}
-
-	buf := make([]float64, lfo.FeatureDim)
-	for _, r := range live.Requests {
-		tracker.Features(r, freeBytes, buf)
-		rows = append(rows, buf...)
-		tracker.Update(r)
-		if len(rows) == batch*lfo.FeatureDim {
-			flush()
-		}
-	}
-	flush()
-
-	fmt.Printf("served %d predictions over TCP; model admits %.1f%% of requests\n",
-		total, 100*float64(admitted)/float64(total))
-
-	// The compact protocol: ship raw request tuples (40 bytes each) and
-	// let the server track features — a tenth of the bandwidth.
-	compact, err := lfo.DialPrediction(addr.String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer compact.Close()
-	tuples := make([]lfo.AdmitRequest, 0, 256)
-	admitted2 := 0
-	for _, r := range live.Requests {
-		tuples = append(tuples, lfo.AdmitRequest{
+	// Ask whether OPT would admit each object: every probability is in
+	// place once Flush returns.
+	probs := make([]float64, live.Len())
+	for i, r := range live.Requests {
+		router.Enqueue(lfo.AdmitRequest{
 			Time: r.Time, ID: uint64(r.ID), Size: r.Size, Cost: r.Cost, Free: freeBytes,
-		})
-		if len(tuples) == cap(tuples) {
-			probs, err := compact.Admit(tuples)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for _, p := range probs {
-				if p >= 0.5 {
-					admitted2++
-				}
-			}
-			tuples = tuples[:0]
+		}, &probs[i])
+	}
+	router.Flush()
+	admitted := 0
+	for _, p := range probs {
+		if p >= 0.5 {
+			admitted++
 		}
 	}
-	if len(tuples) > 0 {
-		probs, err := compact.Admit(tuples)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, p := range probs {
-			if p >= 0.5 {
-				admitted2++
-			}
-		}
-	}
-	fmt.Printf("compact protocol (server-side feature tracking) admits %.1f%% — same decisions, ~10x less wire traffic\n",
-		100*float64(admitted2)/float64(live.Len()))
+	fmt.Printf("router: %d of %d rows answered by the server, %d by the fallback; model admits %.1f%% of requests\n",
+		reg.Counter("fleet_shard0_rows_total").Value(), len(probs),
+		reg.Counter("fleet_shard0_fallback_rows_total").Value(),
+		100*float64(admitted)/float64(len(probs)))
 }

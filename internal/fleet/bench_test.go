@@ -37,9 +37,9 @@ type stubConn struct {
 // pins the same bytes: u32 len | u8 op | u64 tag | body, len counting
 // everything after itself.
 const (
-	stubOpPredict = 1
-	stubOpAdmit   = 2
-	stubHdr       = 4 + 1 + 8
+	stubOpProbs = 1
+	stubOpAdmit = 2
+	stubHdr     = 4 + 1 + 8
 )
 
 func (c *stubConn) Write(p []byte) (int, error) {
@@ -79,7 +79,7 @@ func (c *stubConn) Write(p []byte) (int, error) {
 	}
 	b := c.out[start:]
 	binary.LittleEndian.PutUint32(b, uint32(stubHdr-4+8*n))
-	b[4] = stubOpPredict
+	b[4] = stubOpProbs
 	binary.LittleEndian.PutUint64(b[5:], tag)
 	for i := 0; i < n; i++ {
 		prob := 0.5

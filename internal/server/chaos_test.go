@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lfo/internal/faultnet"
-	"lfo/internal/features"
 	"lfo/internal/obs"
 )
 
@@ -114,10 +113,11 @@ func dialChaos(t *testing.T, pl *faultnet.PipeListener) *Client {
 	return c
 }
 
-// runChaosSession drives chaosCalls sequential Predict calls through a
-// fault-injecting pipe listener and returns everything observed. The
-// Client never re-dials, so the session does: a failed call has closed
-// its connection, and the call is made again on a fresh one.
+// runChaosSession drives chaosCalls sequential one-row Admit calls
+// through a fault-injecting pipe listener and returns everything
+// observed. The Client never re-dials, so the session does: a failed call
+// has closed its connection, and the call is made again on a fresh one,
+// whose server-side feature history starts empty.
 func runChaosSession(t *testing.T, seed uint64, workers int) chaosOutcome {
 	t.Helper()
 	m := testModel(t)
@@ -133,19 +133,16 @@ func runChaosSession(t *testing.T, seed uint64, workers int) chaosOutcome {
 	s.Serve(faultnet.Wrap(pl, sched))
 
 	c, dials := dialChaos(t, pl), int64(1)
-	rows := make([]float64, features.Dim)
 	var results strings.Builder
 	for i := 0; i < chaosCalls; i++ {
-		for j := range rows {
-			rows[j] = float64((i*31+j*7)%23) / 4
-		}
-		probs, err := c.Predict(rows)
+		row := []AdmitRequest{{Time: int64(10 * i), ID: uint64(i % 7), Size: int64(1 + (i*31)%97), Cost: 1, Free: 1 << 20}}
+		probs, err := c.Admit(row)
 		for redials := 0; err != nil; redials++ {
 			if redials == chaosRedials {
 				t.Fatalf("call %d failed on %d fresh connections: %v", i, chaosRedials, err)
 			}
 			c, dials = dialChaos(t, pl), dials+1
-			probs, err = c.Predict(rows)
+			probs, err = c.Admit(row)
 		}
 		if len(probs) != 1 {
 			t.Fatalf("call %d returned %d probs", i, len(probs))
@@ -270,10 +267,9 @@ func TestChaosFailFastWithoutRetries(t *testing.T) {
 	defer s.Close()
 
 	c := dialChaos(t, pl)
-	rows := make([]float64, features.Dim)
 	var failures int64
 	for i := 0; i < 40; i++ {
-		if _, err := c.Predict(rows); err != nil {
+		if _, err := c.Admit([]AdmitRequest{{Time: int64(i), ID: uint64(i % 5), Size: 100, Cost: 1}}); err != nil {
 			failures++
 			c = dialChaos(t, pl) // the failed call closed the connection
 		}

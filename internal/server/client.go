@@ -8,7 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"lfo/internal/features"
 	"lfo/internal/gbdt"
 )
 
@@ -68,8 +67,8 @@ func (c *MuxConn) ReadResponse() (uint64, []float64, error) {
 		return 0, nil, err
 	}
 	switch f.op {
-	case opPredict:
-		probs, err := decodeFloats(f.body, 1, c.probs)
+	case opProbs:
+		probs, err := decodeFloats(f.body, c.probs)
 		if err != nil {
 			return f.tag, nil, err
 		}
@@ -158,18 +157,9 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Predict sends a flat row-major feature matrix (len divisible by
-// features.Dim) and returns one probability per row.
-func (c *Client) Predict(rows []float64) ([]float64, error) {
-	c.tag++
-	c.rows = len(rows) / features.Dim
-	c.mc.wbuf = appendPredict(c.mc.wbuf[:0], c.tag, rows)
-	return c.call()
-}
-
-// Admit sends raw request tuples over the compact stateful protocol and
-// returns one admission probability per tuple. The server's feature
-// history for them lives as long as the Client's one connection.
+// Admit sends raw request tuples and returns one admission probability per
+// tuple. The server's feature history for them lives as long as the
+// Client's one connection.
 func (c *Client) Admit(reqs []AdmitRequest) ([]float64, error) {
 	c.tag++
 	c.rows = len(reqs)

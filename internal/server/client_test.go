@@ -55,39 +55,40 @@ func (c *scriptConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 func (c *scriptConn) Close() error                { c.closed = true; return nil }
 func (c *scriptConn) SetDeadline(time.Time) error { return nil }
 
-// TestMuxPipelinedPredict keeps several predict batches in flight on one
+// TestMuxPipelinedPredict keeps several admit batches in flight on one
 // connection and checks that replies come back in order, under their
-// tags, and numerically identical to a local PredictMatrix call.
+// tags, and identical to a local tracker and model fed the same rows.
 func TestMuxPipelinedPredict(t *testing.T) {
 	m := testModel(t)
 	_, addr := startServer(t, m)
 	mc := dialMux(t, addr)
 
 	const batches, rows = 6, 17
-	all := make([][]float64, batches)
+	rng := rand.New(rand.NewSource(7))
+	all := make([][]AdmitRequest, batches)
 	for b := range all {
-		all[b] = randRows(rows, int64(7+b))
+		all[b] = randAdmitBatch(rng, rows)
 	}
 	// Write every batch before reading anything: all six are in flight.
-	for b, rowsBuf := range all {
-		mc.wbuf = appendPredict(mc.wbuf[:0], uint64(100+b), rowsBuf)
-		if err := mc.send(); err != nil {
+	for b, reqs := range all {
+		if err := mc.WriteAdmitBatch(uint64(100+b), reqs); err != nil {
 			t.Fatalf("write batch %d: %v", b, err)
 		}
 	}
-	for b, rowsBuf := range all {
+	tracker := features.NewTracker(0)
+	row := make([]float64, features.Dim)
+	for b, reqs := range all {
 		tag, probs, err := mc.ReadResponse()
 		if err != nil {
 			t.Fatalf("read batch %d: %v", b, err)
 		}
-		if tag != uint64(100+b) {
-			t.Fatalf("batch %d: tag %d, want %d", b, tag, 100+b)
+		if tag != uint64(100+b) || len(probs) != rows {
+			t.Fatalf("batch %d: tag %d, %d rows; want tag %d", b, tag, len(probs), 100+b)
 		}
-		want := make([]float64, rows)
-		m.PredictMatrix(rowsBuf, want, 1)
-		for i := range want {
-			if probs[i] != want[i] {
-				t.Fatalf("batch %d row %d: prob %v, want %v", b, i, probs[i], want[i])
+		for i, ar := range reqs {
+			tracker.Observe(traceRequest(ar), ar.Free, row)
+			if want := m.Predict(row); probs[i] != want {
+				t.Fatalf("batch %d row %d: prob %v, want %v", b, i, probs[i], want)
 			}
 		}
 	}
@@ -152,14 +153,14 @@ func TestMuxErrorCorrelated(t *testing.T) {
 	_, addr := startServer(t, m)
 	mc := dialMux(t, addr)
 
-	// A predict body that is not a whole number of rows.
-	mc.wbuf = appendRaw(mc.wbuf[:0], opPredict, 42, []byte{1, 2, 3, 4, 5})
+	// An admit body that is not a whole number of rows.
+	mc.wbuf = appendRaw(mc.wbuf[:0], opAdmit, 42, []byte{1, 2, 3, 4, 5})
 	if err := mc.send(); err != nil {
 		t.Fatal(err)
 	}
 	tag, _, err := mc.ReadResponse()
 	if err == nil {
-		t.Fatal("ragged predict batch succeeded")
+		t.Fatal("ragged admit batch succeeded")
 	}
 	if tag != 42 {
 		t.Fatalf("error under tag %d, want 42", tag)
@@ -183,7 +184,7 @@ func TestMuxErrorCorrelated(t *testing.T) {
 // drops the connection, and the next call fails without dialling again.
 func TestClientRejectsMisTaggedReply(t *testing.T) {
 	// Whatever it is asked, the peer answers the tag of the first call.
-	reply := appendPredict(nil, 1, []float64{0.5})
+	reply := appendProbs(nil, 1, []float64{0.5})
 	sc := &scriptConn{r: bytes.NewReader(append(reply, reply...))}
 	c := newClient(sc)
 	one := []AdmitRequest{{Time: 1, ID: 1, Size: 1, Cost: 1}}
@@ -213,27 +214,24 @@ func TestClientRejectsWrongRowCount(t *testing.T) {
 	two := []AdmitRequest{{Time: 1, ID: 1, Size: 1, Cost: 1}, {Time: 2, ID: 2, Size: 1, Cost: 1}}
 	for _, tc := range []struct {
 		name  string
-		call  func(*Client) ([]float64, error)
 		reply []float64
 	}{
-		{"admit short", func(c *Client) ([]float64, error) { return c.Admit(two) }, []float64{0.5}},
-		{"admit long", func(c *Client) ([]float64, error) { return c.Admit(two) }, []float64{0.5, 0.25, 0.125}},
-		{"predict short", func(c *Client) ([]float64, error) { return c.Predict(make([]float64, 3*features.Dim)) }, []float64{0.5, 0.25}},
-		{"predict long", func(c *Client) ([]float64, error) { return c.Predict(make([]float64, features.Dim)) }, []float64{0.5, 0.25}},
+		{"admit short", []float64{0.5}},
+		{"admit long", []float64{0.5, 0.25, 0.125}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The peer answers the first call with the wrong number of
 			// probabilities, then would answer the second correctly.
-			script := append(appendPredict(nil, 1, tc.reply), appendPredict(nil, 2, []float64{0.5, 0.5})...)
+			script := append(appendProbs(nil, 1, tc.reply), appendProbs(nil, 2, []float64{0.5, 0.5})...)
 			sc := &scriptConn{r: bytes.NewReader(script)}
 			c := newClient(sc)
-			if probs, err := tc.call(c); err == nil || !strings.Contains(err.Error(), "probabilities for") {
+			if probs, err := c.Admit(two); err == nil || !strings.Contains(err.Error(), "probabilities for") {
 				t.Fatalf("call answered with %d probabilities: %v, %v", len(tc.reply), probs, err)
 			}
 			if !sc.closed || c.mc.conn != nil {
 				t.Fatal("connection kept after a reply of the wrong length")
 			}
-			if _, err := tc.call(c); !errors.Is(err, errClientClosed) {
+			if _, err := c.Admit(two); !errors.Is(err, errClientClosed) {
 				t.Fatalf("second call after the drop: err %v, want %v", err, errClientClosed)
 			}
 		})
@@ -242,14 +240,13 @@ func TestClientRejectsWrongRowCount(t *testing.T) {
 
 // TestClientLargeReply: Client.Admit reads a reply of more than 1 MiB,
 // under the frame bound both ends share. The peer is scripted; the reply
-// answers as many requests as it carries probabilities, which in feature
-// rows would be a 56 MB request.
+// answers as many requests as it carries probabilities.
 func TestClientLargeReply(t *testing.T) {
 	want := make([]float64, 1<<20/8+1000)
 	for i := range want {
 		want[i] = float64(i) / float64(len(want))
 	}
-	c := newClient(&scriptConn{r: bytes.NewReader(appendPredict(nil, 1, want))})
+	c := newClient(&scriptConn{r: bytes.NewReader(appendProbs(nil, 1, want))})
 	probs, err := c.Admit(make([]AdmitRequest, len(want)))
 	if err != nil || len(probs) != len(want) || probs[len(want)-1] != want[len(want)-1] {
 		t.Fatalf("%d probabilities, err %v", len(probs), err)
@@ -284,16 +281,17 @@ func testModelBiased(t *testing.T) *gbdt.Model {
 
 // TestModelRolloutSwapsAtomically pushes a versioned model over the wire
 // and verifies swap, idempotent re-push, stale rejection, and that
-// predictions actually change.
+// predictions on a connection already open actually change.
 func TestModelRolloutSwapsAtomically(t *testing.T) {
 	mA := testModel(t)
 	mB := testModelBiased(t)
 	srv, addr := startServer(t, mA)
 
+	// Every probe asks about an object the connection has not seen, so
+	// each builds the same cold feature row.
+	probeReq := AdmitRequest{Size: 80, Cost: 80, Free: 1 << 20}
 	row := make([]float64, features.Dim)
-	for i := range row {
-		row[i] = 50
-	}
+	features.NewTracker(0).Features(traceRequest(probeReq), probeReq.Free, row)
 	wantA, wantB := mA.Predict(row), mB.Predict(row)
 	if wantA == wantB {
 		t.Fatalf("test models agree on the probe row (%v); pick a different row", wantA)
@@ -306,7 +304,9 @@ func TestModelRolloutSwapsAtomically(t *testing.T) {
 	defer c.Close()
 	probe := func() float64 {
 		t.Helper()
-		probs, err := c.Predict(row)
+		probeReq.Time++
+		probeReq.ID++
+		probs, err := c.Admit([]AdmitRequest{probeReq})
 		if err != nil {
 			t.Fatal(err)
 		}

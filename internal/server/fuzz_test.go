@@ -27,13 +27,15 @@ type fuzzSeed struct {
 	data []byte
 }
 
-// fuzzSeeds returns the seed corpus in f.Add order.
+// fuzzSeeds returns the seed corpus in f.Add order. The "predict" seeds
+// are opcode-1 frames carrying feature rows, the retired request format:
+// the server must refuse them as requests.
 func fuzzSeeds() []fuzzSeed {
 	admit := appendAdmit(nil, 1<<63|5, []AdmitRequest{{Time: 1, ID: 2, Size: 3, Cost: 4, Free: 5}, {Time: 6, ID: 7}, {Cost: -1}})
 	return []fuzzSeed{
-		{"seed-predict-row", appendPredict(nil, 9, make([]float64, features.Dim))},
+		{"seed-predict-row", appendProbs(nil, 9, make([]float64, features.Dim))},
 		{"seed-admit-row", appendAdmit(nil, 7, []AdmitRequest{{Time: 1, ID: 2, Size: 3, Cost: 4, Free: 5}})},
-		{"seed-response", appendPredict(nil, 7, []float64{0.25, 0.75})},
+		{"seed-response", appendProbs(nil, 7, []float64{0.25, 0.75})},
 		{"seed-error-frame", appendRaw(nil, opError, 8, []byte("remote error text"))},
 		{"", []byte{}},
 		// Degenerate shapes: a length word of 0, a truncated length word,
@@ -41,12 +43,12 @@ func fuzzSeeds() []fuzzSeed {
 		{"seed-empty-frame", []byte{0, 0, 0, 0}},
 		{"seed-short-header", []byte{5, 0}},
 		{"seed-truncated", []byte{12, 0, 0, 0, opAdmit, 1, 2, 3}},
-		{"seed-lying-predict", appendRaw(nil, opPredict, 1, []byte{0xff, 0xff, 0xff, 0xff, 0xff})},
+		{"seed-lying-predict", appendRaw(nil, opProbs, 1, []byte{0xff, 0xff, 0xff, 0xff, 0xff})},
 		{"seed-lying-admit", appendRaw(nil, opAdmit, 2, []byte{9, 9, 9, 9, 9, 9, 9})},
 		{"seed-huge-claim", []byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}},
 		{"seed-admit-batch", admit},
-		{"seed-predict-batch", appendPredict(nil, 2, randRows(2, 1))},
-		{"seed-response-nan", appendPredict(nil, 3, []float64{features.Missing, -0.0, 1})},
+		{"seed-predict-batch", appendProbs(nil, 2, randRows(2, 1))},
+		{"seed-response-nan", appendProbs(nil, 3, []float64{features.Missing, -0.0, 1})},
 		{"seed-error-empty", appendRaw(nil, opError, 4, nil)},
 		{"seed-model-swap", appendRaw(nil, opModel, 3, []byte{1, 2, 3, 4})},
 		{"seed-model-ack", appendRaw(nil, opModel, 3, nil)},
@@ -60,10 +62,11 @@ func fuzzSeeds() []fuzzSeed {
 // FuzzFrameDecode feeds arbitrary bytes through the one frame codec and
 // the server's dispatch. Nothing may panic; the reader may not allocate
 // anywhere near a lying length word's claim (it grows its buffer only as
-// bytes arrive); a predict or admit body that decodes holds exactly its
-// rows × row width bytes; every accepted frame re-encodes to its own bytes
-// bit for bit; and the server's reply to it is one well-formed frame under
-// the request's tag.
+// bytes arrive); an admit body that decodes holds exactly its rows × 40
+// bytes; every frame that decodes re-encodes to its own bytes bit for
+// bit; and the server's reply to it is one well-formed frame under the
+// request's tag, an error for any request but an admit batch or a model
+// push.
 func FuzzFrameDecode(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s.data)
@@ -84,28 +87,21 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		var again []byte
 		switch fr.op {
-		case opPredict:
-			if rows, err := decodeFloats(fr.body, features.Dim, nil); err == nil && (len(rows)%features.Dim != 0 || 8*len(rows) != len(fr.body)) {
-				t.Fatalf("%d feature values from a %d-byte body", len(rows), len(fr.body))
+		case opProbs:
+			if probs, err := decodeFloats(fr.body, nil); err == nil {
+				again = appendProbs(nil, fr.tag, probs)
 			}
-			probs, err := decodeFloats(fr.body, 1, nil)
-			if err != nil {
-				return
-			}
-			again = appendPredict(nil, fr.tag, probs)
 		case opAdmit:
-			reqs, err := decodeAdmit(fr.body, nil)
-			if err != nil {
-				return
+			if reqs, err := decodeAdmit(fr.body, nil); err == nil {
+				if admitRowBytes*len(reqs) != len(fr.body) {
+					t.Fatalf("%d admit tuples from a %d-byte body", len(reqs), len(fr.body))
+				}
+				again = appendAdmit(nil, fr.tag, reqs)
 			}
-			if admitRowBytes*len(reqs) != len(fr.body) {
-				t.Fatalf("%d admit tuples from a %d-byte body", len(reqs), len(fr.body))
-			}
-			again = appendAdmit(nil, fr.tag, reqs)
 		default:
 			again = appendRaw(nil, fr.op, fr.tag, fr.body)
 		}
-		if wire := data[:hdrBytes+len(fr.body)]; !bytes.Equal(again, wire) {
+		if wire := data[:hdrBytes+len(fr.body)]; again != nil && !bytes.Equal(again, wire) {
 			t.Fatalf("re-encoded frame differs:\n%x\n%x", again, wire)
 		}
 
@@ -113,6 +109,9 @@ func FuzzFrameDecode(f *testing.F) {
 		reply, err := readFrame(bytes.NewReader(srv.respond(&cs, fr, nil)), &buf, maxFramePayload)
 		if err != nil || reply.tag != fr.tag {
 			t.Fatalf("reply to op %#x tag %d: tag %d, err %v", fr.op, fr.tag, reply.tag, err)
+		}
+		if fr.op != opAdmit && fr.op != opModel && reply.op != opError {
+			t.Fatalf("request op %#x answered with op %#x, want a refusal", fr.op, reply.op)
 		}
 	})
 }
@@ -125,15 +124,15 @@ const muxFuzzVersion = 3
 // reply streams as a server could send them to a MuxConn.
 func muxFuzzSeeds() []fuzzSeed {
 	return []fuzzSeed{
-		{"seed-mux-admit", appendPredict(nil, 7, []float64{0.5})},
-		{"seed-mux-predict", appendPredict(appendPredict(nil, 9, []float64{0.1, 0.2}), 10, []float64{0.3})},
-		{"seed-mux-response", appendPredict(nil, 7, []float64{0.25, features.Missing, -0.0})},
+		{"seed-mux-admit", appendProbs(nil, 7, []float64{0.5})},
+		{"seed-mux-predict", appendProbs(appendProbs(nil, 9, []float64{0.1, 0.2}), 10, []float64{0.3})},
+		{"seed-mux-response", appendProbs(nil, 7, []float64{0.25, features.Missing, -0.0})},
 		{"seed-mux-error", appendRaw(nil, opError, 8, []byte("remote error text"))},
 		{"seed-model-swap", appendRaw(nil, opModel, muxFuzzVersion, []byte{1, 2, 3, 4})},
 		{"seed-model-ack", appendRaw(nil, opModel, muxFuzzVersion, nil)},
-		{"seed-short-envelope", []byte{4, 0, 0, 0, opPredict, 1, 2, 3}},
-		{"seed-empty-inner", appendPredict(nil, 0, nil)},
-		{"seed-lying-inner", appendRaw(nil, opPredict, 5, []byte{0xff, 0xff, 0xff, 0xff, 0xff})},
+		{"seed-short-envelope", []byte{4, 0, 0, 0, opProbs, 1, 2, 3}},
+		{"seed-empty-inner", appendProbs(nil, 0, nil)},
+		{"seed-lying-inner", appendRaw(nil, opProbs, 5, []byte{0xff, 0xff, 0xff, 0xff, 0xff})},
 		{"seed-empty-model", appendRaw(nil, opModel, 9, nil)},
 	}
 }
@@ -177,11 +176,11 @@ func FuzzMuxFrameDecode(f *testing.F) {
 			off += len(wire)
 			var remote remoteError
 			switch {
-			case want.op == opPredict && err == nil:
-				if again := appendPredict(nil, tag, probs); !bytes.Equal(again, wire) {
+			case want.op == opProbs && err == nil:
+				if again := appendProbs(nil, tag, probs); !bytes.Equal(again, wire) {
 					t.Fatalf("re-encoded reply differs:\n%x\n%x", again, wire)
 				}
-			case want.op == opPredict:
+			case want.op == opProbs:
 				if !errors.Is(err, errRowShape) || len(want.body)%8 == 0 {
 					t.Fatalf("%d-byte reply body refused: %v", len(want.body), err)
 				}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"lfo/internal/faultnet"
-	"lfo/internal/features"
 	"lfo/internal/obs"
 )
 
@@ -138,8 +137,8 @@ func TestConnLimitRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	rows := make([]float64, features.Dim)
-	if _, err := c1.Predict(rows); err != nil { // slot now provably held
+	one := []AdmitRequest{{Time: 1, ID: 1, Size: 100, Cost: 1}}
+	if _, err := c1.Admit(one); err != nil { // slot now provably held
 		t.Fatal(err)
 	}
 	conn, err := net.Dial("tcp", addr.String())
@@ -155,7 +154,7 @@ func TestConnLimitRejects(t *testing.T) {
 		t.Errorf("server_conn_limit_rejects_total = %d, want 1", got)
 	}
 	// The admitted connection is unaffected.
-	if _, err := c1.Predict(rows); err != nil {
+	if _, err := c1.Admit(one); err != nil {
 		t.Errorf("in-limit connection broken by reject: %v", err)
 	}
 }
@@ -176,7 +175,7 @@ func TestCloseDrainsIdleConnsGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Predict(make([]float64, features.Dim)); err != nil {
+	if _, err := c.Admit([]AdmitRequest{{Time: 1, ID: 1, Size: 100, Cost: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -240,7 +239,7 @@ func TestCloseForceClosesStuckConns(t *testing.T) {
 }
 
 // TestClientFailsFastOnStall: a server that accepts and then never
-// responds must not hang Predict — the call's I/O deadline fires, the
+// responds must not hang Admit — the call's I/O deadline fires, the
 // connection is dropped, and the error says it timed out.
 func TestClientFailsFastOnStall(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -274,13 +273,13 @@ func TestClientFailsFastOnStall(t *testing.T) {
 	defer c.Close()
 	c.timeout = 60 * time.Millisecond
 	start := time.Now()
-	_, err = c.Predict(make([]float64, features.Dim))
+	_, err = c.Admit([]AdmitRequest{{Time: 1, ID: 1, Size: 100, Cost: 1}})
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("Predict succeeded against a stalling server")
+		t.Fatal("Admit succeeded against a stalling server")
 	}
 	if elapsed > 2*time.Second {
-		t.Errorf("Predict took %v against a stalling server, want fast failure", elapsed)
+		t.Errorf("Admit took %v against a stalling server, want fast failure", elapsed)
 	}
 	if !isTimeout(err) || c.mc.conn != nil {
 		t.Errorf("err %v (timeout %v), connection kept %v; want a timeout and the connection dropped",
@@ -324,11 +323,11 @@ func TestClientDoesNotRedialAfterDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	rows := make([]float64, features.Dim)
-	if _, err := c.Predict(rows); err == nil {
+	one := []AdmitRequest{{Time: 1, ID: 1, Size: 100, Cost: 1}}
+	if _, err := c.Admit(one); err == nil {
 		t.Fatal("call succeeded on a connection the server dropped")
 	}
-	if _, err := c.Predict(rows); !errors.Is(err, errClientClosed) {
+	if _, err := c.Admit(one); !errors.Is(err, errClientClosed) {
 		t.Fatalf("call after the drop: err %v, want %v", err, errClientClosed)
 	}
 	if n := ln.accepted.Load(); n != 1 {

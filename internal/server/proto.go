@@ -14,18 +14,19 @@
 //	u32 len | u8 op | u64 tag | body          (len counts op, tag and body)
 //
 //	request                                  reply, under the same tag
-//	opPredict  rows × features.Dim f64       opPredict  rows f64 probabilities
-//	opAdmit    rows × (time, id, size,       opPredict  rows f64 probabilities
+//	opAdmit    rows × (time, id, size,       opProbs    rows f64 probabilities
 //	           cost, free) 8 B each
 //	opModel    gob model; tag = version      opModel    empty
 //	                                         opError    message bytes
 //
-// The tag of a predict or admit request is its correlation ID; a model push
-// is tagged with the version it deploys. The server answers a connection's
-// frames strictly in order, each with the tag of the request it answers, so
-// a client can keep several requests in flight and prove that no reply was
-// paired with the wrong one. Errors the server sends unasked (a connection
-// or frame limit, just before it closes the connection) carry tag 0.
+// The server builds each row's features itself, from the per-connection
+// history of the tuples it was sent. The tag of an admit request is its
+// correlation ID; a model push is tagged with the version it deploys. The
+// server answers a connection's frames strictly in order, each with the
+// tag of the request it answers, so a client can keep several requests in
+// flight and prove that no reply was paired with the wrong one. Errors the
+// server sends unasked (a connection or frame limit, just before it closes
+// the connection) carry tag 0.
 package server
 
 import (
@@ -38,10 +39,10 @@ import (
 
 // Protocol opcodes.
 const (
-	opPredict = 1
-	// opAdmit carries raw request tuples instead of feature vectors; the
-	// server tracks per-object history itself. 40 bytes per request
-	// instead of 424, at the cost of a stateful (per-connection) session.
+	// opProbs is the reply to an admit batch: one probability per row.
+	opProbs = 1
+	// opAdmit carries raw request tuples; the server tracks per-object
+	// history itself, in a stateful (per-connection) session.
 	opAdmit = 2
 	// opModel is the versioned model hot-swap request and its ack.
 	opModel = 3
@@ -54,7 +55,7 @@ const hdrBytes = 4 + 1 + 8
 // admitRowBytes is the wire size of one opAdmit tuple.
 const admitRowBytes = 8 * 5
 
-// AdmitRequest is one raw request tuple for the compact protocol.
+// AdmitRequest is one raw request tuple of an admit batch.
 type AdmitRequest struct {
 	// Time, ID, Size, Cost mirror trace.Request fields.
 	Time int64
@@ -68,7 +69,7 @@ type AdmitRequest struct {
 
 // maxFramePayload is the default bound on what follows a frame's length
 // word, on both ends, keeping a malicious or broken peer from forcing huge
-// allocations (64 MiB ≈ 150k predict rows). Server.MaxFramePayload
+// allocations (64 MiB ≈ 1.6M admit rows). Server.MaxFramePayload
 // overrides it per server.
 const maxFramePayload = 64 << 20
 
@@ -177,12 +178,11 @@ func appendFrame(b []byte, op byte, tag uint64, bodyLen int) ([]byte, []byte) {
 	return b, b[off+hdrBytes:]
 }
 
-// appendPredict appends an opPredict frame: the feature rows of a request
-// (rows × features.Dim values) or the probabilities of a reply.
+// appendProbs appends an opProbs reply: one probability per request row.
 //
 //lfo:hotpath
-func appendPredict(b []byte, tag uint64, v []float64) []byte {
-	b, body := appendFrame(b, opPredict, tag, 8*len(v))
+func appendProbs(b []byte, tag uint64, v []float64) []byte {
+	b, body := appendFrame(b, opProbs, tag, 8*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(x))
 	}
@@ -213,12 +213,11 @@ func appendRaw(b []byte, op byte, tag uint64, body []byte) []byte {
 	return b
 }
 
-// decodeFloats decodes an opPredict body of rows × width values into the
-// storage of into.
+// decodeFloats decodes an opProbs body into the storage of into.
 //
 //lfo:hotpath
-func decodeFloats(body []byte, width int, into []float64) ([]float64, error) {
-	if len(body)%(8*width) != 0 {
+func decodeFloats(body []byte, into []float64) ([]float64, error) {
+	if len(body)%8 != 0 {
 		return nil, errRowShape
 	}
 	v := grow(into[:0], len(body)/8)

@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"lfo/internal/features"
 )
 
 // TestFrameGolden pins the bytes of one frame of each request op and of
@@ -17,21 +15,17 @@ import (
 // stubConn, which speaks the protocol with constants of its own, describe
 // exactly these bytes: a layout change shows here first.
 func TestFrameGolden(t *testing.T) {
-	row := make([]float64, features.Dim)
-	row[0] = 1.5
 	const tag8 = "0800000000000000"
 	for _, tc := range []struct {
 		name string
 		got  []byte
 		want string
 	}{
-		{"predict request", appendPredict(nil, 8, row),
-			"b1010000" + "01" + tag8 + "000000000000f83f" + strings.Repeat("0000000000000000", features.Dim-1)},
 		{"admit request", appendAdmit(nil, 8, []AdmitRequest{{Time: 1, ID: 2, Size: 3, Cost: 4, Free: 5}}),
 			"31000000" + "02" + tag8 + "0100000000000000" + "0200000000000000" + "0300000000000000" + "0000000000001040" + "0500000000000000"},
 		{"model push", appendRaw(nil, opModel, 3, []byte{0xde, 0xad}),
 			"0b000000" + "03" + "0300000000000000" + "dead"},
-		{"probabilities", appendPredict(nil, 8, []float64{0.25, 0.75}),
+		{"probabilities", appendProbs(nil, 8, []float64{0.25, 0.75}),
 			"19000000" + "01" + tag8 + "000000000000d03f" + "000000000000e83f"},
 		{"model ack", appendRaw(nil, opModel, 3, nil),
 			"09000000" + "03" + "0300000000000000"},
@@ -46,7 +40,7 @@ func TestFrameGolden(t *testing.T) {
 
 // TestMuxEncodeDecodeIdentity is the codec property test: for seeded
 // random batches and tags, encode → read → decode is the identity for
-// admit requests, predict requests and probability replies.
+// admit requests and probability replies.
 func TestMuxEncodeDecodeIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	var buf []byte
@@ -73,19 +67,17 @@ func TestMuxEncodeDecodeIdentity(t *testing.T) {
 			}
 		}
 
-		rows := make([]float64, n*features.Dim)
-		for i := range rows {
-			rows[i] = rng.NormFloat64() * 1000
+		probs := make([]float64, n)
+		for i := range probs {
+			probs[i] = rng.NormFloat64() * 1000
 		}
-		for _, width := range []int{features.Dim, 1} { // a request, then the same floats as a reply
-			got, err := decodeFloats(read(appendPredict(nil, tag^0x5555, rows), opPredict, tag^0x5555), width, nil)
-			if err != nil || len(got) != len(rows) {
-				t.Fatalf("iter %d width %d: %d floats, err %v, want %d", iter, width, len(got), err, len(rows))
-			}
-			for i := range rows {
-				if math.Float64bits(got[i]) != math.Float64bits(rows[i]) {
-					t.Fatalf("iter %d float %d: %v != %v", iter, i, got[i], rows[i])
-				}
+		got, err := decodeFloats(read(appendProbs(nil, tag^0x5555, probs), opProbs, tag^0x5555), nil)
+		if err != nil || len(got) != len(probs) {
+			t.Fatalf("iter %d: %d floats, err %v, want %d", iter, len(got), err, len(probs))
+		}
+		for i := range probs {
+			if math.Float64bits(got[i]) != math.Float64bits(probs[i]) {
+				t.Fatalf("iter %d float %d: %v != %v", iter, i, got[i], probs[i])
 			}
 		}
 	}
@@ -111,19 +103,6 @@ func TestReadFrameRejectsHuge(t *testing.T) {
 	}
 }
 
-func TestPredictCodecRoundTrip(t *testing.T) {
-	rows := randRows(7, 5)
-	dec, err := decodeFloats(appendPredict(nil, 1, rows)[hdrBytes:], features.Dim, nil)
-	if err != nil || len(dec) != len(rows) {
-		t.Fatalf("%d floats, err %v", len(dec), err)
-	}
-	for i := range rows {
-		if rows[i] != dec[i] {
-			t.Fatal("request codec mismatch")
-		}
-	}
-}
-
 func TestAdmitCodecRoundTrip(t *testing.T) {
 	reqs := []AdmitRequest{
 		{Time: 5, ID: 9, Size: 100, Cost: 2.5, Free: 777},
@@ -141,10 +120,7 @@ func TestAdmitCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := decodeFloats(make([]byte, 8*features.Dim+8), features.Dim, nil); err != errRowShape {
-		t.Errorf("ragged predict rows: %v", err)
-	}
-	if _, err := decodeFloats(make([]byte, 12), 1, nil); err != errRowShape {
+	if _, err := decodeFloats(make([]byte, 12), nil); err != errRowShape {
 		t.Errorf("ragged probabilities: %v", err)
 	}
 	if _, err := decodeAdmit(make([]byte, admitRowBytes+1), nil); err != errRowShape {

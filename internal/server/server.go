@@ -49,8 +49,10 @@ type DegradeEvent struct {
 }
 
 // Server serves admission-likelihood predictions over TCP. The deployed
-// model is swappable at runtime (SetModel), mirroring LFO's per-window
-// model handoff, and every connection is handled by its own goroutine.
+// model changes at runtime only by a versioned rollout over the wire
+// (opModel: MuxConn.Rollout, fleet.Router.Rollout), mirroring LFO's
+// per-window model handoff, and every connection is handled by its own
+// goroutine.
 //
 // The serving path is hardened for production use: per-frame read and
 // per-response write deadlines, a frame-size cap enforced before payload
@@ -116,22 +118,20 @@ type Server struct {
 	// before Listen.
 	OnDegrade func(ev DegradeEvent)
 
-	// Obs, when set, records request/row counters per opcode, frame
+	// Obs, when set, records admit request/row counters, frame
 	// read/write errors, degradation counters (timeouts, limit
 	// rejections, accept errors, drain force-closes), a predict latency
 	// histogram, and an open-connections gauge (see internal/obs). Must
 	// be set before Listen.
 	Obs *obs.Registry
 
-	m serverMetrics // handles resolved in Listen; nil-safe no-ops otherwise
+	m serverMetrics // handles resolved in Serve; nil-safe no-ops otherwise
 }
 
 // serverMetrics bundles the per-server metric handles. All handles are
 // nil (single-branch no-ops) when the registry is nil.
 type serverMetrics struct {
-	predictReqs   *obs.Counter
 	admitReqs     *obs.Counter
-	predictRows   *obs.Counter
 	admitRows     *obs.Counter
 	readErrors    *obs.Counter
 	writeErrors   *obs.Counter
@@ -151,9 +151,7 @@ type serverMetrics struct {
 
 func newServerMetrics(r *obs.Registry) serverMetrics {
 	return serverMetrics{
-		predictReqs:   r.Counter("server_predict_requests_total"),
 		admitReqs:     r.Counter("server_admit_requests_total"),
-		predictRows:   r.Counter("server_predict_rows_total"),
 		admitRows:     r.Counter("server_admit_rows_total"),
 		readErrors:    r.Counter("server_read_errors_total"),
 		writeErrors:   r.Counter("server_write_errors_total"),
@@ -208,26 +206,20 @@ func (s *Server) degrade(kind string, remote net.Addr, err error) {
 	s.OnDegrade(ev)
 }
 
-// New returns a server deploying the given model (nil: none yet; every
-// request is refused until one is set). workers bounds the per-request
-// prediction parallelism (0 = all available cores, 1 = serial). A model
-// whose width is not features.Dim is a programming error and panics.
+// New returns a server deploying the given model as version 0 (nil: none
+// yet; every admit request is refused until a rollout deploys one).
+// workers bounds the per-request prediction parallelism (0 = all
+// available cores, 1 = serial). A model whose width is not features.Dim
+// is a programming error and panics.
 func New(model *gbdt.Model, workers int) *Server {
-	s := &Server{workers: workers, conns: make(map[net.Conn]struct{}), Logf: log.Printf}
-	s.SetModel(model)
-	return s
-}
-
-// SetModel atomically swaps the deployed model without changing the
-// deployed version (the local, unversioned handoff path). Like New, it
-// panics on a model whose width is not features.Dim.
-func (s *Server) SetModel(m *gbdt.Model) {
-	if m != nil {
-		if err := checkWidth(m); err != nil {
+	if model != nil {
+		if err := checkWidth(model); err != nil {
 			panic("server: " + err.Error())
 		}
 	}
-	s.model.Store(m)
+	s := &Server{workers: workers, conns: make(map[net.Conn]struct{}), Logf: log.Printf}
+	s.model.Store(model)
+	return s
 }
 
 // checkWidth rejects a model that does not score features.Dim-wide rows:
@@ -240,27 +232,23 @@ func checkWidth(m *gbdt.Model) error {
 	return nil
 }
 
-// ModelVersion returns the deployed model version (0 = never versioned).
+// ModelVersion returns the deployed model version (0 = the boot model).
 func (s *Server) ModelVersion() uint64 { return s.version.Load() }
 
-// Listen binds the address (e.g. "127.0.0.1:0") and starts accepting in a
-// background goroutine. It returns the bound address.
+// Listen binds the address (e.g. "127.0.0.1:0") and serves it (see
+// Serve). It returns the bound address.
 func (s *Server) Listen(addr string) (net.Addr, error) {
-	s.m = newServerMetrics(s.Obs)
-	s.m.modelVersion.Set(int64(s.version.Load()))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("server: listen %s: %w", addr, err)
 	}
-	s.listener = ln
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.Serve(ln)
 	return ln.Addr(), nil
 }
 
-// Serve accepts connections from an existing listener instead of binding
-// one; tests use it to interpose fault-injecting listeners. Like Listen,
-// it must be called once and returns immediately.
+// Serve accepts connections from ln in a background goroutine and returns
+// immediately; tests use it to interpose fault-injecting listeners. A
+// server serves once: Serve or Listen is called once.
 func (s *Server) Serve(ln net.Listener) {
 	s.m = newServerMetrics(s.Obs)
 	s.m.modelVersion.Set(int64(s.version.Load()))
@@ -413,16 +401,16 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // respond appends to b the reply to one request frame, under its tag:
-// probabilities, a model ack, or an error. Malformed requests are counted;
-// the no-model condition is not, being a deployment state rather than a
-// peer fault.
+// probabilities, a model ack, or an error. Malformed requests, unknown
+// opcodes among them, are counted; the no-model condition is not, being a
+// deployment state rather than a peer fault.
 func (s *Server) respond(cs *connState, f frame, b []byte) []byte {
 	var err error
 	switch f.op {
-	case opPredict, opAdmit:
+	case opAdmit:
 		var probs []float64
-		if probs, err = s.process(cs, f); err == nil {
-			return appendPredict(b, f.tag, probs)
+		if probs, err = s.process(cs, f.body); err == nil {
+			return appendProbs(b, f.tag, probs)
 		}
 		if !errors.Is(err, errNoModel) {
 			s.m.badRequests.Inc()
@@ -469,45 +457,32 @@ func (s *Server) swapModel(version uint64, body []byte) error {
 	return nil
 }
 
-// process evaluates one opPredict or opAdmit request against the deployed
-// model. Admit batches extract features row by row (the tracker mutates
-// between rows) into a reused matrix, and either kind is scored with one
-// PredictMatrix call, which fans a large block out across the server's
-// workers.
-func (s *Server) process(cs *connState, f frame) ([]float64, error) {
+// process evaluates one opAdmit body against the deployed model: features
+// are extracted row by row (the tracker mutates between rows) into a
+// reused matrix, which one PredictMatrix call scores, fanning a large
+// block out across the server's workers.
+func (s *Server) process(cs *connState, body []byte) ([]float64, error) {
 	m := s.model.Load()
 	if m == nil {
 		return nil, errNoModel
 	}
-	var sc obs.Scope
-	if f.op == opPredict {
-		rows, err := decodeFloats(f.body, features.Dim, cs.rows)
-		if err != nil {
-			return nil, err
-		}
-		cs.rows = rows
-		s.m.predictReqs.Inc()
-		s.m.predictRows.Add(int64(len(rows) / features.Dim))
-		sc = obs.Start(s.m.predictNS)
-	} else {
-		reqs, err := decodeAdmit(f.body, cs.reqs)
-		if err != nil {
-			return nil, err
-		}
-		cs.reqs = reqs
-		if cs.tracker == nil {
-			cs.tracker = features.NewTracker(s.trackerBound())
-		}
-		s.m.admitReqs.Inc()
-		s.m.admitRows.Add(int64(len(reqs)))
-		sc = obs.Start(s.m.predictNS)
-		cs.rows = grow(cs.rows[:0], len(reqs)*features.Dim)
-		for i, ar := range reqs {
-			r := trace.Request{Time: ar.Time, ID: trace.ObjectID(ar.ID), Size: ar.Size, Cost: ar.Cost}
-			cs.tracker.Observe(r, ar.Free, cs.rows[i*features.Dim:(i+1)*features.Dim])
-		}
+	reqs, err := decodeAdmit(body, cs.reqs)
+	if err != nil {
+		return nil, err
 	}
-	cs.probs = grow(cs.probs[:0], len(cs.rows)/features.Dim)
+	cs.reqs = reqs
+	if cs.tracker == nil {
+		cs.tracker = features.NewTracker(s.trackerBound())
+	}
+	s.m.admitReqs.Inc()
+	s.m.admitRows.Add(int64(len(reqs)))
+	sc := obs.Start(s.m.predictNS)
+	cs.rows = grow(cs.rows[:0], len(reqs)*features.Dim)
+	for i, ar := range reqs {
+		r := trace.Request{Time: ar.Time, ID: trace.ObjectID(ar.ID), Size: ar.Size, Cost: ar.Cost}
+		cs.tracker.Observe(r, ar.Free, cs.rows[i*features.Dim:(i+1)*features.Dim])
+	}
+	cs.probs = grow(cs.probs[:0], len(reqs))
 	m.PredictMatrix(cs.rows, cs.probs, s.workers)
 	sc.Stop()
 	return cs.probs, nil

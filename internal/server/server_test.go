@@ -66,29 +66,6 @@ func randRows(n int, seed int64) []float64 {
 	return rows
 }
 
-func TestPredictOverTCPMatchesLocal(t *testing.T) {
-	m := testModel(t)
-	_, addr := startServer(t, m)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	rows := randRows(50, 2)
-	got, err := c.Predict(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, 50)
-	m.PredictMatrix(rows, want, 1)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: remote %g != local %g", i, got[i], want[i])
-		}
-	}
-}
-
 func TestPredictEmptyBatch(t *testing.T) {
 	_, addr := startServer(t, testModel(t))
 	c, err := Dial(addr)
@@ -96,77 +73,35 @@ func TestPredictEmptyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, err := c.Predict(nil)
+	got, err := c.Admit(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
-		t.Errorf("empty predict returned %d rows", len(got))
+		t.Errorf("empty admit batch returned %d rows", len(got))
 	}
 }
 
-func TestPredictBadDim(t *testing.T) {
-	_, addr := startServer(t, testModel(t))
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Predict(make([]float64, features.Dim+1)); err == nil {
-		t.Error("bad row length accepted")
-	}
-}
-
+// TestServerNoModel: a server started without a model refuses admit
+// batches until a rollout deploys one, and the refusal leaves the
+// connection in step.
 func TestServerNoModel(t *testing.T) {
-	s, addr := startServer(t, nil)
-	_ = s
+	_, addr := startServer(t, nil)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Predict(randRows(1, 3))
+	one := []AdmitRequest{{Time: 1, ID: 3, Size: 100, Cost: 100}}
+	_, err = c.Admit(one)
 	if err == nil || !strings.Contains(err.Error(), "no model") {
 		t.Errorf("want remote no-model error, got %v", err)
 	}
-}
-
-func TestModelSwapMidConnection(t *testing.T) {
-	m1 := testModel(t)
-	s, addr := startServer(t, m1)
-	c, err := Dial(addr)
-	if err != nil {
+	if err := dialMux(t, addr).Rollout(1, testModel(t)); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-
-	rows := randRows(10, 4)
-	before, err := c.Predict(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Swap in a trivially different model (base score only).
-	swapped := &gbdt.Model{Dim: features.Dim, BaseScore: 3}
-	if err := swapped.Compile(); err != nil {
-		t.Fatal(err)
-	}
-	s.SetModel(swapped)
-	after, err := c.Predict(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range before {
-		if before[i] != after[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("model swap had no effect")
-	}
-	wantP := 1 / (1 + math.Exp(-3.0))
-	if math.Abs(after[0]-wantP) > 1e-12 {
-		t.Errorf("after swap, p = %g, want %g", after[0], wantP)
+	if probs, err := c.Admit(one); err != nil || len(probs) != 1 {
+		t.Errorf("admit after the rollout: %v, %v", probs, err)
 	}
 }
 
@@ -186,18 +121,24 @@ func TestConcurrentClients(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			rows := randRows(20, seed)
-			want := make([]float64, 20)
-			m.PredictMatrix(rows, want, 1)
+			// Each connection keeps its own history: a local tracker fed
+			// the same stream must predict exactly what the server does.
+			reqs := randAdmitBatch(rand.New(rand.NewSource(seed)), 20)
+			tracker := features.NewTracker(0)
+			row := make([]float64, features.Dim)
 			for round := 0; round < 20; round++ {
-				got, err := c.Predict(rows)
+				for j := range reqs {
+					reqs[j].Time = int64(round*len(reqs) + j)
+				}
+				got, err := c.Admit(reqs)
 				if err != nil {
 					errs <- err
 					return
 				}
-				for j := range want {
-					if got[j] != want[j] {
-						errs <- err
+				for j, ar := range reqs {
+					tracker.Observe(traceRequest(ar), ar.Free, row)
+					if want := m.Predict(row); got[j] != want {
+						errs <- fmt.Errorf("client %d round %d row %d: remote %g, local %g", seed, round, j, got[j], want)
 						return
 					}
 				}
@@ -267,10 +208,10 @@ func TestAdmitBatchReusesConnScratch(t *testing.T) {
 	}
 	var cs connState
 	big, small := batch(64), batch(5)
-	if probs, err := s.process(&cs, big); err != nil || len(probs) != 64 {
+	if probs, err := s.process(&cs, big.body); err != nil || len(probs) != 64 {
 		t.Fatalf("64-row batch: %d probabilities, err %v", len(probs), err)
 	}
-	if probs, err := s.process(&cs, small); err != nil || len(probs) != 5 {
+	if probs, err := s.process(&cs, small.body); err != nil || len(probs) != 5 {
 		t.Fatalf("5-row batch after a 64-row one: %d probabilities, err %v", len(probs), err)
 	}
 	if n := testing.AllocsPerRun(20, func() {
@@ -278,7 +219,7 @@ func TestAdmitBatchReusesConnScratch(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a warm 64-row admit batch allocates %v times, want 0", n)
 	}
-	if len(cs.wbuf) != hdrBytes+8*64 || cs.wbuf[4] != opPredict {
+	if len(cs.wbuf) != hdrBytes+8*64 || cs.wbuf[4] != opProbs {
 		t.Errorf("reply of %d bytes, op %#x", len(cs.wbuf), cs.wbuf[4])
 	}
 }
@@ -384,7 +325,7 @@ func TestClientDisconnectNotLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte{100, 0, 0, 0, opPredict}); err != nil {
+	if _, err := conn.Write([]byte{100, 0, 0, 0, opAdmit}); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.Close(); err != nil {
@@ -488,7 +429,7 @@ func TestMaxTrackedObjectsBoundsAdmitTracker(t *testing.T) {
 
 // TestDebugEndpointsServeLiveCounts is the curl-free smoke test: a debug
 // listener serves /metrics, /debug/vars, and /debug/pprof/ with live
-// counter values after one Predict and one Admit round-trip.
+// counter values after two Admit round trips.
 func TestDebugEndpointsServeLiveCounts(t *testing.T) {
 	m := testModel(t)
 	reg := obs.NewRegistry()
@@ -516,7 +457,7 @@ func TestDebugEndpointsServeLiveCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Predict(randRows(4, 7)); err != nil {
+	if _, err := c.Admit(randAdmitBatch(rand.New(rand.NewSource(7)), 4)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Admit([]AdmitRequest{{Time: 1, ID: 8, Size: 64, Cost: 64, Free: 1 << 20}}); err != nil {
@@ -543,10 +484,8 @@ func TestDebugEndpointsServeLiveCounts(t *testing.T) {
 		t.Fatalf("/metrics status %d", code)
 	}
 	for _, want := range []string{
-		"server_predict_requests_total 1",
-		"server_admit_requests_total 1",
-		"server_predict_rows_total 4",
-		"server_admit_rows_total 1",
+		"server_admit_requests_total 2",
+		"server_admit_rows_total 5",
 		"server_open_connections 1",
 	} {
 		if !strings.Contains(metrics, want+"\n") {
@@ -565,7 +504,7 @@ func TestDebugEndpointsServeLiveCounts(t *testing.T) {
 	if err := json.Unmarshal([]byte(varsBody), &vars); err != nil {
 		t.Fatalf("/debug/vars not JSON: %v", err)
 	}
-	if vars.LFO["server_predict_requests_total"] != 1 || vars.LFO["server_admit_requests_total"] != 1 {
+	if vars.LFO["server_admit_requests_total"] != 2 || vars.LFO["server_admit_rows_total"] != 5 {
 		t.Errorf("/debug/vars lfo counters = %v", vars.LFO)
 	}
 
@@ -581,7 +520,9 @@ func TestDebugEndpointsServeLiveCounts(t *testing.T) {
 
 // TestBadRequestCounter: a frame with an unknown opcode is answered with
 // an error frame under its tag and counted as a bad request, and the
-// connection stays in step.
+// connection stays in step. Opcode 1 names a reply; a request under it —
+// here a well-formed feature row, the retired feature-row request format —
+// is refused like any other unknown opcode.
 func TestBadRequestCounter(t *testing.T) {
 	m := testModel(t)
 	reg := obs.NewRegistry()
@@ -594,21 +535,31 @@ func TestBadRequestCounter(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 	mc := dialMux(t, addr.String())
-	mc.wbuf = appendRaw(mc.wbuf[:0], 0x7f, 9, []byte{1, 2, 3})
-	if err := mc.send(); err != nil {
-		t.Fatal(err)
-	}
-	if tag, _, err := mc.ReadResponse(); tag != 9 || err == nil || !strings.Contains(err.Error(), "unknown opcode") {
-		t.Errorf("unknown opcode answered under tag %d with %v", tag, err)
-	}
-	if got := reg.Counter("server_bad_requests_total").Value(); got != 1 {
-		t.Errorf("server_bad_requests_total = %d, want 1", got)
-	}
-	if err := mc.WriteAdmitBatch(10, randAdmitBatch(rand.New(rand.NewSource(1)), 3)); err != nil {
-		t.Fatal(err)
-	}
-	if tag, probs, err := mc.ReadResponse(); tag != 10 || len(probs) != 3 || err != nil {
-		t.Errorf("next batch: tag %d, %d rows, err %v", tag, len(probs), err)
+	for i, bad := range []struct {
+		name string
+		op   byte
+		body []byte
+	}{
+		{"opcode 0x7f", 0x7f, []byte{1, 2, 3}},
+		{"opcode 1 with a feature row", opProbs, appendProbs(nil, 0, randRows(1, 3))[hdrBytes:]},
+	} {
+		tag := uint64(9 + 2*i)
+		mc.wbuf = appendRaw(mc.wbuf[:0], bad.op, tag, bad.body)
+		if err := mc.send(); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := mc.ReadResponse(); got != tag || err == nil || !strings.Contains(err.Error(), "unknown opcode") {
+			t.Errorf("%s answered under tag %d with %v, want an unknown-opcode error under %d", bad.name, got, err, tag)
+		}
+		if got := reg.Counter("server_bad_requests_total").Value(); got != int64(i+1) {
+			t.Errorf("after %s: server_bad_requests_total = %d, want %d", bad.name, got, i+1)
+		}
+		if err := mc.WriteAdmitBatch(tag+1, randAdmitBatch(rand.New(rand.NewSource(1)), 3)); err != nil {
+			t.Fatal(err)
+		}
+		if got, probs, err := mc.ReadResponse(); got != tag+1 || len(probs) != 3 || err != nil {
+			t.Errorf("batch after %s: tag %d, %d rows, err %v", bad.name, got, len(probs), err)
+		}
 	}
 }
 
@@ -657,19 +608,12 @@ func TestModelSwapRejectsWrongWidth(t *testing.T) {
 // on the first request.
 func TestNewPanicsOnWrongWidth(t *testing.T) {
 	narrow := narrowModel(t)
-	for name, f := range map[string]func(){
-		"New":      func() { New(narrow, 1) },
-		"SetModel": func() { New(nil, 1).SetModel(narrow) },
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "scores 2 features") {
-					t.Errorf("%s with a 2-feature model: recovered %v", name, r)
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "scores 2 features") {
+			t.Errorf("New with a 2-feature model: recovered %v", r)
+		}
+	}()
+	New(narrow, 1)
 }
 
 // BenchmarkServeAdmitBatch is a served connection handling one 64-row

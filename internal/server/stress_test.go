@@ -1,45 +1,69 @@
 package server
 
 import (
+	"math/rand"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // TestStressPredictWithModelSwap hammers the server from many client
-// goroutines while another goroutine continuously swaps the deployed
-// model — the production pattern of LFO's per-window handoff under live
-// traffic. Run under -race (scripts/check.sh does) to catch unsynchronized
-// model or connection state.
+// goroutines while other goroutines keep rolling the deployed model
+// forward by versioned pushes — the production pattern of LFO's
+// per-window handoff under live traffic. Two pushers race for versions on
+// connections of their own, so a push may land after a newer one and be
+// refused as stale, and the newest push must be what stays deployed. Run
+// under -race (scripts/check.sh does) to catch unsynchronized model or
+// connection state.
 func TestStressPredictWithModelSwap(t *testing.T) {
 	modelA := testModel(t)
-	modelB := testModel(t)
+	modelB := testModelBiased(t)
 	s, addr := startServer(t, modelA)
 
 	const (
 		clients  = 8
 		churners = 4
+		pushers  = 2
 		requests = 60
 		rowsPer  = 16
 	)
 
-	// Swapper: flips the deployed model as fast as it can until stopped.
+	// Pushers: roll the next version out as fast as they can until stopped.
 	var stop atomic.Bool
-	var swaps atomic.Int64
-	swapperDone := make(chan struct{})
-	go func() {
-		defer close(swapperDone)
-		for !stop.Load() {
-			s.SetModel(modelB)
-			s.SetModel(modelA)
-			swaps.Add(2)
-		}
-	}()
+	var version, swaps atomic.Uint64
+	var pushWG sync.WaitGroup
+	for p := 0; p < pushers; p++ {
+		pushWG.Add(1)
+		go func() {
+			defer pushWG.Done()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mc := NewMuxConn(conn)
+			defer mc.Close()
+			for !stop.Load() {
+				v, m := version.Add(1), modelA
+				if v%2 == 1 {
+					m = modelB
+				}
+				if err := mc.Rollout(v, m); err == nil {
+					swaps.Add(1)
+				} else if !strings.Contains(err.Error(), "stale model swap") {
+					t.Errorf("rollout of version %d: %v", v, err)
+					return
+				}
+			}
+		}()
+	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, clients+churners)
 
-	// Steady clients: one connection each, a stream of batch predicts.
+	// Steady clients: one connection each, a stream of admit batches.
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -50,9 +74,9 @@ func TestStressPredictWithModelSwap(t *testing.T) {
 				return
 			}
 			defer cl.Close()
-			rows := randRows(rowsPer, seed)
+			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < requests; i++ {
-				probs, err := cl.Predict(rows)
+				probs, err := cl.Admit(randAdmitBatch(rng, rowsPer))
 				if err != nil {
 					errs <- err
 					return
@@ -77,16 +101,17 @@ func TestStressPredictWithModelSwap(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 20; i++ {
 				cl, err := Dial(addr)
 				if err != nil {
 					errs <- err
 					return
 				}
-				_, perr := cl.Predict(randRows(1, seed))
+				_, aerr := cl.Admit(randAdmitBatch(rng, 1))
 				cerr := cl.Close()
-				if perr != nil {
-					errs <- perr
+				if aerr != nil {
+					errs <- aerr
 					return
 				}
 				if cerr != nil {
@@ -99,12 +124,17 @@ func TestStressPredictWithModelSwap(t *testing.T) {
 
 	wg.Wait()
 	stop.Store(true)
-	<-swapperDone
+	pushWG.Wait()
 	close(errs)
 	for err := range errs {
 		t.Errorf("client error: %v", err)
 	}
 	if swaps.Load() == 0 {
-		t.Error("model swapper never ran")
+		t.Error("no rollout was ever acked")
+	}
+	// No push is newer than the last version handed out, so it was acked
+	// and nothing after it could replace it.
+	if got, want := s.ModelVersion(), version.Load(); got != want {
+		t.Errorf("deployed version %d, want the newest push %d", got, want)
 	}
 }

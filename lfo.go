@@ -225,8 +225,9 @@ func LoadModel(r io.Reader) (*Model, error) { return gbdt.Load(r) }
 const FeatureDim = features.Dim
 
 // FeatureTracker maintains the per-object request history behind LFO's
-// online features. Use it to build feature rows for Model.Predict or the
-// prediction service.
+// online features. Use it to build feature rows for Model.Predict; a
+// prediction server keeps one per connection from the request tuples it
+// is sent.
 type FeatureTracker = features.Tracker
 
 // NewFeatureTracker returns a tracker bounded to maxObjects tracked
@@ -293,16 +294,15 @@ func PlaceBySize(bounds ...int64) Placer { return tiered.PlaceBySize(bounds...) 
 
 // Prediction service (see internal/server).
 type (
-	// PredictionServer serves admission likelihoods over TCP.
+	// PredictionServer serves admission likelihoods over TCP; its client
+	// is a FleetRouter with one address.
 	PredictionServer = server.Server
-	// PredictionClient talks to a PredictionServer.
-	PredictionClient = server.Client
 	// DegradeEvent describes one serving-path degradation (timeout,
 	// limit rejection, accept error, drain force-close); see
 	// PredictionServer.OnDegrade.
 	DegradeEvent = server.DegradeEvent
-	// AdmitRequest is one raw request tuple for the compact protocol
-	// (the server tracks feature history per connection).
+	// AdmitRequest is one raw request tuple, what FleetRouter.Enqueue
+	// sends (the server tracks feature history per connection).
 	AdmitRequest = server.AdmitRequest
 )
 
@@ -310,12 +310,6 @@ type (
 func NewPredictionServer(m *Model, workers int) *PredictionServer {
 	return server.New(m, workers)
 }
-
-// DialPrediction connects to a prediction server and returns the bare
-// synchronous client: one call at a time under an I/O deadline, no retries
-// — a transport failure closes the connection and every later call fails.
-// Reconnection and fallback belong to NewFleetRouter's remote admitter.
-func DialPrediction(addr string) (*PredictionClient, error) { return server.Dial(addr) }
 
 // SecondHitCensor admits objects on their second request within recent
 // (bounded) history — the degraded-mode heuristic a FleetRouter answers

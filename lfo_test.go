@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"lfo/internal/features"
 	"lfo/internal/fleet"
 )
 
@@ -122,19 +121,19 @@ func TestPublicPredictionService(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialPrediction(addr.String())
+	// A one-address router is the server's client; as an Admitter it
+	// answers with the remote model's likelihood.
+	router, err := NewFleetRouter(FleetConfig{Addrs: []string{addr.String()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	row := make([]float64, features.Dim)
-	row[features.FeatSize] = 1024
-	probs, err := c.Predict(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probs) != 1 || probs[0] < 0 || probs[0] > 1 {
-		t.Errorf("probs = %v", probs)
+	defer router.Close()
+	req := Request{Time: 1, ID: 7, Size: 1024, Cost: 1024}
+	row := make([]float64, FeatureDim)
+	NewFeatureTracker(0).Features(req, 1<<20, row)
+	admit, p := router.Admit(req, 1<<20)
+	if want := model.Predict(row); p != want || admit != (want >= 0.5) {
+		t.Errorf("Admit = %v, %g; the local model says %g", admit, p, want)
 	}
 }
 
@@ -227,24 +226,30 @@ func TestPublicCompactProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialPrediction(addr.String())
+	router, err := NewFleetRouter(FleetConfig{Addrs: []string{addr.String()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	probs, err := c.Admit([]AdmitRequest{
+	defer router.Close()
+	// The server tracks the tuples' history: the second request sees
+	// the first, as a local tracker fed the same stream does.
+	reqs := []AdmitRequest{
 		{Time: 1, ID: 9, Size: 1024, Cost: 1024, Free: 1 << 20},
 		{Time: 2, ID: 9, Size: 1024, Cost: 1024, Free: 1 << 20},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(probs) != 2 {
-		t.Fatalf("probs = %v", probs)
+	probs := make([]float64, len(reqs))
+	for i := range reqs {
+		router.Enqueue(reqs[i], &probs[i])
 	}
-	for _, p := range probs {
-		if p < 0 || p > 1 {
-			t.Fatalf("probability %g out of range", p)
+	router.Flush()
+	tracker := NewFeatureTracker(0)
+	row := make([]float64, FeatureDim)
+	for i, ar := range reqs {
+		r := Request{Time: ar.Time, ID: ObjectID(ar.ID), Size: ar.Size, Cost: ar.Cost}
+		tracker.Features(r, ar.Free, row)
+		tracker.Update(r)
+		if want := model.Predict(row); probs[i] != want {
+			t.Errorf("request %d: remote %g, local %g", i, probs[i], want)
 		}
 	}
 }

@@ -37,12 +37,15 @@ trap 'rm -f "$cover_out"' EXIT
 go test -cover ./... | tee "$cover_out"
 
 # The examples document the façade, and building them proves only that
-# they compile: run both, and check that the quickstart reads its last
-# window's report from the metrics registry.
+# they compile: run both, check that the quickstart reads its last
+# window's report from the metrics registry, and that the prediction
+# server answered every row through the one-address router (the façade's
+# one client) with none left to the fallback.
 step "examples"
 go run ./examples/quickstart | grep '^4 windows trained; the last: 15000 samples' ||
     { echo "quickstart printed no registry line" >&2; exit 1; }
-go run ./examples/predictionserver >/dev/null
+go run ./examples/predictionserver | grep '^router: 2000 of 2000 rows answered by the server, 0 by the fallback' ||
+    { echo "predictionserver printed no router summary line" >&2; exit 1; }
 
 # Every lfobench table is a pure function of its flags (no figure reads a
 # clock), so the whole quick-scale output is a committed file. A change
