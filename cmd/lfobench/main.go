@@ -33,7 +33,7 @@ func main() {
 		seed    = flag.Int64("seed", 42, "base seed")
 		sizeStr = flag.String("size", "", "override cache size (e.g. 64m)")
 		reqs    = flag.Int("n", 0, "override trace length")
-		workers = flag.Int("workers", 0, "goroutines for LFO training/scoring and OPT labeling: 0=all cores, 1=sequential")
+		workers = flag.Int("workers", 0, "goroutines for LFO training and scoring (OPT labeling is one sequential pass either way): 0=all cores, 1=sequential")
 		showObs = flag.Bool("obs", false, "print the observability snapshot (internal/obs counters) after the figures")
 	)
 	flag.Parse()

@@ -54,7 +54,10 @@ const (
 	// Stall blocks the operation until the deadline configured via
 	// SetReadDeadline/SetWriteDeadline passes (failing with
 	// os.ErrDeadlineExceeded), or until the conn is closed (failing with
-	// net.ErrClosed) when no deadline is set.
+	// net.ErrClosed) when no deadline is set. The deadline is the one in
+	// force when the stall begins, which is before Stats counts it: a
+	// deadline set later, such as a server's drain wake-up, does not end
+	// a stall already counted.
 	Stall
 	// Drop closes the underlying connection and fails with ErrInjected.
 	Drop
@@ -310,10 +313,10 @@ func (c *Conn) Read(p []byte) (int, error) {
 		c.sched.count(OpRead, Short)
 		return c.conn.Read(p)
 	case Stall:
-		c.sched.count(OpRead, Stall)
 		c.mu.Lock()
 		deadline := c.readDeadline
 		c.mu.Unlock()
+		c.sched.count(OpRead, Stall) // after the deadline is fixed: a counted stall ignores later deadlines
 		return 0, c.stall(deadline)
 	case Drop:
 		c.sched.count(OpRead, Drop)
@@ -343,10 +346,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		return n, ErrInjected
 	case Stall:
-		c.sched.count(OpWrite, Stall)
 		c.mu.Lock()
 		deadline := c.writeDeadline
 		c.mu.Unlock()
+		c.sched.count(OpWrite, Stall) // after the deadline is fixed: a counted stall ignores later deadlines
 		return 0, c.stall(deadline)
 	case Drop:
 		c.sched.count(OpWrite, Drop)

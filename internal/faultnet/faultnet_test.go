@@ -150,6 +150,41 @@ func TestStallWithoutDeadlineUnblocksOnClose(t *testing.T) {
 	}
 }
 
+// TestCountedStallIgnoresLaterDeadline: once Stats counts a stall, its
+// deadline is fixed; a deadline set afterwards — a server's drain
+// wake-up — does not end it. A test that waits for the count and then
+// sets one relies on this (the server's TestCloseForceClosesStuckConns).
+func TestCountedStallIgnoresLaterDeadline(t *testing.T) {
+	s := scheduleFor(t, Config{StallRead: 1000}, OpRead, Stall)
+	c, peer := pipeConn(s)
+	defer peer.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 4))
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().StallReads == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("read never stalled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.SetReadDeadline(time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("a counted stall ended at a deadline set after it: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, net.ErrClosed) {
+		t.Errorf("stalled read err = %v, want net.ErrClosed", err)
+	}
+}
+
 func TestDropClosesConn(t *testing.T) {
 	s := scheduleFor(t, Config{DropRead: 1000}, OpRead, Drop)
 	c, peer := pipeConn(s)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lfo/internal/obs"
 	"lfo/internal/server"
 )
 
@@ -31,6 +32,8 @@ type stubConn struct {
 	down    bool
 	record  bool
 	last    server.AdmitRequest
+	// writes counts Write calls; frames counts the admit frames in them.
+	writes, frames int
 }
 
 // The wire layout, mirrored from internal/server, whose TestFrameGolden
@@ -42,15 +45,29 @@ const (
 	stubHdr     = 4 + 1 + 8
 )
 
+// Write answers every frame in p, which must be whole admit frames (the
+// router writes a pipeline window's queued batches in one Write); their
+// bodies are 40-byte tuples. Anything else fails the Write, as would a
+// real shard's desynchronized stream.
 func (c *stubConn) Write(p []byte) (int, error) {
-	// One complete admit frame per Write (the router's contract); its
-	// body is 40-byte tuples.
 	if c.down {
 		return 0, fmt.Errorf("stub: shard is down")
 	}
-	if len(p) < stubHdr || p[4] != stubOpAdmit || int(binary.LittleEndian.Uint32(p)) != len(p)-4 {
-		return 0, fmt.Errorf("stub: unexpected frame")
+	c.writes++
+	for rest := p; len(rest) > 0; {
+		if len(rest) < stubHdr || rest[4] != stubOpAdmit || 4+int(binary.LittleEndian.Uint32(rest)) > len(rest) {
+			return 0, fmt.Errorf("stub: unexpected frame")
+		}
+		n := 4 + int(binary.LittleEndian.Uint32(rest))
+		c.answer(rest[:n])
+		rest = rest[n:]
 	}
+	return len(p), nil
+}
+
+// answer queues the reply to one admit frame.
+func (c *stubConn) answer(p []byte) {
+	c.frames++
 	tag := binary.LittleEndian.Uint64(p[5:])
 	n := (len(p) - stubHdr) / 40
 	if c.record && n > 0 {
@@ -88,7 +105,6 @@ func (c *stubConn) Write(p []byte) (int, error) {
 		}
 		binary.LittleEndian.PutUint64(b[stubHdr+8*i:], math.Float64bits(prob))
 	}
-	return len(p), nil
 }
 
 func (c *stubConn) Read(p []byte) (int, error) {
@@ -108,15 +124,19 @@ func (c *stubConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *stubConn) SetWriteDeadline(time.Time) error { return nil }
 
 // BenchmarkRouterEnqueueFlush pins the admission hot path — ring lookup,
-// slab write, batch framing, pipelined read, fan-back, censor observe —
-// at 0 allocs/op in steady state (testdata/alloc_budgets.txt). Object
-// IDs recycle within a bounded set so the censor's generations stop
-// growing after warmup, exactly like a production stream with repeats.
+// slab write, batch framing, corked window write, buffered read, fan-back,
+// censor observe — at 0 allocs/op in steady state
+// (testdata/alloc_budgets.txt). Object IDs recycle within a bounded set so
+// the censor's generations stop growing after warmup, exactly like a
+// production stream with repeats. It fails unless the stub served every
+// row: a shard failed over to its fallback would be timed instead.
 func BenchmarkRouterEnqueueFlush(b *testing.B) {
+	reg := obs.NewRegistry()
 	r, err := NewRouter(Config{
 		Addrs: []string{"stub"},
 		Batch: 64, MaxInFlight: 4,
 		Dial: func(string) (net.Conn, error) { return &stubConn{}, nil },
+		Obs:  reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -142,4 +162,7 @@ func BenchmarkRouterEnqueueFlush(b *testing.B) {
 	}
 	b.StopTimer()
 	r.Flush()
+	if fb := reg.Counter("fleet_shard0_fallback_rows_total").Value(); !r.ShardUp(0) || fb != 0 {
+		b.Fatalf("shard 0 up %v, %d rows answered by the fallback: the benchmark timed the fallback path", r.ShardUp(0), fb)
+	}
 }

@@ -93,9 +93,11 @@ type shard struct {
 	conn net.Conn
 	mc   *server.MuxConn
 	up   bool
-	// credit is how many more batch writes the deadline armed last
-	// covers; 0 means the next write arms a fresh one.
+	// credit is how many more batches the deadline armed last covers;
+	// 0 means the next batch arms a fresh one.
 	credit int
+	// queued reports batches in mc's queue that are not yet written.
+	queued bool
 
 	// rows/dsts are fixed slabs of MaxInFlight×Batch entries. Slot s
 	// (a ring position) covers [s·batch, s·batch+n): in-flight slots
@@ -129,6 +131,7 @@ type shard struct {
 	failovers *obs.Counter // failure events (one per kill), not rows
 	fallbacks *obs.Counter // rows answered by the fallback heuristic
 	batches   *obs.Counter // batches flushed to the wire
+	writes    *obs.Counter // Writes that carried them: batches/writes is frames per Write
 	served    *obs.Counter // rows completed remotely
 }
 
@@ -225,6 +228,7 @@ func NewRouter(cfg Config) (*Router, error) {
 			failovers: sreg.Counter("failovers_total"),
 			fallbacks: sreg.Counter("fallback_rows_total"),
 			batches:   sreg.Counter("batches_total"),
+			writes:    sreg.Counter("writes_total"),
 			served:    sreg.Counter("rows_total"),
 		}
 		if conn, err := dial(addr); err == nil {

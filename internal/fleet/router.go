@@ -27,13 +27,13 @@ func (r *Router) Admit(req trace.Request, freeBytes int64) (bool, float64) {
 func (r *Router) Observe(trace.Request) {}
 
 // arm gives the shard's connection a fresh I/O deadline, good for the
-// next `writes` batch writes and the reads that complete them. One clock
-// read and one SetDeadline per pipeline window, never per row: a batch
-// written into an empty pipeline arms, Flush re-arms before it waits on
-// batches earlier calls left in flight, and Rollout and the reconnect
-// push arm for themselves. A shard that accepts and then goes silent
-// therefore blocks the caller for at most the timeout before its rows
-// drain to the fallback; so does a caller that keeps one window open
+// next `writes` batches and the writes and reads that carry and complete
+// them. One clock read and one SetDeadline per pipeline window, never per
+// row: a batch queued into an empty pipeline arms, Flush re-arms before
+// it waits on batches earlier calls left in flight, and Rollout and the
+// reconnect push arm for themselves. A shard that accepts and then goes
+// silent therefore blocks the caller for at most the timeout before its
+// rows drain to the fallback; so does a caller that keeps one window open
 // (Enqueue without Flush) for longer than the timeout.
 func (r *Router) arm(s *shard, writes int) {
 	//lfolint:ignore hotpath-alloc net.Conn is the wire boundary; there is no static callee to verify, and a failed arm surfaces on the I/O it was for
@@ -68,6 +68,8 @@ func (r *Router) Enqueue(req server.AdmitRequest, dst *float64) {
 // Flush sends every partial batch and completes every in-flight flight:
 // when it returns, all destinations passed to Enqueue are filled — by the
 // fallback for a shard that did not answer within the deadline (see arm).
+// Every shard's queued batches are written before any reply is read, so
+// the shards work on their windows at the same time.
 //
 //lfo:hotpath
 func (r *Router) Flush() {
@@ -77,6 +79,10 @@ func (r *Router) Flush() {
 			r.arm(s, r.maxInFlight) // earlier calls' batches wait under a deadline as old as the caller let it get
 		}
 		r.flushShard(s)
+		r.send(s)
+	}
+	for i := range r.shards {
+		s := &r.shards[i]
 		for s.up && s.flLen > 0 {
 			r.readOne(s)
 		}
@@ -84,9 +90,10 @@ func (r *Router) Flush() {
 	}
 }
 
-// flushShard writes the open slot's pending rows as one pipelined batch.
-// When the pipeline window is full it first completes the oldest flight,
-// so there is always a free slot for new rows.
+// flushShard queues the open slot's pending rows as one pipelined batch;
+// the queue goes out in one Write when a reply is first needed (readOne)
+// or at Flush. When the pipeline window is full it completes the oldest
+// flight, so there is always a free slot for new rows.
 //
 //lfo:hotpath
 func (r *Router) flushShard(s *shard) {
@@ -101,11 +108,8 @@ func (r *Router) flushShard(s *shard) {
 		r.arm(s, r.maxInFlight)
 	}
 	s.credit--
-	if err := s.mc.WriteAdmitBatch(id, s.rows[base:base+s.pn]); err != nil {
-		//lfolint:ignore hotpath-alloc failure path behind a func value: runs once per shard failure, draining every queued row to the fallback
-		r.onFail(s)
-		return
-	}
+	s.mc.QueueAdmitBatch(id, s.rows[base:base+s.pn])
+	s.queued = true
 	s.fl[slot] = flight{id: id, n: s.pn}
 	s.flLen++
 	s.pn = 0
@@ -115,16 +119,36 @@ func (r *Router) flushShard(s *shard) {
 	}
 }
 
-// readOne completes the oldest in-flight batch: it validates the echoed
-// tag and row count (any mismatch means the stream
-// desynchronized and the shard is failed), copies probabilities to the
-// callers' destinations, and only then observes the rows into the shard
-// fallback — observing at completion rather than enqueue keeps a row
-// from being "seen" by its own observation if it later drains to the
-// fallback.
+// send writes the shard's queued batches in one Write. A failed Write
+// fails the shard, whose flights — the ones just queued among them —
+// drain to the fallback in enqueue order.
+//
+//lfo:hotpath
+func (r *Router) send(s *shard) {
+	if !s.queued {
+		return
+	}
+	s.queued = false
+	s.writes.Inc()
+	if err := s.mc.Flush(); err != nil {
+		//lfolint:ignore hotpath-alloc failure path behind a func value: runs once per shard failure, draining every queued row to the fallback
+		r.onFail(s)
+	}
+}
+
+// readOne completes the oldest in-flight batch, first writing any queued
+// ones (its own among them): it validates the echoed tag and row count
+// (any mismatch means the stream desynchronized and the shard is
+// failed), copies probabilities to the callers' destinations, and only
+// then observes the rows into the shard fallback — observing at
+// completion rather than enqueue keeps a row from being "seen" by its
+// own observation if it later drains to the fallback.
 //
 //lfo:hotpath
 func (r *Router) readOne(s *shard) {
+	if r.send(s); !s.up {
+		return
+	}
 	f := s.fl[s.flHead]
 	id, probs, err := s.mc.ReadResponse()
 	if err != nil || id != f.id || len(probs) != f.n {
@@ -221,5 +245,5 @@ func (s *shard) disconnect() {
 	if s.mc != nil {
 		_ = s.mc.Close()
 	}
-	s.conn, s.mc, s.up, s.credit = nil, nil, false, 0
+	s.conn, s.mc, s.up, s.credit, s.queued = nil, nil, false, 0, false
 }

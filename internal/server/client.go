@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -13,9 +14,16 @@ import (
 
 // MuxConn is the pipelining side of one connection to a prediction
 // server: writes and reads are decoupled so several batches can be in
-// flight at once, and every buffer (request frame, reply frame, decoded
-// probabilities) is reused across calls — the write/read cycle allocates
-// nothing at steady state.
+// flight at once, and every buffer (request frames, the connection's
+// read buffer, decoded probabilities) is reused across calls — the
+// write/read cycle allocates nothing at steady state.
+//
+// Requests go out in one of two ways. WriteAdmitBatch and Rollout write
+// at once; QueueAdmitBatch only appends its frame to the queue, which
+// the next Flush (or WriteAdmitBatch, or Rollout) writes in one Write
+// with every frame queued before it. Replies are read through one
+// connBufBytes buffer, so replies the server wrote together arrive in
+// one read.
 //
 // It is not safe for concurrent use and never retries: the caller owns
 // failover policy (see internal/fleet), because by the time a pipelined
@@ -23,35 +31,52 @@ import (
 // knows what to do with them. Client is a MuxConn with one call at a time.
 type MuxConn struct {
 	conn  net.Conn
-	wbuf  []byte
+	br    *bufio.Reader
+	wbuf  []byte // frames queued and not yet written
 	rbuf  []byte
 	probs []float64
 }
 
 // NewMuxConn wraps an established connection for pipelined use.
 func NewMuxConn(conn net.Conn) *MuxConn {
-	return &MuxConn{conn: conn}
+	return &MuxConn{conn: conn, br: newConnReader(conn)}
 }
 
 // Close closes the underlying connection.
 func (c *MuxConn) Close() error { return c.conn.Close() }
 
 // WriteAdmitBatch sends one tagged admit batch without waiting for the
-// reply. The frame is assembled in a reused buffer and written with a
-// single Write call.
+// reply: the frame, after any queued ones, goes out in a single Write
+// before it returns.
 //
 //lfo:hotpath
 func (c *MuxConn) WriteAdmitBatch(tag uint64, reqs []AdmitRequest) error {
-	c.wbuf = appendAdmit(c.wbuf[:0], tag, reqs)
-	return c.send()
+	c.QueueAdmitBatch(tag, reqs)
+	return c.Flush()
 }
 
-// send writes the assembled frame.
+// QueueAdmitBatch appends one tagged admit batch to the frames the next
+// Flush writes. Nothing is sent: the caller must Flush before it waits
+// for the reply.
 //
 //lfo:hotpath
-func (c *MuxConn) send() error {
+func (c *MuxConn) QueueAdmitBatch(tag uint64, reqs []AdmitRequest) {
+	c.wbuf = appendAdmit(c.wbuf, tag, reqs)
+}
+
+// Flush writes every queued frame in one Write. The queue is empty
+// afterwards whether or not the Write succeeded, so no frame is ever
+// sent twice; after an error the stream's state is unknown and the
+// connection should be closed.
+//
+//lfo:hotpath
+func (c *MuxConn) Flush() error {
+	if len(c.wbuf) == 0 {
+		return nil
+	}
 	//lfolint:ignore hotpath-alloc net.Conn is the wire boundary; there is no static callee to verify
 	_, err := c.conn.Write(c.wbuf)
+	c.wbuf = c.wbuf[:0]
 	return err
 }
 
@@ -62,7 +87,7 @@ func (c *MuxConn) send() error {
 //
 //lfo:hotpath
 func (c *MuxConn) ReadResponse() (uint64, []float64, error) {
-	f, err := readFrame(c.conn, &c.rbuf, maxFramePayload)
+	f, err := readFrame(c.br, &c.rbuf, maxFramePayload)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -86,17 +111,18 @@ func (c *MuxConn) ReadResponse() (uint64, []float64, error) {
 // the acknowledgement: the versioned hot-swap primitive fleet broadcasts
 // across shards. The peer swaps atomically, acks version pushes it
 // already runs (idempotent re-push), and rejects stale versions and
-// models of the wrong width.
+// models of the wrong width. No batch may be in flight: the ack must be
+// the next reply.
 func (c *MuxConn) Rollout(version uint64, m *gbdt.Model) error {
 	var body bytes.Buffer
 	if err := m.Save(&body); err != nil {
 		return fmt.Errorf("server: serialize model: %w", err)
 	}
-	c.wbuf = appendRaw(c.wbuf[:0], opModel, version, body.Bytes())
-	if err := c.send(); err != nil {
+	c.wbuf = appendRaw(c.wbuf, opModel, version, body.Bytes())
+	if err := c.Flush(); err != nil {
 		return err
 	}
-	f, err := readFrame(c.conn, &c.rbuf, maxFramePayload)
+	f, err := readFrame(c.br, &c.rbuf, maxFramePayload)
 	switch {
 	case err != nil:
 		return err
@@ -130,7 +156,6 @@ type Client struct {
 	mc      MuxConn       // mc.conn is nil once a transport failure closed it
 	timeout time.Duration // the per-call I/O deadline; package tests shorten it
 	tag     uint64        // the tag of the call in progress
-	rows    int           // the row count of the call in progress
 }
 
 // Dial connects to a prediction server within DefaultClientTimeout.
@@ -144,7 +169,7 @@ func Dial(addr string) (*Client, error) {
 
 // newClient wraps an established connection.
 func newClient(conn net.Conn) *Client {
-	return &Client{mc: MuxConn{conn: conn}, timeout: DefaultClientTimeout}
+	return &Client{mc: *NewMuxConn(conn), timeout: DefaultClientTimeout}
 }
 
 // Close closes the connection.
@@ -158,23 +183,15 @@ func (c *Client) Close() error {
 }
 
 // Admit sends raw request tuples and returns one admission probability per
-// tuple. The server's feature history for them lives as long as the
-// Client's one connection.
+// tuple: one round trip, a copy of the reply's probabilities. The server's
+// feature history for them lives as long as the Client's one connection.
 func (c *Client) Admit(reqs []AdmitRequest) ([]float64, error) {
-	c.tag++
-	c.rows = len(reqs)
-	c.mc.wbuf = appendAdmit(c.mc.wbuf[:0], c.tag, reqs)
-	return c.call()
-}
-
-// call makes one round trip with the assembled request frame and returns a
-// copy of the reply's probabilities.
-func (c *Client) call() ([]float64, error) {
 	if c.mc.conn == nil {
 		return nil, errClientClosed
 	}
+	c.tag++
 	_ = c.mc.conn.SetDeadline(time.Now().Add(c.timeout)) // deadline errors surface on the I/O below
-	err := c.mc.send()
+	err := c.mc.WriteAdmitBatch(c.tag, reqs)
 	if err == nil {
 		var tag uint64
 		var probs []float64
@@ -183,8 +200,8 @@ func (c *Client) call() ([]float64, error) {
 		case err != nil:
 		case tag != c.tag:
 			err = fmt.Errorf("reply tagged %d answers another request", tag)
-		case len(probs) != c.rows:
-			err = fmt.Errorf("reply carries %d probabilities for %d rows", len(probs), c.rows)
+		case len(probs) != len(reqs):
+			err = fmt.Errorf("reply carries %d probabilities for %d rows", len(probs), len(reqs))
 		default:
 			return slices.Clone(probs), nil
 		}

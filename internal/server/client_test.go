@@ -42,18 +42,22 @@ func randAdmitBatch(rng *rand.Rand, n int) []AdmitRequest {
 }
 
 // scriptConn is a connection whose peer is a script: reads come from r,
-// writes are kept in w.
+// writes are kept in w and counted.
 type scriptConn struct {
 	net.Conn // nil: only the methods below are ever called
 	r        io.Reader
 	w        bytes.Buffer
+	writes   int
 	closed   bool
 }
 
-func (c *scriptConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
-func (c *scriptConn) Write(p []byte) (int, error) { return c.w.Write(p) }
-func (c *scriptConn) Close() error                { c.closed = true; return nil }
-func (c *scriptConn) SetDeadline(time.Time) error { return nil }
+func (c *scriptConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
+func (c *scriptConn) Write(p []byte) (int, error)      { c.writes++; return c.w.Write(p) }
+func (c *scriptConn) Close() error                     { c.closed = true; return nil }
+func (c *scriptConn) RemoteAddr() net.Addr             { return nil }
+func (c *scriptConn) SetDeadline(time.Time) error      { return nil }
+func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestMuxPipelinedPredict keeps several admit batches in flight on one
 // connection and checks that replies come back in order, under their
@@ -154,8 +158,8 @@ func TestMuxErrorCorrelated(t *testing.T) {
 	mc := dialMux(t, addr)
 
 	// An admit body that is not a whole number of rows.
-	mc.wbuf = appendRaw(mc.wbuf[:0], opAdmit, 42, []byte{1, 2, 3, 4, 5})
-	if err := mc.send(); err != nil {
+	mc.wbuf = appendRaw(mc.wbuf, opAdmit, 42, []byte{1, 2, 3, 4, 5})
+	if err := mc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	tag, _, err := mc.ReadResponse()

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"lfo/internal/features"
 	"lfo/internal/gbdt"
@@ -56,6 +58,56 @@ func fuzzSeeds() []fuzzSeed {
 		{"seed-unknown-op", appendRaw(nil, 0x7f, 5, nil)},
 		{"seed-truncated-admit", admit[:len(admit)-10]},
 		{"seed-empty-model", appendRaw(nil, opModel, 9, nil)},
+		// Streams of several frames, which the split deliveries cut at
+		// every byte boundary: a pipeline of admit batches with a
+		// refused opcode and a model push among them, a frame and half
+		// the next, and frames before a frame-limit violation.
+		{"seed-pipeline", appendAdmit(appendRaw(appendRaw(appendAdmit(nil, 1, []AdmitRequest{{Time: 1, ID: 2}}), 0x7f, 2, nil), opModel, 3, []byte{1, 2}), 4, []AdmitRequest{{Time: 2, ID: 2}, {Time: 3, ID: 9}})},
+		{"seed-frame-and-half", append(appendAdmit(nil, 5, []AdmitRequest{{Time: 1, ID: 1}}), admit[:len(admit)/2]...)},
+		{"seed-frames-then-huge", append(appendAdmit(appendAdmit(nil, 6, []AdmitRequest{{ID: 3}}), 7, nil), 0xff, 0xff, 0xff, 0xff, 1)},
+	}
+}
+
+// splitMaxAll is the longest input whose every byte boundary the split
+// deliveries cut at; a longer one is cut at splitSpread boundaries.
+const (
+	splitMaxAll = 256
+	splitSpread = 64
+)
+
+// splitDeliveries returns readers that deliver data in pieces, as a
+// stream socket may: one byte per Read, and in two Reads cut at every
+// byte boundary (at splitSpread spread ones past splitMaxAll bytes).
+func splitDeliveries(data []byte) []io.Reader {
+	out := []io.Reader{iotest.OneByteReader(bytes.NewReader(data))}
+	step := 1
+	if len(data) > splitMaxAll {
+		step = len(data)/splitSpread + 1
+	}
+	for k := 1; k < len(data); k += step {
+		out = append(out, io.MultiReader(bytes.NewReader(data[:k]), bytes.NewReader(data[k:])))
+	}
+	return out
+}
+
+// serveScript runs a fresh server's connection loop over the bytes r
+// delivers and returns what it wrote and in how many Writes.
+func serveScript(model *gbdt.Model, r io.Reader) ([]byte, int) {
+	s := New(model, 1)
+	s.Logf = func(string, ...interface{}) {}
+	sc := &scriptConn{r: r}
+	s.serveConn(sc, &connState{br: newConnReader(sc)})
+	return sc.w.Bytes(), sc.writes
+}
+
+// countFrames returns the number of whole frames in b.
+func countFrames(b []byte) int {
+	var buf []byte
+	n := 0
+	for r := bytes.NewReader(b); ; n++ {
+		if _, err := readFrame(r, &buf, math.MaxUint32); err != nil {
+			return n
+		}
 	}
 }
 
@@ -66,7 +118,11 @@ func fuzzSeeds() []fuzzSeed {
 // bytes; every frame that decodes re-encodes to its own bytes bit for
 // bit; and the server's reply to it is one well-formed frame under the
 // request's tag, an error for any request but an admit batch or a model
-// push.
+// push. The server's connection loop, fed the bytes whole, one at a time
+// and in two pieces cut at every boundary, writes the same replies each
+// time: in at most two Writes (the replies, then a goodbye) when they
+// arrive in one read, and in one Write per reply when they arrive a byte
+// at a time.
 func FuzzFrameDecode(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s.data)
@@ -77,6 +133,7 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	srv := New(model, 1)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkStream(t, model, data)
 		var buf []byte
 		fr, err := readFrame(bytes.NewReader(data), &buf, fuzzFrameMax)
 		if c := cap(buf); c > max(hdrBytes+frameAllocChunk, 2*len(data)) {
@@ -116,6 +173,25 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
+// checkStream serves data through the connection loop in every delivery
+// and compares each run's replies with the run that got data in one read.
+func checkStream(t *testing.T, model *gbdt.Model, data []byte) {
+	t.Helper()
+	whole, writes := serveScript(model, bytes.NewReader(data))
+	if len(data) <= connBufBytes && writes > 2 {
+		t.Fatalf("%d bytes in one read answered in %d Writes, want at most 2", len(data), writes)
+	}
+	for i, r := range splitDeliveries(data) {
+		got, writes := serveScript(model, r)
+		if !bytes.Equal(got, whole) {
+			t.Fatalf("delivery %d wrote other replies:\n%x\n%x", i, got, whole)
+		}
+		if i == 0 && writes != countFrames(whole) {
+			t.Fatalf("a byte at a time: %d Writes for %d replies", writes, countFrames(whole))
+		}
+	}
+}
+
 // muxFuzzVersion is the model version FuzzMuxFrameDecode's rollout waits
 // to see acked.
 const muxFuzzVersion = 3
@@ -134,6 +210,11 @@ func muxFuzzSeeds() []fuzzSeed {
 		{"seed-empty-inner", appendProbs(nil, 0, nil)},
 		{"seed-lying-inner", appendRaw(nil, opProbs, 5, []byte{0xff, 0xff, 0xff, 0xff, 0xff})},
 		{"seed-empty-model", appendRaw(nil, opModel, 9, nil)},
+		// Reply streams the split deliveries cut at every byte boundary:
+		// a pipeline window's replies as one coalesced Write, and a reply
+		// with half the next.
+		{"seed-mux-window", appendProbs(appendRaw(appendProbs(appendProbs(nil, 1, []float64{0.5}), 2, nil), opError, 3, []byte("no")), 4, []float64{0.25, 0.75})},
+		{"seed-mux-reply-and-half", append(appendProbs(nil, 5, []float64{0.5}), appendProbs(nil, 6, []float64{0.1, 0.2})[:15]...)},
 	}
 }
 
@@ -144,8 +225,10 @@ func muxFuzzSeeds() []fuzzSeed {
 // readFrame reads from the same bytes — an accepted reply re-encodes to
 // its own bytes bit for bit, an opError surfaces its message as a remote
 // error, a body that is not whole probabilities or any other opcode is
-// refused under the reply's tag; and Rollout succeeds exactly when the
-// first frame is an empty opModel ack of the pushed version.
+// refused under the reply's tag — whether the bytes arrive whole, one at
+// a time or in two pieces cut at every boundary; and Rollout succeeds
+// exactly when the first frame is an empty opModel ack of the pushed
+// version.
 func FuzzMuxFrameDecode(f *testing.F) {
 	for _, s := range muxFuzzSeeds() {
 		f.Add(s.data)
@@ -155,46 +238,12 @@ func FuzzMuxFrameDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mc := NewMuxConn(&scriptConn{r: bytes.NewReader(data)})
-		var buf []byte
-		for off := 0; ; {
-			want, wantErr := readFrame(bytes.NewReader(data[off:]), &buf, maxFramePayload)
-			tag, probs, err := mc.ReadResponse()
-			if c := cap(mc.rbuf); c > max(hdrBytes+frameAllocChunk, 2*len(data)) {
-				t.Fatalf("read %d bytes into a %d-byte buffer", len(data), c)
-			}
-			if wantErr != nil {
-				if err == nil {
-					t.Fatalf("reply at offset %d accepted; readFrame: %v", off, wantErr)
-				}
-				break
-			}
-			if tag != want.tag {
-				t.Fatalf("reply at offset %d: tag %d, want %d", off, tag, want.tag)
-			}
-			wire := data[off : off+hdrBytes+len(want.body)]
-			off += len(wire)
-			var remote remoteError
-			switch {
-			case want.op == opProbs && err == nil:
-				if again := appendProbs(nil, tag, probs); !bytes.Equal(again, wire) {
-					t.Fatalf("re-encoded reply differs:\n%x\n%x", again, wire)
-				}
-			case want.op == opProbs:
-				if !errors.Is(err, errRowShape) || len(want.body)%8 == 0 {
-					t.Fatalf("%d-byte reply body refused: %v", len(want.body), err)
-				}
-			case want.op == opError:
-				if !errors.As(err, &remote) || string(remote) != string(want.body) {
-					t.Fatalf("error reply %q surfaced as %v", want.body, err)
-				}
-			default:
-				if !errors.Is(err, errOpcode) {
-					t.Fatalf("reply op %#x surfaced as %v", want.op, err)
-				}
-			}
+		checkReplies(t, data, bytes.NewReader(data))
+		for _, r := range splitDeliveries(data) {
+			checkReplies(t, data, r)
 		}
 
+		var buf []byte
 		err := NewMuxConn(&scriptConn{r: bytes.NewReader(data)}).Rollout(muxFuzzVersion, model)
 		first, ferr := readFrame(bytes.NewReader(data), &buf, maxFramePayload)
 		acked := ferr == nil && first.op == opModel && len(first.body) == 0 && first.tag == muxFuzzVersion
@@ -203,6 +252,51 @@ func FuzzMuxFrameDecode(f *testing.F) {
 				muxFuzzVersion, err, first.op, first.tag, len(first.body), ferr)
 		}
 	})
+}
+
+// checkReplies reads data, delivered by r, as a MuxConn's reply stream and
+// checks each reply against readFrame over the same bytes.
+func checkReplies(t *testing.T, data []byte, r io.Reader) {
+	t.Helper()
+	mc := NewMuxConn(&scriptConn{r: r})
+	var buf []byte
+	for off := 0; ; {
+		want, wantErr := readFrame(bytes.NewReader(data[off:]), &buf, maxFramePayload)
+		tag, probs, err := mc.ReadResponse()
+		if c := cap(mc.rbuf); c > max(hdrBytes+frameAllocChunk, 2*len(data)) {
+			t.Fatalf("read %d bytes into a %d-byte buffer", len(data), c)
+		}
+		if wantErr != nil {
+			if err == nil {
+				t.Fatalf("reply at offset %d accepted; readFrame: %v", off, wantErr)
+			}
+			break
+		}
+		if tag != want.tag {
+			t.Fatalf("reply at offset %d: tag %d, want %d", off, tag, want.tag)
+		}
+		wire := data[off : off+hdrBytes+len(want.body)]
+		off += len(wire)
+		var remote remoteError
+		switch {
+		case want.op == opProbs && err == nil:
+			if again := appendProbs(nil, tag, probs); !bytes.Equal(again, wire) {
+				t.Fatalf("re-encoded reply differs:\n%x\n%x", again, wire)
+			}
+		case want.op == opProbs:
+			if !errors.Is(err, errRowShape) || len(want.body)%8 == 0 {
+				t.Fatalf("%d-byte reply body refused: %v", len(want.body), err)
+			}
+		case want.op == opError:
+			if !errors.As(err, &remote) || string(remote) != string(want.body) {
+				t.Fatalf("error reply %q surfaced as %v", want.body, err)
+			}
+		default:
+			if !errors.Is(err, errOpcode) {
+				t.Fatalf("reply op %#x surfaced as %v", want.op, err)
+			}
+		}
+	}
 }
 
 // TestRegenerateFuzzCorpus rewrites the committed seed corpora under

@@ -24,12 +24,16 @@
 // correlation ID; a model push is tagged with the version it deploys. The
 // server answers a connection's frames strictly in order, each with the
 // tag of the request it answers, so a client can keep several requests in
-// flight and prove that no reply was paired with the wrong one. Errors the
+// flight and prove that no reply was paired with the wrong one. Both ends
+// read through a per-connection buffer, and the server writes the replies
+// to all the complete requests it holds in one Write, so a pipeline
+// window costs each end one read and one write. Errors the
 // server sends unasked (a connection or frame limit, just before it closes
 // the connection) carry tag 0.
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -78,6 +82,28 @@ const maxFramePayload = 64 << 20
 // bound with a 4-byte write.
 const frameAllocChunk = 64 << 10
 
+// connBufBytes is the read buffer each end of a connection reads frames
+// through: one read takes a frame's header, its body and whatever frames
+// the peer queued behind it. 16 KiB holds a whole default pipeline window
+// of requests (4 batches of 64 rows, 4×2573 bytes), so a server answers
+// the window from one read; a larger frame is read through it in pieces.
+const connBufBytes = 16 << 10
+
+// newConnReader returns the buffered reader of one connection end.
+func newConnReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, connBufBytes) }
+
+// frameBuffered reports whether br holds a complete frame, header and
+// body, so that reading it takes no read from the connection. Frames
+// larger than the buffer never do.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	word, _ := br.Peek(4) // buffered: no read, no error
+	return 4+int(binary.LittleEndian.Uint32(word)) <= n
+}
+
 // ErrFrameTooLarge wraps frame-size-limit violations; the stream is
 // desynchronized afterwards (the oversized payload is unread), so the
 // connection must be closed.
@@ -116,7 +142,8 @@ type frame struct {
 // frame's bytes actually arrive (up to a chunk, or as much again as has
 // arrived, ahead of them): a header claiming 4 GiB costs nothing until
 // 4 GiB are sent. This is the only function that reads frames off a
-// connection.
+// connection; both ends call it on the connection's buffered reader
+// (newConnReader), so a frame already buffered costs no read.
 //
 //lfo:hotpath
 func readFrame(r io.Reader, buf *[]byte, limit int) (frame, error) {

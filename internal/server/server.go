@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -25,7 +26,7 @@ const (
 	// DefaultReadTimeout bounds the wait for a complete request frame
 	// (including idle time between frames).
 	DefaultReadTimeout = 2 * time.Minute
-	// DefaultWriteTimeout bounds one response write.
+	// DefaultWriteTimeout bounds one write of replies.
 	DefaultWriteTimeout = 30 * time.Second
 	// DefaultDrainTimeout is how long Close waits for in-flight handlers
 	// to finish before force-closing their connections.
@@ -87,7 +88,7 @@ type Server struct {
 	// deadline. Must be set before Listen.
 	ReadTimeout time.Duration
 
-	// WriteTimeout bounds one response write. 0 means
+	// WriteTimeout bounds one write of replies. 0 means
 	// DefaultWriteTimeout; negative disables the deadline. Must be set
 	// before Listen.
 	WriteTimeout time.Duration
@@ -144,6 +145,7 @@ type serverMetrics struct {
 	drainKills    *obs.Counter
 	modelSwaps    *obs.Counter
 	swapRejects   *obs.Counter
+	replyWrites   *obs.Counter
 	modelVersion  *obs.Gauge
 	openConns     *obs.Gauge
 	predictNS     *obs.Histogram
@@ -164,6 +166,7 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		drainKills:    r.Counter("server_drain_force_closes_total"),
 		modelSwaps:    r.Counter("server_model_swaps_total"),
 		swapRejects:   r.Counter("server_model_swap_rejects_total"),
+		replyWrites:   r.Counter("server_reply_writes_total"),
 		modelVersion:  r.Gauge("server_model_version"),
 		openConns:     r.Gauge("server_open_connections"),
 		predictNS:     r.Histogram("server_predict_ns", obs.LatencyBounds),
@@ -334,13 +337,28 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-// connState is one connection's scratch: the frame buffers it reads
-// requests into and writes replies from, the lazy feature tracker of the
-// stateful admit protocol, and the decoded batch, feature matrix and
-// probabilities, each grown to the largest the connection has seen. A
-// connection is served serially, so a reply is written before the next
-// request reuses them.
+// armRead gives conn a fresh read deadline unless Close has begun. The
+// check and the set are one step under s.mu, so a handler can never
+// replace the immediate deadline Close wakes it with by a later one.
+func (s *Server) armRead(conn net.Conn, timeout time.Duration) {
+	if timeout <= 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		_ = conn.SetReadDeadline(time.Now().Add(timeout)) // deadline errors surface on the read itself
+	}
+}
+
+// connState is one connection's scratch: the buffered reader its request
+// frames arrive through, the frame buffer each is read into, the replies
+// not yet written, the lazy feature tracker of the stateful admit
+// protocol, and the decoded batch, feature matrix and probabilities, each
+// grown to the largest the connection has seen. A connection is served
+// serially, so each reply is encoded before the next request reuses them.
 type connState struct {
+	br         *bufio.Reader
 	rbuf, wbuf []byte
 	tracker    *features.Tracker
 	reqs       []AdmitRequest
@@ -362,16 +380,31 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	var cs connState
+	s.serveConn(conn, &connState{br: newConnReader(conn)})
+}
+
+// serveConn answers conn's request frames in order, each under its tag.
+// Every complete frame the read buffer holds is answered before anything
+// is written; the replies then go out together in one Write, just before
+// the handler next has to read the connection. A partial frame in the
+// buffer never holds a reply back, and replies already encoded are
+// written before a read error ends the connection. When Close begins,
+// the complete frames already buffered (at most connBufBytes of them) are
+// still answered; the next read from the connection ends it.
+func (s *Server) serveConn(conn net.Conn, cs *connState) {
 	maxFrame := s.maxFrame()
 	readTimeout := s.readTimeout()
 	writeTimeout := s.writeTimeout()
 	for {
-		if readTimeout > 0 && !s.draining() {
-			_ = conn.SetReadDeadline(time.Now().Add(readTimeout)) // deadline errors surface on the read itself
+		if !frameBuffered(cs.br) {
+			if s.writeReplies(conn, writeTimeout, cs) != nil {
+				return
+			}
+			s.armRead(conn, readTimeout)
 		}
-		f, err := readFrame(conn, &cs.rbuf, maxFrame)
+		f, err := readFrame(cs.br, &cs.rbuf, maxFrame)
 		if err != nil {
+			werr := s.writeReplies(conn, writeTimeout, cs)
 			var tooLarge *ErrFrameTooLarge
 			switch {
 			case s.draining():
@@ -385,7 +418,9 @@ func (s *Server) handle(conn net.Conn) {
 				// be resynchronized: answer (best effort) and close.
 				s.m.frameRejects.Inc()
 				s.degrade("frame_limit", conn.RemoteAddr(), err)
-				goodbye(conn, writeTimeout, err.Error())
+				if werr == nil {
+					goodbye(conn, writeTimeout, err.Error())
+				}
 			case benignDisconnect(err):
 			default:
 				s.m.readErrors.Inc()
@@ -393,10 +428,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			return
 		}
-		cs.wbuf = s.respond(&cs, f, cs.wbuf[:0])
-		if err := s.writeResponse(conn, writeTimeout, cs.wbuf); err != nil {
-			return
-		}
+		cs.wbuf = s.respond(cs, f, cs.wbuf)
 	}
 }
 
@@ -488,13 +520,19 @@ func (s *Server) process(cs *connState, body []byte) ([]float64, error) {
 	return cs.probs, nil
 }
 
-// writeResponse writes one reply frame, in one Write, under the write
-// deadline, counting timeout violations and write errors.
-func (s *Server) writeResponse(conn net.Conn, timeout time.Duration, b []byte) error {
+// writeReplies writes the replies encoded since the last write, in one
+// Write under the write deadline, counting the write, timeout violations
+// and write errors.
+func (s *Server) writeReplies(conn net.Conn, timeout time.Duration, cs *connState) error {
+	if len(cs.wbuf) == 0 {
+		return nil
+	}
 	if timeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(timeout)) // deadline errors surface on the write itself
 	}
-	_, err := conn.Write(b)
+	s.m.replyWrites.Inc()
+	_, err := conn.Write(cs.wbuf)
+	cs.wbuf = cs.wbuf[:0]
 	if err == nil {
 		return nil
 	}
@@ -518,8 +556,9 @@ func benignDisconnect(err error) bool {
 }
 
 // Close stops accepting and drains: idle connections are woken with an
-// immediate read deadline and exit cleanly, in-flight responses finish
-// under their write deadline, and whatever remains after DrainTimeout is
+// immediate read deadline and exit cleanly once they have answered the
+// complete frames already in their read buffers, in-flight replies
+// finish under their write deadline, and whatever remains after DrainTimeout is
 // force-closed (counted, surfaced via OnDegrade).
 func (s *Server) Close() error {
 	s.mu.Lock()

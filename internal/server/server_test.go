@@ -544,8 +544,8 @@ func TestBadRequestCounter(t *testing.T) {
 		{"opcode 1 with a feature row", opProbs, appendProbs(nil, 0, randRows(1, 3))[hdrBytes:]},
 	} {
 		tag := uint64(9 + 2*i)
-		mc.wbuf = appendRaw(mc.wbuf[:0], bad.op, tag, bad.body)
-		if err := mc.send(); err != nil {
+		mc.wbuf = appendRaw(mc.wbuf, bad.op, tag, bad.body)
+		if err := mc.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		if got, _, err := mc.ReadResponse(); got != tag || err == nil || !strings.Contains(err.Error(), "unknown opcode") {

@@ -78,6 +78,14 @@ go test -race -skip '^(TestDeployLagDeterministic|TestEarlyRetrainAwaitsRoundInF
 step "go test -race -count 3 (deploy lag)"
 go test -race -count 3 -run 'DeployLag|EarlyRetrainAwaits|AsyncDropped' ./internal/core
 
+# Each end of the wire reads frames through a per-connection buffer; the
+# server coalesces the replies to the frames it holds and the router corks
+# a pipeline window into one write. Rerun the tests of that pipelining, and
+# the chaos suites that drive it through injected faults, so the race
+# detector sees several schedules.
+step "go test -race -count 3 (wire pipelining)"
+go test -race -count 3 -run 'Chaos|Mux|Pipelin|Coalesc|Cork' ./internal/server ./internal/fleet
+
 # Coverage floors on the serving path, where the chaos/fuzz suites are the
 # main guard, on gbdt and opt, whose reference trainer, pointer-walk and
 # min-cost flow oracles are, on evict and core, whose lock-step picks,
