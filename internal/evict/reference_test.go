@@ -320,6 +320,94 @@ func TestPickVictimMatchesReference(t *testing.T) {
 	})
 }
 
+// TestLearnedSlabFlatAcrossSwaps: SetModel re-sizes the carried-state slab
+// to each ranker's stride, and over many swaps between rankers of
+// different strides — one of them, a tree of more than 32 leaves, carrying
+// nothing — the slab, the slots handed out and the free list stop growing
+// once the rankers have each been deployed, while every pick equals a
+// fresh full scan.
+func TestLearnedSlabFlatAcrossSwaps(t *testing.T) {
+	stumps := func(n int) [][]gbdtNode {
+		var trees [][]gbdtNode
+		for i := 0; i < n; i++ {
+			f := FeatAge
+			if i%2 == 1 {
+				f = FeatIdle
+			}
+			trees = append(trees, []gbdtNode{{feature: f, thr: float64(40 + 97*i%700), left: 1, right: 2},
+				{feature: -1, value: 0.1 * float64(i%5-2)}, {feature: -1, value: -0.07 * float64(i%3+1)}})
+		}
+		return append(trees, []gbdtNode{{feature: FeatSize, thr: 5000, left: 1, right: 2}, {feature: -1, value: -0.2}, {feature: -1, value: 0.3}})
+	}
+	// A chain of 39 splits on age and idle time: 40 leaves in one tree.
+	var chain []gbdtNode
+	const splits = 39
+	for j := 0; j < splits; j++ {
+		right := 2*j + 2
+		chain = append(chain, gbdtNode{feature: FeatAge + j%2, thr: float64(25 * (j + 1)), left: 2*j + 1, right: right},
+			gbdtNode{feature: -1, value: 0.01 * float64(j%7-3)})
+	}
+	chain = append(chain, gbdtNode{feature: -1, value: 0.5})
+	rankers := []*gbdt.Model{buildModel(t, stumps(4)), buildModel(t, stumps(24)), buildModel(t, append(stumps(2), chain))}
+	words := make([]int, len(rankers))
+	for i, m := range rankers {
+		words[i] = m.CarryWords(len(movingFeats))
+	}
+	if words[0] == 0 || words[1] <= words[0] || words[2] != 0 {
+		t.Fatalf("rankers carry %v words, want two different non-zero strides and a 0", words)
+	}
+
+	const residents, swaps, picks = 150, 60, 12
+	cs, rs := sim.NewStore[Meta](1<<40), sim.NewStore[Meta](1<<40)
+	cached := newLearned(cs, Options{Seed: 3})
+	ref := &referenceLearned{Learned: newLearned(rs, Options{Seed: 3})}
+	now := int64(0)
+	for id := trace.ObjectID(1); id <= residents; id++ {
+		r := trace.Request{Time: now, ID: id, Size: 100 * int64(id%60+1), Cost: 1}
+		cached.OnAdmit(cs.Add(r.ID, r.Size), r)
+		ref.OnAdmit(rs.Add(r.ID, r.Size), r)
+		now += 3
+	}
+	var slabCap int
+	var slots uint32
+	var free int
+	for swap := 0; swap < swaps; swap++ {
+		m := rankers[swap%len(rankers)]
+		cached.SetModel(m)
+		ref.SetModel(m)
+		for p := 0; p < picks; p++ {
+			now += int64(7 + 13*(p%4))
+			if p%3 == 0 { // a hit: one resident's score ends early
+				id := trace.ObjectID(1 + (swap*picks+p)%residents)
+				r := trace.Request{Time: now, ID: id, Size: cs.Get(id).Size, Cost: 1}
+				cached.OnHit(cs.Get(id), r)
+				ref.OnHit(rs.Get(id), r)
+			}
+			got, n, _ := cached.pickVictim(now)
+			want, _ := ref.referencePickVictim(now)
+			for k := 0; k < n; k++ {
+				if c := cached.cands[k]; c.ID != ref.cands[k].ID || math.Float64bits(c.Payload.rank) != math.Float64bits(ref.scores[k]) {
+					t.Fatalf("swap %d pick %d candidate %d: object %d score %v, full scan object %d score %v",
+						swap, p, k, c.ID, c.Payload.rank, ref.cands[k].ID, ref.scores[k])
+				}
+			}
+			if got != want {
+				t.Fatalf("swap %d pick %d: victim %d, full scan %d", swap, p, got, want)
+			}
+		}
+		if swap == 2*len(rankers)-1 {
+			slabCap, slots, free = cap(cached.slab), cached.slots, len(cached.free)
+		}
+	}
+	if cap(cached.slab) != slabCap || cached.slots != slots || len(cached.free) != free {
+		t.Errorf("after %d swaps: slab cap %d, %d slots, %d free; after %d: %d, %d, %d",
+			swaps, cap(cached.slab), cached.slots, len(cached.free), 2*len(rankers), slabCap, slots, free)
+	}
+	if slots == 0 || slots > residents {
+		t.Errorf("%d slots handed out for %d residents", slots, residents)
+	}
+}
+
 // gbdtNode is a tree node as a test writes it down. gbdt keeps its node
 // type to itself, so buildModel makes a ranker of them the way a ranker
 // arrives from outside: a gob stream of Model.Save's shape through

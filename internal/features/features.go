@@ -12,11 +12,13 @@
 // for robustness (contrast with LRU-K's absolute reference times).
 //
 // Per-object state costs what the object has earned. A first request takes
-// a 24-byte slot (last request time, cost) and an index entry; the second
-// adds a 196-byte ring of 32-bit gaps; the fiftieth adds nothing — 220 bytes
-// against the paper's 208-byte-per-object accounting, and 24 for the objects
-// never requested again. Slots and rings live in pointer-free slabs under a
-// map bounded by MaxObjects with oldest-last-use eviction.
+// a 24-byte slot (last request time, cost) and an index entry: 24 bytes for
+// the objects never requested again. The second adds a 16-byte ring of four
+// 32-bit gaps, 40 bytes to the fifth request; the sixth, which brings the
+// fifth gap, moves them to a 196-byte ring of NumGaps-1 and gives the short
+// ring back; the fiftieth adds nothing — 220 bytes against the paper's
+// 208-byte-per-object accounting. Slots and rings live in pointer-free slabs
+// under a map bounded by MaxObjects with oldest-last-use eviction.
 package features
 
 import (
@@ -61,8 +63,9 @@ func init() {
 }
 
 // slot is an object's fixed state, 24 bytes and no pointer: all a first
-// sight costs. ring indexes the gap slab from the second request on (none
-// until then: there is no gap to store), n counts the ring's valid entries.
+// sight costs. n counts the object's stored gaps and says which slab ring
+// indexes: none at n = 0 (there is no gap to store), the short rings for
+// 1 to shortGaps, the long ones from there on.
 type slot struct {
 	lastTime int64
 	cost     float64
@@ -75,7 +78,14 @@ type slot struct {
 // a recycled ring is not cleared; a free one links the free list through [0].
 type gapRing [NumGaps - 1]uint32
 
-// none marks a slot without a ring and ends the free list of rings.
+// shortRing holds the first shortGaps gaps the same way, 16 bytes: most
+// objects requested more than once are never requested five times, and
+// never need the long ring.
+type shortRing [shortGaps]uint32
+
+const shortGaps = 4
+
+// none marks a slot without a ring and ends a free list of rings.
 const none = -1
 
 // slab is a grow-only array of T addressed by int32 and stored in chunks,
@@ -110,17 +120,42 @@ func (s *slab[T]) clone() slab[T] {
 	return c
 }
 
+// ringSlab is a slab of one ring size and the list of its rings given back,
+// which a take reuses before the slab grows.
+type ringSlab[R shortRing | gapRing] struct {
+	slab[R]
+	free int32 // heads the free list, linked through each free ring's [0]
+	held int   // rings taken and not put back
+}
+
+func newRingSlab[R shortRing | gapRing]() ringSlab[R] { return ringSlab[R]{free: none} }
+
+func (s *ringSlab[R]) take() int32 {
+	s.held++
+	if i := s.free; i != none {
+		s.free = int32((*s.at(i))[0])
+		return i
+	}
+	return s.grow()
+}
+
+func (s *ringSlab[R]) put(i int32) {
+	(*s.at(i))[0] = uint32(s.free)
+	s.free = i
+	s.held--
+}
+
 // Tracker maintains per-object request history.
 type Tracker struct {
 	// index maps a tracked object to its slot. Neither it nor the slabs
 	// hold a pointer, so the collector never walks per-object state.
 	index map[trace.ObjectID]int32
 	slots slab[slot]
-	rings slab[gapRing]
-	// freeRing heads the list of rings a bounded tracker's evictions freed,
-	// reused before the slab grows (a freed slot goes to the evicting insert).
-	freeRing  int32
-	ringsHeld int // rings handed out and not freed
+	// short and long hold the gap rings. A ring is given back when its
+	// object outgrows it or a bounded tracker evicts the object, and a
+	// freed slot goes to the evicting insert.
+	short ringSlab[shortRing]
+	long  ringSlab[gapRing]
 	// maxObjects bounds the sparse feature store; 0 means unbounded.
 	maxObjects int
 	// evictHeap orders tracked objects by lastTime for state eviction. It
@@ -134,7 +169,7 @@ type Tracker struct {
 // NewTracker returns a tracker bounded to maxObjects tracked objects
 // (0 = unbounded).
 func NewTracker(maxObjects int) *Tracker {
-	return &Tracker{index: map[trace.ObjectID]int32{}, freeRing: none, maxObjects: maxObjects}
+	return &Tracker{index: map[trace.ObjectID]int32{}, short: newRingSlab[shortRing](), long: newRingSlab[gapRing](), maxObjects: maxObjects}
 }
 
 // Clone returns a deep copy of the tracker: mutating the clone (or the
@@ -143,7 +178,8 @@ func (t *Tracker) Clone() *Tracker {
 	c := *t
 	c.index = maps.Clone(t.index)
 	c.slots = t.slots.clone()
-	c.rings = t.rings.clone()
+	c.short.slab = t.short.slab.clone()
+	c.long.slab = t.long.slab.clone()
 	c.evictHeap = append(ageHeap(nil), t.evictHeap...)
 	return &c
 }
@@ -152,13 +188,16 @@ func (t *Tracker) Clone() *Tracker {
 func (t *Tracker) Len() int { return len(t.index) }
 
 // Rings returns the number of tracked objects requested twice or more.
-func (t *Tracker) Rings() int { return t.ringsHeld }
+func (t *Tracker) Rings() int { return t.short.held + t.long.held }
 
 // Bytes returns the memory behind the per-object state: the capacity of the
-// slot slab (24-byte entries), the ring slab (196) and the eviction heap (16).
-// The index map, whose size the runtime does not report, is not included.
+// slot slab (24-byte entries), the two ring slabs (16 and 196) and the
+// eviction heap (16) — 24 bytes an object at one request, 40 to the fifth
+// and 220 from the sixth, with slack below a chunk a slab. The index map,
+// whose size the runtime does not report, is not included.
 func (t *Tracker) Bytes() int64 {
-	return chunkLen*int64(len(t.slots.chunks)*24+len(t.rings.chunks)*4*(NumGaps-1)) + int64(cap(t.evictHeap))*16
+	return chunkLen*int64(len(t.slots.chunks)*24+len(t.short.chunks)*4*shortGaps+len(t.long.chunks)*4*(NumGaps-1)) +
+		int64(cap(t.evictHeap))*16
 }
 
 // slotOf returns the object's slot, nil when it is not tracked.
@@ -227,34 +266,54 @@ func (t *Tracker) row(s *slot, r trace.Request, freeBytes int64, dst []float64) 
 		// Gap 1: time since the object's previous request (the only
 		// non-shift-invariant gap).
 		gaps[0] = float64(r.Time - s.lastTime)
-		if n = 1 + int(s.n); n > 1 {
-			for i, g := range t.rings.at(s.ring)[:n-1] {
-				gaps[1+i] = float64(g)
-			}
+		var hist []uint32
+		switch {
+		case s.n == 0:
+		case s.n <= shortGaps:
+			hist = t.short.at(s.ring)[:s.n]
+		default:
+			hist = t.long.at(s.ring)[:s.n]
 		}
+		for i, g := range hist {
+			gaps[1+i] = float64(g)
+		}
+		n = 1 + len(hist)
 	}
 	copy(gaps[n:], missingGaps[:])
 	return FeatGap0 + n
 }
 
 // record shifts the gap since the tracked object's previous request into
-// its ring, newest first, taking the ring at the second request.
+// its ring, newest first: a short ring from the second request, a long one
+// from the gap that would overflow the short ring, which is given back.
 //
 //lfo:hotpath
 func (t *Tracker) record(s *slot, r trace.Request) {
-	if s.ring == none {
-		t.ringsHeld++
-		if s.ring = t.freeRing; s.ring != none {
-			t.freeRing = int32(t.rings.at(s.ring)[0])
-		} else {
-			s.ring = t.rings.grow()
+	gap := saturate32(r.Time - s.lastTime)
+	switch {
+	case s.n < shortGaps:
+		if s.n == 0 {
+			s.ring = t.short.take()
 		}
-	}
-	g := t.rings.at(s.ring)
-	copy(g[1:], g[:s.n])
-	g[0] = saturate32(r.Time - s.lastTime)
-	if s.n < NumGaps-1 {
+		g := t.short.at(s.ring)
+		copy(g[1:], g[:s.n])
+		g[0] = gap
 		s.n++
+	case s.n == shortGaps:
+		i := t.long.take()
+		g := t.long.at(i)
+		copy(g[1:], t.short.at(s.ring)[:])
+		g[0] = gap
+		t.short.put(s.ring)
+		s.ring = i
+		s.n++
+	default:
+		g := t.long.at(s.ring)
+		copy(g[1:], g[:s.n])
+		g[0] = gap
+		if s.n < NumGaps-1 {
+			s.n++
+		}
 	}
 	s.lastTime = r.Time
 	s.cost = r.Cost
@@ -277,13 +336,13 @@ func (t *Tracker) insert(r trace.Request) {
 	t.index[r.ID] = i
 }
 
-// evictOldest drops the least-recently-requested object's state, frees its
-// ring and returns its slot (none when nothing is tracked). An entry whose
-// object has been requested since it was pushed goes back under the object's
-// current lastTime, so the first entry found current is the minimum over
-// every tracked object as long as no object's time stepped back (trace.Read
-// rejects traces where one does; on the wire an out-of-order client only
-// makes its own connection's victim approximate).
+// evictOldest drops the least-recently-requested object's state, gives its
+// ring back and returns its slot (none when nothing is tracked). An entry
+// whose object has been requested since it was pushed goes back under the
+// object's current lastTime, so the first entry found current is the minimum
+// over every tracked object as long as no object's time stepped back
+// (trace.Read rejects traces where one does; on the wire an out-of-order
+// client only makes its own connection's victim approximate).
 func (t *Tracker) evictOldest() int32 {
 	for len(t.evictHeap) > 0 {
 		e := t.evictHeap.pop()
@@ -294,10 +353,12 @@ func (t *Tracker) evictOldest() int32 {
 			continue
 		}
 		delete(t.index, e.id)
-		if s.ring != none {
-			t.rings.at(s.ring)[0] = uint32(t.freeRing)
-			t.freeRing = s.ring
-			t.ringsHeld--
+		switch {
+		case s.n == 0:
+		case s.n <= shortGaps:
+			t.short.put(s.ring)
+		default:
+			t.long.put(s.ring)
 		}
 		return i
 	}

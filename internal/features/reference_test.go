@@ -206,9 +206,9 @@ func tail(v []trace.ObjectID) []trace.ObjectID {
 	return v
 }
 
-// checkStorage holds the slab to its accounting: a slot per tracked object
-// and no more, every ring either held or on the free list, and in a bounded
-// tracker one heap entry per tracked object.
+// checkStorage holds the slabs to their accounting: a slot per tracked
+// object and no more, every ring of either size either held or on its own
+// free list, and in a bounded tracker one heap entry per tracked object.
 func (l *lockstep) checkStorage() {
 	l.t.Helper()
 	g := l.got
@@ -216,11 +216,18 @@ func (l *lockstep) checkStorage() {
 		l.t.Fatalf("op %d: %d slots handed out for %d objects", l.ops, g.slots.n, g.Len())
 	}
 	free := 0
-	for i := g.freeRing; i != none; i = int32(g.rings.at(i)[0]) {
+	for i := g.short.free; i != none; i = int32(g.short.at(i)[0]) {
 		free++
 	}
-	if int(g.rings.n) != g.Rings()+free {
-		l.t.Fatalf("op %d: %d rings handed out for %d held and %d free", l.ops, g.rings.n, g.Rings(), free)
+	if int(g.short.n) != g.short.held+free {
+		l.t.Fatalf("op %d: %d short rings handed out for %d held and %d free", l.ops, g.short.n, g.short.held, free)
+	}
+	free = 0
+	for i := g.long.free; i != none; i = int32(g.long.at(i)[0]) {
+		free++
+	}
+	if int(g.long.n) != g.long.held+free {
+		l.t.Fatalf("op %d: %d long rings handed out for %d held and %d free", l.ops, g.long.n, g.long.held, free)
 	}
 	if g.maxObjects > 0 && len(g.evictHeap) != g.Len() {
 		l.t.Fatalf("op %d: %d heap entries for %d objects", l.ops, len(g.evictHeap), g.Len())
@@ -228,11 +235,14 @@ func (l *lockstep) checkStorage() {
 }
 
 // checkOwnership walks every tracked object: slots and rings are owned
-// once, and the ring count is the number of objects seen more than once.
+// once, an object of 1 to shortGaps gaps holds a short ring and one of more
+// a long ring, each slab's held count is the number of objects holding one
+// of its rings, and the ring count is the number of objects seen more than
+// once.
 func (l *lockstep) checkOwnership() {
 	l.t.Helper()
 	g := l.got
-	slots, rings := map[int32]bool{}, map[int32]bool{}
+	slots, short, long := map[int32]bool{}, map[int32]bool{}, map[int32]bool{}
 	for id, i := range g.index {
 		if slots[i] {
 			l.t.Fatalf("slot %d is owned twice (object %d)", i, id)
@@ -242,15 +252,25 @@ func (l *lockstep) checkOwnership() {
 		if (s.ring == none) != (s.n == 0) || int(s.n) != int(l.want.objects[id].n) {
 			l.t.Fatalf("object %d: ring %d with %d gaps, reference %d gaps", id, s.ring, s.n, l.want.objects[id].n)
 		}
+		owned, slab := short, g.short.n
+		if s.n > shortGaps {
+			owned, slab = long, g.long.n
+		}
 		if s.ring != none {
-			if rings[s.ring] {
-				l.t.Fatalf("ring %d is owned twice (object %d)", s.ring, id)
+			if s.ring >= slab {
+				l.t.Fatalf("object %d with %d gaps holds ring %d of a slab of %d", id, s.n, s.ring, slab)
 			}
-			rings[s.ring] = true
+			if owned[s.ring] {
+				l.t.Fatalf("ring %d is owned twice (object %d, %d gaps)", s.ring, id, s.n)
+			}
+			owned[s.ring] = true
 		}
 	}
-	if len(rings) != g.Rings() {
-		l.t.Fatalf("Rings() = %d, %d objects hold one", g.Rings(), len(rings))
+	if len(short) != g.short.held || len(long) != g.long.held {
+		l.t.Fatalf("%d short and %d long rings held, %d and %d objects hold one", g.short.held, g.long.held, len(short), len(long))
+	}
+	if len(short)+len(long) != g.Rings() {
+		l.t.Fatalf("Rings() = %d, %d objects hold one", g.Rings(), len(short)+len(long))
 	}
 }
 
@@ -384,31 +404,33 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 // nothing once the bound is reached — slots, rings, heap entries and
 // Bytes all stay where the first pass over the bound left them.
 func TestBoundedTrackerSlabPlateaus(t *testing.T) {
-	const bound = 1000
+	const bound, fill = 1000, 6
 	tr := NewTracker(bound)
-	// Fill to the bound with every object requested twice: all the slots
-	// and all the rings a tracker of this bound can ever need at once.
-	for i := 0; i < 2*bound; i++ {
+	// Fill to the bound with every object requested six times: all the
+	// slots and all the rings of both sizes a tracker of this bound can
+	// ever need at once (each object took a short ring, then a long one).
+	for i := 0; i < fill*bound; i++ {
 		tr.Update(req(int64(i), trace.ObjectID(i%bound), 10, 1))
 	}
-	slots, rings, heapCap, bytes := tr.slots.n, tr.rings.n, cap(tr.evictHeap), tr.Bytes()
-	if tr.Len() != bound || slots != bound || rings != bound {
-		t.Fatalf("at the bound: %d objects in %d slots with %d rings, want %d of each", tr.Len(), slots, rings, bound)
+	slots, short, long, heapCap, bytes := tr.slots.n, tr.short.n, tr.long.n, cap(tr.evictHeap), tr.Bytes()
+	if tr.Len() != bound || slots != bound || short != bound || long != bound || tr.short.held != 0 {
+		t.Fatalf("at the bound: %d objects in %d slots with %d short rings (%d held) and %d long, want %d of each and no short one held",
+			tr.Len(), slots, short, tr.short.held, long, bound)
 	}
 	rng := rand.New(rand.NewSource(4))
-	for i := 2 * bound; i < 1000000; i++ {
+	for i := fill * bound; i < 1000000; i++ {
 		id := trace.ObjectID(rng.Intn(20 * bound))
 		if i%3 == 0 {
 			id = trace.ObjectID(rng.Intn(bound / 2)) // re-requests: rings in use
 		}
 		tr.Update(req(int64(i), id, 10, 1))
 	}
-	if tr.slots.n != slots || tr.rings.n != rings || cap(tr.evictHeap) != heapCap || tr.Bytes() != bytes {
-		t.Errorf("after 1000000 updates: slots %d, rings %d, heap cap %d, %d bytes; at the bound: %d, %d, %d, %d",
-			tr.slots.n, tr.rings.n, cap(tr.evictHeap), tr.Bytes(), slots, rings, heapCap, bytes)
+	if tr.slots.n != slots || tr.short.n != short || tr.long.n != long || cap(tr.evictHeap) != heapCap || tr.Bytes() != bytes {
+		t.Errorf("after 1000000 updates: slots %d, short rings %d, long %d, heap cap %d, %d bytes; at the bound: %d, %d, %d, %d, %d",
+			tr.slots.n, tr.short.n, tr.long.n, cap(tr.evictHeap), tr.Bytes(), slots, short, long, heapCap, bytes)
 	}
-	if held := tr.Rings(); held == 0 || held == bound {
-		t.Errorf("%d of %d objects hold a ring at the end: the stream does not free and reuse rings", held, bound)
+	if s, l := tr.short.held, tr.long.held; s == 0 || l == 0 || s+l == bound {
+		t.Errorf("%d short and %d long rings held by %d objects at the end: the stream does not free and reuse rings of both sizes", s, l, bound)
 	}
 	if len(tr.evictHeap) != bound {
 		t.Errorf("heap holds %d entries, want %d", len(tr.evictHeap), bound)
@@ -417,8 +439,8 @@ func TestBoundedTrackerSlabPlateaus(t *testing.T) {
 
 // TestSmallStaysSmall holds the tracker to what an object has earned.
 func TestSmallStaysSmall(t *testing.T) {
-	if s, r, a := unsafe.Sizeof(slot{}), unsafe.Sizeof(gapRing{}), unsafe.Sizeof(ageEntry{}); s != 24 || r != 4*(NumGaps-1) || a != 16 {
-		t.Fatalf("sizes slot %d, ring %d, heap entry %d; Bytes accounts 24, %d, 16", s, r, a, 4*(NumGaps-1))
+	if s, sr, r, a := unsafe.Sizeof(slot{}), unsafe.Sizeof(shortRing{}), unsafe.Sizeof(gapRing{}), unsafe.Sizeof(ageEntry{}); s != 24 || sr != 16 || r != 4*(NumGaps-1) || a != 16 {
+		t.Fatalf("sizes slot %d, short ring %d, ring %d, heap entry %d; Bytes accounts 24, 16, %d, 16", s, sr, r, a, 4*(NumGaps-1))
 	}
 	for _, bound := range []int{0, 64} {
 		tr := NewTracker(bound)
@@ -435,6 +457,16 @@ func TestSmallStaysSmall(t *testing.T) {
 	}
 	if b := few.Bytes(); b > 4<<10 {
 		t.Errorf("3 objects take %d bytes, want at most 4 KiB", b)
+	}
+	// Three requests, two gaps: no object outgrows its short ring.
+	const thrice = 10000
+	short := NewTracker(0)
+	for i := 0; i < 3*thrice; i++ {
+		short.Update(req(int64(i), trace.ObjectID(i%thrice), 10, 1))
+	}
+	if b, slack := short.Bytes(), int64(chunkLen*(24+16)); short.Rings() != thrice || b > 40*thrice+slack {
+		t.Errorf("%d three-request objects: %d rings, %d bytes, want %d rings in at most 40 B each and %d of chunk slack",
+			thrice, short.Rings(), b, thrice, slack)
 	}
 	once := NewTracker(0)
 	for i := 0; i < 100000; i++ {

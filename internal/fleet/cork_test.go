@@ -148,3 +148,60 @@ func TestCorkFlushWritesEveryShardFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestCorkStreamingWindows: a caller that streams Enqueue without Flush
+// still sends a pipeline window's batches in one Write. The Write that
+// fills the window brings back every reply at once, and the read that
+// completes the oldest completes the rest from the buffer, so the next
+// window starts empty. Row by row, the answers are the shard's, and the
+// fallback observes the rows in enqueue order.
+func TestCorkStreamingWindows(t *testing.T) {
+	const rows = 64
+	row := func(i int) server.AdmitRequest {
+		return server.AdmitRequest{Time: int64(i), ID: uint64(i*7%41 + 1), Size: 100, Cost: 1, Free: 1 << 20}
+	}
+	probs := make([]float64, rows)
+	for i := range probs {
+		probs[i] = float64(i) / rows
+	}
+	shard := &stubConn{probs: append([]float64(nil), probs...)}
+	reg := obs.NewRegistry()
+	r := stubRouter(t, Config{Obs: reg, Batch: 4, MaxInFlight: 4, ProbeEvery: 1 << 30}, shard)
+	var dst [rows]float64
+	for i := 0; i < rows; i++ {
+		r.Enqueue(row(i), &dst[i])
+	}
+	r.Flush()
+	if shard.writes > 5 || shard.frames != rows/4 {
+		t.Errorf("%d rows streamed: %d Writes carrying %d frames, want at most 5 carrying %d", rows, shard.writes, shard.frames, rows/4)
+	}
+	for i, want := range probs {
+		if dst[i] != want {
+			t.Fatalf("row %d: %v, want the shard's %v", i, dst[i], want)
+		}
+	}
+
+	// The shard goes down: the fallback answers the next rows from what it
+	// observed, which must be the stream in order.
+	shard.down = true
+	const tail = 12
+	var late [tail]float64
+	for i := 0; i < tail; i++ {
+		r.Enqueue(row(rows+i), &late[i])
+	}
+	r.Flush()
+	censor := policy.NewSecondHitCensor(0)
+	for i := 0; i < rows+tail; i++ {
+		q := row(i)
+		tr := trace.Request{Time: q.Time, ID: trace.ObjectID(q.ID), Size: q.Size, Cost: q.Cost}
+		if i >= rows {
+			if _, want := censor.Admit(tr, q.Free); late[i-rows] != want {
+				t.Errorf("row %d: fallback %v, want the in-order censor's %v", i, late[i-rows], want)
+			}
+		}
+		censor.Observe(tr)
+	}
+	if got := counterValue(t, reg, "fleet_shard0_fallback_rows_total"); got != tail {
+		t.Errorf("fallback_rows_total = %d, want %d", got, tail)
+	}
+}

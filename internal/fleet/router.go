@@ -137,24 +137,36 @@ func (r *Router) send(s *shard) {
 }
 
 // readOne completes the oldest in-flight batch, first writing any queued
-// ones (its own among them): it validates the echoed tag and row count
-// (any mismatch means the stream desynchronized and the shard is
-// failed), copies probabilities to the callers' destinations, and only
-// then observes the rows into the shard fallback — observing at
-// completion rather than enqueue keeps a row from being "seen" by its
-// own observation if it later drains to the fallback.
+// ones (its own among them), and then every later one whose reply the
+// connection already holds, which takes no read: a caller that streams
+// Enqueue without Flush then finds the window empty, not one slot free,
+// and its next window's batches go out in one Write.
 //
 //lfo:hotpath
 func (r *Router) readOne(s *shard) {
 	if r.send(s); !s.up {
 		return
 	}
+	for r.complete(s) && s.flLen > 0 && s.mc.ReplyBuffered() {
+	}
+}
+
+// complete reads the oldest in-flight batch's reply and reports whether the
+// shard is still up: it validates the echoed tag and row count (any
+// mismatch means the stream desynchronized and the shard is failed),
+// copies probabilities to the callers' destinations, and only then
+// observes the rows into the shard fallback — observing at completion
+// rather than enqueue keeps a row from being "seen" by its own
+// observation if it later drains to the fallback.
+//
+//lfo:hotpath
+func (r *Router) complete(s *shard) bool {
 	f := s.fl[s.flHead]
 	id, probs, err := s.mc.ReadResponse()
 	if err != nil || id != f.id || len(probs) != f.n {
 		//lfolint:ignore hotpath-alloc failure path behind a func value: runs once per shard failure
 		r.onFail(s)
-		return
+		return false
 	}
 	base := s.flHead * r.batch
 	for i := 0; i < f.n; i++ {
@@ -168,6 +180,7 @@ func (r *Router) readOne(s *shard) {
 	s.served.Add(int64(f.n))
 	s.flHead = (s.flHead + 1) % r.maxInFlight
 	s.flLen--
+	return true
 }
 
 // enqueueDownSlow handles a row whose home shard is down: every

@@ -107,6 +107,13 @@ func (c *MuxConn) ReadResponse() (uint64, []float64, error) {
 	}
 }
 
+// ReplyBuffered reports whether the next reply has arrived whole in the
+// connection's read buffer, so that ReadResponse returns it without a read
+// from the connection. It costs no syscall.
+//
+//lfo:hotpath
+func (c *MuxConn) ReplyBuffered() bool { return frameBuffered(c.br) }
+
 // Rollout pushes a model to the peer as the given version and waits for
 // the acknowledgement: the versioned hot-swap primitive fleet broadcasts
 // across shards. The peer swaps atomically, acks version pushes it

@@ -96,10 +96,12 @@ func newConnReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, co
 // body, so that reading it takes no read from the connection. Frames
 // larger than the buffer never do.
 func frameBuffered(br *bufio.Reader) bool {
+	//lfolint:ignore hotpath-alloc bufio.Reader.Buffered is the difference of two of its fields
 	n := br.Buffered()
 	if n < 4 {
 		return false
 	}
+	//lfolint:ignore hotpath-alloc Peek of bytes already buffered returns a slice of the buffer and reads nothing
 	word, _ := br.Peek(4) // buffered: no read, no error
 	return 4+int(binary.LittleEndian.Uint32(word)) <= n
 }

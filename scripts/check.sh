@@ -186,6 +186,16 @@ go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s -fuzzminimizetime 5s ./in
 go test -run '^$' -fuzz '^FuzzTrackerMatchesReference$' -fuzztime 5s -fuzzminimizetime 5s ./internal/features
 go test -run '^$' -fuzz '^FuzzPolicyTrace$' -fuzztime 5s -fuzzminimizetime 5s ./internal/policy
 
+# Informational: the per-object history ROADMAP.md quotes, core_tracker_bytes
+# at the end of the 200 000-request seed-42 LFO runs on both mixes, so its
+# figure can be re-read here. It prints and does not compare.
+step "core_tracker_bytes, lfosim -n 200000 -seed 42 -window 25000 (web, cdn)"
+for mix in web cdn; do
+    bytes=$(go run ./cmd/lfosim -gen "$mix" -n 200000 -seed 42 -size 64m -warmup 40000 -window 25000 -policy lfo -obs |
+        awk '$1 == "core_tracker_bytes" {print $2}')
+    printf '   %s: %s B\n' "$mix" "$bytes"
+done
+
 # Informational: the size ROADMAP.md quotes (north star: the same tables
 # and numbers from the least code), so its figure can be re-read here.
 step "non-test Go lines outside bench/"
