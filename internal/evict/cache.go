@@ -29,8 +29,9 @@ type Config struct {
 	// evictor trains, on exact OPT labels with gbdt.DefaultParams;
 	// heuristic evictors ignore the window entirely.
 	WindowSize int
-	// Workers caps OPT/GBDT parallelism at retrain time. Results are
-	// byte-identical for any value.
+	// Workers caps OPT/GBDT parallelism at retrain time, as
+	// gbdt.Params.Workers does; New rejects a value Train would. Results
+	// are byte-identical for any valid value.
 	Workers int
 	// Obs, when set, records cache and eviction metrics.
 	Obs *obs.Registry
@@ -52,6 +53,7 @@ func (c Config) withDefaults() Config {
 // the new model atomically between requests. It implements sim.Policy.
 type Cache struct {
 	cfg     Config
+	params  gbdt.Params // the eviction ranker's training parameters
 	res     *Residents
 	learned *Learned // non-nil iff cfg.Eviction == "learned"
 
@@ -80,13 +82,19 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.WindowSize < 0 {
 		return nil, fmt.Errorf("evict: WindowSize must be >= 0, got %d", cfg.WindowSize)
 	}
+	params := gbdt.DefaultParams()
+	params.Workers = cfg.Workers
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
 	res, err := NewResidents(cfg.CacheSize, cfg.Eviction, Options{Seed: cfg.Seed, Obs: cfg.Obs})
 	if err != nil {
 		return nil, err
 	}
 	c := &Cache{
-		cfg: cfg,
-		res: res,
+		cfg:    cfg,
+		params: params,
+		res:    res,
 		cm: cacheMetrics{
 			requests: cfg.Obs.Counter("evict_cache_requests_total"),
 			hits:     cfg.Obs.Counter("evict_cache_hits_total"),
@@ -162,9 +170,7 @@ func (c *Cache) retrain() {
 		panic(fmt.Sprintf("evict: OPT computation failed: %v", err))
 	}
 	sc = obs.Start(c.cm.trainNS)
-	params := gbdt.DefaultParams()
-	params.Workers = c.cfg.Workers
-	model, err := Train(c.winReqs, res.Admit, params)
+	model, err := Train(c.winReqs, res.Admit, c.params)
 	sc.Stop()
 	if err != nil {
 		panic(fmt.Sprintf("evict: training failed: %v", err))

@@ -49,6 +49,16 @@ func TestWindowSizeRange(t *testing.T) {
 	}
 }
 
+// TestNegativeWorkersRejected: a Workers value the ranker's trainer would
+// refuse is refused by New, with the trainer's error, rather than at the
+// first window boundary.
+func TestNegativeWorkersRejected(t *testing.T) {
+	const want = "gbdt: Workers must be >= 0, got -1"
+	if _, err := New(Config{CacheSize: 1024, Workers: -1}); err == nil || err.Error() != want {
+		t.Errorf("Workers -1: error %v, want %q", err, want)
+	}
+}
+
 // standaloneLRU is the former standalone LRU policy, kept as an oracle:
 // a recency list beside a sim.Store, evicting from the tail.
 type standaloneLRU struct {

@@ -129,8 +129,9 @@ func TestFig5cShape(t *testing.T) {
 		t.Fatalf("errs = %d", len(res.ErrPcts))
 	}
 	// Robustness claim: small spread across seeds/subsets. The paper
-	// reports ~0.5pp on one fixed trace; across different synthetic
-	// subsets allow a few points.
+	// reports ~0.5pp over subsets of one trace. Here every seed generates
+	// a new trace and the trainer, at its defaults, samples nothing, so
+	// the spread is the traces' alone; allow a few points.
 	if res.SpreadPct > 10 {
 		t.Errorf("seed spread %.2fpp implausibly high", res.SpreadPct)
 	}

@@ -125,24 +125,21 @@ type SeedResult struct {
 }
 
 // Fig5c reproduces Figure 5c: prediction error across random seeds and
-// trace subsets. The learner uses bagging and feature subsampling so the
-// seed genuinely matters; the shape target is a small spread.
+// trace subsets. Each seed draws a new trace, and the learner trains on it
+// at LightGBM's defaults, as the paper's did, which sample neither rows nor
+// features: the spread is the trace subsets' alone. The shape target is a
+// small spread.
 func Fig5c(cfg Config, seeds int) (*SeedResult, error) {
 	if seeds <= 0 {
 		seeds = 100
 	}
 	lcfg := cfg.lfoConfig()
-	lcfg.GBDT.BaggingFraction = 0.8
-	lcfg.GBDT.BaggingFreq = 1
-	lcfg.GBDT.FeatureFraction = 0.9
-
 	res := &SeedResult{Seeds: seeds}
 	for s := 0; s < seeds; s++ {
 		sub := cfg
 		// Different trace subset per seed (like the paper's 100 subsets).
 		sub.Seed = cfg.Seed + int64(s)
 		sub.Requests = 2 * cfg.Window
-		lcfg.GBDT.Seed = int64(s)
 		wp, err := sub.windowPair(lcfg)
 		if err != nil {
 			return nil, err

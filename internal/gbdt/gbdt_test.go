@@ -84,10 +84,6 @@ func TestPredictInUnitInterval(t *testing.T) {
 
 func TestTrainDeterministic(t *testing.T) {
 	p := DefaultParams()
-	p.BaggingFraction = 0.8
-	p.BaggingFreq = 1
-	p.FeatureFraction = 0.75
-	p.Seed = 42
 	a, err := Train(synth(1000, 6, 0.05), p)
 	if err != nil {
 		t.Fatal(err)
@@ -98,31 +94,10 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 	row := []float64{3, 2, 0, 0.5}
 	if a.RawPredict(row) != b.RawPredict(row) {
-		t.Error("same seed, different models")
+		t.Error("same data and params, different models")
 	}
 	if a.NumTrees() != b.NumTrees() || a.NumLeaves() != b.NumLeaves() {
-		t.Error("same seed, different structure")
-	}
-}
-
-func TestSeedChangesBaggedModel(t *testing.T) {
-	p := DefaultParams()
-	p.BaggingFraction = 0.5
-	p.BaggingFreq = 1
-	d := synth(1000, 7, 0.1)
-	p.Seed = 1
-	a, _ := Train(d, p)
-	p.Seed = 2
-	b, _ := Train(d, p)
-	diff := false
-	for i := 0; i < 50; i++ {
-		if a.RawPredict(d.Row(i)) != b.RawPredict(d.Row(i)) {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Error("different seeds produced identical bagged models")
+		t.Error("same data and params, different structure")
 	}
 }
 
@@ -334,10 +309,6 @@ func TestParamsValidate(t *testing.T) {
 		{"iterations", func(p *Params) { p.NumIterations = 0 }},
 		{"leaves", func(p *Params) { p.NumLeaves = 1 }},
 		{"leaves past one word", func(p *Params) { p.NumLeaves = maxLeaves + 1 }},
-		{"bagging", func(p *Params) { p.BaggingFraction = 1.5 }},
-		{"bagging NaN", func(p *Params) { p.BaggingFraction = math.NaN() }},
-		{"feature fraction", func(p *Params) { p.FeatureFraction = 0 }},
-		{"feature fraction NaN", func(p *Params) { p.FeatureFraction = math.NaN() }},
 	}
 	for _, tc := range mods {
 		t.Run(tc.name, func(t *testing.T) {
@@ -478,24 +449,25 @@ func TestGradientHessianProperty(t *testing.T) {
 func TestHistogramSubtraction(t *testing.T) {
 	d := synth(300, 17, 0.2)
 	p := DefaultParams()
-	tr := &trainer{p: p, d: d, rng: rand.New(rand.NewSource(0))}
+	tr := &trainer{p: p, d: d}
 	tr.workers = 1
 	tr.b = buildBinner(d)
 	tr.bins, tr.rowStart = binRows(d, tr.b)
+	tr.offsets = tr.b.histOffsets()
 	tr.grad = make([]float64, d.Len())
 	tr.hess = make([]float64, d.Len())
 	tr.scores = make([]float64, d.Len())
 	tr.histCols = make([]histCol, d.Dim())
 	tr.computeGradients()
 
-	tr.sampleFeatures()
-	all := tr.allRows()
+	all := make([]int32, d.Len())
+	for i := range all {
+		all[i] = int32(i)
+	}
 	// Every other feature is live; the others' cells are never read.
 	var live []int32
-	for fi := range tr.feats {
-		if fi%2 == 0 {
-			live = append(live, int32(fi))
-		}
+	for f := 0; f < d.Dim(); f += 2 {
+		live = append(live, int32(f))
 	}
 	parent := tr.newHistogram(live)
 	tr.buildHist(parent, live, all)
@@ -514,8 +486,8 @@ func TestHistogramSubtraction(t *testing.T) {
 	tr.releaseHist(dirty)
 	direct := tr.newHistogram(live)
 	tr.buildHist(direct, live, rest)
-	for _, fi := range live {
-		for i := tr.offsets[fi]; i < tr.offsets[fi+1]; i++ {
+	for _, f := range live {
+		for i := tr.offsets[f]; i < tr.offsets[f+1]; i++ {
 			if direct[i].count != derived[i].count {
 				t.Fatalf("bin %d count: direct %d != derived %d", i, direct[i].count, derived[i].count)
 			}

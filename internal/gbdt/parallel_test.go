@@ -26,40 +26,27 @@ func modelBytes(t *testing.T, m *Model) []byte {
 // decomposition and reduction order are fixed, so the same sums, splits,
 // and leaf values come out no matter how many goroutines computed them.
 func TestTrainDeterministicAcrossWorkers(t *testing.T) {
-	variants := []struct {
-		name string
-		mut  func(*Params)
-	}{
-		{"default", func(p *Params) {}},
-		{"bagging", func(p *Params) { p.BaggingFraction = 0.7; p.BaggingFreq = 2 }},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			base := DefaultParams()
-			base.Seed = 41
-			v.mut(&base)
+	t.Run("default", func(t *testing.T) {
+		seq := DefaultParams()
+		seq.Workers = 1
+		ref, err := Train(synth(4000, 13, 0.05), seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := modelBytes(t, ref)
 
-			seq := base
-			seq.Workers = 1
-			ref, err := Train(synth(4000, 13, 0.05), seq)
+		for _, workers := range []int{2, 8} {
+			p := DefaultParams()
+			p.Workers = workers
+			m, err := Train(synth(4000, 13, 0.05), p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := modelBytes(t, ref)
-
-			for _, workers := range []int{2, 8} {
-				p := base
-				p.Workers = workers
-				m, err := Train(synth(4000, 13, 0.05), p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(want, modelBytes(t, m)) {
-					t.Errorf("workers=%d: serialized model differs from workers=1", workers)
-				}
+			if !bytes.Equal(want, modelBytes(t, m)) {
+				t.Errorf("workers=%d: serialized model differs from workers=1", workers)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestPredictMatrixMatchesPredict pins batched scoring to per-row scoring
@@ -140,11 +127,9 @@ func TestPredictMatrixDuringModelSwap(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for swap := int64(0); swap < 4; swap++ {
+		for swap := 0; swap < 4; swap++ {
 			q := p
-			q.Seed = swap
-			q.BaggingFraction = 0.8
-			q.BaggingFreq = 1
+			q.NumLeaves = 4 + 8*swap
 			m, err := Train(d, q)
 			if err != nil {
 				t.Error(err)

@@ -1,15 +1,16 @@
 // Package gbdt implements histogram-based gradient-boosted decision trees
 // for binary classification, following the LightGBM algorithm the paper's
 // prototype uses (§2.3): quantile feature binning, leaf-wise (best-first)
-// tree growth, logistic loss, shrinkage, optional bagging and feature
-// subsampling, and native missing-value routing with learned default
-// directions.
+// tree growth, logistic loss, shrinkage, and native missing-value routing
+// with learned default directions. Like LightGBM at its defaults, every
+// tree is grown on every row and every feature: there is no bagging and
+// no feature subsampling, so a dataset and Params fix the model.
 //
 // The repro environment has no tree-learning library for Go, so this
 // package is a from-scratch substrate. It trains at LightGBM's defaults,
 // with the paper's one deviation: NumIterations is 30 instead of 100.
-// Params holds only what a caller varies: iterations and leaves, sampling,
-// the seed and the worker count.
+// Params holds only what a caller varies: iterations, leaves and the
+// worker count.
 //
 // The trainer (train.go) works on a row-major binned copy of the data:
 // histograms are built row by row, the larger child's is derived by
@@ -49,15 +50,6 @@ type Params struct {
 	// NumLeaves caps leaves per tree (leaf-wise growth), at most 64: the
 	// scorer holds a tree's leaves in one bitvector word.
 	NumLeaves int
-	// BaggingFraction subsamples rows per bagging round, in (0, 1].
-	BaggingFraction float64
-	// BaggingFreq re-samples rows every BaggingFreq iterations; 0
-	// disables bagging.
-	BaggingFreq int
-	// FeatureFraction subsamples features per tree, in (0, 1].
-	FeatureFraction float64
-	// Seed drives bagging and feature sampling.
-	Seed int64
 	// Workers caps the goroutines used inside Train: row-sharded
 	// gradient/score updates and feature-parallel histogram building and
 	// split search. 0 means all available cores (runtime.GOMAXPROCS),
@@ -69,14 +61,7 @@ type Params struct {
 // DefaultParams returns LightGBM-style defaults with the paper's 30
 // iterations.
 func DefaultParams() Params {
-	return Params{
-		NumIterations:   30,
-		NumLeaves:       31,
-		BaggingFraction: 1,
-		BaggingFreq:     0,
-		FeatureFraction: 1,
-		Seed:            0,
-	}
+	return Params{NumIterations: 30, NumLeaves: 31}
 }
 
 // Validate reports parameter errors.
@@ -86,10 +71,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("gbdt: NumIterations must be positive, got %d", p.NumIterations)
 	case p.NumLeaves < 2 || p.NumLeaves > maxLeaves:
 		return fmt.Errorf("gbdt: NumLeaves must be in [2,%d], got %d", maxLeaves, p.NumLeaves)
-	case !(p.BaggingFraction > 0 && p.BaggingFraction <= 1):
-		return fmt.Errorf("gbdt: BaggingFraction must be in (0,1], got %g", p.BaggingFraction)
-	case !(p.FeatureFraction > 0 && p.FeatureFraction <= 1):
-		return fmt.Errorf("gbdt: FeatureFraction must be in (0,1], got %g", p.FeatureFraction)
 	case p.Workers < 0:
 		return fmt.Errorf("gbdt: Workers must be >= 0, got %d", p.Workers)
 	}

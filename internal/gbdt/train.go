@@ -3,9 +3,7 @@ package gbdt
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
-	"sort"
 
 	"lfo/internal/par"
 )
@@ -34,19 +32,20 @@ func Train(d *Dataset, p Params) (*Model, error) {
 	t := &trainer{
 		p:       p,
 		d:       d,
-		rng:     rand.New(rand.NewSource(p.Seed)),
 		workers: par.Resolve(p.Workers),
 	}
 	t.b = buildBinner(d)
 	t.bins, t.rowStart = binRows(d, t.b)
+	t.offsets = t.b.histOffsets()
 
 	n := d.Len()
 	t.grad = make([]float64, n)
 	t.hess = make([]float64, n)
 	t.scores = make([]float64, n)
+	t.arena = make([]int32, n)
+	t.rightRows = make([]int32, n)
 	maxNodes := 2*p.NumLeaves - 1
 	t.nodes = make([]node, 0, maxNodes)
-	t.nodeBin = make([]uint8, 0, maxNodes)
 	t.cands = make([]leafCand, 0, maxNodes)
 	t.liveBuf = make([]int32, 0, maxNodes*d.Dim())
 	t.bestScratch = make([]splitInfo, d.Dim())
@@ -66,18 +65,13 @@ func Train(d *Dataset, p Params) (*Model, error) {
 	}
 
 	m := &Model{Dim: d.Dim(), BaseScore: base}
-	rows := t.allRows()
 	for iter := 0; iter < p.NumIterations; iter++ {
 		t.computeGradients()
-		if p.BaggingFreq > 0 && p.BaggingFraction < 1 && iter%p.BaggingFreq == 0 {
-			rows = t.sampleRows()
-		}
-		t.sampleFeatures()
-		leaves := t.buildTree(rows)
+		leaves := t.buildTree()
 		if leaves == nil {
-			// No split improved the objective on this sample; another
-			// bagging/feature sample may still find one.
-			continue
+			// No split improves the objective. The scores stay as they
+			// are, so every later round would see these gradients again.
+			break
 		}
 		t.updateScores(leaves)
 		m.Trees = append(m.Trees, Tree{Nodes: append([]node(nil), t.nodes...)})
@@ -96,27 +90,16 @@ type trainer struct {
 	b        *binner
 	bins     []uint8 // the binned rows without their missing tails (binRows)
 	rowStart []int32 // row r's bins are bins[rowStart[r]:rowStart[r+1]]
-	rng      *rand.Rand
+	offsets  []int   // feature f's histogram cells are offsets[f]:offsets[f+1]
 	workers  int
 
 	grad, hess []float64
 	scores     []float64
 
-	// feats is the current tree's selected features, ascending; offsets
-	// are their histogram bin offsets (len(feats)+1 entries).
-	feats   []int
-	offsets []int
-	// outRows are the rows outside the current bagging sample; empty
-	// when every row is in it.
-	outRows []int32
-
-	// The tree under construction. nodes becomes the Tree; nodeBin[i] is
-	// internal node i's split bin, for walking the binned rows.
-	nodes   []node
-	nodeBin []uint8
+	// nodes is the tree under construction; it becomes the Tree.
+	nodes []node
 
 	// Scratch reused across boosting rounds to avoid per-iteration churn.
-	rowScratch  []int32     // allRows / sampleRows output
 	partG       []float64   // per-shard gradient sums (rowSums)
 	partH       []float64   // per-shard hessian sums (rowSums)
 	bestScratch []splitInfo // per-live-feature split candidates (findBestSplit)
@@ -170,82 +153,26 @@ func (t *trainer) rowSums(rows []int32) (sumG, sumH float64) {
 	return sumG, sumH
 }
 
-// allRows fills the reusable row-index scratch with every row.
-func (t *trainer) allRows() []int32 {
-	rows := t.rowBuf(t.d.Len())
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	return rows
-}
-
-// rowBuf returns the shared row scratch resized to n. Only one sampled
-// row set is live at a time (the trainer re-samples in place), so reuse
-// across boosting rounds is safe.
-func (t *trainer) rowBuf(n int) []int32 {
-	if cap(t.rowScratch) < n {
-		t.rowScratch = make([]int32, n)
-	}
-	t.rowScratch = t.rowScratch[:n]
-	return t.rowScratch
-}
-
-// sampleRows draws BaggingFraction of the rows without replacement: the
-// head of a permutation. The tail is the out-of-sample set.
-func (t *trainer) sampleRows() []int32 {
-	n := t.d.Len()
-	k := int(float64(n) * t.p.BaggingFraction)
-	if k < 1 {
-		k = 1
-	}
-	perm := t.rng.Perm(n)
-	buf := t.rowBuf(n)
-	for i, r := range perm {
-		buf[i] = int32(r)
-	}
-	t.outRows = buf[k:]
-	return buf[:k]
-}
-
-// sampleFeatures draws FeatureFraction of the features for one tree into
-// t.feats (ascending) and lays out their histogram offsets.
-func (t *trainer) sampleFeatures() {
-	dim := t.d.Dim()
-	if t.p.FeatureFraction >= 1 {
-		if t.feats != nil {
-			return // every tree uses every feature: laid out once
-		}
-		t.feats = make([]int, dim)
-		for i := range t.feats {
-			t.feats[i] = i
-		}
-	} else {
-		k := int(float64(dim) * t.p.FeatureFraction)
-		if k < 1 {
-			k = 1
-		}
-		t.feats = append(t.feats[:0], t.rng.Perm(dim)[:k]...)
-		sort.Ints(t.feats)
-	}
-	if t.offsets == nil {
-		t.offsets = make([]int, dim+1)
-	}
-	t.offsets = t.offsets[:len(t.feats)+1]
-	for i, f := range t.feats {
-		t.offsets[i+1] = t.offsets[i] + t.b.numBins(f)
-	}
-}
-
 // histBin accumulates gradient statistics for one (feature, bin) cell.
 type histBin struct {
 	grad, hess float64
 	count      int32
 }
 
-// histogram is the per-leaf gradient histogram over the selected features,
-// stored flat: feature position fi owns cells offsets[fi]:offsets[fi+1] of
-// the trainer's offsets. Cells of features not live in the leaf are stale.
+// histogram is the per-leaf gradient histogram over every feature, stored
+// flat: feature f owns cells offsets[f]:offsets[f+1] of the trainer's
+// offsets. Cells of features not live in the leaf are stale.
 type histogram []histBin
+
+// histOffsets lays out the histogram: feature f's cells start at
+// offsets[f], and offsets[len(edges)] is the histogram's length.
+func (b *binner) histOffsets() []int {
+	offsets := make([]int, len(b.edges)+1)
+	for f := range b.edges {
+		offsets[f+1] = offsets[f] + b.numBins(f)
+	}
+	return offsets
+}
 
 // newHistogram hands out a histogram with zeroed live cells, recycling
 // released storage: steady-state training allocates no per-leaf buffers.
@@ -257,8 +184,8 @@ func (t *trainer) newHistogram(live []int32) histogram {
 	}
 	h := t.histFree[n-1][:need]
 	t.histFree = t.histFree[:n-1]
-	for _, fi := range live {
-		clear(h[t.offsets[fi]:t.offsets[fi+1]])
+	for _, f := range live {
+		clear(h[t.offsets[f]:t.offsets[f+1]])
 	}
 	return h
 }
@@ -292,8 +219,8 @@ type histArgs struct {
 // cells, which changes no cell's order either.
 func (t *trainer) buildHist(h histogram, live []int32, idx []int32) {
 	cols := t.histCols[:len(live)]
-	for k, fi := range live {
-		cols[k] = histCol{t.feats[fi], t.offsets[fi]}
+	for k, f := range live {
+		cols[k] = histCol{int(f), t.offsets[f]}
 	}
 	workers := t.workers
 	if len(idx)*len(cols) < parHistMinWork {
@@ -350,8 +277,8 @@ type leafCand struct {
 	sumGrad float64
 	sumHess float64
 	nodeIdx int32
-	// live lists, ascending, the positions in feats of the features that
-	// may still split in the leaf's subtree; its own list, in liveBuf.
+	// live lists, ascending, the features that may still split in the
+	// leaf's subtree; its own list, in liveBuf.
 	live []int32
 	hist histogram // nil once the leaf can no longer split
 	best splitInfo
@@ -397,12 +324,12 @@ func (t *trainer) findBestSplit(c *leafCand, sibling histogram) splitInfo {
 
 	best := splitInfo{}
 	kept := c.live[:0]
-	for k, fi := range c.live {
+	for k, f := range c.live {
 		if s := &t.bestScratch[k]; s.valid && (!best.valid || s.gain > best.gain) {
 			best = *s
 		}
-		if len(c.rows)-int(c.hist[t.offsets[fi]+missingBin].count) >= minDataInLeaf {
-			kept = append(kept, fi)
+		if len(c.rows)-int(c.hist[t.offsets[f]+missingBin].count) >= minDataInLeaf {
+			kept = append(kept, f)
 		}
 	}
 	c.live = kept
@@ -417,12 +344,12 @@ func bestSplitRange(a splitArgs, lo, hi int) {
 	t := a.t
 	bound := float64(minGainToSplit)
 	for k := lo; k < hi; k++ {
-		fi := a.c.live[k]
-		cells := a.c.hist[t.offsets[fi]:t.offsets[fi+1]]
+		f := a.c.live[k]
+		cells := a.c.hist[t.offsets[f]:t.offsets[f+1]]
 		if a.sibling != nil {
-			subtractCells(cells, a.sibling[t.offsets[fi]:t.offsets[fi+1]])
+			subtractCells(cells, a.sibling[t.offsets[f]:t.offsets[f+1]])
 		}
-		t.bestScratch[k] = bestSplitForFeature(a.c, t.feats[fi], cells, bound)
+		t.bestScratch[k] = bestSplitForFeature(a.c, int(f), cells, bound)
 		if s := &t.bestScratch[k]; s.valid {
 			bound = s.gain
 		}
@@ -521,24 +448,21 @@ func bestSplitForFeature(c *leafCand, feature int, cells []histBin, thr float64)
 }
 
 // buildTree grows one tree leaf-wise into t.nodes and returns its leaves,
-// whose row ranges partition rows. It returns nil when no split improves
-// the objective.
+// whose row ranges partition the rows. It returns nil when no split
+// improves the objective.
 //
 // A histogram lives only while its leaf may still be split, or while its
 // sibling still needs it for subtraction; then it goes back to the pool, so
 // a tree holds few at a time.
-func (t *trainer) buildTree(rows []int32) []*leafCand {
-	sumG, sumH := t.rowSums(rows)
-	t.nodes = append(t.nodes[:0], node{Feature: -1, Value: leafValue(sumG, sumH)})
-	t.nodeBin = append(t.nodeBin[:0], 0)
-	// The arena holds the tree's rows once; a split reorders its leaf's
-	// range in place, so the sampled rows themselves stay as drawn for the
-	// trees that reuse them.
-	t.arena = append(t.arena[:0], rows...)
-	if cap(t.rightRows) < len(rows) {
-		t.rightRows = make([]int32, len(rows))
+func (t *trainer) buildTree() []*leafCand {
+	// The arena holds every row once, in row order; a split reorders its
+	// leaf's range in place, so each tree starts from a fresh fill.
+	for i := range t.arena {
+		t.arena[i] = int32(i)
 	}
-	t.liveBuf = t.liveBuf[:len(t.feats)]
+	sumG, sumH := t.rowSums(t.arena)
+	t.nodes = append(t.nodes[:0], node{Feature: -1, Value: leafValue(sumG, sumH)})
+	t.liveBuf = t.liveBuf[:t.d.Dim()]
 	for i := range t.liveBuf {
 		t.liveBuf[i] = int32(i)
 	}
@@ -665,7 +589,6 @@ func (t *trainer) applySplit(c *leafCand) (left, right *leafCand) {
 	t.nodes = append(t.nodes,
 		node{Feature: -1, Value: leafValue(lg, lh)},
 		node{Feature: -1, Value: leafValue(c.sumGrad-lg, c.sumHess-lh)})
-	t.nodeBin = append(t.nodeBin, 0, 0)
 
 	n := &t.nodes[c.nodeIdx]
 	n.Feature = int32(s.feature)
@@ -673,7 +596,6 @@ func (t *trainer) applySplit(c *leafCand) (left, right *leafCand) {
 	n.MissingLeft = s.missingLeft
 	n.Left, n.Right = li, ri
 	n.Value = 0
-	t.nodeBin[c.nodeIdx] = splitBin
 
 	// Each child's scan prunes its own copy of the parent's live list.
 	nf, at := len(c.live), len(t.liveBuf)
@@ -685,39 +607,17 @@ func (t *trainer) applySplit(c *leafCand) (left, right *leafCand) {
 	return &t.cands[len(t.cands)-2], &t.cands[len(t.cands)-1]
 }
 
-// updateScores adds the finished tree to the boosting scores. A row the
-// tree was grown on already sits in its leaf's row range, so it takes that
-// leaf's value with no walk; an out-of-sample row walks the tree over its
-// binned copy. Both add exactly the leaf value a walk over the raw row
-// would reach: a split on bin s has threshold edge[s-1], and a value's bin
-// is 1 + the index of the first edge >= it, so bin <= s iff value <= edge.
+// updateScores adds the finished tree to the boosting scores. Every row
+// sits in its leaf's row range, so it takes that leaf's value with no
+// walk: the value a walk over the raw row would reach, since a split on
+// bin s has threshold edge[s-1], and a value's bin is 1 + the index of the
+// first edge >= it, so bin <= s iff value <= edge.
 func (t *trainer) updateScores(leaves []*leafCand) {
 	for _, c := range leaves {
 		v := t.nodes[c.nodeIdx].Value
 		for _, r := range c.rows {
 			t.scores[r] += v
 		}
-	}
-	par.RangesArg(len(t.outRows), t.workers, 2048, t, walkOutRows)
-}
-
-func walkOutRows(t *trainer, lo, hi int) {
-	for _, r := range t.outRows[lo:hi] {
-		i := int32(0)
-		for t.nodes[i].Feature >= 0 {
-			n := &t.nodes[i]
-			b := t.bin(r, int(n.Feature))
-			goLeft := b <= t.nodeBin[i]
-			if b == missingBin {
-				goLeft = n.MissingLeft
-			}
-			if goLeft {
-				i = n.Left
-			} else {
-				i = n.Right
-			}
-		}
-		t.scores[r] += t.nodes[i].Value
 	}
 }
 
